@@ -37,7 +37,7 @@ from .scoring import (
     training_pairs,
 )
 from .snippet import identify_api_elements, tokenize
-from .stat import load_model, save_model, train
+from .stat import ModelFormatError, load_model, save_model, train
 
 log = logging.getLogger("fqninfer")
 
@@ -151,7 +151,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_infer(args: argparse.Namespace) -> int:
+def _run_snippet(args: argparse.Namespace):
+    """The loop on the snippet named by args: (elements, combined, trace)."""
     kb = _load_kb_or_fail(args)
     snippet = tokenize(Path(args.snippet).read_text(encoding="utf-8"))
     config = _run_config(args)
@@ -160,6 +161,11 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         snippet, kb, exclude_string=config.exclude_string
     )
     combined, trace = run(snippet, kb, model, config, elements=elements)
+    return elements, combined, trace
+
+
+def _cmd_infer(args: argparse.Namespace) -> int:
+    elements, combined, trace = _run_snippet(args)
     for e in sorted(elements, key=lambda e: e.token_index):
         ce = combined.per_element[e]
         fqn = ce.final_fqn if ce.final_fqn else "-"
@@ -173,14 +179,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    kb = _load_kb_or_fail(args)
-    snippet = tokenize(Path(args.snippet).read_text(encoding="utf-8"))
-    config = _run_config(args)
-    model = _load_model_or_fail(args)
-    elements = identify_api_elements(
-        snippet, kb, exclude_string=config.exclude_string
-    )
-    _, trace = run(snippet, kb, model, config, elements=elements)
+    elements, _, trace = _run_snippet(args)
     sys.stdout.write(serialize_trace(trace, elements))
     return 0
 
@@ -262,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (KbError, TruthFormatError, FileNotFoundError) as exc:
+    except (KbError, ModelFormatError, TruthFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,16 +1,17 @@
 """Constraint extraction from snippet syntax and candidate solving over a KB.
 
-Extraction walks the token stream for structural patterns (construction,
-member calls, inheritance clauses, declared assignments) and reports which
-line ranges it could analyze. Solving scores whole assignments of candidate
+Extraction reads the snippet's structure (`Snippet.structure`, recognised
+once per snippet) and walks its significant tokens for structural patterns
+(construction, member calls, inheritance clauses, declared assignments). It
+reports which line ranges it could analyze. Solving scores whole assignments of candidate
 FQNs to elements by (constraint violations, distinct library count,
 lexicographic order) and abstains where optima disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Sequence, Union
 
 from .kb import (
     KnowledgeBase,
@@ -21,6 +22,7 @@ from .kb import (
 from .snippet import (
     ApiElement,
     Snippet,
+    SnippetStructure,
     Token,
     TokenKind,
     identify_api_elements,
@@ -119,75 +121,20 @@ _MEMBER_PREV = frozenset(["public", "private", "protected", "static", "final",
                           ";", "{", "}"])
 
 
-def _significant(snippet: Snippet) -> list[tuple[int, Token]]:
-    return [
-        (i, t)
-        for i, t in enumerate(snippet.tokens)
-        if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)
-    ]
-
-
-@dataclass
-class _Region:
-    kind: str  # class | interface | enum
-    name: str
-    open_sig: int | None  # sig index of '{'
-    close_sig: int | None
-
-
-def _find_regions(sig: list[tuple[int, Token]]) -> list[_Region]:
-    regions = []
-    n = len(sig)
-    for j, (_, t) in enumerate(sig):
-        if t.kind == TokenKind.KEYWORD and t.lexeme in ("class", "interface", "enum"):
-            nxt = sig[j + 1][1] if j + 1 < n else None
-            if nxt is None or nxt.kind != TokenKind.IDENTIFIER:
-                continue
-            k = j + 2
-            open_sig = None
-            while k < n:
-                lex = sig[k][1].lexeme
-                if lex == "{":
-                    open_sig = k
-                    break
-                if lex == ";":
-                    break
-                k += 1
-            close_sig = None
-            if open_sig is not None:
-                depth = 1
-                k = open_sig + 1
-                while k < n:
-                    lex = sig[k][1].lexeme
-                    if lex == "{":
-                        depth += 1
-                    elif lex == "}":
-                        depth -= 1
-                        if depth == 0:
-                            close_sig = k
-                            break
-                    k += 1
-                if close_sig is None:
-                    close_sig = n - 1  # unterminated body runs to EOF
-            regions.append(_Region(t.lexeme, nxt.lexeme, open_sig, close_sig))
-    return regions
-
-
-def _broken_body_lines(
-    sig: list[tuple[int, Token]], regions: list[_Region]
-) -> set[int]:
+def _broken_body_lines(structure: SnippetStructure) -> set[int]:
     """Lines of class bodies containing a constructor whose name does not
     match the class: structure recognition gives up on the whole body."""
+    sig = structure.significant
     excluded: set[int] = set()
     n = len(sig)
-    for region in regions:
-        if region.kind != "class" or region.open_sig is None:
+    for header in structure.headers:
+        if header.kind != "class" or header.name is None or header.open is None:
             continue
-        assert region.close_sig is not None
+        assert header.close is not None
         depth = 0
         mismatch = False
-        k = region.open_sig + 1
-        while k < region.close_sig:
+        k = header.open + 1
+        while k < header.close:
             t = sig[k][1]
             if t.lexeme == "{":
                 depth += 1
@@ -206,19 +153,19 @@ def _broken_body_lines(
                         close is not None
                         and close + 1 < n
                         and sig[close + 1][1].lexeme == "{"
-                        and t.lexeme != region.name
+                        and t.lexeme != header.name
                     ):
                         mismatch = True
                         break
             k += 1
         if mismatch:
-            open_line = sig[region.open_sig][1].line
-            close_line = sig[region.close_sig][1].line
+            open_line = sig[header.open][1].line
+            close_line = sig[header.close][1].line
             excluded.update(range(open_line + 1, close_line + 1))
     return excluded
 
 
-def _matching_paren(sig: list[tuple[int, Token]], i_open: int) -> int | None:
+def _matching_paren(sig: Sequence[tuple[int, Token]], i_open: int) -> int | None:
     depth = 0
     for k in range(i_open, len(sig)):
         lex = sig[k][1].lexeme
@@ -231,7 +178,7 @@ def _matching_paren(sig: list[tuple[int, Token]], i_open: int) -> int | None:
     return None
 
 
-def _parse_args(sig: list[tuple[int, Token]], i_open: int) -> tuple[int, int] | None:
+def _parse_args(sig: Sequence[tuple[int, Token]], i_open: int) -> tuple[int, int] | None:
     """Arity of a balanced argument list starting at sig[i_open] == '('.
 
     Returns (arity, index of the closing paren) or None when unbalanced.
@@ -255,7 +202,7 @@ def _parse_args(sig: list[tuple[int, Token]], i_open: int) -> tuple[int, int] | 
 
 
 def _parse_chain(
-    sig: list[tuple[int, Token]], i_dot: int
+    sig: Sequence[tuple[int, Token]], i_dot: int
 ) -> tuple[tuple[tuple[str, int], ...], str | None]:
     """Parse `.m1(args).m2(args)...` starting at sig[i_dot] == '.'.
 
@@ -295,96 +242,65 @@ def extract_constraints(
     mismatch under strict_body_check) are excluded from coverage and
     contribute no constraints.
     """
-    sig = _significant(snippet)
+    structure = snippet.structure
+    sig = structure.significant
     n = len(sig)
     elem_at: dict[int, ApiElement] = {e.token_index: e for e in elements}
-    regions = _find_regions(sig)
     excluded: set[int] = set()
     if options.strict_body_check:
-        excluded = _broken_body_lines(sig, regions)
-
-    # inheritance zones: sig index of a super name -> (clause, decl kind, decl name)
-    zone: dict[int, tuple[str, str, str]] = {}
-    for j, (_, t) in enumerate(sig):
-        if t.kind == TokenKind.KEYWORD and t.lexeme in ("class", "interface", "enum"):
-            nxt = sig[j + 1][1] if j + 1 < n else None
-            if nxt is None or nxt.kind != TokenKind.IDENTIFIER:
-                continue
-            decl_kind = "interface" if t.lexeme == "interface" else "class"
-            decl_name = nxt.lexeme
-            clause: str | None = None
-            k = j + 2
-            while k < n:
-                tk = sig[k][1]
-                if tk.lexeme in ("{", ";"):
-                    break
-                if tk.kind == TokenKind.KEYWORD and tk.lexeme == "extends":
-                    clause = "extends"
-                elif tk.kind == TokenKind.KEYWORD and tk.lexeme == "implements":
-                    clause = "implements"
-                elif clause and tk.kind == TokenKind.IDENTIFIER:
-                    zone[k] = (clause, decl_kind, decl_name)
-                k += 1
+        excluded = _broken_body_lines(structure)
 
     constraints: list[Constraint] = []
     var_types: dict[str, ApiElement] = {}
+
+    def construction(k: int):
+        """`new Name(args)` at sig[k] == 'new', Name an element."""
+        e = elem_at.get(sig[k + 1][0]) if k + 1 < n else None
+        if e is None or k + 2 >= n or sig[k + 2][1].lexeme != "(":
+            return None
+        parsed = _parse_args(sig, k + 2)
+        return Construction(e, parsed[0]) if parsed is not None else None
+
+    def call(root: ApiElement, hops, static_root: bool):
+        """The call constraint of a nonempty chain. A chain the extractor
+        does not follow keeps only its first hop."""
+        if len(hops) > 1 and options.cascaded_calls:
+            return CascadedCall(root, hops, static_root=static_root)
+        m, a = hops[0]
+        return MemberCall(root, m, a, static_call=static_root)
 
     def chain_constraint(root: ApiElement, i_dot: int, static_root: bool):
         hops, trailing_field = _parse_chain(sig, i_dot)
         if trailing_field is not None:
             return FieldAccess(root, trailing_field, static_access=static_root)
-        if not hops:
-            return None
-        if len(hops) == 1:
-            m, a = hops[0]
-            return MemberCall(root, m, a, static_call=static_root)
-        if options.cascaded_calls:
-            return CascadedCall(root, hops, static_root=static_root)
-        m, a = hops[0]
-        return MemberCall(root, m, a, static_call=static_root)
+        return call(root, hops, static_root) if hops else None
 
     def rhs_source(k: int):
         """Recognize the constraint form of an initializer expression at
         sig[k]. Returns None for anything unrecognized."""
-        t = sig[k][1] if k < n else None
-        if t is None:
+        if k >= n:
             return None
+        t = sig[k][1]
         if t.kind == TokenKind.KEYWORD and t.lexeme == "new":
-            ident = sig[k + 1][1] if k + 1 < n else None
-            if ident is None:
-                return None
-            e = elem_at.get(sig[k + 1][0])
-            if e is None:
-                return None
-            opener = sig[k + 2][1].lexeme if k + 2 < n else ""
-            if opener != "(":
-                return None
-            parsed = _parse_args(sig, k + 2)
-            if parsed is None:
-                return None
-            return Construction(e, parsed[0])
-        if t.kind == TokenKind.IDENTIFIER:
-            nxt = sig[k + 1][1].lexeme if k + 1 < n else ""
-            if nxt != ".":
-                return None
-            root = elem_at.get(sig[k][0])
-            static_root = root is not None
-            if root is None:
-                root = var_types.get(t.lexeme)
-            if root is None:
-                return None
-            hops, trailing = _parse_chain(sig, k + 1)
-            if trailing is not None or not hops:
-                return None
-            if len(hops) == 1:
-                m, a = hops[0]
-                return MemberCall(root, m, a, static_call=static_root)
-            if options.cascaded_calls:
-                return CascadedCall(root, hops, static_root=static_root)
-            # a chain the extractor is not following: the first hop's return
-            # is not the assigned value, so no assignment link is emitted
+            return construction(k)
+        if t.kind != TokenKind.IDENTIFIER or k + 1 >= n:
             return None
-        return None
+        if sig[k + 1][1].lexeme != ".":
+            return None
+        root = elem_at.get(sig[k][0])
+        static_root = root is not None
+        if root is None:
+            root = var_types.get(t.lexeme)
+        if root is None:
+            return None
+        hops, trailing = _parse_chain(sig, k + 1)
+        # a chain the extractor is not following: the first hop's return is
+        # not the assigned value, so no assignment link is emitted
+        if trailing is not None or not hops or (
+            len(hops) > 1 and not options.cascaded_calls
+        ):
+            return None
+        return call(root, hops, static_root)
 
     for j in range(n):
         orig_index, t = sig[j]
@@ -393,11 +309,9 @@ def extract_constraints(
         nxt = sig[j + 1][1] if j + 1 < n else None
 
         if t.kind == TokenKind.KEYWORD and t.lexeme == "new":
-            e = elem_at.get(sig[j + 1][0]) if j + 1 < n else None
-            if e is not None and j + 2 < n and sig[j + 2][1].lexeme == "(":
-                parsed = _parse_args(sig, j + 2)
-                if parsed is not None:
-                    constraints.append(Construction(e, parsed[0]))
+            c = construction(j)
+            if c is not None:
+                constraints.append(c)
             continue
 
         if t.kind != TokenKind.IDENTIFIER:
@@ -405,13 +319,14 @@ def extract_constraints(
 
         e = elem_at.get(orig_index)
         if e is not None:
-            if j in zone:
-                clause, decl_kind, decl_name = zone[j]
-                sub: Union[ApiElement, str] = decl_name
-                if clause == "extends":
-                    constraints.append(Extends(sub, decl_kind, e))
+            clause = structure.clauses.get(j)
+            if clause is not None and clause[1].name is not None:
+                keyword, header = clause
+                if keyword == "extends":
+                    kind = "interface" if header.kind == "interface" else "class"
+                    constraints.append(Extends(header.name, kind, e))
                 else:
-                    constraints.append(Implements(sub, e))
+                    constraints.append(Implements(header.name, e))
                 continue
             if nxt is not None and nxt.lexeme == ".":
                 prev = sig[j - 1][1].lexeme if j > 0 else ""

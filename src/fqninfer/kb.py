@@ -14,7 +14,7 @@ any order; forward references are resolved after the whole file is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -203,7 +203,6 @@ def load_kb(path: str | Path) -> KnowledgeBase:
                 "external": _split_fqns(attrs.get("external-super", "")),
                 "methods": [],
                 "fields": [],
-                "lineno": lineno,
             }
         elif record == "method":
             if len(parts) < 3 or "/" not in parts[2]:
@@ -250,34 +249,18 @@ def load_kb(path: str | Path) -> KnowledgeBase:
             raise KbError(f"{mkind} owner {owner} has no type record", lineno)
         types[owner]["methods" if mkind == "method" else "fields"].append(sig)
 
-    entries = []
-    for fqn, spec in types.items():
-        method_keys: dict[tuple[str, int], MethodSig] = {}
-        for m in spec["methods"]:
-            key = (m.name, m.arity)
-            if key in method_keys and method_keys[key] != m:
-                raise KbError(
-                    f"{fqn}: conflicting signatures for {m.name}/{m.arity}",
-                    spec["lineno"],
-                )
-            method_keys[key] = m
-        entries.append(
-            TypeEntry(
-                fqn=fqn,
-                kind=spec["kind"],
-                library=spec["library"],
-                methods=frozenset(method_keys.values()),
-                fields=frozenset(spec["fields"]),
-                supertypes=frozenset(spec["supers"]),
-                external_supertypes=frozenset(spec["external"]),
-            )
+    return KnowledgeBase(
+        TypeEntry(
+            fqn=fqn,
+            kind=spec["kind"],
+            library=spec["library"],
+            methods=frozenset(spec["methods"]),
+            fields=frozenset(spec["fields"]),
+            supertypes=frozenset(spec["supers"]),
+            external_supertypes=frozenset(spec["external"]),
         )
-    try:
-        return KnowledgeBase(entries)
-    except KbError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise KbError(str(exc)) from exc
+        for fqn, spec in types.items()
+    )
 
 
 def dump_kb(kb: KnowledgeBase) -> str:

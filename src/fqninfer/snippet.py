@@ -3,14 +3,21 @@ context augmentation for incomplete snippets.
 
 The lexer never fails: every byte of input lands in exactly one token, so
 concatenating the lexemes reproduces the source exactly. Snippets are
-allowed to be broken code; structure recognition downstream has to cope.
+allowed to be broken code, so structure recognition has to cope.
+
+Structure is recognised once per snippet, on the `Snippet` itself:
+`Snippet.structure` holds the significant tokens, every class, interface
+and enum header, and the extends/implements clauses. Identification here
+and constraint extraction both read it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 
@@ -46,9 +53,109 @@ class Token:
 
 
 @dataclass(frozen=True)
+class Header:
+    """One `class`, `interface` or `enum` header. Positions are indices into
+    `SnippetStructure.significant`."""
+
+    kind: str  # class | interface | enum
+    name: str | None  # None when no identifier follows, as in `Foo.class`
+    open: int | None  # the body's '{'; None when ';' or the end comes first
+    close: int | None  # the matching '}', or the last token if unterminated
+
+
+@dataclass(frozen=True)
+class SnippetStructure:
+    """The declaration structure of a snippet, read in one pass.
+
+    significant: (token index, token) for every token that is not
+        whitespace or a comment.
+    headers: every class/interface/enum header, in token order.
+    clauses: position of each identifier in an extends/implements clause ->
+        (clause keyword, declaring header). A header nested in another
+        before the body opens declares the clauses after it; a clause with
+        no named header before it belongs to the first, nameless one.
+    """
+
+    significant: tuple[tuple[int, Token], ...]
+    headers: tuple[Header, ...]
+    clauses: Mapping[int, tuple[str, Header]]
+
+
+_DECLARATIONS = ("class", "interface", "enum")
+
+
+def _body(
+    sig: Sequence[tuple[int, Token]], end: int
+) -> tuple[int | None, int | None]:
+    """Open and close of the body that starts where a header ends."""
+    if end >= len(sig) or sig[end][1].lexeme != "{":
+        return None, None
+    depth = 0
+    for k in range(end, len(sig)):
+        lex = sig[k][1].lexeme
+        if lex == "{":
+            depth += 1
+        elif lex == "}":
+            depth -= 1
+            if depth == 0:
+                return end, k
+    return end, len(sig) - 1  # an unterminated body runs to the end
+
+
+def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
+    sig = tuple(
+        (i, t)
+        for i, t in enumerate(tokens)
+        if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)
+    )
+    n = len(sig)
+    headers: list[Header] = []
+    clauses: dict[int, tuple[str, Header]] = {}
+    j = 0
+    while j < n:
+        t = sig[j][1]
+        if t.kind != TokenKind.KEYWORD or t.lexeme not in _DECLARATIONS:
+            j += 1
+            continue
+        # One header run, up to the first '{' or ';'. Headers nested in it
+        # share its end and its body.
+        end = j
+        while end < n and sig[end][1].lexeme not in ("{", ";"):
+            end += 1
+        open_, close = _body(sig, end)
+        clause: str | None = None
+        first = latest_named = owner = None
+        for k in range(j, end):
+            tk = sig[k][1]
+            if tk.kind == TokenKind.KEYWORD and tk.lexeme in _DECLARATIONS:
+                nxt = sig[k + 1][1] if k + 1 < n else None
+                named = nxt is not None and nxt.kind == TokenKind.IDENTIFIER
+                name = nxt.lexeme if named else None
+                header = Header(tk.lexeme, name, open_, close)
+                headers.append(header)
+                if first is None:
+                    first = header
+                if name is not None:
+                    latest_named = header
+            elif tk.kind == TokenKind.KEYWORD and tk.lexeme in ("extends", "implements"):
+                clause, owner = tk.lexeme, latest_named or first
+            elif clause is not None and tk.kind == TokenKind.IDENTIFIER:
+                clauses[k] = (clause, owner)
+        j = end
+    return SnippetStructure(sig, tuple(headers), MappingProxyType(clauses))
+
+
+@dataclass(frozen=True)
 class Snippet:
+    """Source text and its lossless tokens; build one with `tokenize`."""
+
     raw: str
     tokens: tuple[Token, ...]
+
+    @cached_property
+    def structure(self) -> SnippetStructure:
+        """Read on first use, then shared by every pass over this snippet."""
+        return _read_structure(self.tokens)
 
     @property
     def line_count(self) -> int:
@@ -157,10 +264,6 @@ class ApiElement:
         return f"{self.simple_name}[{self.line},{self.occurrence}]"
 
 
-def element_key(e: ApiElement) -> str:
-    return e.key
-
-
 _KEY_RE = re.compile(r"^(.+)\[(\d+),(\d+)\]$")
 
 
@@ -178,12 +281,10 @@ BOXED_NAMES = frozenset(
 )
 
 
-def _significant(snippet: Snippet) -> list[tuple[int, Token]]:
-    return [
-        (i, t)
-        for i, t in enumerate(snippet.tokens)
-        if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)
-    ]
+_CLAUSE_ROLES = {
+    "extends": ElementRole.EXTENDS_CLAUSE,
+    "implements": ElementRole.IMPLEMENTS_CLAUSE,
+}
 
 
 def identify_api_elements(
@@ -207,41 +308,14 @@ def identify_api_elements(
     if exclude_string:
         excluded.add("String")
 
-    sig = _significant(snippet)
+    structure = snippet.structure
+    sig = structure.significant
     nsig = len(sig)
 
     def tok(j: int) -> Token | None:
         return sig[j][1] if 0 <= j < nsig else None
 
-    local_decls: set[str] = set()
-    for j, (_, t) in enumerate(sig):
-        if t.kind == TokenKind.KEYWORD and t.lexeme in ("class", "interface", "enum"):
-            nxt = tok(j + 1)
-            if nxt is not None and nxt.kind == TokenKind.IDENTIFIER:
-                local_decls.add(nxt.lexeme)
-
-    # extends/implements zones: map sig index -> clause kind
-    zone: dict[int, ElementRole] = {}
-    j = 0
-    while j < nsig:
-        t = tok(j)
-        if t.kind == TokenKind.KEYWORD and t.lexeme in ("class", "interface", "enum"):
-            k = j + 1
-            current: ElementRole | None = None
-            while k < nsig:
-                tk = tok(k)
-                if tk.lexeme == "{" or tk.lexeme == ";":
-                    break
-                if tk.kind == TokenKind.KEYWORD and tk.lexeme == "extends":
-                    current = ElementRole.EXTENDS_CLAUSE
-                elif tk.kind == TokenKind.KEYWORD and tk.lexeme == "implements":
-                    current = ElementRole.IMPLEMENTS_CLAUSE
-                elif current is not None and tk.kind == TokenKind.IDENTIFIER:
-                    zone[k] = current
-                k += 1
-            j = k
-        else:
-            j += 1
+    local_decls = {h.name for h in structure.headers if h.name is not None}
 
     occurrence_counter: dict[tuple[str, int], int] = {}
     elements: list[ApiElement] = []
@@ -263,8 +337,8 @@ def identify_api_elements(
             role = ElementRole.ANNOTATION
         elif prev is not None and prev.kind == TokenKind.KEYWORD and prev.lexeme == "new":
             role = ElementRole.OBJECT_CREATION
-        elif j in zone:
-            role = zone[j]
+        elif j in structure.clauses:
+            role = _CLAUSE_ROLES[structure.clauses[j][0]]
         elif nxt is not None and nxt.lexeme == ".":
             member = nxt2
             if member is not None and member.kind == TokenKind.IDENTIFIER:

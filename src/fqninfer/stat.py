@@ -88,22 +88,17 @@ def train(
     adds one count for (token, fqn).
     """
     model = CooccurrenceModel(smoothing_alpha=alpha, window_eta=eta)
+    counts, totals = model.counts, model.fqn_totals
     for snippet, truth in corpus:
         for e, fqn in truth.items():
             others = {o: f for o, f in truth.items() if o != e}
             aug = augment(snippet, others)
+            # a truth FQN is kept even when its window gathers no tokens
+            totals.setdefault(fqn, 0)
             for tok in context_window(aug, e, eta):
-                model.counts[(tok, fqn)] = model.counts.get((tok, fqn), 0) + 1
+                counts[(tok, fqn)] = counts.get((tok, fqn), 0) + 1
+                totals[fqn] += 1
                 model.vocabulary.add(tok)
-            model.fqn_totals[fqn] = model.fqn_totals.get(fqn, 0) + 0
-        # totals are full sums over counts, accumulated once below
-    totals: dict[str, int] = {}
-    for (tok, fqn), n in model.counts.items():
-        totals[fqn] = totals.get(fqn, 0) + n
-    # keep FQNs that appeared in truth but gathered no window tokens
-    for fqn in model.fqn_totals:
-        totals.setdefault(fqn, 0)
-    model.fqn_totals = totals
     return model
 
 
@@ -326,26 +321,31 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     lines = text.splitlines()
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise ModelFormatError("missing model header line")
-    header = lines[0].split("\t")
-    alpha = 1.0
-    eta = 2
-    for part in header[1:]:
+    settings: dict[str, float | int] = {"alpha": 1.0, "eta": 2}
+    for part in lines[0].split("\t")[1:]:
         key, _, value = part.partition("=")
-        if key == "alpha":
-            alpha = float(value)
-        elif key == "eta":
-            eta = int(value)
-        else:
-            raise ModelFormatError(f"unknown header field {key!r}")
-    model = CooccurrenceModel(smoothing_alpha=alpha, window_eta=eta)
+        if key not in settings:
+            raise ModelFormatError(f"line 1: unknown header field {key!r}")
+        try:
+            settings[key] = float(value) if key == "alpha" else int(value)
+        except ValueError:
+            raise ModelFormatError(f"line 1: bad {key} value {value!r}") from None
+    model = CooccurrenceModel(
+        smoothing_alpha=settings["alpha"], window_eta=settings["eta"]
+    )
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if parts[0] == "count" and len(parts) == 4:
-            tok = json.loads(parts[1])
             fqn = parts[2]
-            n = int(parts[3])
+            try:
+                tok = json.loads(parts[1])
+                n = int(parts[3])
+            except ValueError:
+                raise ModelFormatError(
+                    f"line {lineno}: bad count record {line!r}"
+                ) from None
             if n <= 0:
                 raise ModelFormatError(f"line {lineno}: nonpositive count")
             model.counts[(tok, fqn)] = model.counts.get((tok, fqn), 0) + n

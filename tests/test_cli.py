@@ -137,6 +137,24 @@ def test_infer_reports_missing_snippet(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cooccurrence\talpha=1.0\teta=x\n",
+        'cooccurrence\talpha=1.0\teta=2\ncount\t"x"\tcom.a.X\tzz\n',
+        'count\t"x"\tcom.a.X\t1\n',
+    ],
+    ids=["bad-eta", "bad-count", "no-header"],
+)
+def test_infer_reports_malformed_model_in_one_line(tmp_path, capsys, text):
+    snippet = str(FIXTURES / "corpus" / "gwt" / "1318732.java")
+    model_path = tmp_path / "m.tsv"
+    model_path.write_text(text, encoding="utf-8")
+    assert main(["infer", snippet, "--kb", KB_PATH, "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # eval
 

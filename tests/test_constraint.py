@@ -183,6 +183,72 @@ def test_extract_mixed_clauses():
     assert Implements("Both", els["FaceB[1,1]"]) in cons
 
 
+@pytest.mark.parametrize(
+    "text, expected, coverage",
+    [
+        # a clause under a header with no declared name has no subject
+        ("Object o = Foo.class implements Bar {", lambda els: [], ((1, 1),)),
+        # the later of two nested headers is the subject after its name
+        (
+            "class A implements Bar, class C extends Dee {",
+            lambda els: [
+                Implements("A", els["Bar[1,1]"]),
+                Extends("C", "class", els["Dee[1,1]"]),
+            ],
+            ((1, 1),),
+        ),
+        (
+            "Foo.class implements Bar, class C extends Dee {",
+            lambda els: [Extends("C", "class", els["Dee[1,1]"])],
+            ((1, 1),),
+        ),
+        (
+            "class A implements X, Foo.class implements Baz {",
+            lambda els: [
+                Implements("A", els["X[1,1]"]),
+                Implements("A", els["Foo[1,1]"]),
+                Implements("A", els["Baz[1,1]"]),
+            ],
+            ((1, 1),),
+        ),
+        (
+            "interface Q extends Face;\nList l = new List();",
+            lambda els: [
+                Extends("Q", "interface", els["Face[1,1]"]),
+                DeclaredAssignment(
+                    els["List[2,1]"], Construction(els["List[2,2]"], 0)
+                ),
+                Construction(els["List[2,2]"], 0),
+            ],
+            ((1, 2),),
+        ),
+        (
+            "enum E implements Face { X; }",
+            lambda els: [Implements("E", els["Face[1,1]"])],
+            ((1, 1),),
+        ),
+        # an unterminated body runs to the end of the snippet
+        (
+            "class Mine extends Base {\n    Other() { }\n",
+            lambda els: [Extends("Mine", "class", els["Base[1,1]"])],
+            ((1, 1),),
+        ),
+        # a nameless class has no body to give up on
+        ("class { }", lambda els: [], ((1, 1),)),
+        ("class {\n    Other() { }\n}\n", lambda els: [], ((1, 3),)),
+    ],
+    ids=[
+        "nameless-header", "nested-header", "nameless-then-named",
+        "named-then-nameless", "semicolon-ends-header", "enum",
+        "unterminated-body", "nameless-class", "nameless-class-body",
+    ],
+)
+def test_extract_declaration_header_edges(text, expected, coverage):
+    els, cons, got_coverage = _extract(text)
+    assert cons == expected(els)
+    assert got_coverage == coverage
+
+
 def test_constructor_name_mismatch_excludes_body_lines():
     text = (
         "public class MyView extends Composite {\n"        # 1

@@ -154,6 +154,67 @@ def test_own_declarations_excluded():
     assert not any(k.startswith("Mine") for k in got)
 
 
+def test_structure_is_read_once_and_names_each_clause():
+    sn = tokenize("class A extends B implements C {\n}\ninterface D;\n")
+    structure = sn.structure
+    assert sn.structure is structure
+    a, d = structure.headers
+    assert (a.kind, a.name, d.kind, d.name, d.open) == (
+        "class", "A", "interface", "D", None
+    )
+    lexemes = [t.lexeme for _, t in structure.significant]
+    assert lexemes[a.open : a.close + 1] == ["{", "}"]
+    clauses = {
+        structure.significant[k][1].lexeme: (kw, h.name)
+        for k, (kw, h) in structure.clauses.items()
+    }
+    assert clauses == {"B": ("extends", "A"), "C": ("implements", "A")}
+
+
+R = ElementRole
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a header keyword with no declared name still opens a clause
+        (
+            "Object o = Foo.class implements Bar {",
+            {"Object[1,1]": R.DECLARED_TYPE, "Bar[1,1]": R.IMPLEMENTS_CLAUSE},
+        ),
+        (
+            "class A implements Bar, class C extends Dee {",
+            {"Bar[1,1]": R.IMPLEMENTS_CLAUSE, "Dee[1,1]": R.EXTENDS_CLAUSE},
+        ),
+        (
+            "Foo.class implements Bar, class C extends Dee {",
+            {"Bar[1,1]": R.IMPLEMENTS_CLAUSE, "Dee[1,1]": R.EXTENDS_CLAUSE},
+        ),
+        # a header ends at ';' and the next line reads as ordinary code
+        (
+            "interface Q extends Face;\nList l = new List();",
+            {
+                "Face[1,1]": R.EXTENDS_CLAUSE,
+                "List[2,1]": R.DECLARED_TYPE,
+                "List[2,2]": R.OBJECT_CREATION,
+            },
+        ),
+        ("enum E implements Face { X; }", {"Face[1,1]": R.IMPLEMENTS_CLAUSE}),
+        (
+            "class Mine extends Base {\n    Other() { }\n",
+            {"Base[1,1]": R.EXTENDS_CLAUSE},
+        ),
+        ("class { }", {}),
+    ],
+    ids=[
+        "nameless-header", "nested-header", "nameless-then-named",
+        "semicolon-ends-header", "enum", "unterminated-body", "nameless-class",
+    ],
+)
+def test_identify_declaration_header_edges(text, expected):
+    assert _element_map(text) == expected
+
+
 def test_boxed_and_string_excluded_by_default():
     text = "String s = fetch();\nInteger n = count();\nLabel l = make();\n"
     got = _element_map(text)

@@ -387,6 +387,23 @@ def test_load_rejects_nonpositive_count(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("cooccurrence\talpha=1.0\teta=x\n", "line 1: bad eta value 'x'"),
+        ("cooccurrence\talpha=one\teta=2\n", "line 1: bad alpha value 'one'"),
+        ('cooccurrence\teta=2\ncount\t"x"\tcom.a.X\tzz\n', "line 2: bad count record"),
+        ("cooccurrence\teta=2\ncount\tx\tcom.a.X\t1\n", "line 2: bad count record"),
+    ],
+    ids=["eta", "alpha", "count", "token"],
+)
+def test_load_rejects_bad_values_with_line(tmp_path, text, match):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=match):
+        load_model(path)
+
+
 def test_trained_fixture_model_knows_only_trained_fqns(model):
     # the bundled trainers never teach the decoy libraries, so the model
     # must not be able to hallucinate them
