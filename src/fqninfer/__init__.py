@@ -5,58 +5,23 @@ against an API knowledge base, and a statistical ranker built on token
 co-occurrence counts. An iterative loop feeds each engine's output into the
 other (context augmentation one way, knowledge base reduction the other) and
 a final combination step merges their answers.
+
+The package exports what callers use; the building blocks stay in their
+modules (`fqninfer.constraint`, `fqninfer.kb`, `fqninfer.stat`, ...).
 """
 
-from .constraint import (
-    CascadedCall,
-    Construction,
-    ConstraintResult,
-    DeclaredAssignment,
-    Extends,
-    ExtractOptions,
-    FieldAccess,
-    Implements,
-    MemberCall,
-    extract_constraints,
-    infer_snippet,
-    solve,
-)
-from .kb import (
-    FieldSig,
-    KbError,
-    KnowledgeBase,
-    MethodSig,
-    TypeEntry,
-    UnknownTypeError,
-    collect_candidate_types,
-    dump_kb,
-    field_in_knowledge,
-    load_kb,
-    method_in_knowledge,
-    reduce_kb,
-    save_kb,
-    supertype_closure,
-    syntax_knowledge,
-)
+from .constraint import ExtractOptions, infer_snippet
+from .kb import KbError, KnowledgeBase, dump_kb, load_kb
 from .orchestrator import (
     ORDER_CONSTRAINT_FIRST,
     ORDER_STAT_FIRST,
-    CombinedElement,
-    CombinedResult,
-    RoundRecord,
     RunConfig,
-    check_stable,
-    combine,
     infer_with_engine,
     run,
     serialize_trace,
     single_pass_stat,
 )
 from .scoring import (
-    Aggregate,
-    CorpusItem,
-    GroundTruth,
-    SnippetScore,
     TruthFormatError,
     aggregate,
     format_report,
@@ -66,120 +31,60 @@ from .scoring import (
     training_pairs,
     truth_elements,
 )
-from .snippet import (
-    ApiElement,
-    AugmentError,
-    AugmentedSnippet,
-    ElementRole,
-    Snippet,
-    Token,
-    TokenKind,
-    augment,
-    detokenize,
-    identify_api_elements,
-    parse_element_key,
-    plain,
-    tokenize,
-)
+from .snippet import ApiElement, identify_api_elements, plain, tokenize
 from .stat import (
-    CandidateList,
     CooccurrenceModel,
-    CooccurrencePredictor,
     ExternalPredictor,
     ModelFormatError,
     Predictor,
-    as_predictor,
-    context_window,
     dump_model,
-    filter_against_kb,
     load_model,
     predict_all,
-    predict_topk,
     save_model,
-    score_candidate,
     train,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aggregate",
-    "ApiElement",
-    "AugmentError",
-    "AugmentedSnippet",
-    "CandidateList",
-    "CascadedCall",
-    "CombinedElement",
-    "CombinedResult",
-    "ConstraintResult",
-    "Construction",
-    "CooccurrenceModel",
-    "CooccurrencePredictor",
-    "CorpusItem",
-    "DeclaredAssignment",
-    "ElementRole",
-    "Extends",
-    "ExternalPredictor",
-    "ExtractOptions",
-    "FieldAccess",
-    "FieldSig",
-    "GroundTruth",
-    "Implements",
-    "KbError",
-    "KnowledgeBase",
-    "MemberCall",
-    "MethodSig",
-    "ModelFormatError",
-    "ORDER_CONSTRAINT_FIRST",
-    "ORDER_STAT_FIRST",
-    "Predictor",
-    "RoundRecord",
-    "RunConfig",
-    "Snippet",
-    "SnippetScore",
-    "Token",
-    "TokenKind",
-    "TruthFormatError",
-    "TypeEntry",
-    "UnknownTypeError",
-    "aggregate",
-    "as_predictor",
-    "augment",
-    "check_stable",
-    "collect_candidate_types",
-    "combine",
-    "context_window",
-    "detokenize",
-    "dump_kb",
-    "dump_model",
-    "extract_constraints",
-    "field_in_knowledge",
-    "filter_against_kb",
-    "format_report",
-    "identify_api_elements",
-    "infer_snippet",
-    "infer_with_engine",
-    "load_corpus",
+    # loading and training
+    "tokenize",
     "load_kb",
+    "dump_kb",
     "load_model",
-    "load_truth",
-    "method_in_knowledge",
-    "parse_element_key",
-    "plain",
-    "predict_all",
-    "predict_topk",
-    "reduce_kb",
-    "run",
-    "save_kb",
     "save_model",
-    "score_candidate",
-    "score_snippet",
-    "serialize_trace",
-    "single_pass_stat",
-    "solve",
-    "supertype_closure",
-    "syntax_knowledge",
+    "dump_model",
     "train",
+    "load_corpus",
+    "load_truth",
     "training_pairs",
     "truth_elements",
+    # running
+    "identify_api_elements",
+    "plain",
+    "predict_all",
+    "run",
+    "RunConfig",
+    "ExtractOptions",
+    "ORDER_CONSTRAINT_FIRST",
+    "ORDER_STAT_FIRST",
+    "serialize_trace",
+    "infer_with_engine",
+    "infer_snippet",
+    "single_pass_stat",
+    # predictors
+    "Predictor",
+    "ExternalPredictor",
+    "CooccurrenceModel",
+    # scoring
+    "score_snippet",
+    "aggregate",
+    "format_report",
+    # errors
+    "KbError",
+    "ModelFormatError",
+    "TruthFormatError",
+    # types
+    "ApiElement",
+    "KnowledgeBase",
 ]

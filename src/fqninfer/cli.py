@@ -17,6 +17,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .constraint import ExtractOptions
@@ -29,15 +30,9 @@ from .orchestrator import (
     run,
     serialize_trace,
 )
-from .scoring import (
-    TruthFormatError,
-    format_report,
-    load_corpus,
-    score_snippet,
-    training_pairs,
-)
-from .snippet import identify_api_elements, tokenize
-from .stat import ModelFormatError, load_model, save_model, train
+from .scoring import format_report, load_corpus, score_snippet, training_pairs
+from .snippet import identify_api_elements, read_utf8, tokenize
+from .stat import load_model, save_model, train
 
 log = logging.getLogger("fqninfer")
 
@@ -107,7 +102,7 @@ def _load_model_or_fail(args: argparse.Namespace):
         raise SystemExit("error: this command needs --model")
     model = load_model(args.model)
     if args.eta is not None:
-        model.window_eta = args.eta
+        model = replace(model, window_eta=args.eta)
     return model
 
 
@@ -154,7 +149,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _run_snippet(args: argparse.Namespace):
     """The loop on the snippet named by args: (elements, combined, trace)."""
     kb = _load_kb_or_fail(args)
-    snippet = tokenize(Path(args.snippet).read_text(encoding="utf-8"))
+    snippet = tokenize(read_utf8(args.snippet))
     config = _run_config(args)
     model = _load_model_or_fail(args)
     elements = identify_api_elements(
@@ -259,9 +254,12 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    # bad input ends in one line: model, truth and corpus format errors,
+    # undecodable files and out-of-range RunConfig or model settings are
+    # all ValueErrors
     try:
         return args.func(args)
-    except (KbError, ModelFormatError, TruthFormatError, FileNotFoundError) as exc:
+    except (KbError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -107,7 +107,6 @@ Constraint = Union[
 class ConstraintResult:
     typed: Mapping[ApiElement, str]
     untyped: frozenset[ApiElement]
-    extraction_coverage: tuple[tuple[int, int], ...]  # inclusive line ranges
 
 
 def line_covered(line: int, coverage: Sequence[tuple[int, int]]) -> bool:
@@ -524,7 +523,7 @@ def solve(
             binary.append((index_of[con.declared], index_of[subj], assign_pair))
 
     if not search:
-        return ConstraintResult({}, frozenset(untyped), tuple(coverage))
+        return ConstraintResult({}, frozenset(untyped))
 
     cand_lists = [cands[e] for e in search]
     libs_of = [
@@ -599,7 +598,7 @@ def solve(
             continue
         typed[e] = cand_lists[i][best_vec[i]]
 
-    return ConstraintResult(typed, frozenset(untyped), tuple(coverage))
+    return ConstraintResult(typed, frozenset(untyped))
 
 
 def infer_snippet(

@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+from .snippet import read_utf8
+
+if TYPE_CHECKING:
+    from .stat import CandidateList
 
 
 class KbError(Exception):
@@ -171,7 +176,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     duplicate type FQNs, members whose owner is unknown, and supertype
     references that are neither in the KB nor marked external.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path, KbError)
     types: dict[str, dict] = {}
     members: list[tuple[int, str, str, object]] = []  # lineno, kind, owner, sig
 
@@ -366,24 +371,14 @@ def field_in_knowledge(
 
 
 def collect_candidate_types(
-    stat_topk: Mapping[object, object],
+    stat_result: Mapping[object, CandidateList],
     constraint_typed: Mapping[object, str],
-    elements: Iterable[object],
 ) -> frozenset[str]:
     """Union of every element's statistical top-k candidates and its
-    constraint-inferred type, over the given elements. Values in stat_topk
-    may be CandidateList objects or plain sequences of FQN strings.
-    """
-    wanted = set(elements)
-    out: set[str] = set()
-    for e, cand in stat_topk.items():
-        if e not in wanted:
-            continue
-        ranked = getattr(cand, "ranked", cand)
-        out.update(ranked)
-    for e, fqn in constraint_typed.items():
-        if e in wanted:
-            out.add(fqn)
+    constraint-inferred type."""
+    out = set(constraint_typed.values())
+    for cand in stat_result.values():
+        out.update(cand.ranked)
     return frozenset(out)
 
 

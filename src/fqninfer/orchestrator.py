@@ -22,7 +22,7 @@ from .constraint import (
 )
 from .kb import KnowledgeBase, collect_candidate_types, reduce_kb
 from .snippet import ApiElement, Snippet, augment, identify_api_elements, plain
-from .stat import CandidateList, predict_all
+from .stat import CandidateList, Predictor, predict_all
 
 ORDER_CONSTRAINT_FIRST = "constraint_first"
 ORDER_STAT_FIRST = "stat_first"
@@ -36,8 +36,8 @@ def _default_extract_options() -> ExtractOptions:
 class RunConfig:
     """Loop parameters.
 
-    k: statistical candidates kept per element.
-    delta: hard round limit when no fixed point is reached.
+    k: statistical candidates kept per element (0 turns the ranker off).
+    delta: hard round limit when no fixed point is reached (at least 1).
     order: which engine leads a round; the follower sees the leader's output.
     """
 
@@ -46,6 +46,14 @@ class RunConfig:
     order: str = ORDER_CONSTRAINT_FIRST
     extract_options: ExtractOptions = field(default_factory=_default_extract_options)
     exclude_string: bool = True
+
+    def __post_init__(self) -> None:
+        if self.order not in (ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST):
+            raise ValueError(f"unknown round order: {self.order!r}")
+        if self.k < 0:
+            raise ValueError(f"k must not be negative, got {self.k}")
+        if self.delta < 1:
+            raise ValueError(f"delta must be at least 1, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -119,18 +127,16 @@ def combine(
 def run(
     snippet: Snippet,
     kb: KnowledgeBase,
-    model,
+    model: Predictor,
     config: RunConfig = RunConfig(),
     elements: Sequence[ApiElement] | None = None,
 ) -> tuple[CombinedResult, list[RoundRecord]]:
     """Run the full loop on one snippet.
 
-    `model` is a trained co-occurrence model or any predictor object.
-    Statistical candidates are always filtered against the ORIGINAL kb;
-    reduction narrows only what the constraint solver sees.
+    `model` ranks the statistical candidates, e.g. a trained co-occurrence
+    model. Statistical candidates are always filtered against the ORIGINAL
+    kb; reduction narrows only what the constraint solver sees.
     """
-    if config.order not in (ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST):
-        raise ValueError(f"unknown round order: {config.order!r}")
     if elements is None:
         elements = identify_api_elements(
             snippet, kb, exclude_string=config.exclude_string
@@ -154,7 +160,7 @@ def run(
         else:
             aug = augment(snippet, prev_typed)
             sres = predict_all(model, aug, elements, kb, config.k)
-            cantypes = collect_candidate_types(sres, prev_typed, elements)
+            cantypes = collect_candidate_types(sres, prev_typed)
             current = reduce_kb(kb, cantypes)
             cres = solve(
                 current, elements, constraints, coverage, strict_uniqueness=strict
@@ -167,7 +173,7 @@ def run(
             break
 
         if config.order == ORDER_CONSTRAINT_FIRST:
-            cantypes = collect_candidate_types(sres, dict(cres.typed), elements)
+            cantypes = collect_candidate_types(sres, cres.typed)
             current = reduce_kb(kb, cantypes)
 
     return combine(trace, elements), trace
@@ -176,7 +182,7 @@ def run(
 def single_pass_stat(
     snippet: Snippet,
     kb: KnowledgeBase,
-    model,
+    model: Predictor,
     k: int = 1,
     elements: Sequence[ApiElement] | None = None,
 ) -> dict[ApiElement, CandidateList]:
@@ -189,7 +195,7 @@ def single_pass_stat(
 def infer_with_engine(
     snippet: Snippet,
     kb: KnowledgeBase,
-    model,
+    model: Predictor | None,
     engine: str,
     config: RunConfig = RunConfig(),
 ) -> dict[str, str]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .snippet import ApiElement, Snippet, identify_api_elements, tokenize
+from .snippet import ApiElement, Snippet, identify_api_elements, read_utf8, tokenize
 
 
 class TruthFormatError(ValueError):
@@ -33,7 +33,7 @@ class GroundTruth:
 
 def load_truth(path: str | Path, snippet_id: str = "", library: str = "") -> GroundTruth:
     truth: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path, TruthFormatError)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -74,7 +74,7 @@ def load_corpus(root: str | Path) -> list[CorpusItem]:
             truth_path = java.with_suffix(".truth")
             if not truth_path.exists():
                 raise FileNotFoundError(f"missing truth file for {java}")
-            snippet = tokenize(java.read_text(encoding="utf-8"))
+            snippet = tokenize(read_utf8(java, TruthFormatError))
             truth = load_truth(truth_path, snippet_id=java.stem, library=library)
             items.append(
                 CorpusItem(java.stem, library, str(java), snippet, truth)
@@ -126,15 +126,14 @@ class SnippetScore:
 
 
 def score_snippet(
-    answers, truth: GroundTruth, *, lenient: bool = False
+    answers: Mapping[str, str], truth: GroundTruth, *, lenient: bool = False
 ) -> SnippetScore:
     """Score one snippet's answers against its ground truth.
 
-    `answers` maps element keys to FQNs (a combined result's answers() view
-    works directly). Keys outside the requested set raise unless lenient.
+    `answers` maps element keys to FQNs, as `CombinedResult.answers()` and
+    `infer_with_engine` return them. Keys outside the requested set raise
+    unless lenient.
     """
-    if hasattr(answers, "answers"):
-        answers = answers.answers()
     requested = len(truth.truth)
     extra = set(answers) - set(truth.truth)
     if extra and not lenient:

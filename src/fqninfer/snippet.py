@@ -17,8 +17,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class TokenKind(Enum):
@@ -231,6 +232,16 @@ def detokenize(snippet: Snippet) -> str:
     return "".join(t.lexeme for t in snippet.tokens)
 
 
+def read_utf8(path: str | Path, error: type[Exception] = ValueError) -> str:
+    """The text of a UTF-8 file. A file that does not decode raises `error`
+    naming the file and the line of the first bad byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = Path(path).read_bytes().count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text") from None
+
+
 # ---------------------------------------------------------------------------
 # API element identification
 
@@ -292,7 +303,6 @@ def identify_api_elements(
     kb=None,
     *,
     exclude_string: bool = True,
-    extra_exclusions: Iterable[str] = (),
 ) -> list[ApiElement]:
     """Heuristic identification of API type occurrences, in token order.
 
@@ -304,7 +314,7 @@ def identify_api_elements(
     snippet itself (class/interface/enum declarations) are excluded, as are
     boxed primitives and, by default, String.
     """
-    excluded = set(BOXED_NAMES) | set(extra_exclusions)
+    excluded = set(BOXED_NAMES)
     if exclude_string:
         excluded.add("String")
 

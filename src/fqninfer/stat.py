@@ -32,6 +32,7 @@ from .snippet import (
     Snippet,
     TokenKind,
     augment,
+    read_utf8,
 )
 
 
@@ -44,6 +45,19 @@ class CooccurrenceModel:
     vocabulary: set[str] = field(default_factory=set)
     smoothing_alpha: float = 1.0
     window_eta: int = 2
+
+    def __post_init__(self) -> None:
+        # a zero alpha takes the log of zero for every unseen pair, and a
+        # negative eta leaves every context window empty
+        if not 0 < self.smoothing_alpha < math.inf:
+            raise ValueError(f"bad alpha value {self.smoothing_alpha!r}")
+        if self.window_eta < 0:
+            raise ValueError(f"bad eta value {self.window_eta!r}")
+
+    def predict(
+        self, aug: AugmentedSnippet, target: ApiElement, k: int
+    ) -> list[tuple[str, float]]:
+        return predict_topk(self, aug, target, k)
 
     def known_fqns_named(self, simple_name: str) -> list[str]:
         suffix = "." + simple_name
@@ -146,8 +160,6 @@ class CandidateList:
     """Ordered, KB-filtered candidate FQNs for one element."""
 
     ranked: tuple[str, ...]
-    k: int
-    element: ApiElement | None = None
 
     def __len__(self) -> int:
         return len(self.ranked)
@@ -157,41 +169,31 @@ class CandidateList:
 
 
 def filter_against_kb(
-    ranked: Sequence[str | tuple[str, float]],
-    kb: KnowledgeBase,
-    k: int,
-    element: ApiElement | None = None,
+    ranked: Sequence[tuple[str, float]], kb: KnowledgeBase, k: int
 ) -> CandidateList:
-    """Drop candidates that do not exist in kb, keep order, truncate to k.
+    """Drop (fqn, score) pairs whose FQN is not in kb, keep order, truncate
+    to k FQNs.
 
     No padding happens when fewer than k survive; the list may be empty.
     """
     if k <= 0:
-        return CandidateList(ranked=(), k=k, element=element)
+        return CandidateList(())
     kept: list[str] = []
-    for item in ranked:
-        fqn = item[0] if isinstance(item, tuple) else item
+    for fqn, _ in ranked:
         if fqn in kb and fqn not in kept:
             kept.append(fqn)
         if len(kept) == k:
             break
-    return CandidateList(ranked=tuple(kept), k=k, element=element)
+    return CandidateList(tuple(kept))
 
 
 class Predictor(Protocol):
-    """Anything that can rank candidate FQNs for an element in context."""
+    """The statistical engine: ranks candidate FQNs for an element in
+    context, best first, as at most k (fqn, score) pairs."""
 
     def predict(
         self, aug: AugmentedSnippet, target: ApiElement, k: int
     ) -> list[tuple[str, float]]: ...
-
-
-class CooccurrencePredictor:
-    def __init__(self, model: CooccurrenceModel):
-        self.model = model
-
-    def predict(self, aug, target, k):
-        return predict_topk(self.model, aug, target, k)
 
 
 class ExternalPredictor:
@@ -210,6 +212,7 @@ class ExternalPredictor:
 
     def _ensure(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
+            self.close()
             self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
@@ -238,11 +241,13 @@ class ExternalPredictor:
         return ranked
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            assert self._proc.stdin is not None
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
-        self._proc = None
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        assert proc.stdin is not None and proc.stdout is not None
+        proc.stdin.close()
+        proc.wait(timeout=5)
+        proc.stdout.close()
 
     def __enter__(self):
         return self
@@ -251,14 +256,8 @@ class ExternalPredictor:
         self.close()
 
 
-def as_predictor(source) -> Predictor:
-    if isinstance(source, CooccurrenceModel):
-        return CooccurrencePredictor(source)
-    return source
-
-
 def predict_all(
-    source,
+    predictor: Predictor,
     aug: AugmentedSnippet,
     elements: Sequence[ApiElement],
     kb: KnowledgeBase,
@@ -272,12 +271,11 @@ def predict_all(
     co-occurrence model the over-fetch is harmless because its candidate
     universe per simple name is finite and small.
     """
-    predictor = as_predictor(source)
     fetch = k + len(kb.entries) if k > 0 else 0
     out: dict[ApiElement, CandidateList] = {}
     for e in sorted(elements, key=lambda e: e.token_index):
         ranked = predictor.predict(aug, e, fetch)
-        out[e] = filter_against_kb(ranked, kb, k, element=e)
+        out[e] = filter_against_kb(ranked, kb, k)
     return out
 
 
@@ -301,9 +299,10 @@ def dump_model(model: CooccurrenceModel) -> str:
         if n <= 0:
             continue
         lines.append(f"count\t{json.dumps(tok)}\t{fqn}\t{n}")
+    # FQNs with no counts at all still need to exist after a round-trip
+    counted = {fqn for (_, fqn) in model.counts}
     for fqn in sorted(model.fqn_totals):
-        # FQNs with no counts at all still need to exist after a round-trip
-        if not any(f == fqn for (_, f) in model.counts):
+        if fqn not in counted:
             lines.append(f"fqn\t{fqn}")
     return "\n".join(lines) + "\n"
 
@@ -317,7 +316,7 @@ class ModelFormatError(ValueError):
 
 
 def load_model(path: str | Path) -> CooccurrenceModel:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path, ModelFormatError)
     lines = text.splitlines()
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise ModelFormatError("missing model header line")
@@ -330,9 +329,12 @@ def load_model(path: str | Path) -> CooccurrenceModel:
             settings[key] = float(value) if key == "alpha" else int(value)
         except ValueError:
             raise ModelFormatError(f"line 1: bad {key} value {value!r}") from None
-    model = CooccurrenceModel(
-        smoothing_alpha=settings["alpha"], window_eta=settings["eta"]
-    )
+    try:
+        model = CooccurrenceModel(
+            smoothing_alpha=settings["alpha"], window_eta=settings["eta"]
+        )
+    except ValueError as exc:
+        raise ModelFormatError(f"line 1: {exc}") from None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
             continue

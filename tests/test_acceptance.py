@@ -215,7 +215,7 @@ def test_stat_first_order_recall(kb, model, eval_items):
         scores = []
         for item in eval_items:
             combined, _ = fq.run(item.snippet, kb, model, fq.RunConfig(order=order))
-            scores.append(fq.score_snippet(combined, item.truth, lenient=True))
+            scores.append(fq.score_snippet(combined.answers(), item.truth, lenient=True))
         return fq.aggregate(scores)[1].recall
 
     default = overall_recall(fq.ORDER_CONSTRAINT_FIRST)

@@ -155,6 +155,70 @@ def test_infer_reports_malformed_model_in_one_line(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command, bad",
+    [("infer", "model"), ("infer", "kb"), ("infer", "java"),
+     ("eval", "java"), ("eval", "truth"), ("train", "java")],
+    ids=["model", "kb", "snippet", "eval-java", "eval-truth", "train-java"],
+)
+def test_reports_non_utf8_file_in_one_line(
+    tmp_path, capsys, monkeypatch, model_file, command, bad
+):
+    monkeypatch.delenv("FQNINFER_KB", raising=False)
+    corpus = tmp_path / "corpus"
+    (corpus / "gwt").mkdir(parents=True)
+    sources = {
+        "model": Path(model_file),
+        "kb": Path(KB_PATH),
+        "java": FIXTURES / "corpus" / "gwt" / "1318732.java",
+        "truth": FIXTURES / "corpus" / "gwt" / "1318732.truth",
+    }
+    files = {
+        "model": tmp_path / "m.model",
+        "kb": tmp_path / "k.kb",
+        "java": corpus / "gwt" / "1318732.java",
+        "truth": corpus / "gwt" / "1318732.truth",
+    }
+    for name, path in files.items():
+        data = sources[name].read_bytes()
+        path.write_bytes(data + b"\xff\n" if name == bad else data)
+    run_flags = ["--kb", str(files["kb"]), "--model", str(files["model"])]
+    argv = {
+        "infer": ["infer", str(files["java"]), *run_flags],
+        "eval": ["eval", str(corpus), *run_flags],
+        "train": ["train", str(corpus), "-o", str(tmp_path / "out.model")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"{files[bad]}:" in err[0] and "not UTF-8" in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infer", "--delta", "0"],
+        ["infer", "--k", "-1"],
+        ["infer", "--eta", "-1"],
+        ["train", "--eta", "-1"],
+        ["train", "--alpha", "0"],
+    ],
+    ids=["delta-0", "k-negative", "eta-negative", "train-eta-negative",
+         "train-alpha-zero"],
+)
+def test_rejects_nonsense_numbers_in_one_line(tmp_path, capsys, model_file, argv):
+    command, flags = argv[0], argv[1:]
+    if command == "train":
+        argv = ["train", TRAIN_DIR, "-o", str(tmp_path / "out.model"), *flags]
+    else:
+        snippet = str(FIXTURES / "corpus" / "gwt" / "1318732.java")
+        argv = ["infer", snippet, "--kb", KB_PATH, "--model", model_file, *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "out.model").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 

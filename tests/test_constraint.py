@@ -4,26 +4,26 @@ import pytest
 
 from fqninfer import (
     ApiElement,
+    ExtractOptions,
+    KnowledgeBase,
+    identify_api_elements,
+    infer_snippet,
+    tokenize,
+)
+from fqninfer.constraint import (
     CascadedCall,
     Construction,
     DeclaredAssignment,
-    ElementRole,
     Extends,
-    ExtractOptions,
     FieldAccess,
     Implements,
-    KnowledgeBase,
     MemberCall,
-    MethodSig,
-    FieldSig,
-    TypeEntry,
     extract_constraints,
-    identify_api_elements,
-    infer_snippet,
+    line_covered,
     solve,
-    tokenize,
 )
-from fqninfer.constraint import line_covered
+from fqninfer.kb import FieldSig, MethodSig, TypeEntry
+from fqninfer.snippet import ElementRole
 
 LENIENT = ExtractOptions(strict_body_check=False)
 NO_CASCADE = ExtractOptions(cascaded_calls=False)

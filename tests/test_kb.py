@@ -2,21 +2,19 @@
 
 import pytest
 
-from fqninfer import (
-    KbError,
-    KnowledgeBase,
+from fqninfer import KbError, KnowledgeBase, dump_kb, load_kb
+from fqninfer.kb import (
     TypeEntry,
     UnknownTypeError,
     collect_candidate_types,
-    dump_kb,
     field_in_knowledge,
-    load_kb,
     method_in_knowledge,
     reduce_kb,
     save_kb,
     supertype_closure,
     syntax_knowledge,
 )
+from fqninfer.stat import CandidateList
 
 MINI = """\
 # mini knowledge base used across these tests
@@ -263,19 +261,19 @@ def test_field_in_knowledge(tmp_path):
 
 
 def test_collect_candidate_types_union():
-    class FakeList:
-        def __init__(self, ranked):
-            self.ranked = ranked
-
     e1, e2, e3 = "el1", "el2", "el3"
-    stat = {e1: FakeList(("a.X", "b.X")), e2: ("c.Y",), e3: FakeList(("d.Z",))}
-    typed = {e1: "e.X", e3: "f.Z"}
-    got = collect_candidate_types(stat, typed, elements=[e1, e2])
+    stat = {
+        e1: CandidateList(("a.X", "b.X")),
+        e2: CandidateList(("c.Y",)),
+        e3: CandidateList(()),
+    }
+    typed = {e1: "e.X", e3: "a.X"}
+    got = collect_candidate_types(stat, typed)
     assert got == frozenset({"a.X", "b.X", "c.Y", "e.X"})
 
 
 def test_collect_candidate_types_empty():
-    assert collect_candidate_types({}, {}, elements=[]) == frozenset()
+    assert collect_candidate_types({}, {}) == frozenset()
 
 
 def test_reduce_kb_keeps_closure_and_identity(tmp_path):

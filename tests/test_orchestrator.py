@@ -4,20 +4,18 @@ import pytest
 
 from fqninfer import (
     ApiElement,
-    CandidateList,
-    ConstraintResult,
-    ElementRole,
     ExtractOptions,
     ORDER_STAT_FIRST,
-    RoundRecord,
     RunConfig,
-    check_stable,
-    combine,
     infer_with_engine,
     run,
     serialize_trace,
     single_pass_stat,
 )
+from fqninfer.constraint import ConstraintResult
+from fqninfer.orchestrator import RoundRecord, check_stable, combine
+from fqninfer.snippet import ElementRole
+from fqninfer.stat import CandidateList
 
 
 def _el(name, idx):
@@ -25,8 +23,8 @@ def _el(name, idx):
 
 
 def _record(n, typed, ranks, kb_size=10):
-    cres = ConstraintResult(typed, frozenset(), ((1, 99),))
-    sres = {e: CandidateList(ranked=tuple(r), k=3, element=e) for e, r in ranks.items()}
+    cres = ConstraintResult(typed, frozenset())
+    sres = {e: CandidateList(tuple(r)) for e, r in ranks.items()}
     return RoundRecord(n, cres, sres, kb_size)
 
 
@@ -94,10 +92,15 @@ def test_combined_answers_skips_unanswered_elements():
     assert combine(trace, [a, b]).answers() == {"X[1,1]": "com.a.X"}
 
 
-def test_run_rejects_unknown_order(kb, model, by_id):
-    cfg = RunConfig(order="sideways")
+def test_run_rejects_unknown_order():
     with pytest.raises(ValueError, match="unknown round order"):
-        run(by_id["8746084"].snippet, kb, model, cfg)
+        RunConfig(order="sideways")
+    with pytest.raises(ValueError, match="delta must be at least 1"):
+        RunConfig(delta=0)
+    with pytest.raises(ValueError, match="k must not be negative"):
+        RunConfig(k=-1)
+    # the edges themselves are valid: one round, and no statistical ranking
+    RunConfig(k=0, delta=1)
 
 
 def test_run_first_round_sees_full_kb(kb, model, by_id):
@@ -204,3 +207,22 @@ def test_run_covers_every_identified_element(kb, model, by_id):
     combined, _ = run(item.snippet, kb, model)
     names = sorted(e.key for e in combined.per_element)
     assert names == ["Context[2,1]", "Toast[3,1]", "Toast[3,2]", "Toast[3,3]", "Toast[5,1]"]
+
+
+def test_package_exports_the_public_names():
+    import fqninfer
+
+    assert fqninfer.__all__ == [
+        "tokenize", "load_kb", "dump_kb", "load_model", "save_model",
+        "dump_model", "train", "load_corpus", "load_truth", "training_pairs",
+        "truth_elements",
+        "identify_api_elements", "plain", "predict_all", "run", "RunConfig",
+        "ExtractOptions", "ORDER_CONSTRAINT_FIRST", "ORDER_STAT_FIRST",
+        "serialize_trace", "infer_with_engine", "infer_snippet",
+        "single_pass_stat",
+        "Predictor", "ExternalPredictor", "CooccurrenceModel",
+        "score_snippet", "aggregate", "format_report",
+        "KbError", "ModelFormatError", "TruthFormatError",
+        "ApiElement", "KnowledgeBase",
+    ]
+    assert all(hasattr(fqninfer, name) for name in fqninfer.__all__)

@@ -483,11 +483,11 @@ def _random_trace(rng, elems):
             ranked = tuple(
                 rng.sample(fqn_pool, rng.randint(0, 3))
             )
-            stat[e] = CandidateList(ranked=ranked, k=3, element=e)
+            stat[e] = CandidateList(ranked)
         trace.append(
             RoundRecord(
                 round_number=rnd,
-                constraint_result=ConstraintResult(typed, frozenset(), ((1, 10**9),)),
+                constraint_result=ConstraintResult(typed, frozenset()),
                 stat_result=stat,
                 kb_size=rng.randint(1, 60),
             )

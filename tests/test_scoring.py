@@ -3,8 +3,6 @@
 import pytest
 
 from fqninfer import (
-    GroundTruth,
-    SnippetScore,
     TruthFormatError,
     aggregate,
     format_report,
@@ -15,6 +13,7 @@ from fqninfer import (
     truth_elements,
     tokenize,
 )
+from fqninfer.scoring import GroundTruth, SnippetScore
 
 
 def _truth(mapping, snippet_id="s1", library="lib"):
@@ -133,16 +132,6 @@ def test_score_snippet_rejects_extraneous_answers_by_default():
         score_snippet({"Z[9,9]": "com.z.Z"}, truth)
     lenient = score_snippet({"Z[9,9]": "com.z.Z"}, truth, lenient=True)
     assert (lenient.inferred, lenient.requested) == (0, 1)
-
-
-def test_score_snippet_accepts_combined_result_objects():
-    class FakeCombined:
-        def answers(self):
-            return {"A[1,1]": "com.a.A"}
-
-    truth = _truth({"A[1,1]": "com.a.A"})
-    got = score_snippet(FakeCombined(), truth)
-    assert got.correct == 1
 
 
 def test_aggregate_means():

@@ -4,17 +4,14 @@ import random
 
 import pytest
 
-from fqninfer import (
-    ApiElement,
+from fqninfer import ApiElement, identify_api_elements, plain, tokenize
+from fqninfer.snippet import (
     AugmentError,
     ElementRole,
     TokenKind,
     augment,
     detokenize,
-    identify_api_elements,
     parse_element_key,
-    plain,
-    tokenize,
 )
 
 
@@ -221,11 +218,6 @@ def test_boxed_and_string_excluded_by_default():
     assert list(got) == ["Label[3,1]"]
     with_string = _element_map(text, exclude_string=False)
     assert "String[1,1]" in with_string
-
-
-def test_extra_exclusions():
-    got = _element_map("Label a = make();", extra_exclusions=("Label",))
-    assert got == {}
 
 
 def test_member_access_segment_not_identified():

@@ -6,27 +6,27 @@ import sys
 import pytest
 
 from fqninfer import (
-    CandidateList,
     CooccurrenceModel,
-    CooccurrencePredictor,
     ExternalPredictor,
     KnowledgeBase,
     ModelFormatError,
-    TypeEntry,
-    as_predictor,
-    augment,
-    context_window,
     dump_model,
-    filter_against_kb,
     identify_api_elements,
     load_model,
     plain,
     predict_all,
-    predict_topk,
     save_model,
-    score_candidate,
     tokenize,
     train,
+)
+from fqninfer.kb import TypeEntry
+from fqninfer.snippet import augment
+from fqninfer.stat import (
+    CandidateList,
+    context_window,
+    filter_against_kb,
+    predict_topk,
+    score_candidate,
 )
 
 
@@ -211,7 +211,9 @@ def test_predict_topk_truncates():
 
 def test_filter_drops_unknown_and_keeps_order():
     kb = _kb("com.a.Label", "org.b.Label")
-    got = filter_against_kb(["zzz.Fake", "org.b.Label", "com.a.Label"], kb, 3)
+    got = filter_against_kb(
+        [("zzz.Fake", 3.0), ("org.b.Label", 2.0), ("com.a.Label", 1.0)], kb, 3
+    )
     assert got.ranked == ("org.b.Label", "com.a.Label")
 
 
@@ -223,26 +225,26 @@ def test_filter_accepts_scored_pairs():
 
 def test_filter_deduplicates():
     kb = _kb("com.a.Label")
-    got = filter_against_kb(["com.a.Label", "com.a.Label"], kb, 3)
+    got = filter_against_kb([("com.a.Label", 2.0), ("com.a.Label", 1.0)], kb, 3)
     assert got.ranked == ("com.a.Label",)
 
 
 def test_filter_truncates_to_k_survivors():
     kb = _kb("com.a.L", "com.b.L", "com.c.L")
-    got = filter_against_kb(["zzz.L", "com.a.L", "com.b.L", "com.c.L"], kb, 2)
+    ranked = [("zzz.L", 4.0), ("com.a.L", 3.0), ("com.b.L", 2.0), ("com.c.L", 1.0)]
+    got = filter_against_kb(ranked, kb, 2)
     assert got.ranked == ("com.a.L", "com.b.L")
-    assert got.k == 2
 
 
 def test_filter_nonpositive_k_empty():
     kb = _kb("com.a.L")
-    assert filter_against_kb(["com.a.L"], kb, 0).ranked == ()
+    assert filter_against_kb([("com.a.L", 1.0)], kb, 0).ranked == ()
 
 
 def test_candidate_list_top_and_len():
-    cl = CandidateList(ranked=("a.X", "b.X"), k=3)
+    cl = CandidateList(("a.X", "b.X"))
     assert cl.top() == "a.X" and len(cl) == 2
-    assert CandidateList(ranked=(), k=3).top() is None
+    assert CandidateList(()).top() is None
 
 
 def test_predict_all_survives_hallucinated_top_rank():
@@ -273,24 +275,23 @@ def test_predict_all_keys_in_token_order():
 
 
 # ---------------------------------------------------------------------------
-# predictor adapters
+# predictors
 
 
-def test_as_predictor_wraps_model():
+def test_model_predict_is_predict_topk():
     model = _ranking_model()
-    predictor = as_predictor(model)
-    assert isinstance(predictor, CooccurrencePredictor)
     sn, el = _single_element("Label x = ctx;", "Label")
-    assert predictor.predict(plain(sn), el, 5) == predict_topk(model, plain(sn), el, 5)
+    assert model.predict(plain(sn), el, 5) == predict_topk(model, plain(sn), el, 5)
 
 
-def test_as_predictor_passes_through_other_objects():
+def test_predict_all_takes_any_predictor():
     class Custom:
         def predict(self, aug, target, k):
-            return []
+            return [("zzz.Label", 2.0), ("com.a.Label", 1.0)][:k]
 
-    c = Custom()
-    assert as_predictor(c) is c
+    kb = _kb("com.a.Label")
+    sn, el = _single_element("Label x = ctx;", "Label")
+    assert predict_all(Custom(), plain(sn), [el], kb, k=1)[el].ranked == ("com.a.Label",)
 
 
 ECHO_PREDICTOR = r"""
@@ -394,12 +395,19 @@ def test_load_rejects_nonpositive_count(tmp_path):
         ("cooccurrence\talpha=one\teta=2\n", "line 1: bad alpha value 'one'"),
         ('cooccurrence\teta=2\ncount\t"x"\tcom.a.X\tzz\n', "line 2: bad count record"),
         ("cooccurrence\teta=2\ncount\tx\tcom.a.X\t1\n", "line 2: bad count record"),
+        ("cooccurrence\talpha=0.0\teta=2\n", "line 1: bad alpha value 0.0"),
+        ("cooccurrence\talpha=-1.5\teta=2\n", "line 1: bad alpha value -1.5"),
+        ("cooccurrence\talpha=inf\teta=2\n", "line 1: bad alpha value inf"),
+        ("cooccurrence\talpha=1.0\teta=-3\n", "line 1: bad eta value -3"),
+        ('cooccurrence\teta=2\ncount\t"\udcff"\tcom.a.X\t1\n', "m.tsv:2: not UTF-8"),
     ],
-    ids=["eta", "alpha", "count", "token"],
+    ids=["eta", "alpha", "count", "token", "alpha-zero", "alpha-negative",
+         "alpha-inf", "eta-negative", "not-utf8"],
 )
 def test_load_rejects_bad_values_with_line(tmp_path, text, match):
-    path = tmp_path / "bad.tsv"
-    path.write_text(text, encoding="utf-8")
+    path = tmp_path / "m.tsv"
+    # surrogate escapes stand for raw bytes that are not UTF-8
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ModelFormatError, match=match):
         load_model(path)
 
