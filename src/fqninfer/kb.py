@@ -28,8 +28,6 @@ class KbError(Exception):
     """Malformed or inconsistent knowledge base input."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
 
@@ -172,11 +170,20 @@ def _split_fqns(value: str) -> list[str]:
 def load_kb(path: str | Path) -> KnowledgeBase:
     """Parse the KB text format and return a validated KnowledgeBase.
 
-    Raises KbError with the offending line number for malformed records,
-    duplicate type FQNs, members whose owner is unknown, and supertype
-    references that are neither in the KB nor marked external.
+    Raises KbError as `<path>:<line>: <message>` for malformed records,
+    duplicate type FQNs and members whose owner is unknown, and as
+    `<path>: <message>` for conflicting signatures and supertype references
+    that are neither in the KB nor marked external.
     """
     text = read_utf8(path, KbError)
+    try:
+        return _parse_kb(text)
+    except KbError as exc:
+        where = str(path) if exc.line is None else f"{path}:{exc.line}"
+        raise KbError(f"{where}: {exc}") from None
+
+
+def _parse_kb(text: str) -> KnowledgeBase:
     types: dict[str, dict] = {}
     members: list[tuple[int, str, str, object]] = []  # lineno, kind, owner, sig
 

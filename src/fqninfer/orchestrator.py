@@ -136,6 +136,10 @@ def run(
     `model` ranks the statistical candidates, e.g. a trained co-occurrence
     model. Statistical candidates are always filtered against the ORIGINAL
     kb; reduction narrows only what the constraint solver sees.
+
+    Within a run the solver's answer depends only on the candidate-type set
+    the KB is reduced to (None: the full KB), and the ranking only on the
+    substitution map, so each distinct input is solved or ranked once.
     """
     if elements is None:
         elements = identify_api_elements(
@@ -145,36 +149,45 @@ def run(
         snippet, elements, config.extract_options
     )
     strict = config.extract_options.strict_uniqueness
+    solved: dict[frozenset[str] | None, tuple[int, ConstraintResult]] = {}
+    ranked: dict[frozenset, dict[ApiElement, CandidateList]] = {}
 
-    current = kb
-    prev_typed: dict[ApiElement, str] = {}
+    def solve_reduced(cantypes: frozenset[str] | None) -> tuple[int, ConstraintResult]:
+        if cantypes not in solved:
+            current = kb if cantypes is None else reduce_kb(kb, cantypes)
+            cres = solve(
+                current, elements, constraints, coverage, strict_uniqueness=strict
+            )
+            solved[cantypes] = (len(current), cres)
+        return solved[cantypes]
+
+    def rank(typed: Mapping[ApiElement, str]) -> dict[ApiElement, CandidateList]:
+        key = frozenset(typed.items())
+        if key not in ranked:
+            aug = augment(snippet, dict(typed))
+            ranked[key] = predict_all(model, aug, elements, kb, config.k)
+        return ranked[key]
+
+    cantypes: frozenset[str] | None = None
+    prev_typed: Mapping[ApiElement, str] = {}
     trace: list[RoundRecord] = []
 
     for round_number in range(1, config.delta + 1):
         if config.order == ORDER_CONSTRAINT_FIRST:
-            cres = solve(
-                current, elements, constraints, coverage, strict_uniqueness=strict
-            )
-            aug = augment(snippet, dict(cres.typed))
-            sres = predict_all(model, aug, elements, kb, config.k)
+            if trace:  # the previous round's candidates narrow the KB
+                cantypes = collect_candidate_types(sres, cres.typed)
+            kb_size, cres = solve_reduced(cantypes)
+            sres = rank(cres.typed)
         else:
-            aug = augment(snippet, prev_typed)
-            sres = predict_all(model, aug, elements, kb, config.k)
+            sres = rank(prev_typed)
             cantypes = collect_candidate_types(sres, prev_typed)
-            current = reduce_kb(kb, cantypes)
-            cres = solve(
-                current, elements, constraints, coverage, strict_uniqueness=strict
-            )
-            prev_typed = dict(cres.typed)
+            kb_size, cres = solve_reduced(cantypes)
+            prev_typed = cres.typed
 
-        record = RoundRecord(round_number, cres, sres, len(current))
+        record = RoundRecord(round_number, cres, sres, kb_size)
         trace.append(record)
         if len(trace) > 1 and check_stable(trace[-2], record):
             break
-
-        if config.order == ORDER_CONSTRAINT_FIRST:
-            cantypes = collect_candidate_types(sres, cres.typed)
-            current = reduce_kb(kb, cantypes)
 
     return combine(trace, elements), trace
 

@@ -36,23 +36,40 @@ from .snippet import (
 )
 
 
+def _check_settings(alpha: float, eta: int) -> None:
+    # a zero alpha takes the log of zero for every unseen pair, and a
+    # negative eta leaves every context window empty
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"bad alpha value {alpha!r}")
+    if eta < 0:
+        raise ValueError(f"bad eta value {eta!r}")
+
+
 @dataclass
 class CooccurrenceModel:
-    """Token/FQN co-occurrence counts plus smoothing configuration."""
+    """Token/FQN co-occurrence counts plus smoothing configuration.
+
+    The fields are read-only after construction, which builds the
+    simple-name index that `known_fqns_named` answers from.
+    """
 
     counts: dict[tuple[str, str], int] = field(default_factory=dict)
     fqn_totals: dict[str, int] = field(default_factory=dict)
     vocabulary: set[str] = field(default_factory=set)
     smoothing_alpha: float = 1.0
     window_eta: int = 2
+    _by_simple_name: dict[str, list[str]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        # a zero alpha takes the log of zero for every unseen pair, and a
-        # negative eta leaves every context window empty
-        if not 0 < self.smoothing_alpha < math.inf:
-            raise ValueError(f"bad alpha value {self.smoothing_alpha!r}")
-        if self.window_eta < 0:
-            raise ValueError(f"bad eta value {self.window_eta!r}")
+        _check_settings(self.smoothing_alpha, self.window_eta)
+        self._by_simple_name = {}
+        for fqn in self.fqn_totals:
+            # a simple name is one identifier, so it is all after the last dot
+            self._by_simple_name.setdefault(fqn.rpartition(".")[2], []).append(fqn)
+        for fqns in self._by_simple_name.values():
+            fqns.sort()
 
     def predict(
         self, aug: AugmentedSnippet, target: ApiElement, k: int
@@ -60,10 +77,8 @@ class CooccurrenceModel:
         return predict_topk(self, aug, target, k)
 
     def known_fqns_named(self, simple_name: str) -> list[str]:
-        suffix = "." + simple_name
-        return sorted(
-            f for f in self.fqn_totals if f == simple_name or f.endswith(suffix)
-        )
+        """Model FQNs with this simple name, lexicographically ordered."""
+        return list(self._by_simple_name.get(simple_name, ()))
 
 
 _WINDOW_KINDS = (TokenKind.IDENTIFIER, TokenKind.LITERAL)
@@ -101,8 +116,10 @@ def train(
     prediction sees after augmentation, then every window token around e
     adds one count for (token, fqn).
     """
-    model = CooccurrenceModel(smoothing_alpha=alpha, window_eta=eta)
-    counts, totals = model.counts, model.fqn_totals
+    _check_settings(alpha, eta)
+    counts: dict[tuple[str, str], int] = {}
+    totals: dict[str, int] = {}
+    vocabulary: set[str] = set()
     for snippet, truth in corpus:
         for e, fqn in truth.items():
             others = {o: f for o, f in truth.items() if o != e}
@@ -112,8 +129,8 @@ def train(
             for tok in context_window(aug, e, eta):
                 counts[(tok, fqn)] = counts.get((tok, fqn), 0) + 1
                 totals[fqn] += 1
-                model.vocabulary.add(tok)
-    return model
+                vocabulary.add(tok)
+    return CooccurrenceModel(counts, totals, vocabulary, alpha, eta)
 
 
 def score_candidate(
@@ -317,24 +334,30 @@ class ModelFormatError(ValueError):
 
 def load_model(path: str | Path) -> CooccurrenceModel:
     text = read_utf8(path, ModelFormatError)
+
+    def bad(lineno: int, message: str) -> ModelFormatError:
+        return ModelFormatError(f"{path}:{lineno}: {message}")
+
     lines = text.splitlines()
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
-        raise ModelFormatError("missing model header line")
+        raise bad(1, "missing model header line")
     settings: dict[str, float | int] = {"alpha": 1.0, "eta": 2}
     for part in lines[0].split("\t")[1:]:
         key, _, value = part.partition("=")
         if key not in settings:
-            raise ModelFormatError(f"line 1: unknown header field {key!r}")
+            raise bad(1, f"unknown header field {key!r}")
         try:
             settings[key] = float(value) if key == "alpha" else int(value)
         except ValueError:
-            raise ModelFormatError(f"line 1: bad {key} value {value!r}") from None
+            raise bad(1, f"bad {key} value {value!r}") from None
+    alpha, eta = settings["alpha"], settings["eta"]
     try:
-        model = CooccurrenceModel(
-            smoothing_alpha=settings["alpha"], window_eta=settings["eta"]
-        )
+        _check_settings(alpha, eta)
     except ValueError as exc:
-        raise ModelFormatError(f"line 1: {exc}") from None
+        raise bad(1, str(exc)) from None
+    counts: dict[tuple[str, str], int] = {}
+    totals: dict[str, int] = {}
+    vocabulary: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
             continue
@@ -345,19 +368,14 @@ def load_model(path: str | Path) -> CooccurrenceModel:
                 tok = json.loads(parts[1])
                 n = int(parts[3])
             except ValueError:
-                raise ModelFormatError(
-                    f"line {lineno}: bad count record {line!r}"
-                ) from None
+                raise bad(lineno, f"bad count record {line!r}") from None
             if n <= 0:
-                raise ModelFormatError(f"line {lineno}: nonpositive count")
-            model.counts[(tok, fqn)] = model.counts.get((tok, fqn), 0) + n
-            model.vocabulary.add(tok)
+                raise bad(lineno, "nonpositive count")
+            counts[(tok, fqn)] = counts.get((tok, fqn), 0) + n
+            totals[fqn] = totals.get(fqn, 0) + n
+            vocabulary.add(tok)
         elif parts[0] == "fqn" and len(parts) == 2:
-            model.fqn_totals.setdefault(parts[1], 0)
+            totals.setdefault(parts[1], 0)
         else:
-            raise ModelFormatError(f"line {lineno}: bad record {line!r}")
-    totals: dict[str, int] = dict.fromkeys(model.fqn_totals, 0)
-    for (tok, fqn), n in model.counts.items():
-        totals[fqn] = totals.get(fqn, 0) + n
-    model.fqn_totals = totals
-    return model
+            raise bad(lineno, f"bad record {line!r}")
+    return CooccurrenceModel(counts, totals, vocabulary, alpha, eta)

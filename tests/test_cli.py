@@ -156,6 +156,34 @@ def test_infer_reports_malformed_model_in_one_line(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "bad, text, message",
+    [
+        ("model", "cooccurrence\talpha=1.0\teta=x\n", ":1: bad eta value 'x'"),
+        ("model", 'cooccurrence\teta=2\ncount\t"x"\tcom.a.X\t0\n',
+         ":2: nonpositive count"),
+        ("kb", "type com.a.X klass lib=a\n", ":1: bad kind 'klass'"),
+        ("kb", "type com.a.X class lib=a\nmethod com.b.Y run/0\n",
+         ":2: method owner com.b.Y has no type record"),
+        ("kb", "type com.a.X class lib=a extends=com.a.Gone\n",
+         ": com.a.X: supertype com.a.Gone not in KB and not marked external"),
+        ("kb", "type com.a.X class lib=a\nmethod com.a.X run/0 returns=?\n"
+               "method com.a.X run/0 static returns=?\n",
+         ": com.a.X: conflicting signatures for run/0"),
+    ],
+    ids=["model-header", "model-record", "kb-record", "kb-owner",
+         "kb-supertype", "kb-signatures"],
+)
+def test_format_errors_name_the_file(tmp_path, capsys, model_file, bad, text, message):
+    snippet = str(FIXTURES / "corpus" / "gwt" / "1318732.java")
+    paths = {"kb": KB_PATH, "model": model_file}
+    paths[bad] = str(tmp_path / ("bad." + bad))
+    Path(paths[bad]).write_text(text, encoding="utf-8")
+    argv = ["infer", snippet, "--kb", paths["kb"], "--model", paths["model"]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {paths[bad]}{message}"]
+
+
+@pytest.mark.parametrize(
     "command, bad",
     [("infer", "model"), ("infer", "kb"), ("infer", "java"),
      ("eval", "java"), ("eval", "truth"), ("train", "java")],

@@ -128,7 +128,7 @@ def test_member_without_type_record_rejected(tmp_path):
 
 def test_error_carries_line_number(tmp_path):
     text = "type com.a.X class lib=a\nbogus line here\n"
-    with pytest.raises(KbError, match="line 2"):
+    with pytest.raises(KbError, match="test.kb:2: unknown record kind 'bogus'"):
         _load_text(tmp_path, text)
 
 

@@ -1,10 +1,14 @@
 """The iterative loop: stability, reduction, augmentation, combination."""
 
+import itertools
+import zlib
+
 import pytest
 
 from fqninfer import (
     ApiElement,
     ExtractOptions,
+    ORDER_CONSTRAINT_FIRST,
     ORDER_STAT_FIRST,
     RunConfig,
     infer_with_engine,
@@ -12,10 +16,12 @@ from fqninfer import (
     serialize_trace,
     single_pass_stat,
 )
-from fqninfer.constraint import ConstraintResult
+from fqninfer.constraint import ConstraintResult, extract_constraints, solve
+from fqninfer.kb import collect_candidate_types, reduce_kb
+from fqninfer import orchestrator
 from fqninfer.orchestrator import RoundRecord, check_stable, combine
-from fqninfer.snippet import ElementRole
-from fqninfer.stat import CandidateList
+from fqninfer.snippet import ElementRole, augment, identify_api_elements
+from fqninfer.stat import CandidateList, predict_all
 
 
 def _el(name, idx):
@@ -207,6 +213,121 @@ def test_run_covers_every_identified_element(kb, model, by_id):
     combined, _ = run(item.snippet, kb, model)
     names = sorted(e.key for e in combined.per_element)
     assert names == ["Context[2,1]", "Toast[3,1]", "Toast[3,2]", "Toast[3,3]", "Toast[5,1]"]
+
+
+def _reference_run(snippet, kb, model, config):
+    """The loop without reuse: every round solves, reduces and ranks afresh."""
+    elements = identify_api_elements(
+        snippet, kb, exclude_string=config.exclude_string
+    )
+    constraints, coverage = extract_constraints(
+        snippet, elements, config.extract_options
+    )
+    strict = config.extract_options.strict_uniqueness
+    current = kb
+    prev_typed = {}
+    trace = []
+    for round_number in range(1, config.delta + 1):
+        if config.order == ORDER_CONSTRAINT_FIRST:
+            cres = solve(
+                current, elements, constraints, coverage, strict_uniqueness=strict
+            )
+            aug = augment(snippet, dict(cres.typed))
+            sres = predict_all(model, aug, elements, kb, config.k)
+        else:
+            aug = augment(snippet, prev_typed)
+            sres = predict_all(model, aug, elements, kb, config.k)
+            current = reduce_kb(kb, collect_candidate_types(sres, prev_typed))
+            cres = solve(
+                current, elements, constraints, coverage, strict_uniqueness=strict
+            )
+            prev_typed = dict(cres.typed)
+        record = RoundRecord(round_number, cres, sres, len(current))
+        trace.append(record)
+        if len(trace) > 1 and check_stable(trace[-2], record):
+            break
+        if config.order == ORDER_CONSTRAINT_FIRST:
+            current = reduce_kb(kb, collect_candidate_types(sres, cres.typed))
+    return combine(trace, elements), trace
+
+
+class _TextSensitivePredictor:
+    """Ranks the KB's candidates in an order that any change to the
+    augmented text reshuffles, so a stale ranking cannot go unnoticed."""
+
+    def __init__(self, kb):
+        self.kb = kb
+
+    def predict(self, aug, target, k):
+        names = self.kb.candidates_for(target.simple_name)
+        if not names:
+            return []
+        turn = zlib.crc32(aug.text().encode("utf-8")) % len(names)
+        names = names[turn:] + names[:turn]
+        return [(fqn, float(-i)) for i, fqn in enumerate(names[:k])]
+
+
+@pytest.mark.parametrize("predictor", ["model", "text-sensitive"])
+def test_run_matches_the_loop_without_reuse(kb, model, eval_items, predictor):
+    if predictor != "model":
+        model = _TextSensitivePredictor(kb)
+    orders = (ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST)
+    grid = itertools.product(orders, (0, 1, 3), (1, 4, 10), (False, True))
+    for order, k, delta, cascaded in grid:
+        opts = ExtractOptions(cascaded_calls=cascaded)
+        cfg = RunConfig(k=k, delta=delta, order=order, extract_options=opts)
+        for item in eval_items:
+            case = (item.snippet_id, order, k, delta, cascaded)
+            want, want_trace = _reference_run(item.snippet, kb, model, cfg)
+            got, got_trace = run(item.snippet, kb, model, cfg)
+            els = list(want.per_element)
+            assert serialize_trace(got_trace, els) == serialize_trace(
+                want_trace, els
+            ), case
+            assert got.per_element == want.per_element, case
+
+
+class _CountingPredictor:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def predict(self, aug, target, k):
+        self.calls += 1
+        return self.inner.predict(aug, target, k)
+
+
+def test_confirming_round_asks_the_predictor_nothing(kb, model, by_id):
+    counting = _CountingPredictor(model)
+    combined, trace = run(by_id["8746084"].snippet, kb, counting)
+    assert len(trace) == 2 and check_stable(trace[0], trace[1])
+    assert counting.calls == len(combined.per_element)
+
+
+@pytest.mark.parametrize("order", [ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST])
+def test_oscillation_solves_and_ranks_each_state_once(
+    kb, model, by_id, order, monkeypatch
+):
+    calls = {"solve": 0, "reduce_kb": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(orchestrator, name), _name=name, **kw):
+            calls[_name] += 1
+            return _inner(*args, **kw)
+        monkeypatch.setattr(orchestrator, name, counted)
+    counting = _CountingPredictor(model)
+    cfg = RunConfig(delta=10, order=order)
+    combined, trace = run(by_id["9090901"].snippet, kb, counting, cfg)
+    # each state of this oscillation solves against a KB of its own size
+    sizes = {rec.kb_size for rec in trace}
+    assert calls == {"solve": len(sizes), "reduce_kb": len(sizes - {len(kb)})}
+    typed = [frozenset(rec.constraint_result.typed.items()) for rec in trace]
+    # constraint first ranks each round's answers; stat first ranks the
+    # previous round's, starting from no substitution at all
+    if order == ORDER_STAT_FIRST:
+        typed = [frozenset()] + typed[:-1]
+    assert len(trace) == 10
+    assert counting.calls == len(combined.per_element) * len(set(typed))
+    assert counting.calls < len(combined.per_element) * len(trace)
 
 
 def test_package_exports_the_public_names():

@@ -47,7 +47,15 @@ from fqninfer.snippet import (
     identify_api_elements,
     tokenize,
 )
-from fqninfer.stat import CandidateList, CooccurrenceModel, context_window, score_candidate
+from fqninfer.stat import (
+    CandidateList,
+    CooccurrenceModel,
+    context_window,
+    dump_model,
+    load_model,
+    score_candidate,
+    train,
+)
 
 _NAMES = ("Alpha", "Beta", "Gamma", "Delta")
 _PACKAGES = ("aa.bb", "cc.dd", "ee.ff")
@@ -689,3 +697,48 @@ def test_stat_score_dominance():
         assert sf >= sg - 1e-12, case
         assert score_candidate(model, window, f) == sf, case
         assert score_candidate(model, window, g) == sg, case
+
+
+# ---------------------------------------------------------------------------
+# statistical model: the simple-name index
+
+_INDEX_NAMES = ("Label", "NotLabel", "Lab", "Map", "Entry")
+_INDEX_PACKAGES = ("", "a", "a.b", "com.x.y.z", "a.Label", "java.util.Map")
+
+
+def _suffix_scan(fqns, simple_name):
+    suffix = "." + simple_name
+    return sorted(f for f in fqns if f == simple_name or f.endswith(suffix))
+
+
+def test_known_fqns_named_matches_suffix_scan(tmp_path):
+    """Each way of building a model indexes its FQNs exactly as a scan for
+    `name` or `*.name` would find them: undotted names, shared suffixes
+    (Label/NotLabel) and nested types included."""
+    rng = random.Random(9010)
+    path = tmp_path / "m.tsv"
+    for case in range(1000):
+        fqns = sorted({
+            f"{pkg}.{name}" if pkg else name
+            for pkg, name in (
+                (rng.choice(_INDEX_PACKAGES), rng.choice(_INDEX_NAMES))
+                for _ in range(rng.randint(0, 10))
+            )
+        })
+        # one training token per FQN; its element points at the token
+        sn = tokenize(" ".join(f"T{i}" for i in range(len(fqns))))
+        idents = [i for i, t in enumerate(sn.tokens) if t.kind is TokenKind.IDENTIFIER]
+        truth = {
+            ApiElement(f"T{n}", 1, 1, i, ElementRole.DECLARED_TYPE): fqn
+            for n, (i, fqn) in enumerate(zip(idents, fqns))
+        }
+        built = CooccurrenceModel(fqn_totals=dict.fromkeys(fqns, 0))
+        trained = train([(sn, truth)], eta=rng.randint(0, 2))
+        path.write_text(dump_model(trained), encoding="utf-8")
+        loaded = load_model(path)
+        assert sorted(trained.fqn_totals) == sorted(loaded.fqn_totals) == fqns, case
+        for name in _INDEX_NAMES + ("Absent",):
+            want = _suffix_scan(fqns, name)
+            assert built.known_fqns_named(name) == want, (case, name)
+            assert trained.known_fqns_named(name) == want, (case, name)
+            assert loaded.known_fqns_named(name) == want, (case, name)

@@ -391,14 +391,14 @@ def test_load_rejects_nonpositive_count(tmp_path):
 @pytest.mark.parametrize(
     "text, match",
     [
-        ("cooccurrence\talpha=1.0\teta=x\n", "line 1: bad eta value 'x'"),
-        ("cooccurrence\talpha=one\teta=2\n", "line 1: bad alpha value 'one'"),
-        ('cooccurrence\teta=2\ncount\t"x"\tcom.a.X\tzz\n', "line 2: bad count record"),
-        ("cooccurrence\teta=2\ncount\tx\tcom.a.X\t1\n", "line 2: bad count record"),
-        ("cooccurrence\talpha=0.0\teta=2\n", "line 1: bad alpha value 0.0"),
-        ("cooccurrence\talpha=-1.5\teta=2\n", "line 1: bad alpha value -1.5"),
-        ("cooccurrence\talpha=inf\teta=2\n", "line 1: bad alpha value inf"),
-        ("cooccurrence\talpha=1.0\teta=-3\n", "line 1: bad eta value -3"),
+        ("cooccurrence\talpha=1.0\teta=x\n", "m.tsv:1: bad eta value 'x'"),
+        ("cooccurrence\talpha=one\teta=2\n", "m.tsv:1: bad alpha value 'one'"),
+        ('cooccurrence\teta=2\ncount\t"x"\tcom.a.X\tzz\n', "m.tsv:2: bad count record"),
+        ("cooccurrence\teta=2\ncount\tx\tcom.a.X\t1\n", "m.tsv:2: bad count record"),
+        ("cooccurrence\talpha=0.0\teta=2\n", "m.tsv:1: bad alpha value 0.0"),
+        ("cooccurrence\talpha=-1.5\teta=2\n", "m.tsv:1: bad alpha value -1.5"),
+        ("cooccurrence\talpha=inf\teta=2\n", "m.tsv:1: bad alpha value inf"),
+        ("cooccurrence\talpha=1.0\teta=-3\n", "m.tsv:1: bad eta value -3"),
         ('cooccurrence\teta=2\ncount\t"\udcff"\tcom.a.X\t1\n', "m.tsv:2: not UTF-8"),
     ],
     ids=["eta", "alpha", "count", "token", "alpha-zero", "alpha-negative",
