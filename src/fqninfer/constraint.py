@@ -10,6 +10,8 @@ lexicographic order) and abstains where optima disagree.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -426,6 +428,95 @@ def _source_value(kb: KnowledgeBase, c_subject: str, source) -> str | None:
     return ret if resolved else None
 
 
+def _tabulate(
+    kb: KnowledgeBase,
+    constraints: Sequence[Constraint],
+    index_of: Mapping[ApiElement, int],
+    cand_lists: Sequence[tuple[str, ...]],
+) -> tuple[list[list[int]], dict[tuple[int, int], list[list[int]]]]:
+    """Evaluate every check the solver wires, once per candidate (pair).
+
+    Returns (unary, pairs). unary[i][ci] counts the checks that candidate ci
+    of element i fails. pairs[(lo, hi)][c_lo][c_hi], lo < hi, counts the
+    cross-element checks failed when lo takes c_lo and hi takes c_hi. A
+    cross-element check whose two ends are one element is a unary check.
+    """
+    unary = [[0] * len(cl) for cl in cand_lists]
+    pairs: dict[tuple[int, int], list[list[int]]] = {}
+
+    def check(e: ApiElement, ok) -> None:
+        i = index_of[e]
+        for ci, c in enumerate(cand_lists[i]):
+            if not ok(c):
+                unary[i][ci] += 1
+
+    def link(free: ApiElement, key: ApiElement, allowed) -> None:
+        """A check on two elements: given key's candidate, free must take a
+        candidate in allowed(candidate), or anything when that is None."""
+        f, k = index_of[free], index_of[key]
+        if f == k:
+            check(key, lambda c: (ok := allowed(c)) is None or c in ok)
+            return
+        lo, hi = min(f, k), max(f, k)
+        table = pairs.get((lo, hi))
+        if table is None:
+            table = pairs[(lo, hi)] = [
+                [0] * len(cand_lists[hi]) for _ in cand_lists[lo]
+            ]
+        for ck, c_key in enumerate(cand_lists[k]):
+            ok = allowed(c_key)
+            if ok is None:
+                continue
+            for cf, c_free in enumerate(cand_lists[f]):
+                if c_free not in ok:
+                    if f < k:
+                        table[cf][ck] += 1
+                    else:
+                        table[ck][cf] += 1
+
+    # check and link run their functions at once, so these may read `con`
+    for con in constraints:
+        if isinstance(con, Construction):
+            if con.subject in index_of:
+                check(con.subject, lambda c: kb.entries[c].kind == "class")
+        elif isinstance(con, MemberCall):
+            if con.subject in index_of:
+                check(con.subject, lambda c: method_in_knowledge(
+                    kb, c, con.method, con.arity, require_static=con.static_call
+                ) is not None)
+        elif isinstance(con, FieldAccess):
+            if con.subject in index_of:
+                check(con.subject, lambda c: field_in_knowledge(
+                    kb, c, con.field_name, require_static=con.static_access
+                ) is not None)
+        elif isinstance(con, CascadedCall):
+            if con.root in index_of:
+                check(con.root, lambda c: _chain_value(
+                    kb, c, con.chain, con.static_root
+                )[0])
+        elif isinstance(con, (Extends, Implements)):
+            if con.sup not in index_of:
+                continue
+            want = "interface" if isinstance(con, Implements) else con.sub_kind
+            check(con.sup, lambda c: kb.entries[c].kind == want)
+            if isinstance(con.sub, ApiElement) and con.sub in index_of:
+                # a proper supertype: the closure minus its first entry, sub
+                link(con.sup, con.sub, lambda c: supertype_closure(kb, c)[1:])
+        elif isinstance(con, DeclaredAssignment):
+            subj = _source_subject(con.source)
+            if con.declared not in index_of or subj not in index_of:
+                continue
+
+            def assigned_from(c: str) -> tuple[str, ...] | None:
+                value = _source_value(kb, c, con.source)
+                if value is None or value not in kb:
+                    return None  # unknown returns impose nothing
+                return supertype_closure(kb, value)  # value and its supertypes
+
+            link(con.declared, subj, assigned_from)
+    return unary, pairs
+
+
 def solve(
     kb: KnowledgeBase,
     elements: Sequence[ApiElement],
@@ -442,6 +533,33 @@ def solve(
     no candidate shares their simple name, their chosen value participates
     in a violated constraint, or (strict_uniqueness) the optima disagree
     about them.
+
+    The search is an exact depth-first branch and bound over the elements in
+    token order:
+
+    - Every check is tabulated once per solve: a violation count per
+      candidate for the single-element checks, and one per candidate pair
+      for the checks that link two elements. A search node only adds up
+      table entries. Elements with one candidate are settled up front and
+      their pair tables folded into the other element's counts, so the
+      search branches only over elements with a choice.
+    - At each element, candidates are tried by the violations they add
+      given the choices above them, then whether their library is new, then
+      how many elements have a candidate in that library, then candidate
+      order. The first complete assignment is usually optimal, so later
+      branches meet a tight incumbent.
+    - A branch is cut when its lower bound is strictly worse than the
+      incumbent. The violation bound is the violations so far plus each
+      remaining element's fewest unary violations. The library bound is the
+      libraries used so far plus a greedy count of remaining elements whose
+      candidate libraries are disjoint from those and from each other: each
+      such element needs one more library.
+
+    Both bounds never exceed the cost of any completion, and the cut is
+    strict, so every optimal assignment is still reached. The set of optima,
+    and with it the lexicographic choice among them and the strict-
+    uniqueness abstentions, therefore do not depend on the order in which
+    the search meets them.
     """
     ordered = sorted(elements, key=lambda e: e.token_index)
     if coverage is None:
@@ -460,133 +578,116 @@ def solve(
         cands[e] = cs
 
     search = [e for e in ordered if e in cands]
-    index_of = {e: i for i, e in enumerate(search)}
-
-    # per-candidate unary checks and cross-element checks
-    unary: dict[int, list] = {i: [] for i in range(len(search))}
-    binary: list[tuple[int, int, object]] = []
-    for con in constraints:
-        if isinstance(con, Construction):
-            if con.subject in index_of:
-                unary[index_of[con.subject]].append(
-                    lambda c, kb=kb: kb.entries[c].kind == "class"
-                )
-        elif isinstance(con, MemberCall):
-            if con.subject in index_of:
-                unary[index_of[con.subject]].append(
-                    lambda c, kb=kb, con=con: method_in_knowledge(
-                        kb, c, con.method, con.arity, require_static=con.static_call
-                    )
-                    is not None
-                )
-        elif isinstance(con, FieldAccess):
-            if con.subject in index_of:
-                unary[index_of[con.subject]].append(
-                    lambda c, kb=kb, con=con: field_in_knowledge(
-                        kb, c, con.field_name, require_static=con.static_access
-                    )
-                    is not None
-                )
-        elif isinstance(con, CascadedCall):
-            if con.root in index_of:
-                unary[index_of[con.root]].append(
-                    lambda c, kb=kb, con=con: _chain_value(
-                        kb, c, con.chain, con.static_root
-                    )[0]
-                )
-        elif isinstance(con, (Extends, Implements)):
-            if con.sup not in index_of:
-                continue
-            if isinstance(con, Implements):
-                want = "interface"
-            else:
-                want = con.sub_kind
-            unary[index_of[con.sup]].append(
-                lambda c, kb=kb, want=want: kb.entries[c].kind == want
-            )
-            if isinstance(con.sub, ApiElement) and con.sub in index_of:
-                def sup_pair(c_sub, c_sup, kb=kb):
-                    return c_sup != c_sub and c_sup in supertype_closure(kb, c_sub)
-
-                binary.append((index_of[con.sub], index_of[con.sup], sup_pair))
-        elif isinstance(con, DeclaredAssignment):
-            subj = _source_subject(con.source)
-            if con.declared not in index_of or subj not in index_of:
-                continue
-
-            def assign_pair(c_decl, c_subj, kb=kb, con=con):
-                value = _source_value(kb, c_subj, con.source)
-                if value is None or value not in kb:
-                    return True  # unknown returns impose nothing
-                return c_decl == value or c_decl in supertype_closure(kb, value)
-
-            binary.append((index_of[con.declared], index_of[subj], assign_pair))
-
     if not search:
         return ConstraintResult({}, frozenset(untyped))
-
+    index_of = {e: i for i, e in enumerate(search)}
+    # candidates_for is sorted, so comparing index vectors compares FQNs
     cand_lists = [cands[e] for e in search]
-    libs_of = [
-        tuple(kb.entries[c].library for c in cl) for cl in cand_lists
+    unary, pairs = _tabulate(kb, constraints, index_of, cand_lists)
+    n = len(search)
+
+    # libraries as bits: a candidate's bit, and each element's union of them
+    lib_bit: dict[str, int] = {}
+    cand_bits = [
+        [1 << lib_bit.setdefault(kb.entries[c].library, len(lib_bit)) for c in cl]
+        for cl in cand_lists
     ]
-    unary_fail = [
-        [sum(1 for chk in unary[i] if not chk(c)) for c in cand_lists[i]]
-        for i in range(len(search))
-    ]
-    binary_by_hi = {}
-    for a, b, fn in binary:
-        lo, hi = (a, b) if a < b else (b, a)
-        binary_by_hi.setdefault(hi, []).append((a, b, fn))
+    elem_libs = [set(bits) for bits in cand_bits]
+    elem_bits = [sum(libs) for libs in elem_libs]
 
-    best_cost: tuple[int, int] | None = None
-    best_vec: tuple[int, ...] | None = None
-    optima_values: list[set[int]] = [set() for _ in search]
+    # An element with one candidate is settled before the search: its
+    # violations and library count for every assignment, and its pair
+    # checks fold into the other element's unary costs.
+    settled = [len(cl) == 1 for cl in cand_lists]
+    free = [i for i in range(n) if not settled[i]]
+    cost = {i: list(unary[i]) for i in free}
+    base_v = sum(unary[i][0] for i in range(n) if settled[i])
+    base_used = sum({elem_bits[i] for i in range(n) if settled[i]})
+    # pair tables of two free elements, by the later one
+    earlier: list[list[tuple[int, list[list[int]]]]] = [[] for _ in search]
+    for (lo, hi), table in pairs.items():
+        if settled[lo] and settled[hi]:
+            base_v += table[0][0]
+        elif settled[lo]:
+            for c, x in enumerate(table[0]):
+                cost[hi][c] += x
+        elif settled[hi]:
+            for c, row in enumerate(table):
+                cost[lo][c] += row[0]
+        else:
+            earlier[hi].append((lo, table))
 
-    choice = [0] * len(search)
+    depth = len(free)
+    # fewest violations of the free elements from depth d on (the
+    # violation bound)
+    rest_min = [0] * (depth + 1)
+    for d in range(depth - 1, -1, -1):
+        rest_min[d] = rest_min[d + 1] + min(cost[free[d]])
+    # ties in violations and library novelty go to the library that the
+    # most elements could share, then to candidate order
+    reach = Counter(bit for libs in elem_libs for bit in libs)
+    tie_order = {
+        i: sorted(range(len(cand_bits[i])), key=lambda ci: -reach[cand_bits[i][ci]])
+        for i in free
+    }
 
-    def dfs(i: int, v: int, libset: frozenset):
-        nonlocal best_cost, best_vec, optima_values
-        if best_cost is not None:
-            if v > best_cost[0] or (v == best_cost[0] and len(libset) > best_cost[1]):
-                return
-        if i == len(search):
-            cost = (v, len(libset))
+    def lib_bound(d: int, used: int) -> int:
+        """Libraries every completion from depth d beyond `used` needs."""
+        count = used.bit_count()
+        for i in free[d:]:
+            if not elem_bits[i] & used:
+                count += 1
+                used |= elem_bits[i]
+        return count
+
+    best_v = best_l = math.inf
+    best_vec: tuple[int, ...] = ()
+    optima_values: list[set[int]] = []
+    choice = [0] * n
+
+    def dfs(d: int, v: int, used: int) -> None:
+        nonlocal best_v, best_l, best_vec, optima_values
+        if d == depth:
+            leaf = (v, used.bit_count())
             vec = tuple(choice)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
+            if leaf < (best_v, best_l):
+                best_v, best_l = leaf
                 best_vec = vec
-                optima_values = [{vec[j]} for j in range(len(search))]
-            elif cost == best_cost:
-                for j in range(len(search)):
-                    optima_values[j].add(vec[j])
-                assert best_vec is not None
-                if tuple(cand_lists[j][vec[j]] for j in range(len(search))) < tuple(
-                    cand_lists[j][best_vec[j]] for j in range(len(search))
-                ):
-                    best_vec = vec
+                optima_values = [{c} for c in vec]
+            elif leaf == (best_v, best_l):
+                for j, c in enumerate(vec):
+                    optima_values[j].add(c)
+                best_vec = min(best_vec, vec)
             return
-        for ci in range(len(cand_lists[i])):
-            dv = unary_fail[i][ci]
+        i = free[d]
+        added = list(cost[i])
+        for lo, table in earlier[i]:
+            row = table[choice[lo]]
+            for ci, x in enumerate(row):
+                added[ci] += x
+        bits = cand_bits[i]
+        for ci in sorted(tie_order[i], key=lambda ci: (added[ci], not bits[ci] & used)):
+            v_next = v + added[ci]
+            v_bound = v_next + rest_min[d + 1]
+            if v_bound > best_v:
+                break  # the rest add at least as many violations
+            used_next = used | bits[ci]
+            if v_bound == best_v and lib_bound(d + 1, used_next) > best_l:
+                continue
             choice[i] = ci
-            for a, b, fn in binary_by_hi.get(i, ()):
-                if not fn(cand_lists[a][choice[a]], cand_lists[b][choice[b]]):
-                    dv += 1
-            dfs(i + 1, v + dv, libset | {libs_of[i][ci]})
-        choice[i] = 0
+            dfs(d + 1, v_next, used_next)
 
-    dfs(0, 0, frozenset())
-    assert best_cost is not None and best_vec is not None
+    dfs(0, base_v, base_used)
 
     # which elements sit on a violated constraint in the chosen optimum
     violated_elems: set[int] = set()
-    if best_cost[0] > 0:
-        for i in range(len(search)):
-            if unary_fail[i][best_vec[i]] > 0:
+    if best_v > 0:
+        for i in range(n):
+            if unary[i][best_vec[i]] > 0:
                 violated_elems.add(i)
-        for a, b, fn in binary:
-            if not fn(cand_lists[a][best_vec[a]], cand_lists[b][best_vec[b]]):
-                violated_elems.add(a)
-                violated_elems.add(b)
+        for (lo, hi), table in pairs.items():
+            if table[best_vec[lo]][best_vec[hi]] > 0:
+                violated_elems.update((lo, hi))
 
     typed: dict[ApiElement, str] = {}
     for i, e in enumerate(search):

@@ -101,6 +101,8 @@ class KnowledgeBase:
             index.setdefault(e.simple_name, []).append(fqn)
         self._entries = by_fqn
         self._by_simple_name = {k: tuple(sorted(v)) for k, v in index.items()}
+        # supertype_closure memo; sound because the entries never change
+        self._closures: dict[str, tuple[str, ...]] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -320,20 +322,24 @@ def supertype_closure(kb: KnowledgeBase, fqn: str) -> tuple[str, ...]:
     """fqn plus all transitively reachable internal supertypes, in BFS order.
 
     External supertypes are skipped. Cycles are tolerated (each node once).
+    Each closure is computed once per KnowledgeBase instance; a reduced KB
+    is a new instance and so keeps its own.
     """
+    closure = kb._closures.get(fqn)
+    if closure is not None:
+        return closure
     if fqn not in kb:
         raise UnknownTypeError(fqn)
-    seen = {fqn}
+    # order doubles as the BFS queue: the loop reaches what it appends
     order = [fqn]
-    queue = [fqn]
-    while queue:
-        cur = queue.pop(0)
+    seen = {fqn}
+    for cur in order:
         for sup in sorted(kb.entries[cur].supertypes):
             if sup not in seen:
                 seen.add(sup)
                 order.append(sup)
-                queue.append(sup)
-    return tuple(order)
+    closure = kb._closures[fqn] = tuple(order)
+    return closure
 
 
 def syntax_knowledge(kb: KnowledgeBase, ctype: str) -> dict[str, TypeEntry]:

@@ -158,6 +158,11 @@ class Snippet:
         """Read on first use, then shared by every pass over this snippet."""
         return _read_structure(self.tokens)
 
+    @cached_property
+    def token_lines(self) -> tuple[int, ...]:
+        """The start line of each token, never decreasing along the stream."""
+        return tuple(t.line for t in self.tokens)
+
     @property
     def line_count(self) -> int:
         """Lines as an editor counts them: a trailing newline ends the last
@@ -273,6 +278,11 @@ class ApiElement:
     @property
     def key(self) -> str:
         return f"{self.simple_name}[{self.line},{self.occurrence}]"
+
+    def __hash__(self) -> int:
+        # equal elements agree on these fields; leaving out the role skips
+        # the enum's hash, which runs in Python on every dict lookup
+        return hash((self.simple_name, self.line, self.occurrence, self.token_index))
 
 
 _KEY_RE = re.compile(r"^(.+)\[(\d+),(\d+)\]$")

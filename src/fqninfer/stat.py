@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import subprocess
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -91,17 +92,15 @@ def context_window(
     line, excluding the element's own token. Substituted FQNs of other
     elements appear as single tokens. Order follows the token stream.
     """
-    lo = element.line - eta
-    hi = element.line + eta
-    out: list[str] = []
-    for i, t in enumerate(aug.tokens):
-        if i == element.token_index:
-            continue
-        if t.kind not in _WINDOW_KINDS:
-            continue
-        if lo <= t.line <= hi:
-            out.append(t.lexeme)
-    return out
+    lines = aug.source.token_lines  # augmentation keeps every token's line
+    start = bisect_left(lines, element.line - eta)
+    stop = bisect_right(lines, element.line + eta)
+    tokens = aug.tokens
+    return [
+        t.lexeme
+        for i in range(start, stop)
+        if i != element.token_index and (t := tokens[i]).kind in _WINDOW_KINDS
+    ]
 
 
 def train(
@@ -358,6 +357,8 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     counts: dict[tuple[str, str], int] = {}
     totals: dict[str, int] = {}
     vocabulary: set[str] = set()
+    # few distinct tokens stand in many records; a bad one never enters
+    decoded: dict[str, str] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
             continue
@@ -365,7 +366,9 @@ def load_model(path: str | Path) -> CooccurrenceModel:
         if parts[0] == "count" and len(parts) == 4:
             fqn = parts[2]
             try:
-                tok = json.loads(parts[1])
+                tok = decoded.get(parts[1])
+                if tok is None:
+                    tok = decoded[parts[1]] = json.loads(parts[1])
                 n = int(parts[3])
             except ValueError:
                 raise bad(lineno, f"bad count record {line!r}") from None

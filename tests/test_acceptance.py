@@ -200,11 +200,12 @@ def test_randomized_suites_within_budget(tmp_path):
     test_properties.test_lossless_lexing_roundtrip()
     test_properties.test_augmentation_alignment()
     test_properties.test_solver_matches_bruteforce_oracle()
+    test_properties.test_solver_matches_oracle_on_dense_links()
     test_properties.test_combination_invariants()
     test_properties.test_aggregate_permutation_invariance()
     test_properties.test_full_answer_precision_equals_recall()
     test_properties.test_stat_score_dominance()
-    _done(t0, 120, "randomized suites", "8 suites, 1000+ cases each")
+    _done(t0, 120, "randomized suites", "9 suites, 1000+ cases each")
 
 
 def test_stat_first_order_recall(kb, model, eval_items):

@@ -1,6 +1,11 @@
 """Constraint extraction and the global candidate-assignment solver."""
 
+import random
+import time
+
 import pytest
+
+import test_properties
 
 from fqninfer import (
     ApiElement,
@@ -22,7 +27,14 @@ from fqninfer.constraint import (
     line_covered,
     solve,
 )
-from fqninfer.kb import FieldSig, MethodSig, TypeEntry
+from fqninfer.kb import (
+    FieldSig,
+    MethodSig,
+    TypeEntry,
+    UnknownTypeError,
+    reduce_kb,
+    supertype_closure,
+)
 from fqninfer.snippet import ElementRole
 
 LENIENT = ExtractOptions(strict_body_check=False)
@@ -615,6 +627,68 @@ def test_solve_partial_ambiguity_only_unsettles_the_tied_element():
     res = solve(kb, [fixed, loose], [MemberCall(fixed, "go", 0, static_call=False)])
     assert res.typed == {fixed: "com.a.Fixed"}
     assert res.untyped == {loose}
+
+
+def test_solve_unconstrained_unique_names_within_budget():
+    """24 unique names with three candidates each from 48 libraries and no
+    constraint: only the library count ranks the 3**24 assignments."""
+    rng = random.Random(24)
+    libs = [f"lib{j}" for j in range(48)]
+    entries, elems = [], []
+    for i in range(24):
+        for lib in rng.sample(libs, 3):
+            entries.append(_entry(f"{lib}.N{i}", lib=lib))
+        elems.append(_el(f"N{i}", i, line=i + 1))
+    kb = KnowledgeBase(entries)
+    t0 = time.perf_counter()
+    res = solve(kb, elems, [])
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5, f"solve took {elapsed:.2f}s (budget 5s)"
+    assert set(res.typed) | set(res.untyped) == set(elems)
+    assert all(fqn in kb.candidates_for(e.simple_name) for e, fqn in res.typed.items())
+
+
+def test_solve_ignores_element_and_constraint_order():
+    rng = random.Random(9012)
+    for case in range(300):
+        if case % 2:
+            kb = test_properties._dense_kb(rng)
+            elems = test_properties._dense_elements(rng)
+            cons = test_properties._dense_constraints(rng, elems)
+        else:
+            kb = test_properties._random_kb(rng)
+            elems = test_properties._random_elements(rng, max_elements=7)
+            cons = test_properties._random_constraints(rng, elems)
+        strict = rng.random() < 0.5
+        want = solve(kb, elems, cons, strict_uniqueness=strict)
+        for _ in range(3):
+            rng.shuffle(elems)
+            rng.shuffle(cons)
+            got = solve(kb, elems, cons, strict_uniqueness=strict)
+            assert dict(got.typed) == dict(want.typed), case
+            assert got.untyped == want.untyped, case
+
+
+def test_supertype_closure_is_cached_per_kb():
+    full = KnowledgeBase(
+        [
+            _entry("a.Base"),
+            _entry("a.Mid", supers=["a.Base"]),
+            _entry("a.Leaf", supers=["a.Mid"]),
+            _entry("b.Other"),
+        ]
+    )
+    assert supertype_closure(full, "a.Leaf") == ("a.Leaf", "a.Mid", "a.Base")
+    reduced = reduce_kb(full, ["b.Other"])
+    with pytest.raises(UnknownTypeError):
+        supertype_closure(reduced, "a.Leaf")
+    # the same names with other edges are another KB, with its own closures
+    flat = KnowledgeBase([_entry("a.Base"), _entry("a.Mid"), _entry("a.Leaf")])
+    assert supertype_closure(flat, "a.Leaf") == ("a.Leaf",)
+    mid, leaf = _el("Mid", 0), _el("Leaf", 1)
+    link = Extends(leaf, "class", mid)
+    assert solve(full, [mid, leaf], [link]).typed == {mid: "a.Mid", leaf: "a.Leaf"}
+    assert solve(flat, [mid, leaf], [link]).untyped == {mid, leaf}
 
 
 def test_infer_snippet_matches_manual_pipeline(kb, by_id):

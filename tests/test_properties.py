@@ -287,58 +287,50 @@ def _assignment_subject(source):
     return source.root
 
 
-def _wired_checks(kb, constraints, in_search, assign):
-    """(failed, touched) per check the solver wires for this element set."""
+def _wired_checks(kb, constraints, in_search):
+    """(touched, failed) per check the solver wires for this element set:
+    failed(*values) says whether the touched elements' values fail it."""
     out = []
     for con in constraints:
         if isinstance(con, Construction):
             if con.subject in in_search:
-                ok = kb.entries[assign[con.subject]].kind == "class"
-                out.append((not ok, (con.subject,)))
+                out.append(((con.subject,), lambda c: kb.entries[c].kind != "class"))
         elif isinstance(con, MemberCall):
             if con.subject in in_search:
-                ok = (
-                    method_in_knowledge(
-                        kb, assign[con.subject], con.method, con.arity,
-                        require_static=con.static_call,
-                    )
-                    is not None
-                )
-                out.append((not ok, (con.subject,)))
+                out.append(((con.subject,), lambda c, con=con: method_in_knowledge(
+                    kb, c, con.method, con.arity, require_static=con.static_call,
+                ) is None))
         elif isinstance(con, FieldAccess):
             if con.subject in in_search:
-                ok = (
-                    field_in_knowledge(
-                        kb, assign[con.subject], con.field_name,
-                        require_static=con.static_access,
-                    )
-                    is not None
-                )
-                out.append((not ok, (con.subject,)))
+                out.append(((con.subject,), lambda c, con=con: field_in_knowledge(
+                    kb, c, con.field_name, require_static=con.static_access,
+                ) is None))
         elif isinstance(con, CascadedCall):
             if con.root in in_search:
-                ok = _walk_chain(kb, assign[con.root], con.chain, con.static_root)[0]
-                out.append((not ok, (con.root,)))
+                out.append(((con.root,), lambda c, con=con: not _walk_chain(
+                    kb, c, con.chain, con.static_root
+                )[0]))
         elif isinstance(con, (Extends, Implements)):
             if con.sup not in in_search:
                 continue
             want = "interface" if isinstance(con, Implements) else con.sub_kind
-            out.append((kb.entries[assign[con.sup]].kind != want, (con.sup,)))
+            out.append(((con.sup,), lambda c, want=want: kb.entries[c].kind != want))
             if isinstance(con.sub, ApiElement) and con.sub in in_search:
-                c_sub, c_sup = assign[con.sub], assign[con.sup]
-                ok = c_sup != c_sub and c_sup in supertype_closure(kb, c_sub)
-                out.append((not ok, (con.sub, con.sup)))
+                out.append(((con.sub, con.sup), lambda c_sub, c_sup: not (
+                    c_sup != c_sub and c_sup in supertype_closure(kb, c_sub)
+                )))
         elif isinstance(con, DeclaredAssignment):
             subj = _assignment_subject(con.source)
             if con.declared not in in_search or subj not in in_search:
                 continue
-            value = _produced_value(kb, assign[subj], con.source)
-            if value is None or value not in kb:
-                ok = True
-            else:
-                c_decl = assign[con.declared]
-                ok = c_decl == value or c_decl in supertype_closure(kb, value)
-            out.append((not ok, (con.declared, subj)))
+
+            def failed(c_decl, c_subj, source=con.source):
+                value = _produced_value(kb, c_subj, source)
+                if value is None or value not in kb:
+                    return False
+                return not (c_decl == value or c_decl in supertype_closure(kb, value))
+
+            out.append(((con.declared, subj), failed))
     return out
 
 
@@ -357,16 +349,26 @@ def _brute_solve(kb, elements, constraints, coverage, strict_uniqueness):
     search = [e for e in ordered if e in cands]
     if not search:
         return {}, frozenset(untyped)
-    in_search = set(search)
+    wired = _wired_checks(kb, constraints, set(search))
+    # a check reads only the values of the elements it touches, so it is
+    # evaluated once per combination of those values
+    position = {e: j for j, e in enumerate(search)}
+    singles, doubles = [], []
+    for touched, failed in wired:
+        table = {
+            values if len(values) > 1 else values[0]: failed(*values)
+            for values in itertools.product(*(cands[e] for e in touched))
+        }
+        at = tuple(position[e] for e in touched)
+        (singles if len(at) == 1 else doubles).append((*at, table))
 
     best_cost = None
     best_vec = None
     optima = None
     for combo in itertools.product(*(cands[e] for e in search)):
-        assign = dict(zip(search, combo))
-        checks = _wired_checks(kb, constraints, in_search, assign)
         cost = (
-            sum(1 for failed, _ in checks if failed),
+            sum(t[combo[j]] for j, t in singles)
+            + sum(t[combo[j], combo[k]] for j, k, t in doubles),
             len({kb.entries[c].library for c in combo}),
         )
         if best_cost is None or cost < best_cost:
@@ -380,9 +382,8 @@ def _brute_solve(kb, elements, constraints, coverage, strict_uniqueness):
 
     violated = set()
     if best_cost[0] > 0:
-        assign = dict(zip(search, best_vec))
-        for failed, touched in _wired_checks(kb, constraints, in_search, assign):
-            if failed:
+        for touched, failed in wired:
+            if failed(*(best_vec[position[e]] for e in touched)):
                 violated.update(touched)
     typed = {}
     for j, e in enumerate(search):
@@ -468,6 +469,102 @@ def test_solver_matches_bruteforce_oracle():
         again = solve(kb, elems, cons, coverage, strict_uniqueness=strict)
         assert dict(again.typed) == dict(got.typed), case
         assert again.untyped == got.untyped, case
+
+
+# ---------------------------------------------------------------------------
+# solver versus the brute-force enumerator on dense-shaped snippets
+
+_DENSE_NAMES = ("Alpha", "Beta", "Gamma")
+_DENSE_LIBS = ("libw", "libx", "liby", "libz")
+
+
+def _dense_kb(rng):
+    """Two or three candidates per simple name, each in its own library.
+
+    As in generated dense workloads, a type may have a static getInstance
+    factory returning itself, `to<Name>` conversions returning another type
+    of its library, and a supertype in its library (cycles included).
+    """
+    fqns = [
+        f"{lib}.{name}"
+        for name in _DENSE_NAMES
+        for lib in rng.sample(_DENSE_LIBS, rng.randint(2, 3))
+    ]
+    entries = []
+    for fqn in fqns:
+        lib = fqn.partition(".")[0]
+        kin = [f for f in fqns if f.startswith(lib + ".") and f != fqn]
+        methods = {MethodSig("run", rng.randint(0, 1))}
+        if rng.random() < 0.6:
+            methods.add(MethodSig("getInstance", 0, True, fqn))
+        for other in kin:
+            if rng.random() < 0.6:
+                methods.add(MethodSig("to" + other.rpartition(".")[2], 0, False, other))
+        supers = frozenset(rng.sample(kin, 1) if kin and rng.random() < 0.4 else ())
+        kind = "class" if rng.random() < 0.8 else "interface"
+        entries.append(
+            TypeEntry(fqn, kind, lib, frozenset(methods), frozenset(), supers)
+        )
+    return KnowledgeBase(entries)
+
+
+def _dense_elements(rng):
+    """Two to nine occurrences of one to three names, each name used two to
+    four times, interleaved in token order."""
+    n = rng.randint(2, 9)
+    names = rng.sample(_DENSE_NAMES, rng.randint((n + 3) // 4, min(3, n // 2)))
+    uses = names * 2
+    while len(uses) < n:
+        name = rng.choice(names)
+        if uses.count(name) < 4:
+            uses.append(name)
+    rng.shuffle(uses)
+    elems = []
+    seen = {}
+    for idx, name in enumerate(uses):
+        line = rng.randint(1, 4)
+        seen[(name, line)] = occ = seen.get((name, line), 0) + 1
+        elems.append(ApiElement(name, line, occ, idx, ElementRole.DECLARED_TYPE))
+    return elems
+
+
+def _dense_constraints(rng, elems):
+    """The constraints that dense statements extract: `T v = new T()`,
+    `U v = U.getInstance()`, `U v = w.toU()` (w declared as T), chains
+    `w.toU().run()`, and plain calls `w.run()`."""
+    cons = []
+    for declared in elems:
+        roll = rng.random()
+        subject = rng.choice(elems)
+        if roll < 0.25:
+            source = Construction(subject, rng.randint(0, 1))
+        elif roll < 0.45:
+            source = MemberCall(subject, "getInstance", 0, True)
+        elif roll < 0.75:
+            source = MemberCall(subject, "to" + declared.simple_name, 0, False)
+        elif roll < 0.85:
+            hops = ("to" + rng.choice(_DENSE_NAMES), "to" + declared.simple_name)
+            source = CascadedCall(subject, tuple((m, 0) for m in hops), False)
+        else:
+            cons.append(MemberCall(subject, "run", rng.randint(0, 1), False))
+            continue
+        cons.append(source)  # the right-hand side is a constraint of its own
+        cons.append(DeclaredAssignment(declared, source))
+    return cons
+
+
+def test_solver_matches_oracle_on_dense_links():
+    rng = random.Random(9011)
+    for case in range(1000):
+        kb = _dense_kb(rng)
+        elems = _dense_elements(rng)
+        cons = _dense_constraints(rng, elems)
+        strict = case % 2 == 0
+
+        got = solve(kb, elems, cons, strict_uniqueness=strict)
+        want_typed, want_untyped = _brute_solve(kb, elems, cons, None, strict)
+        assert dict(got.typed) == want_typed, case
+        assert got.untyped == want_untyped, case
 
 
 # ---------------------------------------------------------------------------
