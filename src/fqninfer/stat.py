@@ -114,15 +114,21 @@ def train(
     OTHER truth elements are substituted by their FQNs first, mirroring what
     prediction sees after augmentation, then every window token around e
     adds one count for (token, fqn).
+
+    Each snippet is augmented once, with every truth element substituted.
+    That gives every element its leave-one-out window, because an element's
+    window never holds its own token, and its own token is the only one the
+    two augmentations differ at. Training cost is therefore linear in the
+    snippet's size. A one-element truth substitutes nothing, so its key is
+    not checked against the snippet.
     """
     _check_settings(alpha, eta)
     counts: dict[tuple[str, str], int] = {}
     totals: dict[str, int] = {}
     vocabulary: set[str] = set()
     for snippet, truth in corpus:
+        aug = augment(snippet, truth if len(truth) > 1 else {})
         for e, fqn in truth.items():
-            others = {o: f for o, f in truth.items() if o != e}
-            aug = augment(snippet, others)
             # a truth FQN is kept even when its window gathers no tokens
             totals.setdefault(fqn, 0)
             for tok in context_window(aug, e, eta):
@@ -305,16 +311,22 @@ def dump_model(model: CooccurrenceModel) -> str:
     """Serialize as a header line plus sorted, tab-delimited count records.
 
     Tokens are JSON-escaped because lexemes (string literals) may contain
-    spaces, tabs or newlines. Deterministic: equal models dump identically.
+    spaces, tabs or newlines. Each distinct token is encoded once, as
+    `load_model` decodes each once. Deterministic: equal models dump
+    identically.
     """
     lines = [
         f"{_HEADER_PREFIX}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
     ]
+    encoded: dict[str, str] = {}
     for (tok, fqn) in sorted(model.counts):
         n = model.counts[(tok, fqn)]
         if n <= 0:
             continue
-        lines.append(f"count\t{json.dumps(tok)}\t{fqn}\t{n}")
+        quoted = encoded.get(tok)
+        if quoted is None:
+            quoted = encoded[tok] = json.dumps(tok)
+        lines.append(f"count\t{quoted}\t{fqn}\t{n}")
     # FQNs with no counts at all still need to exist after a round-trip
     counted = {fqn for (_, fqn) in model.counts}
     for fqn in sorted(model.fqn_totals):
@@ -368,9 +380,13 @@ def load_model(path: str | Path) -> CooccurrenceModel:
             try:
                 tok = decoded.get(parts[1])
                 if tok is None:
-                    tok = decoded[parts[1]] = json.loads(parts[1])
+                    tok = json.loads(parts[1])
+                    # a token is a lexeme, so any other JSON value is bad
+                    if not isinstance(tok, str):
+                        raise ValueError(tok)
+                    decoded[parts[1]] = tok
                 n = int(parts[3])
-            except ValueError:
+            except (ValueError, RecursionError):
                 raise bad(lineno, f"bad count record {line!r}") from None
             if n <= 0:
                 raise bad(lineno, "nonpositive count")

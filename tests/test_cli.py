@@ -161,6 +161,8 @@ def test_infer_reports_malformed_model_in_one_line(tmp_path, capsys, text):
         ("model", "cooccurrence\talpha=1.0\teta=x\n", ":1: bad eta value 'x'"),
         ("model", 'cooccurrence\teta=2\ncount\t"x"\tcom.a.X\t0\n',
          ":2: nonpositive count"),
+        ("model", "cooccurrence\teta=2\ncount\t[1]\tcom.a.X\t2\n",
+         ":2: bad count record 'count\\t[1]\\tcom.a.X\\t2'"),
         ("kb", "type com.a.X klass lib=a\n", ":1: bad kind 'klass'"),
         ("kb", "type com.a.X class lib=a\nmethod com.b.Y run/0\n",
          ":2: method owner com.b.Y has no type record"),
@@ -170,7 +172,7 @@ def test_infer_reports_malformed_model_in_one_line(tmp_path, capsys, text):
                "method com.a.X run/0 static returns=?\n",
          ": com.a.X: conflicting signatures for run/0"),
     ],
-    ids=["model-header", "model-record", "kb-record", "kb-owner",
+    ids=["model-header", "model-record", "model-token", "kb-record", "kb-owner",
          "kb-supertype", "kb-signatures"],
 )
 def test_format_errors_name_the_file(tmp_path, capsys, model_file, bad, text, message):

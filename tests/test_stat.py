@@ -1,11 +1,14 @@
 """Co-occurrence model: windows, training, ranking, filtering, persistence."""
 
 import math
+import random
 import sys
+import time
 
 import pytest
 
 from fqninfer import (
+    ApiElement,
     CooccurrenceModel,
     ExternalPredictor,
     KnowledgeBase,
@@ -18,9 +21,10 @@ from fqninfer import (
     save_model,
     tokenize,
     train,
+    training_pairs,
 )
 from fqninfer.kb import TypeEntry
-from fqninfer.snippet import augment
+from fqninfer.snippet import AugmentError, augment
 from fqninfer.stat import (
     CandidateList,
     context_window,
@@ -121,6 +125,117 @@ def test_train_keeps_fqn_with_empty_window():
     model2 = train([(lone, {lone_els[0]: "com.x.Label"})], eta=0)
     assert "com.x.Label" in model2.fqn_totals
     assert model2.fqn_totals["com.x.Label"] >= 0
+
+
+def _reference_train(corpus, eta=2, alpha=1.0):
+    """The per-element leave-one-out loop: one augmentation per truth
+    element, with every other truth element substituted."""
+    counts, totals, vocabulary = {}, {}, set()
+    for snippet, truth in corpus:
+        for e, fqn in truth.items():
+            others = {o: f for o, f in truth.items() if o != e}
+            aug = augment(snippet, others)
+            totals.setdefault(fqn, 0)
+            for tok in context_window(aug, e, eta):
+                counts[(tok, fqn)] = counts.get((tok, fqn), 0) + 1
+                totals[fqn] += 1
+                vocabulary.add(tok)
+    return CooccurrenceModel(counts, totals, vocabulary, alpha, eta)
+
+
+def _assert_same_model(got, want):
+    assert list(got.counts.items()) == list(want.counts.items())
+    assert list(got.fqn_totals.items()) == list(want.fqn_totals.items())
+    assert got.vocabulary == want.vocabulary
+    assert dump_model(got) == dump_model(want)
+
+
+_NAMES = ("Label", "Button", "Panel")
+_FQNS = tuple(f"{lib}.{name}" for lib in ("a", "b") for name in _NAMES)
+_LINE_SHAPES = (
+    "{0} v{i} = new {1}();",
+    "{0} v{i} = {1}.of(v{j}, {2}.MODE);",
+    "call(new {0}(), new {1}(\"s{i}\"), {2}.X);",
+    "v{i}.run({0}.get({j}));",
+    "other{i} = {0}.NONE + {1}.NONE + {0}.ALL;",
+    "",
+)
+
+
+def _generated_corpus(rng, count):
+    """Seeded snippets whose truth maps label 1 to 20 elements: repeated
+    names, several occurrences on one line, and FQNs that may disagree
+    with the element's name."""
+    corpus = []
+    while len(corpus) < count:
+        lines = []
+        for i in range(rng.randint(1, 9)):
+            shape = rng.choice(_LINE_SHAPES)
+            names = [rng.choice(_NAMES) for _ in range(3)]
+            lines.append(shape.format(*names, i=i, j=rng.randint(0, 9)))
+        sn = tokenize("\n".join(lines) + "\n")
+        els = identify_api_elements(sn)
+        if not els:
+            continue
+        chosen = rng.sample(els, rng.randint(1, min(20, len(els))))
+        corpus.append((sn, {e: rng.choice(_FQNS) for e in chosen}))
+    return corpus
+
+
+@pytest.mark.parametrize("eta", [0, 1, 2, 3])
+def test_train_matches_per_element_reference_on_fixtures(train_items, eta):
+    corpus = training_pairs(train_items)
+    _assert_same_model(train(corpus, eta=eta), _reference_train(corpus, eta=eta))
+
+
+def test_train_matches_per_element_reference_on_generated_snippets():
+    rng = random.Random(6)
+    corpus = _generated_corpus(rng, 300)
+    sizes = {len(truth) for _, truth in corpus}
+    assert 1 in sizes and max(sizes) == 20
+    for eta in range(4):
+        _assert_same_model(train(corpus, eta=eta), _reference_train(corpus, eta=eta))
+    # one snippet at a time, so each model holds only that snippet's counts
+    for pair in corpus:
+        eta = rng.randint(0, 3)
+        _assert_same_model(train([pair], eta=eta), _reference_train([pair], eta=eta))
+
+
+def _repeated_labels(times):
+    sn = tokenize("Label a = new Label();\n" * times)
+    return sn, {e: "com.x.Label" for e in identify_api_elements(sn)}
+
+
+def test_train_is_linear_in_snippet_size():
+    # 1,600 labelled elements over 10.4k tokens; one augmentation per
+    # element took about 10 s (Python 3.11 on a 2-core VM)
+    sn, truth = _repeated_labels(800)
+    assert len(truth) == 1600
+    start = time.perf_counter()
+    train([(sn, truth)])
+    assert time.perf_counter() - start < 2.0
+    small = [_repeated_labels(100)]
+    _assert_same_model(train(small), _reference_train(small))
+
+
+def test_train_leaves_a_lone_truth_key_unchecked():
+    sn = tokenize("Label a = new Button();\n")
+    label, button = identify_api_elements(sn)
+    # the key names Label at Button's token: nothing is substituted, as in
+    # the per-element loop, so nothing checks it
+    wrong = ApiElement("Label", 1, 2, button.token_index, label.role)
+    model = train([(sn, {wrong: "com.x.Label"})])
+    _assert_same_model(model, _reference_train([(sn, {wrong: "com.x.Label"})]))
+
+
+def test_train_names_the_bad_key_of_a_larger_truth():
+    sn = tokenize("Label a = new Button();\n")
+    label, button = identify_api_elements(sn)
+    wrong = ApiElement("Label", 1, 2, button.token_index, label.role)
+    for truth in ({label: "com.x.Label", wrong: "com.x.Label"},
+                  {wrong: "com.x.Label", button: "com.y.Button"}):
+        with pytest.raises(AugmentError, match=r"^Label\[1,2\]: token at index"):
+            train([(sn, truth)])
 
 
 def test_known_fqns_named_suffix_match():
@@ -395,14 +510,19 @@ def test_load_rejects_nonpositive_count(tmp_path):
         ("cooccurrence\talpha=one\teta=2\n", "m.tsv:1: bad alpha value 'one'"),
         ('cooccurrence\teta=2\ncount\t"x"\tcom.a.X\tzz\n', "m.tsv:2: bad count record"),
         ("cooccurrence\teta=2\ncount\tx\tcom.a.X\t1\n", "m.tsv:2: bad count record"),
+        ("cooccurrence\teta=2\ncount\t[1]\tcom.a.X\t2\n", "m.tsv:2: bad count record"),
+        ("cooccurrence\teta=2\ncount\t5\tcom.a.X\t2\n", "m.tsv:2: bad count record"),
+        ("cooccurrence\teta=2\ncount\t" + "[" * 100_000 + "\tcom.a.X\t2\n",
+         "m.tsv:2: bad count record"),
         ("cooccurrence\talpha=0.0\teta=2\n", "m.tsv:1: bad alpha value 0.0"),
         ("cooccurrence\talpha=-1.5\teta=2\n", "m.tsv:1: bad alpha value -1.5"),
         ("cooccurrence\talpha=inf\teta=2\n", "m.tsv:1: bad alpha value inf"),
         ("cooccurrence\talpha=1.0\teta=-3\n", "m.tsv:1: bad eta value -3"),
         ('cooccurrence\teta=2\ncount\t"\udcff"\tcom.a.X\t1\n', "m.tsv:2: not UTF-8"),
     ],
-    ids=["eta", "alpha", "count", "token", "alpha-zero", "alpha-negative",
-         "alpha-inf", "eta-negative", "not-utf8"],
+    ids=["eta", "alpha", "count", "token", "token-list", "token-number",
+         "token-deep", "alpha-zero", "alpha-negative", "alpha-inf",
+         "eta-negative", "not-utf8"],
 )
 def test_load_rejects_bad_values_with_line(tmp_path, text, match):
     path = tmp_path / "m.tsv"
