@@ -256,10 +256,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     # bad input ends in one line: model, truth and corpus format errors,
     # undecodable files and out-of-range RunConfig or model settings are
-    # all ValueErrors
+    # all ValueErrors, and a path that cannot be read or written (missing,
+    # a directory, no permission) is an OSError
     try:
         return args.func(args)
-    except (KbError, ValueError, FileNotFoundError) as exc:
+    except (KbError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

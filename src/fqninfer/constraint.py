@@ -25,7 +25,6 @@ from .snippet import (
     ApiElement,
     Snippet,
     SnippetStructure,
-    Token,
     TokenKind,
     identify_api_elements,
 )
@@ -126,69 +125,48 @@ def _broken_body_lines(structure: SnippetStructure) -> set[int]:
     """Lines of class bodies containing a constructor whose name does not
     match the class: structure recognition gives up on the whole body."""
     sig = structure.significant
+    partner = structure.partner
     excluded: set[int] = set()
     n = len(sig)
     for header in structure.headers:
         if header.kind != "class" or header.name is None or header.open is None:
             continue
         assert header.close is not None
-        depth = 0
-        mismatch = False
         k = header.open + 1
         while k < header.close:
             t = sig[k][1]
             if t.lexeme == "{":
-                depth += 1
-            elif t.lexeme == "}":
-                depth -= 1
-            elif (
-                depth == 0
-                and t.kind == TokenKind.IDENTIFIER
-                and t.lexeme[:1].isupper()
-            ):
-                prev = sig[k - 1][1].lexeme if k > 0 else ""
+                k = partner[k]  # a nested block holds no member of this class
+            elif t.kind == TokenKind.IDENTIFIER and t.lexeme[:1].isupper():
+                prev = sig[k - 1][1].lexeme
                 nxt = sig[k + 1][1].lexeme if k + 1 < n else ""
                 if prev in _MEMBER_PREV and nxt == "(":
-                    close = _matching_paren(sig, k + 1)
+                    close = partner.get(k + 1)
                     if (
                         close is not None
                         and close + 1 < n
                         and sig[close + 1][1].lexeme == "{"
                         and t.lexeme != header.name
                     ):
-                        mismatch = True
+                        open_line = sig[header.open][1].line
+                        close_line = sig[header.close][1].line
+                        excluded.update(range(open_line + 1, close_line + 1))
                         break
             k += 1
-        if mismatch:
-            open_line = sig[header.open][1].line
-            close_line = sig[header.close][1].line
-            excluded.update(range(open_line + 1, close_line + 1))
     return excluded
 
 
-def _matching_paren(sig: Sequence[tuple[int, Token]], i_open: int) -> int | None:
-    depth = 0
-    for k in range(i_open, len(sig)):
-        lex = sig[k][1].lexeme
-        if lex == "(":
-            depth += 1
-        elif lex == ")":
-            depth -= 1
-            if depth == 0:
-                return k
-    return None
-
-
-def _parse_args(sig: Sequence[tuple[int, Token]], i_open: int) -> tuple[int, int] | None:
+def _parse_args(structure: SnippetStructure, i_open: int) -> tuple[int, int] | None:
     """Arity of a balanced argument list starting at sig[i_open] == '('.
 
     Returns (arity, index of the closing paren) or None when unbalanced.
     """
-    close = _matching_paren(sig, i_open)
+    close = structure.partner.get(i_open)
     if close is None:
         return None
     if close == i_open + 1:
         return 0, close
+    sig = structure.significant
     arity = 1
     depth = 0
     for k in range(i_open + 1, close):
@@ -203,7 +181,7 @@ def _parse_args(sig: Sequence[tuple[int, Token]], i_open: int) -> tuple[int, int
 
 
 def _parse_chain(
-    sig: Sequence[tuple[int, Token]], i_dot: int
+    structure: SnippetStructure, i_dot: int
 ) -> tuple[tuple[tuple[str, int], ...], str | None]:
     """Parse `.m1(args).m2(args)...` starting at sig[i_dot] == '.'.
 
@@ -211,6 +189,7 @@ def _parse_chain(
     member name accessed without parentheses (a field access), if the chain
     starts that way.
     """
+    sig = structure.significant
     hops: list[tuple[str, int]] = []
     n = len(sig)
     k = i_dot
@@ -223,7 +202,7 @@ def _parse_chain(
             if not hops:
                 return (), member.lexeme
             break
-        parsed = _parse_args(sig, k + 2)
+        parsed = _parse_args(structure, k + 2)
         if parsed is None:
             break
         arity, close = parsed
@@ -259,7 +238,7 @@ def extract_constraints(
         e = elem_at.get(sig[k + 1][0]) if k + 1 < n else None
         if e is None or k + 2 >= n or sig[k + 2][1].lexeme != "(":
             return None
-        parsed = _parse_args(sig, k + 2)
+        parsed = _parse_args(structure, k + 2)
         return Construction(e, parsed[0]) if parsed is not None else None
 
     def call(root: ApiElement, hops, static_root: bool):
@@ -271,7 +250,7 @@ def extract_constraints(
         return MemberCall(root, m, a, static_call=static_root)
 
     def chain_constraint(root: ApiElement, i_dot: int, static_root: bool):
-        hops, trailing_field = _parse_chain(sig, i_dot)
+        hops, trailing_field = _parse_chain(structure, i_dot)
         if trailing_field is not None:
             return FieldAccess(root, trailing_field, static_access=static_root)
         return call(root, hops, static_root) if hops else None
@@ -294,7 +273,7 @@ def extract_constraints(
             root = var_types.get(t.lexeme)
         if root is None:
             return None
-        hops, trailing = _parse_chain(sig, k + 1)
+        hops, trailing = _parse_chain(structure, k + 1)
         # a chain the extractor is not following: the first hop's return is
         # not the assigned value, so no assignment link is emitted
         if trailing is not None or not hops or (

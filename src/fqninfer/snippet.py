@@ -6,9 +6,10 @@ concatenating the lexemes reproduces the source exactly. Snippets are
 allowed to be broken code, so structure recognition has to cope.
 
 Structure is recognised once per snippet, on the `Snippet` itself:
-`Snippet.structure` holds the significant tokens, every class, interface
-and enum header, and the extends/implements clauses. Identification here
-and constraint extraction both read it.
+`Snippet.structure` holds the significant tokens, the partner of every
+bracket (paired in one pass, so broken code costs no rescans), every class,
+interface and enum header, and the extends/implements clauses.
+Identification here and constraint extraction both read it.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ class SnippetStructure:
 
     significant: (token index, token) for every token that is not
         whitespace or a comment.
+    partner: position of each '(' and '{' -> position of its matching ')'
+        or '}'. Brackets are paired once, by one stack per bracket type.
+        An unterminated '{' maps to the last position; an unterminated '('
+        has no entry.
     headers: every class/interface/enum header, in token order.
     clauses: position of each identifier in an extends/implements clause ->
         (clause keyword, declaring header). A header nested in another
@@ -78,6 +83,7 @@ class SnippetStructure:
     """
 
     significant: tuple[tuple[int, Token], ...]
+    partner: Mapping[int, int]
     headers: tuple[Header, ...]
     clauses: Mapping[int, tuple[str, Header]]
 
@@ -85,22 +91,7 @@ class SnippetStructure:
 _DECLARATIONS = ("class", "interface", "enum")
 
 
-def _body(
-    sig: Sequence[tuple[int, Token]], end: int
-) -> tuple[int | None, int | None]:
-    """Open and close of the body that starts where a header ends."""
-    if end >= len(sig) or sig[end][1].lexeme != "{":
-        return None, None
-    depth = 0
-    for k in range(end, len(sig)):
-        lex = sig[k][1].lexeme
-        if lex == "{":
-            depth += 1
-        elif lex == "}":
-            depth -= 1
-            if depth == 0:
-                return end, k
-    return end, len(sig) - 1  # an unterminated body runs to the end
+_CLOSERS = {")": "(", "}": "{"}
 
 
 def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
@@ -110,6 +101,17 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
         if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)
     )
     n = len(sig)
+    partner: dict[int, int] = {}
+    stacks: dict[str, list[int]] = {"(": [], "{": []}
+    for j, (_, t) in enumerate(sig):
+        if t.lexeme in stacks:
+            stacks[t.lexeme].append(j)
+        elif t.lexeme in _CLOSERS:
+            openers = stacks[_CLOSERS[t.lexeme]]
+            if openers:
+                partner[openers.pop()] = j
+    for j in stacks["{"]:
+        partner[j] = n - 1  # an unterminated body runs to the end
     headers: list[Header] = []
     clauses: dict[int, tuple[str, Header]] = {}
     j = 0
@@ -123,7 +125,9 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
         end = j
         while end < n and sig[end][1].lexeme not in ("{", ";"):
             end += 1
-        open_, close = _body(sig, end)
+        open_ = close = None
+        if end < n and sig[end][1].lexeme == "{":
+            open_, close = end, partner[end]
         clause: str | None = None
         first = latest_named = owner = None
         for k in range(j, end):
@@ -143,7 +147,9 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
             elif clause is not None and tk.kind == TokenKind.IDENTIFIER:
                 clauses[k] = (clause, owner)
         j = end
-    return SnippetStructure(sig, tuple(headers), MappingProxyType(clauses))
+    return SnippetStructure(
+        sig, MappingProxyType(partner), tuple(headers), MappingProxyType(clauses)
+    )
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,14 @@ class ModelFormatError(ValueError):
     pass
 
 
+def _shown(record: str) -> str:
+    """A record as an error message quotes it: its first 80 characters at
+    most, so a huge malformed record still gives a short error line."""
+    if len(record) <= 80:
+        return repr(record)
+    return f"{record[:80]!r}... ({len(record)} characters)"
+
+
 def load_model(path: str | Path) -> CooccurrenceModel:
     text = read_utf8(path, ModelFormatError)
 
@@ -387,7 +395,7 @@ def load_model(path: str | Path) -> CooccurrenceModel:
                     decoded[parts[1]] = tok
                 n = int(parts[3])
             except (ValueError, RecursionError):
-                raise bad(lineno, f"bad count record {line!r}") from None
+                raise bad(lineno, f"bad count record {_shown(line)}") from None
             if n <= 0:
                 raise bad(lineno, "nonpositive count")
             counts[(tok, fqn)] = counts.get((tok, fqn), 0) + n
@@ -396,5 +404,5 @@ def load_model(path: str | Path) -> CooccurrenceModel:
         elif parts[0] == "fqn" and len(parts) == 2:
             totals.setdefault(parts[1], 0)
         else:
-            raise bad(lineno, f"bad record {line!r}")
+            raise bad(lineno, f"bad record {_shown(line)}")
     return CooccurrenceModel(counts, totals, vocabulary, alpha, eta)

@@ -138,6 +138,29 @@ def test_infer_reports_missing_snippet(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "position", ["snippet", "kb", "model", "train-o", "kb-build-o", "trace"]
+)
+def test_directory_in_a_file_position_is_one_error_line(
+    tmp_path, capsys, monkeypatch, model_file, position
+):
+    monkeypatch.delenv("FQNINFER_KB", raising=False)
+    snippet = str(FIXTURES / "corpus" / "gwt" / "1318732.java")
+    d = str(tmp_path)
+    argv = {
+        "snippet": ["infer", d, "--kb", KB_PATH, "--model", model_file],
+        "kb": ["infer", snippet, "--kb", d, "--model", model_file],
+        "model": ["infer", snippet, "--kb", KB_PATH, "--model", d],
+        "train-o": ["train", TRAIN_DIR, "-o", d],
+        "kb-build-o": ["kb-build", KB_PATH, "-o", d],
+        "trace": ["infer", snippet, "--kb", KB_PATH, "--model", model_file,
+                  "--trace", d],
+    }[position]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and d in err[0]
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "cooccurrence\talpha=1.0\teta=x\n",
@@ -163,6 +186,10 @@ def test_infer_reports_malformed_model_in_one_line(tmp_path, capsys, text):
          ":2: nonpositive count"),
         ("model", "cooccurrence\teta=2\ncount\t[1]\tcom.a.X\t2\n",
          ":2: bad count record 'count\\t[1]\\tcom.a.X\\t2'"),
+        ("model", "cooccurrence\teta=2\ncount\t" + "[" * 100_000 + "\tcom.a.X\t2\n",
+         ":2: bad count record 'count\\t" + "[" * 74 + "'... (100016 characters)"),
+        ("model", "cooccurrence\teta=2\n" + "z" * 81 + "\n",
+         ":2: bad record '" + "z" * 80 + "'... (81 characters)"),
         ("kb", "type com.a.X klass lib=a\n", ":1: bad kind 'klass'"),
         ("kb", "type com.a.X class lib=a\nmethod com.b.Y run/0\n",
          ":2: method owner com.b.Y has no type record"),
@@ -172,7 +199,8 @@ def test_infer_reports_malformed_model_in_one_line(tmp_path, capsys, text):
                "method com.a.X run/0 static returns=?\n",
          ": com.a.X: conflicting signatures for run/0"),
     ],
-    ids=["model-header", "model-record", "model-token", "kb-record", "kb-owner",
+    ids=["model-header", "model-record", "model-token", "model-token-deep",
+         "model-long-record", "kb-record", "kb-owner",
          "kb-supertype", "kb-signatures"],
 )
 def test_format_errors_name_the_file(tmp_path, capsys, model_file, bad, text, message):

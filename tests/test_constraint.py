@@ -285,10 +285,13 @@ def test_matching_constructor_keeps_coverage():
         "    public Clean() {\n"
         "        setup();\n"
         "    }\n"
+        "    static class Inner {\n"
+        "        public Inner() {}\n"  # a member of Inner, not of Clean
+        "    }\n"
         "}\n"
     )
     _, _, coverage = _extract(text)
-    assert coverage == ((1, 5),)
+    assert coverage == ((1, 8),)
 
 
 def test_lenient_body_check_keeps_everything():
@@ -316,6 +319,21 @@ def test_new_receiver_chain_is_not_a_static_call():
     assert not any(
         isinstance(c, (MemberCall, CascadedCall)) for c in cons
     )
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["class A { public B(", "Label a = Label.of(", "class A {", "x = new Label("],
+)
+def test_unbalanced_brackets_extract_within_budget(line):
+    # finding each opener's partner by a scan to the end of the snippet took
+    # 1-4 s on 2000 such lines (Python 3.11 on a 2-core VM)
+    for options in (ExtractOptions(), LENIENT):
+        sn = tokenize((line + "\n") * 2000)
+        t0 = time.perf_counter()
+        extract_constraints(sn, identify_api_elements(sn), options)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 0.5, f"{options}: {elapsed:.2f}s (budget 0.5s)"
 
 
 # ---------------------------------------------------------------------------

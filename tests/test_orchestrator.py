@@ -1,7 +1,10 @@
 """The iterative loop: stability, reduction, augmentation, combination."""
 
+import ast
 import itertools
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -347,3 +350,21 @@ def test_package_exports_the_public_names():
         "ApiElement", "KnowledgeBase",
     ]
     assert all(hasattr(fqninfer, name) for name in fqninfer.__all__)
+
+
+def test_package_imports_only_the_standard_library():
+    import fqninfer
+
+    sources = sorted(Path(fqninfer.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name}: {name}"

@@ -159,6 +159,75 @@ def test_lossless_lexing_roundtrip():
 
 
 # ---------------------------------------------------------------------------
+# bracket partners
+
+
+def _matching_paren(sig, i_open):
+    """Reference: the ')' where the depth count from sig[i_open] returns to
+    zero, or None when it never does."""
+    depth = 0
+    for k in range(i_open, len(sig)):
+        lex = sig[k][1].lexeme
+        if lex == "(":
+            depth += 1
+        elif lex == ")":
+            depth -= 1
+            if depth == 0:
+                return k
+    return None
+
+
+def _body(sig, end):
+    """Reference: open and close of the body that starts where a header
+    ends; an unterminated body runs to the last position."""
+    if end >= len(sig) or sig[end][1].lexeme != "{":
+        return None, None
+    depth = 0
+    for k in range(end, len(sig)):
+        lex = sig[k][1].lexeme
+        if lex == "{":
+            depth += 1
+        elif lex == "}":
+            depth -= 1
+            if depth == 0:
+                return end, k
+    return end, len(sig) - 1
+
+
+_BRACKET_PIECES = (
+    "(", ")", "{", "}", ";", "class", "new", "A", "b", "Label", "of", ".",
+    "( { ) }", "{ ( } )", "class A {", "f(g(", "))", "}}",
+)
+
+
+def test_bracket_partners_match_reference_scans():
+    rng = random.Random(9007)
+    for case in range(2000):
+        raw = " ".join(
+            rng.choice(_BRACKET_PIECES) for _ in range(rng.randint(0, 30))
+        )
+        structure = tokenize(raw).structure
+        sig = structure.significant
+        expected = {}
+        for i, (_, t) in enumerate(sig):
+            if t.lexeme == "(" and _matching_paren(sig, i) is not None:
+                expected[i] = _matching_paren(sig, i)
+            elif t.lexeme == "{":
+                expected[i] = _body(sig, i)[1]
+        assert dict(structure.partner) == expected, (case, raw)
+        # every declaration keyword heads one header, whose body starts at
+        # the first '{' or ';' from the keyword on
+        bodies = []
+        for j, (_, t) in enumerate(sig):
+            if t.lexeme in ("class", "interface", "enum"):
+                end = j
+                while end < len(sig) and sig[end][1].lexeme not in ("{", ";"):
+                    end += 1
+                bodies.append(_body(sig, end))
+        assert [(h.open, h.close) for h in structure.headers] == bodies, (case, raw)
+
+
+# ---------------------------------------------------------------------------
 # augmentation alignment and window correctness
 
 
