@@ -14,6 +14,7 @@ The KB path can come from --kb or the FQNINFER_KB environment variable.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
@@ -134,6 +135,9 @@ def _cmd_kb_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    # refuse an output that cannot be written before the work that fills it
+    if Path(args.output).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
     kb = load_kb(args.kb) if args.kb else None
     items = load_corpus(args.corpus)
     pairs = training_pairs(items, kb)
@@ -161,14 +165,15 @@ def _run_snippet(args: argparse.Namespace):
 
 def _cmd_infer(args: argparse.Namespace) -> int:
     elements, combined, trace = _run_snippet(args)
-    for e in sorted(elements, key=lambda e: e.token_index):
-        ce = combined.per_element[e]
-        fqn = ce.final_fqn if ce.final_fqn else "-"
-        print(f"{e.key}\t{fqn}\t{ce.source}")
+    # the trace file first: a failed write leaves no answers on stdout
     if args.trace:
         Path(args.trace).write_text(
             serialize_trace(trace, elements), encoding="utf-8"
         )
+    for e in sorted(elements, key=lambda e: e.token_index):
+        ce = combined.per_element[e]
+        fqn = ce.final_fqn if ce.final_fqn else "-"
+        print(f"{e.key}\t{fqn}\t{ce.source}")
     log.info("%d rounds", len(trace))
     return 0
 

@@ -6,6 +6,10 @@ once per snippet) and walks its significant tokens for structural patterns
 reports which line ranges it could analyze. Solving scores whole assignments of candidate
 FQNs to elements by (constraint violations, distinct library count,
 lexicographic order) and abstains where optima disagree.
+
+A `ConstraintProblem` tabulates every check once against a loaded KB and
+can then be solved under a mask (a reduced KB given as its FQN set) with
+the answers of a solve on that reduced KB, without building it.
 """
 
 from __future__ import annotations
@@ -363,25 +367,27 @@ def _to_ranges(lines: list[int]) -> tuple[tuple[int, int], ...]:
 
 def _chain_value(
     kb: KnowledgeBase, start: str, chain: Sequence[tuple[str, int]], static_root: bool
-) -> tuple[bool, str | None]:
+) -> tuple[str | None, tuple[str, ...]] | None:
     """Chase a call chain from a candidate root type.
 
-    Returns (resolved, final return FQN or None). Every hop's method must be
-    found; every non-final hop additionally needs a known return type whose
-    entry is present in the KB, otherwise the chain does not resolve.
+    Returns None when the chain does not resolve, else (final return FQN or
+    None, the intermediate return types it passed through). Every hop's
+    method must be found; every non-final hop additionally needs a known
+    return type whose entry is present in the KB, so a KB reduced to a mask
+    resolves the chain only if the mask holds every intermediate type.
     """
     cur = start
-    ret: str | None = None
-    for idx, (m, a) in enumerate(chain):
+    passed: list[str] = []
+    for idx, (m, a) in enumerate(chain[:-1]):
         sig = method_in_knowledge(kb, cur, m, a, require_static=static_root and idx == 0)
-        if sig is None:
-            return False, None
-        ret = sig.return_fqn
-        if idx < len(chain) - 1:
-            if ret is None or ret not in kb:
-                return False, None
-            cur = ret
-    return True, ret
+        ret = sig.return_fqn if sig is not None else None
+        if ret is None or ret not in kb:
+            return None
+        passed.append(ret)
+        cur = ret
+    m, a = chain[-1]
+    sig = method_in_knowledge(kb, cur, m, a, require_static=static_root and not passed)
+    return None if sig is None else (sig.return_fqn, tuple(passed))
 
 
 def _source_subject(source) -> ApiElement:
@@ -392,19 +398,22 @@ def _source_subject(source) -> ApiElement:
     return source.root
 
 
-def _source_value(kb: KnowledgeBase, c_subject: str, source) -> str | None:
+def _source_value(
+    kb: KnowledgeBase, c_subject: str, source
+) -> tuple[str | None, tuple[str, ...]]:
     """The value type produced by an initializer constraint under a
-    candidate assignment of its subject, or None when unknown."""
+    candidate assignment of its subject, or None when unknown, with the
+    intermediate types a chain passed through to produce it."""
     if isinstance(source, Construction):
-        return c_subject
+        return c_subject, ()
     if isinstance(source, MemberCall):
         sig = method_in_knowledge(
             kb, c_subject, source.method, source.arity,
             require_static=source.static_call,
         )
-        return sig.return_fqn if sig else None
-    resolved, ret = _chain_value(kb, c_subject, source.chain, source.static_root)
-    return ret if resolved else None
+        return (sig.return_fqn if sig else None), ()
+    walked = _chain_value(kb, c_subject, source.chain, source.static_root)
+    return walked if walked is not None else (None, ())
 
 
 def _tabulate(
@@ -412,16 +421,32 @@ def _tabulate(
     constraints: Sequence[Constraint],
     index_of: Mapping[ApiElement, int],
     cand_lists: Sequence[tuple[str, ...]],
-) -> tuple[list[list[int]], dict[tuple[int, int], list[list[int]]]]:
+) -> tuple[
+    list[list[int]],
+    dict[tuple[int, int], list[list[int]]],
+    list[tuple[frozenset[str], int, int, int]],
+    list[tuple[frozenset[str], int, int, int, int]],
+]:
     """Evaluate every check the solver wires, once per candidate (pair).
 
-    Returns (unary, pairs). unary[i][ci] counts the checks that candidate ci
-    of element i fails. pairs[(lo, hi)][c_lo][c_hi], lo < hi, counts the
-    cross-element checks failed when lo takes c_lo and hi takes c_hi. A
-    cross-element check whose two ends are one element is a unary check.
+    Returns (unary, pairs, unary_if, pairs_if). unary[i][ci] counts the
+    checks that candidate ci of element i fails. pairs[(lo, hi)][c_lo][c_hi],
+    lo < hi, counts the cross-element checks failed when lo takes c_lo and
+    hi takes c_hi. A cross-element check whose two ends are one element is
+    a unary check.
+
+    Counts are the full KB's answers. Two checks also read whether a type
+    other than their own candidates is in the KB: a chain needs its
+    intermediate return types, and an assignment constrains only through a
+    value type the KB holds. Each such count is recorded with those types,
+    which a mask may drop: unary_if holds (types, i, ci, delta), the change
+    of unary[i][ci] when some of the types are missing, and pairs_if holds
+    (types, lo, hi, c_lo, c_hi), a pair count that then drops by one.
     """
     unary = [[0] * len(cl) for cl in cand_lists]
     pairs: dict[tuple[int, int], list[list[int]]] = {}
+    unary_if: list[tuple[frozenset[str], int, int, int]] = []
+    pairs_if: list[tuple[frozenset[str], int, int, int, int]] = []
 
     def check(e: ApiElement, ok) -> None:
         i = index_of[e]
@@ -431,10 +456,16 @@ def _tabulate(
 
     def link(free: ApiElement, key: ApiElement, allowed) -> None:
         """A check on two elements: given key's candidate, free must take a
-        candidate in allowed(candidate), or anything when that is None."""
+        candidate in allowed(candidate)[0], or anything when that is None;
+        allowed(candidate)[1] are the other types that answer depends on."""
         f, k = index_of[free], index_of[key]
         if f == k:
-            check(key, lambda c: (ok := allowed(c)) is None or c in ok)
+            for ci, c in enumerate(cand_lists[k]):
+                ok, types = allowed(c)
+                if ok is not None and c not in ok:
+                    unary[k][ci] += 1
+                    if types:
+                        unary_if.append((types, k, ci, -1))
             return
         lo, hi = min(f, k), max(f, k)
         table = pairs.get((lo, hi))
@@ -443,15 +474,19 @@ def _tabulate(
                 [0] * len(cand_lists[hi]) for _ in cand_lists[lo]
             ]
         for ck, c_key in enumerate(cand_lists[k]):
-            ok = allowed(c_key)
+            ok, types = allowed(c_key)
             if ok is None:
                 continue
             for cf, c_free in enumerate(cand_lists[f]):
                 if c_free not in ok:
-                    if f < k:
-                        table[cf][ck] += 1
-                    else:
-                        table[ck][cf] += 1
+                    a, b = (cf, ck) if f < k else (ck, cf)
+                    table[a][b] += 1
+                    if types:
+                        pairs_if.append((types, lo, hi, a, b))
+
+    def proper_supertypes(c: str) -> tuple[tuple[str, ...], frozenset[str]]:
+        # the closure minus its first entry, c
+        return supertype_closure(kb, c)[1:], frozenset()
 
     # check and link run their functions at once, so these may read `con`
     for con in constraints:
@@ -469,59 +504,54 @@ def _tabulate(
                     kb, c, con.field_name, require_static=con.static_access
                 ) is not None)
         elif isinstance(con, CascadedCall):
-            if con.root in index_of:
-                check(con.root, lambda c: _chain_value(
-                    kb, c, con.chain, con.static_root
-                )[0])
+            if con.root not in index_of:
+                continue
+            i = index_of[con.root]
+            for ci, c in enumerate(cand_lists[i]):
+                walked = _chain_value(kb, c, con.chain, con.static_root)
+                if walked is None:
+                    unary[i][ci] += 1
+                elif types := frozenset(walked[1]) - {c}:
+                    unary_if.append((types, i, ci, 1))
         elif isinstance(con, (Extends, Implements)):
             if con.sup not in index_of:
                 continue
             want = "interface" if isinstance(con, Implements) else con.sub_kind
             check(con.sup, lambda c: kb.entries[c].kind == want)
             if isinstance(con.sub, ApiElement) and con.sub in index_of:
-                # a proper supertype: the closure minus its first entry, sub
-                link(con.sup, con.sub, lambda c: supertype_closure(kb, c)[1:])
+                link(con.sup, con.sub, proper_supertypes)
         elif isinstance(con, DeclaredAssignment):
             subj = _source_subject(con.source)
             if con.declared not in index_of or subj not in index_of:
                 continue
 
-            def assigned_from(c: str) -> tuple[str, ...] | None:
-                value = _source_value(kb, c, con.source)
+            def assigned_from(c: str):
+                value, passed = _source_value(kb, c, con.source)
                 if value is None or value not in kb:
-                    return None  # unknown returns impose nothing
-                return supertype_closure(kb, value)  # value and its supertypes
+                    return None, frozenset()  # unknown returns impose nothing
+                # value and its supertypes; the candidate c is in any mask
+                # that keeps this check
+                return supertype_closure(kb, value), frozenset((value, *passed)) - {c}
 
             link(con.declared, subj, assigned_from)
-    return unary, pairs
+    return unary, pairs, unary_if, pairs_if
 
 
-def solve(
-    kb: KnowledgeBase,
-    elements: Sequence[ApiElement],
-    constraints: Sequence[Constraint],
-    coverage: Sequence[tuple[int, int]] | None = None,
-    *,
-    strict_uniqueness: bool = True,
-) -> ConstraintResult:
-    """Pick one FQN per element by global assignment search.
+def _search(
+    libs: Sequence[Sequence[str]],
+    unary: Sequence[Sequence[int]],
+    pairs: Mapping[tuple[int, int], Sequence[Sequence[int]]],
+) -> tuple[int, tuple[int, ...], list[set[int]]]:
+    """Exact depth-first branch and bound over a tabulated problem whose
+    element i has candidates with libraries libs[i], in token order.
 
-    Assignments over the full per-element candidate sets are scored by
-    (violated constraints, distinct libraries, lexicographic vector in token
-    order) and the minimum wins. Elements are untyped when: out of coverage,
-    no candidate shares their simple name, their chosen value participates
-    in a violated constraint, or (strict_uniqueness) the optima disagree
-    about them.
+    Returns (fewest violations, the smallest optimal candidate-index
+    vector, each element's candidate indices across all optima).
 
-    The search is an exact depth-first branch and bound over the elements in
-    token order:
-
-    - Every check is tabulated once per solve: a violation count per
-      candidate for the single-element checks, and one per candidate pair
-      for the checks that link two elements. A search node only adds up
-      table entries. Elements with one candidate are settled up front and
-      their pair tables folded into the other element's counts, so the
-      search branches only over elements with a choice.
+    - Elements with one candidate are settled up front and their pair
+      tables folded into the other element's counts, so the search branches
+      only over elements with a choice. A search node only adds up table
+      entries.
     - At each element, candidates are tried by the violations they add
       given the choices above them, then whether their library is new, then
       how many elements have a candidate in that library, then candidate
@@ -540,50 +570,23 @@ def solve(
     uniqueness abstentions, therefore do not depend on the order in which
     the search meets them.
     """
-    ordered = sorted(elements, key=lambda e: e.token_index)
-    if coverage is None:
-        coverage = ((1, 10**9),)
-
-    untyped: set[ApiElement] = set()
-    cands: dict[ApiElement, tuple[str, ...]] = {}
-    for e in ordered:
-        if not line_covered(e.line, coverage):
-            untyped.add(e)
-            continue
-        cs = kb.candidates_for(e.simple_name)
-        if not cs:
-            untyped.add(e)
-            continue
-        cands[e] = cs
-
-    search = [e for e in ordered if e in cands]
-    if not search:
-        return ConstraintResult({}, frozenset(untyped))
-    index_of = {e: i for i, e in enumerate(search)}
-    # candidates_for is sorted, so comparing index vectors compares FQNs
-    cand_lists = [cands[e] for e in search]
-    unary, pairs = _tabulate(kb, constraints, index_of, cand_lists)
-    n = len(search)
-
+    n = len(libs)
     # libraries as bits: a candidate's bit, and each element's union of them
     lib_bit: dict[str, int] = {}
-    cand_bits = [
-        [1 << lib_bit.setdefault(kb.entries[c].library, len(lib_bit)) for c in cl]
-        for cl in cand_lists
-    ]
+    cand_bits = [[1 << lib_bit.setdefault(lib, len(lib_bit)) for lib in ls] for ls in libs]
     elem_libs = [set(bits) for bits in cand_bits]
     elem_bits = [sum(libs) for libs in elem_libs]
 
     # An element with one candidate is settled before the search: its
     # violations and library count for every assignment, and its pair
     # checks fold into the other element's unary costs.
-    settled = [len(cl) == 1 for cl in cand_lists]
+    settled = [len(ls) == 1 for ls in libs]
     free = [i for i in range(n) if not settled[i]]
     cost = {i: list(unary[i]) for i in free}
     base_v = sum(unary[i][0] for i in range(n) if settled[i])
     base_used = sum({elem_bits[i] for i in range(n) if settled[i]})
     # pair tables of two free elements, by the later one
-    earlier: list[list[tuple[int, list[list[int]]]]] = [[] for _ in search]
+    earlier: list[list[tuple[int, Sequence[Sequence[int]]]]] = [[] for _ in libs]
     for (lo, hi), table in pairs.items():
         if settled[lo] and settled[hi]:
             base_v += table[0][0]
@@ -657,28 +660,183 @@ def solve(
             dfs(d + 1, v_next, used_next)
 
     dfs(0, base_v, base_used)
+    return int(best_v), best_vec, optima_values
+
+
+def _decide(
+    search: Sequence[ApiElement],
+    cand_lists: Sequence[Sequence[str]],
+    libs: Sequence[Sequence[str]],
+    unary: Sequence[Sequence[int]],
+    pairs: Mapping[tuple[int, int], Sequence[Sequence[int]]],
+    untyped: frozenset[ApiElement],
+    strict_uniqueness: bool,
+) -> tuple[ConstraintResult, tuple[int, ...] | None]:
+    """Search a tabulated problem and read off the answers: the result, and
+    the optimal candidate-index vector when it is the only optimum."""
+    if not search:
+        return ConstraintResult({}, untyped), ()
+    best_v, best_vec, optima_values = _search(libs, unary, pairs)
 
     # which elements sit on a violated constraint in the chosen optimum
     violated_elems: set[int] = set()
     if best_v > 0:
-        for i in range(n):
-            if unary[i][best_vec[i]] > 0:
+        for i, row in enumerate(unary):
+            if row[best_vec[i]] > 0:
                 violated_elems.add(i)
         for (lo, hi), table in pairs.items():
             if table[best_vec[lo]][best_vec[hi]] > 0:
                 violated_elems.update((lo, hi))
 
     typed: dict[ApiElement, str] = {}
+    rejected = set(untyped)
     for i, e in enumerate(search):
-        if i in violated_elems:
-            untyped.add(e)
-            continue
-        if strict_uniqueness and len(optima_values[i]) > 1:
-            untyped.add(e)
-            continue
-        typed[e] = cand_lists[i][best_vec[i]]
+        if i in violated_elems or (strict_uniqueness and len(optima_values[i]) > 1):
+            rejected.add(e)
+        else:
+            typed[e] = cand_lists[i][best_vec[i]]
+    unique = all(len(values) == 1 for values in optima_values)
+    return ConstraintResult(typed, frozenset(rejected)), best_vec if unique else None
 
-    return ConstraintResult(typed, frozenset(untyped))
+
+class ConstraintProblem:
+    """One snippet's constraint problem, tabulated once against a loaded KB.
+
+    Construction evaluates every check for each element's full candidate
+    list (see `_tabulate`). `solve` then searches the whole problem, or the
+    problem on the KB reduced to a mask (`kb.reduce_kb`), without building
+    that KB or evaluating a check again.
+    """
+
+    def __init__(
+        self,
+        kb: KnowledgeBase,
+        elements: Sequence[ApiElement],
+        constraints: Sequence[Constraint],
+        coverage: Sequence[tuple[int, int]] | None = None,
+    ):
+        if coverage is None:
+            coverage = ((1, 10**9),)
+        # elements out of coverage or with no candidate sharing their simple
+        # name are untyped under every mask
+        untyped: set[ApiElement] = set()
+        self._search: list[ApiElement] = []
+        for e in sorted(elements, key=lambda e: e.token_index):
+            if line_covered(e.line, coverage) and kb.candidates_for(e.simple_name):
+                self._search.append(e)
+            else:
+                untyped.add(e)
+        self._untyped = frozenset(untyped)
+        # candidates_for is sorted, so comparing index vectors compares FQNs
+        self._cands = [kb.candidates_for(e.simple_name) for e in self._search]
+        self._libs = [[kb.entries[c].library for c in cl] for cl in self._cands]
+        index_of = {e: i for i, e in enumerate(self._search)}
+        self._unary, self._pairs, self._unary_if, self._pairs_if = _tabulate(
+            kb, constraints, index_of, self._cands
+        )
+        # the whole problem's result and its optimum, once solved, when that
+        # optimum is the only one
+        self._unique: tuple[ConstraintResult, tuple[int, ...]] | None = None
+
+    def solve(
+        self, mask: frozenset[str] | None = None, *, strict_uniqueness: bool = True
+    ) -> ConstraintResult:
+        """The result of `solve` on the loaded KB (mask None) or on the KB
+        reduced to mask, the entries of the loaded KB whose FQN it holds.
+
+        A mask from `reduce_kb` is closed under supertypes, so every check
+        on retained types reads the same closures, members and kinds as on
+        the loaded KB. The reduced problem therefore drops the candidates
+        outside the mask, and changes only the checks whose recorded types
+        leave it: a chain through a missing type does not resolve, and an
+        assignment whose value type is missing imposes nothing.
+
+        When the whole problem was solved before with a unique optimum, every
+        value of that optimum is in the mask, and no check on surviving
+        candidates changes, the answer is the whole problem's: each
+        assignment inside the mask costs what it did, so the masked minimum
+        cannot fall below the full one, and the full optimum is still
+        available, so it is again the only optimum. The search is skipped.
+        """
+        if mask is None:
+            result, unique_vec = _decide(
+                self._search, self._cands, self._libs, self._unary, self._pairs,
+                self._untyped, strict_uniqueness,
+            )
+            if unique_vec is not None:
+                self._unique = (result, unique_vec)
+            return result
+
+        cands = self._cands
+        unary_fired = [
+            (i, ci, delta) for types, i, ci, delta in self._unary_if
+            if not types <= mask and cands[i][ci] in mask
+        ]
+        pairs_fired = [
+            (lo, hi, a, b) for types, lo, hi, a, b in self._pairs_if
+            if not types <= mask and cands[lo][a] in mask and cands[hi][b] in mask
+        ]
+        if (
+            self._unique is not None
+            and not unary_fired
+            and not pairs_fired
+            and all(cands[i][ci] in mask for i, ci in enumerate(self._unique[1]))
+        ):
+            return self._unique[0]
+
+        keep = [[ci for ci, c in enumerate(cl) if c in mask] for cl in cands]
+        alive = [i for i, kept in enumerate(keep) if kept]
+        new = {i: j for j, i in enumerate(alive)}
+        at = [{ci: k for k, ci in enumerate(kept)} for kept in keep]
+        unary = [[self._unary[i][ci] for ci in keep[i]] for i in alive]
+        pairs = {
+            (new[lo], new[hi]): [[table[a][b] for b in keep[hi]] for a in keep[lo]]
+            for (lo, hi), table in self._pairs.items()
+            if keep[lo] and keep[hi]
+        }
+        for i, ci, delta in unary_fired:
+            unary[new[i]][at[i][ci]] += delta
+        for lo, hi, a, b in pairs_fired:
+            pairs[new[lo], new[hi]][at[lo][a]][at[hi][b]] -= 1
+        untyped = self._untyped | {
+            e for e, kept in zip(self._search, keep) if not kept
+        }
+        result, _ = _decide(
+            [self._search[i] for i in alive],
+            [[cands[i][ci] for ci in keep[i]] for i in alive],
+            [[self._libs[i][ci] for ci in keep[i]] for i in alive],
+            unary, pairs, untyped, strict_uniqueness,
+        )
+        return result
+
+
+def solve(
+    kb: KnowledgeBase,
+    elements: Sequence[ApiElement],
+    constraints: Sequence[Constraint],
+    coverage: Sequence[tuple[int, int]] | None = None,
+    *,
+    strict_uniqueness: bool = True,
+) -> ConstraintResult:
+    """Pick one FQN per element by global assignment search.
+
+    Assignments over the full per-element candidate sets are scored by
+    (violated constraints, distinct libraries, lexicographic vector in token
+    order) and the minimum wins. Elements are untyped when: out of coverage,
+    no candidate shares their simple name, their chosen value participates
+    in a violated constraint, or (strict_uniqueness) the optima disagree
+    about them.
+
+    Every check is tabulated once per candidate and candidate pair, then an
+    exact branch and bound (`_search`) finds every optimum. The loop in
+    `orchestrator.run` keeps the tabulation for the whole run instead: it
+    builds one `ConstraintProblem` and solves it under each round's mask,
+    skipping the search when the full KB's unique optimum survives the mask
+    unchanged.
+    """
+    return ConstraintProblem(kb, elements, constraints, coverage).solve(
+        strict_uniqueness=strict_uniqueness
+    )
 
 
 def infer_snippet(

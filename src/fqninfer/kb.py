@@ -1,5 +1,12 @@
-"""API knowledge base: type entries, a simple-name index, syntax-knowledge
-closures, and candidate-driven reduction.
+"""API knowledge base: type entries, a simple-name index, memoised
+supertype closures and member lookups, and candidate masks.
+
+A round of the loop narrows the KB to the statistical engine's candidate
+types. That narrowing is a mask, not a new KB: `reduce_kb` returns the set
+of FQNs the reduced KB would hold (each candidate type and its supertype
+closure), and the solver filters its once-tabulated checks by it. One
+loaded KnowledgeBase therefore serves every round and every snippet, and
+its memos keep paying.
 
 The KB is loaded from a line-oriented text format:
 
@@ -101,8 +108,11 @@ class KnowledgeBase:
             index.setdefault(e.simple_name, []).append(fqn)
         self._entries = by_fqn
         self._by_simple_name = {k: tuple(sorted(v)) for k, v in index.items()}
-        # supertype_closure memo; sound because the entries never change
+        # supertype_closure, method_in_knowledge and field_in_knowledge
+        # memos; sound because the entries never change
         self._closures: dict[str, tuple[str, ...]] = {}
+        self._methods: dict[tuple[str, str, int, bool], MethodSig | None] = {}
+        self._fields: dict[tuple[str, str, bool], FieldSig | None] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -312,7 +322,7 @@ def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# closures and reduction
+# closures, member lookups and masks
 
 class UnknownTypeError(KeyError):
     """A requested candidate type is not present in the KB."""
@@ -322,8 +332,7 @@ def supertype_closure(kb: KnowledgeBase, fqn: str) -> tuple[str, ...]:
     """fqn plus all transitively reachable internal supertypes, in BFS order.
 
     External supertypes are skipped. Cycles are tolerated (each node once).
-    Each closure is computed once per KnowledgeBase instance; a reduced KB
-    is a new instance and so keeps its own.
+    Each closure is computed once per KnowledgeBase instance.
     """
     closure = kb._closures.get(fqn)
     if closure is not None:
@@ -342,12 +351,7 @@ def supertype_closure(kb: KnowledgeBase, fqn: str) -> tuple[str, ...]:
     return closure
 
 
-def syntax_knowledge(kb: KnowledgeBase, ctype: str) -> dict[str, TypeEntry]:
-    """Syntax knowledge of a candidate type: the entry for ctype and every
-    transitive internal supertype, each carrying its full member sets and
-    supertype edges. Returned as an fqn-keyed dict in closure order.
-    """
-    return {fqn: kb.entries[fqn] for fqn in supertype_closure(kb, ctype)}
+_UNSEEN = object()  # a memo miss; None is a cached answer
 
 
 def method_in_knowledge(
@@ -360,27 +364,40 @@ def method_in_knowledge(
     """Find a method (name, arity) on ctype or any internal supertype.
 
     With require_static, only a static declaration counts. The first match
-    in closure order (the most derived declaration) wins.
+    in closure order (the most derived declaration) wins. Each answer is
+    computed once per KnowledgeBase instance.
     """
+    key = (ctype, name, arity, require_static)
+    found = kb._methods.get(key, _UNSEEN)
+    if found is not _UNSEEN:
+        return found
+    found = None
     for fqn in supertype_closure(kb, ctype):
         m = kb.entries[fqn].find_method(name, arity)
-        if m is not None:
-            if require_static and not m.is_static:
-                continue
-            return m
-    return None
+        if m is not None and (m.is_static or not require_static):
+            found = m
+            break
+    kb._methods[key] = found
+    return found
 
 
 def field_in_knowledge(
     kb: KnowledgeBase, ctype: str, name: str, require_static: bool = False
 ) -> FieldSig | None:
+    """Find a field on ctype or any internal supertype, like
+    method_in_knowledge; memoised the same way."""
+    key = (ctype, name, require_static)
+    found = kb._fields.get(key, _UNSEEN)
+    if found is not _UNSEEN:
+        return found
+    found = None
     for fqn in supertype_closure(kb, ctype):
         f = kb.entries[fqn].find_field(name)
-        if f is not None:
-            if require_static and not f.is_static:
-                continue
-            return f
-    return None
+        if f is not None and (f.is_static or not require_static):
+            found = f
+            break
+    kb._fields[key] = found
+    return found
 
 
 def collect_candidate_types(
@@ -395,15 +412,18 @@ def collect_candidate_types(
     return frozenset(out)
 
 
-def reduce_kb(kb: KnowledgeBase, cantypes: Iterable[str]) -> KnowledgeBase:
-    """Reduced KB: the union of syntax_knowledge(kb, t) over all candidate
-    types t. Every retained entry is identical to the original, so supertype
-    edges among retained types survive, and the simple-name index is rebuilt
-    for the reduced entry set.
+def reduce_kb(kb: KnowledgeBase, cantypes: Iterable[str]) -> frozenset[str]:
+    """The mask of kb reduced to candidate types: every candidate type and
+    its supertype closure, as a set of FQNs.
+
+    The reduced KB is the entries of kb under the mask. It is closed under
+    supertypes, so each retained type keeps its closure, members and kind,
+    and a solver can filter checks tabulated on kb instead of rebuilding
+    them (see constraint.ConstraintProblem).
 
     Raises UnknownTypeError if any candidate type is absent from kb.
     """
-    keep: dict[str, TypeEntry] = {}
-    for t in sorted(set(cantypes)):
-        keep.update(syntax_knowledge(kb, t))
-    return KnowledgeBase(keep[f] for f in sorted(keep))
+    keep: set[str] = set()
+    for t in cantypes:
+        keep.update(supertype_closure(kb, t))
+    return frozenset(keep)

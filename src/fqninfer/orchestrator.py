@@ -6,6 +6,13 @@ into a reduction of the knowledge base for the next constraint pass. The
 loop stops when a round reproduces the previous one exactly, or after a
 fixed number of rounds. Final answers prefer the constraint engine where it
 ever committed, falling back to the statistical ranking.
+
+A reduction is a mask over the loaded KB (`kb.reduce_kb`), never a new KB:
+the constraint problem is tabulated once per run against the loaded KB, and
+each round searches it under its mask. A masked round whose mask keeps the
+full-KB round's unique optimum, and changes no check on the surviving
+candidates, returns that optimum without searching (see
+`constraint.ConstraintProblem.solve`).
 """
 
 from __future__ import annotations
@@ -14,10 +21,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .constraint import (
+    ConstraintProblem,
     ConstraintResult,
     ExtractOptions,
     extract_constraints,
-    infer_snippet,
     solve,
 )
 from .kb import KnowledgeBase, collect_candidate_types, reduce_kb
@@ -61,7 +68,7 @@ class RoundRecord:
     round_number: int
     constraint_result: ConstraintResult
     stat_result: Mapping[ApiElement, CandidateList]
-    kb_size: int  # size of the KB the constraint pass ran against
+    kb_size: int  # size of the (masked) KB the constraint pass ran against
 
 
 @dataclass(frozen=True)
@@ -137,9 +144,10 @@ def run(
     model. Statistical candidates are always filtered against the ORIGINAL
     kb; reduction narrows only what the constraint solver sees.
 
-    Within a run the solver's answer depends only on the candidate-type set
-    the KB is reduced to (None: the full KB), and the ranking only on the
-    substitution map, so each distinct input is solved or ranked once.
+    The constraint problem is tabulated once. Within a run the solver's
+    answer depends only on the candidate-type set the KB is reduced to
+    (None: the full KB), and the ranking only on the substitution map, so
+    each distinct input is solved under its mask or ranked once.
     """
     if elements is None:
         elements = identify_api_elements(
@@ -149,16 +157,15 @@ def run(
         snippet, elements, config.extract_options
     )
     strict = config.extract_options.strict_uniqueness
+    problem = ConstraintProblem(kb, elements, constraints, coverage)
     solved: dict[frozenset[str] | None, tuple[int, ConstraintResult]] = {}
     ranked: dict[frozenset, dict[ApiElement, CandidateList]] = {}
 
     def solve_reduced(cantypes: frozenset[str] | None) -> tuple[int, ConstraintResult]:
         if cantypes not in solved:
-            current = kb if cantypes is None else reduce_kb(kb, cantypes)
-            cres = solve(
-                current, elements, constraints, coverage, strict_uniqueness=strict
-            )
-            solved[cantypes] = (len(current), cres)
+            mask = None if cantypes is None else reduce_kb(kb, cantypes)
+            cres = problem.solve(mask, strict_uniqueness=strict)
+            solved[cantypes] = (len(kb if mask is None else mask), cres)
         return solved[cantypes]
 
     def rank(typed: Mapping[ApiElement, str]) -> dict[ApiElement, CandidateList]:
@@ -219,7 +226,14 @@ def infer_with_engine(
     """
     elements = identify_api_elements(snippet, kb, exclude_string=config.exclude_string)
     if engine == "constraint":
-        res = infer_snippet(kb, snippet, config.extract_options, elements=elements)
+        # through this module's `solve`, which perfbench/tracer.py times
+        constraints, coverage = extract_constraints(
+            snippet, elements, config.extract_options
+        )
+        res = solve(
+            kb, elements, constraints, coverage,
+            strict_uniqueness=config.extract_options.strict_uniqueness,
+        )
         return {e.key: fqn for e, fqn in res.typed.items()}
     if engine == "stat":
         preds = single_pass_stat(snippet, kb, model, k=max(1, config.k), elements=elements)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fqninfer import dump_kb, dump_model, load_kb, load_truth, save_model
+from fqninfer import cli
 from fqninfer.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -158,6 +159,27 @@ def test_directory_in_a_file_position_is_one_error_line(
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and d in err[0]
+
+
+def test_infer_with_an_unwritable_trace_prints_no_answer(tmp_path, capsys, model_file):
+    snippet = str(FIXTURES / "corpus" / "gwt" / "1318732.java")
+    argv = ["infer", snippet, "--kb", KB_PATH, "--model", model_file,
+            "--trace", str(tmp_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_train_refuses_a_directory_output_before_loading_the_corpus(
+    tmp_path, capsys, monkeypatch
+):
+    loaded = []
+    monkeypatch.setattr(cli, "load_corpus", lambda *a: loaded.append(a) or [])
+    assert main(["train", TRAIN_DIR, "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path) in err[0]
+    assert loaded == []
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from fqninfer import (
 )
 from fqninfer.constraint import (
     CascadedCall,
+    ConstraintProblem,
     Construction,
     DeclaredAssignment,
     Extends,
@@ -697,7 +698,7 @@ def test_supertype_closure_is_cached_per_kb():
         ]
     )
     assert supertype_closure(full, "a.Leaf") == ("a.Leaf", "a.Mid", "a.Base")
-    reduced = reduce_kb(full, ["b.Other"])
+    reduced = KnowledgeBase(full.entries[f] for f in reduce_kb(full, ["b.Other"]))
     with pytest.raises(UnknownTypeError):
         supertype_closure(reduced, "a.Leaf")
     # the same names with other edges are another KB, with its own closures
@@ -707,6 +708,135 @@ def test_supertype_closure_is_cached_per_kb():
     link = Extends(leaf, "class", mid)
     assert solve(full, [mid, leaf], [link]).typed == {mid: "a.Mid", leaf: "a.Leaf"}
     assert solve(flat, [mid, leaf], [link]).untyped == {mid, leaf}
+
+
+# ---------------------------------------------------------------------------
+# solving under a mask: each case is one the naive row filter gets wrong
+
+
+def _under_mask(kb, elements, constraints, cantypes, extra=(), strict=True):
+    """The masked solve, checked against `solve` on the KB rebuilt from the
+    mask with and without a full-KB solve first (which arms the shortcut).
+
+    Returns (masked result, naive result): the naive one keeps the full
+    KB's check answers and only drops rows, as the rebuilt KB plus the types
+    `extra` does when those types add no candidate."""
+    mask = reduce_kb(kb, cantypes)
+    rebuilt = KnowledgeBase(kb.entries[f] for f in sorted(mask))
+    want = solve(rebuilt, elements, constraints, strict_uniqueness=strict)
+    for full_first in (False, True):
+        problem = ConstraintProblem(kb, elements, constraints)
+        if full_first:
+            problem.solve(strict_uniqueness=strict)
+        assert problem.solve(mask, strict_uniqueness=strict) == want, full_first
+    naive_kb = KnowledgeBase(kb.entries[f] for f in sorted(mask | set(extra)))
+    return want, solve(naive_kb, elements, constraints, strict_uniqueness=strict)
+
+
+def _chain_kb():
+    # only com.a.Door's chain resolves, and only through com.m.Handle
+    return KnowledgeBase(
+        [
+            _entry("com.a.Door", lib="a", methods=[MethodSig("open", 0, False, "com.m.Handle")]),
+            _entry("org.b.Door", lib="b"),
+            _entry("com.m.Handle", lib="m", methods=[MethodSig("turn", 0)]),
+        ]
+    )
+
+
+def test_mask_fails_a_chain_whose_intermediate_type_it_drops():
+    kb = _chain_kb()
+    door = _el("Door", 0)
+    chain = CascadedCall(door, (("open", 0), ("turn", 0)), static_root=False)
+    assert solve(kb, [door], [chain]).typed == {door: "com.a.Door"}
+    for strict in (True, False):
+        got, naive = _under_mask(
+            kb, [door], [chain], ["com.a.Door", "org.b.Door"],
+            extra=["com.m.Handle"], strict=strict,
+        )
+        # without com.m.Handle neither candidate resolves the chain
+        assert got.typed == {} and got.untyped == {door}
+        assert naive.typed == {door: "com.a.Door"}
+
+
+def test_mask_drops_an_assignment_whose_value_type_it_drops():
+    kb = KnowledgeBase(
+        [
+            _entry("com.a.Maker", lib="a", methods=[MethodSig("make", 0, False, "com.v.Value")]),
+            _entry("com.a.Box", lib="a"),
+            _entry("org.b.Box", lib="b"),
+            _entry("com.v.Value", lib="v"),
+        ]
+    )
+    maker, box = _el("Maker", 0), _el("Box", 1)
+    # Box b = maker.make();
+    link = DeclaredAssignment(box, MemberCall(maker, "make", 0, static_call=False))
+    # on the loaded KB no Box holds a com.v.Value, so both elements abstain
+    assert solve(kb, [maker, box], [link]).untyped == {maker, box}
+    got, naive = _under_mask(
+        kb, [maker, box], [link], ["com.a.Maker", "com.a.Box", "org.b.Box"],
+        extra=["com.v.Value"],
+    )
+    # under the mask the value type is unknown, so the link imposes nothing
+    assert got.typed == {maker: "com.a.Maker", box: "com.a.Box"}
+    assert naive.untyped == {maker, box}
+
+
+def test_mask_drops_a_self_assignment_whose_value_type_it_drops():
+    kb = KnowledgeBase(
+        [
+            _entry("com.a.Box", lib="a", methods=[MethodSig("copy", 0, False, "com.v.Value")]),
+            _entry("com.v.Value", lib="v"),
+        ]
+    )
+    box = _el("Box", 0)
+    # Box b = b.copy(); the declared element is the call's own subject
+    link = DeclaredAssignment(box, MemberCall(box, "copy", 0, static_call=False))
+    assert solve(kb, [box], [link]).untyped == {box}
+    got, naive = _under_mask(kb, [box], [link], ["com.a.Box"], extra=["com.v.Value"])
+    assert got.typed == {box: "com.a.Box"}
+    assert naive.untyped == {box}
+
+
+def test_mask_searches_again_after_a_full_kb_tie():
+    kb = _kb_two_labels()
+    label = _el("Label", 0)
+    # strict: the loaded KB's two Labels tie, so the element abstains
+    assert solve(kb, [label], []).untyped == {label}
+    got, _ = _under_mask(kb, [label], [], ["com.a.Label"])
+    assert got.typed == {label: "com.a.Label"}
+
+
+def test_mask_searches_again_when_it_drops_the_full_kb_optimum():
+    kb = KnowledgeBase(
+        [
+            _entry("com.a.Door", lib="a", methods=[MethodSig("open", 0)]),
+            _entry("org.b.Door", lib="b"),
+        ]
+    )
+    door = _el("Door", 0)
+    call = MemberCall(door, "open", 0, static_call=False)
+    assert solve(kb, [door], [call]).typed == {door: "com.a.Door"}
+    got, _ = _under_mask(kb, [door], [call], ["org.b.Door"])
+    assert got.typed == {} and got.untyped == {door}
+
+
+def test_mask_searches_again_when_a_check_depends_on_a_dropped_type():
+    kb = _chain_kb()
+    door, other = _el("Door", 0), _el("Door", 1)
+    chain = CascadedCall(door, (("open", 0), ("turn", 0)), static_root=False)
+    call = MemberCall(other, "open", 0, static_call=False)
+    # the full-KB optimum is unique and both its values are in the mask, but
+    # the chain's intermediate type com.m.Handle is not
+    assert solve(kb, [door, other], [chain, call]).typed == {
+        door: "com.a.Door", other: "com.a.Door"
+    }
+    got, naive = _under_mask(
+        kb, [door, other], [chain, call], ["com.a.Door", "org.b.Door"],
+        extra=["com.m.Handle"],
+    )
+    assert got.typed == {other: "com.a.Door"} and got.untyped == {door}
+    assert naive.typed == {door: "com.a.Door", other: "com.a.Door"}
 
 
 def test_infer_snippet_matches_manual_pipeline(kb, by_id):

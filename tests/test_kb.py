@@ -12,7 +12,6 @@ from fqninfer.kb import (
     reduce_kb,
     save_kb,
     supertype_closure,
-    syntax_knowledge,
 )
 from fqninfer.stat import CandidateList
 
@@ -232,13 +231,6 @@ def test_supertype_closure_unknown_type(tmp_path):
         supertype_closure(kb, "com.acme.ui.Nope")
 
 
-def test_syntax_knowledge_carries_member_sets(tmp_path):
-    kb = _load_text(tmp_path, MINI)
-    know = syntax_knowledge(kb, "com.acme.ui.Panel")
-    assert list(know) == ["com.acme.ui.Panel", "com.acme.ui.Widget"]
-    assert know["com.acme.ui.Widget"].find_method("setTitle", 1) is not None
-
-
 def test_method_in_knowledge_walks_supertypes(tmp_path):
     kb = _load_text(tmp_path, MINI)
     m = method_in_knowledge(kb, "com.acme.ui.Panel", "setTitle", 1)
@@ -278,17 +270,19 @@ def test_collect_candidate_types_empty():
 
 def test_reduce_kb_keeps_closure_and_identity(tmp_path):
     kb = _load_text(tmp_path, MINI)
-    red = reduce_kb(kb, ["com.acme.ui.Panel"])
-    assert set(red.entries) == {"com.acme.ui.Panel", "com.acme.ui.Widget"}
-    for fqn, entry in red.entries.items():
-        assert entry == kb.entries[fqn]
+    mask = reduce_kb(kb, ["com.acme.ui.Panel"])
+    assert mask == {"com.acme.ui.Panel", "com.acme.ui.Widget"}
+    red = KnowledgeBase(kb.entries[f] for f in mask)
     assert red.candidates_for("Panel") == ("com.acme.ui.Panel",)
+    assert supertype_closure(red, "com.acme.ui.Panel") == supertype_closure(
+        kb, "com.acme.ui.Panel"
+    )
 
 
 def test_reduce_kb_union_of_candidates(tmp_path):
     kb = _load_text(tmp_path, MINI)
-    red = reduce_kb(kb, ["org.rival.Panel", "com.acme.ui.Title"])
-    assert set(red.entries) == {"org.rival.Panel", "com.acme.ui.Title"}
+    mask = reduce_kb(kb, ["org.rival.Panel", "com.acme.ui.Title"])
+    assert mask == {"org.rival.Panel", "com.acme.ui.Title"}
 
 
 def test_reduce_kb_unknown_candidate_raises(tmp_path):
@@ -301,7 +295,36 @@ def test_knowledge_base_equality(tmp_path):
     kb1 = _load_text(tmp_path, MINI)
     kb2 = _load_text(tmp_path, MINI)
     assert kb1 == kb2
-    assert kb1 != reduce_kb(kb1, ["com.acme.ui.Title"])
+    mask = reduce_kb(kb1, ["com.acme.ui.Title"])
+    assert kb1 != KnowledgeBase(kb1.entries[f] for f in mask)
+
+
+def test_member_lookups_are_memoised_per_kb(tmp_path, monkeypatch):
+    kb = _load_text(tmp_path, MINI)
+    queries = [
+        (method_in_knowledge, ("com.acme.ui.Panel", "setTitle", 1)),
+        (method_in_knowledge, ("org.rival.Panel", "open", 0, True)),
+        (field_in_knowledge, ("com.acme.ui.Panel", "MARGIN", True)),
+        (field_in_knowledge, ("com.acme.ui.Widget", "MARGIN")),
+    ]
+    first = [lookup(kb, *args) for lookup, args in queries]
+    assert first[1] is None and first[3] is None
+    # a second lookup, found or not, reads no entry again
+    scans = []
+    for attr in ("find_method", "find_field"):
+        inner = getattr(TypeEntry, attr)
+        monkeypatch.setattr(
+            TypeEntry, attr, lambda self, *a, _f=inner: scans.append(a) or _f(self, *a)
+        )
+    assert [lookup(kb, *args) for lookup, args in queries] == first
+    assert scans == []
+    # another KB with the same entries answers afresh
+    assert method_in_knowledge(_load_text(tmp_path, MINI), *queries[0][1]) == first[0]
+    assert scans
+    # an unknown type is an error every time, never a remembered None
+    for _ in range(2):
+        with pytest.raises(UnknownTypeError):
+            method_in_knowledge(kb, "no.such.Type", "open", 0)
 
 
 def test_duplicate_entries_rejected_at_construction():

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import random
 import sys
 import zlib
 from pathlib import Path
@@ -20,11 +21,13 @@ from fqninfer import (
     single_pass_stat,
 )
 from fqninfer.constraint import ConstraintResult, extract_constraints, solve
-from fqninfer.kb import collect_candidate_types, reduce_kb
-from fqninfer import orchestrator
+from fqninfer.kb import KnowledgeBase, collect_candidate_types, reduce_kb
+from fqninfer import orchestrator, tokenize
 from fqninfer.orchestrator import RoundRecord, check_stable, combine
 from fqninfer.snippet import ElementRole, augment, identify_api_elements
 from fqninfer.stat import CandidateList, predict_all
+
+import test_properties
 
 
 def _el(name, idx):
@@ -218,8 +221,14 @@ def test_run_covers_every_identified_element(kb, model, by_id):
     assert names == ["Context[2,1]", "Toast[3,1]", "Toast[3,2]", "Toast[3,3]", "Toast[5,1]"]
 
 
+def _reduced_kb(kb, cantypes):
+    """The KB the loop narrows to, built as a KnowledgeBase of its own."""
+    return KnowledgeBase(kb.entries[f] for f in sorted(reduce_kb(kb, cantypes)))
+
+
 def _reference_run(snippet, kb, model, config):
-    """The loop without reuse: every round solves, reduces and ranks afresh."""
+    """The loop without reuse: every round builds its reduced KB, solves on
+    it and ranks afresh."""
     elements = identify_api_elements(
         snippet, kb, exclude_string=config.exclude_string
     )
@@ -240,7 +249,7 @@ def _reference_run(snippet, kb, model, config):
         else:
             aug = augment(snippet, prev_typed)
             sres = predict_all(model, aug, elements, kb, config.k)
-            current = reduce_kb(kb, collect_candidate_types(sres, prev_typed))
+            current = _reduced_kb(kb, collect_candidate_types(sres, prev_typed))
             cres = solve(
                 current, elements, constraints, coverage, strict_uniqueness=strict
             )
@@ -250,7 +259,7 @@ def _reference_run(snippet, kb, model, config):
         if len(trace) > 1 and check_stable(trace[-2], record):
             break
         if config.order == ORDER_CONSTRAINT_FIRST:
-            current = reduce_kb(kb, collect_candidate_types(sres, cres.typed))
+            current = _reduced_kb(kb, collect_candidate_types(sres, cres.typed))
     return combine(trace, elements), trace
 
 
@@ -290,6 +299,65 @@ def test_run_matches_the_loop_without_reuse(kb, model, eval_items, predictor):
             assert got.per_element == want.per_element, case
 
 
+def _dense_snippet_text(rng, kb):
+    """A snippet in the generated dense workload's statement forms over the
+    names of a `test_properties._dense_kb` KB: constructions, static
+    factories, `to<Name>()` assignments whose value type a mask may drop,
+    and two-hop chains whose intermediate type it may drop."""
+    names = sorted({fqn.rpartition(".")[2] for fqn in kb.entries})
+    lines = ["class Case {", "    void body() {"]
+    variables = []
+    for k in range(rng.randint(3, 9)):
+        name, via = rng.choice(names), rng.choice(names)
+        roll = rng.random()
+        var = f"v{k}"
+        if not variables or roll < 0.2:
+            stmt = f"{name} {var} = new {name}();"
+        elif roll < 0.35:
+            stmt = f"{name} {var} = {name}.getInstance();"
+        else:
+            v = rng.choice(variables)
+            if roll < 0.6:
+                stmt = f"{name} {var} = {v}.to{name}();"
+            elif roll < 0.8:
+                stmt = f"{name} {var} = {v}.to{via}().to{name}();"
+            elif roll < 0.9:
+                stmt, var = f"{v}.to{via}().run();", None
+            else:
+                stmt, var = f"{v}.run();", None
+        lines.append("        " + stmt)
+        if var is not None:
+            variables.append(var)
+    return "\n".join(lines + ["    }", "}"]) + "\n"
+
+
+def test_run_matches_the_loop_on_rebuilt_kbs_for_dense_snippets():
+    """Seeded dense-shaped snippets: `run` (one tabulation, masked rounds,
+    the unique-optimum shortcut) against the loop that builds each round's
+    reduced KB, in both round orders, both strictness modes, with and
+    without cascaded chains."""
+    rng = random.Random(9017)
+    orders = (ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST)
+    for case in range(150):
+        kb = test_properties._dense_kb(rng)
+        snippet = tokenize(_dense_snippet_text(rng, kb))
+        predictor = _TextSensitivePredictor(kb)
+        k, delta = rng.randint(1, 3), rng.randint(2, 6)
+        for order, strict in itertools.product(orders, (True, False)):
+            opts = ExtractOptions(
+                cascaded_calls=rng.random() < 0.7, strict_uniqueness=strict
+            )
+            cfg = RunConfig(k=k, delta=delta, order=order, extract_options=opts)
+            want, want_trace = _reference_run(snippet, kb, predictor, cfg)
+            got, got_trace = run(snippet, kb, predictor, cfg)
+            els = list(want.per_element)
+            where = (case, order, strict, opts.cascaded_calls)
+            assert serialize_trace(got_trace, els) == serialize_trace(
+                want_trace, els
+            ), where
+            assert got.per_element == want.per_element, where
+
+
 class _CountingPredictor:
     def __init__(self, inner):
         self.inner = inner
@@ -311,18 +379,32 @@ def test_confirming_round_asks_the_predictor_nothing(kb, model, by_id):
 def test_oscillation_solves_and_ranks_each_state_once(
     kb, model, by_id, order, monkeypatch
 ):
-    calls = {"solve": 0, "reduce_kb": 0}
-    for name in calls:
-        def counted(*args, _inner=getattr(orchestrator, name), _name=name, **kw):
-            calls[_name] += 1
-            return _inner(*args, **kw)
-        monkeypatch.setattr(orchestrator, name, counted)
+    calls = {"tabulate": 0, "solve": 0, "reduce_kb": 0}
+
+    class CountedProblem(orchestrator.ConstraintProblem):
+        def __init__(self, *args):
+            calls["tabulate"] += 1
+            super().__init__(*args)
+
+        def solve(self, *args, **kw):
+            calls["solve"] += 1
+            return super().solve(*args, **kw)
+
+    def counted_reduce(*args, _inner=orchestrator.reduce_kb):
+        calls["reduce_kb"] += 1
+        return _inner(*args)
+
+    monkeypatch.setattr(orchestrator, "ConstraintProblem", CountedProblem)
+    monkeypatch.setattr(orchestrator, "reduce_kb", counted_reduce)
     counting = _CountingPredictor(model)
     cfg = RunConfig(delta=10, order=order)
     combined, trace = run(by_id["9090901"].snippet, kb, counting, cfg)
-    # each state of this oscillation solves against a KB of its own size
+    # one tabulation per run; each state of this oscillation solves under a
+    # mask of its own size
     sizes = {rec.kb_size for rec in trace}
-    assert calls == {"solve": len(sizes), "reduce_kb": len(sizes - {len(kb)})}
+    assert calls == {
+        "tabulate": 1, "solve": len(sizes), "reduce_kb": len(sizes - {len(kb)})
+    }
     typed = [frozenset(rec.constraint_result.typed.items()) for rec in trace]
     # constraint first ranks each round's answers; stat first ranks the
     # previous round's, starting from no substitution at all

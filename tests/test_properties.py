@@ -13,6 +13,7 @@ import pytest
 
 from fqninfer.constraint import (
     CascadedCall,
+    ConstraintProblem,
     Construction,
     ConstraintResult,
     DeclaredAssignment,
@@ -34,7 +35,6 @@ from fqninfer.kb import (
     method_in_knowledge,
     reduce_kb,
     supertype_closure,
-    syntax_knowledge,
 )
 from fqninfer.orchestrator import CombinedResult, RoundRecord, combine
 from fqninfer.scoring import GroundTruth, SnippetScore, aggregate, score_snippet
@@ -101,7 +101,7 @@ def _random_kb(rng):
 
 
 # ---------------------------------------------------------------------------
-# KB reduction: subset, closure preservation, monotonicity, index, round-trip
+# KB masks: closure, closure preservation, monotonicity, index, round-trip
 
 
 def test_kb_reduction_properties(tmp_path):
@@ -113,20 +113,21 @@ def test_kb_reduction_properties(tmp_path):
         wide = rng.sample(fqns, rng.randint(0, len(fqns)))
         narrow = rng.sample(wide, rng.randint(0, len(wide)))
 
-        reduced = reduce_kb(kb, wide)
-        # subset with identical fields
-        for fqn, entry in reduced.entries.items():
-            assert kb.entries[fqn] == entry, case
-        # closure preservation for every retained candidate type
-        for ctype in wide:
-            assert syntax_knowledge(reduced, ctype) == syntax_knowledge(kb, ctype), case
-        # monotonicity of the retained entry set
-        narrower = reduce_kb(kb, narrow)
-        assert set(narrower.entries) <= set(reduced.entries), case
-        # simple-name index stays an inverse grouping after reconstruction
-        rebuilt = KnowledgeBase(reduced.entries.values())
+        mask = reduce_kb(kb, wide)
+        # every candidate type with its supertype closure, and nothing else
+        assert mask == {f for t in wide for f in supertype_closure(kb, t)}, case
+        assert all(set(supertype_closure(kb, f)) <= mask for f in mask), case
+        # the KB under the mask keeps every retained type's closure
+        reduced = KnowledgeBase(kb.entries[f] for f in sorted(mask))
+        for fqn in mask:
+            assert supertype_closure(reduced, fqn) == supertype_closure(kb, fqn), case
+        # monotonicity of the mask
+        assert reduce_kb(kb, narrow) <= mask, case
+        # the reduced simple-name index is the loaded one filtered by the mask
         for name in _NAMES:
-            assert rebuilt.candidates_for(name) == reduced.candidates_for(name), case
+            assert reduced.candidates_for(name) == tuple(
+                f for f in kb.candidates_for(name) if f in mask
+            ), case
         # serialization round-trips byte-identically
         if case % 10 == 0:
             text = dump_kb(kb)
@@ -634,6 +635,44 @@ def test_solver_matches_oracle_on_dense_links():
         want_typed, want_untyped = _brute_solve(kb, elems, cons, None, strict)
         assert dict(got.typed) == want_typed, case
         assert got.untyped == want_untyped, case
+
+
+# ---------------------------------------------------------------------------
+# solving under a mask versus solving on the KB rebuilt from it
+
+
+def test_masked_solve_matches_rebuilt_kb():
+    """One tabulation solved under several masks gives what `solve` gives on
+    each mask's KB, built as a KnowledgeBase of its own. Half the cases are
+    dense-shaped (assignment values and chain intermediates that a mask may
+    drop), half the general random ones; most solve the full KB first, which
+    arms the unique-optimum shortcut, and strictness changes per call."""
+    rng = random.Random(9013)
+    for case in range(1000):
+        coverage = None
+        if case % 2:
+            kb = _dense_kb(rng)
+            elems = _dense_elements(rng)
+            cons = _dense_constraints(rng, elems)
+        else:
+            kb = _random_kb(rng)
+            elems = _random_elements(rng)
+            cons = _random_constraints(rng, elems)
+            if rng.random() < 0.2:
+                lo = rng.randint(1, 4)
+                coverage = ((lo, rng.randint(lo, 6)),)
+        problem = ConstraintProblem(kb, elems, cons, coverage)
+        if rng.random() < 0.7:
+            strict = rng.random() < 0.5
+            got = problem.solve(strict_uniqueness=strict)
+            assert got == solve(kb, elems, cons, coverage, strict_uniqueness=strict), case
+        fqns = sorted(kb.entries)
+        for _ in range(3):
+            strict = rng.random() < 0.5
+            mask = reduce_kb(kb, rng.sample(fqns, rng.randint(0, len(fqns))))
+            rebuilt = KnowledgeBase(kb.entries[f] for f in sorted(mask))
+            want = solve(rebuilt, elems, cons, coverage, strict_uniqueness=strict)
+            assert problem.solve(mask, strict_uniqueness=strict) == want, case
 
 
 # ---------------------------------------------------------------------------
