@@ -10,7 +10,7 @@ The package exports what callers use; the building blocks stay in their
 modules (`fqninfer.constraint`, `fqninfer.kb`, `fqninfer.stat`, ...).
 """
 
-from .constraint import ExtractOptions, infer_snippet
+from .constraint import ExtractOptions
 from .kb import KbError, KnowledgeBase, dump_kb, load_kb
 from .orchestrator import (
     ORDER_CONSTRAINT_FIRST,
@@ -19,7 +19,6 @@ from .orchestrator import (
     infer_with_engine,
     run,
     serialize_trace,
-    single_pass_stat,
 )
 from .scoring import (
     TruthFormatError,
@@ -70,8 +69,6 @@ __all__ = [
     "ORDER_STAT_FIRST",
     "serialize_trace",
     "infer_with_engine",
-    "infer_snippet",
-    "single_pass_stat",
     # predictors
     "Predictor",
     "ExternalPredictor",

@@ -3,13 +3,18 @@
 Extraction reads the snippet's structure (`Snippet.structure`, recognised
 once per snippet) and walks its significant tokens for structural patterns
 (construction, member calls, inheritance clauses, declared assignments). It
-reports which line ranges it could analyze. Solving scores whole assignments of candidate
-FQNs to elements by (constraint violations, distinct library count,
-lexicographic order) and abstains where optima disagree.
+reports which line ranges it could analyze. Every constraint is about API
+elements; an inheritance clause names the snippet's own declared type as a
+string, because the snippet's own names are never elements. Solving scores
+whole assignments of candidate FQNs to elements by (constraint violations,
+distinct library count, lexicographic order) and abstains where optima
+disagree.
 
 A `ConstraintProblem` tabulates every check once against a loaded KB and
 can then be solved under a mask (a reduced KB given as its FQN set) with
-the answers of a solve on that reduced KB, without building it.
+the answers of a solve on that reduced KB, without building it. The engine
+on its own, from snippet to answers, is `orchestrator.infer_with_engine`
+with engine "constraint".
 """
 
 from __future__ import annotations
@@ -25,29 +30,23 @@ from .kb import (
     method_in_knowledge,
     supertype_closure,
 )
-from .snippet import (
-    ApiElement,
-    Snippet,
-    SnippetStructure,
-    TokenKind,
-    identify_api_elements,
-)
+from .snippet import ApiElement, Snippet, SnippetStructure, TokenKind
 
 
 @dataclass(frozen=True)
 class ExtractOptions:
     """Extraction/solving knobs.
 
-    cascaded_calls: follow Name.m1().m2() chains as one constraint. Off, only
-        the first hop is kept, which mirrors tools that cannot express the
-        full chain.
+    cascaded_calls: follow Name.m1().m2() chains as one constraint. Off (the
+        default, as in `RunConfig` and the CLI), only the first hop is kept,
+        which mirrors tools that cannot express the full chain.
     strict_body_check: a constructor whose name does not match its class
         makes the whole class body unanalyzable (its lines leave coverage).
     strict_uniqueness: an element whose optimal candidates tie in a way no
         constraint breaks is reported untyped instead of guessed.
     """
 
-    cascaded_calls: bool = True
+    cascaded_calls: bool = False
     strict_body_check: bool = True
     strict_uniqueness: bool = True
 
@@ -85,14 +84,14 @@ class CascadedCall:
 
 @dataclass(frozen=True)
 class Extends:
-    sub: Union[ApiElement, str]
+    sub: str  # the snippet's own declared type
     sub_kind: str  # "class" or "interface": the declared kind of sub
     sup: ApiElement
 
 
 @dataclass(frozen=True)
 class Implements:
-    sub: Union[ApiElement, str]
+    sub: str  # the snippet's own declared type
     sup: ApiElement
 
 
@@ -484,10 +483,6 @@ def _tabulate(
                     if types:
                         pairs_if.append((types, lo, hi, a, b))
 
-    def proper_supertypes(c: str) -> tuple[tuple[str, ...], frozenset[str]]:
-        # the closure minus its first entry, c
-        return supertype_closure(kb, c)[1:], frozenset()
-
     # check and link run their functions at once, so these may read `con`
     for con in constraints:
         if isinstance(con, Construction):
@@ -518,8 +513,6 @@ def _tabulate(
                 continue
             want = "interface" if isinstance(con, Implements) else con.sub_kind
             check(con.sup, lambda c: kb.entries[c].kind == want)
-            if isinstance(con.sub, ApiElement) and con.sub in index_of:
-                link(con.sup, con.sub, proper_supertypes)
         elif isinstance(con, DeclaredAssignment):
             subj = _source_subject(con.source)
             if con.declared not in index_of or subj not in index_of:
@@ -838,18 +831,3 @@ def solve(
         strict_uniqueness=strict_uniqueness
     )
 
-
-def infer_snippet(
-    kb: KnowledgeBase,
-    snippet: Snippet,
-    options: ExtractOptions = ExtractOptions(),
-    elements: Sequence[ApiElement] | None = None,
-) -> ConstraintResult:
-    """Identify, extract and solve in one pass (single-shot constraint run)."""
-    if elements is None:
-        elements = identify_api_elements(snippet, kb)
-    constraints, coverage = extract_constraints(snippet, elements, options)
-    return solve(
-        kb, elements, constraints, coverage,
-        strict_uniqueness=options.strict_uniqueness,
-    )

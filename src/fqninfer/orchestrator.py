@@ -17,7 +17,7 @@ candidates, returns that optimum without searching (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .constraint import (
@@ -35,10 +35,6 @@ ORDER_CONSTRAINT_FIRST = "constraint_first"
 ORDER_STAT_FIRST = "stat_first"
 
 
-def _default_extract_options() -> ExtractOptions:
-    return ExtractOptions(cascaded_calls=False)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Loop parameters.
@@ -51,7 +47,7 @@ class RunConfig:
     k: int = 3
     delta: int = 10
     order: str = ORDER_CONSTRAINT_FIRST
-    extract_options: ExtractOptions = field(default_factory=_default_extract_options)
+    extract_options: ExtractOptions = ExtractOptions()
     exclude_string: bool = True
 
     def __post_init__(self) -> None:
@@ -199,19 +195,6 @@ def run(
     return combine(trace, elements), trace
 
 
-def single_pass_stat(
-    snippet: Snippet,
-    kb: KnowledgeBase,
-    model: Predictor,
-    k: int = 1,
-    elements: Sequence[ApiElement] | None = None,
-) -> dict[ApiElement, CandidateList]:
-    """One statistical pass over the unaugmented snippet."""
-    if elements is None:
-        elements = identify_api_elements(snippet, kb)
-    return predict_all(model, plain(snippet), elements, kb, k)
-
-
 def infer_with_engine(
     snippet: Snippet,
     kb: KnowledgeBase,
@@ -236,7 +219,7 @@ def infer_with_engine(
         )
         return {e.key: fqn for e, fqn in res.typed.items()}
     if engine == "stat":
-        preds = single_pass_stat(snippet, kb, model, k=max(1, config.k), elements=elements)
+        preds = predict_all(model, plain(snippet), elements, kb, max(1, config.k))
         return {
             e.key: cl.ranked[0] for e, cl in preds.items() if cl.ranked
         }

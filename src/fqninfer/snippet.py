@@ -51,7 +51,6 @@ class Token:
     lexeme: str
     kind: TokenKind
     line: int  # 1-based line where the token starts
-    column: int  # 1-based column where the token starts
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,6 @@ def tokenize(text: str) -> Snippet:
     tokens: list[Token] = []
     pos = 0
     line = 1
-    col = 1
     n = len(text)
     while pos < n:
         m = _TOKEN_RE.match(text, pos)
@@ -228,13 +226,8 @@ def tokenize(text: str) -> Snippet:
         else:
             lexeme = text[pos]
             kind = TokenKind.PUNCT
-        tokens.append(Token(lexeme, kind, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+        tokens.append(Token(lexeme, kind, line))
+        line += lexeme.count("\n")
         pos += len(lexeme)
     return Snippet(raw=text, tokens=tuple(tokens))
 
@@ -256,17 +249,6 @@ def read_utf8(path: str | Path, error: type[Exception] = ValueError) -> str:
 # ---------------------------------------------------------------------------
 # API element identification
 
-class ElementRole(Enum):
-    OBJECT_CREATION = "object_creation"
-    DECLARED_TYPE = "declared_type"
-    STATIC_RECEIVER = "static_receiver"
-    EXTENDS_CLAUSE = "extends_clause"
-    IMPLEMENTS_CLAUSE = "implements_clause"
-    CAST = "cast"
-    ANNOTATION = "annotation"
-    OTHER = "other"
-
-
 @dataclass(frozen=True)
 class ApiElement:
     """One occurrence of an API class or interface name in a snippet.
@@ -279,16 +261,10 @@ class ApiElement:
     line: int
     occurrence: int
     token_index: int
-    role: ElementRole
 
     @property
     def key(self) -> str:
         return f"{self.simple_name}[{self.line},{self.occurrence}]"
-
-    def __hash__(self) -> int:
-        # equal elements agree on these fields; leaving out the role skips
-        # the enum's hash, which runs in Python on every dict lookup
-        return hash((self.simple_name, self.line, self.occurrence, self.token_index))
 
 
 _KEY_RE = re.compile(r"^(.+)\[(\d+),(\d+)\]$")
@@ -306,12 +282,6 @@ def parse_element_key(key: str) -> tuple[str, int, int]:
 BOXED_NAMES = frozenset(
     ["Integer", "Long", "Double", "Float", "Boolean", "Character", "Byte", "Short", "Void"]
 )
-
-
-_CLAUSE_ROLES = {
-    "extends": ElementRole.EXTENDS_CLAUSE,
-    "implements": ElementRole.IMPLEMENTS_CLAUSE,
-}
 
 
 def identify_api_elements(
@@ -358,28 +328,27 @@ def identify_api_elements(
         if prev is not None and prev.lexeme == ".":
             continue  # mid-qualified-name segment or member access
 
-        role: ElementRole | None = None
+        # the first position that matches decides, even when it rejects
         if prev is not None and prev.lexeme == "@":
-            role = ElementRole.ANNOTATION
+            accepted = True  # annotation
         elif prev is not None and prev.kind == TokenKind.KEYWORD and prev.lexeme == "new":
-            role = ElementRole.OBJECT_CREATION
+            accepted = True  # object creation
         elif j in structure.clauses:
-            role = _CLAUSE_ROLES[structure.clauses[j][0]]
+            accepted = True  # extends or implements clause
         elif nxt is not None and nxt.lexeme == ".":
-            member = nxt2
-            if member is not None and member.kind == TokenKind.IDENTIFIER:
-                role = ElementRole.STATIC_RECEIVER
+            # static receiver
+            accepted = nxt2 is not None and nxt2.kind == TokenKind.IDENTIFIER
         elif nxt is not None and nxt.kind == TokenKind.IDENTIFIER:
-            role = ElementRole.DECLARED_TYPE
+            accepted = True  # declared type
         elif (
             nxt is not None
             and nxt.lexeme == "["
             and nxt2 is not None
             and nxt2.lexeme == "]"
         ):
+            # declared array type
             after = tok(j + 3)
-            if after is not None and after.kind == TokenKind.IDENTIFIER:
-                role = ElementRole.DECLARED_TYPE
+            accepted = after is not None and after.kind == TokenKind.IDENTIFIER
         elif (
             prev is not None
             and prev.lexeme == "("
@@ -391,15 +360,15 @@ def identify_api_elements(
                 or nxt2.lexeme in ("(", "new", "this")
             )
         ):
-            role = ElementRole.CAST
-        elif kb is not None and kb.candidates_for(name):
-            role = ElementRole.OTHER
+            accepted = True  # cast
+        else:
+            accepted = kb is not None and bool(kb.candidates_for(name))
 
-        if role is None:
+        if not accepted:
             continue
         count = occurrence_counter.get((name, t.line), 0) + 1
         occurrence_counter[(name, t.line)] = count
-        elements.append(ApiElement(name, t.line, count, orig_index, role))
+        elements.append(ApiElement(name, t.line, count, orig_index))
 
     return elements
 
@@ -451,8 +420,7 @@ def augment(snippet: Snippet, typed: Mapping[ApiElement, str]) -> AugmentedSnipp
         subs[idx] = fqn
     new_tokens = list(snippet.tokens)
     for idx, fqn in subs.items():
-        old = snippet.tokens[idx]
-        new_tokens[idx] = Token(fqn, TokenKind.IDENTIFIER, old.line, old.column)
+        new_tokens[idx] = Token(fqn, TokenKind.IDENTIFIER, snippet.tokens[idx].line)
     return AugmentedSnippet(
         source=snippet, tokens=tuple(new_tokens), substitutions=dict(subs)
     )

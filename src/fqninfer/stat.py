@@ -119,15 +119,14 @@ def train(
     That gives every element its leave-one-out window, because an element's
     window never holds its own token, and its own token is the only one the
     two augmentations differ at. Training cost is therefore linear in the
-    snippet's size. A one-element truth substitutes nothing, so its key is
-    not checked against the snippet.
+    snippet's size, and every truth key is checked against the snippet.
     """
     _check_settings(alpha, eta)
     counts: dict[tuple[str, str], int] = {}
     totals: dict[str, int] = {}
     vocabulary: set[str] = set()
     for snippet, truth in corpus:
-        aug = augment(snippet, truth if len(truth) > 1 else {})
+        aug = augment(snippet, truth)
         for e, fqn in truth.items():
             # a truth FQN is kept even when its window gathers no tokens
             totals.setdefault(fqn, 0)

@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from fqninfer import dump_kb, dump_model, load_kb, load_truth, save_model
+from fqninfer import (
+    ExtractOptions,
+    RunConfig,
+    dump_kb,
+    dump_model,
+    load_kb,
+    load_truth,
+    save_model,
+)
 from fqninfer import cli
 from fqninfer.cli import main
 
@@ -297,6 +305,13 @@ def test_rejects_nonsense_numbers_in_one_line(tmp_path, capsys, model_file, argv
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not (tmp_path / "out.model").exists()
+
+
+def test_extract_options_have_one_default():
+    args = cli.build_parser().parse_args(["infer", "x.java"])
+    assert ExtractOptions() == RunConfig().extract_options == cli._run_config(
+        args
+    ).extract_options
 
 
 # ---------------------------------------------------------------------------

@@ -18,20 +18,19 @@ from fqninfer import (
     infer_with_engine,
     run,
     serialize_trace,
-    single_pass_stat,
 )
 from fqninfer.constraint import ConstraintResult, extract_constraints, solve
 from fqninfer.kb import KnowledgeBase, collect_candidate_types, reduce_kb
 from fqninfer import orchestrator, tokenize
 from fqninfer.orchestrator import RoundRecord, check_stable, combine
-from fqninfer.snippet import ElementRole, augment, identify_api_elements
+from fqninfer.snippet import augment, identify_api_elements, plain
 from fqninfer.stat import CandidateList, predict_all
 
 import test_properties
 
 
 def _el(name, idx):
-    return ApiElement(name, 1, 1, idx, ElementRole.DECLARED_TYPE)
+    return ApiElement(name, 1, 1, idx)
 
 
 def _record(n, typed, ranks, kb_size=10):
@@ -139,7 +138,8 @@ def test_augmentation_moves_statistical_ranking(kb, model, by_id):
     # mechanism view of the gwt Document flip: the raw ranking prefers the
     # wrong library; substituting the co-elements' FQNs flips the order
     item = by_id["3954392"]
-    raw = single_pass_stat(item.snippet, kb, model, k=3)
+    elements = identify_api_elements(item.snippet, kb)
+    raw = predict_all(model, plain(item.snippet), elements, kb, 3)
     doc = next(e for e in raw if e.simple_name == "Document")
     assert raw[doc].ranked[0] == "com.extjs.gxt.ui.client.widget.Document"
     _, trace = run(item.snippet, kb, model)
@@ -170,11 +170,6 @@ def test_stat_first_round_one_constraint_runs_reduced(kb, model, by_id):
         e for e in combined.per_element if e.simple_name == "Composite"
     )
     assert combined.per_element[comp].final_fqn == "android.widget.Composite"
-
-
-def test_single_pass_stat_defaults_to_top_one(kb, model, by_id):
-    preds = single_pass_stat(by_id["1318732"].snippet, kb, model)
-    assert all(len(cl.ranked) <= 1 for cl in preds.values())
 
 
 def test_infer_with_engine_shapes(kb, model, by_id):
@@ -424,8 +419,7 @@ def test_package_exports_the_public_names():
         "truth_elements",
         "identify_api_elements", "plain", "predict_all", "run", "RunConfig",
         "ExtractOptions", "ORDER_CONSTRAINT_FIRST", "ORDER_STAT_FIRST",
-        "serialize_trace", "infer_with_engine", "infer_snippet",
-        "single_pass_stat",
+        "serialize_trace", "infer_with_engine",
         "Predictor", "ExternalPredictor", "CooccurrenceModel",
         "score_snippet", "aggregate", "format_report",
         "KbError", "ModelFormatError", "TruthFormatError",

@@ -7,7 +7,6 @@ import pytest
 from fqninfer import ApiElement, identify_api_elements, plain, tokenize
 from fqninfer.snippet import (
     AugmentError,
-    ElementRole,
     TokenKind,
     augment,
     detokenize,
@@ -19,9 +18,9 @@ def _kinds(text):
     return [(t.lexeme, t.kind) for t in tokenize(text).tokens]
 
 
-def _element_map(text, **kwargs):
+def _element_keys(text, **kwargs):
     sn = tokenize(text)
-    return {e.key: e.role for e in identify_api_elements(sn, **kwargs)}
+    return {e.key for e in identify_api_elements(sn, **kwargs)}
 
 
 def test_tokenize_basic_kinds():
@@ -63,10 +62,9 @@ def test_tokenize_unterminated_block_comment_swallows_rest():
 
 
 def test_tokenize_line_and_column():
-    sn = tokenize("ab\n  cd")
-    by_lex = {t.lexeme: t for t in sn.tokens}
-    assert (by_lex["ab"].line, by_lex["ab"].column) == (1, 1)
-    assert (by_lex["cd"].line, by_lex["cd"].column) == (2, 3)
+    sn = tokenize("ab\n  cd /* x\ny */ ef")
+    by_lex = {t.lexeme: t.line for t in sn.tokens}
+    assert (by_lex["ab"], by_lex["cd"], by_lex["ef"]) == (1, 2, 3)
 
 
 def test_line_count():
@@ -85,7 +83,7 @@ def test_lossless_round_trip_seeded_garbage():
 
 
 def test_parse_element_key_round_trip():
-    e = ApiElement("Label", 3, 2, 17, ElementRole.OBJECT_CREATION)
+    e = ApiElement("Label", 3, 2, 17)
     assert e.key == "Label[3,2]"
     assert parse_element_key(e.key) == ("Label", 3, 2)
 
@@ -98,55 +96,55 @@ def test_parse_element_key_rejects_garbage():
 
 
 def test_identify_object_creation_and_declared_type():
-    got = _element_map("Label greeting = new Label(name);")
+    got = _element_keys("Label greeting = new Label(name);")
     assert got == {
-        "Label[1,1]": ElementRole.DECLARED_TYPE,
-        "Label[1,2]": ElementRole.OBJECT_CREATION,
+        "Label[1,1]",
+        "Label[1,2]",
     }
 
 
 def test_identify_static_receiver():
-    got = _element_map('RootPanel.get("slot").add(widget);')
-    assert got == {"RootPanel[1,1]": ElementRole.STATIC_RECEIVER}
+    got = _element_keys('RootPanel.get("slot").add(widget);')
+    assert got == {"RootPanel[1,1]"}
 
 
 def test_identify_dot_class_is_not_an_element():
     # Name.class is a literal mention, not an API usage we should resolve.
-    got = _element_map("intent.putExtra(Detail.class);")
-    assert got == {}
+    got = _element_keys("intent.putExtra(Detail.class);")
+    assert got == set()
 
 
 def test_identify_extends_and_implements():
     text = "public class Mine extends Base implements Face, Other {\n}\n"
-    got = _element_map(text)
+    got = _element_keys(text)
     assert got == {
-        "Base[1,1]": ElementRole.EXTENDS_CLAUSE,
-        "Face[1,1]": ElementRole.IMPLEMENTS_CLAUSE,
-        "Other[1,1]": ElementRole.IMPLEMENTS_CLAUSE,
+        "Base[1,1]",
+        "Face[1,1]",
+        "Other[1,1]",
     }
 
 
 def test_identify_annotation():
-    got = _element_map('@Entity\n@Table(name = "t")\npublic class Row {}\n')
+    got = _element_keys('@Entity\n@Table(name = "t")\npublic class Row {}\n')
     assert got == {
-        "Entity[1,1]": ElementRole.ANNOTATION,
-        "Table[2,1]": ElementRole.ANNOTATION,
+        "Entity[1,1]",
+        "Table[2,1]",
     }
 
 
 def test_identify_cast():
-    got = _element_map("Object o = (Widget) value;")
-    assert got["Widget[1,1]"] == ElementRole.CAST
+    got = _element_keys("Object o = (Widget) value;")
+    assert "Widget[1,1]" in got
 
 
 def test_identify_array_declaration():
-    got = _element_map("Widget[] slots = make();")
-    assert got == {"Widget[1,1]": ElementRole.DECLARED_TYPE}
+    got = _element_keys("Widget[] slots = make();")
+    assert got == {"Widget[1,1]"}
 
 
 def test_own_declarations_excluded():
     text = "public class Mine extends Base {\n    Mine twin = new Mine();\n}\n"
-    got = _element_map(text)
+    got = _element_keys(text)
     assert "Base[1,1]" in got
     assert not any(k.startswith("Mine") for k in got)
 
@@ -168,40 +166,37 @@ def test_structure_is_read_once_and_names_each_clause():
     assert clauses == {"B": ("extends", "A"), "C": ("implements", "A")}
 
 
-R = ElementRole
-
-
 @pytest.mark.parametrize(
     "text, expected",
     [
         # a header keyword with no declared name still opens a clause
         (
             "Object o = Foo.class implements Bar {",
-            {"Object[1,1]": R.DECLARED_TYPE, "Bar[1,1]": R.IMPLEMENTS_CLAUSE},
+            {"Object[1,1]", "Bar[1,1]"},
         ),
         (
             "class A implements Bar, class C extends Dee {",
-            {"Bar[1,1]": R.IMPLEMENTS_CLAUSE, "Dee[1,1]": R.EXTENDS_CLAUSE},
+            {"Bar[1,1]", "Dee[1,1]"},
         ),
         (
             "Foo.class implements Bar, class C extends Dee {",
-            {"Bar[1,1]": R.IMPLEMENTS_CLAUSE, "Dee[1,1]": R.EXTENDS_CLAUSE},
+            {"Bar[1,1]", "Dee[1,1]"},
         ),
         # a header ends at ';' and the next line reads as ordinary code
         (
             "interface Q extends Face;\nList l = new List();",
             {
-                "Face[1,1]": R.EXTENDS_CLAUSE,
-                "List[2,1]": R.DECLARED_TYPE,
-                "List[2,2]": R.OBJECT_CREATION,
+                "Face[1,1]",
+                "List[2,1]",
+                "List[2,2]",
             },
         ),
-        ("enum E implements Face { X; }", {"Face[1,1]": R.IMPLEMENTS_CLAUSE}),
+        ("enum E implements Face { X; }", {"Face[1,1]"}),
         (
             "class Mine extends Base {\n    Other() { }\n",
-            {"Base[1,1]": R.EXTENDS_CLAUSE},
+            {"Base[1,1]"},
         ),
-        ("class { }", {}),
+        ("class { }", set()),
     ],
     ids=[
         "nameless-header", "nested-header", "nameless-then-named",
@@ -209,33 +204,33 @@ R = ElementRole
     ],
 )
 def test_identify_declaration_header_edges(text, expected):
-    assert _element_map(text) == expected
+    assert _element_keys(text) == expected
 
 
 def test_boxed_and_string_excluded_by_default():
     text = "String s = fetch();\nInteger n = count();\nLabel l = make();\n"
-    got = _element_map(text)
-    assert list(got) == ["Label[3,1]"]
-    with_string = _element_map(text, exclude_string=False)
+    got = _element_keys(text)
+    assert got == {"Label[3,1]"}
+    with_string = _element_keys(text, exclude_string=False)
     assert "String[1,1]" in with_string
 
 
 def test_member_access_segment_not_identified():
     # the Document after the dot names a nested member, not a new element
-    got = _element_map("Outer.Document.get();")
-    assert got == {"Outer[1,1]": ElementRole.STATIC_RECEIVER}
+    got = _element_keys("Outer.Document.get();")
+    assert got == {"Outer[1,1]"}
 
 
 def test_kb_fallback_identifies_known_bare_name(kb):
     text = "process(XStream, config);"
-    assert _element_map(text) == {}
-    got = _element_map(text, kb=kb)
-    assert got == {"XStream[1,1]": ElementRole.OTHER}
+    assert _element_keys(text) == set()
+    got = _element_keys(text, kb=kb)
+    assert got == {"XStream[1,1]"}
 
 
 def test_occurrences_count_within_line():
     text = "HTML a = new HTML(x); HTML b = new HTML(y);"
-    got = _element_map(text)
+    got = _element_keys(text)
     assert sorted(got) == ["HTML[1,1]", "HTML[1,2]", "HTML[1,3]", "HTML[1,4]"]
 
 
@@ -273,14 +268,14 @@ def test_augment_accepts_mismatched_simple_name():
 
 def test_augment_rejects_bad_token_index():
     sn = tokenize("Label a;")
-    fake = ApiElement("Label", 1, 1, 999, ElementRole.DECLARED_TYPE)
+    fake = ApiElement("Label", 1, 1, 999)
     with pytest.raises(AugmentError, match="out of range"):
         augment(sn, {fake: "com.x.Label"})
 
 
 def test_augment_rejects_index_pointing_at_other_token():
     sn = tokenize("Label a;")
-    fake = ApiElement("Label", 1, 1, 1, ElementRole.DECLARED_TYPE)  # whitespace
+    fake = ApiElement("Label", 1, 1, 1)  # whitespace
     with pytest.raises(AugmentError, match="not an"):
         augment(sn, {fake: "com.x.Label"})
 

@@ -218,22 +218,13 @@ def test_train_is_linear_in_snippet_size():
     _assert_same_model(train(small), _reference_train(small))
 
 
-def test_train_leaves_a_lone_truth_key_unchecked():
-    sn = tokenize("Label a = new Button();\n")
-    label, button = identify_api_elements(sn)
-    # the key names Label at Button's token: nothing is substituted, as in
-    # the per-element loop, so nothing checks it
-    wrong = ApiElement("Label", 1, 2, button.token_index, label.role)
-    model = train([(sn, {wrong: "com.x.Label"})])
-    _assert_same_model(model, _reference_train([(sn, {wrong: "com.x.Label"})]))
-
-
 def test_train_names_the_bad_key_of_a_larger_truth():
     sn = tokenize("Label a = new Button();\n")
     label, button = identify_api_elements(sn)
-    wrong = ApiElement("Label", 1, 2, button.token_index, label.role)
+    wrong = ApiElement("Label", 1, 2, button.token_index)
     for truth in ({label: "com.x.Label", wrong: "com.x.Label"},
-                  {wrong: "com.x.Label", button: "com.y.Button"}):
+                  {wrong: "com.x.Label", button: "com.y.Button"},
+                  {wrong: "com.x.Label"}):
         with pytest.raises(AugmentError, match=r"^Label\[1,2\]: token at index"):
             train([(sn, truth)])
 
