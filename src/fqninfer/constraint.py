@@ -1,14 +1,23 @@
 """Constraint extraction from snippet syntax and candidate solving over a KB.
 
 Extraction reads the snippet's structure (`Snippet.structure`, recognised
-once per snippet) and walks its significant tokens for structural patterns
-(construction, member calls, inheritance clauses, declared assignments). It
-reports which line ranges it could analyze. Every constraint is about API
-elements; an inheritance clause names the snippet's own declared type as a
-string, because the snippet's own names are never elements. Solving scores
-whole assignments of candidate FQNs to elements by (constraint violations,
-distinct library count, lexicographic order) and abstains where optima
-disagree.
+once per snippet) and walks its significant tokens for five kinds of fact,
+one constraint type each:
+
+- `Construction`: `new Name(...)` needs Name to be a class.
+- `MemberCall`: `Name.m1(...).m2(...)` needs each hop's method, by name
+  and arity, on the type the previous hop returned.
+- `FieldAccess`: `Name.f` needs the field f.
+- `Supertype`: an `extends` or `implements` clause needs a class or an
+  interface.
+- `DeclaredAssignment`: `Name x = <construction or call>` needs the value's
+  type to be Name or one of its subtypes.
+
+Every constraint is about API elements; the snippet's own declared types
+are never elements. Extraction also reports which line ranges it could
+analyze. Solving scores whole assignments of candidate FQNs to elements by
+(constraint violations, distinct library count, lexicographic order) and
+abstains where optima disagree.
 
 A `ConstraintProblem` tabulates every check once against a loaded KB and
 can then be solved under a mask (a reduced KB given as its FQN set) with
@@ -37,9 +46,15 @@ from .snippet import ApiElement, Snippet, SnippetStructure, TokenKind
 class ExtractOptions:
     """Extraction/solving knobs.
 
-    cascaded_calls: follow Name.m1().m2() chains as one constraint. Off (the
-        default, as in `RunConfig` and the CLI), only the first hop is kept,
-        which mirrors tools that cannot express the full chain.
+    Extraction emits the five constraint kinds (construction, member call,
+    field access, supertype clause, declared assignment) under every
+    setting; the knobs change which calls a member call follows, which lines
+    yield constraints, and how ties are reported.
+
+    cascaded_calls: a member call keeps every hop of a Name.m1().m2() chain.
+        Off (the default, as in `RunConfig` and the CLI), it keeps only the
+        first hop, which mirrors tools that cannot express the full chain,
+        and a longer chain gives a declared assignment no source.
     strict_body_check: a constructor whose name does not match its class
         makes the whole class body unanalyzable (its lines leave coverage).
     strict_uniqueness: an element whose optimal candidates tie in a way no
@@ -57,15 +72,13 @@ class ExtractOptions:
 @dataclass(frozen=True)
 class Construction:
     subject: ApiElement
-    arity: int
 
 
 @dataclass(frozen=True)
 class MemberCall:
     subject: ApiElement
-    method: str
-    arity: int
-    static_call: bool
+    chain: tuple[tuple[str, int], ...]  # one or more (method, arity) hops
+    static_call: bool  # the first hop is called on the type itself
 
 
 @dataclass(frozen=True)
@@ -76,34 +89,19 @@ class FieldAccess:
 
 
 @dataclass(frozen=True)
-class CascadedCall:
-    root: ApiElement
-    chain: tuple[tuple[str, int], ...]  # at least two (method, arity) hops
-    static_root: bool
-
-
-@dataclass(frozen=True)
-class Extends:
-    sub: str  # the snippet's own declared type
-    sub_kind: str  # "class" or "interface": the declared kind of sub
-    sup: ApiElement
-
-
-@dataclass(frozen=True)
-class Implements:
-    sub: str  # the snippet's own declared type
-    sup: ApiElement
+class Supertype:
+    subject: ApiElement
+    kind: str  # "class" or "interface": the kind the clause requires
 
 
 @dataclass(frozen=True)
 class DeclaredAssignment:
     declared: ApiElement
-    source: Union[Construction, MemberCall, CascadedCall]
+    source: Union[Construction, MemberCall]
 
 
 Constraint = Union[
-    Construction, MemberCall, FieldAccess, CascadedCall, Extends, Implements,
-    DeclaredAssignment,
+    Construction, MemberCall, FieldAccess, Supertype, DeclaredAssignment
 ]
 
 
@@ -237,26 +235,25 @@ def extract_constraints(
     var_types: dict[str, ApiElement] = {}
 
     def construction(k: int):
-        """`new Name(args)` at sig[k] == 'new', Name an element."""
+        """`new Name(args)` at sig[k] == 'new', Name an element and the
+        argument list closed."""
         e = elem_at.get(sig[k + 1][0]) if k + 1 < n else None
-        if e is None or k + 2 >= n or sig[k + 2][1].lexeme != "(":
+        if e is None or k + 2 not in structure.partner or sig[k + 2][1].lexeme != "(":
             return None
-        parsed = _parse_args(structure, k + 2)
-        return Construction(e, parsed[0]) if parsed is not None else None
+        return Construction(e)
 
-    def call(root: ApiElement, hops, static_root: bool):
+    def call(root: ApiElement, hops, static_call: bool):
         """The call constraint of a nonempty chain. A chain the extractor
         does not follow keeps only its first hop."""
-        if len(hops) > 1 and options.cascaded_calls:
-            return CascadedCall(root, hops, static_root=static_root)
-        m, a = hops[0]
-        return MemberCall(root, m, a, static_call=static_root)
+        return MemberCall(
+            root, hops if options.cascaded_calls else hops[:1], static_call
+        )
 
-    def chain_constraint(root: ApiElement, i_dot: int, static_root: bool):
+    def chain_constraint(root: ApiElement, i_dot: int, static_call: bool):
         hops, trailing_field = _parse_chain(structure, i_dot)
         if trailing_field is not None:
-            return FieldAccess(root, trailing_field, static_access=static_root)
-        return call(root, hops, static_root) if hops else None
+            return FieldAccess(root, trailing_field, static_access=static_call)
+        return call(root, hops, static_call) if hops else None
 
     def rhs_source(k: int):
         """Recognize the constraint form of an initializer expression at
@@ -271,7 +268,7 @@ def extract_constraints(
         if sig[k + 1][1].lexeme != ".":
             return None
         root = elem_at.get(sig[k][0])
-        static_root = root is not None
+        static_call = root is not None
         if root is None:
             root = var_types.get(t.lexeme)
         if root is None:
@@ -283,7 +280,7 @@ def extract_constraints(
             len(hops) > 1 and not options.cascaded_calls
         ):
             return None
-        return call(root, hops, static_root)
+        return call(root, hops, static_call)
 
     for j in range(n):
         orig_index, t = sig[j]
@@ -305,17 +302,14 @@ def extract_constraints(
             clause = structure.clauses.get(j)
             if clause is not None and clause[1].name is not None:
                 keyword, header = clause
-                if keyword == "extends":
-                    kind = "interface" if header.kind == "interface" else "class"
-                    constraints.append(Extends(header.name, kind, e))
-                else:
-                    constraints.append(Implements(header.name, e))
+                interface = keyword == "implements" or header.kind == "interface"
+                constraints.append(Supertype(e, "interface" if interface else "class"))
                 continue
             if nxt is not None and nxt.lexeme == ".":
                 prev = sig[j - 1][1].lexeme if j > 0 else ""
                 if prev == "new":
                     continue  # handled by the construction branch
-                c = chain_constraint(e, j + 1, static_root=True)
+                c = chain_constraint(e, j + 1, static_call=True)
                 if c is not None:
                     constraints.append(c)
                 continue
@@ -338,7 +332,7 @@ def extract_constraints(
             prev = sig[j - 1][1].lexeme if j > 0 else ""
             if prev == ".":
                 continue
-            c = chain_constraint(var_types[t.lexeme], j + 1, static_root=False)
+            c = chain_constraint(var_types[t.lexeme], j + 1, static_call=False)
             if c is not None:
                 constraints.append(c)
 
@@ -365,53 +359,41 @@ def _to_ranges(lines: list[int]) -> tuple[tuple[int, int], ...]:
 # solving
 
 def _chain_value(
-    kb: KnowledgeBase, start: str, chain: Sequence[tuple[str, int]], static_root: bool
+    kb: KnowledgeBase, start: str, chain: Sequence[tuple[str, int]], static_call: bool
 ) -> tuple[str | None, tuple[str, ...]] | None:
     """Chase a call chain from a candidate root type.
 
     Returns None when the chain does not resolve, else (final return FQN or
     None, the intermediate return types it passed through). Every hop's
-    method must be found; every non-final hop additionally needs a known
-    return type whose entry is present in the KB, so a KB reduced to a mask
-    resolves the chain only if the mask holds every intermediate type.
+    method must be found, the first one static when static_call; every
+    non-final hop additionally needs a known return type whose entry is
+    present in the KB, so a KB reduced to a mask resolves the chain only if
+    the mask holds every intermediate type. A one-hop chain is a plain
+    method lookup and passes through no type.
     """
     cur = start
     passed: list[str] = []
     for idx, (m, a) in enumerate(chain[:-1]):
-        sig = method_in_knowledge(kb, cur, m, a, require_static=static_root and idx == 0)
+        sig = method_in_knowledge(kb, cur, m, a, require_static=static_call and idx == 0)
         ret = sig.return_fqn if sig is not None else None
         if ret is None or ret not in kb:
             return None
         passed.append(ret)
         cur = ret
     m, a = chain[-1]
-    sig = method_in_knowledge(kb, cur, m, a, require_static=static_root and not passed)
+    sig = method_in_knowledge(kb, cur, m, a, require_static=static_call and not passed)
     return None if sig is None else (sig.return_fqn, tuple(passed))
 
 
-def _source_subject(source) -> ApiElement:
-    if isinstance(source, Construction):
-        return source.subject
-    if isinstance(source, MemberCall):
-        return source.subject
-    return source.root
-
-
 def _source_value(
-    kb: KnowledgeBase, c_subject: str, source
+    kb: KnowledgeBase, c_subject: str, source: Construction | MemberCall
 ) -> tuple[str | None, tuple[str, ...]]:
     """The value type produced by an initializer constraint under a
     candidate assignment of its subject, or None when unknown, with the
     intermediate types a chain passed through to produce it."""
     if isinstance(source, Construction):
         return c_subject, ()
-    if isinstance(source, MemberCall):
-        sig = method_in_knowledge(
-            kb, c_subject, source.method, source.arity,
-            require_static=source.static_call,
-        )
-        return (sig.return_fqn if sig else None), ()
-    walked = _chain_value(kb, c_subject, source.chain, source.static_root)
+    walked = _chain_value(kb, c_subject, source.chain, source.static_call)
     return walked if walked is not None else (None, ())
 
 
@@ -485,36 +467,8 @@ def _tabulate(
 
     # check and link run their functions at once, so these may read `con`
     for con in constraints:
-        if isinstance(con, Construction):
-            if con.subject in index_of:
-                check(con.subject, lambda c: kb.entries[c].kind == "class")
-        elif isinstance(con, MemberCall):
-            if con.subject in index_of:
-                check(con.subject, lambda c: method_in_knowledge(
-                    kb, c, con.method, con.arity, require_static=con.static_call
-                ) is not None)
-        elif isinstance(con, FieldAccess):
-            if con.subject in index_of:
-                check(con.subject, lambda c: field_in_knowledge(
-                    kb, c, con.field_name, require_static=con.static_access
-                ) is not None)
-        elif isinstance(con, CascadedCall):
-            if con.root not in index_of:
-                continue
-            i = index_of[con.root]
-            for ci, c in enumerate(cand_lists[i]):
-                walked = _chain_value(kb, c, con.chain, con.static_root)
-                if walked is None:
-                    unary[i][ci] += 1
-                elif types := frozenset(walked[1]) - {c}:
-                    unary_if.append((types, i, ci, 1))
-        elif isinstance(con, (Extends, Implements)):
-            if con.sup not in index_of:
-                continue
-            want = "interface" if isinstance(con, Implements) else con.sub_kind
-            check(con.sup, lambda c: kb.entries[c].kind == want)
-        elif isinstance(con, DeclaredAssignment):
-            subj = _source_subject(con.source)
+        if isinstance(con, DeclaredAssignment):
+            subj = con.source.subject
             if con.declared not in index_of or subj not in index_of:
                 continue
 
@@ -527,6 +481,24 @@ def _tabulate(
                 return supertype_closure(kb, value), frozenset((value, *passed)) - {c}
 
             link(con.declared, subj, assigned_from)
+        elif con.subject not in index_of:
+            continue
+        elif isinstance(con, Construction):
+            check(con.subject, lambda c: kb.entries[c].kind == "class")
+        elif isinstance(con, MemberCall):
+            i = index_of[con.subject]
+            for ci, c in enumerate(cand_lists[i]):
+                walked = _chain_value(kb, c, con.chain, con.static_call)
+                if walked is None:
+                    unary[i][ci] += 1
+                elif types := frozenset(walked[1]) - {c}:
+                    unary_if.append((types, i, ci, 1))
+        elif isinstance(con, FieldAccess):
+            check(con.subject, lambda c: field_in_knowledge(
+                kb, c, con.field_name, require_static=con.static_access
+            ) is not None)
+        else:
+            check(con.subject, lambda c: kb.entries[c].kind == con.kind)
     return unary, pairs, unary_if, pairs_if
 
 

@@ -148,9 +148,6 @@ class KnowledgeBase:
             return NotImplemented
         return self._entries == other._entries
 
-    def get(self, fqn: str) -> TypeEntry | None:
-        return self._entries.get(fqn)
-
     def candidates_for(self, simple_name: str) -> tuple[str, ...]:
         """All FQNs whose simple name matches, lexicographically ordered."""
         return self._by_simple_name.get(simple_name, ())

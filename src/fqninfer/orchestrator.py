@@ -53,6 +53,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.order not in (ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST):
             raise ValueError(f"unknown round order: {self.order!r}")
+        for name in ("k", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.extract_options, ExtractOptions):
+            raise ValueError(
+                f"extract_options must be ExtractOptions, got {self.extract_options!r}"
+            )
         if self.k < 0:
             raise ValueError(f"k must not be negative, got {self.k}")
         if self.delta < 1:

@@ -232,10 +232,6 @@ def tokenize(text: str) -> Snippet:
     return Snippet(raw=text, tokens=tuple(tokens))
 
 
-def detokenize(snippet: Snippet) -> str:
-    return "".join(t.lexeme for t in snippet.tokens)
-
-
 def read_utf8(path: str | Path, error: type[Exception] = ValueError) -> str:
     """The text of a UTF-8 file. A file that does not decode raises `error`
     naming the file and the line of the first bad byte."""
@@ -265,16 +261,6 @@ class ApiElement:
     @property
     def key(self) -> str:
         return f"{self.simple_name}[{self.line},{self.occurrence}]"
-
-
-_KEY_RE = re.compile(r"^(.+)\[(\d+),(\d+)\]$")
-
-
-def parse_element_key(key: str) -> tuple[str, int, int]:
-    m = _KEY_RE.match(key)
-    if not m:
-        raise ValueError(f"bad element key {key!r}")
-    return m.group(1), int(m.group(2)), int(m.group(3))
 
 
 # Boxed primitives never need FQN inference; String is ubiquitous enough
@@ -391,7 +377,6 @@ class AugmentedSnippet:
 
     source: Snippet
     tokens: tuple[Token, ...]
-    substitutions: Mapping[int, str]
 
     def text(self) -> str:
         return "".join(t.lexeme for t in self.tokens)
@@ -404,7 +389,7 @@ def augment(snippet: Snippet, typed: Mapping[ApiElement, str]) -> AugmentedSnipp
     inferences are substituted as-is. Raises AugmentError when a key does
     not point at a matching identifier token of this snippet.
     """
-    subs: dict[int, str] = {}
+    new_tokens = list(snippet.tokens)
     for e, fqn in typed.items():
         idx = e.token_index
         if idx < 0 or idx >= len(snippet.tokens):
@@ -417,13 +402,8 @@ def augment(snippet: Snippet, typed: Mapping[ApiElement, str]) -> AugmentedSnipp
             )
         if not fqn:
             raise AugmentError(f"{e.key}: empty FQN")
-        subs[idx] = fqn
-    new_tokens = list(snippet.tokens)
-    for idx, fqn in subs.items():
-        new_tokens[idx] = Token(fqn, TokenKind.IDENTIFIER, snippet.tokens[idx].line)
-    return AugmentedSnippet(
-        source=snippet, tokens=tuple(new_tokens), substitutions=dict(subs)
-    )
+        new_tokens[idx] = Token(fqn, TokenKind.IDENTIFIER, t.line)
+    return AugmentedSnippet(source=snippet, tokens=tuple(new_tokens))
 
 
 def plain(snippet: Snippet) -> AugmentedSnippet:

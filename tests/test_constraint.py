@@ -15,14 +15,12 @@ from fqninfer import (
     tokenize,
 )
 from fqninfer.constraint import (
-    CascadedCall,
     ConstraintProblem,
     Construction,
     DeclaredAssignment,
-    Extends,
     FieldAccess,
-    Implements,
     MemberCall,
+    Supertype,
     extract_constraints,
     line_covered,
     solve,
@@ -68,30 +66,38 @@ def _el(name, idx, line=1, occ=1):
 
 
 def test_extract_construction_arity():
+    # a construction carries no arity (the KB has no constructors); a
+    # call's hop does
     els, cons, _ = _extract('greet(new Label("hi", style));')
-    assert cons == [Construction(els["Label[1,1]"], 2)]
+    assert cons == [Construction(els["Label[1,1]"])]
+    els, cons, _ = _extract('greet(Label.of("hi", style));')
+    assert cons == [MemberCall(els["Label[1,1]"], (("of", 2),), static_call=True)]
 
 
 def test_extract_construction_nested_args_count_top_level():
+    els, cons, _ = _extract("use(Pair.of(a, make(b, c)));")
+    assert cons == [MemberCall(els["Pair[1,1]"], (("of", 2),), static_call=True)]
     els, cons, _ = _extract("use(new Pair(a, make(b, c)));")
-    assert cons == [Construction(els["Pair[1,1]"], 2)]
+    assert cons == [Construction(els["Pair[1,1]"])]
 
 
 def test_extract_construction_zero_args():
     els, cons, _ = _extract("x = new Banner();")
-    assert cons == [Construction(els["Banner[1,1]"], 0)]
+    assert cons == [Construction(els["Banner[1,1]"])]
 
 
 def test_extract_static_member_call():
     els, cons, _ = _extract('Registry.lookup("name");')
-    assert cons == [MemberCall(els["Registry[1,1]"], "lookup", 1, static_call=True)]
+    assert cons == [
+        MemberCall(els["Registry[1,1]"], (("lookup", 1),), static_call=True)
+    ]
 
 
 def test_extract_instance_call_through_declared_variable():
     text = "Label greeting = new Label(txt);\ngreeting.setText(other);\n"
     els, cons, _ = _extract(text)
     assert (
-        MemberCall(els["Label[1,1]"], "setText", 1, static_call=False) in cons
+        MemberCall(els["Label[1,1]"], (("setText", 1),), static_call=False) in cons
     )
 
 
@@ -109,10 +115,10 @@ def test_extract_instance_field_access_via_variable():
 def test_extract_cascaded_chain_on():
     els, cons, _ = _extract('Document.get().getBody().appendChild(node);')
     assert cons == [
-        CascadedCall(
+        MemberCall(
             els["Document[1,1]"],
             (("get", 0), ("getBody", 0), ("appendChild", 1)),
-            static_root=True,
+            static_call=True,
         )
     ]
 
@@ -121,23 +127,23 @@ def test_extract_cascaded_chain_off_keeps_first_hop():
     els, cons, _ = _extract(
         "Document.get().getBody().appendChild(node);", NO_CASCADE
     )
-    assert cons == [MemberCall(els["Document[1,1]"], "get", 0, static_call=True)]
+    assert cons == [MemberCall(els["Document[1,1]"], (("get", 0),), static_call=True)]
 
 
 def test_extract_declared_assignment_from_construction():
     els, cons, _ = _extract("Label greeting = new Label(txt);")
     assert cons == [
         DeclaredAssignment(
-            els["Label[1,1]"], Construction(els["Label[1,2]"], 1)
+            els["Label[1,1]"], Construction(els["Label[1,2]"])
         ),
-        Construction(els["Label[1,2]"], 1),
+        Construction(els["Label[1,2]"]),
     ]
 
 
 def test_extract_declared_assignment_from_static_call():
     els, cons, _ = _extract('DateTimeFormatter f = DateTimeFormat.forPattern("p");')
     expected_source = MemberCall(
-        els["DateTimeFormat[1,1]"], "forPattern", 1, static_call=True
+        els["DateTimeFormat[1,1]"], (("forPattern", 1),), static_call=True
     )
     assert DeclaredAssignment(els["DateTimeFormatter[1,1]"], expected_source) in cons
     assert expected_source in cons
@@ -149,7 +155,9 @@ def test_extract_declared_assignment_from_variable_call():
         "DateTime dt = f.parseDateTime(raw);\n"
     )
     els, cons, _ = _extract(text)
-    src = MemberCall(els["DateTimeFormatter[1,1]"], "parseDateTime", 1, static_call=False)
+    src = MemberCall(
+        els["DateTimeFormatter[1,1]"], (("parseDateTime", 1),), static_call=False
+    )
     assert DeclaredAssignment(els["DateTime[2,1]"], src) in cons
 
 
@@ -159,8 +167,8 @@ def test_extract_multi_hop_assignment_needs_cascade():
     assert (
         DeclaredAssignment(
             els["Element[1,1]"],
-            CascadedCall(
-                els["Document[1,1]"], (("get", 0), ("getBody", 0)), static_root=True
+            MemberCall(
+                els["Document[1,1]"], (("get", 0), ("getBody", 0)), static_call=True
             ),
         )
         in cons_on
@@ -168,31 +176,31 @@ def test_extract_multi_hop_assignment_needs_cascade():
     _, cons_off, _ = _extract(text, NO_CASCADE)
     assert not any(isinstance(c, DeclaredAssignment) for c in cons_off)
     # the first hop still appears as a plain static call
-    assert any(isinstance(c, MemberCall) and c.method == "get" for c in cons_off)
+    assert any(isinstance(c, MemberCall) and c.chain == (("get", 0),) for c in cons_off)
 
 
 def test_extract_extends_clause_uses_declared_name():
     els, cons, _ = _extract("public class MyView extends Composite {\n}\n")
-    assert cons == [Extends("MyView", "class", els["Composite[1,1]"])]
+    assert cons == [Supertype(els["Composite[1,1]"], "class")]
 
 
 def test_extract_interface_extends_records_interface_kind():
     els, cons, _ = _extract("interface Mine extends Face {\n}\n")
-    assert cons == [Extends("Mine", "interface", els["Face[1,1]"])]
+    assert cons == [Supertype(els["Face[1,1]"], "interface")]
 
 
 def test_extract_implements_clause():
     els, cons, _ = _extract("public class Impl implements EntryPoint {\n}\n")
-    assert cons == [Implements("Impl", els["EntryPoint[1,1]"])]
+    assert cons == [Supertype(els["EntryPoint[1,1]"], "interface")]
 
 
 def test_extract_mixed_clauses():
     els, cons, _ = _extract(
         "class Both extends Parent implements FaceA, FaceB {\n}\n"
     )
-    assert Extends("Both", "class", els["Parent[1,1]"]) in cons
-    assert Implements("Both", els["FaceA[1,1]"]) in cons
-    assert Implements("Both", els["FaceB[1,1]"]) in cons
+    assert Supertype(els["Parent[1,1]"], "class") in cons
+    assert Supertype(els["FaceA[1,1]"], "interface") in cons
+    assert Supertype(els["FaceB[1,1]"], "interface") in cons
 
 
 @pytest.mark.parametrize(
@@ -204,45 +212,45 @@ def test_extract_mixed_clauses():
         (
             "class A implements Bar, class C extends Dee {",
             lambda els: [
-                Implements("A", els["Bar[1,1]"]),
-                Extends("C", "class", els["Dee[1,1]"]),
+                Supertype(els["Bar[1,1]"], "interface"),
+                Supertype(els["Dee[1,1]"], "class"),
             ],
             ((1, 1),),
         ),
         (
             "Foo.class implements Bar, class C extends Dee {",
-            lambda els: [Extends("C", "class", els["Dee[1,1]"])],
+            lambda els: [Supertype(els["Dee[1,1]"], "class")],
             ((1, 1),),
         ),
         (
             "class A implements X, Foo.class implements Baz {",
             lambda els: [
-                Implements("A", els["X[1,1]"]),
-                Implements("A", els["Foo[1,1]"]),
-                Implements("A", els["Baz[1,1]"]),
+                Supertype(els["X[1,1]"], "interface"),
+                Supertype(els["Foo[1,1]"], "interface"),
+                Supertype(els["Baz[1,1]"], "interface"),
             ],
             ((1, 1),),
         ),
         (
             "interface Q extends Face;\nList l = new List();",
             lambda els: [
-                Extends("Q", "interface", els["Face[1,1]"]),
+                Supertype(els["Face[1,1]"], "interface"),
                 DeclaredAssignment(
-                    els["List[2,1]"], Construction(els["List[2,2]"], 0)
+                    els["List[2,1]"], Construction(els["List[2,2]"])
                 ),
-                Construction(els["List[2,2]"], 0),
+                Construction(els["List[2,2]"]),
             ],
             ((1, 2),),
         ),
         (
             "enum E implements Face { X; }",
-            lambda els: [Implements("E", els["Face[1,1]"])],
+            lambda els: [Supertype(els["Face[1,1]"], "interface")],
             ((1, 1),),
         ),
         # an unterminated body runs to the end of the snippet
         (
             "class Mine extends Base {\n    Other() { }\n",
-            lambda els: [Extends("Mine", "class", els["Base[1,1]"])],
+            lambda els: [Supertype(els["Base[1,1]"], "class")],
             ((1, 1),),
         ),
         # a nameless class has no body to give up on
@@ -276,7 +284,7 @@ def test_constructor_name_mismatch_excludes_body_lines():
     assert coverage == ((1, 1),)
     assert not line_covered(3, coverage)
     # constraints from excluded lines are dropped along with the coverage
-    assert cons == [Extends("MyView", "class", els["Composite[1,1]"])]
+    assert cons == [Supertype(els["Composite[1,1]"], "class")]
 
 
 def test_matching_constructor_keeps_coverage():
@@ -315,10 +323,8 @@ def test_line_covered_on_ranges():
 def test_new_receiver_chain_is_not_a_static_call():
     # after `new Foo().bar()` the receiver is the instance, not the class
     els, cons, _ = _extract("use(new Foo().bar());")
-    assert Construction(els["Foo[1,1]"], 0) in cons
-    assert not any(
-        isinstance(c, (MemberCall, CascadedCall)) for c in cons
-    )
+    assert Construction(els["Foo[1,1]"]) in cons
+    assert not any(isinstance(c, MemberCall) for c in cons)
 
 
 @pytest.mark.parametrize(
@@ -334,6 +340,19 @@ def test_unbalanced_brackets_extract_within_budget(line):
         extract_constraints(sn, identify_api_elements(sn), options)
         elapsed = time.perf_counter() - t0
         assert elapsed < 0.5, f"{options}: {elapsed:.2f}s (budget 0.5s)"
+
+
+def test_nested_constructions_extract_within_budget():
+    # counting each construction's arguments made nested constructions
+    # quadratic: about 1 s at 2000 levels (Python 3.11 on a 2-core VM)
+    n = 4000
+    sn = tokenize("x = " + "new Label(\n" * n + ")" * n + ";")
+    t0 = time.perf_counter()
+    els = identify_api_elements(sn)
+    cons, _ = extract_constraints(sn, els, CASCADE)
+    elapsed = time.perf_counter() - t0
+    assert len(cons) == n
+    assert elapsed < 0.5, f"{elapsed:.2f}s (budget 0.5s)"
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +410,7 @@ def test_solve_tie_resolved_lexicographically_when_not_strict():
 def test_solve_member_call_disambiguates():
     kb = _kb_two_labels()
     e = _el("Label", 0)
-    con = MemberCall(e, "setHeight", 1, static_call=False)
+    con = MemberCall(e, (("setHeight", 1),), static_call=False)
     res = solve(kb, [e], [con])
     assert res.typed == {e: "org.b.Label"}
 
@@ -399,7 +418,7 @@ def test_solve_member_call_disambiguates():
 def test_solve_arity_matters():
     kb = _kb_two_labels()
     e = _el("Label", 0)
-    con = MemberCall(e, "setText", 2, static_call=False)
+    con = MemberCall(e, (("setText", 2),), static_call=False)
     res = solve(kb, [e], [con])
     # neither candidate has setText/2: the optimum violates a constraint
     # no matter the choice, so the element stays untyped
@@ -415,7 +434,7 @@ def test_solve_static_gate():
         ]
     )
     e = _el("Doc", 0)
-    res = solve(kb, [e], [MemberCall(e, "get", 0, static_call=True)])
+    res = solve(kb, [e], [MemberCall(e, (("get", 0),), static_call=True)])
     assert res.typed == {e: "com.a.Doc"}
 
 
@@ -439,7 +458,7 @@ def test_solve_construction_requires_class():
         ]
     )
     e = _el("Widget", 0)
-    res = solve(kb, [e], [Construction(e, 0)])
+    res = solve(kb, [e], [Construction(e)])
     assert res.typed == {e: "org.b.Widget"}
 
 
@@ -451,7 +470,7 @@ def test_solve_implements_requires_interface():
         ]
     )
     e = _el("Face", 0)
-    res = solve(kb, [e], [Implements("Mine", e)])
+    res = solve(kb, [e], [Supertype(e, "interface")])
     assert res.typed == {e: "org.b.Face"}
 
 
@@ -463,9 +482,9 @@ def test_solve_extends_kind_must_match_declaration():
         ]
     )
     e = _el("Base", 0)
-    res = solve(kb, [e], [Extends("Mine", "class", e)])
+    res = solve(kb, [e], [Supertype(e, "class")])
     assert res.typed == {e: "org.b.Base"}
-    res = solve(kb, [e], [Extends("Mine", "interface", e)])
+    res = solve(kb, [e], [Supertype(e, "interface")])
     assert res.typed == {e: "com.a.Base"}
 
 
@@ -481,7 +500,7 @@ def test_solve_cascaded_chain_needs_known_intermediate_returns():
         ]
     )
     e = _el("Door", 0)
-    con = CascadedCall(e, (("open", 0), ("close", 0)), static_root=True)
+    con = MemberCall(e, (("open", 0), ("close", 0)), static_call=True)
     res = solve(kb, [e], [con])
     # org.b.Door's open() has no recorded return: the chain cannot continueapa
     assert res.typed == {e: "com.a.Door"}
@@ -498,7 +517,7 @@ def test_solve_cascaded_final_hop_return_may_be_unknown():
         ]
     )
     e = _el("Door", 0)
-    con = CascadedCall(e, (("open", 0), ("close", 0)), static_root=True)
+    con = MemberCall(e, (("open", 0), ("close", 0)), static_call=True)
     res = solve(kb, [e], [con])
     assert res.typed == {e: "com.a.Door"}
 
@@ -522,7 +541,7 @@ def test_solve_cascaded_intermediate_return_outside_kb_fails():
         ]
     )
     e = _el("Door", 0)
-    con = CascadedCall(e, (("open", 0), ("shut", 0)), static_root=True)
+    con = MemberCall(e, (("open", 0), ("shut", 0)), static_call=True)
     res = solve(kb, [e], [con])
     assert res.typed == {e: "org.b.Door"}
 
@@ -541,7 +560,7 @@ def test_solve_declared_assignment_links_elements():
     )
     fmt = _el("Format", 0)
     t = _el("Time", 1)
-    con = DeclaredAssignment(t, MemberCall(fmt, "parse", 1, static_call=False))
+    con = DeclaredAssignment(t, MemberCall(fmt, (("parse", 1),), static_call=False))
     res = solve(kb, [fmt, t], [con])
     assert res.typed == {fmt: "com.a.Format", t: "com.a.Time"}
 
@@ -560,7 +579,9 @@ def test_solve_declared_assignment_accepts_declared_supertype():
     )
     maker = _el("Maker", 0)
     parent = _el("Parent", 1)
-    con = DeclaredAssignment(parent, MemberCall(maker, "make", 0, static_call=True))
+    con = DeclaredAssignment(
+        parent, MemberCall(maker, (("make", 0),), static_call=True)
+    )
     res = solve(kb, [maker, parent], [con])
     assert res.typed[parent] == "com.a.Parent"
 
@@ -574,7 +595,7 @@ def test_solve_declared_assignment_unknown_return_imposes_nothing():
     )
     maker = _el("Maker", 0)
     thing = _el("Thing", 1)
-    con = DeclaredAssignment(thing, MemberCall(maker, "make", 0, static_call=True))
+    con = DeclaredAssignment(thing, MemberCall(maker, (("make", 0),), static_call=True))
     res = solve(kb, [maker, thing], [con])
     assert res.typed == {maker: "com.a.Maker", thing: "com.a.Thing"}
 
@@ -604,7 +625,7 @@ def test_solve_violated_optimum_untypes_touched_elements():
     )
     lone = _el("Lone", 0)
     needy = _el("Needy", 1)
-    con = MemberCall(needy, "absent", 0, static_call=False)
+    con = MemberCall(needy, (("absent", 0),), static_call=False)
     res = solve(kb, [lone, needy], [con])
     assert res.typed == {lone: "com.a.Lone"}
     assert res.untyped == {needy}
@@ -627,7 +648,8 @@ def test_solve_partial_ambiguity_only_unsettles_the_tied_element():
     )
     fixed = _el("Fixed", 0)
     loose = _el("Loose", 1)
-    res = solve(kb, [fixed, loose], [MemberCall(fixed, "go", 0, static_call=False)])
+    call = MemberCall(fixed, (("go", 0),), static_call=False)
+    res = solve(kb, [fixed, loose], [call])
     assert res.typed == {fixed: "com.a.Fixed"}
     assert res.untyped == {loose}
 
@@ -689,7 +711,7 @@ def test_supertype_closure_is_cached_per_kb():
     flat = KnowledgeBase([_entry("a.Base"), _entry("a.Mid"), _entry("a.Leaf")])
     assert supertype_closure(flat, "a.Leaf") == ("a.Leaf",)
     mid, leaf = _el("Mid", 0), _el("Leaf", 1)
-    link = DeclaredAssignment(mid, Construction(leaf, 0))
+    link = DeclaredAssignment(mid, Construction(leaf))
     assert solve(full, [mid, leaf], [link]).typed == {mid: "a.Mid", leaf: "a.Leaf"}
     assert solve(flat, [mid, leaf], [link]).untyped == {mid, leaf}
 
@@ -731,7 +753,7 @@ def _chain_kb():
 def test_mask_fails_a_chain_whose_intermediate_type_it_drops():
     kb = _chain_kb()
     door = _el("Door", 0)
-    chain = CascadedCall(door, (("open", 0), ("turn", 0)), static_root=False)
+    chain = MemberCall(door, (("open", 0), ("turn", 0)), static_call=False)
     assert solve(kb, [door], [chain]).typed == {door: "com.a.Door"}
     for strict in (True, False):
         got, naive = _under_mask(
@@ -754,7 +776,7 @@ def test_mask_drops_an_assignment_whose_value_type_it_drops():
     )
     maker, box = _el("Maker", 0), _el("Box", 1)
     # Box b = maker.make();
-    link = DeclaredAssignment(box, MemberCall(maker, "make", 0, static_call=False))
+    link = DeclaredAssignment(box, MemberCall(maker, (("make", 0),), static_call=False))
     # on the loaded KB no Box holds a com.v.Value, so both elements abstain
     assert solve(kb, [maker, box], [link]).untyped == {maker, box}
     got, naive = _under_mask(
@@ -775,7 +797,7 @@ def test_mask_drops_a_self_assignment_whose_value_type_it_drops():
     )
     box = _el("Box", 0)
     # Box b = b.copy(); the declared element is the call's own subject
-    link = DeclaredAssignment(box, MemberCall(box, "copy", 0, static_call=False))
+    link = DeclaredAssignment(box, MemberCall(box, (("copy", 0),), static_call=False))
     assert solve(kb, [box], [link]).untyped == {box}
     got, naive = _under_mask(kb, [box], [link], ["com.a.Box"], extra=["com.v.Value"])
     assert got.typed == {box: "com.a.Box"}
@@ -799,7 +821,7 @@ def test_mask_searches_again_when_it_drops_the_full_kb_optimum():
         ]
     )
     door = _el("Door", 0)
-    call = MemberCall(door, "open", 0, static_call=False)
+    call = MemberCall(door, (("open", 0),), static_call=False)
     assert solve(kb, [door], [call]).typed == {door: "com.a.Door"}
     got, _ = _under_mask(kb, [door], [call], ["org.b.Door"])
     assert got.typed == {} and got.untyped == {door}
@@ -808,8 +830,8 @@ def test_mask_searches_again_when_it_drops_the_full_kb_optimum():
 def test_mask_searches_again_when_a_check_depends_on_a_dropped_type():
     kb = _chain_kb()
     door, other = _el("Door", 0), _el("Door", 1)
-    chain = CascadedCall(door, (("open", 0), ("turn", 0)), static_root=False)
-    call = MemberCall(other, "open", 0, static_call=False)
+    chain = MemberCall(door, (("open", 0), ("turn", 0)), static_call=False)
+    call = MemberCall(other, (("open", 0),), static_call=False)
     # the full-KB optimum is unique and both its values are in the mask, but
     # the chain's intermediate type com.m.Handle is not
     assert solve(kb, [door, other], [chain, call]).typed == {

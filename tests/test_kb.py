@@ -43,7 +43,7 @@ def _load_text(tmp_path, text):
 def test_load_basic_entries(tmp_path):
     kb = _load_text(tmp_path, MINI)
     assert len(kb) == 5
-    widget = kb.get("com.acme.ui.Widget")
+    widget = kb.entries.get("com.acme.ui.Widget")
     assert widget is not None
     assert widget.kind == "class"
     assert widget.library == "acme"
@@ -101,7 +101,7 @@ def test_contains_and_get(tmp_path):
     kb = _load_text(tmp_path, MINI)
     assert "org.rival.Panel" in kb
     assert "org.rival.Missing" not in kb
-    assert kb.get("org.rival.Missing") is None
+    assert kb.entries.get("org.rival.Missing") is None
 
 
 def test_duplicate_type_rejected(tmp_path):

@@ -110,6 +110,12 @@ def test_run_rejects_unknown_order():
         RunConfig(delta=0)
     with pytest.raises(ValueError, match="k must not be negative"):
         RunConfig(k=-1)
+    # a value of the wrong type is rejected here, not deep inside a run
+    for bad in ({"k": 2.5}, {"k": "3"}, {"k": True}, {"delta": 2.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RunConfig(**bad)
+    with pytest.raises(ValueError, match="extract_options must be ExtractOptions"):
+        RunConfig(extract_options=None)
     # the edges themselves are valid: one round, and no statistical ranking
     RunConfig(k=0, delta=1)
 

@@ -12,15 +12,13 @@ import random
 import pytest
 
 from fqninfer.constraint import (
-    CascadedCall,
     ConstraintProblem,
     Construction,
     ConstraintResult,
     DeclaredAssignment,
-    Extends,
     FieldAccess,
-    Implements,
     MemberCall,
+    Supertype,
     line_covered,
     solve,
 )
@@ -300,7 +298,6 @@ def test_augmentation_alignment():
             assert t.lexeme == fqn, case
             assert t.kind is TokenKind.IDENTIFIER, case
             assert t.line == old.line, case
-        assert aug.substitutions == {e.token_index: f for e, f in mapping.items()}
         assert augment(sn, {}).tokens == sn.tokens, case
 
         if elems:
@@ -320,12 +317,12 @@ def test_augmentation_alignment():
 # solver versus a brute-force enumerator
 
 
-def _walk_chain(kb, start, chain, static_root):
+def _walk_chain(kb, start, chain, static_call):
     cur = start
     ret = None
     for idx, (mname, arity) in enumerate(chain):
         sig = method_in_knowledge(
-            kb, cur, mname, arity, require_static=static_root and idx == 0
+            kb, cur, mname, arity, require_static=static_call and idx == 0
         )
         if sig is None:
             return False, None
@@ -340,20 +337,23 @@ def _walk_chain(kb, start, chain, static_root):
 def _produced_value(kb, c_subject, source):
     if isinstance(source, Construction):
         return c_subject
-    if isinstance(source, MemberCall):
+    if len(source.chain) == 1:
+        (mname, arity), = source.chain
         sig = method_in_knowledge(
-            kb, c_subject, source.method, source.arity,
-            require_static=source.static_call,
+            kb, c_subject, mname, arity, require_static=source.static_call,
         )
         return sig.return_fqn if sig else None
-    resolved, ret = _walk_chain(kb, c_subject, source.chain, source.static_root)
+    resolved, ret = _walk_chain(kb, c_subject, source.chain, source.static_call)
     return ret if resolved else None
 
 
-def _assignment_subject(source):
-    if isinstance(source, (Construction, MemberCall)):
-        return source.subject
-    return source.root
+def _call_fails(kb, c, call):
+    if len(call.chain) == 1:
+        (mname, arity), = call.chain
+        return method_in_knowledge(
+            kb, c, mname, arity, require_static=call.static_call,
+        ) is None
+    return not _walk_chain(kb, c, call.chain, call.static_call)[0]
 
 
 def _wired_checks(kb, constraints, in_search):
@@ -366,26 +366,19 @@ def _wired_checks(kb, constraints, in_search):
                 out.append(((con.subject,), lambda c: kb.entries[c].kind != "class"))
         elif isinstance(con, MemberCall):
             if con.subject in in_search:
-                out.append(((con.subject,), lambda c, con=con: method_in_knowledge(
-                    kb, c, con.method, con.arity, require_static=con.static_call,
-                ) is None))
+                out.append(((con.subject,), lambda c, con=con: _call_fails(kb, c, con)))
         elif isinstance(con, FieldAccess):
             if con.subject in in_search:
                 out.append(((con.subject,), lambda c, con=con: field_in_knowledge(
                     kb, c, con.field_name, require_static=con.static_access,
                 ) is None))
-        elif isinstance(con, CascadedCall):
-            if con.root in in_search:
-                out.append(((con.root,), lambda c, con=con: not _walk_chain(
-                    kb, c, con.chain, con.static_root
-                )[0]))
-        elif isinstance(con, (Extends, Implements)):
-            if con.sup not in in_search:
-                continue
-            want = "interface" if isinstance(con, Implements) else con.sub_kind
-            out.append(((con.sup,), lambda c, want=want: kb.entries[c].kind != want))
+        elif isinstance(con, Supertype):
+            if con.subject in in_search:
+                out.append(
+                    ((con.subject,), lambda c, con=con: kb.entries[c].kind != con.kind)
+                )
         elif isinstance(con, DeclaredAssignment):
-            subj = _assignment_subject(con.source)
+            subj = con.source.subject
             if con.declared not in in_search or subj not in in_search:
                 continue
 
@@ -472,12 +465,10 @@ def _random_elements(rng, max_elements=5):
 
 
 def _clause_subject(rng, elems):
-    """The snippet's own declared type named in an inheritance clause. The
-    draws of a since-dropped element subject are kept, so every later case
-    of a seeded suite stays what it was."""
+    """The draws of an inheritance clause's since-dropped element subject,
+    kept so every later case of a seeded suite stays what it was."""
     if rng.random() < 0.7:
         rng.choice(elems)
-    return "LocalClass"
 
 
 def _random_constraints(rng, elems):
@@ -486,33 +477,36 @@ def _random_constraints(rng, elems):
         kind = rng.randrange(7)
         e = rng.choice(elems)
         if kind == 0:
-            cons.append(Construction(e, rng.randint(0, 2)))
+            rng.randint(0, 2)  # the since-dropped construction arity
+            cons.append(Construction(e))
         elif kind == 1:
-            mname, arity = rng.choice(_METHOD_POOL)
-            cons.append(MemberCall(e, mname, arity, rng.random() < 0.4))
+            hop = rng.choice(_METHOD_POOL)
+            cons.append(MemberCall(e, (hop,), rng.random() < 0.4))
         elif kind == 2:
             cons.append(FieldAccess(e, rng.choice(("f", "g", "h")), rng.random() < 0.4))
         elif kind == 3:
             chain = tuple(
                 rng.choice(_METHOD_POOL) for _ in range(rng.randint(2, 3))
             )
-            cons.append(CascadedCall(e, chain, rng.random() < 0.3))
+            cons.append(MemberCall(e, chain, rng.random() < 0.3))
         elif kind == 4:
-            sub = _clause_subject(rng, elems)
-            cons.append(Extends(sub, rng.choice(("class", "interface")), e))
+            _clause_subject(rng, elems)
+            cons.append(Supertype(e, rng.choice(("class", "interface"))))
         elif kind == 5:
-            cons.append(Implements(_clause_subject(rng, elems), e))
+            _clause_subject(rng, elems)
+            cons.append(Supertype(e, "interface"))
         else:
             declared = rng.choice(elems)
             pick = rng.randrange(3)
             if pick == 0:
-                source = Construction(e, rng.randint(0, 2))
+                rng.randint(0, 2)  # the since-dropped construction arity
+                source = Construction(e)
             elif pick == 1:
-                mname, arity = rng.choice(_METHOD_POOL)
-                source = MemberCall(e, mname, arity, rng.random() < 0.4)
+                hop = rng.choice(_METHOD_POOL)
+                source = MemberCall(e, (hop,), rng.random() < 0.4)
             else:
                 chain = tuple(rng.choice(_METHOD_POOL) for _ in range(2))
-                source = CascadedCall(e, chain, rng.random() < 0.3)
+                source = MemberCall(e, chain, rng.random() < 0.3)
             cons.append(DeclaredAssignment(declared, source))
     return cons
 
@@ -610,16 +604,17 @@ def _dense_constraints(rng, elems):
         roll = rng.random()
         subject = rng.choice(elems)
         if roll < 0.25:
-            source = Construction(subject, rng.randint(0, 1))
+            rng.randint(0, 1)  # the since-dropped construction arity
+            source = Construction(subject)
         elif roll < 0.45:
-            source = MemberCall(subject, "getInstance", 0, True)
+            source = MemberCall(subject, (("getInstance", 0),), True)
         elif roll < 0.75:
-            source = MemberCall(subject, "to" + declared.simple_name, 0, False)
+            source = MemberCall(subject, (("to" + declared.simple_name, 0),), False)
         elif roll < 0.85:
             hops = ("to" + rng.choice(_DENSE_NAMES), "to" + declared.simple_name)
-            source = CascadedCall(subject, tuple((m, 0) for m in hops), False)
+            source = MemberCall(subject, tuple((m, 0) for m in hops), False)
         else:
-            cons.append(MemberCall(subject, "run", rng.randint(0, 1), False))
+            cons.append(MemberCall(subject, (("run", rng.randint(0, 1)),), False))
             continue
         cons.append(source)  # the right-hand side is a constraint of its own
         cons.append(DeclaredAssignment(declared, source))

@@ -9,9 +9,11 @@ from fqninfer.snippet import (
     AugmentError,
     TokenKind,
     augment,
-    detokenize,
-    parse_element_key,
 )
+
+
+def _joined(sn):
+    return "".join(t.lexeme for t in sn.tokens)
 
 
 def _kinds(text):
@@ -50,7 +52,7 @@ def test_tokenize_comments():
 
 def test_tokenize_unterminated_string_stops_at_eol():
     sn = tokenize('call("broken\nnext')
-    assert detokenize(sn) == 'call("broken\nnext'
+    assert _joined(sn) == 'call("broken\nnext'
     lits = [t for t in sn.tokens if t.kind == TokenKind.LITERAL]
     assert lits and lits[0].lexeme == '"broken'
 
@@ -58,7 +60,7 @@ def test_tokenize_unterminated_string_stops_at_eol():
 def test_tokenize_unterminated_block_comment_swallows_rest():
     sn = tokenize("a /* never closed\nb")
     assert sn.tokens[-1].lexeme == "/* never closed\nb"
-    assert detokenize(sn) == "a /* never closed\nb"
+    assert _joined(sn) == "a /* never closed\nb"
 
 
 def test_tokenize_line_and_column():
@@ -79,20 +81,7 @@ def test_lossless_round_trip_seeded_garbage():
     alphabet = "ab;{}()\"'\\\n\t /*@.<>[]0129_$Ztrue"
     for _ in range(300):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 60)))
-        assert detokenize(tokenize(text)) == text
-
-
-def test_parse_element_key_round_trip():
-    e = ApiElement("Label", 3, 2, 17)
-    assert e.key == "Label[3,2]"
-    assert parse_element_key(e.key) == ("Label", 3, 2)
-
-
-def test_parse_element_key_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_element_key("Label[3]")
-    with pytest.raises(ValueError):
-        parse_element_key("noBrackets")
+        assert _joined(tokenize(text)) == text
 
 
 def test_identify_object_creation_and_declared_type():
@@ -291,9 +280,9 @@ def test_plain_is_identity_augmentation():
     sn = tokenize("Label a = new Label();")
     aug = plain(sn)
     assert aug.text() == sn.raw
-    assert aug.substitutions == {}
+    assert aug.tokens == sn.tokens
 
 
 def test_fixture_corpus_round_trips(eval_items, train_items):
     for item in eval_items + train_items:
-        assert detokenize(item.snippet) == item.snippet.raw
+        assert _joined(item.snippet) == item.snippet.raw
