@@ -29,6 +29,7 @@ with engine "constraint".
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -39,7 +40,7 @@ from .kb import (
     method_in_knowledge,
     supertype_closure,
 )
-from .snippet import ApiElement, Snippet, SnippetStructure, TokenKind
+from .snippet import _IDENTIFIER, _KEYWORD, ApiElement, Snippet, SnippetStructure
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def _broken_body_lines(structure: SnippetStructure) -> set[int]:
             t = sig[k][1]
             if t.lexeme == "{":
                 k = partner[k]  # a nested block holds no member of this class
-            elif t.kind == TokenKind.IDENTIFIER and t.lexeme[:1].isupper():
+            elif t.kind == _IDENTIFIER and t.lexeme[:1].isupper():
                 prev = sig[k - 1][1].lexeme
                 nxt = sig[k + 1][1].lexeme if k + 1 < n else ""
                 if prev in _MEMBER_PREV and nxt == "(":
@@ -161,24 +162,16 @@ def _parse_args(structure: SnippetStructure, i_open: int) -> tuple[int, int] | N
     """Arity of a balanced argument list starting at sig[i_open] == '('.
 
     Returns (arity, index of the closing paren) or None when unbalanced.
+    The arity is one more than the commas strictly inside the list at the
+    bracket depth just inside its '(', counted by bisection.
     """
     close = structure.partner.get(i_open)
     if close is None:
         return None
     if close == i_open + 1:
         return 0, close
-    sig = structure.significant
-    arity = 1
-    depth = 0
-    for k in range(i_open + 1, close):
-        lex = sig[k][1].lexeme
-        if lex in "([":
-            depth += 1
-        elif lex in ")]":
-            depth -= 1
-        elif lex == "," and depth == 0:
-            arity += 1
-    return arity, close
+    commas = structure.commas.get(structure.arg_depth[i_open], ())
+    return 1 + bisect_left(commas, close) - bisect_right(commas, i_open), close
 
 
 def _parse_chain(
@@ -196,7 +189,7 @@ def _parse_chain(
     k = i_dot
     while k < n and sig[k][1].lexeme == ".":
         member = sig[k + 1][1] if k + 1 < n else None
-        if member is None or member.kind not in (TokenKind.IDENTIFIER,):
+        if member is None or member.kind != _IDENTIFIER:
             break
         opener = sig[k + 2][1].lexeme if k + 2 < n else ""
         if opener != "(":
@@ -261,9 +254,9 @@ def extract_constraints(
         if k >= n:
             return None
         t = sig[k][1]
-        if t.kind == TokenKind.KEYWORD and t.lexeme == "new":
+        if t.kind == _KEYWORD and t.lexeme == "new":
             return construction(k)
-        if t.kind != TokenKind.IDENTIFIER or k + 1 >= n:
+        if t.kind != _IDENTIFIER or k + 1 >= n:
             return None
         if sig[k + 1][1].lexeme != ".":
             return None
@@ -288,13 +281,13 @@ def extract_constraints(
             continue
         nxt = sig[j + 1][1] if j + 1 < n else None
 
-        if t.kind == TokenKind.KEYWORD and t.lexeme == "new":
+        if t.kind == _KEYWORD and t.lexeme == "new":
             c = construction(j)
             if c is not None:
                 constraints.append(c)
             continue
 
-        if t.kind != TokenKind.IDENTIFIER:
+        if t.kind != _IDENTIFIER:
             continue
 
         e = elem_at.get(orig_index)
@@ -313,7 +306,7 @@ def extract_constraints(
                 if c is not None:
                     constraints.append(c)
                 continue
-            if nxt is not None and nxt.kind == TokenKind.IDENTIFIER:
+            if nxt is not None and nxt.kind == _IDENTIFIER:
                 var_types[nxt.lexeme] = e
                 after = sig[j + 2][1].lexeme if j + 2 < n else ""
                 if after == "=":

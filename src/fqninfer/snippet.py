@@ -1,15 +1,22 @@
 """Lenient, lossless Java-ish lexing plus API element identification and
 context augmentation for incomplete snippets.
 
-The lexer never fails: every byte of input lands in exactly one token, so
-concatenating the lexemes reproduces the source exactly. Snippets are
-allowed to be broken code, so structure recognition has to cope.
+The lexer never fails. It is one `finditer` pass of one regex whose last
+alternative takes any single character, so every character of input lands
+in exactly one token and concatenating the lexemes reproduces the source
+exactly. A `Token` is a tuple-backed (lexeme, kind, line) record, equal only
+to another `Token`. Snippets are allowed to be broken code, so structure
+recognition has to cope.
 
 Structure is recognised once per snippet, on the `Snippet` itself:
 `Snippet.structure` holds the significant tokens, the partner of every
-bracket (paired in one pass, so broken code costs no rescans), every class,
+bracket (paired in one pass, so broken code costs no rescans), the commas
+at each bracket depth (so a call's arity is two bisections), every class,
 interface and enum header, and the extends/implements clauses.
 Identification here and constraint extraction both read it.
+`Snippet.word_index` holds the line and position of every identifier and
+literal token: a context window over the snippet, or over any augmentation
+of it, is a slice of that index.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class TokenKind(Enum):
@@ -31,6 +38,12 @@ class TokenKind(Enum):
     COMMENT = "comment"
     WHITESPACE = "whitespace"
 
+
+# Looking a member up on an Enum class costs about 170 ns on Python 3.11,
+# so the kind tests made per token read these constants.
+_IDENTIFIER, _KEYWORD = TokenKind.IDENTIFIER, TokenKind.KEYWORD
+_LAYOUT_KINDS = (TokenKind.WHITESPACE, TokenKind.COMMENT)
+_WORD_KINDS = (TokenKind.IDENTIFIER, TokenKind.LITERAL)  # what a window reads
 
 # Reserved words of the language, plus the three literal words which are
 # reserved just the same for our purposes: none of them can name a type.
@@ -46,11 +59,25 @@ JAVA_KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme of a snippet: its text, kind and start line.
+
+    A tuple underneath, so the lexer builds it cheaply, but equal only to
+    another `Token`: comparing it with a plain tuple gives False.
+    """
+
     lexeme: str
     kind: TokenKind
     line: int  # 1-based line where the token starts
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Token and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    # defining __eq__ unsets the hash; keep the field tuple's
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -66,7 +93,7 @@ class Header:
 
 @dataclass(frozen=True)
 class SnippetStructure:
-    """The declaration structure of a snippet, read in one pass.
+    """The bracket and declaration structure of a snippet, read in one pass.
 
     significant: (token index, token) for every token that is not
         whitespace or a comment.
@@ -74,6 +101,11 @@ class SnippetStructure:
         or '}'. Brackets are paired once, by one stack per bracket type.
         An unterminated '{' maps to the last position; an unterminated '('
         has no entry.
+    arg_depth: position of each '(' -> the bracket depth just inside it.
+    commas: bracket depth -> positions of the commas at that depth, in
+        order. Bracket depth counts '(' and '[' as opening and ')' and ']'
+        as closing, whichever bracket they pair with: that is how a call's
+        arity counts the commas of its argument list.
     headers: every class/interface/enum header, in token order.
     clauses: position of each identifier in an extends/implements clause ->
         (clause keyword, declaring header). A header nested in another
@@ -83,6 +115,8 @@ class SnippetStructure:
 
     significant: tuple[tuple[int, Token], ...]
     partner: Mapping[int, int]
+    arg_depth: Mapping[int, int]
+    commas: Mapping[int, Sequence[int]]
     headers: tuple[Header, ...]
     clauses: Mapping[int, tuple[str, Header]]
 
@@ -91,24 +125,40 @@ _DECLARATIONS = ("class", "interface", "enum")
 
 
 _CLOSERS = {")": "(", "}": "{"}
+_BRACKETS_AND_COMMA = frozenset("(){}[],")
 
 
 def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
     sig = tuple(
         (i, t)
         for i, t in enumerate(tokens)
-        if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)
+        if t.kind not in _LAYOUT_KINDS
     )
     n = len(sig)
     partner: dict[int, int] = {}
     stacks: dict[str, list[int]] = {"(": [], "{": []}
+    arg_depth: dict[int, int] = {}
+    commas: dict[int, list[int]] = {}
+    depth = 0
     for j, (_, t) in enumerate(sig):
-        if t.lexeme in stacks:
-            stacks[t.lexeme].append(j)
-        elif t.lexeme in _CLOSERS:
-            openers = stacks[_CLOSERS[t.lexeme]]
+        lex = t.lexeme
+        if lex not in _BRACKETS_AND_COMMA:
+            continue
+        if lex == ",":
+            commas.setdefault(depth, []).append(j)
+            continue
+        if lex in stacks:
+            stacks[lex].append(j)
+        elif lex in _CLOSERS:
+            openers = stacks[_CLOSERS[lex]]
             if openers:
                 partner[openers.pop()] = j
+        if lex in "([":  # lex is one character here
+            depth += 1
+            if lex == "(":
+                arg_depth[j] = depth
+        elif lex in ")]":
+            depth -= 1
     for j in stacks["{"]:
         partner[j] = n - 1  # an unterminated body runs to the end
     headers: list[Header] = []
@@ -116,7 +166,7 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
     j = 0
     while j < n:
         t = sig[j][1]
-        if t.kind != TokenKind.KEYWORD or t.lexeme not in _DECLARATIONS:
+        if t.kind != _KEYWORD or t.lexeme not in _DECLARATIONS:
             j += 1
             continue
         # One header run, up to the first '{' or ';'. Headers nested in it
@@ -131,9 +181,9 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
         first = latest_named = owner = None
         for k in range(j, end):
             tk = sig[k][1]
-            if tk.kind == TokenKind.KEYWORD and tk.lexeme in _DECLARATIONS:
+            if tk.kind == _KEYWORD and tk.lexeme in _DECLARATIONS:
                 nxt = sig[k + 1][1] if k + 1 < n else None
-                named = nxt is not None and nxt.kind == TokenKind.IDENTIFIER
+                named = nxt is not None and nxt.kind == _IDENTIFIER
                 name = nxt.lexeme if named else None
                 header = Header(tk.lexeme, name, open_, close)
                 headers.append(header)
@@ -141,13 +191,18 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
                     first = header
                 if name is not None:
                     latest_named = header
-            elif tk.kind == TokenKind.KEYWORD and tk.lexeme in ("extends", "implements"):
+            elif tk.kind == _KEYWORD and tk.lexeme in ("extends", "implements"):
                 clause, owner = tk.lexeme, latest_named or first
-            elif clause is not None and tk.kind == TokenKind.IDENTIFIER:
+            elif clause is not None and tk.kind == _IDENTIFIER:
                 clauses[k] = (clause, owner)
         j = end
     return SnippetStructure(
-        sig, MappingProxyType(partner), tuple(headers), MappingProxyType(clauses)
+        sig,
+        MappingProxyType(partner),
+        MappingProxyType(arg_depth),
+        MappingProxyType(commas),
+        tuple(headers),
+        MappingProxyType(clauses),
     )
 
 
@@ -164,9 +219,15 @@ class Snippet:
         return _read_structure(self.tokens)
 
     @cached_property
-    def token_lines(self) -> tuple[int, ...]:
-        """The start line of each token, never decreasing along the stream."""
-        return tuple(t.line for t in self.tokens)
+    def word_index(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(start lines, token indices) of the identifier and literal tokens,
+        in token order, so the lines never decrease. Augmentation keeps each
+        token's kind and line, so the index serves every augmentation of
+        this snippet."""
+        indices = tuple(
+            i for i, t in enumerate(self.tokens) if t.kind in _WORD_KINDS
+        )
+        return tuple(self.tokens[i].line for i in indices), indices
 
     @property
     def line_count(self) -> int:
@@ -192,43 +253,45 @@ _TOKEN_RE = re.compile(
         |\d[\d_]*(?:[eE][+-]?\d+)?[fFdDlL]?
      )
     |(?P<identifier>[A-Za-z_$][A-Za-z0-9_$]*)
+    |(?P<punct>.)                                    # any other character
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+_GROUP_KINDS = {
+    "comment": TokenKind.COMMENT,
+    "whitespace": TokenKind.WHITESPACE,
+    "string": TokenKind.LITERAL,
+    "char": TokenKind.LITERAL,
+    "number": TokenKind.LITERAL,
+    "identifier": TokenKind.IDENTIFIER,  # or a keyword
+    "punct": TokenKind.PUNCT,
+}
+# A string or char literal spans a line through an escaped newline.
+_MULTILINE_GROUPS = frozenset(("comment", "whitespace", "string", "char"))
 
 
 def tokenize(text: str) -> Snippet:
     """Lossless total lexing: identifiers, keywords, literals, punctuation,
     comments and whitespace runs. Bytes that fit nothing become single-char
     punctuation tokens.
+
+    One `finditer` pass: no alternative matches empty and the last matches
+    any character, so each match starts where the previous one ended.
     """
     tokens: list[Token] = []
-    pos = 0
+    append = tokens.append
+    make = tuple.__new__  # a Token without NamedTuple's Python-level __new__
     line = 1
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m and m.end() > pos:
-            lexeme = m.group(0)
-            group = m.lastgroup
-            if group == "comment":
-                kind = TokenKind.COMMENT
-            elif group == "whitespace":
-                kind = TokenKind.WHITESPACE
-            elif group in ("string", "char", "number"):
-                kind = TokenKind.LITERAL
-            else:
-                kind = (
-                    TokenKind.KEYWORD
-                    if lexeme in JAVA_KEYWORDS
-                    else TokenKind.IDENTIFIER
-                )
-        else:
-            lexeme = text[pos]
-            kind = TokenKind.PUNCT
-        tokens.append(Token(lexeme, kind, line))
-        line += lexeme.count("\n")
-        pos += len(lexeme)
+    for m in _TOKEN_RE.finditer(text):
+        lexeme = m.group()
+        group = m.lastgroup
+        kind = _GROUP_KINDS[group]
+        if group == "identifier" and lexeme in JAVA_KEYWORDS:
+            kind = _KEYWORD
+        append(make(Token, (lexeme, kind, line)))
+        if group in _MULTILINE_GROUPS:
+            line += lexeme.count("\n")
     return Snippet(raw=text, tokens=tuple(tokens))
 
 
@@ -303,7 +366,7 @@ def identify_api_elements(
     elements: list[ApiElement] = []
 
     for j, (orig_index, t) in enumerate(sig):
-        if t.kind != TokenKind.IDENTIFIER or not t.lexeme[:1].isupper():
+        if t.kind != _IDENTIFIER or not t.lexeme[:1].isupper():
             continue
         name = t.lexeme
         if name in excluded or name in local_decls:
@@ -317,14 +380,14 @@ def identify_api_elements(
         # the first position that matches decides, even when it rejects
         if prev is not None and prev.lexeme == "@":
             accepted = True  # annotation
-        elif prev is not None and prev.kind == TokenKind.KEYWORD and prev.lexeme == "new":
+        elif prev is not None and prev.kind == _KEYWORD and prev.lexeme == "new":
             accepted = True  # object creation
         elif j in structure.clauses:
             accepted = True  # extends or implements clause
         elif nxt is not None and nxt.lexeme == ".":
             # static receiver
-            accepted = nxt2 is not None and nxt2.kind == TokenKind.IDENTIFIER
-        elif nxt is not None and nxt.kind == TokenKind.IDENTIFIER:
+            accepted = nxt2 is not None and nxt2.kind == _IDENTIFIER
+        elif nxt is not None and nxt.kind == _IDENTIFIER:
             accepted = True  # declared type
         elif (
             nxt is not None
@@ -334,7 +397,7 @@ def identify_api_elements(
         ):
             # declared array type
             after = tok(j + 3)
-            accepted = after is not None and after.kind == TokenKind.IDENTIFIER
+            accepted = after is not None and after.kind == _IDENTIFIER
         elif (
             prev is not None
             and prev.lexeme == "("
@@ -342,7 +405,7 @@ def identify_api_elements(
             and nxt.lexeme == ")"
             and nxt2 is not None
             and (
-                nxt2.kind in (TokenKind.IDENTIFIER, TokenKind.LITERAL)
+                nxt2.kind in _WORD_KINDS
                 or nxt2.lexeme in ("(", "new", "this")
             )
         ):
@@ -395,14 +458,14 @@ def augment(snippet: Snippet, typed: Mapping[ApiElement, str]) -> AugmentedSnipp
         if idx < 0 or idx >= len(snippet.tokens):
             raise AugmentError(f"{e.key}: token index {idx} out of range")
         t = snippet.tokens[idx]
-        if t.kind != TokenKind.IDENTIFIER or t.lexeme != e.simple_name:
+        if t.kind != _IDENTIFIER or t.lexeme != e.simple_name:
             raise AugmentError(
                 f"{e.key}: token at index {idx} is {t.lexeme!r}, not an "
                 f"occurrence of {e.simple_name!r}"
             )
         if not fqn:
             raise AugmentError(f"{e.key}: empty FQN")
-        new_tokens[idx] = Token(fqn, TokenKind.IDENTIFIER, t.line)
+        new_tokens[idx] = Token(fqn, _IDENTIFIER, t.line)
     return AugmentedSnippet(source=snippet, tokens=tuple(new_tokens))
 
 

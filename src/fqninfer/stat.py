@@ -11,6 +11,9 @@ score(f) = sum over window tokens t of
 Only model-known FQNs whose simple name matches the target are ranked, and
 a candidate needs at least one positive count against the window to appear
 at all: the model does not propose types it has no contextual evidence for.
+A window is a slice of the snippet's word index (`Snippet.word_index`),
+found by bisecting its lines, and each candidate is scored and checked for
+evidence in one pass over the window, one count lookup per token.
 Predictions may still name FQNs that exist nowhere in a given KB (learned
 from other corpora), which is exactly the hallucination the KB filter is
 for.
@@ -31,7 +34,6 @@ from .snippet import (
     ApiElement,
     AugmentedSnippet,
     Snippet,
-    TokenKind,
     augment,
     read_utf8,
 )
@@ -82,25 +84,22 @@ class CooccurrenceModel:
         return list(self._by_simple_name.get(simple_name, ()))
 
 
-_WINDOW_KINDS = (TokenKind.IDENTIFIER, TokenKind.LITERAL)
-
-
 def context_window(
     aug: AugmentedSnippet, element: ApiElement, eta: int
 ) -> list[str]:
     """Identifier and literal lexemes within +-eta lines of the element's
     line, excluding the element's own token. Substituted FQNs of other
     elements appear as single tokens. Order follows the token stream.
+
+    The window is a slice of the source snippet's word index, found by
+    bisecting its lines, read from the augmented tokens.
     """
-    lines = aug.source.token_lines  # augmentation keeps every token's line
+    lines, indices = aug.source.word_index
     start = bisect_left(lines, element.line - eta)
     stop = bisect_right(lines, element.line + eta)
     tokens = aug.tokens
-    return [
-        t.lexeme
-        for i in range(start, stop)
-        if i != element.token_index and (t := tokens[i]).kind in _WINDOW_KINDS
-    ]
+    own = element.token_index
+    return [tokens[i].lexeme for i in indices[start:stop] if i != own]
 
 
 def train(
@@ -140,15 +139,40 @@ def train(
 def score_candidate(
     model: CooccurrenceModel, window: Sequence[str], fqn: str
 ) -> float:
+    """score(fqn) over the window, as the module docstring defines it;
+    minus infinity when the denominator is not positive."""
+    return _score(model, window, fqn)[0]
+
+
+def _score(
+    model: CooccurrenceModel, window: Sequence[str], fqn: str
+) -> tuple[float, bool]:
+    """The score of fqn against window, and whether some window token has
+    a positive count with fqn, from one count lookup per window token.
+
+    Every zero count adds the same summand, log(alpha / denom), which equals
+    log((0 + alpha) / denom) exactly, so it is computed once. The summands
+    and their order are the formula's, so the score is the same float.
+    """
+    counts = model.counts
     alpha = model.smoothing_alpha
     denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
     if denom <= 0:
-        return float("-inf")
+        return float("-inf"), any(counts.get((tok, fqn), 0) > 0 for tok in window)
     total = 0.0
+    evidence = False
+    unseen = None  # log(alpha / denom), computed where the formula first would
     for tok in window:
-        c = model.counts.get((tok, fqn), 0)
-        total += math.log((c + alpha) / denom)
-    return total
+        c = counts.get((tok, fqn), 0)
+        if c:
+            if c > 0:
+                evidence = True
+            total += math.log((c + alpha) / denom)
+        else:
+            if unseen is None:
+                unseen = math.log(alpha / denom)
+            total += unseen
+    return total, evidence
 
 
 def predict_topk(
@@ -169,9 +193,17 @@ def predict_topk(
     window = context_window(aug, target, model.window_eta)
     scored: list[tuple[str, float]] = []
     for fqn in model.known_fqns_named(target.simple_name):
-        if not any(model.counts.get((tok, fqn), 0) > 0 for tok in window):
+        try:
+            score, evidence = _score(model, window, fqn)
+        except (ArithmeticError, ValueError):
+            # a summand outside log's domain (a hand-built model's negative
+            # count) fails only a candidate with evidence; one without is
+            # dropped before it is scored
+            if any(model.counts.get((tok, fqn), 0) > 0 for tok in window):
+                raise
             continue
-        scored.append((fqn, score_candidate(model, window, fqn)))
+        if evidence:
+            scored.append((fqn, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 

@@ -355,6 +355,20 @@ def test_nested_constructions_extract_within_budget():
     assert elapsed < 0.5, f"{elapsed:.2f}s (budget 0.5s)"
 
 
+def test_nested_calls_extract_within_budget():
+    # counting each call's arguments over its whole argument list made
+    # nested calls quadratic: about 1.3 s at 2000 levels (Python 3.11 on a
+    # 2-core VM)
+    n = 4000
+    sn = tokenize("x = " + "Label.of(\n" * n + ")" * n + ";")
+    t0 = time.perf_counter()
+    els = identify_api_elements(sn)
+    cons, _ = extract_constraints(sn, els, CASCADE)
+    elapsed = time.perf_counter() - t0
+    assert [c.chain for c in cons] == [(("of", 1),)] * (n - 1) + [(("of", 0),)]
+    assert elapsed < 0.5, f"{elapsed:.2f}s (budget 0.5s)"
+
+
 # ---------------------------------------------------------------------------
 # solving
 

@@ -7,7 +7,9 @@ from the documented scoring rule, not against the implementation.
 """
 
 import itertools
+import math
 import random
+import re
 
 import pytest
 
@@ -19,6 +21,7 @@ from fqninfer.constraint import (
     FieldAccess,
     MemberCall,
     Supertype,
+    _parse_args,
     line_covered,
     solve,
 )
@@ -39,9 +42,11 @@ from fqninfer.scoring import GroundTruth, SnippetScore, aggregate, score_snippet
 from fqninfer.snippet import (
     ApiElement,
     BOXED_NAMES,
+    JAVA_KEYWORDS,
     TokenKind,
     augment,
     identify_api_elements,
+    plain,
     tokenize,
 )
 from fqninfer.stat import (
@@ -50,6 +55,7 @@ from fqninfer.stat import (
     context_window,
     dump_model,
     load_model,
+    predict_topk,
     score_candidate,
     train,
 )
@@ -156,6 +162,85 @@ def test_lossless_lexing_roundtrip():
         assert tokenize(raw).tokens == sn.tokens, case
 
 
+# The lexer as a match loop: one regex match per position, the kind read
+# from the group in a chain of tests, and a single-character punctuation
+# token wherever no alternative matches.
+_MATCH_LOOP_RE = re.compile(
+    r"""
+    (?P<comment>//[^\n]*|/\*.*?\*/|/\*.*)           # line, block, unterminated block
+    |(?P<whitespace>\s+)
+    |(?P<string>"(?:\\.|[^"\\\n])*(?:"|(?=\n)|$))    # string, unterminated stops at EOL
+    |(?P<char>'(?:\\.|[^'\\\n])*(?:'|(?=\n)|$))
+    |(?P<number>
+        0[xX][0-9a-fA-F_]+[lL]?
+        |0[bB][01_]+[lL]?
+        |\d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
+        |\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
+        |\d[\d_]*(?:[eE][+-]?\d+)?[fFdDlL]?
+     )
+    |(?P<identifier>[A-Za-z_$][A-Za-z0-9_$]*)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _match_loop_tokens(text):
+    """Reference lexer: (lexeme, kind, line) of every token."""
+    tokens = []
+    pos = 0
+    line = 1
+    while pos < len(text):
+        m = _MATCH_LOOP_RE.match(text, pos)
+        if m and m.end() > pos:
+            lexeme = m.group(0)
+            group = m.lastgroup
+            if group == "comment":
+                kind = TokenKind.COMMENT
+            elif group == "whitespace":
+                kind = TokenKind.WHITESPACE
+            elif group in ("string", "char", "number"):
+                kind = TokenKind.LITERAL
+            elif lexeme in JAVA_KEYWORDS:
+                kind = TokenKind.KEYWORD
+            else:
+                kind = TokenKind.IDENTIFIER
+        else:
+            lexeme = text[pos]
+            kind = TokenKind.PUNCT
+        tokens.append((lexeme, kind, line))
+        line += lexeme.count("\n")
+        pos += len(lexeme)
+    return tokens
+
+
+# Pieces whose lexemes hold a newline in every token kind that can: an
+# escaped newline in a string or char literal (closed or not), block
+# comments closed and not, whitespace runs with "\r\n".
+_LEX_DIFF_PIECES = _LEX_PIECES + (
+    "'\\\n", "\"\\\n", "'\\\n'", "\"a\\\nb\"", "'\\\r\n", "\"\\\r\n",
+    "/* a\nb */", "/* open\n", "\r\n\r\n", " \n\t", "#", "$", "$x", "\\",
+    "ü", "ß", "日本", "é1", "\u00a0", "\u2028", "\"ü", "'\\u00e9'",
+    "1_000L", "0b1_0", ".5e3f", "//\n", "\r",
+)
+
+
+def test_tokenize_matches_match_loop_lexer():
+    rng = random.Random(9012)
+    spanning = {"\"": 0, "'": 0, "/*": 0}
+    for case in range(3000):
+        raw = "".join(
+            rng.choice(_LEX_DIFF_PIECES) for _ in range(rng.randint(0, 40))
+        )
+        got = [(t.lexeme, t.kind, t.line) for t in tokenize(raw).tokens]
+        assert got == _match_loop_tokens(raw), (case, raw)
+        for lexeme, kind, _ in got:
+            if "\n" in lexeme and kind in (TokenKind.LITERAL, TokenKind.COMMENT):
+                spanning[lexeme[:2] if kind is TokenKind.COMMENT else lexeme[0]] += 1
+    # the soups must hold literals and comments that span lines, or the
+    # line count of those kinds goes unchecked
+    assert min(spanning.values()) >= 50, spanning
+
+
 # ---------------------------------------------------------------------------
 # bracket partners
 
@@ -223,6 +308,43 @@ def test_bracket_partners_match_reference_scans():
                     end += 1
                 bodies.append(_body(sig, end))
         assert [(h.open, h.close) for h in structure.headers] == bodies, (case, raw)
+
+
+def _arity_scan(sig, i_open, close):
+    """Reference: one more than the commas inside (i_open, close) where a
+    depth count, '(' or '[' up and ')' or ']' down, is back at zero."""
+    if close == i_open + 1:
+        return 0
+    arity, depth = 1, 0
+    for k in range(i_open + 1, close):
+        lex = sig[k][1].lexeme
+        if lex in ("(", "["):
+            depth += 1
+        elif lex in (")", "]"):
+            depth -= 1
+        elif lex == "," and depth == 0:
+            arity += 1
+    return arity
+
+
+_ARG_PIECES = ("(", ")", "[", "]", "{", "}", ",", ",", "a", "f(", "x, y", "])")
+
+
+def test_argument_arity_matches_reference_scan():
+    rng = random.Random(9013)
+    checked = 0
+    for case in range(2000):
+        raw = " ".join(rng.choice(_ARG_PIECES) for _ in range(rng.randint(0, 40)))
+        structure = tokenize(raw).structure
+        sig = structure.significant
+        for i, (_, t) in enumerate(sig):
+            if t.lexeme != "(":
+                continue
+            close = structure.partner.get(i)
+            want = None if close is None else (_arity_scan(sig, i, close), close)
+            assert _parse_args(structure, i) == want, (case, raw, i)
+            checked += close is not None and close > i + 1
+    assert checked >= 3000, checked
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +1022,89 @@ def test_stat_score_dominance():
         assert sf >= sg - 1e-12, case
         assert score_candidate(model, window, f) == sf, case
         assert score_candidate(model, window, g) == sg, case
+
+
+def _formula_score(model, window, fqn):
+    """Reference: the smoothed log score, one summand per window token."""
+    alpha = model.smoothing_alpha
+    denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
+    if denom <= 0:
+        return float("-inf")
+    total = 0.0
+    for tok in window:
+        c = model.counts.get((tok, fqn), 0)
+        total += math.log((c + alpha) / denom)
+    return total
+
+
+def _evidence_first_topk(model, window, simple_name, k):
+    """Reference ranking: drop each candidate without a positive count in
+    the window, then score the rest."""
+    if k <= 0:
+        return []
+    scored = []
+    for fqn in model.known_fqns_named(simple_name):
+        if not any(model.counts.get((tok, fqn), 0) > 0 for tok in window):
+            continue
+        scored.append((fqn, _formula_score(model, window, fqn)))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
+def _outcome(fn, *args):
+    """A call's result with every float as its exact bits, or the exception
+    it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    if isinstance(result, float):
+        return ("returned", result.hex())
+    return ("returned", [(fqn, score.hex()) for fqn, score in result])
+
+
+_SCORE_TOKENS = ("w0", "w1", "w2", "w3", "w4", '"s"', "7")
+
+
+def test_ranking_scores_are_the_formula_bit_for_bit():
+    """Hand-built models the trainer never makes: non-integer alpha, an
+    empty vocabulary, stored zero and negative counts (some below -alpha,
+    outside log's domain), totals that make the denominator nonpositive,
+    repeated window tokens and window tokens the model has never seen."""
+    rng = random.Random(9014)
+    raised = 0
+    for case in range(2000):
+        fqns = [f"{pkg}.Target" for pkg in rng.sample(_PACKAGES, rng.randint(1, 3))]
+        fqns += rng.sample(("p.Other", "Target", "q.Target.Inner"), rng.randint(0, 2))
+        counts = {}
+        for _ in range(rng.randint(0, 12)):
+            key = (rng.choice(_SCORE_TOKENS), rng.choice(fqns))
+            counts[key] = rng.choice((-4, -2, -1, 0, 0, 1, 1, 2, 3, 7))
+        totals = {f: rng.choice((0, 1, 5, 12, -3, -40)) for f in fqns}
+        vocabulary = set(rng.sample(_SCORE_TOKENS, rng.randint(0, len(_SCORE_TOKENS) - 2)))
+        model = CooccurrenceModel(
+            counts=counts,
+            fqn_totals=totals,
+            vocabulary=vocabulary,
+            smoothing_alpha=rng.choice((0.5, 1.0, 1.7, 2.25, 3)),
+            window_eta=rng.randint(0, 1),
+        )
+        # the target on line 1, window tokens on lines 1 and 2, with repeats
+        words = [rng.choice(_SCORE_TOKENS + ("unseen",)) for _ in range(rng.randint(0, 10))]
+        cut = rng.randint(0, len(words))
+        sn = tokenize(" ".join(["Target"] + words[:cut]) + "\n" + " ".join(words[cut:]))
+        target = ApiElement("Target", 1, 1, 0)
+        aug = plain(sn)
+        window = context_window(aug, target, model.window_eta)
+        k = rng.randint(0, 4)
+        want = _outcome(_evidence_first_topk, model, window, "Target", k)
+        assert _outcome(predict_topk, model, aug, target, k) == want, (case, model, window)
+        raised += want[0] == "raised"
+        for fqn in fqns:
+            assert _outcome(score_candidate, model, window, fqn) == _outcome(
+                _formula_score, model, window, fqn
+            ), (case, fqn)
+    assert raised >= 50, raised
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from fqninfer import ApiElement, identify_api_elements, plain, tokenize
 from fqninfer.snippet import (
     AugmentError,
+    Token,
     TokenKind,
     augment,
 )
@@ -67,6 +68,26 @@ def test_tokenize_line_and_column():
     sn = tokenize("ab\n  cd /* x\ny */ ef")
     by_lex = {t.lexeme: t.line for t in sn.tokens}
     assert (by_lex["ab"], by_lex["cd"], by_lex["ef"]) == (1, 2, 3)
+
+
+def test_token_is_a_value_equal_only_to_tokens():
+    tok = Token("a", TokenKind.IDENTIFIER, 1)
+    assert tok == Token("a", TokenKind.IDENTIFIER, 1)
+    assert tok != Token("a", TokenKind.IDENTIFIER, 2)
+    assert tok != Token("a", TokenKind.KEYWORD, 1)
+    # a tuple with the same fields is not a token, from either side
+    assert tok != ("a", TokenKind.IDENTIFIER, 1)
+    assert ("a", TokenKind.IDENTIFIER, 1) != tok
+    assert not tok == ("a", TokenKind.IDENTIFIER, 1)
+    assert not ("a", TokenKind.IDENTIFIER, 1) == tok
+    assert hash(tok) == hash(("a", TokenKind.IDENTIFIER, 1))
+    with pytest.raises(AttributeError):
+        tok.line = 2
+    assert repr(tok) == (
+        "Token(lexeme='a', kind=<TokenKind.IDENTIFIER: 'identifier'>, line=1)"
+    )
+    lexed = tokenize("a").tokens[0]
+    assert type(lexed) is Token and lexed == tok and hash(lexed) == hash(tok)
 
 
 def test_line_count():
