@@ -268,6 +268,14 @@ def main(argv: list[str] | None = None) -> int:
     except (KbError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # the constraint search recurses once per element with a choice, so
+        # about a thousand ambiguous occurrences exceed Python's limit
+        print(
+            "error: snippet too large to solve (maximum recursion depth exceeded)",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,10 +14,11 @@ one constraint type each:
   type to be Name or one of its subtypes.
 
 Every constraint is about API elements; the snippet's own declared types
-are never elements. Extraction also reports which line ranges it could
-analyze. Solving scores whole assignments of candidate FQNs to elements by
-(constraint violations, distinct library count, lexicographic order) and
-abstains where optima disagree.
+are never elements. Extraction also reports the lines it could not analyze
+(its excluded lines), and an element on one of them is untyped. Solving
+scores whole assignments of candidate FQNs to elements by (constraint
+violations, distinct library count, lexicographic order) and abstains
+where optima disagree.
 
 A `ConstraintProblem` tabulates every check once against a loaded KB and
 can then be solved under a mask (a reduced KB given as its FQN set) with
@@ -57,7 +58,7 @@ class ExtractOptions:
         first hop, which mirrors tools that cannot express the full chain,
         and a longer chain gives a declared assignment no source.
     strict_body_check: a constructor whose name does not match its class
-        makes the whole class body unanalyzable (its lines leave coverage).
+        makes the whole class body unanalyzable: its lines are excluded.
     strict_uniqueness: an element whose optimal candidates tie in a way no
         constraint breaks is reported untyped instead of guessed.
     """
@@ -112,10 +113,6 @@ class ConstraintResult:
     untyped: frozenset[ApiElement]
 
 
-def line_covered(line: int, coverage: Sequence[tuple[int, int]]) -> bool:
-    return any(lo <= line <= hi for lo, hi in coverage)
-
-
 # --------------------------------------------------------------------------
 # extraction
 
@@ -123,39 +120,34 @@ _MEMBER_PREV = frozenset(["public", "private", "protected", "static", "final",
                           ";", "{", "}"])
 
 
-def _broken_body_lines(structure: SnippetStructure) -> set[int]:
+def _broken_body_lines(structure: SnippetStructure) -> frozenset[int]:
     """Lines of class bodies containing a constructor whose name does not
     match the class: structure recognition gives up on the whole body."""
     sig = structure.significant
     partner = structure.partner
     excluded: set[int] = set()
-    n = len(sig)
     for header in structure.headers:
         if header.kind != "class" or header.name is None or header.open is None:
             continue
-        assert header.close is not None
         k = header.open + 1
         while k < header.close:
-            t = sig[k][1]
+            t = sig[k]
             if t.lexeme == "{":
                 k = partner[k]  # a nested block holds no member of this class
-            elif t.kind == _IDENTIFIER and t.lexeme[:1].isupper():
-                prev = sig[k - 1][1].lexeme
-                nxt = sig[k + 1][1].lexeme if k + 1 < n else ""
-                if prev in _MEMBER_PREV and nxt == "(":
-                    close = partner.get(k + 1)
-                    if (
-                        close is not None
-                        and close + 1 < n
-                        and sig[close + 1][1].lexeme == "{"
-                        and t.lexeme != header.name
-                    ):
-                        open_line = sig[header.open][1].line
-                        close_line = sig[header.close][1].line
-                        excluded.update(range(open_line + 1, close_line + 1))
-                        break
+            elif (
+                t.kind == _IDENTIFIER
+                and t.lexeme[:1].isupper()
+                and t.lexeme != header.name
+                and sig[k - 1].lexeme in _MEMBER_PREV
+                and sig[k + 1].lexeme == "("
+                and k + 1 in partner  # a constructor's parameters close
+                and sig[partner[k + 1] + 1].lexeme == "{"
+            ):
+                open_line = sig[header.open].line
+                excluded.update(range(open_line + 1, sig[header.close].line + 1))
+                break
             k += 1
-    return excluded
+    return frozenset(excluded)
 
 
 def _parse_args(structure: SnippetStructure, i_open: int) -> tuple[int, int] | None:
@@ -185,14 +177,12 @@ def _parse_chain(
     """
     sig = structure.significant
     hops: list[tuple[str, int]] = []
-    n = len(sig)
     k = i_dot
-    while k < n and sig[k][1].lexeme == ".":
-        member = sig[k + 1][1] if k + 1 < n else None
-        if member is None or member.kind != _IDENTIFIER:
+    while sig[k].lexeme == ".":
+        member = sig[k + 1]
+        if member.kind != _IDENTIFIER:
             break
-        opener = sig[k + 2][1].lexeme if k + 2 < n else ""
-        if opener != "(":
+        if sig[k + 2].lexeme != "(":
             if not hops:
                 return (), member.lexeme
             break
@@ -209,20 +199,21 @@ def extract_constraints(
     snippet: Snippet,
     elements: Sequence[ApiElement],
     options: ExtractOptions = ExtractOptions(),
-) -> tuple[list[Constraint], tuple[tuple[int, int], ...]]:
-    """Extract constraints and report coverage as inclusive line ranges.
+) -> tuple[list[Constraint], frozenset[int]]:
+    """Extract constraints and report the excluded lines.
 
-    Lines inside a class body whose structure is broken (constructor name
-    mismatch under strict_body_check) are excluded from coverage and
-    contribute no constraints.
+    Under strict_body_check, the lines inside a class body whose structure
+    is broken (a constructor name that does not match the class) are
+    excluded: they contribute no constraints, and `solve` leaves the
+    elements on them untyped.
     """
     structure = snippet.structure
     sig = structure.significant
-    n = len(sig)
-    elem_at: dict[int, ApiElement] = {e.token_index: e for e in elements}
-    excluded: set[int] = set()
-    if options.strict_body_check:
-        excluded = _broken_body_lines(structure)
+    positions = structure.positions
+    elem_at: dict[int | None, ApiElement] = {e.token_index: e for e in elements}
+    excluded = (
+        _broken_body_lines(structure) if options.strict_body_check else frozenset()
+    )
 
     constraints: list[Constraint] = []
     var_types: dict[str, ApiElement] = {}
@@ -230,8 +221,8 @@ def extract_constraints(
     def construction(k: int):
         """`new Name(args)` at sig[k] == 'new', Name an element and the
         argument list closed."""
-        e = elem_at.get(sig[k + 1][0]) if k + 1 < n else None
-        if e is None or k + 2 not in structure.partner or sig[k + 2][1].lexeme != "(":
+        e = elem_at.get(positions[k + 1])
+        if e is None or k + 2 not in structure.partner or sig[k + 2].lexeme != "(":
             return None
         return Construction(e)
 
@@ -251,16 +242,12 @@ def extract_constraints(
     def rhs_source(k: int):
         """Recognize the constraint form of an initializer expression at
         sig[k]. Returns None for anything unrecognized."""
-        if k >= n:
-            return None
-        t = sig[k][1]
+        t = sig[k]
         if t.kind == _KEYWORD and t.lexeme == "new":
             return construction(k)
-        if t.kind != _IDENTIFIER or k + 1 >= n:
+        if t.kind != _IDENTIFIER or sig[k + 1].lexeme != ".":
             return None
-        if sig[k + 1][1].lexeme != ".":
-            return None
-        root = elem_at.get(sig[k][0])
+        root = elem_at.get(positions[k])
         static_call = root is not None
         if root is None:
             root = var_types.get(t.lexeme)
@@ -275,11 +262,9 @@ def extract_constraints(
             return None
         return call(root, hops, static_call)
 
-    for j in range(n):
-        orig_index, t = sig[j]
+    for j, t in enumerate(sig):
         if t.line in excluded:
             continue
-        nxt = sig[j + 1][1] if j + 1 < n else None
 
         if t.kind == _KEYWORD and t.lexeme == "new":
             c = construction(j)
@@ -290,7 +275,8 @@ def extract_constraints(
         if t.kind != _IDENTIFIER:
             continue
 
-        e = elem_at.get(orig_index)
+        nxt = sig[j + 1]
+        e = elem_at.get(positions[j])
         if e is not None:
             clause = structure.clauses.get(j)
             if clause is not None and clause[1].name is not None:
@@ -298,18 +284,16 @@ def extract_constraints(
                 interface = keyword == "implements" or header.kind == "interface"
                 constraints.append(Supertype(e, "interface" if interface else "class"))
                 continue
-            if nxt is not None and nxt.lexeme == ".":
-                prev = sig[j - 1][1].lexeme if j > 0 else ""
-                if prev == "new":
+            if nxt.lexeme == ".":
+                if sig[j - 1].lexeme == "new":
                     continue  # handled by the construction branch
                 c = chain_constraint(e, j + 1, static_call=True)
                 if c is not None:
                     constraints.append(c)
                 continue
-            if nxt is not None and nxt.kind == _IDENTIFIER:
+            if nxt.kind == _IDENTIFIER:
                 var_types[nxt.lexeme] = e
-                after = sig[j + 2][1].lexeme if j + 2 < n else ""
-                if after == "=":
+                if sig[j + 2].lexeme == "=":
                     src = rhs_source(j + 3)
                     if src is not None:
                         constraints.append(DeclaredAssignment(e, src))
@@ -317,35 +301,12 @@ def extract_constraints(
             continue
 
         # plain identifier: maybe a declared variable receiving a call
-        if (
-            t.lexeme in var_types
-            and nxt is not None
-            and nxt.lexeme == "."
-        ):
-            prev = sig[j - 1][1].lexeme if j > 0 else ""
-            if prev == ".":
-                continue
+        if t.lexeme in var_types and nxt.lexeme == "." and sig[j - 1].lexeme != ".":
             c = chain_constraint(var_types[t.lexeme], j + 1, static_call=False)
             if c is not None:
                 constraints.append(c)
 
-    max_line = snippet.line_count
-    covered = [ln for ln in range(1, max_line + 1) if ln not in excluded]
-    coverage = _to_ranges(covered) if covered else ()
-    return constraints, coverage
-
-
-def _to_ranges(lines: list[int]) -> tuple[tuple[int, int], ...]:
-    ranges: list[tuple[int, int]] = []
-    start = prev = lines[0]
-    for ln in lines[1:]:
-        if ln == prev + 1:
-            prev = ln
-            continue
-        ranges.append((start, prev))
-        start = prev = ln
-    ranges.append((start, prev))
-    return tuple(ranges)
+    return constraints, excluded
 
 
 # --------------------------------------------------------------------------
@@ -661,9 +622,11 @@ class ConstraintProblem:
     """One snippet's constraint problem, tabulated once against a loaded KB.
 
     Construction evaluates every check for each element's full candidate
-    list (see `_tabulate`). `solve` then searches the whole problem, or the
-    problem on the KB reduced to a mask (`kb.reduce_kb`), without building
-    that KB or evaluating a check again.
+    list (see `_tabulate`). Elements on the excluded lines, and elements
+    with no candidate, are untyped under every mask and never searched.
+    `solve` then searches the whole problem, or the problem on the KB
+    reduced to a mask (`kb.reduce_kb`), without building that KB or
+    evaluating a check again.
     """
 
     def __init__(
@@ -671,16 +634,14 @@ class ConstraintProblem:
         kb: KnowledgeBase,
         elements: Sequence[ApiElement],
         constraints: Sequence[Constraint],
-        coverage: Sequence[tuple[int, int]] | None = None,
+        excluded: frozenset[int] = frozenset(),
     ):
-        if coverage is None:
-            coverage = ((1, 10**9),)
-        # elements out of coverage or with no candidate sharing their simple
-        # name are untyped under every mask
+        # elements on excluded lines or with no candidate sharing their
+        # simple name are untyped under every mask
         untyped: set[ApiElement] = set()
         self._search: list[ApiElement] = []
         for e in sorted(elements, key=lambda e: e.token_index):
-            if line_covered(e.line, coverage) and kb.candidates_for(e.simple_name):
+            if e.line not in excluded and kb.candidates_for(e.simple_name):
                 self._search.append(e)
             else:
                 untyped.add(e)
@@ -772,7 +733,7 @@ def solve(
     kb: KnowledgeBase,
     elements: Sequence[ApiElement],
     constraints: Sequence[Constraint],
-    coverage: Sequence[tuple[int, int]] | None = None,
+    excluded: frozenset[int] = frozenset(),
     *,
     strict_uniqueness: bool = True,
 ) -> ConstraintResult:
@@ -780,10 +741,11 @@ def solve(
 
     Assignments over the full per-element candidate sets are scored by
     (violated constraints, distinct libraries, lexicographic vector in token
-    order) and the minimum wins. Elements are untyped when: out of coverage,
-    no candidate shares their simple name, their chosen value participates
-    in a violated constraint, or (strict_uniqueness) the optima disagree
-    about them.
+    order) and the minimum wins. Elements are untyped when: on a line in
+    excluded (the lines `extract_constraints` could not analyze), no
+    candidate shares their simple name, their chosen value participates in
+    a violated constraint, or (strict_uniqueness) the optima disagree about
+    them.
 
     Every check is tabulated once per candidate and candidate pair, then an
     exact branch and bound (`_search`) finds every optimum. The loop in
@@ -792,7 +754,7 @@ def solve(
     skipping the search when the full KB's unique optimum survives the mask
     unchanged.
     """
-    return ConstraintProblem(kb, elements, constraints, coverage).solve(
+    return ConstraintProblem(kb, elements, constraints, excluded).solve(
         strict_uniqueness=strict_uniqueness
     )
 

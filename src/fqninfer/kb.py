@@ -314,10 +314,6 @@ def dump_kb(kb: KnowledgeBase) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
-    Path(path).write_text(dump_kb(kb), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # closures, member lookups and masks
 

@@ -99,11 +99,10 @@ class CombinedResult:
 
 def check_stable(prev: RoundRecord, cur: RoundRecord) -> bool:
     """A fixed point: same constraint decisions and same ranked candidates."""
-    if dict(prev.constraint_result.typed) != dict(cur.constraint_result.typed):
-        return False
-    prev_ranks = {e: cl.ranked for e, cl in prev.stat_result.items()}
-    cur_ranks = {e: cl.ranked for e, cl in cur.stat_result.items()}
-    return prev_ranks == cur_ranks
+    return (
+        prev.constraint_result.typed == cur.constraint_result.typed
+        and prev.stat_result == cur.stat_result
+    )
 
 
 def combine(
@@ -157,11 +156,11 @@ def run(
         elements = identify_api_elements(
             snippet, kb, exclude_string=config.exclude_string
         )
-    constraints, coverage = extract_constraints(
+    constraints, excluded = extract_constraints(
         snippet, elements, config.extract_options
     )
     strict = config.extract_options.strict_uniqueness
-    problem = ConstraintProblem(kb, elements, constraints, coverage)
+    problem = ConstraintProblem(kb, elements, constraints, excluded)
     solved: dict[frozenset[str] | None, tuple[int, ConstraintResult]] = {}
     ranked: dict[frozenset, dict[ApiElement, CandidateList]] = {}
 
@@ -217,12 +216,14 @@ def infer_with_engine(
     """
     elements = identify_api_elements(snippet, kb, exclude_string=config.exclude_string)
     if engine == "constraint":
-        # through this module's `solve`, which perfbench/tracer.py times
-        constraints, coverage = extract_constraints(
+        # through this module's `solve`, which perfbench/tracer.py times;
+        # its counters read the excluded lines as the fourth positional
+        # argument
+        constraints, excluded = extract_constraints(
             snippet, elements, config.extract_options
         )
         res = solve(
-            kb, elements, constraints, coverage,
+            kb, elements, constraints, excluded,
             strict_uniqueness=config.extract_options.strict_uniqueness,
         )
         return {e.key: fqn for e, fqn in res.typed.items()}

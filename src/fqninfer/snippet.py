@@ -9,7 +9,8 @@ to another `Token`. Snippets are allowed to be broken code, so structure
 recognition has to cope.
 
 Structure is recognised once per snippet, on the `Snippet` itself:
-`Snippet.structure` holds the significant tokens, the partner of every
+`Snippet.structure` holds the significant tokens, padded at the end so a
+pass reads its neighbours without bounds checks, the partner of every
 bracket (paired in one pass, so broken code costs no rescans), the commas
 at each bracket depth (so a call's arity is two bisections), every class,
 interface and enum header, and the extends/implements clauses.
@@ -95,8 +96,13 @@ class Header:
 class SnippetStructure:
     """The bracket and declaration structure of a snippet, read in one pass.
 
-    significant: (token index, token) for every token that is not
-        whitespace or a comment.
+    significant: every token that is not whitespace or a comment, followed
+        by three `END` pads. A pass may read up to three tokens past any
+        real one, and `significant[j - 1]` at j == 0 wraps to a pad, so no
+        neighbour read needs a bounds check. A pad has a layout kind and an
+        empty lexeme, so it matches no kind or lexeme test a pass makes.
+    positions: the token index of each significant token, then one None per
+        pad: no element's token_index equals a pad's.
     partner: position of each '(' and '{' -> position of its matching ')'
         or '}'. Brackets are paired once, by one stack per bracket type.
         An unterminated '{' maps to the last position; an unterminated '('
@@ -113,7 +119,8 @@ class SnippetStructure:
         no named header before it belongs to the first, nameless one.
     """
 
-    significant: tuple[tuple[int, Token], ...]
+    significant: tuple[Token, ...]
+    positions: tuple[int | None, ...]
     partner: Mapping[int, int]
     arg_depth: Mapping[int, int]
     commas: Mapping[int, Sequence[int]]
@@ -126,21 +133,20 @@ _DECLARATIONS = ("class", "interface", "enum")
 
 _CLOSERS = {")": "(", "}": "{"}
 _BRACKETS_AND_COMMA = frozenset("(){}[],")
+END = Token("", TokenKind.WHITESPACE, 0)  # pads SnippetStructure.significant
+_PADS = 3
 
 
 def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
-    sig = tuple(
-        (i, t)
-        for i, t in enumerate(tokens)
-        if t.kind not in _LAYOUT_KINDS
-    )
-    n = len(sig)
+    positions = [i for i, t in enumerate(tokens) if t.kind not in _LAYOUT_KINDS]
+    n = len(positions)
+    sig = tuple([tokens[i] for i in positions] + [END] * _PADS)
     partner: dict[int, int] = {}
     stacks: dict[str, list[int]] = {"(": [], "{": []}
     arg_depth: dict[int, int] = {}
     commas: dict[int, list[int]] = {}
     depth = 0
-    for j, (_, t) in enumerate(sig):
+    for j, t in enumerate(sig):
         lex = t.lexeme
         if lex not in _BRACKETS_AND_COMMA:
             continue
@@ -165,26 +171,25 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
     clauses: dict[int, tuple[str, Header]] = {}
     j = 0
     while j < n:
-        t = sig[j][1]
+        t = sig[j]
         if t.kind != _KEYWORD or t.lexeme not in _DECLARATIONS:
             j += 1
             continue
         # One header run, up to the first '{' or ';'. Headers nested in it
         # share its end and its body.
         end = j
-        while end < n and sig[end][1].lexeme not in ("{", ";"):
+        while end < n and sig[end].lexeme not in ("{", ";"):
             end += 1
         open_ = close = None
-        if end < n and sig[end][1].lexeme == "{":
+        if sig[end].lexeme == "{":
             open_, close = end, partner[end]
         clause: str | None = None
         first = latest_named = owner = None
         for k in range(j, end):
-            tk = sig[k][1]
+            tk = sig[k]
             if tk.kind == _KEYWORD and tk.lexeme in _DECLARATIONS:
-                nxt = sig[k + 1][1] if k + 1 < n else None
-                named = nxt is not None and nxt.kind == _IDENTIFIER
-                name = nxt.lexeme if named else None
+                nxt = sig[k + 1]
+                name = nxt.lexeme if nxt.kind == _IDENTIFIER else None
                 header = Header(tk.lexeme, name, open_, close)
                 headers.append(header)
                 if first is None:
@@ -198,6 +203,7 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
         j = end
     return SnippetStructure(
         sig,
+        tuple(positions + [None] * _PADS),
         MappingProxyType(partner),
         MappingProxyType(arg_depth),
         MappingProxyType(commas),
@@ -228,15 +234,6 @@ class Snippet:
             i for i, t in enumerate(self.tokens) if t.kind in _WORD_KINDS
         )
         return tuple(self.tokens[i].line for i in indices), indices
-
-    @property
-    def line_count(self) -> int:
-        """Lines as an editor counts them: a trailing newline ends the last
-        line instead of opening an empty extra one."""
-        if not self.raw:
-            return 1
-        n = self.raw.count("\n")
-        return n if self.raw.endswith("\n") else n + 1
 
 
 _TOKEN_RE = re.compile(
@@ -355,59 +352,38 @@ def identify_api_elements(
 
     structure = snippet.structure
     sig = structure.significant
-    nsig = len(sig)
-
-    def tok(j: int) -> Token | None:
-        return sig[j][1] if 0 <= j < nsig else None
-
     local_decls = {h.name for h in structure.headers if h.name is not None}
 
     occurrence_counter: dict[tuple[str, int], int] = {}
     elements: list[ApiElement] = []
 
-    for j, (orig_index, t) in enumerate(sig):
+    for j, t in enumerate(sig):
         if t.kind != _IDENTIFIER or not t.lexeme[:1].isupper():
             continue
         name = t.lexeme
         if name in excluded or name in local_decls:
             continue
-        prev = tok(j - 1)
-        nxt = tok(j + 1)
-        nxt2 = tok(j + 2)
-        if prev is not None and prev.lexeme == ".":
+        prev, nxt, nxt2 = sig[j - 1], sig[j + 1], sig[j + 2]
+        if prev.lexeme == ".":
             continue  # mid-qualified-name segment or member access
 
         # the first position that matches decides, even when it rejects
-        if prev is not None and prev.lexeme == "@":
+        if prev.lexeme == "@":
             accepted = True  # annotation
-        elif prev is not None and prev.kind == _KEYWORD and prev.lexeme == "new":
+        elif prev.kind == _KEYWORD and prev.lexeme == "new":
             accepted = True  # object creation
         elif j in structure.clauses:
             accepted = True  # extends or implements clause
-        elif nxt is not None and nxt.lexeme == ".":
-            # static receiver
-            accepted = nxt2 is not None and nxt2.kind == _IDENTIFIER
-        elif nxt is not None and nxt.kind == _IDENTIFIER:
+        elif nxt.lexeme == ".":
+            accepted = nxt2.kind == _IDENTIFIER  # static receiver
+        elif nxt.kind == _IDENTIFIER:
             accepted = True  # declared type
+        elif nxt.lexeme == "[" and nxt2.lexeme == "]":
+            accepted = sig[j + 3].kind == _IDENTIFIER  # declared array type
         elif (
-            nxt is not None
-            and nxt.lexeme == "["
-            and nxt2 is not None
-            and nxt2.lexeme == "]"
-        ):
-            # declared array type
-            after = tok(j + 3)
-            accepted = after is not None and after.kind == _IDENTIFIER
-        elif (
-            prev is not None
-            and prev.lexeme == "("
-            and nxt is not None
+            prev.lexeme == "("
             and nxt.lexeme == ")"
-            and nxt2 is not None
-            and (
-                nxt2.kind in _WORD_KINDS
-                or nxt2.lexeme in ("(", "new", "this")
-            )
+            and (nxt2.kind in _WORD_KINDS or nxt2.lexeme in ("(", "new", "this"))
         ):
             accepted = True  # cast
         else:
@@ -417,7 +393,7 @@ def identify_api_elements(
             continue
         count = occurrence_counter.get((name, t.line), 0) + 1
         occurrence_counter[(name, t.line)] = count
-        elements.append(ApiElement(name, t.line, count, orig_index))
+        elements.append(ApiElement(name, t.line, count, structure.positions[j]))
 
     return elements
 

@@ -214,9 +214,6 @@ class CandidateList:
 
     ranked: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.ranked)
-
     def top(self) -> str | None:
         return self.ranked[0] if self.ranked else None
 

@@ -179,6 +179,19 @@ def test_infer_with_an_unwritable_trace_prints_no_answer(tmp_path, capsys, model
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+def test_a_solve_deeper_than_the_recursion_limit_is_one_error_line(
+    tmp_path, capsys, model_file
+):
+    # Composite has two candidates in the fixture KB, so the constraint
+    # search recurses once per occurrence, two per line
+    snippet = tmp_path / "deep.java"
+    snippet.write_text("Composite c = new Composite();\n" * 1000, encoding="utf-8")
+    assert main(["infer", str(snippet), "--kb", KB_PATH, "--model", model_file]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_train_refuses_a_directory_output_before_loading_the_corpus(
     tmp_path, capsys, monkeypatch
 ):

@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -22,7 +23,6 @@ from fqninfer.constraint import (
     MemberCall,
     Supertype,
     extract_constraints,
-    line_covered,
     solve,
 )
 from fqninfer.kb import (
@@ -42,8 +42,8 @@ NO_CASCADE = ExtractOptions(cascaded_calls=False)
 def _extract(text, options=CASCADE, kb=None):
     sn = tokenize(text)
     els = identify_api_elements(sn, kb)
-    cons, coverage = extract_constraints(sn, els, options)
-    return {e.key: e for e in els}, cons, coverage
+    cons, excluded = extract_constraints(sn, els, options)
+    return {e.key: e for e in els}, cons, excluded
 
 
 def _entry(fqn, kind="class", lib="l", methods=(), fields=(), supers=()):
@@ -204,10 +204,10 @@ def test_extract_mixed_clauses():
 
 
 @pytest.mark.parametrize(
-    "text, expected, coverage",
+    "text, expected, excluded",
     [
         # a clause under a header with no declared name has no subject
-        ("Object o = Foo.class implements Bar {", lambda els: [], ((1, 1),)),
+        ("Object o = Foo.class implements Bar {", lambda els: [], set()),
         # the later of two nested headers is the subject after its name
         (
             "class A implements Bar, class C extends Dee {",
@@ -215,12 +215,12 @@ def test_extract_mixed_clauses():
                 Supertype(els["Bar[1,1]"], "interface"),
                 Supertype(els["Dee[1,1]"], "class"),
             ],
-            ((1, 1),),
+            set(),
         ),
         (
             "Foo.class implements Bar, class C extends Dee {",
             lambda els: [Supertype(els["Dee[1,1]"], "class")],
-            ((1, 1),),
+            set(),
         ),
         (
             "class A implements X, Foo.class implements Baz {",
@@ -229,7 +229,7 @@ def test_extract_mixed_clauses():
                 Supertype(els["Foo[1,1]"], "interface"),
                 Supertype(els["Baz[1,1]"], "interface"),
             ],
-            ((1, 1),),
+            set(),
         ),
         (
             "interface Q extends Face;\nList l = new List();",
@@ -240,22 +240,22 @@ def test_extract_mixed_clauses():
                 ),
                 Construction(els["List[2,2]"]),
             ],
-            ((1, 2),),
+            set(),
         ),
         (
             "enum E implements Face { X; }",
             lambda els: [Supertype(els["Face[1,1]"], "interface")],
-            ((1, 1),),
+            set(),
         ),
         # an unterminated body runs to the end of the snippet
         (
             "class Mine extends Base {\n    Other() { }\n",
             lambda els: [Supertype(els["Base[1,1]"], "class")],
-            ((1, 1),),
+            {2},
         ),
         # a nameless class has no body to give up on
-        ("class { }", lambda els: [], ((1, 1),)),
-        ("class {\n    Other() { }\n}\n", lambda els: [], ((1, 3),)),
+        ("class { }", lambda els: [], set()),
+        ("class {\n    Other() { }\n}\n", lambda els: [], set()),
     ],
     ids=[
         "nameless-header", "nested-header", "nameless-then-named",
@@ -263,10 +263,10 @@ def test_extract_mixed_clauses():
         "unterminated-body", "nameless-class", "nameless-class-body",
     ],
 )
-def test_extract_declaration_header_edges(text, expected, coverage):
-    els, cons, got_coverage = _extract(text)
+def test_extract_declaration_header_edges(text, expected, excluded):
+    els, cons, got_excluded = _extract(text)
     assert cons == expected(els)
-    assert got_coverage == coverage
+    assert got_excluded == excluded
 
 
 def test_constructor_name_mismatch_excludes_body_lines():
@@ -279,11 +279,11 @@ def test_constructor_name_mismatch_excludes_body_lines():
         "    }\n"                                           # 6
         "}\n"                                               # 7
     )
-    els, cons, coverage = _extract(text)
+    els, cons, excluded = _extract(text)
     # only the class signature line stays trustworthy
-    assert coverage == ((1, 1),)
-    assert not line_covered(3, coverage)
-    # constraints from excluded lines are dropped along with the coverage
+    assert excluded == set(range(2, 8))
+    assert 3 in excluded
+    # constraints from excluded lines are dropped along with their elements
     assert cons == [Supertype(els["Composite[1,1]"], "class")]
 
 
@@ -298,8 +298,8 @@ def test_matching_constructor_keeps_coverage():
         "    }\n"
         "}\n"
     )
-    _, _, coverage = _extract(text)
-    assert coverage == ((1, 8),)
+    _, _, excluded = _extract(text)
+    assert excluded == set()
 
 
 def test_lenient_body_check_keeps_everything():
@@ -310,14 +310,102 @@ def test_lenient_body_check_keeps_everything():
         "    }\n"
         "}\n"
     )
-    _, _, coverage = _extract(text, LENIENT)
-    assert coverage == ((1, 5),)
+    _, _, excluded = _extract(text, LENIENT)
+    assert excluded == set()
 
 
-def test_line_covered_on_ranges():
-    cov = ((1, 2), (5, 7))
-    assert line_covered(1, cov) and line_covered(6, cov)
-    assert not line_covered(3, cov) and not line_covered(8, cov)
+def _render(c):
+    """A constraint with each element shown by its key."""
+    shown = []
+    for f in fields(c):
+        v = getattr(c, f.name)
+        if isinstance(v, ApiElement):
+            shown.append(v.key)
+        else:
+            shown.append(_render(v) if is_dataclass(v) else repr(v))
+    return f"{type(c).__name__}({', '.join(shown)})"
+
+
+# Snippets that end (or start) where a pass reads a neighbour: (text,
+# elements as key@token_index, cascaded constraints, excluded lines).
+_EDGE_CASES = [
+    ("new", [], [], set()),
+    ("new Foo(", ["Foo[1,1]@2"], [], set()),
+    ("Foo.", [], [], set()),
+    ("Foo.m(", ["Foo[1,1]@0"], [], set()),
+    ("Foo[", [], [], set()),
+    ("Foo[] a", ["Foo[1,1]@0"], [], set()),
+    ("(Foo)", [], [], set()),
+    ("@Foo", ["Foo[1,1]@1"], [], set()),
+    ("Foo x =", ["Foo[1,1]@0"], [], set()),
+    ("x.m(", [], [], set()),
+    ("class A extends", [], [], set()),
+    ("class A { B() {", [], [], set()),
+    (". Foo", [], [], set()),
+    ("Foo.f", ["Foo[1,1]@0"], ["FieldAccess(Foo[1,1], 'f', True)"], set()),
+    ("new Foo()", ["Foo[1,1]@2"], ["Construction(Foo[1,1])"], set()),
+    ("Foo x = new", ["Foo[1,1]@0"], [], set()),
+    ("Foo x = Foo", ["Foo[1,1]@0"], [], set()),
+    (
+        "Foo x = new Foo()",
+        ["Foo[1,1]@0", "Foo[1,2]@8"],
+        [
+            "DeclaredAssignment(Foo[1,1], Construction(Foo[1,2]))",
+            "Construction(Foo[1,2])",
+        ],
+        set(),
+    ),
+    (
+        "Foo x = Foo.m()",
+        ["Foo[1,1]@0", "Foo[1,2]@6"],
+        [
+            "DeclaredAssignment(Foo[1,1], MemberCall(Foo[1,2], (('m', 0),), True))",
+            "MemberCall(Foo[1,2], (('m', 0),), True)",
+        ],
+        set(),
+    ),
+    ("Foo x; x.m()", ["Foo[1,1]@0"], ["MemberCall(Foo[1,1], (('m', 0),), False)"], set()),
+    ("Foo x; x.", ["Foo[1,1]@0"], [], set()),
+    (
+        "Foo.m().n()",
+        ["Foo[1,1]@0"],
+        ["MemberCall(Foo[1,1], (('m', 0), ('n', 0)), True)"],
+        set(),
+    ),
+    ("class A extends Foo", ["Foo[1,1]@6"], ["Supertype(Foo[1,1], 'class')"], set()),
+    ("class A {\n B()", [], [], set()),
+    ("class A {\n B() {", [], [], {2}),
+    ("class A {\n B() {}", [], [], {2}),
+    # Label is a fixture KB name: where no position decides, the KB does
+    ("Label.", [], [], set()),
+    ("Label[", [], [], set()),
+    ("(Label)", [], [], set()),
+    (". Label", [], [], set()),
+    ("Label x = Label", ["Label[1,1]@0"], [], set()),
+]
+_EDGE_KB_ELEMENTS = {
+    "Label[": ["Label[1,1]@0"],
+    "(Label)": ["Label[1,1]@1"],
+    "Label x = Label": ["Label[1,1]@0", "Label[1,2]@6"],
+}
+
+
+@pytest.mark.parametrize("with_kb", [False, True], ids=["no-kb", "fixture-kb"])
+@pytest.mark.parametrize(
+    "text, elements, constraints, excluded", _EDGE_CASES,
+    ids=[case[0] for case in _EDGE_CASES],
+)
+def test_snippet_edges_identify_and_extract(
+    kb, with_kb, text, elements, constraints, excluded
+):
+    sn = tokenize(text)
+    els = identify_api_elements(sn, kb if with_kb else None)
+    if with_kb:
+        elements = _EDGE_KB_ELEMENTS.get(text, elements)
+    assert [f"{e.key}@{e.token_index}" for e in els] == elements
+    cons, got_excluded = extract_constraints(sn, els, CASCADE)
+    assert [_render(c) for c in cons] == constraints
+    assert got_excluded == excluded
 
 
 def test_new_receiver_chain_is_not_a_static_call():
@@ -648,7 +736,7 @@ def test_solve_violated_optimum_untypes_touched_elements():
 def test_solve_out_of_coverage_untyped():
     kb = KnowledgeBase([_entry("com.a.Label")])
     e = _el("Label", 0, line=4)
-    res = solve(kb, [e], [], coverage=((1, 2),))
+    res = solve(kb, [e], [], excluded=frozenset({3, 4}))
     assert res.untyped == {e}
 
 

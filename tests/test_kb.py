@@ -10,7 +10,6 @@ from fqninfer.kb import (
     field_in_knowledge,
     method_in_knowledge,
     reduce_kb,
-    save_kb,
     supertype_closure,
 )
 from fqninfer.stat import CandidateList
@@ -194,13 +193,6 @@ def test_dump_always_spells_out_unknown_returns(tmp_path):
     dumped = dump_kb(kb)
     assert "method com.acme.ui.Widget setTitle/1 returns=?" in dumped
     assert "field com.acme.ui.Panel MARGIN static type=?" in dumped
-
-
-def test_save_kb_writes_canonical_form(tmp_path):
-    kb = _load_text(tmp_path, MINI)
-    out = tmp_path / "saved.kb"
-    save_kb(kb, out)
-    assert out.read_text(encoding="utf-8") == dump_kb(kb)
 
 
 def test_empty_kb_dump_is_empty_string():

@@ -233,7 +233,7 @@ def _reference_run(snippet, kb, model, config):
     elements = identify_api_elements(
         snippet, kb, exclude_string=config.exclude_string
     )
-    constraints, coverage = extract_constraints(
+    constraints, excluded = extract_constraints(
         snippet, elements, config.extract_options
     )
     strict = config.extract_options.strict_uniqueness
@@ -243,7 +243,7 @@ def _reference_run(snippet, kb, model, config):
     for round_number in range(1, config.delta + 1):
         if config.order == ORDER_CONSTRAINT_FIRST:
             cres = solve(
-                current, elements, constraints, coverage, strict_uniqueness=strict
+                current, elements, constraints, excluded, strict_uniqueness=strict
             )
             aug = augment(snippet, dict(cres.typed))
             sres = predict_all(model, aug, elements, kb, config.k)
@@ -252,7 +252,7 @@ def _reference_run(snippet, kb, model, config):
             sres = predict_all(model, aug, elements, kb, config.k)
             current = _reduced_kb(kb, collect_candidate_types(sres, prev_typed))
             cres = solve(
-                current, elements, constraints, coverage, strict_uniqueness=strict
+                current, elements, constraints, excluded, strict_uniqueness=strict
             )
             prev_typed = dict(cres.typed)
         record = RoundRecord(round_number, cres, sres, len(current))

@@ -22,7 +22,6 @@ from fqninfer.constraint import (
     MemberCall,
     Supertype,
     _parse_args,
-    line_covered,
     solve,
 )
 from fqninfer.kb import (
@@ -245,6 +244,14 @@ def test_tokenize_matches_match_loop_lexer():
 # bracket partners
 
 
+def _unpadded(structure):
+    """(token index, token) of each significant token, without the pads."""
+    return [
+        (i, t) for i, t in zip(structure.positions, structure.significant)
+        if i is not None
+    ]
+
+
 def _matching_paren(sig, i_open):
     """Reference: the ')' where the depth count from sig[i_open] returns to
     zero, or None when it never does."""
@@ -290,7 +297,7 @@ def test_bracket_partners_match_reference_scans():
             rng.choice(_BRACKET_PIECES) for _ in range(rng.randint(0, 30))
         )
         structure = tokenize(raw).structure
-        sig = structure.significant
+        sig = _unpadded(structure)
         expected = {}
         for i, (_, t) in enumerate(sig):
             if t.lexeme == "(" and _matching_paren(sig, i) is not None:
@@ -336,7 +343,7 @@ def test_argument_arity_matches_reference_scan():
     for case in range(2000):
         raw = " ".join(rng.choice(_ARG_PIECES) for _ in range(rng.randint(0, 40)))
         structure = tokenize(raw).structure
-        sig = structure.significant
+        sig = _unpadded(structure)
         for i, (_, t) in enumerate(sig):
             if t.lexeme != "(":
                 continue
@@ -514,13 +521,12 @@ def _wired_checks(kb, constraints, in_search):
     return out
 
 
-def _brute_solve(kb, elements, constraints, coverage, strict_uniqueness):
+def _brute_solve(kb, elements, constraints, excluded, strict_uniqueness):
     ordered = sorted(elements, key=lambda e: e.token_index)
-    cov = ((1, 10**9),) if coverage is None else tuple(coverage)
     untyped = set()
     cands = {}
     for e in ordered:
-        if not line_covered(e.line, cov):
+        if e.line in excluded:
             untyped.add(e)
         elif not kb.candidates_for(e.simple_name):
             untyped.add(e)
@@ -633,20 +639,26 @@ def _random_constraints(rng, elems):
     return cons
 
 
+def _outside(rng):
+    """The lines 1-6, where random elements sit, outside a random [lo, hi]."""
+    lo = rng.randint(1, 4)
+    hi = rng.randint(lo, 6)
+    return frozenset(range(1, 7)) - frozenset(range(lo, hi + 1))
+
+
 def test_solver_matches_bruteforce_oracle():
     rng = random.Random(9004)
     for case in range(1000):
         kb = _random_kb(rng)
         elems = _random_elements(rng)
         cons = _random_constraints(rng, elems)
-        coverage = None
+        excluded = frozenset()
         if rng.random() < 0.2:
-            lo = rng.randint(1, 4)
-            coverage = ((lo, rng.randint(lo, 6)),)
+            excluded = _outside(rng)
         strict = rng.random() < 0.5
 
-        got = solve(kb, elems, cons, coverage, strict_uniqueness=strict)
-        want_typed, want_untyped = _brute_solve(kb, elems, cons, coverage, strict)
+        got = solve(kb, elems, cons, excluded, strict_uniqueness=strict)
+        want_typed, want_untyped = _brute_solve(kb, elems, cons, excluded, strict)
 
         assert dict(got.typed) == want_typed, case
         assert got.untyped == want_untyped, case
@@ -655,7 +667,7 @@ def test_solver_matches_bruteforce_oracle():
         assert not set(got.typed) & set(got.untyped), case
         assert all(fqn in kb for fqn in got.typed.values()), case
         # determinism
-        again = solve(kb, elems, cons, coverage, strict_uniqueness=strict)
+        again = solve(kb, elems, cons, excluded, strict_uniqueness=strict)
         assert dict(again.typed) == dict(got.typed), case
         assert again.untyped == got.untyped, case
 
@@ -752,7 +764,7 @@ def test_solver_matches_oracle_on_dense_links():
         strict = case % 2 == 0
 
         got = solve(kb, elems, cons, strict_uniqueness=strict)
-        want_typed, want_untyped = _brute_solve(kb, elems, cons, None, strict)
+        want_typed, want_untyped = _brute_solve(kb, elems, cons, frozenset(), strict)
         assert dict(got.typed) == want_typed, case
         assert got.untyped == want_untyped, case
 
@@ -769,7 +781,7 @@ def test_masked_solve_matches_rebuilt_kb():
     arms the unique-optimum shortcut, and strictness changes per call."""
     rng = random.Random(9013)
     for case in range(1000):
-        coverage = None
+        excluded = frozenset()
         if case % 2:
             kb = _dense_kb(rng)
             elems = _dense_elements(rng)
@@ -779,19 +791,18 @@ def test_masked_solve_matches_rebuilt_kb():
             elems = _random_elements(rng)
             cons = _random_constraints(rng, elems)
             if rng.random() < 0.2:
-                lo = rng.randint(1, 4)
-                coverage = ((lo, rng.randint(lo, 6)),)
-        problem = ConstraintProblem(kb, elems, cons, coverage)
+                excluded = _outside(rng)
+        problem = ConstraintProblem(kb, elems, cons, excluded)
         if rng.random() < 0.7:
             strict = rng.random() < 0.5
             got = problem.solve(strict_uniqueness=strict)
-            assert got == solve(kb, elems, cons, coverage, strict_uniqueness=strict), case
+            assert got == solve(kb, elems, cons, excluded, strict_uniqueness=strict), case
         fqns = sorted(kb.entries)
         for _ in range(3):
             strict = rng.random() < 0.5
             mask = reduce_kb(kb, rng.sample(fqns, rng.randint(0, len(fqns))))
             rebuilt = KnowledgeBase(kb.entries[f] for f in sorted(mask))
-            want = solve(rebuilt, elems, cons, coverage, strict_uniqueness=strict)
+            want = solve(rebuilt, elems, cons, excluded, strict_uniqueness=strict)
             assert problem.solve(mask, strict_uniqueness=strict) == want, case
 
 

@@ -90,13 +90,6 @@ def test_token_is_a_value_equal_only_to_tokens():
     assert type(lexed) is Token and lexed == tok and hash(lexed) == hash(tok)
 
 
-def test_line_count():
-    assert tokenize("a\nb\nc").line_count == 3
-    assert tokenize("one line").line_count == 1
-    assert tokenize("").line_count == 1
-    assert tokenize("trailing /* x\ny */").line_count == 2
-
-
 def test_lossless_round_trip_seeded_garbage():
     rng = random.Random(20260819)
     alphabet = "ab;{}()\"'\\\n\t /*@.<>[]0129_$Ztrue"
@@ -167,10 +160,10 @@ def test_structure_is_read_once_and_names_each_clause():
     assert (a.kind, a.name, d.kind, d.name, d.open) == (
         "class", "A", "interface", "D", None
     )
-    lexemes = [t.lexeme for _, t in structure.significant]
+    lexemes = [t.lexeme for t in structure.significant]
     assert lexemes[a.open : a.close + 1] == ["{", "}"]
     clauses = {
-        structure.significant[k][1].lexeme: (kw, h.name)
+        structure.significant[k].lexeme: (kw, h.name)
         for k, (kw, h) in structure.clauses.items()
     }
     assert clauses == {"B": ("extends", "A"), "C": ("implements", "A")}

@@ -349,7 +349,7 @@ def test_filter_nonpositive_k_empty():
 
 def test_candidate_list_top_and_len():
     cl = CandidateList(("a.X", "b.X"))
-    assert cl.top() == "a.X" and len(cl) == 2
+    assert cl.top() == "a.X" and len(cl.ranked) == 2
     assert CandidateList(()).top() is None
 
 
