@@ -260,21 +260,13 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     # bad input ends in one line: model, truth and corpus format errors,
-    # undecodable files and out-of-range RunConfig or model settings are
-    # all ValueErrors, and a path that cannot be read or written (missing,
-    # a directory, no permission) is an OSError
+    # undecodable files, out-of-range RunConfig or model settings and a
+    # snippet too large to solve are all ValueErrors, and a path that cannot
+    # be read or written (missing, a directory, no permission) is an OSError
     try:
         return args.func(args)
     except (KbError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        # the constraint search recurses once per element with a choice, so
-        # about a thousand ambiguous occurrences exceed Python's limit
-        print(
-            "error: snippet too large to solve (maximum recursion depth exceeded)",
-            file=sys.stderr,
-        )
         return 1
 
 

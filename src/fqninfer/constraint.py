@@ -20,11 +20,12 @@ scores whole assignments of candidate FQNs to elements by (constraint
 violations, distinct library count, lexicographic order) and abstains
 where optima disagree.
 
-A `ConstraintProblem` tabulates every check once against a loaded KB and
-can then be solved under a mask (a reduced KB given as its FQN set) with
-the answers of a solve on that reduced KB, without building it. The engine
-on its own, from snippet to answers, is `orchestrator.infer_with_engine`
-with engine "constraint".
+A `ConstraintProblem` tabulates every check once against a loaded KB. Its
+one solve path restricts those tables to a mask (a reduced KB given as its
+FQN set, or None for the loaded KB, which keeps every candidate) and
+searches once, with the answers of a solve on that reduced KB, without
+building it. The engine on its own, from snippet to answers, is
+`orchestrator.infer_with_engine` with engine "constraint".
 """
 
 from __future__ import annotations
@@ -226,41 +227,28 @@ def extract_constraints(
             return None
         return Construction(e)
 
-    def call(root: ApiElement, hops, static_call: bool):
-        """The call constraint of a nonempty chain. A chain the extractor
-        does not follow keeps only its first hop."""
-        return MemberCall(
-            root, hops if options.cascaded_calls else hops[:1], static_call
-        )
-
-    def chain_constraint(root: ApiElement, i_dot: int, static_call: bool):
-        hops, trailing_field = _parse_chain(structure, i_dot)
-        if trailing_field is not None:
-            return FieldAccess(root, trailing_field, static_access=static_call)
-        return call(root, hops, static_call) if hops else None
-
-    def rhs_source(k: int):
-        """Recognize the constraint form of an initializer expression at
-        sig[k]. Returns None for anything unrecognized."""
-        t = sig[k]
-        if t.kind == _KEYWORD and t.lexeme == "new":
-            return construction(k)
-        if t.kind != _IDENTIFIER or sig[k + 1].lexeme != ".":
-            return None
+    def chain(k: int, initializer: bool):
+        """The constraint of `root.f` or `root.m1(args).m2(args)...` at
+        sig[k] == root, an element (a static call) or a declared variable
+        (an instance call). A chain the extractor does not follow keeps only
+        its first hop. An initializer's value is the chain's return, so a
+        field access or an unfollowed chain there gives no constraint."""
         root = elem_at.get(positions[k])
         static_call = root is not None
         if root is None:
-            root = var_types.get(t.lexeme)
-        if root is None:
+            root = var_types.get(sig[k].lexeme)
+        if root is None or sig[k + 1].lexeme != ".":
             return None
-        hops, trailing = _parse_chain(structure, k + 1)
-        # a chain the extractor is not following: the first hop's return is
-        # not the assigned value, so no assignment link is emitted
-        if trailing is not None or not hops or (
-            len(hops) > 1 and not options.cascaded_calls
-        ):
+        hops, trailing_field = _parse_chain(structure, k + 1)
+        if trailing_field is not None:
+            if initializer:
+                return None
+            return FieldAccess(root, trailing_field, static_access=static_call)
+        if not hops or (initializer and len(hops) > 1 and not options.cascaded_calls):
             return None
-        return call(root, hops, static_call)
+        return MemberCall(
+            root, hops if options.cascaded_calls else hops[:1], static_call
+        )
 
     for j, t in enumerate(sig):
         if t.line in excluded:
@@ -285,24 +273,23 @@ def extract_constraints(
                 constraints.append(Supertype(e, "interface" if interface else "class"))
                 continue
             if nxt.lexeme == ".":
-                if sig[j - 1].lexeme == "new":
-                    continue  # handled by the construction branch
-                c = chain_constraint(e, j + 1, static_call=True)
-                if c is not None:
-                    constraints.append(c)
-                continue
-            if nxt.kind == _IDENTIFIER:
+                # after `new`, the construction branch has read it
+                if sig[j - 1].lexeme != "new":
+                    c = chain(j, initializer=False)
+                    if c is not None:
+                        constraints.append(c)
+            elif nxt.kind == _IDENTIFIER:
                 var_types[nxt.lexeme] = e
                 if sig[j + 2].lexeme == "=":
-                    src = rhs_source(j + 3)
+                    k = j + 3
+                    src = construction(k) if sig[k].lexeme == "new" else chain(k, True)
                     if src is not None:
                         constraints.append(DeclaredAssignment(e, src))
-                continue
             continue
 
         # plain identifier: maybe a declared variable receiving a call
-        if t.lexeme in var_types and nxt.lexeme == "." and sig[j - 1].lexeme != ".":
-            c = chain_constraint(var_types[t.lexeme], j + 1, static_call=False)
+        if nxt.lexeme == "." and sig[j - 1].lexeme != ".":
+            c = chain(j, initializer=False)
             if c is not None:
                 constraints.append(c)
 
@@ -337,18 +324,6 @@ def _chain_value(
     m, a = chain[-1]
     sig = method_in_knowledge(kb, cur, m, a, require_static=static_call and not passed)
     return None if sig is None else (sig.return_fqn, tuple(passed))
-
-
-def _source_value(
-    kb: KnowledgeBase, c_subject: str, source: Construction | MemberCall
-) -> tuple[str | None, tuple[str, ...]]:
-    """The value type produced by an initializer constraint under a
-    candidate assignment of its subject, or None when unknown, with the
-    intermediate types a chain passed through to produce it."""
-    if isinstance(source, Construction):
-        return c_subject, ()
-    walked = _chain_value(kb, c_subject, source.chain, source.static_call)
-    return walked if walked is not None else (None, ())
 
 
 def _tabulate(
@@ -389,52 +364,43 @@ def _tabulate(
             if not ok(c):
                 unary[i][ci] += 1
 
-    def link(free: ApiElement, key: ApiElement, allowed) -> None:
-        """A check on two elements: given key's candidate, free must take a
-        candidate in allowed(candidate)[0], or anything when that is None;
-        allowed(candidate)[1] are the other types that answer depends on."""
-        f, k = index_of[free], index_of[key]
-        if f == k:
-            for ci, c in enumerate(cand_lists[k]):
-                ok, types = allowed(c)
-                if ok is not None and c not in ok:
-                    unary[k][ci] += 1
-                    if types:
-                        unary_if.append((types, k, ci, -1))
-            return
-        lo, hi = min(f, k), max(f, k)
-        table = pairs.get((lo, hi))
-        if table is None:
-            table = pairs[(lo, hi)] = [
-                [0] * len(cand_lists[hi]) for _ in cand_lists[lo]
-            ]
-        for ck, c_key in enumerate(cand_lists[k]):
-            ok, types = allowed(c_key)
-            if ok is None:
-                continue
-            for cf, c_free in enumerate(cand_lists[f]):
-                if c_free not in ok:
-                    a, b = (cf, ck) if f < k else (ck, cf)
-                    table[a][b] += 1
-                    if types:
-                        pairs_if.append((types, lo, hi, a, b))
-
-    # check and link run their functions at once, so these may read `con`
+    # check calls `ok` at once, so the lambdas below may read `con`
     for con in constraints:
         if isinstance(con, DeclaredAssignment):
-            subj = con.source.subject
-            if con.declared not in index_of or subj not in index_of:
+            # given the source's candidate, the declared element must take
+            # the value type or one of its supertypes
+            src = con.source
+            if con.declared not in index_of or src.subject not in index_of:
                 continue
-
-            def assigned_from(c: str):
-                value, passed = _source_value(kb, c, con.source)
-                if value is None or value not in kb:
-                    return None, frozenset()  # unknown returns impose nothing
-                # value and its supertypes; the candidate c is in any mask
-                # that keeps this check
-                return supertype_closure(kb, value), frozenset((value, *passed)) - {c}
-
-            link(con.declared, subj, assigned_from)
+            f, k = index_of[con.declared], index_of[src.subject]
+            lo, hi = min(f, k), max(f, k)
+            if f != k and (lo, hi) not in pairs:
+                pairs[(lo, hi)] = [[0] * len(cand_lists[hi]) for _ in cand_lists[lo]]
+            for ck, c in enumerate(cand_lists[k]):
+                if isinstance(src, Construction):
+                    walked = c, ()
+                else:
+                    walked = _chain_value(kb, c, src.chain, src.static_call)
+                if walked is None or walked[0] not in kb:
+                    continue  # unknown returns impose nothing
+                value, passed = walked
+                allowed = supertype_closure(kb, value)
+                # the types the answer depends on; c is in any mask that
+                # keeps this check
+                types = frozenset((value, *passed)) - {c}
+                if f == k:
+                    if c not in allowed:
+                        unary[k][ck] += 1
+                        if types:
+                            unary_if.append((types, k, ck, -1))
+                    continue
+                table = pairs[(lo, hi)]
+                for cf, c_free in enumerate(cand_lists[f]):
+                    if c_free not in allowed:
+                        a, b = (cf, ck) if f < k else (ck, cf)
+                        table[a][b] += 1
+                        if types:
+                            pairs_if.append((types, lo, hi, a, b))
         elif con.subject not in index_of:
             continue
         elif isinstance(con, Construction):
@@ -578,44 +544,14 @@ def _search(
             choice[i] = ci
             dfs(d + 1, v_next, used_next)
 
-    dfs(0, base_v, base_used)
+    try:
+        dfs(0, base_v, base_used)
+    except RecursionError:
+        raise ValueError(
+            f"snippet too large to solve: {depth} elements with a choice exceed"
+            " the recursion limit"
+        ) from None
     return int(best_v), best_vec, optima_values
-
-
-def _decide(
-    search: Sequence[ApiElement],
-    cand_lists: Sequence[Sequence[str]],
-    libs: Sequence[Sequence[str]],
-    unary: Sequence[Sequence[int]],
-    pairs: Mapping[tuple[int, int], Sequence[Sequence[int]]],
-    untyped: frozenset[ApiElement],
-    strict_uniqueness: bool,
-) -> tuple[ConstraintResult, tuple[int, ...] | None]:
-    """Search a tabulated problem and read off the answers: the result, and
-    the optimal candidate-index vector when it is the only optimum."""
-    if not search:
-        return ConstraintResult({}, untyped), ()
-    best_v, best_vec, optima_values = _search(libs, unary, pairs)
-
-    # which elements sit on a violated constraint in the chosen optimum
-    violated_elems: set[int] = set()
-    if best_v > 0:
-        for i, row in enumerate(unary):
-            if row[best_vec[i]] > 0:
-                violated_elems.add(i)
-        for (lo, hi), table in pairs.items():
-            if table[best_vec[lo]][best_vec[hi]] > 0:
-                violated_elems.update((lo, hi))
-
-    typed: dict[ApiElement, str] = {}
-    rejected = set(untyped)
-    for i, e in enumerate(search):
-        if i in violated_elems or (strict_uniqueness and len(optima_values[i]) > 1):
-            rejected.add(e)
-        else:
-            typed[e] = cand_lists[i][best_vec[i]]
-    unique = all(len(values) == 1 for values in optima_values)
-    return ConstraintResult(typed, frozenset(rejected)), best_vec if unique else None
 
 
 class ConstraintProblem:
@@ -624,8 +560,8 @@ class ConstraintProblem:
     Construction evaluates every check for each element's full candidate
     list (see `_tabulate`). Elements on the excluded lines, and elements
     with no candidate, are untyped under every mask and never searched.
-    `solve` then searches the whole problem, or the problem on the KB
-    reduced to a mask (`kb.reduce_kb`), without building that KB or
+    `solve` then restricts the tables to a mask (`kb.reduce_kb`; None keeps
+    every candidate) and searches them, without building the reduced KB or
     evaluating a check again.
     """
 
@@ -676,56 +612,69 @@ class ConstraintProblem:
         assignment inside the mask costs what it did, so the masked minimum
         cannot fall below the full one, and the full optimum is still
         available, so it is again the only optimum. The search is skipped.
+
+        Raises ValueError when more elements have a choice than the
+        search's recursion limit allows.
         """
-        if mask is None:
-            result, unique_vec = _decide(
-                self._search, self._cands, self._libs, self._unary, self._pairs,
-                self._untyped, strict_uniqueness,
-            )
-            if unique_vec is not None:
-                self._unique = (result, unique_vec)
-            return result
+        search, cands, libs = self._search, self._cands, self._libs
+        unary, pairs, untyped = self._unary, self._pairs, self._untyped
+        if mask is not None:
+            unary_fired = [
+                (i, ci, delta) for types, i, ci, delta in self._unary_if
+                if not types <= mask and cands[i][ci] in mask
+            ]
+            pairs_fired = [
+                (lo, hi, a, b) for types, lo, hi, a, b in self._pairs_if
+                if not types <= mask and cands[lo][a] in mask and cands[hi][b] in mask
+            ]
+            if (
+                self._unique is not None
+                and not unary_fired
+                and not pairs_fired
+                and all(cands[i][ci] in mask for i, ci in enumerate(self._unique[1]))
+            ):
+                return self._unique[0]
+            # restrict the tables to the kept candidates, then apply the
+            # checks that the mask flips
+            keep = [[ci for ci, c in enumerate(cl) if c in mask] for cl in cands]
+            alive = [i for i, kept in enumerate(keep) if kept]
+            new = {i: j for j, i in enumerate(alive)}
+            at = [{ci: k for k, ci in enumerate(kept)} for kept in keep]
+            unary = [[unary[i][ci] for ci in keep[i]] for i in alive]
+            pairs = {
+                (new[lo], new[hi]): [[table[a][b] for b in keep[hi]] for a in keep[lo]]
+                for (lo, hi), table in pairs.items()
+                if keep[lo] and keep[hi]
+            }
+            for i, ci, delta in unary_fired:
+                unary[new[i]][at[i][ci]] += delta
+            for lo, hi, a, b in pairs_fired:
+                pairs[new[lo], new[hi]][at[lo][a]][at[hi][b]] -= 1
+            untyped |= {e for e, kept in zip(search, keep) if not kept}
+            search = [search[i] for i in alive]
+            cands = [[cands[i][ci] for ci in keep[i]] for i in alive]
+            libs = [[libs[i][ci] for ci in keep[i]] for i in alive]
 
-        cands = self._cands
-        unary_fired = [
-            (i, ci, delta) for types, i, ci, delta in self._unary_if
-            if not types <= mask and cands[i][ci] in mask
-        ]
-        pairs_fired = [
-            (lo, hi, a, b) for types, lo, hi, a, b in self._pairs_if
-            if not types <= mask and cands[lo][a] in mask and cands[hi][b] in mask
-        ]
-        if (
-            self._unique is not None
-            and not unary_fired
-            and not pairs_fired
-            and all(cands[i][ci] in mask for i, ci in enumerate(self._unique[1]))
-        ):
-            return self._unique[0]
-
-        keep = [[ci for ci, c in enumerate(cl) if c in mask] for cl in cands]
-        alive = [i for i, kept in enumerate(keep) if kept]
-        new = {i: j for j, i in enumerate(alive)}
-        at = [{ci: k for k, ci in enumerate(kept)} for kept in keep]
-        unary = [[self._unary[i][ci] for ci in keep[i]] for i in alive]
-        pairs = {
-            (new[lo], new[hi]): [[table[a][b] for b in keep[hi]] for a in keep[lo]]
-            for (lo, hi), table in self._pairs.items()
-            if keep[lo] and keep[hi]
-        }
-        for i, ci, delta in unary_fired:
-            unary[new[i]][at[i][ci]] += delta
-        for lo, hi, a, b in pairs_fired:
-            pairs[new[lo], new[hi]][at[lo][a]][at[hi][b]] -= 1
-        untyped = self._untyped | {
-            e for e, kept in zip(self._search, keep) if not kept
-        }
-        result, _ = _decide(
-            [self._search[i] for i in alive],
-            [[cands[i][ci] for ci in keep[i]] for i in alive],
-            [[self._libs[i][ci] for ci in keep[i]] for i in alive],
-            unary, pairs, untyped, strict_uniqueness,
-        )
+        best_v, best_vec, optima_values = _search(libs, unary, pairs)
+        # which elements sit on a violated constraint in the chosen optimum
+        violated: set[int] = set()
+        if best_v > 0:
+            for i, row in enumerate(unary):
+                if row[best_vec[i]] > 0:
+                    violated.add(i)
+            for (lo, hi), table in pairs.items():
+                if table[best_vec[lo]][best_vec[hi]] > 0:
+                    violated.update((lo, hi))
+        typed: dict[ApiElement, str] = {}
+        rejected = set(untyped)
+        for i, e in enumerate(search):
+            if i in violated or (strict_uniqueness and len(optima_values[i]) > 1):
+                rejected.add(e)
+            else:
+                typed[e] = cands[i][best_vec[i]]
+        result = ConstraintResult(typed, frozenset(rejected))
+        if mask is None and all(len(values) == 1 for values in optima_values):
+            self._unique = (result, best_vec)
         return result
 
 
@@ -747,12 +696,14 @@ def solve(
     a violated constraint, or (strict_uniqueness) the optima disagree about
     them.
 
-    Every check is tabulated once per candidate and candidate pair, then an
-    exact branch and bound (`_search`) finds every optimum. The loop in
-    `orchestrator.run` keeps the tabulation for the whole run instead: it
-    builds one `ConstraintProblem` and solves it under each round's mask,
-    skipping the search when the full KB's unique optimum survives the mask
-    unchanged.
+    This is `ConstraintProblem.solve` with mask None: every check is
+    tabulated once per candidate and candidate pair, and an exact branch and
+    bound (`_search`) over those tables, kept whole, finds every optimum.
+    The loop in `orchestrator.run` keeps the tabulation for the whole run
+    instead: it builds one `ConstraintProblem` and solves it under each
+    round's mask, skipping the search when the full KB's unique optimum
+    survives the mask unchanged. Raises ValueError when more elements have
+    a choice than the search's recursion limit allows.
     """
     return ConstraintProblem(kb, elements, constraints, excluded).solve(
         strict_uniqueness=strict_uniqueness

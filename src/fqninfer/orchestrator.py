@@ -151,6 +151,9 @@ def run(
     answer depends only on the candidate-type set the KB is reduced to
     (None: the full KB), and the ranking only on the substitution map, so
     each distinct input is solved under its mask or ranked once.
+
+    Raises ValueError when the snippet is too large to solve: more elements
+    with a choice than the constraint search's recursion limit allows.
     """
     if elements is None:
         elements = identify_api_elements(
@@ -212,7 +215,9 @@ def infer_with_engine(
     """Element key -> FQN under one of the three engines.
 
     "constraint" is a single full-KB solve, "stat" a single raw-context
-    ranking (top 1), "combined" the iterative loop.
+    ranking (top 1), "combined" the iterative loop. Like `run`, the
+    "constraint" and "combined" engines raise ValueError on a snippet too
+    large to solve.
     """
     elements = identify_api_elements(snippet, kb, exclude_string=config.exclude_string)
     if engine == "constraint":

@@ -295,9 +295,16 @@ class ExternalPredictor:
         if proc is None:
             return
         assert proc.stdin is not None and proc.stdout is not None
-        proc.stdin.close()
-        proc.wait(timeout=5)
-        proc.stdout.close()
+        try:
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                # the child outlived its input: stop it rather than leave it
+                proc.kill()
+                proc.wait()
+        finally:
+            proc.stdout.close()
 
     def __enter__(self):
         return self

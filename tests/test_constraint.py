@@ -179,6 +179,14 @@ def test_extract_multi_hop_assignment_needs_cascade():
     assert any(isinstance(c, MemberCall) and c.chain == (("get", 0),) for c in cons_off)
 
 
+def test_extract_multi_hop_from_a_variable_keeps_first_hop_without_cascade():
+    # as a statement the first hop stays; as an initializer, no assignment
+    els, cons, _ = _extract("Foo x; x.m().n();", NO_CASCADE)
+    assert cons == [MemberCall(els["Foo[1,1]"], (("m", 0),), static_call=False)]
+    els, cons, _ = _extract("Foo x; Foo y = x.m().n();", NO_CASCADE)
+    assert cons == [MemberCall(els["Foo[1,1]"], (("m", 0),), static_call=False)]
+
+
 def test_extract_extends_clause_uses_declared_name():
     els, cons, _ = _extract("public class MyView extends Composite {\n}\n")
     assert cons == [Supertype(els["Composite[1,1]"], "class")]
@@ -366,6 +374,42 @@ _EDGE_CASES = [
     ),
     ("Foo x; x.m()", ["Foo[1,1]@0"], ["MemberCall(Foo[1,1], (('m', 0),), False)"], set()),
     ("Foo x; x.", ["Foo[1,1]@0"], [], set()),
+    ("Foo x; x.f", ["Foo[1,1]@0"], ["FieldAccess(Foo[1,1], 'f', False)"], set()),
+    # a field access as an initializer is no assignment source
+    (
+        "Foo x = Foo.f",
+        ["Foo[1,1]@0", "Foo[1,2]@6"],
+        ["FieldAccess(Foo[1,2], 'f', True)"],
+        set(),
+    ),
+    (
+        "Foo x; Foo y = x.f",
+        ["Foo[1,1]@0", "Foo[1,2]@5"],
+        ["FieldAccess(Foo[1,1], 'f', False)"],
+        set(),
+    ),
+    # `new` before a declared variable: an instance call, no construction
+    (
+        "Foo x; new x.m()",
+        ["Foo[1,1]@0"],
+        ["MemberCall(Foo[1,1], (('m', 0),), False)"],
+        set(),
+    ),
+    (
+        "Foo x; Foo y = new x.m()",
+        ["Foo[1,1]@0", "Foo[1,2]@5"],
+        ["MemberCall(Foo[1,1], (('m', 0),), False)"],
+        set(),
+    ),
+    (
+        "Foo x; Foo y = x.m().n()",
+        ["Foo[1,1]@0", "Foo[1,2]@5"],
+        [
+            "DeclaredAssignment(Foo[1,2], MemberCall(Foo[1,1], (('m', 0), ('n', 0)), False))",
+            "MemberCall(Foo[1,1], (('m', 0), ('n', 0)), False)",
+        ],
+        set(),
+    ),
     (
         "Foo.m().n()",
         ["Foo[1,1]@0"],

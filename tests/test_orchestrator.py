@@ -191,6 +191,16 @@ def test_infer_with_engine_rejects_unknown_name(kb, model, by_id):
         infer_with_engine(by_id["8746084"].snippet, kb, model, "oracle")
 
 
+def test_a_solve_deeper_than_the_recursion_limit_raises_value_error(kb, model):
+    # Composite has two candidates in the fixture KB, so the constraint
+    # search has two elements with a choice per line
+    sn = tokenize("Composite c = new Composite();\n" * 1000)
+    with pytest.raises(ValueError, match="snippet too large to solve"):
+        run(sn, kb, model)
+    with pytest.raises(ValueError, match="snippet too large to solve"):
+        infer_with_engine(sn, kb, model, "constraint")
+
+
 def test_serialize_trace_layout():
     a, b = _el("X", 0), _el("Y", 1)
     trace = [

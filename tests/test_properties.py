@@ -778,7 +778,9 @@ def test_masked_solve_matches_rebuilt_kb():
     each mask's KB, built as a KnowledgeBase of its own. Half the cases are
     dense-shaped (assignment values and chain intermediates that a mask may
     drop), half the general random ones; most solve the full KB first, which
-    arms the unique-optimum shortcut, and strictness changes per call."""
+    arms the unique-optimum shortcut, and strictness changes per call. Each
+    case ends with the whole KB as a mask, a restriction that drops
+    nothing, in both strict modes."""
     rng = random.Random(9013)
     for case in range(1000):
         excluded = frozenset()
@@ -802,6 +804,12 @@ def test_masked_solve_matches_rebuilt_kb():
             strict = rng.random() < 0.5
             mask = reduce_kb(kb, rng.sample(fqns, rng.randint(0, len(fqns))))
             rebuilt = KnowledgeBase(kb.entries[f] for f in sorted(mask))
+            want = solve(rebuilt, elems, cons, excluded, strict_uniqueness=strict)
+            assert problem.solve(mask, strict_uniqueness=strict) == want, case
+        # a mask that drops nothing, drawing nothing from rng
+        mask = frozenset(kb.entries)
+        rebuilt = KnowledgeBase(kb.entries[f] for f in sorted(mask))
+        for strict in (False, True):
             want = solve(rebuilt, elems, cons, excluded, strict_uniqueness=strict)
             assert problem.solve(mask, strict_uniqueness=strict) == want, case
 

@@ -435,6 +435,27 @@ def test_external_predictor_feeds_pipeline(tmp_path):
     assert got[el].ranked == ("mock.two.Label",)
 
 
+def test_external_predictor_close_kills_a_child_that_outlives_its_input(tmp_path):
+    # answers one request, then keeps running after its input ends
+    script = tmp_path / "lingering_predictor.py"
+    script.write_text(
+        "import sys, time\n"
+        "sys.stdin.readline()\n"
+        "print('[]', flush=True)\n"
+        "sys.stdin.read()\n"
+        "time.sleep(60)\n",
+        encoding="utf-8",
+    )
+    sn, el = _single_element("Label x = ctx;", "Label")
+    pred = ExternalPredictor([sys.executable, str(script)])
+    assert pred.predict(plain(sn), el, 1) == []
+    proc = pred._proc
+    pred.close()  # one 5 s wait for the child, then a kill
+    assert proc.poll() is not None
+    assert proc.stdout.closed
+    assert pred._proc is None
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
