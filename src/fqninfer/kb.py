@@ -15,17 +15,21 @@ The KB is loaded from a line-oriented text format:
     method <owner-fqn> <name>/<arity> [static] [returns=<fqn|?>]
     field <owner-fqn> <name> [static] [type=<fqn|?>]
 
-Blank lines and lines starting with '#' are skipped. Records may appear in
-any order; forward references are resolved after the whole file is read.
+Records end at "\\n" alone; blank lines and lines starting with '#' are
+skipped. Records may appear in any order, and the parse is one pass: each
+member is appended to its owner's lists as it is read, before or after the
+owner's type record. Only forward references wait: whether a member's owner
+has a type record is checked once the whole file is read, and the first
+member in line order whose owner has none is the error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .snippet import read_utf8
+from .snippet import _value_tuple, read_utf8
 
 if TYPE_CHECKING:
     from .stat import CandidateList
@@ -39,9 +43,9 @@ class KbError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
-class MethodSig:
-    """A method signature as the KB knows it.
+@_value_tuple
+class MethodSig(NamedTuple):
+    """A method signature as the KB knows it, as a `snippet._value_tuple`.
 
     return_fqn is None when the KB does not record the return type
     (serialized as "returns=?").
@@ -53,8 +57,10 @@ class MethodSig:
     return_fqn: str | None = None
 
 
-@dataclass(frozen=True)
-class FieldSig:
+@_value_tuple
+class FieldSig(NamedTuple):
+    """A field as the KB knows it, as a `snippet._value_tuple`."""
+
     name: str
     type_fqn: str | None = None
     is_static: bool = False
@@ -160,16 +166,24 @@ class KnowledgeBase:
 # ---------------------------------------------------------------------------
 # text format
 
-def _parse_attrs(parts: list[str], lineno: int) -> dict[str, str]:
+def _parse_attrs(
+    parts: list[str], lineno: int, flag: str | None = None
+) -> tuple[dict[str, str], bool]:
+    """The key=value attributes of a record's tail, and whether the bare
+    word flag stands anywhere among them (a member's `static`)."""
     attrs: dict[str, str] = {}
+    flagged = False
     for p in parts:
-        if "=" not in p:
+        if p == flag:
+            flagged = True
+            continue
+        k, eq, v = p.partition("=")
+        if not eq:
             raise KbError(f"expected key=value, got {p!r}", lineno)
-        k, v = p.split("=", 1)
         if k in attrs:
             raise KbError(f"duplicate attribute {k!r}", lineno)
         attrs[k] = v
-    return attrs
+    return attrs, flagged
 
 
 def _split_fqns(value: str) -> list[str]:
@@ -193,94 +207,94 @@ def load_kb(path: str | Path) -> KnowledgeBase:
 
 
 def _parse_kb(text: str) -> KnowledgeBase:
-    types: dict[str, dict] = {}
-    members: list[tuple[int, str, str, object]] = []  # lineno, kind, owner, sig
+    """One pass over the records, one split each. A record's errors come in
+    the order of its fields; an owner with no type record is reported after
+    the whole text is read, at the first member that names it."""
+    types: dict[str, tuple[str, str, list[str], list[str]]] = {}
+    # owner -> (methods, fields) in line order; a type record or a member
+    # read before its owner's type record opens the owner's lists
+    members: dict[str, tuple[list[MethodSig], list[FieldSig]]] = {}
+    forward: list[tuple[int, str, str]] = []  # lineno, kind, owner
+    make = tuple.__new__  # a signature without NamedTuple's Python-level __new__
 
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.strip()
-        if not line or line.startswith("#"):
-            continue
+    # records end at "\n" alone: str.splitlines would also end them at form
+    # feeds and other separators that split() reads as blanks
+    for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split()
+        if not parts:
+            continue
         record = parts[0]
-        if record == "type":
-            if len(parts) < 4:
-                raise KbError("type record needs fqn, kind, lib=<id>", lineno)
-            fqn, kind = parts[1], parts[2]
-            if kind not in ("class", "interface"):
-                raise KbError(f"bad kind {kind!r}", lineno)
-            attrs = _parse_attrs(parts[3:], lineno)
-            if "lib" not in attrs:
-                raise KbError("type record missing lib=<id>", lineno)
-            unknown = set(attrs) - {"lib", "extends", "implements", "external-super"}
-            if unknown:
-                raise KbError(f"unknown attributes {sorted(unknown)}", lineno)
-            if fqn in types:
-                raise KbError(f"duplicate type {fqn}", lineno)
-            types[fqn] = {
-                "kind": kind,
-                "library": attrs["lib"],
-                "supers": _split_fqns(attrs.get("extends", ""))
-                + _split_fqns(attrs.get("implements", "")),
-                "external": _split_fqns(attrs.get("external-super", "")),
-                "methods": [],
-                "fields": [],
-            }
-        elif record == "method":
+        if record == "method":
             if len(parts) < 3 or "/" not in parts[2]:
                 raise KbError("method record needs owner and name/arity", lineno)
-            owner = parts[1]
             name, _, arity_s = parts[2].partition("/")
             try:
                 arity = int(arity_s)
             except ValueError:
                 raise KbError(f"bad arity {arity_s!r}", lineno) from None
-            rest = parts[3:]
-            is_static = "static" in rest
-            rest = [p for p in rest if p != "static"]
-            attrs = _parse_attrs(rest, lineno)
-            unknown = set(attrs) - {"returns"}
-            if unknown:
-                raise KbError(f"unknown attributes {sorted(unknown)}", lineno)
-            ret = attrs.get("returns")
-            if ret == "?":
-                ret = None
-            members.append(
-                (lineno, "method", owner, MethodSig(name, arity, is_static, ret))
-            )
+            attrs, is_static = _parse_attrs(parts[3:], lineno, "static")
+            ret = attrs.pop("returns", None)
+            if attrs:
+                raise KbError(f"unknown attributes {sorted(attrs)}", lineno)
+            sig = make(MethodSig, (name, arity, is_static, None if ret == "?" else ret))
+            slot = 0
         elif record == "field":
             if len(parts) < 3:
                 raise KbError("field record needs owner and name", lineno)
-            owner, name = parts[1], parts[2]
-            rest = parts[3:]
-            is_static = "static" in rest
-            rest = [p for p in rest if p != "static"]
-            attrs = _parse_attrs(rest, lineno)
-            unknown = set(attrs) - {"type"}
-            if unknown:
-                raise KbError(f"unknown attributes {sorted(unknown)}", lineno)
-            ftype = attrs.get("type")
-            if ftype == "?":
-                ftype = None
-            members.append((lineno, "field", owner, FieldSig(name, ftype, is_static)))
+            attrs, is_static = _parse_attrs(parts[3:], lineno, "static")
+            ftype = attrs.pop("type", None)
+            if attrs:
+                raise KbError(f"unknown attributes {sorted(attrs)}", lineno)
+            sig = make(FieldSig, (parts[2], None if ftype == "?" else ftype, is_static))
+            slot = 1
+        elif record == "type":
+            if len(parts) < 4:
+                raise KbError("type record needs fqn, kind, lib=<id>", lineno)
+            fqn, kind = parts[1], parts[2]
+            if kind not in ("class", "interface"):
+                raise KbError(f"bad kind {kind!r}", lineno)
+            attrs, _ = _parse_attrs(parts[3:], lineno)
+            lib = attrs.pop("lib", None)
+            if lib is None:
+                raise KbError("type record missing lib=<id>", lineno)
+            supers = _split_fqns(attrs.pop("extends", ""))
+            supers += _split_fqns(attrs.pop("implements", ""))
+            external = _split_fqns(attrs.pop("external-super", ""))
+            if attrs:
+                raise KbError(f"unknown attributes {sorted(attrs)}", lineno)
+            if fqn in types:
+                raise KbError(f"duplicate type {fqn}", lineno)
+            types[fqn] = (kind, lib, supers, external)
+            if fqn not in members:
+                members[fqn] = ([], [])
+            continue
+        elif record[0] == "#":
+            continue
         else:
             raise KbError(f"unknown record kind {record!r}", lineno)
+        owner = parts[1]
+        lists = members.get(owner)
+        if lists is None:
+            lists = members[owner] = ([], [])
+            forward.append((lineno, record, owner))
+        lists[slot].append(sig)
 
-    for lineno, mkind, owner, sig in members:
+    # the first member of each owner read before the owner's type record
+    for lineno, mkind, owner in forward:
         if owner not in types:
             raise KbError(f"{mkind} owner {owner} has no type record", lineno)
-        types[owner]["methods" if mkind == "method" else "fields"].append(sig)
 
     return KnowledgeBase(
         TypeEntry(
             fqn=fqn,
-            kind=spec["kind"],
-            library=spec["library"],
-            methods=frozenset(spec["methods"]),
-            fields=frozenset(spec["fields"]),
-            supertypes=frozenset(spec["supers"]),
-            external_supertypes=frozenset(spec["external"]),
+            kind=kind,
+            library=lib,
+            methods=frozenset(members[fqn][0]),
+            fields=frozenset(members[fqn][1]),
+            supertypes=frozenset(supers),
+            external_supertypes=frozenset(external),
         )
-        for fqn, spec in types.items()
+        for fqn, (kind, lib, supers, external) in types.items()
     )
 
 

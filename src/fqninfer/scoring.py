@@ -34,7 +34,8 @@ class GroundTruth:
 def load_truth(path: str | Path, snippet_id: str = "", library: str = "") -> GroundTruth:
     truth: dict[str, str] = {}
     text = read_utf8(path, TruthFormatError)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # records end at "\n" alone, as in the KB and model files
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -60,25 +60,35 @@ JAVA_KEYWORDS = frozenset(
 )
 
 
-class Token(NamedTuple):
-    """One lexeme of a snippet: its text, kind and start line.
+def _value_tuple(cls):
+    """Make the NamedTuple class cls a value equal only to its own instances.
 
-    A tuple underneath, so the lexer builds it cheaply, but equal only to
-    another `Token`: comparing it with a plain tuple gives False.
+    A tuple underneath, so it is built cheaply (by `tuple.__new__` where
+    that matters) and hashes in C, as its field tuple does; but comparing it
+    with a plain tuple, or with another NamedTuple of the same fields, gives
+    False from either side.
     """
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is cls and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not (other.__class__ is cls and tuple.__eq__(self, other))
+
+    cls.__eq__, cls.__ne__ = __eq__, __ne__
+    # defining __eq__ unsets the hash; keep the field tuple's
+    cls.__hash__ = tuple.__hash__
+    return cls
+
+
+@_value_tuple
+class Token(NamedTuple):
+    """One lexeme of a snippet: its text, kind and start line, as a
+    `_value_tuple`."""
 
     lexeme: str
     kind: TokenKind
     line: int  # 1-based line where the token starts
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is Token and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-    # defining __eq__ unsets the hash; keep the field tuple's
-    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -294,7 +304,11 @@ def tokenize(text: str) -> Snippet:
 
 def read_utf8(path: str | Path, error: type[Exception] = ValueError) -> str:
     """The text of a UTF-8 file. A file that does not decode raises `error`
-    naming the file and the line of the first bad byte."""
+    naming the file and the line of the first bad byte.
+
+    The file is read with universal newlines, so the text holds no "\\r",
+    and the loaders end records at "\\n" alone, as this error counts lines.
+    """
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -305,9 +319,11 @@ def read_utf8(path: str | Path, error: type[Exception] = ValueError) -> str:
 # ---------------------------------------------------------------------------
 # API element identification
 
-@dataclass(frozen=True)
-class ApiElement:
-    """One occurrence of an API class or interface name in a snippet.
+@_value_tuple
+class ApiElement(NamedTuple):
+    """One occurrence of an API class or interface name in a snippet, as a
+    `_value_tuple`: elements key the dicts of every stage, and a tuple
+    hashes in C.
 
     Occurrences are numbered from 1 within (simple_name, line), so the key
     Name[line,occurrence] is stable and human-readable.

@@ -61,18 +61,17 @@ class CooccurrenceModel:
     vocabulary: set[str] = field(default_factory=set)
     smoothing_alpha: float = 1.0
     window_eta: int = 2
-    _by_simple_name: dict[str, list[str]] = field(
+    _by_simple_name: dict[str, tuple[str, ...]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         _check_settings(self.smoothing_alpha, self.window_eta)
-        self._by_simple_name = {}
+        index: dict[str, list[str]] = {}
         for fqn in self.fqn_totals:
             # a simple name is one identifier, so it is all after the last dot
-            self._by_simple_name.setdefault(fqn.rpartition(".")[2], []).append(fqn)
-        for fqns in self._by_simple_name.values():
-            fqns.sort()
+            index.setdefault(fqn.rpartition(".")[2], []).append(fqn)
+        self._by_simple_name = {k: tuple(sorted(v)) for k, v in index.items()}
 
     def predict(
         self, aug: AugmentedSnippet, target: ApiElement, k: int
@@ -392,8 +391,10 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     def bad(lineno: int, message: str) -> ModelFormatError:
         return ModelFormatError(f"{path}:{lineno}: {message}")
 
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_HEADER_PREFIX):
+    # records end at "\n" alone: str.splitlines would also end one at a
+    # form feed, "\x85" or "\u2028" inside a token
+    lines = text.split("\n")
+    if not lines[0].startswith(_HEADER_PREFIX):
         raise bad(1, "missing model header line")
     settings: dict[str, float | int] = {"alpha": 1.0, "eta": 2}
     for part in lines[0].split("\t")[1:]:
@@ -411,15 +412,12 @@ def load_model(path: str | Path) -> CooccurrenceModel:
         raise bad(1, str(exc)) from None
     counts: dict[tuple[str, str], int] = {}
     totals: dict[str, int] = {}
-    vocabulary: set[str] = set()
-    # few distinct tokens stand in many records; a bad one never enters
+    # few distinct tokens stand in many records; a bad one never enters, so
+    # the decoded tokens are the vocabulary
     decoded: dict[str, str] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
-            continue
         parts = line.split("\t")
-        if parts[0] == "count" and len(parts) == 4:
-            fqn = parts[2]
+        if len(parts) == 4 and parts[0] == "count":
             try:
                 tok = decoded.get(parts[1])
                 if tok is None:
@@ -433,11 +431,13 @@ def load_model(path: str | Path) -> CooccurrenceModel:
                 raise bad(lineno, f"bad count record {_shown(line)}") from None
             if n <= 0:
                 raise bad(lineno, "nonpositive count")
-            counts[(tok, fqn)] = counts.get((tok, fqn), 0) + n
+            fqn = parts[2]
+            key = (tok, fqn)
+            counts[key] = counts.get(key, 0) + n
             totals[fqn] = totals.get(fqn, 0) + n
-            vocabulary.add(tok)
-        elif parts[0] == "fqn" and len(parts) == 2:
+        elif len(parts) == 2 and parts[0] == "fqn":
             totals.setdefault(parts[1], 0)
-        else:
+        elif line and line[0] != "#":
             raise bad(lineno, f"bad record {_shown(line)}")
+    vocabulary = set(decoded.values())
     return CooccurrenceModel(counts, totals, vocabulary, alpha, eta)

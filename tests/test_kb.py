@@ -4,6 +4,8 @@ import pytest
 
 from fqninfer import KbError, KnowledgeBase, dump_kb, load_kb
 from fqninfer.kb import (
+    FieldSig,
+    MethodSig,
     TypeEntry,
     UnknownTypeError,
     collect_candidate_types,
@@ -128,6 +130,42 @@ def test_error_carries_line_number(tmp_path):
     text = "type com.a.X class lib=a\nbogus line here\n"
     with pytest.raises(KbError, match="test.kb:2: unknown record kind 'bogus'"):
         _load_text(tmp_path, text)
+
+
+def test_records_end_at_newline_only(tmp_path):
+    # a form feed is a blank inside a record, as split() reads it, not the
+    # end of one
+    kb = _load_text(tmp_path, "type a.B class\x0clib=x\n")
+    assert kb.entries["a.B"].library == "x"
+    # so a line holding only a form feed is one blank line, and the lines
+    # after it keep the numbers that the not-UTF-8 error counts
+    text = "type a.B class lib=x\n\x0c\nbogus line\n"
+    with pytest.raises(KbError, match="test.kb:3: unknown record kind 'bogus'"):
+        _load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (MethodSig, ("run", 1, True, "com.a.X")),
+        (FieldSig, ("MODE", "com.a.X", True)),
+    ],
+    ids=["method", "field"],
+)
+def test_signature_is_a_value_equal_only_to_its_own_type(make, fields):
+    sig = make(*fields)
+    assert sig == make(*fields)
+    assert sig != make("other", *fields[1:])
+    # a tuple, or the other signature type, with the same fields is not equal
+    assert sig != tuple(fields)
+    assert tuple(fields) != sig
+    assert not sig == tuple(fields)
+    other = FieldSig if make is MethodSig else MethodSig
+    assert sig != tuple.__new__(other, fields)
+    assert hash(sig) == hash(tuple(fields))
+    with pytest.raises(AttributeError):
+        sig.name = "x"
+    assert repr(sig).startswith(f"{make.__name__}(name=")
 
 
 def test_conflicting_method_signatures_rejected(tmp_path):

@@ -7,11 +7,14 @@ from the documented scoring rule, not against the implementation.
 """
 
 import itertools
+import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
+from test_loader_fuzz import _mutate
 
 from fqninfer.constraint import (
     ConstraintProblem,
@@ -26,9 +29,11 @@ from fqninfer.constraint import (
 )
 from fqninfer.kb import (
     FieldSig,
+    KbError,
     KnowledgeBase,
     MethodSig,
     TypeEntry,
+    _parse_kb,
     dump_kb,
     field_in_knowledge,
     load_kb,
@@ -46,11 +51,16 @@ from fqninfer.snippet import (
     augment,
     identify_api_elements,
     plain,
+    read_utf8,
     tokenize,
 )
 from fqninfer.stat import (
+    _HEADER_PREFIX,
     CandidateList,
     CooccurrenceModel,
+    ModelFormatError,
+    _check_settings,
+    _shown,
     context_window,
     dump_model,
     load_model,
@@ -1169,3 +1179,343 @@ def test_known_fqns_named_matches_suffix_scan(tmp_path):
             assert built.known_fqns_named(name) == want, (case, name)
             assert trained.known_fqns_named(name) == want, (case, name)
             assert loaded.known_fqns_named(name) == want, (case, name)
+
+
+# ---------------------------------------------------------------------------
+# loaders: one lean pass per record against the record-at-a-time loops
+#
+# The reference loops below are the loaders as they stood before members
+# were attached as they are read, with the records split at "\n" alone.
+
+def _ref_attrs(parts, lineno):
+    attrs = {}
+    for p in parts:
+        if "=" not in p:
+            raise KbError(f"expected key=value, got {p!r}", lineno)
+        k, v = p.split("=", 1)
+        if k in attrs:
+            raise KbError(f"duplicate attribute {k!r}", lineno)
+        attrs[k] = v
+    return attrs
+
+
+def _ref_fqns(value):
+    return [v for v in value.split(",") if v]
+
+
+def _ref_parse_kb(text):
+    types = {}
+    members = []
+    for lineno, rawline in enumerate(text.split("\n"), start=1):
+        line = rawline.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        record = parts[0]
+        if record == "type":
+            if len(parts) < 4:
+                raise KbError("type record needs fqn, kind, lib=<id>", lineno)
+            fqn, kind = parts[1], parts[2]
+            if kind not in ("class", "interface"):
+                raise KbError(f"bad kind {kind!r}", lineno)
+            attrs = _ref_attrs(parts[3:], lineno)
+            if "lib" not in attrs:
+                raise KbError("type record missing lib=<id>", lineno)
+            unknown = set(attrs) - {"lib", "extends", "implements", "external-super"}
+            if unknown:
+                raise KbError(f"unknown attributes {sorted(unknown)}", lineno)
+            if fqn in types:
+                raise KbError(f"duplicate type {fqn}", lineno)
+            types[fqn] = {
+                "kind": kind,
+                "library": attrs["lib"],
+                "supers": _ref_fqns(attrs.get("extends", ""))
+                + _ref_fqns(attrs.get("implements", "")),
+                "external": _ref_fqns(attrs.get("external-super", "")),
+                "methods": [],
+                "fields": [],
+            }
+        elif record == "method":
+            if len(parts) < 3 or "/" not in parts[2]:
+                raise KbError("method record needs owner and name/arity", lineno)
+            owner = parts[1]
+            name, _, arity_s = parts[2].partition("/")
+            try:
+                arity = int(arity_s)
+            except ValueError:
+                raise KbError(f"bad arity {arity_s!r}", lineno) from None
+            rest = parts[3:]
+            is_static = "static" in rest
+            rest = [p for p in rest if p != "static"]
+            attrs = _ref_attrs(rest, lineno)
+            unknown = set(attrs) - {"returns"}
+            if unknown:
+                raise KbError(f"unknown attributes {sorted(unknown)}", lineno)
+            ret = attrs.get("returns")
+            if ret == "?":
+                ret = None
+            members.append(
+                (lineno, "method", owner, MethodSig(name, arity, is_static, ret))
+            )
+        elif record == "field":
+            if len(parts) < 3:
+                raise KbError("field record needs owner and name", lineno)
+            owner, name = parts[1], parts[2]
+            rest = parts[3:]
+            is_static = "static" in rest
+            rest = [p for p in rest if p != "static"]
+            attrs = _ref_attrs(rest, lineno)
+            unknown = set(attrs) - {"type"}
+            if unknown:
+                raise KbError(f"unknown attributes {sorted(unknown)}", lineno)
+            ftype = attrs.get("type")
+            if ftype == "?":
+                ftype = None
+            members.append((lineno, "field", owner, FieldSig(name, ftype, is_static)))
+        else:
+            raise KbError(f"unknown record kind {record!r}", lineno)
+
+    for lineno, mkind, owner, sig in members:
+        if owner not in types:
+            raise KbError(f"{mkind} owner {owner} has no type record", lineno)
+        types[owner]["methods" if mkind == "method" else "fields"].append(sig)
+
+    return KnowledgeBase(
+        TypeEntry(
+            fqn=fqn,
+            kind=spec["kind"],
+            library=spec["library"],
+            methods=frozenset(spec["methods"]),
+            fields=frozenset(spec["fields"]),
+            supertypes=frozenset(spec["supers"]),
+            external_supertypes=frozenset(spec["external"]),
+        )
+        for fqn, spec in types.items()
+    )
+
+
+def _ref_load_model(path):
+    text = read_utf8(path, ModelFormatError)
+
+    def bad(lineno, message):
+        return ModelFormatError(f"{path}:{lineno}: {message}")
+
+    lines = text.split("\n")
+    if not lines or not lines[0].startswith(_HEADER_PREFIX):
+        raise bad(1, "missing model header line")
+    settings = {"alpha": 1.0, "eta": 2}
+    for part in lines[0].split("\t")[1:]:
+        key, _, value = part.partition("=")
+        if key not in settings:
+            raise bad(1, f"unknown header field {key!r}")
+        try:
+            settings[key] = float(value) if key == "alpha" else int(value)
+        except ValueError:
+            raise bad(1, f"bad {key} value {value!r}") from None
+    alpha, eta = settings["alpha"], settings["eta"]
+    try:
+        _check_settings(alpha, eta)
+    except ValueError as exc:
+        raise bad(1, str(exc)) from None
+    counts = {}
+    totals = {}
+    vocabulary = set()
+    decoded = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if parts[0] == "count" and len(parts) == 4:
+            fqn = parts[2]
+            try:
+                tok = decoded.get(parts[1])
+                if tok is None:
+                    tok = json.loads(parts[1])
+                    if not isinstance(tok, str):
+                        raise ValueError(tok)
+                    decoded[parts[1]] = tok
+                n = int(parts[3])
+            except (ValueError, RecursionError):
+                raise bad(lineno, f"bad count record {_shown(line)}") from None
+            if n <= 0:
+                raise bad(lineno, "nonpositive count")
+            counts[(tok, fqn)] = counts.get((tok, fqn), 0) + n
+            totals[fqn] = totals.get(fqn, 0) + n
+            vocabulary.add(tok)
+        elif parts[0] == "fqn" and len(parts) == 2:
+            totals.setdefault(parts[1], 0)
+        else:
+            raise bad(lineno, f"bad record {_shown(line)}")
+    return CooccurrenceModel(counts, totals, vocabulary, alpha, eta)
+
+
+def _kb_outcome(parse, text):
+    try:
+        kb = parse(text)
+    except KbError as exc:
+        return "error", str(exc), exc.line
+    # members in iteration order: which of two same-named fields find_field
+    # meets first depends on the order the frozenset was filled in
+    return "kb", [
+        (fqn, e.kind, e.library, list(e.methods), list(e.fields),
+         e.supertypes, e.external_supertypes)
+        for fqn, e in kb.entries.items()
+    ]
+
+
+def _model_outcome(load, path):
+    try:
+        m = load(path)
+    except ModelFormatError as exc:
+        return "error", str(exc)
+    return "model", (
+        list(m.counts.items()), list(m.fqn_totals.items()), m.vocabulary,
+        m.smoothing_alpha, m.window_eta,
+    )
+
+
+# separators that split() reads as blanks and splitlines() as line ends
+_ODD_BLANKS = ("\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028")
+_KB_OWNERS = ("p.A", "p.B", "q.A", "q.C")
+# records that are malformed, or break the KB, alone or beside others
+_KB_FAULTS = (
+    "type p.A enum lib=x", "type p.Z class extends=p.A", "type p.Z class lib=x x=1",
+    "type p.Z class lib=x lib=y", "type p.Z class static lib=x", "type p.Z",
+    "type p.Z class lib=x extends=q.Nowhere", "type p.A class lib=x",
+    "method p.A m/x", "method p.A m", "method p.A", "method p.A m/1 returns=? kind=x",
+    "method p.A m/1 returns=? returns=?", "method p.A m/1 static bare",
+    "method p.A m/0 static returns=q.Odd", "method p.A m/0 returns=p.B",
+    "method q.Ghost m/0", "field q.Ghost F", "field p.A", "field p.A F type=? x=y",
+    "field p.A F type=? type=?", "field p.A F bare", "banana p.A", "#method p.A",
+    "method p.A m/+1 static static returns=?", "method p.A m/٣",
+)
+
+
+def _kb_text(rng):
+    """A generated KB: types for some owners and members for them in any
+    order, so some members come before their owner's type record; repeated
+    members, same-named fields of different types, and static before or
+    after the type attribute. About half the cases also hold one or two of
+    _KB_FAULTS."""
+    owners = rng.sample(_KB_OWNERS, rng.randint(1, 4))
+    records = []
+    for fqn in owners:
+        attrs = [f"lib={rng.choice('xyz')}"]
+        supers = [o for o in owners if o != fqn and rng.random() < 0.3]
+        if supers:
+            attrs.append(rng.choice(("extends=", "implements=")) + ",".join(supers))
+        if rng.random() < 0.2:
+            attrs.append("external-super=v.Base,")
+        rng.shuffle(attrs)
+        records.append(["type", fqn, rng.choice(("class", "interface"))] + attrs)
+    signatures = {}
+    for _ in range(rng.randint(0, 12)):
+        owner = rng.choice(owners)
+        if rng.random() < 0.5:
+            name = f"{rng.choice('mn')}/{rng.choice('012')}"
+            static, ret = signatures.setdefault(
+                (owner, name),
+                (rng.random() < 0.3, rng.choice(("?", "p.A", "q.A", "q.Ext"))),
+            )
+            tail = ["static"] * static + [f"returns={ret}"] * (rng.random() < 0.9 or ret != "?")
+            kind = "method"
+        else:
+            name = rng.choice(("F", "G"))
+            tail = ["static"] * (rng.random() < 0.3)
+            tail += [f"type={rng.choice(('?', 'p.A', 'q.A'))}"] * (rng.random() < 0.8)
+            kind = "field"
+        rng.shuffle(tail)
+        records.append([kind, owner, name] + tail)
+    records += [[""], ["#", "a", "comment"]][: rng.randint(0, 2)]
+    for _ in range(rng.choice((0, 0, 0, 1, 1, 2))):
+        records.append(rng.choice(_KB_FAULTS).split(" "))
+    rng.shuffle(records)
+    lines = []
+    for words in records:
+        line = " ".join(
+            w if rng.random() < 0.9 else w + rng.choice(("\t", " ") + _ODD_BLANKS)
+            for w in words
+        )
+        if rng.random() < 0.05:
+            line = rng.choice(("\t", " ") + _ODD_BLANKS) + line
+        lines.append(line)
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+_MODEL_TOKENS = ('"a"', '"b c"', '"\\u00e9"', '"\\n\\t"', '"x\x85y"', '"p\u2028q"', '""')
+# records and headers that are malformed, alone or beside others
+_MODEL_FAULTS = (
+    'count\ta\ta.X\t1', 'count\t5\ta.X\t1', 'count\t[1]\ta.X\t1',
+    'count\t"\x0c"\ta.X\t1', 'count\t"a"\ta.X\t0', 'count\t"a"\ta.X\t-2',
+    'count\t"a"\ta.X\tx', 'count\t"a"\ta.X', 'count\t"a"\ta.X\t1\t1', 'count',
+    'fqn', 'fqn\ta.X\tz', 'what', ' ', '\x0c', 'Count\t"a"\ta.X\t1',
+    'count\t"a"\ta.X\t 4', 'count\t"a"\ta.X\t1_0',
+)
+_MODEL_HEADERS = (
+    "cooccurrence", "cooccurrence\teta=1\talpha=0.5", "cooccurrenc",
+    "cooccurrence\talpha=0", "cooccurrence\tbeta=1", "cooccurrence\teta=x", "",
+)
+
+
+def _model_text(rng):
+    """A generated model file: count records that repeat (token, FQN)
+    pairs, FQN-only records, comments and blank lines. About half the cases
+    also hold one or two of _MODEL_FAULTS, or an odd header."""
+    header = "cooccurrence\talpha=1.0\teta=2"
+    if rng.random() < 0.1:
+        header = rng.choice(_MODEL_HEADERS)
+    records = []
+    for _ in range(rng.randint(0, 12)):
+        fqn = rng.choice(("a.X", "a.Y", "b.X", "X"))
+        roll = rng.random()
+        if roll < 0.8:
+            n = rng.choice(("1", "2", "3", "17"))
+            records.append(f"count\t{rng.choice(_MODEL_TOKENS)}\t{fqn}\t{n}")
+        elif roll < 0.9:
+            records.append(f"fqn\t{fqn}")
+        else:
+            records.append(rng.choice(("", "# comment", '#count\t"a"\ta.X\t1')))
+    for _ in range(rng.choice((0, 0, 0, 1, 1, 2))):
+        records.append(rng.choice(_MODEL_FAULTS))
+    rng.shuffle(records)
+    return "\n".join([header] + records) + rng.choice(("", "\n"))
+
+
+def test_kb_loader_matches_reference_loop():
+    """_parse_kb gives the reference loop's entries, members and member
+    order, or its error message and line, on mutated fixture KBs and on
+    generated ones with forward references."""
+    rng = random.Random(9014)
+    fixture = (Path(__file__).parent / "fixtures" / "kb" / "global.kb").read_text(
+        encoding="utf-8"
+    )
+    outcomes = {"kb": 0, "error": 0}
+    for case in range(1200):
+        if case < 400:
+            text = _mutate(rng, fixture)
+        else:
+            text = _kb_text(rng)
+        want = _kb_outcome(_ref_parse_kb, text)
+        assert _kb_outcome(_parse_kb, text) == want, (case, text)
+        outcomes[want[0]] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+def test_model_loader_matches_reference_loop(tmp_path, model):
+    """load_model gives the reference loop's counts and totals in the same
+    insertion order, its vocabulary and settings, or its error message, on
+    mutated fixture models and on generated ones."""
+    rng = random.Random(9015)
+    fixture = dump_model(model)
+    path = tmp_path / "m.tsv"
+    outcomes = {"model": 0, "error": 0}
+    for case in range(1000):
+        if case < 400:
+            text = _mutate(rng, fixture)
+        else:
+            text = _model_text(rng)
+        path.write_text(text, encoding="utf-8")
+        want = _model_outcome(_ref_load_model, path)
+        assert _model_outcome(load_model, path) == want, (case, text)
+        outcomes[want[0]] += 1
+    assert min(outcomes.values()) >= 300, outcomes

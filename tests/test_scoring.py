@@ -53,6 +53,14 @@ def test_load_truth_rejects_untabbed_lines(tmp_path):
         load_truth(path)
 
 
+def test_load_truth_ends_records_at_newline_only(tmp_path):
+    # a lone form feed is one blank line, not two
+    path = tmp_path / "x.truth"
+    path.write_text("A[1,1]\tcom.a.A\n\x0c\nB[3,1] com.a.B\n", encoding="utf-8")
+    with pytest.raises(TruthFormatError, match="x.truth:3: expected"):
+        load_truth(path)
+
+
 def test_load_corpus_walks_library_directories(tmp_path):
     (tmp_path / "libx").mkdir()
     (tmp_path / "libx" / "10.java").write_text("Label a;\n", encoding="utf-8")

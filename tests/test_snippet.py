@@ -90,6 +90,28 @@ def test_token_is_a_value_equal_only_to_tokens():
     assert type(lexed) is Token and lexed == tok and hash(lexed) == hash(tok)
 
 
+def test_api_element_is_a_value_equal_only_to_elements():
+    e = ApiElement("Label", 1, 1, 3)
+    assert e == ApiElement("Label", 1, 1, 3)
+    assert e != ApiElement("Label", 1, 2, 3)
+    assert e != ApiElement("Label", 1, 1, 4)
+    # a tuple with the same fields is not an element, from either side
+    assert e != ("Label", 1, 1, 3)
+    assert ("Label", 1, 1, 3) != e
+    assert not e == ("Label", 1, 1, 3)
+    assert not ("Label", 1, 1, 3) == e
+    # the hash is the field tuple's, so dicts and sets keyed by elements
+    # keep the order a field-tuple hash gives them
+    assert hash(e) == hash(("Label", 1, 1, 3))
+    assert {e: 1}[ApiElement("Label", 1, 1, 3)] == 1
+    with pytest.raises(AttributeError):
+        e.line = 2
+    assert e.key == "Label[1,1]"
+    assert repr(e) == (
+        "ApiElement(simple_name='Label', line=1, occurrence=1, token_index=3)"
+    )
+
+
 def test_lossless_round_trip_seeded_garbage():
     rng = random.Random(20260819)
     alphabet = "ab;{}()\"'\\\n\t /*@.<>[]0129_$Ztrue"

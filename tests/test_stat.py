@@ -544,6 +544,24 @@ def test_load_rejects_bad_values_with_line(tmp_path, text, match):
         load_model(path)
 
 
+def test_load_ends_records_at_newline_only(tmp_path):
+    # U+2028 and U+0085 are legal unescaped in a JSON string, and end a
+    # line for str.splitlines
+    path = tmp_path / "m.tsv"
+    path.write_text(
+        'cooccurrence\teta=2\ncount\t"a\u2028b\x85c"\tcom.a.X\t2\n', encoding="utf-8"
+    )
+    model = load_model(path)
+    assert model.counts == {("a\u2028b\x85c", "com.a.X"): 2}
+    assert model.vocabulary == {"a\u2028b\x85c"}
+    # a record after one holding a line separator keeps its line number
+    path.write_text(
+        'cooccurrence\teta=2\ncount\t"a\u2028b"\tcom.a.X\t2\nwhat\n', encoding="utf-8"
+    )
+    with pytest.raises(ModelFormatError, match="m.tsv:3: bad record 'what'"):
+        load_model(path)
+
+
 def test_trained_fixture_model_knows_only_trained_fqns(model):
     # the bundled trainers never teach the decoy libraries, so the model
     # must not be able to hallucinate them
