@@ -20,12 +20,13 @@ scores whole assignments of candidate FQNs to elements by (constraint
 violations, distinct library count, lexicographic order) and abstains
 where optima disagree.
 
-A `ConstraintProblem` tabulates every check once against a loaded KB. Its
-one solve path restricts those tables to a mask (a reduced KB given as its
-FQN set, or None for the loaded KB, which keeps every candidate) and
-searches once, with the answers of a solve on that reduced KB, without
-building it. The engine on its own, from snippet to answers, is
-`orchestrator.infer_with_engine` with engine "constraint".
+A `ConstraintProblem` solves one snippet's constraints against a loaded KB
+under a mask (a reduced KB given as its FQN set, or None for the loaded
+KB). Its one solve path keeps the candidates in the mask, tabulates their
+checks with KB membership read from the mask, and searches once, with the
+answers of a solve on that reduced KB, without building it. The engine on
+its own, from snippet to answers, is `orchestrator.infer_with_engine` with
+engine "constraint".
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Container, Mapping, Sequence, Union
 
 from .kb import (
     KnowledgeBase,
@@ -300,24 +301,23 @@ def extract_constraints(
 # solving
 
 def _chain_value(
-    kb: KnowledgeBase, start: str, chain: Sequence[tuple[str, int]], static_call: bool
+    kb: KnowledgeBase, members: Container[str], start: str,
+    chain: Sequence[tuple[str, int]], static_call: bool,
 ) -> tuple[str | None, tuple[str, ...]] | None:
     """Chase a call chain from a candidate root type.
 
     Returns None when the chain does not resolve, else (final return FQN or
     None, the intermediate return types it passed through). Every hop's
     method must be found, the first one static when static_call; every
-    non-final hop additionally needs a known return type whose entry is
-    present in the KB, so a KB reduced to a mask resolves the chain only if
-    the mask holds every intermediate type. A one-hop chain is a plain
-    method lookup and passes through no type.
+    non-final hop also needs a known return type in members, the FQNs of
+    the KB solved against.
     """
     cur = start
     passed: list[str] = []
     for idx, (m, a) in enumerate(chain[:-1]):
         sig = method_in_knowledge(kb, cur, m, a, require_static=static_call and idx == 0)
         ret = sig.return_fqn if sig is not None else None
-        if ret is None or ret not in kb:
+        if ret is None or ret not in members:
             return None
         passed.append(ret)
         cur = ret
@@ -327,36 +327,24 @@ def _chain_value(
 
 
 def _tabulate(
-    kb: KnowledgeBase,
-    constraints: Sequence[Constraint],
-    index_of: Mapping[ApiElement, int],
-    cand_lists: Sequence[tuple[str, ...]],
-) -> tuple[
-    list[list[int]],
-    dict[tuple[int, int], list[list[int]]],
-    list[tuple[frozenset[str], int, int, int]],
-    list[tuple[frozenset[str], int, int, int, int]],
-]:
-    """Evaluate every check the solver wires, once per candidate (pair).
+    kb: KnowledgeBase, members: Container[str], constraints: Sequence[Constraint],
+    index_of: Mapping[ApiElement, int], cand_lists: Sequence[Sequence[str]],
+) -> tuple[list[list[int]], dict[tuple[int, int], list[list[int]]], dict[str, set[str]]]:
+    """Evaluate every check the solver wires, once per candidate (pair), on
+    the KB of FQNs members: kb itself, or a `reduce_kb` mask of it, whose
+    types keep their kinds, members and closures, read through kb's memos.
 
-    Returns (unary, pairs, unary_if, pairs_if). unary[i][ci] counts the
-    checks that candidate ci of element i fails. pairs[(lo, hi)][c_lo][c_hi],
-    lo < hi, counts the cross-element checks failed when lo takes c_lo and
-    hi takes c_hi. A cross-element check whose two ends are one element is
-    a unary check.
-
-    Counts are the full KB's answers. Two checks also read whether a type
-    other than their own candidates is in the KB: a chain needs its
-    intermediate return types, and an assignment constrains only through a
-    value type the KB holds. Each such count is recorded with those types,
-    which a mask may drop: unary_if holds (types, i, ci, delta), the change
-    of unary[i][ci] when some of the types are missing, and pairs_if holds
-    (types, lo, hi, c_lo, c_hi), a pair count that then drops by one.
+    Returns (unary, pairs, consulted). unary[i][ci] counts the checks that
+    candidate ci of element i fails. pairs[(lo, hi)][c_lo][c_hi], lo < hi,
+    counts the cross-element checks failed when lo takes c_lo and hi takes
+    c_hi; one whose two ends are one element is a unary check. consulted
+    maps a candidate to the other types whose membership its counts read:
+    a resolved chain's intermediate types, and a failed assignment check's
+    value type and chain types.
     """
     unary = [[0] * len(cl) for cl in cand_lists]
     pairs: dict[tuple[int, int], list[list[int]]] = {}
-    unary_if: list[tuple[frozenset[str], int, int, int]] = []
-    pairs_if: list[tuple[frozenset[str], int, int, int, int]] = []
+    consulted: dict[str, set[str]] = {}
 
     def check(e: ApiElement, ok) -> None:
         i = index_of[e]
@@ -380,27 +368,25 @@ def _tabulate(
                 if isinstance(src, Construction):
                     walked = c, ()
                 else:
-                    walked = _chain_value(kb, c, src.chain, src.static_call)
-                if walked is None or walked[0] not in kb:
+                    walked = _chain_value(kb, members, c, src.chain, src.static_call)
+                if walked is None or walked[0] not in members:
                     continue  # unknown returns impose nothing
                 value, passed = walked
                 allowed = supertype_closure(kb, value)
-                # the types the answer depends on; c is in any mask that
-                # keeps this check
-                types = frozenset((value, *passed)) - {c}
                 if f == k:
-                    if c not in allowed:
+                    failed = c not in allowed
+                    if failed:
                         unary[k][ck] += 1
-                        if types:
-                            unary_if.append((types, k, ck, -1))
-                    continue
-                table = pairs[(lo, hi)]
-                for cf, c_free in enumerate(cand_lists[f]):
-                    if c_free not in allowed:
-                        a, b = (cf, ck) if f < k else (ck, cf)
-                        table[a][b] += 1
-                        if types:
-                            pairs_if.append((types, lo, hi, a, b))
+                else:
+                    failed = False
+                    table = pairs[(lo, hi)]
+                    for cf, c_free in enumerate(cand_lists[f]):
+                        if c_free not in allowed:
+                            a, b = (cf, ck) if f < k else (ck, cf)
+                            table[a][b] += 1
+                            failed = True
+                if failed:
+                    consulted.setdefault(c, set()).update((value, *passed))
         elif con.subject not in index_of:
             continue
         elif isinstance(con, Construction):
@@ -408,18 +394,18 @@ def _tabulate(
         elif isinstance(con, MemberCall):
             i = index_of[con.subject]
             for ci, c in enumerate(cand_lists[i]):
-                walked = _chain_value(kb, c, con.chain, con.static_call)
+                walked = _chain_value(kb, members, c, con.chain, con.static_call)
                 if walked is None:
                     unary[i][ci] += 1
-                elif types := frozenset(walked[1]) - {c}:
-                    unary_if.append((types, i, ci, 1))
+                elif walked[1]:
+                    consulted.setdefault(c, set()).update(walked[1])
         elif isinstance(con, FieldAccess):
             check(con.subject, lambda c: field_in_knowledge(
                 kb, c, con.field_name, require_static=con.static_access
             ) is not None)
         else:
             check(con.subject, lambda c: kb.entries[c].kind == con.kind)
-    return unary, pairs, unary_if, pairs_if
+    return unary, pairs, consulted
 
 
 def _search(
@@ -555,14 +541,12 @@ def _search(
 
 
 class ConstraintProblem:
-    """One snippet's constraint problem, tabulated once against a loaded KB.
+    """One snippet's constraint problem on a loaded KB, solved under masks.
 
-    Construction evaluates every check for each element's full candidate
-    list (see `_tabulate`). Elements on the excluded lines, and elements
-    with no candidate, are untyped under every mask and never searched.
-    `solve` then restricts the tables to a mask (`kb.reduce_kb`; None keeps
-    every candidate) and searches them, without building the reduced KB or
-    evaluating a check again.
+    Construction only sets apart the elements that are untyped under every
+    mask: those on the excluded lines and those with no candidate. Each
+    `solve` tabulates the candidates its mask keeps and searches once, or
+    returns the loaded KB's unique optimum when the mask cannot change it.
     """
 
     def __init__(
@@ -572,26 +556,24 @@ class ConstraintProblem:
         constraints: Sequence[Constraint],
         excluded: frozenset[int] = frozenset(),
     ):
-        # elements on excluded lines or with no candidate sharing their
-        # simple name are untyped under every mask
+        self._kb = kb
+        self._constraints = constraints
         untyped: set[ApiElement] = set()
-        self._search: list[ApiElement] = []
+        # each searched element with its candidates; candidates_for is
+        # sorted, so comparing index vectors compares FQNs
+        self._search: list[tuple[ApiElement, tuple[str, ...]]] = []
         for e in sorted(elements, key=lambda e: e.token_index):
-            if e.line not in excluded and kb.candidates_for(e.simple_name):
-                self._search.append(e)
+            cands = kb.candidates_for(e.simple_name)
+            if e.line not in excluded and cands:
+                self._search.append((e, cands))
             else:
                 untyped.add(e)
         self._untyped = frozenset(untyped)
-        # candidates_for is sorted, so comparing index vectors compares FQNs
-        self._cands = [kb.candidates_for(e.simple_name) for e in self._search]
-        self._libs = [[kb.entries[c].library for c in cl] for cl in self._cands]
-        index_of = {e: i for i, e in enumerate(self._search)}
-        self._unary, self._pairs, self._unary_if, self._pairs_if = _tabulate(
-            kb, constraints, index_of, self._cands
-        )
-        # the whole problem's result and its optimum, once solved, when that
-        # optimum is the only one
-        self._unique: tuple[ConstraintResult, tuple[int, ...]] | None = None
+        # once the loaded KB's optimum is known to be the only one: the
+        # result, the optimum's FQNs and each candidate's consulted types
+        self._unique: (
+            tuple[ConstraintResult, frozenset[str], dict[str, set[str]]] | None
+        ) = None
 
     def solve(
         self, mask: frozenset[str] | None = None, *, strict_uniqueness: bool = True
@@ -599,62 +581,38 @@ class ConstraintProblem:
         """The result of `solve` on the loaded KB (mask None) or on the KB
         reduced to mask, the entries of the loaded KB whose FQN it holds.
 
-        A mask from `reduce_kb` is closed under supertypes, so every check
-        on retained types reads the same closures, members and kinds as on
-        the loaded KB. The reduced problem therefore drops the candidates
-        outside the mask, and changes only the checks whose recorded types
-        leave it: a chain through a missing type does not resolve, and an
-        assignment whose value type is missing imposes nothing.
-
-        When the whole problem was solved before with a unique optimum, every
-        value of that optimum is in the mask, and no check on surviving
-        candidates changes, the answer is the whole problem's: each
-        assignment inside the mask costs what it did, so the masked minimum
-        cannot fall below the full one, and the full optimum is still
-        available, so it is again the only optimum. The search is skipped.
+        If the loaded KB's solve had a unique optimum and the mask holds its
+        FQNs and every type consulted by every candidate it keeps, that
+        solve's result is returned without tabulating or searching: each
+        assignment inside the mask costs what it did, so the full optimum is
+        again the only one.
 
         Raises ValueError when more elements have a choice than the
         search's recursion limit allows.
         """
-        search, cands, libs = self._search, self._cands, self._libs
-        unary, pairs, untyped = self._unary, self._pairs, self._untyped
-        if mask is not None:
-            unary_fired = [
-                (i, ci, delta) for types, i, ci, delta in self._unary_if
-                if not types <= mask and cands[i][ci] in mask
-            ]
-            pairs_fired = [
-                (lo, hi, a, b) for types, lo, hi, a, b in self._pairs_if
-                if not types <= mask and cands[lo][a] in mask and cands[hi][b] in mask
-            ]
-            if (
-                self._unique is not None
-                and not unary_fired
-                and not pairs_fired
-                and all(cands[i][ci] in mask for i, ci in enumerate(self._unique[1]))
+        kb = self._kb
+        if mask is not None and self._unique is not None:
+            result, optimum, consulted = self._unique
+            if optimum <= mask and all(
+                types <= mask for c, types in consulted.items() if c in mask
             ):
-                return self._unique[0]
-            # restrict the tables to the kept candidates, then apply the
-            # checks that the mask flips
-            keep = [[ci for ci, c in enumerate(cl) if c in mask] for cl in cands]
-            alive = [i for i, kept in enumerate(keep) if kept]
-            new = {i: j for j, i in enumerate(alive)}
-            at = [{ci: k for k, ci in enumerate(kept)} for kept in keep]
-            unary = [[unary[i][ci] for ci in keep[i]] for i in alive]
-            pairs = {
-                (new[lo], new[hi]): [[table[a][b] for b in keep[hi]] for a in keep[lo]]
-                for (lo, hi), table in pairs.items()
-                if keep[lo] and keep[hi]
-            }
-            for i, ci, delta in unary_fired:
-                unary[new[i]][at[i][ci]] += delta
-            for lo, hi, a, b in pairs_fired:
-                pairs[new[lo], new[hi]][at[lo][a]][at[hi][b]] -= 1
-            untyped |= {e for e, kept in zip(search, keep) if not kept}
-            search = [search[i] for i in alive]
-            cands = [[cands[i][ci] for ci in keep[i]] for i in alive]
-            libs = [[libs[i][ci] for ci in keep[i]] for i in alive]
-
+                return result
+        members: Container[str] = kb.entries if mask is None else mask
+        search: list[ApiElement] = []
+        cands: list[list[str]] = []
+        rejected = set(self._untyped)
+        for e, cl in self._search:
+            kept = [c for c in cl if c in members]
+            if kept:
+                search.append(e)
+                cands.append(kept)
+            else:
+                rejected.add(e)
+        libs = [[kb.entries[c].library for c in cl] for cl in cands]
+        index_of = {e: i for i, e in enumerate(search)}
+        unary, pairs, consulted = _tabulate(
+            kb, members, self._constraints, index_of, cands
+        )
         best_v, best_vec, optima_values = _search(libs, unary, pairs)
         # which elements sit on a violated constraint in the chosen optimum
         violated: set[int] = set()
@@ -666,7 +624,6 @@ class ConstraintProblem:
                 if table[best_vec[lo]][best_vec[hi]] > 0:
                     violated.update((lo, hi))
         typed: dict[ApiElement, str] = {}
-        rejected = set(untyped)
         for i, e in enumerate(search):
             if i in violated or (strict_uniqueness and len(optima_values[i]) > 1):
                 rejected.add(e)
@@ -674,7 +631,8 @@ class ConstraintProblem:
                 typed[e] = cands[i][best_vec[i]]
         result = ConstraintResult(typed, frozenset(rejected))
         if mask is None and all(len(values) == 1 for values in optima_values):
-            self._unique = (result, best_vec)
+            optimum = frozenset(cl[ci] for cl, ci in zip(cands, best_vec))
+            self._unique = (result, optimum, consulted)
         return result
 
 
@@ -698,12 +656,10 @@ def solve(
 
     This is `ConstraintProblem.solve` with mask None: every check is
     tabulated once per candidate and candidate pair, and an exact branch and
-    bound (`_search`) over those tables, kept whole, finds every optimum.
-    The loop in `orchestrator.run` keeps the tabulation for the whole run
-    instead: it builds one `ConstraintProblem` and solves it under each
-    round's mask, skipping the search when the full KB's unique optimum
-    survives the mask unchanged. Raises ValueError when more elements have
-    a choice than the search's recursion limit allows.
+    bound (`_search`) over those tables finds every optimum. The loop in
+    `orchestrator.run` builds one `ConstraintProblem` per run and solves it
+    under each round's mask. Raises ValueError when more elements have a
+    choice than the search's recursion limit allows.
     """
     return ConstraintProblem(kb, elements, constraints, excluded).solve(
         strict_uniqueness=strict_uniqueness

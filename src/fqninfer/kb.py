@@ -4,9 +4,9 @@ supertype closures and member lookups, and candidate masks.
 A round of the loop narrows the KB to the statistical engine's candidate
 types. That narrowing is a mask, not a new KB: `reduce_kb` returns the set
 of FQNs the reduced KB would hold (each candidate type and its supertype
-closure), and the solver filters its once-tabulated checks by it. One
-loaded KnowledgeBase therefore serves every round and every snippet, and
-its memos keep paying.
+closure), and the solver reads KB membership from it. One loaded
+KnowledgeBase therefore serves every round and every snippet, and its
+memos keep paying.
 
 The KB is loaded from a line-oriented text format:
 
@@ -125,14 +125,18 @@ class KnowledgeBase:
         for e in self._entries.values():
             if e.kind not in ("class", "interface"):
                 raise KbError(f"{e.fqn}: bad kind {e.kind!r}")
-            seen: dict[tuple[str, int], MethodSig] = {}
+            signatures: set[tuple[str, int]] = set()
             for m in e.methods:
-                key = (m.name, m.arity)
-                if key in seen:
+                if (m.name, m.arity) in signatures:
                     raise KbError(
                         f"{e.fqn}: conflicting signatures for {m.name}/{m.arity}"
                     )
-                seen[key] = m
+                signatures.add((m.name, m.arity))
+            names: set[str] = set()
+            for f in e.fields:
+                if f.name in names:
+                    raise KbError(f"{e.fqn}: conflicting fields for {f.name}")
+                names.add(f.name)
             for s in e.supertypes:
                 if s not in self._entries:
                     raise KbError(
@@ -195,8 +199,8 @@ def load_kb(path: str | Path) -> KnowledgeBase:
 
     Raises KbError as `<path>:<line>: <message>` for malformed records,
     duplicate type FQNs and members whose owner is unknown, and as
-    `<path>: <message>` for conflicting signatures and supertype references
-    that are neither in the KB nor marked external.
+    `<path>: <message>` for conflicting method signatures or fields and
+    supertype references that are neither in the KB nor marked external.
     """
     text = read_utf8(path, KbError)
     try:
@@ -425,8 +429,8 @@ def reduce_kb(kb: KnowledgeBase, cantypes: Iterable[str]) -> frozenset[str]:
 
     The reduced KB is the entries of kb under the mask. It is closed under
     supertypes, so each retained type keeps its closure, members and kind,
-    and a solver can filter checks tabulated on kb instead of rebuilding
-    them (see constraint.ConstraintProblem).
+    and a solver can read kb's memos for them and only membership from the
+    mask (see constraint.ConstraintProblem).
 
     Raises UnknownTypeError if any candidate type is absent from kb.
     """

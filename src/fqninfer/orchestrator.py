@@ -8,10 +8,10 @@ fixed number of rounds. Final answers prefer the constraint engine where it
 ever committed, falling back to the statistical ranking.
 
 A reduction is a mask over the loaded KB (`kb.reduce_kb`), never a new KB:
-the constraint problem is tabulated once per run against the loaded KB, and
-each round searches it under its mask. A masked round whose mask keeps the
-full-KB round's unique optimum, and changes no check on the surviving
-candidates, returns that optimum without searching (see
+each round tabulates and searches the candidates its mask keeps, reading
+KB membership from the mask. A masked round whose mask keeps the full-KB
+round's unique optimum and every type the checks of its kept candidates
+consulted returns that optimum without tabulating or searching (see
 `constraint.ConstraintProblem.solve`).
 """
 
@@ -147,10 +147,10 @@ def run(
     model. Statistical candidates are always filtered against the ORIGINAL
     kb; reduction narrows only what the constraint solver sees.
 
-    The constraint problem is tabulated once. Within a run the solver's
-    answer depends only on the candidate-type set the KB is reduced to
-    (None: the full KB), and the ranking only on the substitution map, so
-    each distinct input is solved under its mask or ranked once.
+    Within a run the solver's answer depends only on the candidate-type
+    set the KB is reduced to (None: the full KB), and the ranking only on
+    the substitution map, so each distinct input is solved under its mask
+    or ranked once.
 
     Raises ValueError when the snippet is too large to solve: more elements
     with a choice than the constraint search's recursion limit allows.

@@ -259,20 +259,23 @@ class ExternalPredictor:
         self.command = list(command)
         self._proc: subprocess.Popen | None = None
 
-    def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self.close()
-            self._proc = subprocess.Popen(
+    def predict(self, aug, target, k):
+        """Raises RuntimeError when the child has exited or answers out of
+        protocol. The child starts on first use, and again only after
+        `close()`."""
+        proc = self._proc
+        if proc is None:
+            proc = self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
                 bufsize=1,
             )
-        return self._proc
-
-    def predict(self, aug, target, k):
-        proc = self._ensure()
+        elif proc.poll() is not None:
+            raise RuntimeError(
+                f"external predictor exited with status {proc.returncode}"
+            )
         lines = aug.text().splitlines()
         request = {"context_lines": lines, "target_key": target.key, "k": k}
         assert proc.stdin is not None and proc.stdout is not None

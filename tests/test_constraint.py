@@ -13,8 +13,10 @@ from fqninfer import (
     ExtractOptions,
     KnowledgeBase,
     identify_api_elements,
+    run,
     tokenize,
 )
+from fqninfer import constraint
 from fqninfer.constraint import (
     ConstraintProblem,
     Construction,
@@ -990,3 +992,46 @@ def test_mask_searches_again_when_a_check_depends_on_a_dropped_type():
     assert got.typed == {other: "com.a.Door"} and got.untyped == {door}
     assert naive.typed == {door: "com.a.Door", other: "com.a.Door"}
 
+
+
+def _count_solve_work(monkeypatch):
+    """Count the calls to the tabulation and to the search."""
+    calls = {"_tabulate": 0, "_search": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(constraint, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(constraint, name, counted)
+    return calls
+
+
+def test_mask_that_keeps_the_unique_optimum_and_its_consulted_types_reuses_it(
+    monkeypatch,
+):
+    kb = _chain_kb()
+    door, other = _el("Door", 0), _el("Door", 1)
+    chain = MemberCall(door, (("open", 0), ("turn", 0)), static_call=False)
+    call = MemberCall(other, (("open", 0),), static_call=False)
+    problem = ConstraintProblem(kb, [door, other], [chain, call])
+    full = problem.solve()
+    assert full.typed == {door: "com.a.Door", other: "com.a.Door"}
+    calls = _count_solve_work(monkeypatch)
+    # com.m.Handle is the type com.a.Door's chain consulted
+    kept = reduce_kb(kb, ["com.a.Door", "org.b.Door", "com.m.Handle"])
+    assert problem.solve(kept) is full
+    assert calls == {"_tabulate": 0, "_search": 0}
+    # without it the chain no longer resolves, so the mask is searched
+    dropped = reduce_kb(kb, ["com.a.Door", "org.b.Door"])
+    got = problem.solve(dropped)
+    assert got.typed == {other: "com.a.Door"} and got.untyped == {door}
+    assert calls == {"_tabulate": 1, "_search": 1}
+
+
+def test_every_search_of_the_fixture_corpus_tabulates_once(
+    kb, model, eval_items, monkeypatch
+):
+    calls = _count_solve_work(monkeypatch)
+    for item in eval_items:
+        run(item.snippet, kb, model)
+    # every full-KB solve searches; only some masked ones are reused
+    assert len(eval_items) < calls["_search"] == calls["_tabulate"]

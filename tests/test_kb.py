@@ -178,6 +178,27 @@ def test_conflicting_method_signatures_rejected(tmp_path):
         _load_text(tmp_path, text)
 
 
+def test_conflicting_fields_rejected(tmp_path):
+    # which of the two a lookup met first followed string hashing
+    text = (
+        "type p.A class lib=p\n"
+        "field p.A F type=p.A\n"
+        "field p.A F static type=?\n"
+    )
+    with pytest.raises(KbError, match=r"test\.kb: p\.A: conflicting fields for F$"):
+        _load_text(tmp_path, text)
+
+
+def test_identical_field_records_merge(tmp_path):
+    text = (
+        "type p.A class lib=p\n"
+        "field p.A F type=p.A\n"
+        "field p.A F type=p.A\n"
+    )
+    kb = _load_text(tmp_path, text)
+    assert field_in_knowledge(kb, "p.A", "F") == FieldSig("F", "p.A")
+
+
 def test_identical_method_records_merge(tmp_path):
     text = (
         "type com.a.X class lib=a\n"

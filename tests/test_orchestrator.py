@@ -390,11 +390,11 @@ def test_confirming_round_asks_the_predictor_nothing(kb, model, by_id):
 def test_oscillation_solves_and_ranks_each_state_once(
     kb, model, by_id, order, monkeypatch
 ):
-    calls = {"tabulate": 0, "solve": 0, "reduce_kb": 0}
+    calls = {"problems": 0, "solve": 0, "reduce_kb": 0}
 
     class CountedProblem(orchestrator.ConstraintProblem):
         def __init__(self, *args):
-            calls["tabulate"] += 1
+            calls["problems"] += 1
             super().__init__(*args)
 
         def solve(self, *args, **kw):
@@ -410,11 +410,11 @@ def test_oscillation_solves_and_ranks_each_state_once(
     counting = _CountingPredictor(model)
     cfg = RunConfig(delta=10, order=order)
     combined, trace = run(by_id["9090901"].snippet, kb, counting, cfg)
-    # one tabulation per run; each state of this oscillation solves under a
+    # one problem per run; each state of this oscillation solves under a
     # mask of its own size
     sizes = {rec.kb_size for rec in trace}
     assert calls == {
-        "tabulate": 1, "solve": len(sizes), "reduce_kb": len(sizes - {len(kb)})
+        "problems": 1, "solve": len(sizes), "reduce_kb": len(sizes - {len(kb)})
     }
     typed = [frozenset(rec.constraint_result.typed.items()) for rec in trace]
     # constraint first ranks each round's answers; stat first ranks the

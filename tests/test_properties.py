@@ -1354,8 +1354,8 @@ def _kb_outcome(parse, text):
         kb = parse(text)
     except KbError as exc:
         return "error", str(exc), exc.line
-    # members in iteration order: which of two same-named fields find_field
-    # meets first depends on the order the frozenset was filled in
+    # members in iteration order, which follows the order each frozenset
+    # was filled in: stricter than set equality
     return "kb", [
         (fqn, e.kind, e.library, list(e.methods), list(e.fields),
          e.supertypes, e.external_supertypes)

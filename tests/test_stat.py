@@ -456,6 +456,29 @@ def test_external_predictor_close_kills_a_child_that_outlives_its_input(tmp_path
     assert pred._proc is None
 
 
+def test_external_predictor_that_exited_is_an_error(tmp_path):
+    # answers one request, then exits with status 3
+    script = tmp_path / "one_shot_predictor.py"
+    script.write_text(
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        "print('[]', flush=True)\n"
+        "sys.exit(3)\n",
+        encoding="utf-8",
+    )
+    sn, el = _single_element("Label x = ctx;", "Label")
+    with ExternalPredictor([sys.executable, str(script)]) as pred:
+        assert pred.predict(plain(sn), el, 1) == []
+        first = pred._proc
+        first.wait(timeout=30)
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            pred.predict(plain(sn), el, 1)
+        assert pred._proc is first  # no second child was started
+        pred.close()
+        assert pred.predict(plain(sn), el, 1) == []  # close() allows a new one
+        assert pred._proc is not first
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
