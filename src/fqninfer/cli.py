@@ -145,7 +145,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     save_model(model, args.output)
     log.info(
         "trained on %d snippets: %d (token, fqn) pairs, %d names",
-        len(items), len(model.counts), len(model.fqn_totals),
+        len(items), sum(map(len, model.rows.values())), len(model.fqn_totals),
     )
     return 0
 

@@ -6,14 +6,17 @@ for it. Here the ranking comes from Laplace-smoothed co-occurrence counts
 gathered from a training corpus of snippets with known element types.
 
 score(f) = sum over window tokens t of
-    log( (counts[(t, f)] + alpha) / (fqn_totals[f] + alpha * |vocabulary|) )
+    log( (rows[f][t] + alpha) / (fqn_totals[f] + alpha * |vocabulary|) )
+
+where a token missing from f's row counts 0.
 
 Only model-known FQNs whose simple name matches the target are ranked, and
 a candidate needs at least one positive count against the window to appear
 at all: the model does not propose types it has no contextual evidence for.
 A window is a slice of the snippet's word index (`Snippet.word_index`),
 found by bisecting its lines, and each candidate is scored and checked for
-evidence in one pass over the window, one count lookup per token.
+evidence in one pass over the window: one fetch of its count row, then one
+lookup in that row per token.
 Predictions may still name FQNs that exist nowhere in a given KB (learned
 from other corpora), which is exactly the hallucination the KB filter is
 for.
@@ -52,11 +55,17 @@ def _check_settings(alpha: float, eta: int) -> None:
 class CooccurrenceModel:
     """Token/FQN co-occurrence counts plus smoothing configuration.
 
+    `rows` holds one count row per FQN, `{fqn: {token: n}}`; a token absent
+    from a row counts 0. `train` and `load_model` open a row at its FQN's
+    first count, so no row they build is empty, and a trained model equals
+    the model loaded from its dump. `counts` is a derived `{(token, fqn): n}`
+    view, built afresh on each read.
+
     The fields are read-only after construction, which builds the
     simple-name index that `known_fqns_named` answers from.
     """
 
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    rows: dict[str, dict[str, int]] = field(default_factory=dict)
     fqn_totals: dict[str, int] = field(default_factory=dict)
     vocabulary: set[str] = field(default_factory=set)
     smoothing_alpha: float = 1.0
@@ -72,6 +81,13 @@ class CooccurrenceModel:
             # a simple name is one identifier, so it is all after the last dot
             index.setdefault(fqn.rpartition(".")[2], []).append(fqn)
         self._by_simple_name = {k: tuple(sorted(v)) for k, v in index.items()}
+
+    @property
+    def counts(self) -> dict[tuple[str, str], int]:
+        """A fresh `{(token, fqn): n}` dict of every count in `rows`."""
+        return {
+            (tok, fqn): n for fqn, row in self.rows.items() for tok, n in row.items()
+        }
 
     def predict(
         self, aug: AugmentedSnippet, target: ApiElement, k: int
@@ -120,49 +136,51 @@ def train(
     snippet's size, and every truth key is checked against the snippet.
     """
     _check_settings(alpha, eta)
-    counts: dict[tuple[str, str], int] = {}
+    rows: dict[str, dict[str, int]] = {}
     totals: dict[str, int] = {}
     vocabulary: set[str] = set()
     for snippet, truth in corpus:
         aug = augment(snippet, truth)
         for e, fqn in truth.items():
-            # a truth FQN is kept even when its window gathers no tokens
-            totals.setdefault(fqn, 0)
-            for tok in context_window(aug, e, eta):
-                counts[(tok, fqn)] = counts.get((tok, fqn), 0) + 1
-                totals[fqn] += 1
-                vocabulary.add(tok)
-    return CooccurrenceModel(counts, totals, vocabulary, alpha, eta)
+            window = context_window(aug, e, eta)
+            # a truth FQN is kept even when its window gathers no tokens,
+            # but its row opens only at its first token
+            totals[fqn] = totals.get(fqn, 0) + len(window)
+            if window:
+                row = rows.get(fqn)
+                if row is None:
+                    row = rows[fqn] = {}
+                for tok in window:
+                    row[tok] = row.get(tok, 0) + 1
+                vocabulary.update(window)
+    return CooccurrenceModel(rows, totals, vocabulary, alpha, eta)
 
 
-def score_candidate(
-    model: CooccurrenceModel, window: Sequence[str], fqn: str
-) -> float:
-    """score(fqn) over the window, as the module docstring defines it;
-    minus infinity when the denominator is not positive."""
-    return _score(model, window, fqn)[0]
+_NO_COUNTS: Mapping[str, int] = {}  # the row of an FQN with no counts
 
 
 def _score(
     model: CooccurrenceModel, window: Sequence[str], fqn: str
 ) -> tuple[float, bool]:
-    """The score of fqn against window, and whether some window token has
-    a positive count with fqn, from one count lookup per window token.
+    """score(fqn) over the window, as the module docstring defines it
+    (minus infinity when the denominator is not positive), and whether some
+    window token has a positive count with fqn, from one fetch of fqn's row
+    and one lookup in it per window token.
 
     Every zero count adds the same summand, log(alpha / denom), which equals
     log((0 + alpha) / denom) exactly, so it is computed once. The summands
     and their order are the formula's, so the score is the same float.
     """
-    counts = model.counts
+    row = model.rows.get(fqn, _NO_COUNTS)
     alpha = model.smoothing_alpha
     denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
     if denom <= 0:
-        return float("-inf"), any(counts.get((tok, fqn), 0) > 0 for tok in window)
+        return float("-inf"), any(row.get(tok, 0) > 0 for tok in window)
     total = 0.0
     evidence = False
     unseen = None  # log(alpha / denom), computed where the formula first would
     for tok in window:
-        c = counts.get((tok, fqn), 0)
+        c = row.get(tok, 0)
         if c:
             if c > 0:
                 evidence = True
@@ -198,7 +216,8 @@ def predict_topk(
             # a summand outside log's domain (a hand-built model's negative
             # count) fails only a candidate with evidence; one without is
             # dropped before it is scored
-            if any(model.counts.get((tok, fqn), 0) > 0 for tok in window):
+            row = model.rows.get(fqn, _NO_COUNTS)
+            if any(row.get(tok, 0) > 0 for tok in window):
                 raise
             continue
         if evidence:
@@ -347,25 +366,30 @@ _HEADER_PREFIX = "cooccurrence"
 def dump_model(model: CooccurrenceModel) -> str:
     """Serialize as a header line plus sorted, tab-delimited count records.
 
-    Tokens are JSON-escaped because lexemes (string literals) may contain
-    spaces, tabs or newlines. Each distinct token is encoded once, as
-    `load_model` decodes each once. Deterministic: equal models dump
+    Count records are sorted by (token, fqn), and only positive counts are
+    written. Tokens are JSON-escaped because lexemes (string literals) may
+    contain spaces, tabs or newlines. Each distinct token is encoded once,
+    as `load_model` decodes each once. Deterministic: equal models dump
     identically.
     """
     lines = [
         f"{_HEADER_PREFIX}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
     ]
+    records = sorted(
+        (tok, fqn, n)
+        for fqn, row in model.rows.items()
+        for tok, n in row.items()
+        if n > 0
+    )
     encoded: dict[str, str] = {}
-    for (tok, fqn) in sorted(model.counts):
-        n = model.counts[(tok, fqn)]
-        if n <= 0:
-            continue
+    for tok, fqn, n in records:
         quoted = encoded.get(tok)
         if quoted is None:
             quoted = encoded[tok] = json.dumps(tok)
         lines.append(f"count\t{quoted}\t{fqn}\t{n}")
-    # FQNs with no counts at all still need to exist after a round-trip
-    counted = {fqn for (_, fqn) in model.counts}
+    # an FQN with no positive count writes no count record, but must still
+    # exist after a round-trip
+    counted = {fqn for _, fqn, _ in records}
     for fqn in sorted(model.fqn_totals):
         if fqn not in counted:
             lines.append(f"fqn\t{fqn}")
@@ -413,7 +437,7 @@ def load_model(path: str | Path) -> CooccurrenceModel:
         _check_settings(alpha, eta)
     except ValueError as exc:
         raise bad(1, str(exc)) from None
-    counts: dict[tuple[str, str], int] = {}
+    rows: dict[str, dict[str, int]] = {}
     totals: dict[str, int] = {}
     # few distinct tokens stand in many records; a bad one never enters, so
     # the decoded tokens are the vocabulary
@@ -435,12 +459,16 @@ def load_model(path: str | Path) -> CooccurrenceModel:
             if n <= 0:
                 raise bad(lineno, "nonpositive count")
             fqn = parts[2]
-            key = (tok, fqn)
-            counts[key] = counts.get(key, 0) + n
+            row = rows.get(fqn)
+            if row is None:
+                # later records of this FQN find its row, so its string is
+                # kept once
+                row = rows[fqn] = {}
+            row[tok] = row.get(tok, 0) + n
             totals[fqn] = totals.get(fqn, 0) + n
         elif len(parts) == 2 and parts[0] == "fqn":
             totals.setdefault(parts[1], 0)
         elif line and line[0] != "#":
             raise bad(lineno, f"bad record {_shown(line)}")
     vocabulary = set(decoded.values())
-    return CooccurrenceModel(counts, totals, vocabulary, alpha, eta)
+    return CooccurrenceModel(rows, totals, vocabulary, alpha, eta)

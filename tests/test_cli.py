@@ -1,12 +1,14 @@
 """End-to-end coverage of the command line interface via main(argv)."""
 
 import logging
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from fqninfer import (
+    CooccurrenceModel,
     ExtractOptions,
     RunConfig,
     dump_kb,
@@ -100,6 +102,22 @@ def test_train_reproduces_library_model(tmp_path, monkeypatch, model):
     out = tmp_path / "trained.model"
     assert main(["train", TRAIN_DIR, "-o", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == dump_model(model)
+
+
+def test_train_logs_one_pair_per_count_record(tmp_path, monkeypatch, caplog):
+    # the summary counts row entries; building the (token, fqn) view fails
+    def no_pair_view(self):
+        raise AssertionError("CooccurrenceModel.counts was read")
+
+    monkeypatch.setattr(CooccurrenceModel, "counts", property(no_pair_view))
+    monkeypatch.delenv("FQNINFER_KB", raising=False)
+    out = tmp_path / "trained.model"
+    with caplog.at_level(logging.INFO, logger="fqninfer"):
+        assert main(["train", TRAIN_DIR, "-o", str(out)]) == 0
+    records = out.read_text(encoding="utf-8").split("\n")
+    (summary,) = [r.message for r in caplog.records if r.message.startswith("trained")]
+    pairs = re.search(r": (\d+) \(token, fqn\) pairs,", summary)
+    assert int(pairs.group(1)) == sum(r.startswith("count\t") for r in records) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 from test_loader_fuzz import _mutate
+from test_stat import _row_items, _rows
 
 from fqninfer.constraint import (
     ConstraintProblem,
@@ -60,12 +61,12 @@ from fqninfer.stat import (
     CooccurrenceModel,
     ModelFormatError,
     _check_settings,
+    _score,
     _shown,
     context_window,
     dump_model,
     load_model,
     predict_topk,
-    score_candidate,
     train,
 )
 
@@ -1035,7 +1036,7 @@ def test_stat_score_dominance():
         if pad:
             counts[(outside[0], g)] = pad
         model = CooccurrenceModel(
-            counts=counts,
+            rows=_rows(counts),
             fqn_totals={
                 f: sum(v for (t, q), v in counts.items() if q == f),
                 g: sum(v for (t, q), v in counts.items() if q == g),
@@ -1046,11 +1047,11 @@ def test_stat_score_dominance():
         assert model.fqn_totals[f] <= model.fqn_totals[g], case
 
         window = [rng.choice(window_tokens) for _ in range(rng.randint(1, 6))]
-        sf = score_candidate(model, window, f)
-        sg = score_candidate(model, window, g)
+        sf = _score(model, window, f)[0]
+        sg = _score(model, window, g)[0]
         assert sf >= sg - 1e-12, case
-        assert score_candidate(model, window, f) == sf, case
-        assert score_candidate(model, window, g) == sg, case
+        assert _score(model, window, f)[0] == sf, case
+        assert _score(model, window, g)[0] == sg, case
 
 
 def _formula_score(model, window, fqn):
@@ -1059,9 +1060,10 @@ def _formula_score(model, window, fqn):
     denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
     if denom <= 0:
         return float("-inf")
+    counts = model.counts
     total = 0.0
     for tok in window:
-        c = model.counts.get((tok, fqn), 0)
+        c = counts.get((tok, fqn), 0)
         total += math.log((c + alpha) / denom)
     return total
 
@@ -1071,9 +1073,10 @@ def _evidence_first_topk(model, window, simple_name, k):
     the window, then score the rest."""
     if k <= 0:
         return []
+    counts = model.counts
     scored = []
     for fqn in model.known_fqns_named(simple_name):
-        if not any(model.counts.get((tok, fqn), 0) > 0 for tok in window):
+        if not any(counts.get((tok, fqn), 0) > 0 for tok in window):
             continue
         scored.append((fqn, _formula_score(model, window, fqn)))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -1112,7 +1115,7 @@ def test_ranking_scores_are_the_formula_bit_for_bit():
         totals = {f: rng.choice((0, 1, 5, 12, -3, -40)) for f in fqns}
         vocabulary = set(rng.sample(_SCORE_TOKENS, rng.randint(0, len(_SCORE_TOKENS) - 2)))
         model = CooccurrenceModel(
-            counts=counts,
+            rows=_rows(counts),
             fqn_totals=totals,
             vocabulary=vocabulary,
             smoothing_alpha=rng.choice((0.5, 1.0, 1.7, 2.25, 3)),
@@ -1130,7 +1133,7 @@ def test_ranking_scores_are_the_formula_bit_for_bit():
         assert _outcome(predict_topk, model, aug, target, k) == want, (case, model, window)
         raised += want[0] == "raised"
         for fqn in fqns:
-            assert _outcome(score_candidate, model, window, fqn) == _outcome(
+            assert _outcome(lambda: _score(model, window, fqn)[0]) == _outcome(
                 _formula_score, model, window, fqn
             ), (case, fqn)
     assert raised >= 50, raised
@@ -1317,7 +1320,7 @@ def _ref_load_model(path):
         _check_settings(alpha, eta)
     except ValueError as exc:
         raise bad(1, str(exc)) from None
-    counts = {}
+    rows = {}
     totals = {}
     vocabulary = set()
     decoded = {}
@@ -1339,14 +1342,15 @@ def _ref_load_model(path):
                 raise bad(lineno, f"bad count record {_shown(line)}") from None
             if n <= 0:
                 raise bad(lineno, "nonpositive count")
-            counts[(tok, fqn)] = counts.get((tok, fqn), 0) + n
+            row = rows.setdefault(fqn, {})
+            row[tok] = row.get(tok, 0) + n
             totals[fqn] = totals.get(fqn, 0) + n
             vocabulary.add(tok)
         elif parts[0] == "fqn" and len(parts) == 2:
             totals.setdefault(parts[1], 0)
         else:
             raise bad(lineno, f"bad record {_shown(line)}")
-    return CooccurrenceModel(counts, totals, vocabulary, alpha, eta)
+    return CooccurrenceModel(rows, totals, vocabulary, alpha, eta)
 
 
 def _kb_outcome(parse, text):
@@ -1369,7 +1373,7 @@ def _model_outcome(load, path):
     except ModelFormatError as exc:
         return "error", str(exc)
     return "model", (
-        list(m.counts.items()), list(m.fqn_totals.items()), m.vocabulary,
+        _row_items(m), list(m.fqn_totals.items()), m.vocabulary,
         m.smoothing_alpha, m.window_eta,
     )
 
@@ -1502,8 +1506,8 @@ def test_kb_loader_matches_reference_loop():
 
 
 def test_model_loader_matches_reference_loop(tmp_path, model):
-    """load_model gives the reference loop's counts and totals in the same
-    insertion order, its vocabulary and settings, or its error message, on
+    """load_model gives the reference loop's rows, counts and totals in the
+    same insertion order, its vocabulary and settings, or its error message, on
     mutated fixture models and on generated ones."""
     rng = random.Random(9015)
     fixture = dump_model(model)

@@ -1,5 +1,6 @@
 """Co-occurrence model: windows, training, ranking, filtering, persistence."""
 
+import hashlib
 import math
 import random
 import sys
@@ -27,11 +28,20 @@ from fqninfer.kb import TypeEntry
 from fqninfer.snippet import AugmentError, augment
 from fqninfer.stat import (
     CandidateList,
+    _score,
     context_window,
     filter_against_kb,
     predict_topk,
-    score_candidate,
 )
+
+
+def _rows(counts):
+    """The count rows {fqn: {token: n}} of a {(token, fqn): n} dict, filled
+    in the dict's order."""
+    rows = {}
+    for (tok, fqn), n in counts.items():
+        rows.setdefault(fqn, {})[tok] = n
+    return rows
 
 
 def _kb(*fqns):
@@ -100,51 +110,56 @@ def test_train_counts_leave_one_out():
     sn, label, button, truth = _toy_corpus()
     model = train([(sn, truth)])
     # Label's window saw Button substituted by its FQN, not the raw name
-    assert model.counts[("com.y.Button", "com.x.Label")] == 1
-    assert ("Button", "com.x.Label") not in model.counts
+    assert model.rows["com.x.Label"]["com.y.Button"] == 1
+    assert "Button" not in model.rows["com.x.Label"]
     # and symmetrically
-    assert model.counts[("com.x.Label", "com.y.Button")] == 1
+    assert model.rows["com.y.Button"]["com.x.Label"] == 1
 
 
 def test_train_totals_are_count_sums():
     sn, label, button, truth = _toy_corpus()
     model = train([(sn, truth)])
     for fqn in ("com.x.Label", "com.y.Button"):
-        manual = sum(n for (_, f), n in model.counts.items() if f == fqn)
+        manual = sum(model.rows[fqn].values())
         assert model.fqn_totals[fqn] == manual
 
 
 def test_train_keeps_fqn_with_empty_window():
-    sn = tokenize("Label a;")
-    els = identify_api_elements(sn)
-    model = train([(sn, {els[0]: "com.x.Label"})], eta=0)
-    # eta=0 window holds only same-line tokens; 'a' is one, so drop to a
-    # bare line to observe the empty case
-    lone = tokenize("Label x;\n\n\nother;\n")
-    lone_els = identify_api_elements(lone)
-    model2 = train([(lone, {lone_els[0]: "com.x.Label"})], eta=0)
-    assert "com.x.Label" in model2.fqn_totals
-    assert model2.fqn_totals["com.x.Label"] >= 0
+    # an eta 0 window holds only same-line words, and this line has none
+    # but the element's own
+    sn = tokenize("new Label();\n\nother;\n")
+    (label,) = identify_api_elements(sn)
+    assert context_window(plain(sn), label, 0) == []
+    model = train([(sn, {label: "com.x.Label"})], eta=0)
+    assert model.fqn_totals == {"com.x.Label": 0}
+    assert model.rows == {}
+    assert model.known_fqns_named("Label") == ["com.x.Label"]
 
 
 def _reference_train(corpus, eta=2, alpha=1.0):
     """The per-element leave-one-out loop: one augmentation per truth
     element, with every other truth element substituted."""
-    counts, totals, vocabulary = {}, {}, set()
+    rows, totals, vocabulary = {}, {}, set()
     for snippet, truth in corpus:
         for e, fqn in truth.items():
             others = {o: f for o, f in truth.items() if o != e}
             aug = augment(snippet, others)
             totals.setdefault(fqn, 0)
             for tok in context_window(aug, e, eta):
-                counts[(tok, fqn)] = counts.get((tok, fqn), 0) + 1
+                row = rows.setdefault(fqn, {})
+                row[tok] = row.get(tok, 0) + 1
                 totals[fqn] += 1
                 vocabulary.add(tok)
-    return CooccurrenceModel(counts, totals, vocabulary, alpha, eta)
+    return CooccurrenceModel(rows, totals, vocabulary, alpha, eta)
+
+
+def _row_items(model):
+    """Every row and count in insertion order."""
+    return [(fqn, list(row.items())) for fqn, row in model.rows.items()]
 
 
 def _assert_same_model(got, want):
-    assert list(got.counts.items()) == list(want.counts.items())
+    assert _row_items(got) == _row_items(want)
     assert list(got.fqn_totals.items()) == list(want.fqn_totals.items())
     assert got.vocabulary == want.vocabulary
     assert dump_model(got) == dump_model(want)
@@ -238,12 +253,12 @@ def test_known_fqns_named_suffix_match():
 
 def test_score_candidate_matches_hand_computation():
     model = CooccurrenceModel(
-        counts={("tok", "com.a.X"): 3},
+        rows=_rows({("tok", "com.a.X"): 3}),
         fqn_totals={"com.a.X": 3},
         vocabulary={"tok", "other"},
         smoothing_alpha=1.0,
     )
-    got = score_candidate(model, ["tok", "unseen"], "com.a.X")
+    got = _score(model, ["tok", "unseen"], "com.a.X")[0]
     denom = 3 + 1.0 * 2
     want = math.log((3 + 1) / denom) + math.log((0 + 1) / denom)
     assert got == pytest.approx(want)
@@ -251,7 +266,7 @@ def test_score_candidate_matches_hand_computation():
 
 def test_score_candidate_empty_model_is_minus_inf():
     model = CooccurrenceModel()
-    assert score_candidate(model, ["a"], "com.a.X") == float("-inf")
+    assert _score(model, ["a"], "com.a.X")[0] == float("-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +276,11 @@ def test_score_candidate_empty_model_is_minus_inf():
 def _ranking_model():
     # totals are balanced (5 each) so the ctx evidence alone decides
     return CooccurrenceModel(
-        counts={
+        rows=_rows({
             ("ctx", "com.a.Label"): 5,
             ("ctx", "org.b.Label"): 1,
             ("other", "org.b.Label"): 4,
-        },
+        }),
         fqn_totals={"com.a.Label": 5, "org.b.Label": 5, "net.c.Label": 0},
         vocabulary={"ctx", "other"},
     )
@@ -287,7 +302,7 @@ def test_predict_topk_drops_zero_evidence_candidates():
 
 def test_predict_topk_breaks_ties_lexicographically():
     model = CooccurrenceModel(
-        counts={("ctx", "org.z.Same"): 2, ("ctx", "com.a.Same"): 2},
+        rows=_rows({("ctx", "org.z.Same"): 2, ("ctx", "com.a.Same"): 2}),
         fqn_totals={"org.z.Same": 2, "com.a.Same": 2},
         vocabulary={"ctx"},
     )
@@ -357,7 +372,7 @@ def test_predict_all_survives_hallucinated_top_rank():
     # the model's best guess is absent from the KB; with k=1 the engine must
     # still emit the best KB-known candidate instead of going silent
     model = CooccurrenceModel(
-        counts={("ctx", "zzz.fake.Label"): 9, ("ctx", "com.a.Label"): 1},
+        rows=_rows({("ctx", "zzz.fake.Label"): 9, ("ctx", "com.a.Label"): 1}),
         fqn_totals={"zzz.fake.Label": 9, "com.a.Label": 1},
         vocabulary={"ctx"},
     )
@@ -369,7 +384,7 @@ def test_predict_all_survives_hallucinated_top_rank():
 
 def test_predict_all_keys_in_token_order():
     model = CooccurrenceModel(
-        counts={("shared", "com.a.Label"): 1, ("shared", "com.b.Button"): 1},
+        rows=_rows({("shared", "com.a.Label"): 1, ("shared", "com.b.Button"): 1}),
         fqn_totals={"com.a.Label": 1, "com.b.Button": 1},
         vocabulary={"shared"},
     )
@@ -489,7 +504,8 @@ def test_model_round_trip(tmp_path):
     path = tmp_path / "model.tsv"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.counts == model.counts
+    assert loaded == model
+    assert loaded.rows == model.rows
     assert loaded.fqn_totals == model.fqn_totals
     assert loaded.vocabulary == model.vocabulary
     assert loaded.smoothing_alpha == model.smoothing_alpha
@@ -499,13 +515,13 @@ def test_model_round_trip(tmp_path):
 
 def test_dump_escapes_awkward_tokens(tmp_path):
     model = CooccurrenceModel(
-        counts={('"two\twords"', "com.a.X"): 1},
+        rows=_rows({('"two\twords"', "com.a.X"): 1}),
         fqn_totals={"com.a.X": 1},
         vocabulary={'"two\twords"'},
     )
     path = tmp_path / "model.tsv"
     save_model(model, path)
-    assert load_model(path).counts == model.counts
+    assert load_model(path).rows == model.rows
 
 
 def test_dump_keeps_zero_count_fqns(tmp_path):
@@ -513,6 +529,62 @@ def test_dump_keeps_zero_count_fqns(tmp_path):
     path = tmp_path / "model.tsv"
     save_model(model, path)
     assert load_model(path).fqn_totals == {"com.a.Quiet": 0}
+
+
+def test_dump_keeps_fqns_without_a_positive_count(tmp_path):
+    # a stored zero writes no count record, so its FQN needs an fqn record
+    model = CooccurrenceModel(
+        rows=_rows({("t", "a.X"): 0, ("u", "b.Y"): 2}),
+        fqn_totals={"a.X": 0, "b.Y": 2},
+        vocabulary={"t", "u"},
+    )
+    path = tmp_path / "model.tsv"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.known_fqns_named("X") == ["a.X"]
+    assert loaded.fqn_totals == {"a.X": 0, "b.Y": 2}
+    assert loaded.rows == {"b.Y": {"u": 2}}
+
+
+# SHA-256 of dump_model(train(pairs, eta=e)) on the fixture training corpus,
+# as the (token, fqn)-keyed count dict wrote them
+_FIXTURE_DUMP_DIGESTS = {
+    0: "a95cb334bfd4bc46b4e28a65643c86b98a470876db5b07088c9c9b55af8744b8",
+    1: "b0c21328eb563621b4e9ae078df41fb9695497df6d192421384d235781b9da52",
+    2: "9afd19457d5e54a12abade3b9750f67efd45d6a312b2b6c2d2308031d7860bcf",
+    3: "72b3dd4abc036d930dea82e900e798f4f7035ceb838e4afb21e0526f337b6b75",
+}
+
+
+@pytest.mark.parametrize("eta", sorted(_FIXTURE_DUMP_DIGESTS))
+def test_fixture_model_dumps_are_pinned(train_items, eta):
+    text = dump_model(train(training_pairs(train_items), eta=eta))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == _FIXTURE_DUMP_DIGESTS[eta]
+
+
+def test_trained_rows_are_never_empty_and_load_back_equal(tmp_path, train_items):
+    # at eta 0 Label's window is empty, so its FQN has a total but no row
+    sn = tokenize("new Label();\nnew Button(x);\n")
+    truth = {e: f"com.x.{e.simple_name}" for e in identify_api_elements(sn)}
+    corpora = [
+        training_pairs(train_items),
+        _generated_corpus(random.Random(16), 60),
+        [(sn, truth)],
+    ]
+    path = tmp_path / "model.tsv"
+    rowless = 0
+    for corpus in corpora:
+        for eta in range(4):
+            model = train(corpus, eta=eta)
+            assert all(model.rows.values()), eta
+            assert set(model.rows) <= set(model.fqn_totals)
+            rowless += len(model.fqn_totals) - len(model.rows)
+            save_model(model, path)
+            loaded = load_model(path)
+            assert loaded == model, eta
+            assert all(loaded.rows.values()), eta
+    assert rowless > 0
 
 
 def test_load_rejects_missing_header(tmp_path):
@@ -575,7 +647,7 @@ def test_load_ends_records_at_newline_only(tmp_path):
         'cooccurrence\teta=2\ncount\t"a\u2028b\x85c"\tcom.a.X\t2\n', encoding="utf-8"
     )
     model = load_model(path)
-    assert model.counts == {("a\u2028b\x85c", "com.a.X"): 2}
+    assert model.rows == {"com.a.X": {"a\u2028b\x85c": 2}}
     assert model.vocabulary == {"a\u2028b\x85c"}
     # a record after one holding a line separator keeps its line number
     path.write_text(
