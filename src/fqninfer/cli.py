@@ -32,7 +32,7 @@ from .orchestrator import (
     serialize_trace,
 )
 from .scoring import format_report, load_corpus, score_snippet, training_pairs
-from .snippet import identify_api_elements, read_utf8, tokenize
+from .snippet import read_utf8, tokenize
 from .stat import load_model, save_model, train
 
 log = logging.getLogger("fqninfer")
@@ -151,27 +151,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _run_snippet(args: argparse.Namespace):
-    """The loop on the snippet named by args: (elements, combined, trace)."""
+    """The loop on the snippet named by args: (combined, trace), where
+    `combined.per_element` holds the identified elements in token order."""
     kb = _load_kb_or_fail(args)
     snippet = tokenize(read_utf8(args.snippet))
     config = _run_config(args)
     model = _load_model_or_fail(args)
-    elements = identify_api_elements(
-        snippet, kb, exclude_string=config.exclude_string
-    )
-    combined, trace = run(snippet, kb, model, config, elements=elements)
-    return elements, combined, trace
+    return run(snippet, kb, model, config)
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    elements, combined, trace = _run_snippet(args)
+    combined, trace = _run_snippet(args)
     # the trace file first: a failed write leaves no answers on stdout
     if args.trace:
         Path(args.trace).write_text(
-            serialize_trace(trace, elements), encoding="utf-8"
+            serialize_trace(trace, list(combined.per_element)), encoding="utf-8"
         )
-    for e in sorted(elements, key=lambda e: e.token_index):
-        ce = combined.per_element[e]
+    for e, ce in combined.per_element.items():
         fqn = ce.final_fqn if ce.final_fqn else "-"
         print(f"{e.key}\t{fqn}\t{ce.source}")
     log.info("%d rounds", len(trace))
@@ -179,8 +175,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    elements, _, trace = _run_snippet(args)
-    sys.stdout.write(serialize_trace(trace, elements))
+    combined, trace = _run_snippet(args)
+    sys.stdout.write(serialize_trace(trace, list(combined.per_element)))
     return 0
 
 

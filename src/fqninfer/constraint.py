@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Container, Mapping, Sequence, Union
 
 from .kb import (
@@ -68,6 +68,12 @@ class ExtractOptions:
     cascaded_calls: bool = False
     strict_body_check: bool = True
     strict_uniqueness: bool = True
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
 
 
 # --------------------------------------------------------------------------

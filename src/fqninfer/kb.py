@@ -85,7 +85,7 @@ class TypeEntry:
 
     @property
     def simple_name(self) -> str:
-        return self.fqn.rsplit(".", 1)[-1]
+        return self.fqn.rpartition(".")[2]
 
     def find_method(self, name: str, arity: int) -> MethodSig | None:
         for m in self.methods:
@@ -100,6 +100,16 @@ class TypeEntry:
         return None
 
 
+def simple_name_index(fqns: Iterable[str]) -> dict[str, tuple[str, ...]]:
+    """Simple name -> the FQNs of that simple name, lexicographically
+    ordered. A simple name is one identifier, so it is all after the last
+    dot, as `TypeEntry.simple_name` reads it."""
+    index: dict[str, list[str]] = {}
+    for fqn in fqns:
+        index.setdefault(fqn.rpartition(".")[2], []).append(fqn)
+    return {k: tuple(sorted(v)) for k, v in index.items()}
+
+
 class KnowledgeBase:
     """Immutable collection of TypeEntry records plus a simple-name index."""
 
@@ -109,16 +119,12 @@ class KnowledgeBase:
             if e.fqn in by_fqn:
                 raise KbError(f"duplicate type {e.fqn}")
             by_fqn[e.fqn] = e
-        index: dict[str, list[str]] = {}
-        for fqn, e in by_fqn.items():
-            index.setdefault(e.simple_name, []).append(fqn)
         self._entries = by_fqn
-        self._by_simple_name = {k: tuple(sorted(v)) for k, v in index.items()}
-        # supertype_closure, method_in_knowledge and field_in_knowledge
-        # memos; sound because the entries never change
+        self._by_simple_name = simple_name_index(by_fqn)
+        # supertype_closure and member lookup memos; sound because the
+        # entries never change
         self._closures: dict[str, tuple[str, ...]] = {}
-        self._methods: dict[tuple[str, str, int, bool], MethodSig | None] = {}
-        self._fields: dict[tuple[str, str, bool], FieldSig | None] = {}
+        self._members: dict[tuple, MethodSig | FieldSig | None] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -365,50 +371,40 @@ def supertype_closure(kb: KnowledgeBase, fqn: str) -> tuple[str, ...]:
 _UNSEEN = object()  # a memo miss; None is a cached answer
 
 
-def method_in_knowledge(
-    kb: KnowledgeBase,
-    ctype: str,
-    name: str,
-    arity: int,
-    require_static: bool = False,
-) -> MethodSig | None:
-    """Find a method (name, arity) on ctype or any internal supertype.
-
-    With require_static, only a static declaration counts. The first match
-    in closure order (the most derived declaration) wins. Each answer is
-    computed once per KnowledgeBase instance.
-    """
+def _member_in_knowledge(
+    kb: KnowledgeBase, ctype: str, name: str, arity: int | None, require_static: bool
+) -> MethodSig | FieldSig | None:
+    """The first declaration in ctype's closure order (the most derived one)
+    of the method (name, arity), or with arity None of the field name. With
+    require_static, only a static declaration counts. Each answer is
+    computed once per KnowledgeBase instance."""
     key = (ctype, name, arity, require_static)
-    found = kb._methods.get(key, _UNSEEN)
+    found = kb._members.get(key, _UNSEEN)
     if found is not _UNSEEN:
         return found
     found = None
     for fqn in supertype_closure(kb, ctype):
-        m = kb.entries[fqn].find_method(name, arity)
+        e = kb.entries[fqn]
+        m = e.find_field(name) if arity is None else e.find_method(name, arity)
         if m is not None and (m.is_static or not require_static):
             found = m
             break
-    kb._methods[key] = found
+    kb._members[key] = found
     return found
+
+
+def method_in_knowledge(
+    kb: KnowledgeBase, ctype: str, name: str, arity: int, require_static: bool = False
+) -> MethodSig | None:
+    """Find a method (name, arity) on ctype or any internal supertype."""
+    return _member_in_knowledge(kb, ctype, name, arity, require_static)
 
 
 def field_in_knowledge(
     kb: KnowledgeBase, ctype: str, name: str, require_static: bool = False
 ) -> FieldSig | None:
-    """Find a field on ctype or any internal supertype, like
-    method_in_knowledge; memoised the same way."""
-    key = (ctype, name, require_static)
-    found = kb._fields.get(key, _UNSEEN)
-    if found is not _UNSEEN:
-        return found
-    found = None
-    for fqn in supertype_closure(kb, ctype):
-        f = kb.entries[fqn].find_field(name)
-        if f is not None and (f.is_static or not require_static):
-            found = f
-            break
-    kb._fields[key] = found
-    return found
+    """Find a field on ctype or any internal supertype."""
+    return _member_in_knowledge(kb, ctype, name, None, require_static)
 
 
 def collect_candidate_types(

@@ -57,6 +57,10 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.exclude_string, bool):
+            raise ValueError(
+                f"exclude_string must be a bool, got {self.exclude_string!r}"
+            )
         if not isinstance(self.extract_options, ExtractOptions):
             raise ValueError(
                 f"extract_options must be ExtractOptions, got {self.extract_options!r}"

@@ -45,8 +45,6 @@ def load_truth(path: str | Path, snippet_id: str = "", library: str = "") -> Gro
                 "expected <Name[line,occ]><TAB><fqn>", str(path), lineno
             )
         key, fqn = parts[0].strip(), parts[1].strip()
-        if not key or not fqn:
-            raise TruthFormatError("empty key or FQN", str(path), lineno)
         if key in truth:
             raise TruthFormatError(f"duplicate element key {key}", str(path), lineno)
         truth[key] = fqn

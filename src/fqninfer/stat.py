@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, simple_name_index
 from .snippet import (
     ApiElement,
     AugmentedSnippet,
@@ -44,10 +44,11 @@ from .snippet import (
 
 def _check_settings(alpha: float, eta: int) -> None:
     # a zero alpha takes the log of zero for every unseen pair, and a
-    # negative eta leaves every context window empty
-    if not 0 < alpha < math.inf:
+    # negative eta leaves every context window empty; a bool is no number
+    number = isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+    if not number or not 0 < alpha < math.inf:
         raise ValueError(f"bad alpha value {alpha!r}")
-    if eta < 0:
+    if isinstance(eta, bool) or not isinstance(eta, int) or eta < 0:
         raise ValueError(f"bad eta value {eta!r}")
 
 
@@ -76,11 +77,7 @@ class CooccurrenceModel:
 
     def __post_init__(self) -> None:
         _check_settings(self.smoothing_alpha, self.window_eta)
-        index: dict[str, list[str]] = {}
-        for fqn in self.fqn_totals:
-            # a simple name is one identifier, so it is all after the last dot
-            index.setdefault(fqn.rpartition(".")[2], []).append(fqn)
-        self._by_simple_name = {k: tuple(sorted(v)) for k, v in index.items()}
+        self._by_simple_name = simple_name_index(self.fqn_totals)
 
     @property
     def counts(self) -> dict[tuple[str, str], int]:
@@ -94,9 +91,10 @@ class CooccurrenceModel:
     ) -> list[tuple[str, float]]:
         return predict_topk(self, aug, target, k)
 
-    def known_fqns_named(self, simple_name: str) -> list[str]:
-        """Model FQNs with this simple name, lexicographically ordered."""
-        return list(self._by_simple_name.get(simple_name, ()))
+    def known_fqns_named(self, simple_name: str) -> tuple[str, ...]:
+        """The stored tuple of model FQNs with this simple name,
+        lexicographically ordered."""
+        return self._by_simple_name.get(simple_name, ())
 
 
 def context_window(
@@ -232,9 +230,6 @@ class CandidateList:
 
     ranked: tuple[str, ...]
 
-    def top(self) -> str | None:
-        return self.ranked[0] if self.ranked else None
-
 
 def filter_against_kb(
     ranked: Sequence[tuple[str, float]], kb: KnowledgeBase, k: int
@@ -270,8 +265,9 @@ class ExternalPredictor:
     Speaks a line protocol over the child's standard streams: one JSON
     request per line, {"context_lines": [...], "target_key": "Name[l,o]",
     "k": n}, answered by one JSON line holding an ordered array of candidate
-    FQN strings. Scores are synthesized from rank so external candidates
-    sort stably downstream.
+    FQN strings. Scores are synthesized from rank only to fill the
+    `Predictor` (fqn, score) pair shape: `filter_against_kb` keeps the
+    child's order and drops them.
     """
 
     def __init__(self, command: Sequence[str]):
@@ -279,9 +275,9 @@ class ExternalPredictor:
         self._proc: subprocess.Popen | None = None
 
     def predict(self, aug, target, k):
-        """Raises RuntimeError when the child has exited or answers out of
-        protocol. The child starts on first use, and again only after
-        `close()`."""
+        """Raises RuntimeError when the child has exited, has closed its
+        input or answers out of protocol. The child starts on first use, and
+        again only after `close()`."""
         proc = self._proc
         if proc is None:
             proc = self._proc = subprocess.Popen(
@@ -298,8 +294,11 @@ class ExternalPredictor:
         lines = aug.text().splitlines()
         request = {"context_lines": lines, "target_key": target.key, "k": k}
         assert proc.stdin is not None and proc.stdout is not None
-        proc.stdin.write(json.dumps(request) + "\n")
-        proc.stdin.flush()
+        try:
+            proc.stdin.write(json.dumps(request) + "\n")
+            proc.stdin.flush()
+        except BrokenPipeError:
+            raise RuntimeError("external predictor closed its input stream") from None
         answer = proc.stdout.readline()
         if not answer:
             raise RuntimeError("external predictor closed its output stream")
@@ -315,17 +314,14 @@ class ExternalPredictor:
         proc, self._proc = self._proc, None
         if proc is None:
             return
-        assert proc.stdin is not None and proc.stdout is not None
+        # communicate ignores a broken input pipe, closes both pipes and
+        # reaps the child
         try:
-            proc.stdin.close()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                # the child outlived its input: stop it rather than leave it
-                proc.kill()
-                proc.wait()
-        finally:
-            proc.stdout.close()
+            proc.communicate(timeout=5)
+        except subprocess.TimeoutExpired:
+            # the child outlived its input: stop it rather than leave it
+            proc.kill()
+            proc.communicate()
 
     def __enter__(self):
         return self

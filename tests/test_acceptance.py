@@ -91,9 +91,9 @@ def test_engines_promote_each_other(kb, model, by_id):
     doc = next(e for e in elements if e.key == "Document[7,1]")
     correct = "com.google.gwt.dom.client.Document"
     before = fq.predict_all(model, fq.plain(item.snippet), elements, kb, 3)[doc]
-    assert before.top() != correct
+    assert before.ranked[:1] != (correct,)
     combined, trace = fq.run(item.snippet, kb, model, fq.RunConfig(), elements=elements)
-    assert trace[0].stat_result[doc].top() == correct
+    assert trace[0].stat_result[doc].ranked[:1] == (correct,)
     assert combined.per_element[doc].final_fqn == correct
 
     # Reduction direction: committed chain constraints pick a look-alike

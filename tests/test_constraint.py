@@ -418,6 +418,8 @@ _EDGE_CASES = [
         ["MemberCall(Foo[1,1], (('m', 0), ('n', 0)), True)"],
         set(),
     ),
+    # an argument list that never closes ends the chain with no hop
+    ("Foo.bar(", ["Foo[1,1]@0"], [], set()),
     ("class A extends Foo", ["Foo[1,1]@6"], ["Supertype(Foo[1,1], 'class')"], set()),
     ("class A {\n B()", [], [], set()),
     ("class A {\n B() {", [], [], {2}),

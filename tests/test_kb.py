@@ -382,3 +382,9 @@ def test_duplicate_entries_rejected_at_construction():
     entry = TypeEntry(fqn="com.a.X", kind="class", library="a")
     with pytest.raises(KbError, match="duplicate"):
         KnowledgeBase([entry, entry])
+
+
+def test_bad_kind_rejected_at_construction():
+    # the loader rejects the kind first, so only a hand-built KB gets here
+    with pytest.raises(KbError, match="^a.X: bad kind 'enum'$"):
+        KnowledgeBase([TypeEntry("a.X", "enum", "l")])

@@ -120,6 +120,17 @@ def test_run_rejects_unknown_order():
     RunConfig(k=0, delta=1)
 
 
+def test_run_config_switches_must_be_bools():
+    # a truthy stand-in such as "no" would silently turn a switch on
+    with pytest.raises(ValueError, match="^exclude_string must be a bool, got None$"):
+        RunConfig(exclude_string=None)
+    for name in ("cascaded_calls", "strict_body_check", "strict_uniqueness"):
+        for bad in ("no", 1, None):
+            message = f"^{name} must be a bool, got {bad!r}$"
+            with pytest.raises(ValueError, match=message):
+                ExtractOptions(**{name: bad})
+
+
 def test_run_first_round_sees_full_kb(kb, model, by_id):
     _, trace = run(by_id["8746084"].snippet, kb, model)
     assert trace[0].kb_size == len(kb.entries)

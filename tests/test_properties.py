@@ -1178,7 +1178,7 @@ def test_known_fqns_named_matches_suffix_scan(tmp_path):
         loaded = load_model(path)
         assert sorted(trained.fqn_totals) == sorted(loaded.fqn_totals) == fqns, case
         for name in _INDEX_NAMES + ("Absent",):
-            want = _suffix_scan(fqns, name)
+            want = tuple(_suffix_scan(fqns, name))
             assert built.known_fqns_named(name) == want, (case, name)
             assert trained.known_fqns_named(name) == want, (case, name)
             assert loaded.known_fqns_named(name) == want, (case, name)

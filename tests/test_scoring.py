@@ -86,6 +86,11 @@ def test_load_corpus_rejects_empty_tree(tmp_path):
         load_corpus(tmp_path)
 
 
+def test_load_corpus_rejects_missing_directory(tmp_path):
+    with pytest.raises(FileNotFoundError, match="corpus directory not found"):
+        load_corpus(tmp_path / "absent")
+
+
 def test_truth_elements_resolves_keys():
     sn = tokenize("Label a = new Label(b);\n")
     truth = _truth({"Label[1,1]": "com.a.Label", "Label[1,2]": "com.a.Label"})

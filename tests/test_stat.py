@@ -133,7 +133,7 @@ def test_train_keeps_fqn_with_empty_window():
     model = train([(sn, {label: "com.x.Label"})], eta=0)
     assert model.fqn_totals == {"com.x.Label": 0}
     assert model.rows == {}
-    assert model.known_fqns_named("Label") == ["com.x.Label"]
+    assert model.known_fqns_named("Label") == ("com.x.Label",)
 
 
 def _reference_train(corpus, eta=2, alpha=1.0):
@@ -248,7 +248,7 @@ def test_known_fqns_named_suffix_match():
     model = CooccurrenceModel(
         fqn_totals={"com.a.Label": 1, "org.b.Label": 1, "com.a.NotLabel": 1, "Label": 1}
     )
-    assert model.known_fqns_named("Label") == ["Label", "com.a.Label", "org.b.Label"]
+    assert model.known_fqns_named("Label") == ("Label", "com.a.Label", "org.b.Label")
 
 
 def test_score_candidate_matches_hand_computation():
@@ -364,8 +364,8 @@ def test_filter_nonpositive_k_empty():
 
 def test_candidate_list_top_and_len():
     cl = CandidateList(("a.X", "b.X"))
-    assert cl.top() == "a.X" and len(cl.ranked) == 2
-    assert CandidateList(()).top() is None
+    assert cl.ranked == ("a.X", "b.X")
+    assert CandidateList(()).ranked == ()
 
 
 def test_predict_all_survives_hallucinated_top_rank():
@@ -471,6 +471,49 @@ def test_external_predictor_close_kills_a_child_that_outlives_its_input(tmp_path
     assert pred._proc is None
 
 
+def test_external_predictor_that_closed_its_input_is_an_error(tmp_path):
+    # answers one request after closing its input, then lingers briefly
+    script = tmp_path / "deaf_predictor.py"
+    script.write_text(
+        "import json, os, sys, time\n"
+        "sys.stdin.readline()\n"
+        "os.close(0)\n"
+        "print(json.dumps(['a.X']), flush=True)\n"
+        "time.sleep(0.5)\n",
+        encoding="utf-8",
+    )
+    sn, el = _single_element("Label x = ctx;", "Label")
+    pred = ExternalPredictor([sys.executable, str(script)])
+    assert pred.predict(plain(sn), el, 1) == [("a.X", 1.0)]
+    proc = pred._proc
+    with pytest.raises(RuntimeError, match="^external predictor closed its input"):
+        pred.predict(plain(sn), el, 1)
+    pred.close()  # the broken pipe does not stop close(): the child is reaped
+    assert proc.returncode == 0
+    assert proc.stdin.closed and proc.stdout.closed
+    assert pred._proc is None
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        # answers every request with an object
+        ("for line in sys.stdin:\n    print('{}', flush=True)\n",
+         "must answer a JSON array"),
+        # reads the request and exits without answering
+        ("sys.stdin.readline()\n", "closed its output stream"),
+    ],
+    ids=["not-an-array", "no-answer"],
+)
+def test_external_predictor_out_of_protocol_is_an_error(tmp_path, body, match):
+    script = tmp_path / "bad_predictor.py"
+    script.write_text("import sys\n" + body, encoding="utf-8")
+    sn, el = _single_element("Label x = ctx;", "Label")
+    with ExternalPredictor([sys.executable, str(script)]) as pred:
+        with pytest.raises(RuntimeError, match=match):
+            pred.predict(plain(sn), el, 1)
+
+
 def test_external_predictor_that_exited_is_an_error(tmp_path):
     # answers one request, then exits with status 3
     script = tmp_path / "one_shot_predictor.py"
@@ -541,7 +584,7 @@ def test_dump_keeps_fqns_without_a_positive_count(tmp_path):
     path = tmp_path / "model.tsv"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.known_fqns_named("X") == ["a.X"]
+    assert loaded.known_fqns_named("X") == ("a.X",)
     assert loaded.fqn_totals == {"a.X": 0, "b.Y": 2}
     assert loaded.rows == {"b.Y": {"u": 2}}
 
@@ -585,6 +628,27 @@ def test_trained_rows_are_never_empty_and_load_back_equal(tmp_path, train_items)
             assert loaded == model, eta
             assert all(loaded.rows.values()), eta
     assert rowless > 0
+
+
+@pytest.mark.parametrize(
+    "alpha, eta, match",
+    [
+        (1.0, 1.5, "^bad eta value 1.5$"),
+        (1.0, True, "^bad eta value True$"),
+        (True, 2, "^bad alpha value True$"),
+        ("1", 2, "^bad alpha value '1'$"),
+    ],
+    ids=["eta-float", "eta-bool", "alpha-bool", "alpha-str"],
+)
+def test_model_settings_must_be_numbers(alpha, eta, match):
+    # a bool would pass the range checks as 0 or 1, and a string failed
+    # them with a TypeError
+    with pytest.raises(ValueError, match=match):
+        CooccurrenceModel(smoothing_alpha=alpha, window_eta=eta)
+    with pytest.raises(ValueError, match=match):
+        train([], eta=eta, alpha=alpha)
+    # an int alpha is a number
+    assert CooccurrenceModel(smoothing_alpha=3).smoothing_alpha == 3
 
 
 def test_load_rejects_missing_header(tmp_path):
@@ -660,6 +724,6 @@ def test_load_ends_records_at_newline_only(tmp_path):
 def test_trained_fixture_model_knows_only_trained_fqns(model):
     # the bundled trainers never teach the decoy libraries, so the model
     # must not be able to hallucinate them
-    assert model.known_fqns_named("Composite") == ["android.widget.Composite"]
+    assert model.known_fqns_named("Composite") == ("android.widget.Composite",)
     assert "cc.argonaut.convert.Converter" not in model.fqn_totals
     assert "com.ibm.icu.math.BigDecimal" not in model.fqn_totals
