@@ -13,13 +13,18 @@ where a token missing from f's row counts 0.
 Only model-known FQNs whose simple name matches the target are ranked, and
 a candidate needs at least one positive count against the window to appear
 at all: the model does not propose types it has no contextual evidence for.
+Given the KB its answers will be filtered against, the model ranks only the
+FQNs that KB holds, so it scores no candidate the filter would drop and
+builds no window for an element when the KB holds none of the model's FQNs
+of its name.
 A window is a slice of the snippet's word index (`Snippet.word_index`),
 found by bisecting its lines, and each candidate is scored and checked for
 evidence in one pass over the window: one fetch of its count row, then one
 lookup in that row per token.
-Predictions may still name FQNs that exist nowhere in a given KB (learned
-from other corpora), which is exactly the hallucination the KB filter is
-for.
+A model learned from other corpora knows FQNs that exist nowhere in a
+given KB; ranked without a KB it may name them. Such names are the
+hallucination the KB filter is for, and a predictor that ignores the KB
+(an external one) relies on it.
 """
 
 from __future__ import annotations
@@ -87,9 +92,9 @@ class CooccurrenceModel:
         }
 
     def predict(
-        self, aug: AugmentedSnippet, target: ApiElement, k: int
+        self, aug: AugmentedSnippet, target: ApiElement, k: int, kb: KnowledgeBase
     ) -> list[tuple[str, float]]:
-        return predict_topk(self, aug, target, k)
+        return predict_topk(self, aug, target, k, kb)
 
     def known_fqns_named(self, simple_name: str) -> tuple[str, ...]:
         """The stored tuple of model FQNs with this simple name,
@@ -195,19 +200,35 @@ def predict_topk(
     aug: AugmentedSnippet,
     target: ApiElement,
     k: int,
+    kb: KnowledgeBase | None = None,
 ) -> list[tuple[str, float]]:
-    """Rank model-known FQNs whose simple name matches the target.
+    """Rank model-known FQNs whose simple name matches the target; given a
+    kb, only those the kb holds.
 
     Candidates with no positive count against any window token are dropped;
     the rest are ordered by score, ties broken by lexicographically smaller
     FQN. Returns at most k (fqn, score) pairs. An empty model, or a target
-    name the model has never seen, yields an empty list.
+    name with no candidate, yields an empty list without building the
+    context window. A candidate's score does not depend on the others, so
+    the ranking with a kb is the ranking without one, less the FQNs outside
+    the kb, as long as no FQN outside it fails to score.
     """
     if k <= 0:
         return []
-    window = context_window(aug, target, model.window_eta)
+    if kb is None:
+        fqns = model.known_fqns_named(target.simple_name)
+    else:
+        # the kb keys an FQN by the model's simple-name rule, so those of
+        # its FQNs the model knows are the model's FQNs of this name in kb
+        fqns = kb.candidates_for(target.simple_name)
+    totals = model.fqn_totals
+    window: list[str] | None = None  # built at the first known candidate
     scored: list[tuple[str, float]] = []
-    for fqn in model.known_fqns_named(target.simple_name):
+    for fqn in fqns:
+        if fqn not in totals:
+            continue
+        if window is None:
+            window = context_window(aug, target, model.window_eta)
         try:
             score, evidence = _score(model, window, fqn)
         except (ArithmeticError, ValueError):
@@ -252,10 +273,15 @@ def filter_against_kb(
 
 class Predictor(Protocol):
     """The statistical engine: ranks candidate FQNs for an element in
-    context, best first, as at most k (fqn, score) pairs."""
+    context, best first, as at most k (fqn, score) pairs.
+
+    `kb` is the knowledge base the answer will be filtered against. A
+    predictor may rank only FQNs it holds, as `CooccurrenceModel` does, or
+    ignore it, as `ExternalPredictor` does: `predict_all` drops every FQN
+    outside it either way."""
 
     def predict(
-        self, aug: AugmentedSnippet, target: ApiElement, k: int
+        self, aug: AugmentedSnippet, target: ApiElement, k: int, kb: KnowledgeBase
     ) -> list[tuple[str, float]]: ...
 
 
@@ -267,14 +293,15 @@ class ExternalPredictor:
     "k": n}, answered by one JSON line holding an ordered array of candidate
     FQN strings. Scores are synthesized from rank only to fill the
     `Predictor` (fqn, score) pair shape: `filter_against_kb` keeps the
-    child's order and drops them.
+    child's order and drops them. The KB is not sent: the child may name
+    any FQN, and `predict_all` filters its answer.
     """
 
     def __init__(self, command: Sequence[str]):
         self.command = list(command)
         self._proc: subprocess.Popen | None = None
 
-    def predict(self, aug, target, k):
+    def predict(self, aug, target, k, kb):
         """Raises RuntimeError when the child has exited, has closed its
         input or answers out of protocol. The child starts on first use, and
         again only after `close()`."""
@@ -341,16 +368,19 @@ def predict_all(
 
     k limits the number of surviving candidates, not the raw ranking: the
     predictor is asked for a longer list so that dropping hallucinated
-    (non knowledge-base) names still leaves up to k usable ones. For the
-    co-occurrence model the over-fetch is harmless because its candidate
-    universe per simple name is finite and small.
+    (non knowledge-base) names still leaves up to k usable ones. The
+    over-fetch serves predictors that ignore `kb`; the co-occurrence model
+    ranks only KB FQNs, so the filter drops none of its answer. With k <= 0
+    the predictor is not asked, and every element gets an empty list.
     """
-    fetch = k + len(kb.entries) if k > 0 else 0
-    out: dict[ApiElement, CandidateList] = {}
-    for e in sorted(elements, key=lambda e: e.token_index):
-        ranked = predictor.predict(aug, e, fetch)
-        out[e] = filter_against_kb(ranked, kb, k)
-    return out
+    ordered = sorted(elements, key=lambda e: e.token_index)
+    if k <= 0:
+        return {e: CandidateList(()) for e in ordered}
+    fetch = k + len(kb.entries)
+    return {
+        e: filter_against_kb(predictor.predict(aug, e, fetch, kb), kb, k)
+        for e in ordered
+    }
 
 
 # ---------------------------------------------------------------------------

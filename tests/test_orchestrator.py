@@ -292,7 +292,7 @@ class _TextSensitivePredictor:
     def __init__(self, kb):
         self.kb = kb
 
-    def predict(self, aug, target, k):
+    def predict(self, aug, target, k, kb):
         names = self.kb.candidates_for(target.simple_name)
         if not names:
             return []
@@ -385,9 +385,9 @@ class _CountingPredictor:
         self.inner = inner
         self.calls = 0
 
-    def predict(self, aug, target, k):
+    def predict(self, aug, target, k, kb):
         self.calls += 1
-        return self.inner.predict(aug, target, k)
+        return self.inner.predict(aug, target, k, kb)
 
 
 def test_confirming_round_asks_the_predictor_nothing(kb, model, by_id):
@@ -395,6 +395,29 @@ def test_confirming_round_asks_the_predictor_nothing(kb, model, by_id):
     combined, trace = run(by_id["8746084"].snippet, kb, counting)
     assert len(trace) == 2 and check_stable(trace[0], trace[1])
     assert counting.calls == len(combined.per_element)
+
+
+class _SilentPredictor:
+    def predict(self, aug, target, k, kb):
+        return []
+
+
+@pytest.mark.parametrize("order", [ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST])
+def test_k_zero_asks_the_predictor_nothing(kb, model, eval_items, order):
+    # k=0 turns the ranker off: the trace is the one a predictor that
+    # never names a candidate gives, and the predictor is never asked
+    for item in eval_items:
+        counting = _CountingPredictor(model)
+        got, got_trace = run(item.snippet, kb, counting, RunConfig(k=0, order=order))
+        want, want_trace = run(
+            item.snippet, kb, _SilentPredictor(), RunConfig(k=1, order=order)
+        )
+        els = list(want.per_element)
+        assert counting.calls == 0, item.snippet_id
+        assert serialize_trace(got_trace, els) == serialize_trace(
+            want_trace, els
+        ), item.snippet_id
+        assert got.per_element == want.per_element, item.snippet_id
 
 
 @pytest.mark.parametrize("order", [ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST])

@@ -65,7 +65,9 @@ from fqninfer.stat import (
     _shown,
     context_window,
     dump_model,
+    filter_against_kb,
     load_model,
+    predict_all,
     predict_topk,
     train,
 )
@@ -1137,6 +1139,97 @@ def test_ranking_scores_are_the_formula_bit_for_bit():
                 _formula_score, model, window, fqn
             ), (case, fqn)
     assert raised >= 50, raised
+
+
+_TARGET_FQNS = tuple(f"{pkg}.Target" for pkg in _PACKAGES + ("gg.hh", "ii", "jj.kk")) + (
+    "Target", "p.Other", "q.Target.Inner",
+)
+
+
+def _kept(fn):
+    """The FQNs a call's CandidateList keeps, or the exception it raised."""
+    try:
+        return ("returned", fn().ranked)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _kb_of(fqns):
+    return KnowledgeBase(TypeEntry(fqn=f, kind="class", library="lib") for f in fqns)
+
+
+def test_kb_restricted_ranking_is_the_filtered_ranking():
+    """Seeded models whose FQNs of one simple name lie in and out of a
+    random KB, with stored zero counts, tied scores and repeated window
+    tokens: ranking only the KB's FQNs gives the full ranking less the
+    FQNs outside the KB, score for score, and `predict_all` gives the
+    KB-filtered full ranking wherever the fetch of k + len(kb) reaches
+    every KB FQN. Counts outside log's domain (which raise) are given only
+    to KB FQNs, so both rankings raise together."""
+    rng = random.Random(9018)
+    compared = raised = dropped = 0
+    for case in range(1500):
+        kb = _kb_of(rng.sample(_TARGET_FQNS, rng.randint(0, 5)))
+        fqns = rng.sample(_TARGET_FQNS, rng.randint(1, len(_TARGET_FQNS)))
+        counts = {}
+        for _ in range(rng.randint(0, 16)):
+            fqn = rng.choice(fqns)
+            values = (-4, -1, 0, 1, 2, 2, 3) if fqn in kb else (0, 0, 1, 2, 2, 3)
+            counts[(rng.choice(_SCORE_TOKENS), fqn)] = rng.choice(values)
+        rows = _rows(counts)
+        if rng.random() < 0.5:  # as trained: equal rows tie
+            totals = {f: sum(rows.get(f, {}).values()) for f in fqns}
+        else:
+            totals = {f: rng.choice((0, 2, 5, 12, -3)) for f in fqns}
+        model = CooccurrenceModel(
+            rows=rows,
+            fqn_totals=totals,
+            vocabulary=set(rng.sample(_SCORE_TOKENS, rng.randint(1, len(_SCORE_TOKENS)))),
+            smoothing_alpha=rng.choice((0.5, 1.0, 1.7, 3)),
+            window_eta=rng.randint(0, 1),
+        )
+        words = [rng.choice(_SCORE_TOKENS + ("unseen",)) for _ in range(rng.randint(0, 10))]
+        cut = rng.randint(0, len(words))
+        sn = tokenize(" ".join(["Target"] + words[:cut]) + "\n" + " ".join(words[cut:]))
+        target = ApiElement("Target", 1, 1, 0)
+        aug = plain(sn)
+        full = _outcome(predict_topk, model, aug, target, len(_TARGET_FQNS))
+        raised += full[0] == "raised"
+        dropped += full[0] == "returned" and any(f not in kb for f, _ in full[1])
+        assert _outcome(predict_topk, model, aug, target, 0, kb) == ("returned", []), case
+        for n in range(1, 5):
+            want = full if full[0] == "raised" else (
+                "returned", [pair for pair in full[1] if pair[0] in kb][:n]
+            )
+            got = _outcome(predict_topk, model, aug, target, n, kb)
+            assert got == want, (case, n, model, kb.entries.keys())
+        outside = [f for f in model.known_fqns_named("Target") if f not in kb]
+        if len(outside) >= len(kb):
+            continue
+        compared += 1
+        for k in range(1, 4):
+            want = _kept(lambda: filter_against_kb(
+                predict_topk(model, aug, target, k + len(kb)), kb, k
+            ))
+            got = _kept(lambda: predict_all(model, aug, [target], kb, k)[target])
+            assert got == want, (case, k, model, kb.entries.keys())
+    assert compared >= 300 and raised >= 30 and dropped >= 300, (compared, raised, dropped)
+
+
+def test_kb_restricted_ranking_does_not_score_fqns_outside_the_kb():
+    # a count outside log's domain fails the ranking of every FQN, but only
+    # the KB's FQNs are ranked for predict_all
+    model = CooccurrenceModel(
+        rows={"zzz.Target": {"w0": 2, "w1": -4}, "aa.bb.Target": {"w0": 1}},
+        fqn_totals={"zzz.Target": 8, "aa.bb.Target": 1},
+        vocabulary={"w0", "w1"},
+    )
+    kb = _kb_of(["aa.bb.Target"])
+    aug = plain(tokenize("Target w0 w1"))
+    target = ApiElement("Target", 1, 1, 0)
+    with pytest.raises(ValueError):
+        predict_topk(model, aug, target, 5)
+    assert predict_all(model, aug, [target], kb, 1)[target].ranked == ("aa.bb.Target",)
 
 
 # ---------------------------------------------------------------------------

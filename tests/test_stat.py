@@ -382,6 +382,21 @@ def test_predict_all_survives_hallucinated_top_rank():
     assert got[el].ranked == ("com.a.Label",)
 
 
+def test_predict_all_keeps_a_kb_type_that_many_hallucinations_outrank():
+    # five model FQNs outside the KB outrank its one Label; a fetch of
+    # k + len(kb) = 4 ranked FQNs once stopped before reaching it
+    rows = {f"x{i}.Label": {"ctx": 9} for i in range(5)}
+    rows["com.a.Label"] = {"ctx": 1, "other": 20}
+    model = CooccurrenceModel(
+        rows=rows,
+        fqn_totals={fqn: sum(row.values()) for fqn, row in rows.items()},
+        vocabulary={"ctx", "other"},
+    )
+    kb = KnowledgeBase([TypeEntry(fqn="com.a.Label", kind="class", library="a")])
+    sn, el = _single_element("Label x = ctx;", "Label")
+    assert predict_all(model, plain(sn), [el], kb, k=3)[el].ranked == ("com.a.Label",)
+
+
 def test_predict_all_keys_in_token_order():
     model = CooccurrenceModel(
         rows=_rows({("shared", "com.a.Label"): 1, ("shared", "com.b.Button"): 1}),
@@ -401,13 +416,16 @@ def test_predict_all_keys_in_token_order():
 
 def test_model_predict_is_predict_topk():
     model = _ranking_model()
+    kb = _kb("com.a.Label", "org.b.Label")
     sn, el = _single_element("Label x = ctx;", "Label")
-    assert model.predict(plain(sn), el, 5) == predict_topk(model, plain(sn), el, 5)
+    assert model.predict(plain(sn), el, 5, kb) == predict_topk(
+        model, plain(sn), el, 5, kb
+    )
 
 
 def test_predict_all_takes_any_predictor():
     class Custom:
-        def predict(self, aug, target, k):
+        def predict(self, aug, target, k, kb):
             return [("zzz.Label", 2.0), ("com.a.Label", 1.0)][:k]
 
     kb = _kb("com.a.Label")
@@ -431,12 +449,12 @@ def test_external_predictor_line_protocol(tmp_path):
     script.write_text(ECHO_PREDICTOR, encoding="utf-8")
     sn, el = _single_element("Label x = ctx;", "Label")
     with ExternalPredictor([sys.executable, str(script)]) as pred:
-        got = pred.predict(plain(sn), el, 2)
+        got = pred.predict(plain(sn), el, 2, _kb())
         assert [f for f, _ in got] == ["mock.one.Label", "mock.two.Label"]
         # rank-synthesized scores decrease monotonically
         assert got[0][1] > got[1][1]
         # and the process answers repeated requests on the same pipe
-        again = pred.predict(plain(sn), el, 1)
+        again = pred.predict(plain(sn), el, 1, _kb())
         assert [f for f, _ in again] == ["mock.one.Label"]
 
 
@@ -463,7 +481,7 @@ def test_external_predictor_close_kills_a_child_that_outlives_its_input(tmp_path
     )
     sn, el = _single_element("Label x = ctx;", "Label")
     pred = ExternalPredictor([sys.executable, str(script)])
-    assert pred.predict(plain(sn), el, 1) == []
+    assert pred.predict(plain(sn), el, 1, _kb()) == []
     proc = pred._proc
     pred.close()  # one 5 s wait for the child, then a kill
     assert proc.poll() is not None
@@ -484,10 +502,10 @@ def test_external_predictor_that_closed_its_input_is_an_error(tmp_path):
     )
     sn, el = _single_element("Label x = ctx;", "Label")
     pred = ExternalPredictor([sys.executable, str(script)])
-    assert pred.predict(plain(sn), el, 1) == [("a.X", 1.0)]
+    assert pred.predict(plain(sn), el, 1, _kb()) == [("a.X", 1.0)]
     proc = pred._proc
     with pytest.raises(RuntimeError, match="^external predictor closed its input"):
-        pred.predict(plain(sn), el, 1)
+        pred.predict(plain(sn), el, 1, _kb())
     pred.close()  # the broken pipe does not stop close(): the child is reaped
     assert proc.returncode == 0
     assert proc.stdin.closed and proc.stdout.closed
@@ -511,7 +529,7 @@ def test_external_predictor_out_of_protocol_is_an_error(tmp_path, body, match):
     sn, el = _single_element("Label x = ctx;", "Label")
     with ExternalPredictor([sys.executable, str(script)]) as pred:
         with pytest.raises(RuntimeError, match=match):
-            pred.predict(plain(sn), el, 1)
+            pred.predict(plain(sn), el, 1, _kb())
 
 
 def test_external_predictor_that_exited_is_an_error(tmp_path):
@@ -526,14 +544,14 @@ def test_external_predictor_that_exited_is_an_error(tmp_path):
     )
     sn, el = _single_element("Label x = ctx;", "Label")
     with ExternalPredictor([sys.executable, str(script)]) as pred:
-        assert pred.predict(plain(sn), el, 1) == []
+        assert pred.predict(plain(sn), el, 1, _kb()) == []
         first = pred._proc
         first.wait(timeout=30)
         with pytest.raises(RuntimeError, match="exited with status 3"):
-            pred.predict(plain(sn), el, 1)
+            pred.predict(plain(sn), el, 1, _kb())
         assert pred._proc is first  # no second child was started
         pred.close()
-        assert pred.predict(plain(sn), el, 1) == []  # close() allows a new one
+        assert pred.predict(plain(sn), el, 1, _kb()) == []  # close() allows a new one
         assert pred._proc is not first
 
 
