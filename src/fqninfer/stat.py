@@ -18,20 +18,30 @@ FQNs that KB holds, so it scores no candidate the filter would drop and
 builds no window for an element when the KB holds none of the model's FQNs
 of its name.
 A window is a slice of the snippet's word index (`Snippet.word_index`),
-found by bisecting its lines, and each candidate is scored and checked for
-evidence in one pass over the window: one fetch of its count row, then one
-lookup in that row per token.
+found by bisecting its lines.
 A model learned from other corpora knows FQNs that exist nowhere in a
 given KB; ranked without a KB it may name them. Such names are the
 hallucination the KB filter is for, and a predictor that ignores the KB
 (an external one) relies on it.
+
+Every summand of the formula is a constant of the model, so the model
+keeps a memo of each FQN's terms, filled at the FQN's first score and
+never at load: the summand of each token with a nonzero count, the tokens
+with a positive count, the error of each summand outside log's domain,
+and the summand of every zero count, log(alpha / denominator). A candidate
+is scored from one fetch of its terms: its evidence is checked against
+the window first, and only then are the summands added, left to right as
+the formula adds them, so every score is the same float.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import selectors
 import subprocess
+import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +67,24 @@ def _check_settings(alpha: float, eta: int) -> None:
         raise ValueError(f"bad eta value {eta!r}")
 
 
+# An FQN's score terms, (summands, positive, failures, unseen):
+#   summands  {token: log((c + alpha) / denom)} for each nonzero count c
+#             whose summand is a number
+#   positive  the tokens with a positive count, the evidence test
+#   failures  {token: error} for each nonzero count whose summand is
+#             outside log's domain
+#   unseen    log(alpha / denom), the summand of every zero count, or its
+#             error; None when denom <= 0, which scores minus infinity.
+#             When denom itself fails, summands is None and unseen holds
+#             denom's error, which every score raises
+_Terms = tuple[
+    dict[str, float] | None,
+    frozenset[str],
+    dict[str, Exception],
+    float | Exception | None,
+]
+
+
 @dataclass
 class CooccurrenceModel:
     """Token/FQN co-occurrence counts plus smoothing configuration.
@@ -68,7 +96,11 @@ class CooccurrenceModel:
     view, built afresh on each read.
 
     The fields are read-only after construction, which builds the
-    simple-name index that `known_fqns_named` answers from.
+    simple-name index that `known_fqns_named` answers from. Scoring fills a
+    memo of each model FQN's score terms (see the module docstring), at
+    most one entry per model FQN scored; like the KB's memos it is sound
+    because the fields never change, and it takes no part in equality or
+    repr.
     """
 
     rows: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -78,6 +110,9 @@ class CooccurrenceModel:
     window_eta: int = 2
     _by_simple_name: dict[str, tuple[str, ...]] = field(
         init=False, repr=False, compare=False
+    )
+    _terms: dict[str, _Terms] = field(
+        init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
@@ -162,37 +197,67 @@ def train(
 _NO_COUNTS: Mapping[str, int] = {}  # the row of an FQN with no counts
 
 
-def _score(
-    model: CooccurrenceModel, window: Sequence[str], fqn: str
-) -> tuple[float, bool]:
-    """score(fqn) over the window, as the module docstring defines it
-    (minus infinity when the denominator is not positive), and whether some
-    window token has a positive count with fqn, from one fetch of fqn's row
-    and one lookup in it per window token.
-
-    Every zero count adds the same summand, log(alpha / denom), which equals
-    log((0 + alpha) / denom) exactly, so it is computed once. The summands
-    and their order are the formula's, so the score is the same float.
-    """
+def _fill_terms(model: CooccurrenceModel, fqn: str) -> _Terms:
+    """fqn's score terms, computed as the formula computes each summand;
+    memoized when fqn is a model FQN."""
     row = model.rows.get(fqn, _NO_COUNTS)
     alpha = model.smoothing_alpha
-    denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
-    if denom <= 0:
-        return float("-inf"), any(row.get(tok, 0) > 0 for tok in window)
-    total = 0.0
-    evidence = False
-    unseen = None  # log(alpha / denom), computed where the formula first would
-    for tok in window:
-        c = row.get(tok, 0)
-        if c:
-            if c > 0:
-                evidence = True
-            total += math.log((c + alpha) / denom)
+    positive = frozenset(tok for tok, c in row.items() if c > 0)
+    summands: dict[str, float] | None = {}
+    failures: dict[str, Exception] = {}
+    unseen: float | Exception | None
+    try:
+        denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
+    except (ArithmeticError, ValueError) as exc:
+        # an error is stored without its traceback, whose frame holds model
+        summands, unseen = None, exc.with_traceback(None)
+    else:
+        if denom <= 0:
+            unseen = None
         else:
-            if unseen is None:
+            try:
                 unseen = math.log(alpha / denom)
-            total += unseen
-    return total, evidence
+            except (ArithmeticError, ValueError) as exc:
+                unseen = exc.with_traceback(None)
+            for tok, c in row.items():
+                if c:
+                    try:
+                        summands[tok] = math.log((c + alpha) / denom)
+                    except (ArithmeticError, ValueError) as exc:
+                        failures[tok] = exc.with_traceback(None)
+    terms = (summands, positive, failures, unseen)
+    if fqn in model.fqn_totals:
+        model._terms[fqn] = terms
+    return terms
+
+
+def _total(terms: _Terms, window: Sequence[str]) -> float:
+    """score(fqn) over the window, as the module docstring defines it, from
+    fqn's terms: minus infinity when the denominator is not positive, else
+    the window's summands added left to right, or the error of the first
+    one outside log's domain."""
+    summands, _, failures, unseen = terms
+    if failures or type(unseen) is not float:
+        if unseen is None:
+            return float("-inf")
+        if summands is None:  # the formula fails at its denominator
+            raise type(unseen)(*unseen.args)
+        for tok in window:
+            if tok not in summands:
+                error = failures.get(tok, unseen)
+                if isinstance(error, Exception):
+                    raise type(error)(*error.args)
+    # a plain loop: from Python 3.12, sum() of floats is compensated, so it
+    # would not give the formula's float
+    total = 0.0
+    for tok in window:
+        total += summands.get(tok, unseen)
+    return total
+
+
+def _score(model: CooccurrenceModel, window: Sequence[str], fqn: str) -> float:
+    """score(fqn) over the window, from fqn's memoized terms."""
+    return _total(model._terms.get(fqn) or _fill_terms(model, fqn), window)
 
 
 def predict_topk(
@@ -205,13 +270,14 @@ def predict_topk(
     """Rank model-known FQNs whose simple name matches the target; given a
     kb, only those the kb holds.
 
-    Candidates with no positive count against any window token are dropped;
-    the rest are ordered by score, ties broken by lexicographically smaller
-    FQN. Returns at most k (fqn, score) pairs. An empty model, or a target
-    name with no candidate, yields an empty list without building the
-    context window. A candidate's score does not depend on the others, so
-    the ranking with a kb is the ranking without one, less the FQNs outside
-    the kb, as long as no FQN outside it fails to score.
+    Candidates with no positive count against any window token are dropped
+    before they are scored; the rest are ordered by score, ties broken by
+    lexicographically smaller FQN. Returns at most k (fqn, score) pairs. An
+    empty model, or a target name with no candidate, yields an empty list
+    without building the context window. A candidate's score does not
+    depend on the others, so the ranking with a kb is the ranking without
+    one, less the FQNs outside the kb, as long as no FQN outside it fails
+    to score.
     """
     if k <= 0:
         return []
@@ -222,25 +288,20 @@ def predict_topk(
         # its FQNs the model knows are the model's FQNs of this name in kb
         fqns = kb.candidates_for(target.simple_name)
     totals = model.fqn_totals
+    memo = model._terms  # holds model FQNs only
     window: list[str] | None = None  # built at the first known candidate
     scored: list[tuple[str, float]] = []
     for fqn in fqns:
-        if fqn not in totals:
-            continue
+        terms = memo.get(fqn)
+        if terms is None:
+            if fqn not in totals:
+                continue
+            terms = _fill_terms(model, fqn)
         if window is None:
             window = context_window(aug, target, model.window_eta)
-        try:
-            score, evidence = _score(model, window, fqn)
-        except (ArithmeticError, ValueError):
-            # a summand outside log's domain (a hand-built model's negative
-            # count) fails only a candidate with evidence; one without is
-            # dropped before it is scored
-            row = model.rows.get(fqn, _NO_COUNTS)
-            if any(row.get(tok, 0) > 0 for tok in window):
-                raise
+        if terms[1].isdisjoint(window):
             continue
-        if evidence:
-            scored.append((fqn, score))
+        scored.append((fqn, _total(terms, window)))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 
@@ -294,25 +355,33 @@ class ExternalPredictor:
     FQN strings. Scores are synthesized from rank only to fill the
     `Predictor` (fqn, score) pair shape: `filter_against_kb` keeps the
     child's order and drops them. The KB is not sent: the child may name
-    any FQN, and `predict_all` filters its answer.
+    any FQN, and `predict_all` filters its answer. The child's standard
+    error is discarded.
+
+    `timeout` is the one deadline, in seconds: `predict` waits at most that
+    long for each answer line, and `close()` at most that long for the
+    child to exit before it kills it.
     """
 
-    def __init__(self, command: Sequence[str]):
+    def __init__(self, command: Sequence[str], timeout: float = 5.0):
         self.command = list(command)
+        self.timeout = timeout
         self._proc: subprocess.Popen | None = None
+        self._pending = b""  # output read past the last answer line
 
     def predict(self, aug, target, k, kb):
         """Raises RuntimeError when the child has exited, has closed its
-        input or answers out of protocol. The child starts on first use, and
-        again only after `close()`."""
+        input, gives no answer within the deadline or answers out of
+        protocol. A child that gives no answer in time is killed, so a late
+        answer is never read as the answer to a later request. The child
+        starts on first use, and again only after `close()`."""
         proc = self._proc
         if proc is None:
             proc = self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                stderr=subprocess.DEVNULL,
             )
         elif proc.poll() is not None:
             raise RuntimeError(
@@ -322,14 +391,11 @@ class ExternalPredictor:
         request = {"context_lines": lines, "target_key": target.key, "k": k}
         assert proc.stdin is not None and proc.stdout is not None
         try:
-            proc.stdin.write(json.dumps(request) + "\n")
+            proc.stdin.write(json.dumps(request).encode() + b"\n")
             proc.stdin.flush()
         except BrokenPipeError:
             raise RuntimeError("external predictor closed its input stream") from None
-        answer = proc.stdout.readline()
-        if not answer:
-            raise RuntimeError("external predictor closed its output stream")
-        candidates = json.loads(answer)
+        candidates = json.loads(self._answer_line(proc))
         if not isinstance(candidates, list):
             raise RuntimeError("external predictor must answer a JSON array")
         ranked = []
@@ -337,14 +403,43 @@ class ExternalPredictor:
             ranked.append((str(fqn), float(len(candidates) - rank)))
         return ranked
 
+    def _answer_line(self, proc: subprocess.Popen) -> bytes:
+        """The child's next output line, waiting for output at most until
+        the deadline; a line already read does not wait. Output is read
+        from the pipe's descriptor, so no buffer hides a line from the
+        wait. The last line may end at the end of output instead of at a
+        newline."""
+        assert proc.stdout is not None
+        fd = proc.stdout.fileno()
+        deadline = time.monotonic() + self.timeout
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._pending:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not selector.select(remaining):
+                    proc.kill()
+                    proc.wait()
+                    raise RuntimeError(
+                        f"external predictor gave no answer within {self.timeout} s"
+                    )
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    if not self._pending:
+                        raise RuntimeError("external predictor closed its output stream")
+                    break
+                self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line
+
     def close(self) -> None:
         proc, self._proc = self._proc, None
+        self._pending = b""
         if proc is None:
             return
         # communicate ignores a broken input pipe, closes both pipes and
         # reaps the child
         try:
-            proc.communicate(timeout=5)
+            proc.communicate(timeout=self.timeout)
         except subprocess.TimeoutExpired:
             # the child outlived its input: stop it rather than leave it
             proc.kill()

@@ -1049,11 +1049,11 @@ def test_stat_score_dominance():
         assert model.fqn_totals[f] <= model.fqn_totals[g], case
 
         window = [rng.choice(window_tokens) for _ in range(rng.randint(1, 6))]
-        sf = _score(model, window, f)[0]
-        sg = _score(model, window, g)[0]
+        sf = _score(model, window, f)
+        sg = _score(model, window, g)
         assert sf >= sg - 1e-12, case
-        assert _score(model, window, f)[0] == sf, case
-        assert _score(model, window, g)[0] == sg, case
+        assert _score(model, window, f) == sf, case
+        assert _score(model, window, g) == sg, case
 
 
 def _formula_score(model, window, fqn):
@@ -1135,10 +1135,72 @@ def test_ranking_scores_are_the_formula_bit_for_bit():
         assert _outcome(predict_topk, model, aug, target, k) == want, (case, model, window)
         raised += want[0] == "raised"
         for fqn in fqns:
-            assert _outcome(lambda: _score(model, window, fqn)[0]) == _outcome(
+            assert _outcome(lambda: _score(model, window, fqn)) == _outcome(
                 _formula_score, model, window, fqn
             ), (case, fqn)
     assert raised >= 50, raised
+
+
+def test_memoized_terms_score_as_the_formula_on_every_call():
+    """One model instance scores each FQN again and again over shuffled
+    windows, so every score after the first reads the terms that an
+    earlier one memoized, even when that one raised. Models are hand-built
+    as in the bit-for-bit test: stored zero counts, counts outside log's
+    domain and nonpositive denominators. Every outcome, of `_score` and of
+    `predict_topk`, is the formula's on a fresh model: the same float bits,
+    or the same exception type and message."""
+    rng = random.Random(9019)
+    raised_then_scored = nonpositive = zero_scored = 0
+    for case in range(400):
+        fqns = [f"{pkg}.Target" for pkg in rng.sample(_PACKAGES, rng.randint(1, 3))]
+        fqns += rng.sample(("p.Other", "Target", "q.Target.Inner"), rng.randint(0, 2))
+        counts = {}
+        for _ in range(rng.randint(0, 12)):
+            key = (rng.choice(_SCORE_TOKENS), rng.choice(fqns))
+            counts[key] = rng.choice((-4, -2, -1, 0, 0, 1, 1, 2, 3, 7))
+        totals = {f: rng.choice((0, 1, 5, 12, -3, -40)) for f in fqns}
+        vocabulary = set(rng.sample(_SCORE_TOKENS, rng.randint(0, len(_SCORE_TOKENS) - 2)))
+        settings = (rng.choice((0.5, 1.0, 1.7, 2.25, 3)), rng.randint(0, 1))
+
+        def build():
+            return CooccurrenceModel(
+                _rows(counts), dict(totals), set(vocabulary), *settings
+            )
+
+        model = build()
+        base = [rng.choice(_SCORE_TOKENS + ("unseen",)) for _ in range(rng.randint(1, 10))]
+        failed = set()
+        for call in range(6):
+            # a shuffled part of the same tokens, so a token that made an
+            # earlier score raise may be missing from a later window
+            window = rng.sample(base, rng.randint(0, len(base)))
+            sn = tokenize(" ".join(["Target"] + window))
+            aug = plain(sn)
+            target = ApiElement("Target", 1, 1, 0)
+            assert context_window(aug, target, model.window_eta) == window
+            fresh = build()
+            # and an FQN the model does not know, which it scores unmemoized
+            for fqn in rng.sample(fqns, len(fqns)) + ["zz.Target"]:
+                want = _outcome(_formula_score, fresh, window, fqn)
+                got = _outcome(lambda: _score(model, window, fqn))
+                assert got == want, (case, call, fqn, window)
+                if want[0] == "raised":
+                    failed.add(fqn)
+                elif fqn in failed:
+                    raised_then_scored += 1
+                nonpositive += totals.get(fqn, 0) + settings[0] * len(vocabulary) <= 0
+                zero_scored += any(
+                    n == 0 and q == fqn and t in window for (t, q), n in counts.items()
+                )
+            k = rng.randint(1, 4)
+            want = _outcome(_evidence_first_topk, fresh, window, "Target", k)
+            got = _outcome(predict_topk, model, aug, target, k)
+            assert got == want, (case, call, window)
+        # one entry per model FQN scored, and no other
+        assert set(model._terms) == set(fqns), case
+    assert raised_then_scored >= 100, raised_then_scored
+    assert nonpositive >= 500, nonpositive
+    assert zero_scored >= 200, zero_scored
 
 
 _TARGET_FQNS = tuple(f"{pkg}.Target" for pkg in _PACKAGES + ("gg.hh", "ii", "jj.kk")) + (

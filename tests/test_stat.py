@@ -14,11 +14,13 @@ from fqninfer import (
     ExternalPredictor,
     KnowledgeBase,
     ModelFormatError,
+    RunConfig,
     dump_model,
     identify_api_elements,
     load_model,
     plain,
     predict_all,
+    run,
     save_model,
     tokenize,
     train,
@@ -258,7 +260,7 @@ def test_score_candidate_matches_hand_computation():
         vocabulary={"tok", "other"},
         smoothing_alpha=1.0,
     )
-    got = _score(model, ["tok", "unseen"], "com.a.X")[0]
+    got = _score(model, ["tok", "unseen"], "com.a.X")
     denom = 3 + 1.0 * 2
     want = math.log((3 + 1) / denom) + math.log((0 + 1) / denom)
     assert got == pytest.approx(want)
@@ -266,7 +268,7 @@ def test_score_candidate_matches_hand_computation():
 
 def test_score_candidate_empty_model_is_minus_inf():
     model = CooccurrenceModel()
-    assert _score(model, ["a"], "com.a.X")[0] == float("-inf")
+    assert _score(model, ["a"], "com.a.X") == float("-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +482,60 @@ def test_external_predictor_close_kills_a_child_that_outlives_its_input(tmp_path
         encoding="utf-8",
     )
     sn, el = _single_element("Label x = ctx;", "Label")
-    pred = ExternalPredictor([sys.executable, str(script)])
+    pred = ExternalPredictor([sys.executable, str(script)], timeout=0.5)
     assert pred.predict(plain(sn), el, 1, _kb()) == []
     proc = pred._proc
-    pred.close()  # one 5 s wait for the child, then a kill
+    pred.close()  # one wait of the deadline for the child, then a kill
     assert proc.poll() is not None
+    assert proc.returncode < 0  # stopped by a signal, not exited
     assert proc.stdout.closed
     assert pred._proc is None
+
+
+def test_external_predictor_that_never_answers_is_an_error_within_the_deadline(tmp_path):
+    # reads the request, then stays silent far beyond the deadline
+    script = tmp_path / "silent_predictor.py"
+    script.write_text(
+        "import sys, time\n"
+        "sys.stdin.readline()\n"
+        "time.sleep(60)\n",
+        encoding="utf-8",
+    )
+    sn, el = _single_element("Label x = ctx;", "Label")
+    pred = ExternalPredictor([sys.executable, str(script)], timeout=0.5)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"^external predictor gave no answer within 0\.5 s$"):
+        pred.predict(plain(sn), el, 1, _kb())
+    assert time.monotonic() - started < 10
+    proc = pred._proc
+    assert proc.returncode is not None  # killed, so no late answer is read
+    with pytest.raises(RuntimeError, match="^external predictor exited with status"):
+        pred.predict(plain(sn), el, 1, _kb())
+    pred.close()
+    assert proc.stdout.closed
+    assert pred._proc is None
+
+
+def test_external_predictor_answer_already_read_does_not_wait(tmp_path):
+    # answers the first request with two lines at once, then falls silent
+    script = tmp_path / "eager_predictor.py"
+    script.write_text(
+        "import sys, time\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.write('[\"a.Label\"]\\n[\"b.Label\"]\\n')\n"
+        "sys.stdout.flush()\n"
+        "time.sleep(60)\n",
+        encoding="utf-8",
+    )
+    sn, el = _single_element("Label x = ctx;", "Label")
+    with ExternalPredictor([sys.executable, str(script)], timeout=5) as pred:
+        assert pred.predict(plain(sn), el, 1, _kb()) == [("a.Label", 1.0)]
+        # the child never reads this request, but its answer was read
+        # with the first one
+        assert pred.predict(plain(sn), el, 1, _kb()) == [("b.Label", 1.0)]
+        proc = pred._proc
+        assert proc.poll() is None
+        proc.kill()
 
 
 def test_external_predictor_that_closed_its_input_is_an_error(tmp_path):
@@ -646,6 +695,25 @@ def test_trained_rows_are_never_empty_and_load_back_equal(tmp_path, train_items)
             assert loaded == model, eta
             assert all(loaded.rows.values()), eta
     assert rowless > 0
+
+
+def test_ranking_changes_no_model_equality_dump_or_repr(tmp_path, kb, train_items, eval_items):
+    # the scoring memo fills as a model ranks, and is no part of its value
+    trained = train(training_pairs(train_items))
+    path = tmp_path / "model.tsv"
+    save_model(trained, path)
+    loaded = load_model(path)
+    before = [(dump_model(m), repr(m)) for m in (trained, loaded)]
+    for item in eval_items:
+        run(item.snippet, kb, trained, RunConfig())
+        aug = plain(item.snippet)
+        for el in identify_api_elements(item.snippet):
+            predict_topk(loaded, aug, el, 5)
+    # the two models filled different memos: one ranked KB FQNs only
+    assert trained._terms and loaded._terms
+    assert trained._terms.keys() != loaded._terms.keys()
+    assert trained == loaded
+    assert [(dump_model(m), repr(m)) for m in (trained, loaded)] == before
 
 
 @pytest.mark.parametrize(
