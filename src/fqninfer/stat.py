@@ -39,8 +39,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import select
 import selectors
 import subprocess
+import sys
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -95,12 +97,12 @@ class CooccurrenceModel:
     the model loaded from its dump. `counts` is a derived `{(token, fqn): n}`
     view, built afresh on each read.
 
-    The fields are read-only after construction, which builds the
-    simple-name index that `known_fqns_named` answers from. Scoring fills a
-    memo of each model FQN's score terms (see the module docstring), at
-    most one entry per model FQN scored; like the KB's memos it is sound
-    because the fields never change, and it takes no part in equality or
-    repr.
+    The fields are read-only after construction. The first
+    `known_fqns_named` call builds the simple-name index it answers from,
+    and scoring fills a memo of each model FQN's score terms (see the
+    module docstring), at most one entry per model FQN scored; like the
+    KB's memos both are sound because the fields never change, and they
+    take no part in equality or repr.
     """
 
     rows: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -108,8 +110,8 @@ class CooccurrenceModel:
     vocabulary: set[str] = field(default_factory=set)
     smoothing_alpha: float = 1.0
     window_eta: int = 2
-    _by_simple_name: dict[str, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False
+    _by_simple_name: dict[str, tuple[str, ...]] | None = field(
+        init=False, repr=False, compare=False, default=None
     )
     _terms: dict[str, _Terms] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -117,7 +119,6 @@ class CooccurrenceModel:
 
     def __post_init__(self) -> None:
         _check_settings(self.smoothing_alpha, self.window_eta)
-        self._by_simple_name = simple_name_index(self.fqn_totals)
 
     @property
     def counts(self) -> dict[tuple[str, str], int]:
@@ -133,8 +134,11 @@ class CooccurrenceModel:
 
     def known_fqns_named(self, simple_name: str) -> tuple[str, ...]:
         """The stored tuple of model FQNs with this simple name,
-        lexicographically ordered."""
-        return self._by_simple_name.get(simple_name, ())
+        lexicographically ordered. The first call builds the index."""
+        index = self._by_simple_name
+        if index is None:
+            index = self._by_simple_name = simple_name_index(self.fqn_totals)
+        return index.get(simple_name, ())
 
 
 def context_window(
@@ -176,7 +180,6 @@ def train(
     _check_settings(alpha, eta)
     rows: dict[str, dict[str, int]] = {}
     totals: dict[str, int] = {}
-    vocabulary: set[str] = set()
     for snippet, truth in corpus:
         aug = augment(snippet, truth)
         for e, fqn in truth.items():
@@ -190,8 +193,9 @@ def train(
                     row = rows[fqn] = {}
                 for tok in window:
                     row[tok] = row.get(tok, 0) + 1
-                vocabulary.update(window)
-    return CooccurrenceModel(rows, totals, vocabulary, alpha, eta)
+    # every window token lands in a row, so the rows' tokens are the
+    # vocabulary
+    return CooccurrenceModel(rows, totals, set().union(*rows.values()), alpha, eta)
 
 
 _NO_COUNTS: Mapping[str, int] = {}  # the row of an FQN with no counts
@@ -359,8 +363,8 @@ class ExternalPredictor:
     error is discarded.
 
     `timeout` is the one deadline, in seconds: `predict` waits at most that
-    long for each answer line, and `close()` at most that long for the
-    child to exit before it kills it.
+    long for the child to take each request and answer it, and `close()` at
+    most that long for the child to exit before it kills it.
     """
 
     def __init__(self, command: Sequence[str], timeout: float = 5.0):
@@ -371,10 +375,11 @@ class ExternalPredictor:
 
     def predict(self, aug, target, k, kb):
         """Raises RuntimeError when the child has exited, has closed its
-        input, gives no answer within the deadline or answers out of
-        protocol. A child that gives no answer in time is killed, so a late
-        answer is never read as the answer to a later request. The child
-        starts on first use, and again only after `close()`."""
+        input, does not take the request and answer it within the deadline
+        or answers out of protocol. A child that misses the deadline is
+        killed, so a late answer is never read as the answer to a later
+        request. The child starts on first use, and again only after
+        `close()`."""
         proc = self._proc
         if proc is None:
             proc = self._proc = subprocess.Popen(
@@ -389,13 +394,9 @@ class ExternalPredictor:
             )
         lines = aug.text().splitlines()
         request = {"context_lines": lines, "target_key": target.key, "k": k}
-        assert proc.stdin is not None and proc.stdout is not None
-        try:
-            proc.stdin.write(json.dumps(request).encode() + b"\n")
-            proc.stdin.flush()
-        except BrokenPipeError:
-            raise RuntimeError("external predictor closed its input stream") from None
-        candidates = json.loads(self._answer_line(proc))
+        deadline = time.monotonic() + self.timeout
+        self._send(proc, json.dumps(request).encode() + b"\n", deadline)
+        candidates = json.loads(self._answer_line(proc, deadline))
         if not isinstance(candidates, list):
             raise RuntimeError("external predictor must answer a JSON array")
         ranked = []
@@ -403,7 +404,33 @@ class ExternalPredictor:
             ranked.append((str(fqn), float(len(candidates) - rank)))
         return ranked
 
-    def _answer_line(self, proc: subprocess.Popen) -> bytes:
+    def _expire(self, proc: subprocess.Popen, what: str) -> RuntimeError:
+        """Kills the child that missed the deadline; the error to raise."""
+        proc.kill()
+        proc.wait()
+        return RuntimeError(f"external predictor {what} within {self.timeout} s")
+
+    def _send(self, proc: subprocess.Popen, data: bytes, deadline: float) -> None:
+        """Writes data to the child's input, waiting for room at most until
+        the deadline. Each write after a wait is at most PIPE_BUF bytes, so
+        it cannot block."""
+        assert proc.stdin is not None
+        fd = proc.stdin.fileno()
+        view = memoryview(data)
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_WRITE)
+            while view:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not selector.select(remaining):
+                    raise self._expire(proc, "did not read its request")
+                try:
+                    view = view[os.write(fd, view[: select.PIPE_BUF]):]
+                except BrokenPipeError:
+                    raise RuntimeError(
+                        "external predictor closed its input stream"
+                    ) from None
+
+    def _answer_line(self, proc: subprocess.Popen, deadline: float) -> bytes:
         """The child's next output line, waiting for output at most until
         the deadline; a line already read does not wait. Output is read
         from the pipe's descriptor, so no buffer hides a line from the
@@ -411,17 +438,12 @@ class ExternalPredictor:
         newline."""
         assert proc.stdout is not None
         fd = proc.stdout.fileno()
-        deadline = time.monotonic() + self.timeout
         with selectors.DefaultSelector() as selector:
             selector.register(fd, selectors.EVENT_READ)
             while b"\n" not in self._pending:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not selector.select(remaining):
-                    proc.kill()
-                    proc.wait()
-                    raise RuntimeError(
-                        f"external predictor gave no answer within {self.timeout} s"
-                    )
+                    raise self._expire(proc, "gave no answer")
                 chunk = os.read(fd, 65536)
                 if not chunk:
                     if not self._pending:
@@ -496,21 +518,25 @@ def dump_model(model: CooccurrenceModel) -> str:
     lines = [
         f"{_HEADER_PREFIX}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
     ]
-    records = sorted(
-        (tok, fqn, n)
-        for fqn, row in model.rows.items()
-        for tok, n in row.items()
-        if n > 0
-    )
-    encoded: dict[str, str] = {}
-    for tok, fqn, n in records:
-        quoted = encoded.get(tok)
-        if quoted is None:
-            quoted = encoded[tok] = json.dumps(tok)
-        lines.append(f"count\t{quoted}\t{fqn}\t{n}")
+    # a row holds a token once, so sorting each token's (fqn, n) pairs
+    # orders the records by (token, fqn)
+    by_token: dict[str, list[tuple[str, int]]] = {}
+    for fqn, row in model.rows.items():
+        for tok, n in row.items():
+            if n > 0:
+                by_token.setdefault(tok, []).append((fqn, n))
+    append = lines.append
+    for tok in sorted(by_token):
+        head = f"count\t{json.dumps(tok)}\t"
+        pairs = by_token[tok]
+        pairs.sort()
+        for fqn, n in pairs:
+            append(f"{head}{fqn}\t{n}")
     # an FQN with no positive count writes no count record, but must still
     # exist after a round-trip
-    counted = {fqn for _, fqn, _ in records}
+    counted = {
+        fqn for fqn, row in model.rows.items() if any(n > 0 for n in row.values())
+    }
     for fqn in sorted(model.fqn_totals):
         if fqn not in counted:
             lines.append(f"fqn\t{fqn}")
@@ -559,6 +585,8 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     except ValueError as exc:
         raise bad(1, str(exc)) from None
     rows: dict[str, dict[str, int]] = {}
+    # an FQN enters totals at its first record, so totals keeps first-seen
+    # order; the totals of counted FQNs are summed after the parse
     totals: dict[str, int] = {}
     # few distinct tokens stand in many records; a bad one never enters, so
     # the decoded tokens are the vocabulary
@@ -566,30 +594,38 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         if len(parts) == 4 and parts[0] == "count":
+            _, quoted, fqn, count = parts
             try:
-                tok = decoded.get(parts[1])
+                tok = decoded.get(quoted)
                 if tok is None:
-                    tok = json.loads(parts[1])
+                    tok = json.loads(quoted)
                     # a token is a lexeme, so any other JSON value is bad
                     if not isinstance(tok, str):
                         raise ValueError(tok)
-                    decoded[parts[1]] = tok
-                n = int(parts[3])
+                    decoded[quoted] = tok
+                n = int(count)
             except (ValueError, RecursionError):
                 raise bad(lineno, f"bad count record {_shown(line)}") from None
             if n <= 0:
                 raise bad(lineno, "nonpositive count")
-            fqn = parts[2]
             row = rows.get(fqn)
             if row is None:
                 # later records of this FQN find its row, so its string is
                 # kept once
                 row = rows[fqn] = {}
+                totals.setdefault(fqn, 0)
             row[tok] = row.get(tok, 0) + n
-            totals[fqn] = totals.get(fqn, 0) + n
         elif len(parts) == 2 and parts[0] == "fqn":
             totals.setdefault(parts[1], 0)
         elif line and line[0] != "#":
             raise bad(lineno, f"bad record {_shown(line)}")
+    for fqn, row in rows.items():
+        total = totals[fqn] = sum(row.values())
+        # every count is at most its FQN's total, so this bounds them all:
+        # a count float() cannot hold would fail every score of the FQN
+        if total > sys.float_info.max:
+            raise ModelFormatError(
+                f"{path}: total count of {_shown(fqn)} is beyond float range"
+            )
     vocabulary = set(decoded.values())
     return CooccurrenceModel(rows, totals, vocabulary, alpha, eta)

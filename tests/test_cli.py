@@ -240,6 +240,32 @@ def test_infer_reports_malformed_model_in_one_line(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "records",
+    [
+        ['count\t"label"\tcom.google.gwt.user.client.ui.Label\t1' + "0" * 400],
+        # each count fits a float, their total does not
+        ['count\t"label"\tcom.google.gwt.user.client.ui.Label\t1' + "0" * 308,
+         'count\t"types"\tcom.google.gwt.user.client.ui.Label\t1' + "0" * 308],
+    ],
+    ids=["count", "total"],
+)
+def test_a_model_total_beyond_float_range_is_one_error_line(tmp_path, capsys, records):
+    # the snippet constructs a Label, so infer ranks Label's FQN
+    snippet = str(FIXTURES / "corpus" / "gwt" / "3954392.java")
+    model_path = tmp_path / "m.tsv"
+    model_path.write_text(
+        "\n".join(["cooccurrence\talpha=1.0\teta=2", *records]) + "\n", encoding="utf-8"
+    )
+    assert main(["infer", snippet, "--kb", KB_PATH, "--model", str(model_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {model_path}: total count of "
+        "'com.google.gwt.user.client.ui.Label' is beyond float range"
+    ]
+
+
+@pytest.mark.parametrize(
     "bad, text, message",
     [
         ("model", "cooccurrence\talpha=1.0\teta=x\n", ":1: bad eta value 'x'"),

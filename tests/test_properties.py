@@ -43,7 +43,13 @@ from fqninfer.kb import (
     supertype_closure,
 )
 from fqninfer.orchestrator import CombinedResult, RoundRecord, combine
-from fqninfer.scoring import GroundTruth, SnippetScore, aggregate, score_snippet
+from fqninfer.scoring import (
+    GroundTruth,
+    SnippetScore,
+    aggregate,
+    score_snippet,
+    training_pairs,
+)
 from fqninfer.snippet import (
     ApiElement,
     BOXED_NAMES,
@@ -1337,6 +1343,91 @@ def test_known_fqns_named_matches_suffix_scan(tmp_path):
             assert built.known_fqns_named(name) == want, (case, name)
             assert trained.known_fqns_named(name) == want, (case, name)
             assert loaded.known_fqns_named(name) == want, (case, name)
+
+
+def test_simple_name_index_is_built_on_first_use(tmp_path, train_items):
+    """train and load_model leave the index unbuilt. The first
+    known_fqns_named call builds it, its answers are the suffix scan, and
+    building it changes no equality, repr or dump."""
+    path = tmp_path / "m.tsv"
+    trained = train(training_pairs(train_items), eta=2)
+    path.write_text(dump_model(trained), encoding="utf-8")
+    loaded = load_model(path)
+    before = [(repr(m), dump_model(m)) for m in (trained, loaded)]
+    assert trained._by_simple_name is None and loaded._by_simple_name is None
+    fqns = list(trained.fqn_totals)
+    names = {f.rpartition(".")[2] for f in fqns} | {"Absent"}
+    for name in sorted(names):
+        want = tuple(_suffix_scan(fqns, name))
+        assert trained.known_fqns_named(name) == want, name
+    assert trained._by_simple_name is not None and loaded._by_simple_name is None
+    assert trained == loaded
+    assert [(repr(m), dump_model(m)) for m in (trained, loaded)] == before
+
+
+# ---------------------------------------------------------------------------
+# statistical model: the dump against one sorted tuple per record
+
+
+def _ref_dump_model(model):
+    """Reference: one sorted (token, fqn, n) tuple per positive count, each
+    token JSON-encoded, then an fqn record for each FQN with no positive
+    count."""
+    lines = [
+        f"{_HEADER_PREFIX}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
+    ]
+    records = sorted(
+        (tok, fqn, n)
+        for fqn, row in model.rows.items()
+        for tok, n in row.items()
+        if n > 0
+    )
+    lines += [f"count\t{json.dumps(tok)}\t{fqn}\t{n}" for tok, fqn, n in records]
+    counted = {fqn for _, fqn, _ in records}
+    lines += [f"fqn\t{fqn}" for fqn in sorted(model.fqn_totals) if fqn not in counted]
+    return "\n".join(lines) + "\n"
+
+
+# tokens JSON escapes or sorts awkwardly: quotes, backslashes, controls,
+# separators, a lone surrogate, a non-BMP character, case and prefixes
+_DUMP_TOKENS = (
+    "a", "A", "aa", "a ", "", '"', "\\", "\n\t", "a\tb", "x\x85y", "p\u2028q",
+    "\x00", "\ud800", "\U0001f600", "\u00e9", "7", "[1]",
+)
+_DUMP_FQNS = ("a.X", "a.X.Inner", "a.XY", "a.x", "b.X", "X", "a-b.X", "\u00e9.X")
+
+
+def test_dump_matches_one_sorted_tuple_per_record():
+    """dump_model writes the reference's bytes for hand-built models the
+    trainer never makes: stored zeros, negative counts, empty rows, rows of
+    FQNs without a total and FQNs that have only a total."""
+    rng = random.Random(9017)
+    shapes = {"fqn-only": 0, "nonpositive": 0}
+    for case in range(1000):
+        rows = {}
+        for fqn in rng.sample(_DUMP_FQNS, rng.randint(0, 5)):
+            toks = rng.sample(_DUMP_TOKENS, rng.randint(0, 6))
+            rows[fqn] = {
+                tok: rng.choice((-3, -1, 0, 0, 1, 2, 17, 10**20)) for tok in toks
+            }
+        totals = {
+            fqn: rng.choice((0, 3, -2))
+            for fqn in rng.sample(_DUMP_FQNS, rng.randint(0, len(_DUMP_FQNS)))
+        }
+        model = CooccurrenceModel(
+            rows=rows,
+            fqn_totals=totals,
+            vocabulary={tok for row in rows.values() for tok in row},
+            smoothing_alpha=rng.choice((0.5, 1.0, 2.25, 3)),
+            window_eta=rng.randint(0, 3),
+        )
+        want = _ref_dump_model(model)
+        assert dump_model(model) == want, case
+        shapes["fqn-only"] += "\nfqn\t" in want
+        shapes["nonpositive"] += any(
+            n <= 0 for row in rows.values() for n in row.values()
+        )
+    assert min(shapes.values()) >= 300, shapes
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,26 @@ def test_external_predictor_that_never_answers_is_an_error_within_the_deadline(t
     assert pred._proc is None
 
 
+def test_external_predictor_that_never_reads_is_an_error_within_the_deadline(tmp_path):
+    # never reads its input, so a request larger than the pipe buffer
+    # cannot be written in full
+    script = tmp_path / "sleeping_predictor.py"
+    script.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
+    padding = "".join(f"// {'x' * 100}\n" for _ in range(1000))  # past 64 KiB
+    sn, el = _single_element(padding + "Label x = ctx;", "Label")
+    pred = ExternalPredictor([sys.executable, str(script)], timeout=0.5)
+    started = time.monotonic()
+    with pytest.raises(
+        RuntimeError, match=r"^external predictor did not read its request within 0\.5 s$"
+    ):
+        pred.predict(plain(sn), el, 1, _kb())
+    assert time.monotonic() - started < 10
+    proc = pred._proc
+    assert proc.returncode is not None  # killed, so it reads no stale request
+    pred.close()
+    assert proc.stdin.closed and proc.stdout.closed
+
+
 def test_external_predictor_answer_already_read_does_not_wait(tmp_path):
     # answers the first request with two lines at once, then falls silent
     script = tmp_path / "eager_predictor.py"
@@ -787,6 +807,30 @@ def test_load_rejects_bad_values_with_line(tmp_path, text, match):
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ModelFormatError, match=match):
         load_model(path)
+
+
+def test_load_rejects_a_total_beyond_float_range_that_hand_built_models_keep(
+    tmp_path,
+):
+    # 10**308 fits a float, twice it does not
+    counts = {("a", "com.a.X"): 10**308, ("b", "com.a.X"): 10**308}
+    model = CooccurrenceModel(
+        rows=_rows(counts), fqn_totals={"com.a.X": 2 * 10**308}, vocabulary={"a", "b"}
+    )
+    with pytest.raises(OverflowError):
+        _score(model, ["a"], "com.a.X")
+    path = tmp_path / "m.tsv"
+    save_model(model, path)
+    with pytest.raises(
+        ModelFormatError, match=r"m\.tsv: total count of 'com\.a\.X' is beyond float range$"
+    ):
+        load_model(path)
+    # a total at the edge of float range loads
+    path.write_text(
+        f'cooccurrence\teta=2\ncount\t"a"\tcom.a.X\t{int(sys.float_info.max)}\n',
+        encoding="utf-8",
+    )
+    assert load_model(path).fqn_totals == {"com.a.X": int(sys.float_info.max)}
 
 
 def test_load_ends_records_at_newline_only(tmp_path):
