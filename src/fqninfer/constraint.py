@@ -543,6 +543,11 @@ def _search(
             f"snippet too large to solve: {depth} elements with a choice exceed"
             " the recursion limit"
         ) from None
+    finally:
+        # dfs holds itself in its closure cell, and through its cells every
+        # table above: unbinding it breaks that cycle, so refcounting frees
+        # this search's tables now instead of the cyclic collector later
+        del dfs
     return int(best_v), best_vec, optima_values
 
 

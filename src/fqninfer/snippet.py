@@ -240,10 +240,13 @@ class Snippet:
         in token order, so the lines never decrease. Augmentation keeps each
         token's kind and line, so the index serves every augmentation of
         this snippet."""
-        indices = tuple(
-            i for i, t in enumerate(self.tokens) if t.kind in _WORD_KINDS
-        )
-        return tuple(self.tokens[i].line for i in indices), indices
+        # tuples built from lists: tuple(genexpr) grows its tuple by resizing,
+        # so it takes none from CPython's free list of its final size but
+        # frees one into it; with no full collection to clear them, those
+        # free lists would grow to their cap
+        tokens = self.tokens
+        indices = tuple([i for i, t in enumerate(tokens) if t.kind in _WORD_KINDS])
+        return tuple([tokens[i].line for i in indices]), indices
 
 
 _TOKEN_RE = re.compile(

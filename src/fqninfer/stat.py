@@ -514,17 +514,49 @@ def dump_model(model: CooccurrenceModel) -> str:
     contain spaces, tabs or newlines. Each distinct token is encoded once,
     as `load_model` decodes each once. Deterministic: equal models dump
     identically.
+
+    Raises ValueError for a model whose dump `load_model` would refuse: a
+    count that is not an int, a written token that is not a str, an FQN
+    that is not a str or holds a tab or line break, a row whose positive
+    counts total beyond float range, or an alpha beyond float range.
+    Zero and negative counts are not written, and the totals are not
+    checked against the rows.
     """
+    if model.smoothing_alpha > sys.float_info.max:
+        raise ValueError("cannot dump model: alpha is beyond float range")
     lines = [
         f"{_HEADER_PREFIX}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
     ]
     # a row holds a token once, so sorting each token's (fqn, n) pairs
     # orders the records by (token, fqn)
     by_token: dict[str, list[tuple[str, int]]] = {}
+    # an FQN with no positive count writes no count record, but must still
+    # exist after a round-trip
+    counted: set[str] = set()
     for fqn, row in model.rows.items():
+        _check_dump_fqn(fqn)
+        total = 0
         for tok, n in row.items():
+            if type(n) is not int:
+                raise ValueError(
+                    f"cannot dump model: count {n!r:.80} of {_shown(fqn)} is not an int"
+                )
             if n > 0:
                 by_token.setdefault(tok, []).append((fqn, n))
+                total += n
+        if total:
+            counted.add(fqn)
+            if total > sys.float_info.max:
+                raise ValueError(
+                    f"cannot dump model: total count of {_shown(fqn)} is beyond"
+                    " float range"
+                )
+    for fqn in model.fqn_totals:
+        if fqn not in model.rows:
+            _check_dump_fqn(fqn)
+    for tok in by_token:
+        if not isinstance(tok, str):
+            raise ValueError(f"cannot dump model: token {tok!r:.80} is not a str")
     append = lines.append
     for tok in sorted(by_token):
         head = f"count\t{json.dumps(tok)}\t"
@@ -532,15 +564,21 @@ def dump_model(model: CooccurrenceModel) -> str:
         pairs.sort()
         for fqn, n in pairs:
             append(f"{head}{fqn}\t{n}")
-    # an FQN with no positive count writes no count record, but must still
-    # exist after a round-trip
-    counted = {
-        fqn for fqn, row in model.rows.items() if any(n > 0 for n in row.values())
-    }
     for fqn in sorted(model.fqn_totals):
         if fqn not in counted:
-            lines.append(f"fqn\t{fqn}")
+            append(f"fqn\t{fqn}")
     return "\n".join(lines) + "\n"
+
+
+def _check_dump_fqn(fqn: object) -> None:
+    """Raise ValueError for an FQN that no record can hold: `load_model`
+    splits records at tabs, and reads with universal newlines."""
+    if not isinstance(fqn, str):
+        raise ValueError(f"cannot dump model: FQN {fqn!r:.80} is not a str")
+    if "\t" in fqn or "\n" in fqn or "\r" in fqn:
+        raise ValueError(
+            f"cannot dump model: FQN {_shown(fqn)} holds a tab or line break"
+        )
 
 
 def save_model(model: CooccurrenceModel, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 """The iterative loop: stability, reduction, augmentation, combination."""
 
 import ast
+import gc
 import itertools
 import random
 import sys
@@ -210,6 +211,24 @@ def test_a_solve_deeper_than_the_recursion_limit_raises_value_error(kb, model):
         run(sn, kb, model)
     with pytest.raises(ValueError, match="snippet too large to solve"):
         infer_with_engine(sn, kb, model, "constraint")
+
+
+def test_inference_leaves_no_cyclic_garbage(kb, model, eval_items):
+    """Each search's tables are freed by refcounting when it returns, so
+    inference on the fixture corpus leaves the cyclic collector nothing."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for item in eval_items:
+            for order in (ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST):
+                run(item.snippet, kb, model, RunConfig(order=order))
+            for engine in ("constraint", "stat", "combined"):
+                infer_with_engine(item.snippet, kb, model, engine)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_serialize_trace_layout():

@@ -1430,6 +1430,73 @@ def test_dump_matches_one_sorted_tuple_per_record():
     assert min(shapes.values()) >= 300, shapes
 
 
+# one value of each kind dump_model refuses, as the error names it
+_DUMP_DEFECTS = {
+    "count": (1.5, True, 2.0, -0.5, "3"),
+    "token": (5, None, ("t",)),
+    "FQN": ("a.X\tY", "a\nX", "a.X\r", "\r"),
+    "total count": (10**308,),
+}
+
+
+def _random_dump_model(rng):
+    """A hand-built model shaped like the dump reference's, with one defect
+    planted in about half the cases: (model, the defect's kind or None)."""
+    rows = {}
+    for fqn in rng.sample(_DUMP_FQNS, rng.randint(0, 5)):
+        toks = rng.sample(_DUMP_TOKENS, rng.randint(0, 6))
+        rows[fqn] = {tok: rng.choice((-3, -1, 0, 0, 1, 2, 17, 10**20)) for tok in toks}
+    totals = {
+        fqn: rng.choice((0, 3, -2))
+        for fqn in rng.sample(_DUMP_FQNS, rng.randint(0, len(_DUMP_FQNS)))
+    }
+    defect = rng.choice((None, None, None, *_DUMP_DEFECTS))
+    if defect is not None:
+        bad = rng.choice(_DUMP_DEFECTS[defect])
+        row = rows.setdefault(rng.choice(_DUMP_FQNS), {})
+        if defect == "count":
+            row[rng.choice(_DUMP_TOKENS)] = bad
+        elif defect == "token":
+            row[bad] = rng.randint(1, 3)
+        elif defect == "FQN":
+            (rows if rng.random() < 0.5 else totals)[bad] = (
+                {"t": rng.choice((-1, 0, 2))} if rng.random() < 0.5 else 0
+            )
+        else:
+            row.update({"a": bad, "b": bad})
+    model = CooccurrenceModel(
+        rows=rows,
+        fqn_totals=totals,
+        vocabulary=set(),
+        smoothing_alpha=rng.choice((0.5, 1.0, 2.25, 3, 5e-324, 1.7976931348623157e308)),
+        window_eta=rng.randint(0, 3),
+    )
+    return model, defect
+
+
+def test_every_model_dump_model_accepts_round_trips(tmp_path):
+    """dump_model refuses each planted defect with one ValueError line, and
+    any other hand-built model's dump loads and dumps again to the same
+    text. An int alpha loads as its float, so only its header's number
+    changes (alpha=3 becomes alpha=3.0)."""
+    rng = random.Random(2107)
+    path = tmp_path / "model.tsv"
+    seen = dict.fromkeys((None, *_DUMP_DEFECTS), 0)
+    for case in range(800):
+        model, defect = _random_dump_model(rng)
+        seen[defect] += 1
+        if defect is not None:
+            with pytest.raises(ValueError, match=f"^cannot dump model: {defect} "):
+                dump_model(model)
+            continue
+        text = dump_model(model)
+        path.write_text(text, encoding="utf-8")
+        alpha = model.smoothing_alpha
+        want = text.replace(f"alpha={alpha!r}", f"alpha={float(alpha)!r}", 1)
+        assert dump_model(load_model(path)) == want, case
+    assert min(seen.values()) >= 80, seen
+
+
 # ---------------------------------------------------------------------------
 # loaders: one lean pass per record against the record-at-a-time loops
 #

@@ -676,6 +676,40 @@ def test_dump_keeps_fqns_without_a_positive_count(tmp_path):
     assert loaded.rows == {"b.Y": {"u": 2}}
 
 
+@pytest.mark.parametrize(
+    "rows, totals, alpha, match",
+    [
+        # load_model reads a count with int() and a token as a JSON string
+        ({"a.X": {"t": 1.5}}, {}, 1.0, r"count 1\.5 of 'a\.X' is not an int"),
+        ({"a.X": {"t": True}}, {}, 1.0, r"count True of 'a\.X' is not an int"),
+        ({"a.X": {"t": -0.5}}, {}, 1.0, r"count -0\.5 of 'a\.X' is not an int"),
+        ({"a.X": {"t": "3"}}, {}, 1.0, r"count '3' of 'a\.X' is not an int"),
+        ({"a.X": {5: 1}}, {}, 1.0, r"token 5 is not a str"),
+        ({"a.X": {"t": 1, None: 2}}, {}, 1.0, r"token None is not a str"),
+        # it splits records at tabs and reads with universal newlines
+        ({"a.X\tY": {"t": 1}}, {}, 1.0, r"FQN 'a\.X\\tY' holds a tab or line break"),
+        ({}, {"a.X\nY": 0}, 1.0, r"FQN 'a\.X\\nY' holds a tab or line break"),
+        ({"a.X\r": {"t": 0}}, {}, 1.0, r"FQN 'a\.X\\r' holds a tab or line break"),
+        ({5: {"t": 1}}, {}, 1.0, r"FQN 5 is not a str"),
+        # it refuses a total or an alpha that float() cannot hold
+        ({"a.X": {"a": 10**308, "b": 10**308, "c": -(10**308)}}, {}, 1.0,
+         r"total count of 'a\.X' is beyond float range"),
+        ({}, {}, 10**400, r"alpha is beyond float range"),
+    ],
+    ids=[
+        "float-count", "bool-count", "negative-float-count", "str-count",
+        "int-token", "none-token", "tab-fqn", "newline-total-fqn", "cr-fqn",
+        "int-fqn", "total", "alpha",
+    ],
+)
+def test_dump_refuses_a_model_load_would_refuse(rows, totals, alpha, match):
+    model = CooccurrenceModel(
+        rows=rows, fqn_totals=totals, vocabulary=set(), smoothing_alpha=alpha
+    )
+    with pytest.raises(ValueError, match=f"^cannot dump model: {match}$"):
+        dump_model(model)
+
+
 # SHA-256 of dump_model(train(pairs, eta=e)) on the fixture training corpus,
 # as the (token, fqn)-keyed count dict wrote them
 _FIXTURE_DUMP_DIGESTS = {
@@ -819,8 +853,17 @@ def test_load_rejects_a_total_beyond_float_range_that_hand_built_models_keep(
     )
     with pytest.raises(OverflowError):
         _score(model, ["a"], "com.a.X")
+    # dump_model refuses to write such a model, so its file is written here
+    with pytest.raises(
+        ValueError, match=r"^cannot dump model: total count of 'com\.a\.X' is beyond"
+    ):
+        dump_model(model)
     path = tmp_path / "m.tsv"
-    save_model(model, path)
+    path.write_text(
+        f'cooccurrence\teta=2\ncount\t"a"\tcom.a.X\t{10**308}\n'
+        f'count\t"b"\tcom.a.X\t{10**308}\n',
+        encoding="utf-8",
+    )
     with pytest.raises(
         ModelFormatError, match=r"m\.tsv: total count of 'com\.a\.X' is beyond float range$"
     ):
