@@ -15,6 +15,9 @@ The KB is loaded from a line-oriented text format:
     method <owner-fqn> <name>/<arity> [static] [returns=<fqn|?>]
     field <owner-fqn> <name> [static] [type=<fqn|?>]
 
+An empty `returns=` or `type=` is refused: `dump_kb` spells an unknown type
+`?`, so an empty one would not load back as it was read.
+
 Records end at "\\n" alone; blank lines and lines starting with '#' are
 skipped. Records may appear in any order, and the parse is one pass: each
 member is appended to its owner's lists as it is read, before or after the
@@ -246,6 +249,8 @@ def _parse_kb(text: str) -> KnowledgeBase:
             ret = attrs.pop("returns", None)
             if attrs:
                 raise KbError(f"unknown attributes {sorted(attrs)}", lineno)
+            if ret == "":
+                raise KbError("empty returns=; an unknown type is returns=?", lineno)
             sig = make(MethodSig, (name, arity, is_static, None if ret == "?" else ret))
             slot = 0
         elif record == "field":
@@ -255,6 +260,8 @@ def _parse_kb(text: str) -> KnowledgeBase:
             ftype = attrs.pop("type", None)
             if attrs:
                 raise KbError(f"unknown attributes {sorted(attrs)}", lineno)
+            if ftype == "":
+                raise KbError("empty type=; an unknown type is type=?", lineno)
             sig = make(FieldSig, (parts[2], None if ftype == "?" else ftype, is_static))
             slot = 1
         elif record == "type":

@@ -1,12 +1,15 @@
 """Lenient, lossless Java-ish lexing plus API element identification and
 context augmentation for incomplete snippets.
 
-The lexer never fails. It is one `finditer` pass of one regex whose last
-alternative takes any single character, so every character of input lands
-in exactly one token and concatenating the lexemes reproduces the source
-exactly. A `Token` is a tuple-backed (lexeme, kind, line) record, equal only
-to another `Token`. Snippets are allowed to be broken code, so structure
-recognition has to cope.
+The lexer never fails. One `findall` of one regex, whose last alternative
+takes any single character, lists the lexemes, so every character of input
+lands in exactly one token and concatenating the lexemes reproduces the
+source exactly. A lexeme's kind is read off its first character, except
+that a keyword, a lone '/' and a lone '.' are named whole; a lone quote is
+an unterminated literal when a line break or the end of the text follows
+it, and punctuation otherwise. A `Token` is a tuple-backed (lexeme, kind,
+line) record, equal only to another `Token`. Snippets are allowed to be
+broken code, so structure recognition has to cope.
 
 Structure is recognised once per snippet, on the `Snippet` itself:
 `Snippet.structure` holds the significant tokens, padded at the end so a
@@ -26,6 +29,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -42,7 +47,7 @@ class TokenKind(Enum):
 
 # Looking a member up on an Enum class costs about 170 ns on Python 3.11,
 # so the kind tests made per token read these constants.
-_IDENTIFIER, _KEYWORD = TokenKind.IDENTIFIER, TokenKind.KEYWORD
+_IDENTIFIER, _KEYWORD, _PUNCT = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.PUNCT
 _LAYOUT_KINDS = (TokenKind.WHITESPACE, TokenKind.COMMENT)
 _WORD_KINDS = (TokenKind.IDENTIFIER, TokenKind.LITERAL)  # what a window reads
 
@@ -251,34 +256,60 @@ class Snippet:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<comment>//[^\n]*|/\*.*?\*/|/\*.*)           # line, block, unterminated block
-    |(?P<whitespace>\s+)
-    |(?P<string>"(?:\\.|[^"\\\n])*(?:"|(?=\n)|$))    # string, unterminated stops at EOL
-    |(?P<char>'(?:\\.|[^'\\\n])*(?:'|(?=\n)|$))
-    |(?P<number>
-        0[xX][0-9a-fA-F_]+[lL]?
-        |0[bB][01_]+[lL]?
-        |\d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
-        |\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
-        |\d[\d_]*(?:[eE][+-]?\d+)?[fFdDlL]?
-     )
-    |(?P<identifier>[A-Za-z_$][A-Za-z0-9_$]*)
-    |(?P<punct>.)                                    # any other character
+    [A-Za-z_$][A-Za-z0-9_$]*                         # identifier or keyword
+    |\s+                                             # whitespace
+    |//[^\n]*|/\*.*?\*/|/\*.*                        # line, block, unterminated block comment
+    |"(?:\\.|[^"\\\n])*(?:"|(?=\n)|$)                # string, unterminated stops at EOL
+    |'(?:\\.|[^'\\\n])*(?:'|(?=\n)|$)                # char, the same
+    |0[xX][0-9a-fA-F_]+[lL]?                         # hex number
+    |0[bB][01_]+[lL]?                                # binary number
+    |\d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?      # decimal with a point,
+    |\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?              # with a leading point,
+    |\d[\d_]*(?:[eE][+-]?\d+)?[fFdDlL]?              # with none
+    |.                                               # any other character
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-_GROUP_KINDS = {
-    "comment": TokenKind.COMMENT,
-    "whitespace": TokenKind.WHITESPACE,
-    "string": TokenKind.LITERAL,
-    "char": TokenKind.LITERAL,
-    "number": TokenKind.LITERAL,
-    "identifier": TokenKind.IDENTIFIER,  # or a keyword
-    "punct": TokenKind.PUNCT,
-}
-# A string or char literal spans a line through an escaped newline.
-_MULTILINE_GROUPS = frozenset(("comment", "whitespace", "string", "char"))
+
+class _KindOfFirst(dict):
+    """First character -> the kind of a lexeme that starts with it, unless
+    `_KIND_OF_LEXEME` names the whole lexeme: the alternatives of
+    `_TOKEN_RE` before the last start on disjoint characters, so the first
+    one tells them apart. Tabled for ASCII; any other character is
+    classified when it is looked up and not kept, so the table never
+    grows."""
+
+    def __missing__(self, char: str) -> TokenKind:
+        if char.isascii() and (char.isalpha() or char in "_$"):
+            return _IDENTIFIER
+        if re.match(r"\s", char):
+            return TokenKind.WHITESPACE
+        if char == "/":
+            return TokenKind.COMMENT
+        if char in "\"'." or re.match(r"\d", char):
+            return TokenKind.LITERAL
+        return _PUNCT
+
+
+_KIND_OF_FIRST = _KindOfFirst()
+_KIND_OF_FIRST.update({c: _KIND_OF_FIRST[c] for c in map(chr, range(128))})
+# A lone '/' or '.' is punctuation, where a longer lexeme is a comment or a
+# number; an identifier-shaped keyword is a keyword.
+_KIND_OF_LEXEME = {"/": _PUNCT, ".": _PUNCT} | dict.fromkeys(JAVA_KEYWORDS, _KEYWORD)
+_QUOTES = frozenset("\"'")
+_first = itemgetter(0)
+
+
+def _lone_quotes_as_punct(lexemes: list[str], kinds: list[TokenKind]) -> list[TokenKind]:
+    """Mark as punctuation each lone quote whose literal failed: one that is
+    neither the last lexeme nor followed by a line break. Such a literal ran
+    into a backslash that ends the text, so only such a text holds one."""
+    last = len(lexemes) - 1
+    for i, lexeme in enumerate(lexemes):
+        if lexeme in _QUOTES and i < last and lexemes[i + 1][0] != "\n":
+            kinds[i] = _PUNCT
+    return kinds
 
 
 def tokenize(text: str) -> Snippet:
@@ -286,22 +317,24 @@ def tokenize(text: str) -> Snippet:
     comments and whitespace runs. Bytes that fit nothing become single-char
     punctuation tokens.
 
-    One `finditer` pass: no alternative matches empty and the last matches
-    any character, so each match starts where the previous one ended.
+    One `findall` of one regex lists the lexemes: no alternative matches
+    empty and the last matches any character, so each match starts where
+    the previous one ended. A lexeme's kind is that of its first
+    character, unless the whole lexeme is a keyword, or a lone '/' or '.',
+    which are punctuation. A lone quote is a literal (unterminated at the
+    end of its line or of the text) when it is the last lexeme or a line
+    break follows it; otherwise it is punctuation. Every step maps a
+    builtin over the lexemes, so no Python code runs per token.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    make = tuple.__new__  # a Token without NamedTuple's Python-level __new__
-    line = 1
-    for m in _TOKEN_RE.finditer(text):
-        lexeme = m.group()
-        group = m.lastgroup
-        kind = _GROUP_KINDS[group]
-        if group == "identifier" and lexeme in JAVA_KEYWORDS:
-            kind = _KEYWORD
-        append(make(Token, (lexeme, kind, line)))
-        if group in _MULTILINE_GROUPS:
-            line += lexeme.count("\n")
+    lexemes = _TOKEN_RE.findall(text)
+    first_kinds = map(_KIND_OF_FIRST.__getitem__, map(_first, lexemes))
+    kinds = map(_KIND_OF_LEXEME.get, lexemes, first_kinds)
+    if text.endswith("\\"):
+        kinds = _lone_quotes_as_punct(lexemes, list(kinds))
+    lines = accumulate(map(str.count, lexemes, repeat("\n")), initial=1)
+    # a list first: tuple(map(...)) would grow its tuple by resizing
+    # (see Snippet.word_index)
+    tokens = list(map(tuple.__new__, repeat(Token), zip(lexemes, kinds, lines)))
     return Snippet(raw=text, tokens=tuple(tokens))
 
 

@@ -60,6 +60,22 @@ def test_kb_build_reports_missing_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_kb_build_refuses_an_empty_return_type(tmp_path, capsys):
+    path = tmp_path / "k.kb"
+    path.write_text(
+        "type a.X class lib=l1\nmethod a.X m/0 returns=\nfield a.X f type=\n",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "out.kb"
+    assert main(["kb-build", str(path), "-o", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}:2: empty returns=; an unknown type is returns=?"
+    ]
+    assert not out_path.exists()
+
+
 def test_kb_build_logs_summary(caplog):
     with caplog.at_level(logging.INFO, logger="fqninfer"):
         main(["kb-build", KB_PATH])

@@ -254,6 +254,22 @@ def test_dump_always_spells_out_unknown_returns(tmp_path):
     assert "field com.acme.ui.Panel MARGIN static type=?" in dumped
 
 
+@pytest.mark.parametrize(
+    "record, attribute",
+    [("method com.a.X m/0 returns=", "returns"), ("field com.a.X f type=", "type")],
+)
+def test_empty_member_type_rejected_at_its_line(tmp_path, record, attribute):
+    # dump_kb writes an unknown type as '?', so an empty value could not
+    # round-trip: it would load back as None
+    path = tmp_path / "k.kb"
+    path.write_text(f"type com.a.X class lib=l1\n{record}\n", encoding="utf-8")
+    with pytest.raises(KbError) as info:
+        load_kb(path)
+    assert str(info.value) == (
+        f"{path}:2: empty {attribute}=; an unknown type is {attribute}=?"
+    )
+
+
 def test_empty_kb_dump_is_empty_string():
     assert dump_kb(KnowledgeBase([])) == ""
 

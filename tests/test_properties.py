@@ -259,6 +259,26 @@ def test_tokenize_matches_match_loop_lexer():
     assert min(spanning.values()) >= 50, spanning
 
 
+# Characters at the edges of the lexer's classes: quotes and the backslash
+# that can make a literal fail, the starts of comments and numbers, letters
+# inside and outside hex and exponent syntax, ASCII and Unicode whitespace
+# (the information separator \x1c is `\s` too), a non-ASCII letter and a
+# Unicode decimal digit, which `\d` reads as a number.
+_LEX_BOUNDARY_CHARS = "\"'\\/*.0exaA_(\n\r \x1c\xa0\u2028\xe9\u0660"
+
+
+def test_tokenize_matches_match_loop_lexer_on_every_short_string():
+    texts = [
+        "".join(chars)
+        for n in range(4)
+        for chars in itertools.product(_LEX_BOUNDARY_CHARS, repeat=n)
+    ]
+    assert len(texts) == 9724
+    for raw in texts:
+        got = [(t.lexeme, t.kind, t.line) for t in tokenize(raw).tokens]
+        assert got == _match_loop_tokens(raw), raw
+
+
 # ---------------------------------------------------------------------------
 # bracket partners
 
@@ -1568,6 +1588,8 @@ def _ref_parse_kb(text):
             if unknown:
                 raise KbError(f"unknown attributes {sorted(unknown)}", lineno)
             ret = attrs.get("returns")
+            if ret == "":
+                raise KbError("empty returns=; an unknown type is returns=?", lineno)
             if ret == "?":
                 ret = None
             members.append(
@@ -1585,6 +1607,8 @@ def _ref_parse_kb(text):
             if unknown:
                 raise KbError(f"unknown attributes {sorted(unknown)}", lineno)
             ftype = attrs.get("type")
+            if ftype == "":
+                raise KbError("empty type=; an unknown type is type=?", lineno)
             if ftype == "?":
                 ftype = None
             members.append((lineno, "field", owner, FieldSig(name, ftype, is_static)))
@@ -1705,6 +1729,7 @@ _KB_FAULTS = (
     "method q.Ghost m/0", "field q.Ghost F", "field p.A", "field p.A F type=? x=y",
     "field p.A F type=? type=?", "field p.A F bare", "banana p.A", "#method p.A",
     "method p.A m/+1 static static returns=?", "method p.A m/٣",
+    "method p.A m/0 returns=", "field p.A F static type=",
 )
 
 
