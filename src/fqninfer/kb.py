@@ -86,10 +86,6 @@ class TypeEntry:
     supertypes: frozenset[str] = field(default_factory=frozenset)
     external_supertypes: frozenset[str] = field(default_factory=frozenset)
 
-    @property
-    def simple_name(self) -> str:
-        return self.fqn.rpartition(".")[2]
-
     def find_method(self, name: str, arity: int) -> MethodSig | None:
         for m in self.methods:
             if m.name == name and m.arity == arity:
@@ -106,7 +102,7 @@ class TypeEntry:
 def simple_name_index(fqns: Iterable[str]) -> dict[str, tuple[str, ...]]:
     """Simple name -> the FQNs of that simple name, lexicographically
     ordered. A simple name is one identifier, so it is all after the last
-    dot, as `TypeEntry.simple_name` reads it."""
+    dot."""
     index: dict[str, list[str]] = {}
     for fqn in fqns:
         index.setdefault(fqn.rpartition(".")[2], []).append(fqn)
@@ -315,32 +311,52 @@ def _parse_kb(text: str) -> KnowledgeBase:
     )
 
 
+def _field(
+    value: str | None, what: str, owner: str = "", banned: str = "", unknown: str = ""
+) -> str:
+    """value, the owner's what, as one field of a record; a member type None
+    as its spelling unknown. Raises ValueError for a value that is empty or
+    unknown or holds one of banned or a character `str.split()` splits at."""
+    if value is None and unknown:
+        return unknown
+    if value.split() != [value] or value == unknown or any(c in value for c in banned):
+        of = f" of {owner!r:.80}" if owner else ""
+        raise ValueError(f"cannot dump KB: bad {what} {value!r:.80}{of}")
+    return value
+
+
 def dump_kb(kb: KnowledgeBase) -> str:
     """Serialize to the canonical text form: entries sorted by FQN, members
     sorted by (name, arity). Internal supertype edges are emitted under a
     single extends= attribute. load(dump(kb)) == kb and repeated dumps are
-    byte-identical.
+    byte-identical: a KB whose text would not load back as it raises
+    ValueError (an FQN, library or member name that is empty or holds a
+    blank, a supertype with a comma, a method name with a slash, a type of
+    "" or "?", which spells an unknown one).
     """
     out: list[str] = []
     for fqn in sorted(kb.entries):
         e = kb.entries[fqn]
-        line = f"type {e.fqn} {e.kind} lib={e.library}"
+        line = f"type {_field(fqn, 'FQN')} {e.kind}"
+        line += f" lib={_field(e.library, 'library', fqn)}"
+        for s in sorted(e.supertypes | e.external_supertypes):
+            _field(s, "supertype", fqn, ",")
         if e.supertypes:
             line += " extends=" + ",".join(sorted(e.supertypes))
         if e.external_supertypes:
             line += " external-super=" + ",".join(sorted(e.external_supertypes))
         out.append(line)
         for m in sorted(e.methods, key=lambda m: (m.name, m.arity)):
-            mline = f"method {e.fqn} {m.name}/{m.arity}"
+            mline = f"method {e.fqn} {_field(m.name, 'method name', fqn, '/')}/{m.arity}"
             if m.is_static:
                 mline += " static"
-            mline += f" returns={m.return_fqn if m.return_fqn else '?'}"
+            mline += f" returns={_field(m.return_fqn, 'return type', fqn, unknown='?')}"
             out.append(mline)
         for f in sorted(e.fields, key=lambda f: f.name):
-            fline = f"field {e.fqn} {f.name}"
+            fline = f"field {e.fqn} {_field(f.name, 'field name', fqn)}"
             if f.is_static:
                 fline += " static"
-            fline += f" type={f.type_fqn if f.type_fqn else '?'}"
+            fline += f" type={_field(f.type_fqn, 'field type', fqn, unknown='?')}"
             out.append(fline)
     return "\n".join(out) + ("\n" if out else "")
 

@@ -15,13 +15,7 @@ from .snippet import ApiElement, Snippet, identify_api_elements, read_utf8, toke
 
 
 class TruthFormatError(ValueError):
-    def __init__(self, message: str, path: str = "", line: int = 0):
-        detail = message
-        if path:
-            detail = f"{path}:{line}: {message}"
-        super().__init__(detail)
-        self.path = path
-        self.line = line
+    pass
 
 
 @dataclass(frozen=True)
@@ -41,12 +35,10 @@ def load_truth(path: str | Path, snippet_id: str = "", library: str = "") -> Gro
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise TruthFormatError(
-                "expected <Name[line,occ]><TAB><fqn>", str(path), lineno
-            )
+            raise TruthFormatError(f"{path}:{lineno}: expected <Name[line,occ]><TAB><fqn>")
         key, fqn = parts[0].strip(), parts[1].strip()
         if key in truth:
-            raise TruthFormatError(f"duplicate element key {key}", str(path), lineno)
+            raise TruthFormatError(f"{path}:{lineno}: duplicate element key {key}")
         truth[key] = fqn
     sid = snippet_id or Path(path).stem
     return GroundTruth(sid, library, truth)

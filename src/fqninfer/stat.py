@@ -27,11 +27,13 @@ hallucination the KB filter is for, and a predictor that ignores the KB
 Every summand of the formula is a constant of the model, so the model
 keeps a memo of each FQN's terms, filled at the FQN's first score and
 never at load: the summand of each token with a nonzero count, the tokens
-with a positive count, the error of each summand outside log's domain,
-and the summand of every zero count, log(alpha / denominator). A candidate
-is scored from one fetch of its terms: its evidence is checked against
-the window first, and only then are the summands added, left to right as
-the formula adds them, so every score is the same float.
+with a positive count, and the summand of every zero count,
+log(alpha / denominator). A candidate is scored from one fetch of its
+terms: its evidence is checked against the window first, and only then
+are the summands added, left to right as the formula adds them, so every
+score is the same float. An FQN with a term that is no float (a
+nonpositive denominator, a summand outside log's domain) keeps only its
+evidence, and the formula itself scores it.
 """
 
 from __future__ import annotations
@@ -59,32 +61,27 @@ from .snippet import (
 )
 
 
+def _check_positive(name: str, value: object, limit: float = math.inf) -> None:
+    """Raises ValueError unless value is an int or float, no bool, in (0, limit)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not 0 < value < limit:
+        raise ValueError(f"bad {name} value {value!r}")
+
+
 def _check_settings(alpha: float, eta: int) -> None:
     # a zero alpha takes the log of zero for every unseen pair, and a
-    # negative eta leaves every context window empty; a bool is no number
-    number = isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
-    if not number or not 0 < alpha < math.inf:
-        raise ValueError(f"bad alpha value {alpha!r}")
+    # negative eta leaves every context window empty
+    _check_positive("alpha", alpha)
     if isinstance(eta, bool) or not isinstance(eta, int) or eta < 0:
         raise ValueError(f"bad eta value {eta!r}")
 
 
-# An FQN's score terms, (summands, positive, failures, unseen):
-#   summands  {token: log((c + alpha) / denom)} for each nonzero count c
-#             whose summand is a number
+# An FQN's score terms, (summands, positive, unseen):
+#   summands  {token: log((c + alpha) / denom)} for each nonzero count c;
+#             None when a term is no float, and `_formula` scores the FQN
 #   positive  the tokens with a positive count, the evidence test
-#   failures  {token: error} for each nonzero count whose summand is
-#             outside log's domain
-#   unseen    log(alpha / denom), the summand of every zero count, or its
-#             error; None when denom <= 0, which scores minus infinity.
-#             When denom itself fails, summands is None and unseen holds
-#             denom's error, which every score raises
-_Terms = tuple[
-    dict[str, float] | None,
-    frozenset[str],
-    dict[str, Exception],
-    float | Exception | None,
-]
+#   unseen    log(alpha / denom), the summand of every zero count
+_Terms = tuple[dict[str, float] | None, frozenset[str], float]
 
 
 @dataclass
@@ -207,61 +204,47 @@ def _fill_terms(model: CooccurrenceModel, fqn: str) -> _Terms:
     row = model.rows.get(fqn, _NO_COUNTS)
     alpha = model.smoothing_alpha
     positive = frozenset(tok for tok, c in row.items() if c > 0)
-    summands: dict[str, float] | None = {}
-    failures: dict[str, Exception] = {}
-    unseen: float | Exception | None
     try:
         denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
-    except (ArithmeticError, ValueError) as exc:
-        # an error is stored without its traceback, whose frame holds model
-        summands, unseen = None, exc.with_traceback(None)
-    else:
-        if denom <= 0:
-            unseen = None
-        else:
-            try:
-                unseen = math.log(alpha / denom)
-            except (ArithmeticError, ValueError) as exc:
-                unseen = exc.with_traceback(None)
-            for tok, c in row.items():
-                if c:
-                    try:
-                        summands[tok] = math.log((c + alpha) / denom)
-                    except (ArithmeticError, ValueError) as exc:
-                        failures[tok] = exc.with_traceback(None)
-    terms = (summands, positive, failures, unseen)
+        # a nonpositive denom fails here too, dividing by zero or outside log's domain
+        unseen = math.log(alpha / denom)
+        summands = {tok: math.log((c + alpha) / denom) for tok, c in row.items() if c}
+    except (ArithmeticError, ValueError):
+        summands, unseen = None, 0.0
+    terms = (summands, positive, unseen)
     if fqn in model.fqn_totals:
         model._terms[fqn] = terms
     return terms
 
 
-def _total(terms: _Terms, window: Sequence[str]) -> float:
-    """score(fqn) over the window, as the module docstring defines it, from
-    fqn's terms: minus infinity when the denominator is not positive, else
-    the window's summands added left to right, or the error of the first
-    one outside log's domain."""
-    summands, _, failures, unseen = terms
-    if failures or type(unseen) is not float:
-        if unseen is None:
-            return float("-inf")
-        if summands is None:  # the formula fails at its denominator
-            raise type(unseen)(*unseen.args)
-        for tok in window:
-            if tok not in summands:
-                error = failures.get(tok, unseen)
-                if isinstance(error, Exception):
-                    raise type(error)(*error.args)
+def _formula(model: CooccurrenceModel, window: Sequence[str], fqn: str) -> float:
+    """score(fqn) over the window, as the module docstring writes it: minus
+    infinity when the denominator is not positive, else the summands added
+    left to right, raising the first failure as it occurs."""
+    alpha = model.smoothing_alpha
+    denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
+    if denom <= 0:
+        return float("-inf")
+    row = model.rows.get(fqn, _NO_COUNTS)
+    total = 0.0
+    for tok in window:
+        total += math.log((row.get(tok, 0) + alpha) / denom)
+    return total
+
+
+def _score(
+    model: CooccurrenceModel, window: Sequence[str], fqn: str, terms: _Terms | None = None
+) -> float:
+    """score(fqn) over the window, from the terms given or else memoized."""
+    summands, _, unseen = terms or model._terms.get(fqn) or _fill_terms(model, fqn)
+    if summands is None:
+        return _formula(model, window, fqn)
     # a plain loop: from Python 3.12, sum() of floats is compensated, so it
     # would not give the formula's float
     total = 0.0
     for tok in window:
         total += summands.get(tok, unseen)
     return total
-
-
-def _score(model: CooccurrenceModel, window: Sequence[str], fqn: str) -> float:
-    """score(fqn) over the window, from fqn's memoized terms."""
-    return _total(model._terms.get(fqn) or _fill_terms(model, fqn), window)
 
 
 def predict_topk(
@@ -305,7 +288,7 @@ def predict_topk(
             window = context_window(aug, target, model.window_eta)
         if terms[1].isdisjoint(window):
             continue
-        scored.append((fqn, _total(terms, window)))
+        scored.append((fqn, _score(model, window, fqn, terms)))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 
@@ -364,11 +347,17 @@ class ExternalPredictor:
 
     `timeout` is the one deadline, in seconds: `predict` waits at most that
     long for the child to take each request and answer it, and `close()` at
-    most that long for the child to exit before it kills it.
+    most that long for the child to exit before it kills it. A `command`
+    that is a str, is empty or holds a non-str, and a `timeout` that is no
+    int or float in (0, inf) or is beyond float range raise ValueError.
     """
 
     def __init__(self, command: Sequence[str], timeout: float = 5.0):
-        self.command = list(command)
+        args = None if isinstance(command, str) else list(command)
+        if not args or not all(isinstance(arg, str) for arg in args):
+            raise ValueError(f"bad command value {command!r:.80}")
+        _check_positive("timeout", timeout, sys.float_info.max)
+        self.command = args
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
         self._pending = b""  # output read past the last answer line
@@ -376,10 +365,10 @@ class ExternalPredictor:
     def predict(self, aug, target, k, kb):
         """Raises RuntimeError when the child has exited, has closed its
         input, does not take the request and answer it within the deadline
-        or answers out of protocol. A child that misses the deadline is
-        killed, so a late answer is never read as the answer to a later
-        request. The child starts on first use, and again only after
-        `close()`."""
+        or answers out of protocol, with a line that is not a JSON array of
+        strings. A child that misses the deadline is killed, so a late
+        answer is never read as the answer to a later request. The child
+        starts on first use, and again only after `close()`."""
         proc = self._proc
         if proc is None:
             proc = self._proc = subprocess.Popen(
@@ -396,13 +385,16 @@ class ExternalPredictor:
         request = {"context_lines": lines, "target_key": target.key, "k": k}
         deadline = time.monotonic() + self.timeout
         self._send(proc, json.dumps(request).encode() + b"\n", deadline)
-        candidates = json.loads(self._answer_line(proc, deadline))
+        try:
+            candidates = json.loads(self._answer_line(proc, deadline))
+        except (ValueError, RecursionError):  # not JSON, or nested too deep
+            candidates = None
         if not isinstance(candidates, list):
             raise RuntimeError("external predictor must answer a JSON array")
-        ranked = []
-        for rank, fqn in enumerate(candidates[:k]):
-            ranked.append((str(fqn), float(len(candidates) - rank)))
-        return ranked
+        if not all(isinstance(fqn, str) for fqn in candidates):
+            raise RuntimeError("external predictor must answer an array of strings")
+        n = len(candidates)
+        return [(fqn, float(n - rank)) for rank, fqn in enumerate(candidates[:k])]
 
     def _expire(self, proc: subprocess.Popen, what: str) -> RuntimeError:
         """Kills the child that missed the deadline; the error to raise."""

@@ -48,7 +48,7 @@ def test_load_basic_entries(tmp_path):
     assert widget is not None
     assert widget.kind == "class"
     assert widget.library == "acme"
-    assert widget.simple_name == "Widget"
+    assert kb.candidates_for("Widget") == ("com.acme.ext.Widget", "com.acme.ui.Widget")
 
 
 def test_find_method_discriminates_on_arity(tmp_path):
@@ -268,6 +268,41 @@ def test_empty_member_type_rejected_at_its_line(tmp_path, record, attribute):
     assert str(info.value) == (
         f"{path}:2: empty {attribute}=; an unknown type is {attribute}=?"
     )
+
+
+def _entry(library="l1", **fields):
+    return TypeEntry("a.X", "class", library, **fields)
+
+
+@pytest.mark.parametrize(
+    "entry, match",
+    [
+        # the text would not load
+        (_entry(library="l 1"), r"bad library 'l 1' of 'a\.X'$"),
+        (_entry(library=""), r"bad library '' of 'a\.X'$"),
+        (TypeEntry("a.\u2028X", "class", "l1"), r"bad FQN 'a\.\\u2028X'$"),
+        (_entry(methods=frozenset({MethodSig("m/x", 1)})), r"bad method name 'm/x' of"),
+        (_entry(fields=frozenset({FieldSig("f g")})), r"bad field name 'f g' of"),
+        (_entry(methods=frozenset({MethodSig("m", 1, False, "b.Y\tZ")})),
+         r"bad return type 'b\.Y\\tZ' of"),
+        # the text would load as a different KB
+        (_entry(external_supertypes=frozenset({"b.Y,c.Z"})), r"bad supertype 'b\.Y,c\.Z'"),
+        (_entry(external_supertypes=frozenset({""})), r"bad supertype '' of"),
+        (_entry(methods=frozenset({MethodSig("m", 1, False, "")})), r"bad return type ''"),
+        (_entry(methods=frozenset({MethodSig("m", 1, False, "?")})), r"bad return type '\?'"),
+        (_entry(fields=frozenset({FieldSig("f", "")})), r"bad field type '' of"),
+        (_entry(fields=frozenset({FieldSig("f", "?")})), r"bad field type '\?' of"),
+    ],
+    ids=[
+        "blank-library", "empty-library", "separator-fqn", "slash-method",
+        "blank-field", "tab-return-type", "comma-supertype", "empty-supertype",
+        "empty-return-type", "unknown-return-type", "empty-field-type",
+        "unknown-field-type",
+    ],
+)
+def test_dump_refuses_a_kb_that_would_not_load_back(entry, match):
+    with pytest.raises(ValueError, match="^cannot dump KB: " + match):
+        dump_kb(KnowledgeBase([entry]))
 
 
 def test_empty_kb_dump_is_empty_string():

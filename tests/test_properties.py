@@ -1146,7 +1146,7 @@ def test_ranking_scores_are_the_formula_bit_for_bit():
             rows=_rows(counts),
             fqn_totals=totals,
             vocabulary=vocabulary,
-            smoothing_alpha=rng.choice((0.5, 1.0, 1.7, 2.25, 3)),
+            smoothing_alpha=rng.choice((0.5, 1.0, 1.7, 2.25, 3, 5e-324)),
             window_eta=rng.randint(0, 1),
         )
         # the target on line 1, window tokens on lines 1 and 2, with repeats
@@ -1186,7 +1186,7 @@ def test_memoized_terms_score_as_the_formula_on_every_call():
             counts[key] = rng.choice((-4, -2, -1, 0, 0, 1, 1, 2, 3, 7))
         totals = {f: rng.choice((0, 1, 5, 12, -3, -40)) for f in fqns}
         vocabulary = set(rng.sample(_SCORE_TOKENS, rng.randint(0, len(_SCORE_TOKENS) - 2)))
-        settings = (rng.choice((0.5, 1.0, 1.7, 2.25, 3)), rng.randint(0, 1))
+        settings = (rng.choice((0.5, 1.0, 1.7, 2.25, 3, 5e-324)), rng.randint(0, 1))
 
         def build():
             return CooccurrenceModel(

@@ -589,8 +589,19 @@ def test_external_predictor_that_closed_its_input_is_an_error(tmp_path):
          "must answer a JSON array"),
         # reads the request and exits without answering
         ("sys.stdin.readline()\n", "closed its output stream"),
+        # answers with a line that is not JSON
+        ("for line in sys.stdin:\n    print('[\"a.Label\"', flush=True)\n",
+         "^external predictor must answer a JSON array$"),
+        # answers with an array nested past the parser's recursion limit
+        ("for line in sys.stdin:\n    print('[' * 100000, flush=True)\n",
+         "^external predictor must answer a JSON array$"),
+        # answers with arrays whose entries are not all strings
+        ("for line in sys.stdin:\n    print('[[\"a.Label\"]]', flush=True)\n",
+         "^external predictor must answer an array of strings$"),
+        ("for line in sys.stdin:\n    print('[\"a.Label\", 1e999]', flush=True)\n",
+         "^external predictor must answer an array of strings$"),
     ],
-    ids=["not-an-array", "no-answer"],
+    ids=["not-an-array", "no-answer", "not-json", "too-deep", "nested-array", "number"],
 )
 def test_external_predictor_out_of_protocol_is_an_error(tmp_path, body, match):
     script = tmp_path / "bad_predictor.py"
@@ -599,6 +610,33 @@ def test_external_predictor_out_of_protocol_is_an_error(tmp_path, body, match):
     with ExternalPredictor([sys.executable, str(script)]) as pred:
         with pytest.raises(RuntimeError, match=match):
             pred.predict(plain(sn), el, 1, _kb())
+
+
+@pytest.mark.parametrize(
+    "command, timeout, match",
+    [
+        ("python3 predictor.py", 5, r"^bad command value 'python3 predictor\.py'$"),
+        ([], 5, r"^bad command value \[\]$"),
+        ([sys.executable, 1], 5, r"^bad command value \["),
+        ([sys.executable], "5", r"^bad timeout value '5'$"),
+        ([sys.executable], True, r"^bad timeout value True$"),
+        ([sys.executable], 0, r"^bad timeout value 0$"),
+        ([sys.executable], -1.5, r"^bad timeout value -1\.5$"),
+        ([sys.executable], float("nan"), r"^bad timeout value nan$"),
+        ([sys.executable], float("inf"), r"^bad timeout value inf$"),
+        ([sys.executable], 10**400, r"^bad timeout value 1000"),
+    ],
+    ids=[
+        "str-command", "empty-command", "non-str-argument", "str-timeout",
+        "bool-timeout", "zero-timeout", "negative-timeout", "nan-timeout",
+        "inf-timeout", "huge-int-timeout",
+    ],
+)
+def test_external_predictor_refuses_bad_settings(command, timeout, match):
+    # refused before any child starts: a bad timeout would fail each wait
+    # and close(), leaving the child running
+    with pytest.raises(ValueError, match=match):
+        ExternalPredictor(command, timeout)
 
 
 def test_external_predictor_that_exited_is_an_error(tmp_path):
