@@ -331,8 +331,8 @@ def dump_kb(kb: KnowledgeBase) -> str:
     single extends= attribute. load(dump(kb)) == kb and repeated dumps are
     byte-identical: a KB whose text would not load back as it raises
     ValueError (an FQN, library or member name that is empty or holds a
-    blank, a supertype with a comma, a method name with a slash, a type of
-    "" or "?", which spells an unknown one).
+    blank, a supertype with a comma, a method name with a slash, an arity
+    that is not an int, a type of "" or "?", which spells an unknown one).
     """
     out: list[str] = []
     for fqn in sorted(kb.entries):
@@ -346,6 +346,12 @@ def dump_kb(kb: KnowledgeBase) -> str:
         if e.external_supertypes:
             line += " external-super=" + ",".join(sorted(e.external_supertypes))
         out.append(line)
+        for m in e.methods:
+            # load_kb reads an arity with int(), so only an int reads back as it
+            if type(m.arity) is not int:
+                raise ValueError(
+                    f"cannot dump KB: bad arity {m.arity!r:.80} of {fqn!r:.80}"
+                )
         for m in sorted(e.methods, key=lambda m: (m.name, m.arity)):
             mline = f"method {e.fqn} {_field(m.name, 'method name', fqn, '/')}/{m.arity}"
             if m.is_static:

@@ -496,6 +496,10 @@ def predict_all(
 # serialization
 
 _HEADER_PREFIX = "cooccurrence"
+# the function json.dumps writes a str with under its default settings
+_quote_token = json.encoder.encode_basestring_ascii
+# json's string scanner, taken if the literal spans the field; else json.loads decides
+_scan_token = json.decoder.scanstring
 
 
 def dump_model(model: CooccurrenceModel) -> str:
@@ -503,8 +507,9 @@ def dump_model(model: CooccurrenceModel) -> str:
 
     Count records are sorted by (token, fqn), and only positive counts are
     written. Tokens are JSON-escaped because lexemes (string literals) may
-    contain spaces, tabs or newlines. Each distinct token is encoded once,
-    as `load_model` decodes each once. Deterministic: equal models dump
+    contain spaces, tabs or newlines; each is written exactly as
+    `json.dumps` writes it. Each distinct token is encoded once, as
+    `load_model` decodes each once. Deterministic: equal models dump
     identically.
 
     Raises ValueError for a model whose dump `load_model` would refuse: a
@@ -551,7 +556,7 @@ def dump_model(model: CooccurrenceModel) -> str:
             raise ValueError(f"cannot dump model: token {tok!r:.80} is not a str")
     append = lines.append
     for tok in sorted(by_token):
-        head = f"count\t{json.dumps(tok)}\t"
+        head = f"count\t{_quote_token(tok)}\t"
         pairs = by_token[tok]
         pairs.sort()
         for fqn, n in pairs:
@@ -590,6 +595,21 @@ def _shown(record: str) -> str:
 
 
 def load_model(path: str | Path) -> CooccurrenceModel:
+    """Parse a model file as `dump_model` writes it.
+
+    The first line is the header: `cooccurrence`, then optional
+    tab-separated `alpha=<float>` and `eta=<int>` fields (1.0 and 2 if
+    absent). Each later line is a record: `count<TAB><token><TAB><fqn><TAB><n>`
+    adds a positive int n to the FQN's count of the token, `fqn<TAB><fqn>`
+    makes the FQN known without counts, and empty lines and lines starting
+    with `#` are skipped. A token is one JSON string, read as `json.loads`
+    reads it. An FQN's total is the sum of its counts.
+
+    Raises ModelFormatError as `<path>:<line>: <message>` for text that is
+    not UTF-8, a missing or bad header, a bad record or a nonpositive
+    count, and as
+    `<path>: <message>` for an FQN whose total is beyond float range.
+    """
     text = read_utf8(path, ModelFormatError)
 
     def bad(lineno: int, message: str) -> ModelFormatError:
@@ -628,10 +648,15 @@ def load_model(path: str | Path) -> CooccurrenceModel:
             try:
                 tok = decoded.get(quoted)
                 if tok is None:
-                    tok = json.loads(quoted)
-                    # a token is a lexeme, so any other JSON value is bad
-                    if not isinstance(tok, str):
-                        raise ValueError(tok)
+                    if quoted[:1] == '"':
+                        tok, end = _scan_token(quoted, 1)
+                        if end != len(quoted):
+                            tok = None
+                    if tok is None:
+                        tok = json.loads(quoted)
+                        # a token is a lexeme, so any other JSON value is bad
+                        if not isinstance(tok, str):
+                            raise ValueError(tok)
                     decoded[quoted] = tok
                 n = int(count)
             except (ValueError, RecursionError):

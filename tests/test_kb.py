@@ -283,11 +283,14 @@ def _entry(library="l1", **fields):
         (TypeEntry("a.\u2028X", "class", "l1"), r"bad FQN 'a\.\\u2028X'$"),
         (_entry(methods=frozenset({MethodSig("m/x", 1)})), r"bad method name 'm/x' of"),
         (_entry(fields=frozenset({FieldSig("f g")})), r"bad field name 'f g' of"),
+        (_entry(methods=frozenset({MethodSig("m", True)})), r"bad arity True of"),
+        (_entry(methods=frozenset({MethodSig("m", 1.0)})), r"bad arity 1\.0 of"),
         (_entry(methods=frozenset({MethodSig("m", 1, False, "b.Y\tZ")})),
          r"bad return type 'b\.Y\\tZ' of"),
         # the text would load as a different KB
         (_entry(external_supertypes=frozenset({"b.Y,c.Z"})), r"bad supertype 'b\.Y,c\.Z'"),
         (_entry(external_supertypes=frozenset({""})), r"bad supertype '' of"),
+        (_entry(methods=frozenset({MethodSig("m", "1")})), r"bad arity '1' of"),
         (_entry(methods=frozenset({MethodSig("m", 1, False, "")})), r"bad return type ''"),
         (_entry(methods=frozenset({MethodSig("m", 1, False, "?")})), r"bad return type '\?'"),
         (_entry(fields=frozenset({FieldSig("f", "")})), r"bad field type '' of"),
@@ -295,9 +298,9 @@ def _entry(library="l1", **fields):
     ],
     ids=[
         "blank-library", "empty-library", "separator-fqn", "slash-method",
-        "blank-field", "tab-return-type", "comma-supertype", "empty-supertype",
-        "empty-return-type", "unknown-return-type", "empty-field-type",
-        "unknown-field-type",
+        "blank-field", "bool-arity", "float-arity", "tab-return-type",
+        "comma-supertype", "empty-supertype", "str-arity", "empty-return-type",
+        "unknown-return-type", "empty-field-type", "unknown-field-type",
     ],
 )
 def test_dump_refuses_a_kb_that_would_not_load_back(entry, match):

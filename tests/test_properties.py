@@ -1409,10 +1409,11 @@ def _ref_dump_model(model):
 
 
 # tokens JSON escapes or sorts awkwardly: quotes, backslashes, controls,
-# separators, a lone surrogate, a non-BMP character, case and prefixes
+# DEL, separators, lone surrogates, non-BMP characters, case and prefixes
 _DUMP_TOKENS = (
-    "a", "A", "aa", "a ", "", '"', "\\", "\n\t", "a\tb", "x\x85y", "p\u2028q",
-    "\x00", "\ud800", "\U0001f600", "\u00e9", "7", "[1]",
+    "a", "A", "aa", "a ", " ", "", '"', "\\", "\n\t", "a\tb", "x\x85y", "p\u2028q",
+    "\x00", "\x7f", "\ud800", "\ud83d", "\U0001f600", "\U0010ffff", "\u00e9", "7",
+    "[1]",
 )
 _DUMP_FQNS = ("a.X", "a.X.Inner", "a.XY", "a.x", "b.X", "X", "a-b.X", "\u00e9.X")
 
@@ -1784,7 +1785,12 @@ def _kb_text(rng):
     return "\n".join(lines) + rng.choice(("", "\n"))
 
 
-_MODEL_TOKENS = ('"a"', '"b c"', '"\\u00e9"', '"\\n\\t"', '"x\x85y"', '"p\u2028q"', '""')
+# blanks around a literal, an escaped quote and a lone surrogate read as
+# json.loads reads them
+_MODEL_TOKENS = (
+    '"a"', '"b c"', '"\\u00e9"', '"\\n\\t"', '"x\x85y"', '"p\u2028q"', '""',
+    ' "a"', '"a" ', '"\\ud800"', '"\\""',
+)
 # records and headers that are malformed, alone or beside others
 _MODEL_FAULTS = (
     'count\ta\ta.X\t1', 'count\t5\ta.X\t1', 'count\t[1]\ta.X\t1',
@@ -1792,6 +1798,9 @@ _MODEL_FAULTS = (
     'count\t"a"\ta.X\tx', 'count\t"a"\ta.X', 'count\t"a"\ta.X\t1\t1', 'count',
     'fqn', 'fqn\ta.X\tz', 'what', ' ', '\x0c', 'Count\t"a"\ta.X\t1',
     'count\t"a"\ta.X\t 4', 'count\t"a"\ta.X\t1_0',
+    # a literal with text after it, unterminated, or with a short escape
+    'count\t"a"x\ta.X\t1', 'count\t"a\ta.X\t1', 'count\t"\\u12"\ta.X\t1',
+    'count\t"a\\"\ta.X\t1',
 )
 _MODEL_HEADERS = (
     "cooccurrence", "cooccurrence\teta=1\talpha=0.5", "cooccurrenc",
