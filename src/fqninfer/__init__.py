@@ -10,7 +10,6 @@ The package exports what callers use; the building blocks stay in their
 modules (`fqninfer.constraint`, `fqninfer.kb`, `fqninfer.stat`, ...).
 """
 
-from .constraint import ExtractOptions
 from .kb import KbError, KnowledgeBase, dump_kb, load_kb
 from .orchestrator import (
     ORDER_CONSTRAINT_FIRST,
@@ -64,7 +63,6 @@ __all__ = [
     "predict_all",
     "run",
     "RunConfig",
-    "ExtractOptions",
     "ORDER_CONSTRAINT_FIRST",
     "ORDER_STAT_FIRST",
     "serialize_trace",

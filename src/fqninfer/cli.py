@@ -21,7 +21,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .constraint import ExtractOptions
 from .kb import KbError, dump_kb, load_kb
 from .orchestrator import (
     ORDER_CONSTRAINT_FIRST,
@@ -83,11 +82,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         k=args.k,
         delta=args.delta,
         order=_ORDERS[args.order],
-        extract_options=ExtractOptions(
-            cascaded_calls=args.cascaded_calls == "on",
-            strict_body_check=args.strict_body == "on",
-            strict_uniqueness=args.strict_uniqueness == "on",
-        ),
+        cascaded_calls=args.cascaded_calls == "on",
+        strict_body_check=args.strict_body == "on",
+        strict_uniqueness=args.strict_uniqueness == "on",
         exclude_string=not args.include_string,
     )
 

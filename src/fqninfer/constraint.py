@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Container, Mapping, Sequence, Union
 
 from .kb import (
@@ -44,36 +44,6 @@ from .kb import (
     supertype_closure,
 )
 from .snippet import _IDENTIFIER, _KEYWORD, ApiElement, Snippet, SnippetStructure
-
-
-@dataclass(frozen=True)
-class ExtractOptions:
-    """Extraction/solving knobs.
-
-    Extraction emits the five constraint kinds (construction, member call,
-    field access, supertype clause, declared assignment) under every
-    setting; the knobs change which calls a member call follows, which lines
-    yield constraints, and how ties are reported.
-
-    cascaded_calls: a member call keeps every hop of a Name.m1().m2() chain.
-        Off (the default, as in `RunConfig` and the CLI), it keeps only the
-        first hop, which mirrors tools that cannot express the full chain,
-        and a longer chain gives a declared assignment no source.
-    strict_body_check: a constructor whose name does not match its class
-        makes the whole class body unanalyzable: its lines are excluded.
-    strict_uniqueness: an element whose optimal candidates tie in a way no
-        constraint breaks is reported untyped instead of guessed.
-    """
-
-    cascaded_calls: bool = False
-    strict_body_check: bool = True
-    strict_uniqueness: bool = True
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be a bool, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -206,10 +176,13 @@ def _parse_chain(
 def extract_constraints(
     snippet: Snippet,
     elements: Sequence[ApiElement],
-    options: ExtractOptions = ExtractOptions(),
+    *,
+    cascaded_calls: bool = False,
+    strict_body_check: bool = True,
 ) -> tuple[list[Constraint], frozenset[int]]:
     """Extract constraints and report the excluded lines.
 
+    `cascaded_calls` and `strict_body_check` are the `RunConfig` switches.
     Under strict_body_check, the lines inside a class body whose structure
     is broken (a constructor name that does not match the class) are
     excluded: they contribute no constraints, and `solve` leaves the
@@ -220,7 +193,7 @@ def extract_constraints(
     positions = structure.positions
     elem_at: dict[int | None, ApiElement] = {e.token_index: e for e in elements}
     excluded = (
-        _broken_body_lines(structure) if options.strict_body_check else frozenset()
+        _broken_body_lines(structure) if strict_body_check else frozenset()
     )
 
     constraints: list[Constraint] = []
@@ -251,11 +224,9 @@ def extract_constraints(
             if initializer:
                 return None
             return FieldAccess(root, trailing_field, static_access=static_call)
-        if not hops or (initializer and len(hops) > 1 and not options.cascaded_calls):
+        if not hops or (initializer and len(hops) > 1 and not cascaded_calls):
             return None
-        return MemberCall(
-            root, hops if options.cascaded_calls else hops[:1], static_call
-        )
+        return MemberCall(root, hops if cascaded_calls else hops[:1], static_call)
 
     for j, t in enumerate(sig):
         if t.line in excluded:

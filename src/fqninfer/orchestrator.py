@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 from .constraint import (
     ConstraintProblem,
     ConstraintResult,
-    ExtractOptions,
     extract_constraints,
     solve,
 )
@@ -37,17 +36,29 @@ ORDER_STAT_FIRST = "stat_first"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Loop parameters.
+    """Every run setting, one field per CLI flag (`--model` and `--eta`,
+    which pick the model, aside).
 
     k: statistical candidates kept per element (0 turns the ranker off).
     delta: hard round limit when no fixed point is reached (at least 1).
     order: which engine leads a round; the follower sees the leader's output.
+    cascaded_calls: a member call keeps every hop of a Name.m1().m2() chain.
+        Off, it keeps only the first hop, which mirrors tools that cannot
+        express the full chain, and a longer chain gives a declared
+        assignment no source.
+    strict_body_check: a constructor whose name does not match its class
+        makes the whole class body unanalyzable: its lines are excluded.
+    strict_uniqueness: an element whose optimal candidates tie in a way no
+        constraint breaks is reported untyped instead of guessed.
+    exclude_string: String occurrences are not API elements.
     """
 
     k: int = 3
     delta: int = 10
     order: str = ORDER_CONSTRAINT_FIRST
-    extract_options: ExtractOptions = ExtractOptions()
+    cascaded_calls: bool = False
+    strict_body_check: bool = True
+    strict_uniqueness: bool = True
     exclude_string: bool = True
 
     def __post_init__(self) -> None:
@@ -57,14 +68,11 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.exclude_string, bool):
-            raise ValueError(
-                f"exclude_string must be a bool, got {self.exclude_string!r}"
-            )
-        if not isinstance(self.extract_options, ExtractOptions):
-            raise ValueError(
-                f"extract_options must be ExtractOptions, got {self.extract_options!r}"
-            )
+        for name in ("cascaded_calls", "strict_body_check", "strict_uniqueness",
+                     "exclude_string"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         if self.k < 0:
             raise ValueError(f"k must not be negative, got {self.k}")
         if self.delta < 1:
@@ -164,9 +172,10 @@ def run(
             snippet, kb, exclude_string=config.exclude_string
         )
     constraints, excluded = extract_constraints(
-        snippet, elements, config.extract_options
+        snippet, elements, cascaded_calls=config.cascaded_calls,
+        strict_body_check=config.strict_body_check,
     )
-    strict = config.extract_options.strict_uniqueness
+    strict = config.strict_uniqueness
     problem = ConstraintProblem(kb, elements, constraints, excluded)
     solved: dict[frozenset[str] | None, tuple[int, ConstraintResult]] = {}
     ranked: dict[frozenset, dict[ApiElement, CandidateList]] = {}
@@ -229,11 +238,12 @@ def infer_with_engine(
         # its counters read the excluded lines as the fourth positional
         # argument
         constraints, excluded = extract_constraints(
-            snippet, elements, config.extract_options
+            snippet, elements, cascaded_calls=config.cascaded_calls,
+            strict_body_check=config.strict_body_check,
         )
         res = solve(
             kb, elements, constraints, excluded,
-            strict_uniqueness=config.extract_options.strict_uniqueness,
+            strict_uniqueness=config.strict_uniqueness,
         )
         return {e.key: fqn for e, fqn in res.typed.items()}
     if engine == "stat":

@@ -124,9 +124,10 @@ class SnippetStructure:
         has no entry.
     arg_depth: position of each '(' -> the bracket depth just inside it.
     commas: bracket depth -> positions of the commas at that depth, in
-        order. Bracket depth counts '(' and '[' as opening and ')' and ']'
-        as closing, whichever bracket they pair with: that is how a call's
-        arity counts the commas of its argument list.
+        order. Bracket depth counts '(', '[' and '{' as opening and ')',
+        ']' and '}' as closing, whichever bracket they pair with: that is
+        how a call's arity counts the commas of its argument list and none
+        inside an array initializer, class body or lambda block in it.
     headers: every class/interface/enum header, in token order.
     clauses: position of each identifier in an extends/implements clause ->
         (clause keyword, declaring header). A header nested in another
@@ -174,11 +175,11 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
             openers = stacks[_CLOSERS[lex]]
             if openers:
                 partner[openers.pop()] = j
-        if lex in "([":  # lex is one character here
+        if lex in "([{":  # lex is one character here
             depth += 1
             if lex == "(":
                 arg_depth[j] = depth
-        elif lex in ")]":
+        elif lex in ")]}":
             depth -= 1
     for j in stacks["{"]:
         partner[j] = n - 1  # an unterminated body runs to the end

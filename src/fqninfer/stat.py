@@ -339,11 +339,13 @@ class ExternalPredictor:
     Speaks a line protocol over the child's standard streams: one JSON
     request per line, {"context_lines": [...], "target_key": "Name[l,o]",
     "k": n}, answered by one JSON line holding an ordered array of candidate
-    FQN strings. Scores are synthesized from rank only to fill the
-    `Predictor` (fqn, score) pair shape: `filter_against_kb` keeps the
-    child's order and drops them. The KB is not sent: the child may name
-    any FQN, and `predict_all` filters its answer. The child's standard
-    error is discarded.
+    FQN strings. `context_lines` is the text split at line feeds alone, as
+    keys count lines, so `context_lines[l - 1]` is line l of every key.
+    Scores are synthesized from rank only to fill the `Predictor` (fqn,
+    score) pair shape: `filter_against_kb` keeps the child's order and
+    drops them. The KB is not sent: the child may name any FQN, and
+    `predict_all` filters its answer. The child's standard error is
+    discarded.
 
     `timeout` is the one deadline, in seconds: `predict` waits at most that
     long for the child to take each request and answer it, and `close()` at
@@ -381,7 +383,9 @@ class ExternalPredictor:
             raise RuntimeError(
                 f"external predictor exited with status {proc.returncode}"
             )
-        lines = aug.text().splitlines()
+        # keys count lines at "\n" alone; str.splitlines also breaks at a
+        # form feed, "\x85", "\u2028" and the other separators
+        lines = aug.text().removesuffix("\n").split("\n")
         request = {"context_lines": lines, "target_key": target.key, "k": k}
         deadline = time.monotonic() + self.timeout
         self._send(proc, json.dumps(request).encode() + b"\n", deadline)
@@ -513,9 +517,11 @@ def dump_model(model: CooccurrenceModel) -> str:
     identically.
 
     Raises ValueError for a model whose dump `load_model` would refuse: a
-    count that is not an int, a written token that is not a str, an FQN
-    that is not a str or holds a tab or line break, a row whose positive
-    counts total beyond float range, or an alpha beyond float range.
+    count that is not an int, a written token that is not a str or that
+    loads back as another token (a lone high surrogate followed by a lone
+    low one), an FQN that is not a str or holds a tab or line break, a row
+    whose positive counts total beyond float range, or an alpha beyond
+    float range.
     Zero and negative counts are not written, and the totals are not
     checked against the rows.
     """
@@ -556,7 +562,13 @@ def dump_model(model: CooccurrenceModel) -> str:
             raise ValueError(f"cannot dump model: token {tok!r:.80} is not a str")
     append = lines.append
     for tok in sorted(by_token):
-        head = f"count\t{_quote_token(tok)}\t"
+        quoted = _quote_token(tok)
+        # the scanner joins a high and a low surrogate escape into one character
+        if "\\ud" in quoted and _scan_token(quoted, 1)[0] != tok:
+            raise ValueError(
+                f"cannot dump model: token {tok!r:.80} does not load back as itself"
+            )
+        head = f"count\t{quoted}\t"
         pairs = by_token[tok]
         pairs.sort()
         for fqn, n in pairs:

@@ -1,5 +1,8 @@
-"""Shared fixtures: bundled knowledge base, corpora, and a trained model."""
+"""Shared fixtures: bundled knowledge base, corpora, and a trained model,
+plus the call time of each passing test, which the randomized-suite budget
+test adds up instead of running those suites again."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,29 @@ import pytest
 import fqninfer as fq
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+_BUDGET_TEST = "test_randomized_suites_within_budget"
+_CALL_SECONDS: dict = {}  # test function -> seconds its passing call took
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    t0 = time.perf_counter()
+    result = yield  # raises when the test fails, which records nothing
+    _CALL_SECONDS[item.obj] = time.perf_counter() - t0
+    return result
+
+
+def pytest_collection_modifyitems(items):
+    """The budget test runs last, after every suite it counts."""
+    items.sort(key=lambda item: item.name == _BUDGET_TEST)
+
+
+@pytest.fixture
+def call_seconds():
+    """Test function -> seconds its call took, for the tests that passed so
+    far in this session."""
+    return _CALL_SECONDS
 
 
 @pytest.fixture(scope="session")

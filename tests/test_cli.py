@@ -9,7 +9,6 @@ import pytest
 
 from fqninfer import (
     CooccurrenceModel,
-    ExtractOptions,
     RunConfig,
     dump_kb,
     dump_model,
@@ -380,11 +379,9 @@ def test_rejects_nonsense_numbers_in_one_line(tmp_path, capsys, model_file, argv
     assert not (tmp_path / "out.model").exists()
 
 
-def test_extract_options_have_one_default():
+def test_run_config_has_one_default():
     args = cli.build_parser().parse_args(["infer", "x.java"])
-    assert ExtractOptions() == RunConfig().extract_options == cli._run_config(
-        args
-    ).extract_options
+    assert RunConfig() == cli._run_config(args)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import test_properties
 
 from fqninfer import (
     ApiElement,
-    ExtractOptions,
     KnowledgeBase,
     identify_api_elements,
     run,
@@ -36,15 +35,15 @@ from fqninfer.kb import (
     supertype_closure,
 )
 
-CASCADE = ExtractOptions(cascaded_calls=True)
-LENIENT = ExtractOptions(cascaded_calls=True, strict_body_check=False)
-NO_CASCADE = ExtractOptions(cascaded_calls=False)
+CASCADE = {"cascaded_calls": True}
+LENIENT = {"cascaded_calls": True, "strict_body_check": False}
+NO_CASCADE = {"cascaded_calls": False}
 
 
 def _extract(text, options=CASCADE, kb=None):
     sn = tokenize(text)
     els = identify_api_elements(sn, kb)
-    cons, excluded = extract_constraints(sn, els, options)
+    cons, excluded = extract_constraints(sn, els, **options)
     return {e.key: e for e in els}, cons, excluded
 
 
@@ -81,6 +80,22 @@ def test_extract_construction_nested_args_count_top_level():
     assert cons == [MemberCall(els["Pair[1,1]"], (("of", 2),), static_call=True)]
     els, cons, _ = _extract("use(new Pair(a, make(b, c)));")
     assert cons == [Construction(els["Pair[1,1]"])]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Label.of(new int[]{1, 2});",
+        "Label.of(new Runnable() { int a, b; });",
+        "Label.of(x -> { int a, b; });",
+    ],
+)
+def test_extract_braced_commas_are_not_arguments(text):
+    # an array initializer, an anonymous class body and a lambda block are
+    # one argument, whatever commas they hold
+    els, cons, _ = _extract(text)
+    calls = [c for c in cons if isinstance(c, MemberCall)]
+    assert calls == [MemberCall(els["Label[1,1]"], (("of", 1),), static_call=True)]
 
 
 def test_extract_construction_zero_args():
@@ -451,7 +466,7 @@ def test_snippet_edges_identify_and_extract(
     if with_kb:
         elements = _EDGE_KB_ELEMENTS.get(text, elements)
     assert [f"{e.key}@{e.token_index}" for e in els] == elements
-    cons, got_excluded = extract_constraints(sn, els, CASCADE)
+    cons, got_excluded = extract_constraints(sn, els, **CASCADE)
     assert [_render(c) for c in cons] == constraints
     assert got_excluded == excluded
 
@@ -473,7 +488,7 @@ def test_unbalanced_brackets_extract_within_budget(line):
     for options in (CASCADE, LENIENT):
         sn = tokenize((line + "\n") * 2000)
         t0 = time.perf_counter()
-        extract_constraints(sn, identify_api_elements(sn), options)
+        extract_constraints(sn, identify_api_elements(sn), **options)
         elapsed = time.perf_counter() - t0
         assert elapsed < 0.5, f"{options}: {elapsed:.2f}s (budget 0.5s)"
 
@@ -485,7 +500,7 @@ def test_nested_constructions_extract_within_budget():
     sn = tokenize("x = " + "new Label(\n" * n + ")" * n + ";")
     t0 = time.perf_counter()
     els = identify_api_elements(sn)
-    cons, _ = extract_constraints(sn, els, CASCADE)
+    cons, _ = extract_constraints(sn, els, **CASCADE)
     elapsed = time.perf_counter() - t0
     assert len(cons) == n
     assert elapsed < 0.5, f"{elapsed:.2f}s (budget 0.5s)"
@@ -499,7 +514,7 @@ def test_nested_calls_extract_within_budget():
     sn = tokenize("x = " + "Label.of(\n" * n + ")" * n + ";")
     t0 = time.perf_counter()
     els = identify_api_elements(sn)
-    cons, _ = extract_constraints(sn, els, CASCADE)
+    cons, _ = extract_constraints(sn, els, **CASCADE)
     elapsed = time.perf_counter() - t0
     assert [c.chain for c in cons] == [(("of", 1),)] * (n - 1) + [(("of", 0),)]
     assert elapsed < 0.5, f"{elapsed:.2f}s (budget 0.5s)"

@@ -12,7 +12,6 @@ import pytest
 
 from fqninfer import (
     ApiElement,
-    ExtractOptions,
     ORDER_CONSTRAINT_FIRST,
     ORDER_STAT_FIRST,
     RunConfig,
@@ -115,8 +114,6 @@ def test_run_rejects_unknown_order():
     for bad in ({"k": 2.5}, {"k": "3"}, {"k": True}, {"delta": 2.5}):
         with pytest.raises(ValueError, match="must be an integer"):
             RunConfig(**bad)
-    with pytest.raises(ValueError, match="extract_options must be ExtractOptions"):
-        RunConfig(extract_options=None)
     # the edges themselves are valid: one round, and no statistical ranking
     RunConfig(k=0, delta=1)
 
@@ -129,7 +126,7 @@ def test_run_config_switches_must_be_bools():
         for bad in ("no", 1, None):
             message = f"^{name} must be a bool, got {bad!r}$"
             with pytest.raises(ValueError, match=message):
-                ExtractOptions(**{name: bad})
+                RunConfig(**{name: bad})
 
 
 def test_run_first_round_sees_full_kb(kb, model, by_id):
@@ -170,8 +167,7 @@ def test_reduction_moves_constraint_answer(kb, model, by_id):
     # uniqueness guard off, the full KB resolves to the wrong library and
     # the statistically reduced KB breaks that resolution
     item = by_id["39005622"]
-    opts = ExtractOptions(cascaded_calls=True, strict_uniqueness=False)
-    cfg = RunConfig(extract_options=opts)
+    cfg = RunConfig(cascaded_calls=True, strict_uniqueness=False)
     _, trace = run(item.snippet, kb, model, cfg)
     first = set(trace[0].constraint_result.typed.values())
     last = set(trace[-1].constraint_result.typed.values())
@@ -274,9 +270,10 @@ def _reference_run(snippet, kb, model, config):
         snippet, kb, exclude_string=config.exclude_string
     )
     constraints, excluded = extract_constraints(
-        snippet, elements, config.extract_options
+        snippet, elements, cascaded_calls=config.cascaded_calls,
+        strict_body_check=config.strict_body_check,
     )
-    strict = config.extract_options.strict_uniqueness
+    strict = config.strict_uniqueness
     current = kb
     prev_typed = {}
     trace = []
@@ -327,8 +324,7 @@ def test_run_matches_the_loop_without_reuse(kb, model, eval_items, predictor):
     orders = (ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST)
     grid = itertools.product(orders, (0, 1, 3), (1, 4, 10), (False, True))
     for order, k, delta, cascaded in grid:
-        opts = ExtractOptions(cascaded_calls=cascaded)
-        cfg = RunConfig(k=k, delta=delta, order=order, extract_options=opts)
+        cfg = RunConfig(k=k, delta=delta, order=order, cascaded_calls=cascaded)
         for item in eval_items:
             case = (item.snippet_id, order, k, delta, cascaded)
             want, want_trace = _reference_run(item.snippet, kb, model, cfg)
@@ -385,14 +381,14 @@ def test_run_matches_the_loop_on_rebuilt_kbs_for_dense_snippets():
         predictor = _TextSensitivePredictor(kb)
         k, delta = rng.randint(1, 3), rng.randint(2, 6)
         for order, strict in itertools.product(orders, (True, False)):
-            opts = ExtractOptions(
-                cascaded_calls=rng.random() < 0.7, strict_uniqueness=strict
+            cfg = RunConfig(
+                k=k, delta=delta, order=order,
+                cascaded_calls=rng.random() < 0.7, strict_uniqueness=strict,
             )
-            cfg = RunConfig(k=k, delta=delta, order=order, extract_options=opts)
             want, want_trace = _reference_run(snippet, kb, predictor, cfg)
             got, got_trace = run(snippet, kb, predictor, cfg)
             els = list(want.per_element)
-            where = (case, order, strict, opts.cascaded_calls)
+            where = (case, order, strict, cfg.cascaded_calls)
             assert serialize_trace(got_trace, els) == serialize_trace(
                 want_trace, els
             ), where
@@ -487,7 +483,7 @@ def test_package_exports_the_public_names():
         "dump_model", "train", "load_corpus", "load_truth", "training_pairs",
         "truth_elements",
         "identify_api_elements", "plain", "predict_all", "run", "RunConfig",
-        "ExtractOptions", "ORDER_CONSTRAINT_FIRST", "ORDER_STAT_FIRST",
+        "ORDER_CONSTRAINT_FIRST", "ORDER_STAT_FIRST",
         "serialize_trace", "infer_with_engine",
         "Predictor", "ExternalPredictor", "CooccurrenceModel",
         "score_snippet", "aggregate", "format_report",

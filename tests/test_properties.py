@@ -358,15 +358,16 @@ def test_bracket_partners_match_reference_scans():
 
 def _arity_scan(sig, i_open, close):
     """Reference: one more than the commas inside (i_open, close) where a
-    depth count, '(' or '[' up and ')' or ']' down, is back at zero."""
+    depth count, '(', '[' or '{' up and ')', ']' or '}' down, is back at
+    zero."""
     if close == i_open + 1:
         return 0
     arity, depth = 1, 0
     for k in range(i_open + 1, close):
         lex = sig[k][1].lexeme
-        if lex in ("(", "["):
+        if lex in ("(", "[", "{"):
             depth += 1
-        elif lex in (")", "]"):
+        elif lex in (")", "]", "}"):
             depth -= 1
         elif lex == "," and depth == 0:
             arity += 1

@@ -460,6 +460,31 @@ def test_external_predictor_line_protocol(tmp_path):
         assert [f for f, _ in again] == ["mock.one.Label"]
 
 
+LINE_PREDICTOR = r"""
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    number = int(req["target_key"].split("[")[1].split(",")[0])
+    print(json.dumps([req["context_lines"][number - 1]]), flush=True)
+"""
+
+
+def test_external_predictor_context_lines_match_key_lines(tmp_path):
+    # keys count lines at "\n" alone: a form feed, "\x85" or "\u2028" inside
+    # a line does not end it
+    script = tmp_path / "line_predictor.py"
+    script.write_text(LINE_PREDICTOR, encoding="utf-8")
+    text = "Label a;\f Button b = new Button();\nDocument d;\x85 e;\u2028\n"
+    sn = tokenize(text)
+    els = identify_api_elements(sn)
+    keys = ["Label[1,1]", "Button[1,1]", "Button[1,2]", "Document[2,1]"]
+    assert [e.key for e in els] == keys
+    with ExternalPredictor([sys.executable, str(script)]) as pred:
+        for e in els:
+            got = pred.predict(plain(sn), e, 1, _kb())
+            assert [f for f, _ in got] == [text.split("\n")[e.line - 1]], e.key
+
+
 def test_external_predictor_feeds_pipeline(tmp_path):
     script = tmp_path / "echo_predictor.py"
     script.write_text(ECHO_PREDICTOR, encoding="utf-8")
@@ -682,10 +707,13 @@ def test_model_round_trip(tmp_path):
 
 
 def test_dump_escapes_awkward_tokens(tmp_path):
+    # a surrogate pair, lone surrogates and a low one before a high one
+    # load back as written
+    toks = ('"two\twords"', "\U0001F600", "\ud83d", "\udfff\ud800", "a\ud800b")
     model = CooccurrenceModel(
-        rows=_rows({('"two\twords"', "com.a.X"): 1}),
-        fqn_totals={"com.a.X": 1},
-        vocabulary={'"two\twords"'},
+        rows=_rows({(tok, "com.a.X"): 1 for tok in toks}),
+        fqn_totals={"com.a.X": len(toks)},
+        vocabulary=set(toks),
     )
     path = tmp_path / "model.tsv"
     save_model(model, path)
@@ -733,11 +761,14 @@ def test_dump_keeps_fqns_without_a_positive_count(tmp_path):
         ({"a.X": {"a": 10**308, "b": 10**308, "c": -(10**308)}}, {}, 1.0,
          r"total count of 'a\.X' is beyond float range"),
         ({}, {}, 10**400, r"alpha is beyond float range"),
+        # json.loads joins a high and a low surrogate escape into one character
+        ({"a.X": {"\ud800\udfff": 1}}, {}, 1.0,
+         r"token '\\ud800\\udfff' does not load back as itself"),
     ],
     ids=[
         "float-count", "bool-count", "negative-float-count", "str-count",
         "int-token", "none-token", "tab-fqn", "newline-total-fqn", "cr-fqn",
-        "int-fqn", "total", "alpha",
+        "int-fqn", "total", "alpha", "surrogate-pair-token",
     ],
 )
 def test_dump_refuses_a_model_load_would_refuse(rows, totals, alpha, match):
