@@ -37,12 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Container, Mapping, Sequence, Union
 
-from .kb import (
-    KnowledgeBase,
-    field_in_knowledge,
-    method_in_knowledge,
-    supertype_closure,
-)
+from .kb import KnowledgeBase, field_in_knowledge, method_in_knowledge, supertype_closure
 from .snippet import _IDENTIFIER, _KEYWORD, ApiElement, Snippet, SnippetStructure
 
 
@@ -101,7 +96,7 @@ _MEMBER_PREV = frozenset(["public", "private", "protected", "static", "final",
 def _broken_body_lines(structure: SnippetStructure) -> frozenset[int]:
     """Lines of class bodies containing a constructor whose name does not
     match the class: structure recognition gives up on the whole body."""
-    sig = structure.significant
+    lexemes, kinds, lines = structure.lexemes, structure.kinds, structure.lines
     partner = structure.partner
     excluded: set[int] = set()
     for header in structure.headers:
@@ -109,27 +104,27 @@ def _broken_body_lines(structure: SnippetStructure) -> frozenset[int]:
             continue
         k = header.open + 1
         while k < header.close:
-            t = sig[k]
-            if t.lexeme == "{":
+            lex = lexemes[k]
+            if lex == "{":
                 k = partner[k]  # a nested block holds no member of this class
             elif (
-                t.kind == _IDENTIFIER
-                and t.lexeme[:1].isupper()
-                and t.lexeme != header.name
-                and sig[k - 1].lexeme in _MEMBER_PREV
-                and sig[k + 1].lexeme == "("
+                kinds[k] is _IDENTIFIER
+                and lex[:1].isupper()
+                and lex != header.name
+                and lexemes[k - 1] in _MEMBER_PREV
+                and lexemes[k + 1] == "("
                 and k + 1 in partner  # a constructor's parameters close
-                and sig[partner[k + 1] + 1].lexeme == "{"
+                and lexemes[partner[k + 1] + 1] == "{"
             ):
-                open_line = sig[header.open].line
-                excluded.update(range(open_line + 1, sig[header.close].line + 1))
+                open_line = lines[header.open]
+                excluded.update(range(open_line + 1, lines[header.close] + 1))
                 break
             k += 1
     return frozenset(excluded)
 
 
 def _parse_args(structure: SnippetStructure, i_open: int) -> tuple[int, int] | None:
-    """Arity of a balanced argument list starting at sig[i_open] == '('.
+    """Arity of a balanced argument list whose '(' is at position i_open.
 
     Returns (arity, index of the closing paren) or None when unbalanced.
     The arity is one more than the commas strictly inside the list at the
@@ -147,28 +142,28 @@ def _parse_args(structure: SnippetStructure, i_open: int) -> tuple[int, int] | N
 def _parse_chain(
     structure: SnippetStructure, i_dot: int
 ) -> tuple[tuple[tuple[str, int], ...], str | None]:
-    """Parse `.m1(args).m2(args)...` starting at sig[i_dot] == '.'.
+    """Parse `.m1(args).m2(args)...` starting at the '.' at position i_dot.
 
     Returns (hops, trailing_member): hops may be empty; trailing_member is a
     member name accessed without parentheses (a field access), if the chain
     starts that way.
     """
-    sig = structure.significant
+    lexemes, kinds = structure.lexemes, structure.kinds
     hops: list[tuple[str, int]] = []
     k = i_dot
-    while sig[k].lexeme == ".":
-        member = sig[k + 1]
-        if member.kind != _IDENTIFIER:
+    while lexemes[k] == ".":
+        if kinds[k + 1] is not _IDENTIFIER:
             break
-        if sig[k + 2].lexeme != "(":
+        member = lexemes[k + 1]
+        if lexemes[k + 2] != "(":
             if not hops:
-                return (), member.lexeme
+                return (), member
             break
         parsed = _parse_args(structure, k + 2)
         if parsed is None:
             break
         arity, close = parsed
-        hops.append((member.lexeme, arity))
+        hops.append((member, arity))
         k = close + 1
     return tuple(hops), None
 
@@ -189,7 +184,7 @@ def extract_constraints(
     elements on them untyped.
     """
     structure = snippet.structure
-    sig = structure.significant
+    lexemes, kinds, lines = structure.lexemes, structure.kinds, structure.lines
     positions = structure.positions
     elem_at: dict[int | None, ApiElement] = {e.token_index: e for e in elements}
     excluded = (
@@ -200,24 +195,24 @@ def extract_constraints(
     var_types: dict[str, ApiElement] = {}
 
     def construction(k: int):
-        """`new Name(args)` at sig[k] == 'new', Name an element and the
-        argument list closed."""
+        """`new Name(args)` with 'new' at position k, Name an element and
+        the argument list closed."""
         e = elem_at.get(positions[k + 1])
-        if e is None or k + 2 not in structure.partner or sig[k + 2].lexeme != "(":
+        if e is None or k + 2 not in structure.partner or lexemes[k + 2] != "(":
             return None
         return Construction(e)
 
     def chain(k: int, initializer: bool):
-        """The constraint of `root.f` or `root.m1(args).m2(args)...` at
-        sig[k] == root, an element (a static call) or a declared variable
+        """The constraint of `root.f` or `root.m1(args).m2(args)...` with
+        root at position k, an element (a static call) or a declared variable
         (an instance call). A chain the extractor does not follow keeps only
         its first hop. An initializer's value is the chain's return, so a
         field access or an unfollowed chain there gives no constraint."""
         root = elem_at.get(positions[k])
         static_call = root is not None
         if root is None:
-            root = var_types.get(sig[k].lexeme)
-        if root is None or sig[k + 1].lexeme != ".":
+            root = var_types.get(lexemes[k])
+        if root is None or lexemes[k + 1] != ".":
             return None
         hops, trailing_field = _parse_chain(structure, k + 1)
         if trailing_field is not None:
@@ -228,20 +223,20 @@ def extract_constraints(
             return None
         return MemberCall(root, hops if cascaded_calls else hops[:1], static_call)
 
-    for j, t in enumerate(sig):
-        if t.line in excluded:
+    for j, kind in enumerate(kinds):
+        if lines[j] in excluded:
             continue
 
-        if t.kind == _KEYWORD and t.lexeme == "new":
+        if kind is _KEYWORD and lexemes[j] == "new":
             c = construction(j)
             if c is not None:
                 constraints.append(c)
             continue
 
-        if t.kind != _IDENTIFIER:
+        if kind is not _IDENTIFIER:
             continue
 
-        nxt = sig[j + 1]
+        nxt = lexemes[j + 1]
         e = elem_at.get(positions[j])
         if e is not None:
             clause = structure.clauses.get(j)
@@ -250,23 +245,23 @@ def extract_constraints(
                 interface = keyword == "implements" or header.kind == "interface"
                 constraints.append(Supertype(e, "interface" if interface else "class"))
                 continue
-            if nxt.lexeme == ".":
+            if nxt == ".":
                 # after `new`, the construction branch has read it
-                if sig[j - 1].lexeme != "new":
+                if lexemes[j - 1] != "new":
                     c = chain(j, initializer=False)
                     if c is not None:
                         constraints.append(c)
-            elif nxt.kind == _IDENTIFIER:
-                var_types[nxt.lexeme] = e
-                if sig[j + 2].lexeme == "=":
+            elif kinds[j + 1] is _IDENTIFIER:
+                var_types[nxt] = e
+                if lexemes[j + 2] == "=":
                     k = j + 3
-                    src = construction(k) if sig[k].lexeme == "new" else chain(k, True)
+                    src = construction(k) if lexemes[k] == "new" else chain(k, True)
                     if src is not None:
                         constraints.append(DeclaredAssignment(e, src))
             continue
 
         # plain identifier: maybe a declared variable receiving a call
-        if nxt.lexeme == "." and sig[j - 1].lexeme != ".":
+        if nxt == "." and lexemes[j - 1] != ".":
             c = chain(j, initializer=False)
             if c is not None:
                 constraints.append(c)

@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .constraint import (
-    ConstraintProblem,
-    ConstraintResult,
-    extract_constraints,
-    solve,
-)
+from .constraint import ConstraintProblem, ConstraintResult, extract_constraints, solve
 from .kb import KnowledgeBase, collect_candidate_types, reduce_kb
 from .snippet import ApiElement, Snippet, augment, identify_api_elements, plain
 from .stat import CandidateList, Predictor, predict_all

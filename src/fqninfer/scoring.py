@@ -2,11 +2,13 @@
 
 A corpus directory holds one subdirectory per library, each containing
 `<id>.java` next to `<id>.truth`. A truth file lists one element per line as
-`Name[line,occ]<TAB>fully.qualified.Name`; `#` starts a comment.
+`Name[line,occ]<TAB>fully.qualified.Name`; `#` starts a comment. A key
+that is no element key, as one behind a byte order mark, is an error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -25,6 +27,10 @@ class GroundTruth:
     truth: Mapping[str, str]  # element key -> FQN
 
 
+# `ApiElement.key`: an identifier, then two positive decimal ints
+_ELEMENT_KEY = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*\[[1-9][0-9]*,[1-9][0-9]*\]")
+
+
 def load_truth(path: str | Path, snippet_id: str = "", library: str = "") -> GroundTruth:
     truth: dict[str, str] = {}
     text = read_utf8(path, TruthFormatError)
@@ -37,6 +43,8 @@ def load_truth(path: str | Path, snippet_id: str = "", library: str = "") -> Gro
         if len(parts) != 2:
             raise TruthFormatError(f"{path}:{lineno}: expected <Name[line,occ]><TAB><fqn>")
         key, fqn = parts[0].strip(), parts[1].strip()
+        if _ELEMENT_KEY.fullmatch(key) is None:
+            raise TruthFormatError(f"{path}:{lineno}: bad element key {key!r}")
         if key in truth:
             raise TruthFormatError(f"{path}:{lineno}: duplicate element key {key}")
         truth[key] = fqn

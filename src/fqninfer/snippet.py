@@ -7,20 +7,20 @@ lands in exactly one token and concatenating the lexemes reproduces the
 source exactly. A lexeme's kind is read off its first character, except
 that a keyword, a lone '/' and a lone '.' are named whole; a lone quote is
 an unterminated literal when a line break or the end of the text follows
-it, and punctuation otherwise. A `Token` is a tuple-backed (lexeme, kind,
-line) record, equal only to another `Token`. Snippets are allowed to be
-broken code, so structure recognition has to cope.
+it, and punctuation otherwise. A `Snippet` holds its tokens as three
+parallel columns, `lexemes`, `kinds` and `lines`: no record is built per
+token. Snippets may be broken code, so structure recognition has to cope.
 
 Structure is recognised once per snippet, on the `Snippet` itself:
-`Snippet.structure` holds the significant tokens, padded at the end so a
-pass reads its neighbours without bounds checks, the partner of every
-bracket (paired in one pass, so broken code costs no rescans), the commas
-at each bracket depth (so a call's arity is two bisections), every class,
-interface and enum header, and the extends/implements clauses.
-Identification here and constraint extraction both read it.
+`Snippet.structure` holds the columns of the significant tokens, padded at
+the end so a pass reads its neighbours without bounds checks, the partner
+of every bracket (paired in one pass, so broken code costs no rescans),
+the commas at each bracket depth (so a call's arity is two bisections),
+every class, interface and enum header, and the extends/implements
+clauses. Identification here and constraint extraction both read it.
 `Snippet.word_index` holds the line and position of every identifier and
 literal token: a context window over the snippet, or over any augmentation
-of it, is a slice of that index.
+of it (which replaces lexemes only), is a slice of that index.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ class TokenKind(Enum):
 
 
 # Looking a member up on an Enum class costs about 170 ns on Python 3.11,
-# so the kind tests made per token read these constants.
+# so the kind tests made per token read these constants, by identity.
 _IDENTIFIER, _KEYWORD, _PUNCT = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.PUNCT
-_LAYOUT_KINDS = (TokenKind.WHITESPACE, TokenKind.COMMENT)
-_WORD_KINDS = (TokenKind.IDENTIFIER, TokenKind.LITERAL)  # what a window reads
+_LITERAL, _WHITESPACE, _COMMENT = (TokenKind.LITERAL, TokenKind.WHITESPACE,
+                                   TokenKind.COMMENT)
+_WORD_KINDS = (_IDENTIFIER, _LITERAL)  # what a window reads
 
 # Reserved words of the language, plus the three literal words which are
 # reserved just the same for our purposes: none of them can name a type.
@@ -86,20 +87,10 @@ def _value_tuple(cls):
     return cls
 
 
-@_value_tuple
-class Token(NamedTuple):
-    """One lexeme of a snippet: its text, kind and start line, as a
-    `_value_tuple`."""
-
-    lexeme: str
-    kind: TokenKind
-    line: int  # 1-based line where the token starts
-
-
 @dataclass(frozen=True)
 class Header:
     """One `class`, `interface` or `enum` header. Positions are indices into
-    `SnippetStructure.significant`."""
+    the `SnippetStructure` columns."""
 
     kind: str  # class | interface | enum
     name: str | None  # None when no identifier follows, as in `Foo.class`
@@ -111,11 +102,12 @@ class Header:
 class SnippetStructure:
     """The bracket and declaration structure of a snippet, read in one pass.
 
-    significant: every token that is not whitespace or a comment, followed
-        by three `END` pads. A pass may read up to three tokens past any
-        real one, and `significant[j - 1]` at j == 0 wraps to a pad, so no
-        neighbour read needs a bounds check. A pad has a layout kind and an
-        empty lexeme, so it matches no kind or lexeme test a pass makes.
+    lexemes, kinds, lines: the columns of every token that is not
+        whitespace or a comment, each followed by three pads ("",
+        WHITESPACE and 0). A pass may read up to three positions past any
+        real one, and position j - 1 at j == 0 wraps to a pad, so no
+        neighbour read needs a bounds check. A pad matches no kind or
+        lexeme test a pass makes.
     positions: the token index of each significant token, then one None per
         pad: no element's token_index equals a pad's.
     partner: position of each '(' and '{' -> position of its matching ')'
@@ -135,7 +127,9 @@ class SnippetStructure:
         no named header before it belongs to the first, nameless one.
     """
 
-    significant: tuple[Token, ...]
+    lexemes: tuple[str, ...]
+    kinds: tuple[TokenKind, ...]
+    lines: tuple[int, ...]
     positions: tuple[int | None, ...]
     partner: Mapping[int, int]
     arg_depth: Mapping[int, int]
@@ -149,37 +143,38 @@ _DECLARATIONS = ("class", "interface", "enum")
 
 _CLOSERS = {")": "(", "}": "{"}
 _BRACKETS_AND_COMMA = frozenset("(){}[],")
-END = Token("", TokenKind.WHITESPACE, 0)  # pads SnippetStructure.significant
-_PADS = 3
+_PADS = 3  # pads after the SnippetStructure columns
 
 
-def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
-    positions = [i for i, t in enumerate(tokens) if t.kind not in _LAYOUT_KINDS]
+def _read_structure(snippet: Snippet) -> SnippetStructure:
+    lexemes, kinds = snippet.lexemes, snippet.kinds
+    positions = [i for i, k in enumerate(kinds)
+                 if k is not _WHITESPACE and k is not _COMMENT]
     n = len(positions)
-    sig = tuple([tokens[i] for i in positions] + [END] * _PADS)
+    lex = tuple([lexemes[i] for i in positions] + [""] * _PADS)
+    kind = tuple([kinds[i] for i in positions] + [_WHITESPACE] * _PADS)
     partner: dict[int, int] = {}
     stacks: dict[str, list[int]] = {"(": [], "{": []}
     arg_depth: dict[int, int] = {}
     commas: dict[int, list[int]] = {}
     depth = 0
-    for j, t in enumerate(sig):
-        lex = t.lexeme
-        if lex not in _BRACKETS_AND_COMMA:
+    for j, lx in enumerate(lex):
+        if lx not in _BRACKETS_AND_COMMA:
             continue
-        if lex == ",":
+        if lx == ",":
             commas.setdefault(depth, []).append(j)
             continue
-        if lex in stacks:
-            stacks[lex].append(j)
-        elif lex in _CLOSERS:
-            openers = stacks[_CLOSERS[lex]]
+        if lx in stacks:
+            stacks[lx].append(j)
+        elif lx in _CLOSERS:
+            openers = stacks[_CLOSERS[lx]]
             if openers:
                 partner[openers.pop()] = j
-        if lex in "([{":  # lex is one character here
+        if lx in "([{":  # lx is one character here
             depth += 1
-            if lex == "(":
+            if lx == "(":
                 arg_depth[j] = depth
-        elif lex in ")]}":
+        elif lx in ")]}":
             depth -= 1
     for j in stacks["{"]:
         partner[j] = n - 1  # an unterminated body runs to the end
@@ -187,38 +182,37 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
     clauses: dict[int, tuple[str, Header]] = {}
     j = 0
     while j < n:
-        t = sig[j]
-        if t.kind != _KEYWORD or t.lexeme not in _DECLARATIONS:
+        if kind[j] is not _KEYWORD or lex[j] not in _DECLARATIONS:
             j += 1
             continue
         # One header run, up to the first '{' or ';'. Headers nested in it
         # share its end and its body.
         end = j
-        while end < n and sig[end].lexeme not in ("{", ";"):
+        while end < n and lex[end] not in ("{", ";"):
             end += 1
         open_ = close = None
-        if sig[end].lexeme == "{":
+        if lex[end] == "{":
             open_, close = end, partner[end]
         clause: str | None = None
         first = latest_named = owner = None
         for k in range(j, end):
-            tk = sig[k]
-            if tk.kind == _KEYWORD and tk.lexeme in _DECLARATIONS:
-                nxt = sig[k + 1]
-                name = nxt.lexeme if nxt.kind == _IDENTIFIER else None
-                header = Header(tk.lexeme, name, open_, close)
+            if kind[k] is _KEYWORD and lex[k] in _DECLARATIONS:
+                name = lex[k + 1] if kind[k + 1] is _IDENTIFIER else None
+                header = Header(lex[k], name, open_, close)
                 headers.append(header)
                 if first is None:
                     first = header
                 if name is not None:
                     latest_named = header
-            elif tk.kind == _KEYWORD and tk.lexeme in ("extends", "implements"):
-                clause, owner = tk.lexeme, latest_named or first
-            elif clause is not None and tk.kind == _IDENTIFIER:
+            elif kind[k] is _KEYWORD and lex[k] in ("extends", "implements"):
+                clause, owner = lex[k], latest_named or first
+            elif clause is not None and kind[k] is _IDENTIFIER:
                 clauses[k] = (clause, owner)
         j = end
     return SnippetStructure(
-        sig,
+        lex,
+        kind,
+        tuple([snippet.lines[i] for i in positions] + [0] * _PADS),
         tuple(positions + [None] * _PADS),
         MappingProxyType(partner),
         MappingProxyType(arg_depth),
@@ -230,15 +224,19 @@ def _read_structure(tokens: Sequence[Token]) -> SnippetStructure:
 
 @dataclass(frozen=True)
 class Snippet:
-    """Source text and its lossless tokens; build one with `tokenize`."""
+    """Source text and its lossless tokens as columns: token i is
+    `lexemes[i]`, of kind `kinds[i]`, from 1-based line `lines[i]`. Build
+    one with `tokenize`."""
 
     raw: str
-    tokens: tuple[Token, ...]
+    lexemes: tuple[str, ...]
+    kinds: tuple[TokenKind, ...]
+    lines: tuple[int, ...]
 
     @cached_property
     def structure(self) -> SnippetStructure:
         """Read on first use, then shared by every pass over this snippet."""
-        return _read_structure(self.tokens)
+        return _read_structure(self)
 
     @cached_property
     def word_index(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -250,9 +248,10 @@ class Snippet:
         # so it takes none from CPython's free list of its final size but
         # frees one into it; with no full collection to clear them, those
         # free lists would grow to their cap
-        tokens = self.tokens
-        indices = tuple([i for i, t in enumerate(tokens) if t.kind in _WORD_KINDS])
-        return tuple([tokens[i].line for i in indices]), indices
+        kinds, lines = self.kinds, self.lines
+        indices = tuple([i for i, k in enumerate(kinds)
+                         if k is _IDENTIFIER or k is _LITERAL])
+        return tuple([lines[i] for i in indices]), indices
 
 
 _TOKEN_RE = re.compile(
@@ -285,11 +284,11 @@ class _KindOfFirst(dict):
         if char.isascii() and (char.isalpha() or char in "_$"):
             return _IDENTIFIER
         if re.match(r"\s", char):
-            return TokenKind.WHITESPACE
+            return _WHITESPACE
         if char == "/":
-            return TokenKind.COMMENT
+            return _COMMENT
         if char in "\"'." or re.match(r"\d", char):
-            return TokenKind.LITERAL
+            return _LITERAL
         return _PUNCT
 
 
@@ -325,18 +324,19 @@ def tokenize(text: str) -> Snippet:
     which are punctuation. A lone quote is a literal (unterminated at the
     end of its line or of the text) when it is the last lexeme or a line
     break follows it; otherwise it is punctuation. Every step maps a
-    builtin over the lexemes, so no Python code runs per token.
+    builtin over the lexemes, so no Python code runs per token, and the
+    snippet's columns are the tuples those maps give.
     """
     lexemes = _TOKEN_RE.findall(text)
     first_kinds = map(_KIND_OF_FIRST.__getitem__, map(_first, lexemes))
     kinds = map(_KIND_OF_LEXEME.get, lexemes, first_kinds)
     if text.endswith("\\"):
         kinds = _lone_quotes_as_punct(lexemes, list(kinds))
-    lines = accumulate(map(str.count, lexemes, repeat("\n")), initial=1)
-    # a list first: tuple(map(...)) would grow its tuple by resizing
+    lines = list(accumulate(map(str.count, lexemes, repeat("\n")), initial=1))
+    del lines[-1]  # the line after the last lexeme
+    # lists first: tuple(map(...)) would grow its tuple by resizing
     # (see Snippet.word_index)
-    tokens = list(map(tuple.__new__, repeat(Token), zip(lexemes, kinds, lines)))
-    return Snippet(raw=text, tokens=tuple(tokens))
+    return Snippet(text, tuple(lexemes), tuple(list(kinds)), tuple(lines))
 
 
 def read_utf8(path: str | Path, error: type[Exception] = ValueError) -> str:
@@ -404,39 +404,39 @@ def identify_api_elements(
         excluded.add("String")
 
     structure = snippet.structure
-    sig = structure.significant
+    lexemes, kinds, lines = structure.lexemes, structure.kinds, structure.lines
     local_decls = {h.name for h in structure.headers if h.name is not None}
 
     occurrence_counter: dict[tuple[str, int], int] = {}
     elements: list[ApiElement] = []
 
-    for j, t in enumerate(sig):
-        if t.kind != _IDENTIFIER or not t.lexeme[:1].isupper():
+    for j, name in enumerate(lexemes):
+        if kinds[j] is not _IDENTIFIER or not name[:1].isupper():
             continue
-        name = t.lexeme
         if name in excluded or name in local_decls:
             continue
-        prev, nxt, nxt2 = sig[j - 1], sig[j + 1], sig[j + 2]
-        if prev.lexeme == ".":
+        prev, nxt, nxt2 = lexemes[j - 1], lexemes[j + 1], lexemes[j + 2]
+        if prev == ".":
             continue  # mid-qualified-name segment or member access
 
-        # the first position that matches decides, even when it rejects
-        if prev.lexeme == "@":
+        # the first position that matches decides, even when it rejects;
+        # the lexeme "new" is always a keyword
+        if prev == "@":
             accepted = True  # annotation
-        elif prev.kind == _KEYWORD and prev.lexeme == "new":
+        elif prev == "new":
             accepted = True  # object creation
         elif j in structure.clauses:
             accepted = True  # extends or implements clause
-        elif nxt.lexeme == ".":
-            accepted = nxt2.kind == _IDENTIFIER  # static receiver
-        elif nxt.kind == _IDENTIFIER:
+        elif nxt == ".":
+            accepted = kinds[j + 2] is _IDENTIFIER  # static receiver
+        elif kinds[j + 1] is _IDENTIFIER:
             accepted = True  # declared type
-        elif nxt.lexeme == "[" and nxt2.lexeme == "]":
-            accepted = sig[j + 3].kind == _IDENTIFIER  # declared array type
+        elif nxt == "[" and nxt2 == "]":
+            accepted = kinds[j + 3] is _IDENTIFIER  # declared array type
         elif (
-            prev.lexeme == "("
-            and nxt.lexeme == ")"
-            and (nxt2.kind in _WORD_KINDS or nxt2.lexeme in ("(", "new", "this"))
+            prev == "("
+            and nxt == ")"
+            and (kinds[j + 2] in _WORD_KINDS or nxt2 in ("(", "new", "this"))
         ):
             accepted = True  # cast
         else:
@@ -444,9 +444,9 @@ def identify_api_elements(
 
         if not accepted:
             continue
-        count = occurrence_counter.get((name, t.line), 0) + 1
-        occurrence_counter[(name, t.line)] = count
-        elements.append(ApiElement(name, t.line, count, structure.positions[j]))
+        slot = (name, lines[j])
+        occurrence_counter[slot] = count = occurrence_counter.get(slot, 0) + 1
+        elements.append(ApiElement(name, lines[j], count, structure.positions[j]))
 
     return elements
 
@@ -462,16 +462,16 @@ class AugmentError(ValueError):
 class AugmentedSnippet:
     """The source snippet with some element tokens replaced by FQN lexemes.
 
-    Token count, ordering and line numbers are unchanged; only the lexeme at
-    each substituted index differs. Substituted FQNs keep IDENTIFIER kind so
-    they participate in context windows as single tokens.
+    Only the lexeme column is its own: kinds and lines are the source's, so
+    a substituted FQN is one IDENTIFIER token on its element's line and
+    takes part in context windows as such.
     """
 
     source: Snippet
-    tokens: tuple[Token, ...]
+    lexemes: tuple[str, ...]
 
     def text(self) -> str:
-        return "".join(t.lexeme for t in self.tokens)
+        return "".join(self.lexemes)
 
 
 def augment(snippet: Snippet, typed: Mapping[ApiElement, str]) -> AugmentedSnippet:
@@ -479,23 +479,26 @@ def augment(snippet: Snippet, typed: Mapping[ApiElement, str]) -> AugmentedSnipp
 
     The FQN's simple name does not have to match the element name: wrong
     inferences are substituted as-is. Raises AugmentError when a key does
-    not point at a matching identifier token of this snippet.
+    not point at a matching identifier token of this snippet, or its FQN is
+    empty, no str or holds a line feed, which would move the lines after it.
     """
-    new_tokens = list(snippet.tokens)
+    lexemes = snippet.lexemes
+    new_lexemes = list(lexemes)
     for e, fqn in typed.items():
         idx = e.token_index
-        if idx < 0 or idx >= len(snippet.tokens):
+        if idx < 0 or idx >= len(lexemes):
             raise AugmentError(f"{e.key}: token index {idx} out of range")
-        t = snippet.tokens[idx]
-        if t.kind != _IDENTIFIER or t.lexeme != e.simple_name:
+        if snippet.kinds[idx] is not _IDENTIFIER or lexemes[idx] != e.simple_name:
             raise AugmentError(
-                f"{e.key}: token at index {idx} is {t.lexeme!r}, not an "
+                f"{e.key}: token at index {idx} is {lexemes[idx]!r}, not an "
                 f"occurrence of {e.simple_name!r}"
             )
+        if not isinstance(fqn, str) or "\n" in fqn:
+            raise AugmentError(f"{e.key}: bad FQN {fqn!r:.80}")
         if not fqn:
             raise AugmentError(f"{e.key}: empty FQN")
-        new_tokens[idx] = Token(fqn, _IDENTIFIER, t.line)
-    return AugmentedSnippet(source=snippet, tokens=tuple(new_tokens))
+        new_lexemes[idx] = fqn
+    return AugmentedSnippet(snippet, tuple(new_lexemes))
 
 
 def plain(snippet: Snippet) -> AugmentedSnippet:

@@ -52,13 +52,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .kb import KnowledgeBase, simple_name_index
-from .snippet import (
-    ApiElement,
-    AugmentedSnippet,
-    Snippet,
-    augment,
-    read_utf8,
-)
+from .snippet import ApiElement, AugmentedSnippet, Snippet, augment, read_utf8
 
 
 def _check_positive(name: str, value: object, limit: float = math.inf) -> None:
@@ -146,14 +140,15 @@ def context_window(
     elements appear as single tokens. Order follows the token stream.
 
     The window is a slice of the source snippet's word index, found by
-    bisecting its lines, read from the augmented tokens.
+    bisecting its lines, read from the augmentation's lexeme column: the
+    kinds and lines the index was built from are the source's.
     """
     lines, indices = aug.source.word_index
     start = bisect_left(lines, element.line - eta)
     stop = bisect_right(lines, element.line + eta)
-    tokens = aug.tokens
+    lexemes = aug.lexemes
     own = element.token_index
-    return [tokens[i].lexeme for i in indices[start:stop] if i != own]
+    return [lexemes[i] for i in indices[start:stop] if i != own]
 
 
 def train(

@@ -434,3 +434,16 @@ def test_rejects_unknown_order():
 def test_rejects_unknown_engine():
     with pytest.raises(SystemExit):
         main(["eval", EVAL_DIR, "--kb", KB_PATH, "--engine", "psychic"])
+
+
+def test_eval_refuses_a_truth_file_with_a_byte_order_mark(tmp_path, capsys):
+    # the unmarked file reads R=0.20 under this engine; a key the mark
+    # hides would read R=0.00 and exit 0
+    corpus = tmp_path / "corpus"
+    shutil.copytree(FIXTURES / "corpus", corpus)
+    truth = corpus / "gwt" / "1318732.truth"
+    truth.write_text("\ufeff" + truth.read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["eval", str(corpus), "--kb", KB_PATH, "--engine", "constraint"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {truth}:1: bad element key ")
+    assert err.count("\n") == 1

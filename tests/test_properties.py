@@ -169,6 +169,12 @@ _LEX_PIECES = (
 )
 
 
+def _triples(sn):
+    """(lexeme, kind, line) of every token, zipped from the columns, which
+    must be of one length."""
+    return list(zip(sn.lexemes, sn.kinds, sn.lines, strict=True))
+
+
 def test_lossless_lexing_roundtrip():
     rng = random.Random(9002)
     for case in range(1500):
@@ -176,8 +182,8 @@ def test_lossless_lexing_roundtrip():
             rng.choice(_LEX_PIECES) for _ in range(rng.randint(0, 40))
         )
         sn = tokenize(raw)
-        assert "".join(t.lexeme for t in sn.tokens) == raw, case
-        assert tokenize(raw).tokens == sn.tokens, case
+        assert "".join(sn.lexemes) == raw, case
+        assert _triples(tokenize(raw)) == _triples(sn), case
 
 
 # The lexer as a match loop: one regex match per position, the kind read
@@ -249,7 +255,7 @@ def test_tokenize_matches_match_loop_lexer():
         raw = "".join(
             rng.choice(_LEX_DIFF_PIECES) for _ in range(rng.randint(0, 40))
         )
-        got = [(t.lexeme, t.kind, t.line) for t in tokenize(raw).tokens]
+        got = _triples(tokenize(raw))
         assert got == _match_loop_tokens(raw), (case, raw)
         for lexeme, kind, _ in got:
             if "\n" in lexeme and kind in (TokenKind.LITERAL, TokenKind.COMMENT):
@@ -275,7 +281,7 @@ def test_tokenize_matches_match_loop_lexer_on_every_short_string():
     ]
     assert len(texts) == 9724
     for raw in texts:
-        got = [(t.lexeme, t.kind, t.line) for t in tokenize(raw).tokens]
+        got = _triples(tokenize(raw))
         assert got == _match_loop_tokens(raw), raw
 
 
@@ -283,20 +289,18 @@ def test_tokenize_matches_match_loop_lexer_on_every_short_string():
 # bracket partners
 
 
-def _unpadded(structure):
-    """(token index, token) of each significant token, without the pads."""
-    return [
-        (i, t) for i, t in zip(structure.positions, structure.significant)
-        if i is not None
-    ]
+def _real(structure):
+    """The number of significant tokens: the positions before the pads."""
+    return structure.positions.index(None)
 
 
-def _matching_paren(sig, i_open):
-    """Reference: the ')' where the depth count from sig[i_open] returns to
-    zero, or None when it never does."""
+def _matching_paren(lexemes, i_open):
+    """Reference: the ')' where the depth count from lexemes[i_open]
+    returns to zero, or None when it never does. The pads' empty lexemes
+    count nothing."""
     depth = 0
-    for k in range(i_open, len(sig)):
-        lex = sig[k][1].lexeme
+    for k in range(i_open, len(lexemes)):
+        lex = lexemes[k]
         if lex == "(":
             depth += 1
         elif lex == ")":
@@ -306,21 +310,22 @@ def _matching_paren(sig, i_open):
     return None
 
 
-def _body(sig, end):
+def _body(lexemes, n, end):
     """Reference: open and close of the body that starts where a header
-    ends; an unterminated body runs to the last position."""
-    if end >= len(sig) or sig[end][1].lexeme != "{":
+    ends, in padded columns of n significant tokens; an unterminated body
+    runs to the last significant position."""
+    if end >= n or lexemes[end] != "{":
         return None, None
     depth = 0
-    for k in range(end, len(sig)):
-        lex = sig[k][1].lexeme
+    for k in range(end, n):
+        lex = lexemes[k]
         if lex == "{":
             depth += 1
         elif lex == "}":
             depth -= 1
             if depth == 0:
                 return end, k
-    return end, len(sig) - 1
+    return end, n - 1
 
 
 _BRACKET_PIECES = (
@@ -335,28 +340,41 @@ def test_bracket_partners_match_reference_scans():
         raw = " ".join(
             rng.choice(_BRACKET_PIECES) for _ in range(rng.randint(0, 30))
         )
-        structure = tokenize(raw).structure
-        sig = _unpadded(structure)
+        sn = tokenize(raw)
+        structure = sn.structure
+        lexemes, n = structure.lexemes, _real(structure)
+        # each column is the snippet's column at the positions of the
+        # tokens that are no whitespace or comment, then pads
+        real = structure.positions[:n]
+        layout = (TokenKind.WHITESPACE, TokenKind.COMMENT)
+        assert real == tuple(i for i, k in enumerate(sn.kinds) if k not in layout), case
+        for col, source, pad in (
+            (lexemes, sn.lexemes, ""),
+            (structure.kinds, sn.kinds, TokenKind.WHITESPACE),
+            (structure.lines, sn.lines, 0),
+        ):
+            assert col == tuple(source[i] for i in real) + (pad,) * 3, (case, raw)
+        assert structure.positions[n:] == (None,) * 3, (case, raw)
         expected = {}
-        for i, (_, t) in enumerate(sig):
-            if t.lexeme == "(" and _matching_paren(sig, i) is not None:
-                expected[i] = _matching_paren(sig, i)
-            elif t.lexeme == "{":
-                expected[i] = _body(sig, i)[1]
+        for i in range(n):
+            if lexemes[i] == "(" and _matching_paren(lexemes, i) is not None:
+                expected[i] = _matching_paren(lexemes, i)
+            elif lexemes[i] == "{":
+                expected[i] = _body(lexemes, n, i)[1]
         assert dict(structure.partner) == expected, (case, raw)
         # every declaration keyword heads one header, whose body starts at
         # the first '{' or ';' from the keyword on
         bodies = []
-        for j, (_, t) in enumerate(sig):
-            if t.lexeme in ("class", "interface", "enum"):
+        for j in range(n):
+            if lexemes[j] in ("class", "interface", "enum"):
                 end = j
-                while end < len(sig) and sig[end][1].lexeme not in ("{", ";"):
+                while end < n and lexemes[end] not in ("{", ";"):
                     end += 1
-                bodies.append(_body(sig, end))
+                bodies.append(_body(lexemes, n, end))
         assert [(h.open, h.close) for h in structure.headers] == bodies, (case, raw)
 
 
-def _arity_scan(sig, i_open, close):
+def _arity_scan(lexemes, i_open, close):
     """Reference: one more than the commas inside (i_open, close) where a
     depth count, '(', '[' or '{' up and ')', ']' or '}' down, is back at
     zero."""
@@ -364,7 +382,7 @@ def _arity_scan(sig, i_open, close):
         return 0
     arity, depth = 1, 0
     for k in range(i_open + 1, close):
-        lex = sig[k][1].lexeme
+        lex = lexemes[k]
         if lex in ("(", "[", "{"):
             depth += 1
         elif lex in (")", "]", "}"):
@@ -383,12 +401,12 @@ def test_argument_arity_matches_reference_scan():
     for case in range(2000):
         raw = " ".join(rng.choice(_ARG_PIECES) for _ in range(rng.randint(0, 40)))
         structure = tokenize(raw).structure
-        sig = _unpadded(structure)
-        for i, (_, t) in enumerate(sig):
-            if t.lexeme != "(":
+        lexemes = structure.lexemes
+        for i in range(_real(structure)):
+            if lexemes[i] != "(":
                 continue
             close = structure.partner.get(i)
-            want = None if close is None else (_arity_scan(sig, i, close), close)
+            want = None if close is None else (_arity_scan(lexemes, i, close), close)
             assert _parse_args(structure, i) == want, (case, raw, i)
             checked += close is not None and close > i + 1
     assert checked >= 3000, checked
@@ -454,29 +472,32 @@ def test_augmentation_alignment():
             mapping[e] = f"{rng.choice(_PACKAGES)}.{name}"
         aug = augment(sn, mapping)
 
-        assert len(aug.tokens) == len(sn.tokens), case
+        assert len(aug.lexemes) == len(sn.lexemes), case
         changed = {
             i
-            for i, (old, new) in enumerate(zip(sn.tokens, aug.tokens))
+            for i, (old, new) in enumerate(zip(sn.lexemes, aug.lexemes))
             if old != new
         }
         assert changed == {e.token_index for e in mapping}, case
+        # the augmented text keeps every token on its source line
+        assert aug.text().count("\n") == sn.raw.count("\n"), case
         for e, fqn in mapping.items():
-            t = aug.tokens[e.token_index]
-            old = sn.tokens[e.token_index]
-            assert t.lexeme == fqn, case
-            assert t.kind is TokenKind.IDENTIFIER, case
-            assert t.line == old.line, case
-        assert augment(sn, {}).tokens == sn.tokens, case
+            idx = e.token_index
+            assert aug.lexemes[idx] == fqn, case
+            assert sn.kinds[idx] is TokenKind.IDENTIFIER, case
+            assert "".join(aug.lexemes[:idx]).count("\n") + 1 == sn.lines[idx], case
+        assert augment(sn, {}).lexemes == sn.lexemes, case
 
         if elems:
             target = rng.choice(elems)
             eta = rng.randint(0, 2)
             expected = [
-                t.lexeme
-                for i, t in enumerate(aug.tokens)
-                if t.kind in (TokenKind.IDENTIFIER, TokenKind.LITERAL)
-                and target.line - eta <= t.line <= target.line + eta
+                lexeme
+                for i, (lexeme, kind, line) in enumerate(
+                    zip(aug.lexemes, sn.kinds, sn.lines, strict=True)
+                )
+                if kind in (TokenKind.IDENTIFIER, TokenKind.LITERAL)
+                and target.line - eta <= line <= target.line + eta
                 and i != target.token_index
             ]
             assert context_window(aug, target, eta) == expected, case
@@ -1349,7 +1370,7 @@ def test_known_fqns_named_matches_suffix_scan(tmp_path):
         })
         # one training token per FQN; its element points at the token
         sn = tokenize(" ".join(f"T{i}" for i in range(len(fqns))))
-        idents = [i for i, t in enumerate(sn.tokens) if t.kind is TokenKind.IDENTIFIER]
+        idents = [i for i, kind in enumerate(sn.kinds) if kind is TokenKind.IDENTIFIER]
         truth = {
             ApiElement(f"T{n}", 1, 1, i): fqn
             for n, (i, fqn) in enumerate(zip(idents, fqns))

@@ -6,6 +6,7 @@ from fqninfer import (
     TruthFormatError,
     aggregate,
     format_report,
+    identify_api_elements,
     load_corpus,
     load_truth,
     score_snippet,
@@ -51,6 +52,45 @@ def test_load_truth_rejects_untabbed_lines(tmp_path):
     path.write_text("A[1,1] com.a.A\n", encoding="utf-8")
     with pytest.raises(TruthFormatError):
         load_truth(path)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "\ufeffComposite[1,1]",  # a UTF-8 byte order mark before the first key
+        "Composite[1;1]",
+        "Composite[1,1",
+        "Composite(1,1)",
+        "Composite[0,1]",
+        "Composite[1,0]",
+        "Composite[01,1]",
+        "Composite[-1,1]",
+        "Composite[1,1,1]",
+        "Composite[1, 1]",
+        "Composite[\u0661,1]",  # a Unicode digit
+        "[1,1]",
+        "1Composite[1,1]",
+        "a.Composite[1,1]",
+        "Composité[1,1]",
+        "Composite",
+    ],
+)
+def test_load_truth_rejects_malformed_keys(tmp_path, key):
+    path = tmp_path / "x.truth"
+    path.write_text(f"# header\n{key}\tcom.a.Composite\n", encoding="utf-8")
+    with pytest.raises(TruthFormatError) as info:
+        load_truth(path)
+    assert str(info.value) == f"{path}:2: bad element key {key!r}"
+
+
+def test_load_truth_accepts_every_element_key(tmp_path, eval_items, train_items):
+    path = tmp_path / "x.truth"
+    path.write_text("$x_9[12,3]\ta.B\n_[1,1]\ta.C\n", encoding="utf-8")
+    assert list(load_truth(path).truth) == ["$x_9[12,3]", "_[1,1]"]
+    for item in eval_items + train_items:
+        for e in identify_api_elements(item.snippet):
+            path.write_text(f"{e.key}\ta.B\n", encoding="utf-8")
+            assert list(load_truth(path).truth) == [e.key]
 
 
 def test_load_truth_ends_records_at_newline_only(tmp_path):

@@ -1,24 +1,25 @@
 """Lexing, API element identification, and context augmentation."""
 
+import gc
 import random
 
 import pytest
 
-from fqninfer import ApiElement, identify_api_elements, plain, tokenize
+from fqninfer import ApiElement, identify_api_elements, plain, tokenize, train
 from fqninfer.snippet import (
     AugmentError,
-    Token,
     TokenKind,
     augment,
 )
 
 
 def _joined(sn):
-    return "".join(t.lexeme for t in sn.tokens)
+    return "".join(sn.lexemes)
 
 
 def _kinds(text):
-    return [(t.lexeme, t.kind) for t in tokenize(text).tokens]
+    sn = tokenize(text)
+    return list(zip(sn.lexemes, sn.kinds, strict=True))
 
 
 def _element_keys(text, **kwargs):
@@ -54,40 +55,64 @@ def test_tokenize_comments():
 def test_tokenize_unterminated_string_stops_at_eol():
     sn = tokenize('call("broken\nnext')
     assert _joined(sn) == 'call("broken\nnext'
-    lits = [t for t in sn.tokens if t.kind == TokenKind.LITERAL]
-    assert lits and lits[0].lexeme == '"broken'
+    lits = [lex for lex, kind in zip(sn.lexemes, sn.kinds) if kind == TokenKind.LITERAL]
+    assert lits and lits[0] == '"broken'
 
 
 def test_tokenize_unterminated_block_comment_swallows_rest():
     sn = tokenize("a /* never closed\nb")
-    assert sn.tokens[-1].lexeme == "/* never closed\nb"
+    assert sn.lexemes[-1] == "/* never closed\nb"
     assert _joined(sn) == "a /* never closed\nb"
 
 
 def test_tokenize_line_and_column():
     sn = tokenize("ab\n  cd /* x\ny */ ef")
-    by_lex = {t.lexeme: t.line for t in sn.tokens}
+    by_lex = dict(zip(sn.lexemes, sn.lines, strict=True))
     assert (by_lex["ab"], by_lex["cd"], by_lex["ef"]) == (1, 2, 3)
 
 
-def test_token_is_a_value_equal_only_to_tokens():
-    tok = Token("a", TokenKind.IDENTIFIER, 1)
-    assert tok == Token("a", TokenKind.IDENTIFIER, 1)
-    assert tok != Token("a", TokenKind.IDENTIFIER, 2)
-    assert tok != Token("a", TokenKind.KEYWORD, 1)
-    # a tuple with the same fields is not a token, from either side
-    assert tok != ("a", TokenKind.IDENTIFIER, 1)
-    assert ("a", TokenKind.IDENTIFIER, 1) != tok
-    assert not tok == ("a", TokenKind.IDENTIFIER, 1)
-    assert not ("a", TokenKind.IDENTIFIER, 1) == tok
-    assert hash(tok) == hash(("a", TokenKind.IDENTIFIER, 1))
-    with pytest.raises(AttributeError):
-        tok.line = 2
-    assert repr(tok) == (
-        "Token(lexeme='a', kind=<TokenKind.IDENTIFIER: 'identifier'>, line=1)"
+def test_columns_hold_one_entry_per_lexeme():
+    sn = tokenize("a /* x\ny */ Label\n  b;")
+    assert sn.lexemes == ("a", " ", "/* x\ny */", " ", "Label", "\n  ", "b", ";")
+    assert sn.kinds == (
+        TokenKind.IDENTIFIER, TokenKind.WHITESPACE, TokenKind.COMMENT,
+        TokenKind.WHITESPACE, TokenKind.IDENTIFIER, TokenKind.WHITESPACE,
+        TokenKind.IDENTIFIER, TokenKind.PUNCT,
     )
-    lexed = tokenize("a").tokens[0]
-    assert type(lexed) is Token and lexed == tok and hash(lexed) == hash(tok)
+    assert sn.lines == (1, 1, 1, 2, 2, 2, 3, 3)
+    assert all(type(col) is tuple for col in (sn.lexemes, sn.kinds, sn.lines))
+    empty = tokenize("")
+    assert (empty.lexemes, empty.kinds, empty.lines) == ((), (), ())
+
+
+def test_structure_columns_end_in_three_pads():
+    sn = tokenize("a /* x\ny */ Label\n  b;")
+    structure = sn.structure
+    assert structure.lexemes == ("a", "Label", "b", ";", "", "", "")
+    assert structure.kinds == (
+        TokenKind.IDENTIFIER, TokenKind.IDENTIFIER, TokenKind.IDENTIFIER,
+        TokenKind.PUNCT, TokenKind.WHITESPACE, TokenKind.WHITESPACE,
+        TokenKind.WHITESPACE,
+    )
+    assert structure.lines == (1, 2, 3, 3, 0, 0, 0)
+    assert structure.positions == (0, 4, 6, 7, None, None, None)
+    # a snippet of layout alone is nothing but pads
+    blank = tokenize(" // c\n").structure
+    assert (blank.lexemes, blank.lines, blank.positions) == (
+        ("",) * 3, (0,) * 3, (None,) * 3
+    )
+    assert blank.kinds == (TokenKind.WHITESPACE,) * 3
+
+
+def test_lexeme_and_line_columns_are_untracked(eval_items):
+    # tuples of str or int are untracked by the first collection that
+    # examines them, so a loaded corpus adds no tokens to the collector's
+    # walks
+    sn = tokenize(eval_items[0].snippet.raw)
+    assert len(sn.lexemes) > 50
+    gc.collect()
+    assert not gc.is_tracked(sn.lexemes)
+    assert not gc.is_tracked(sn.lines)
 
 
 def test_api_element_is_a_value_equal_only_to_elements():
@@ -182,10 +207,9 @@ def test_structure_is_read_once_and_names_each_clause():
     assert (a.kind, a.name, d.kind, d.name, d.open) == (
         "class", "A", "interface", "D", None
     )
-    lexemes = [t.lexeme for t in structure.significant]
-    assert lexemes[a.open : a.close + 1] == ["{", "}"]
+    assert structure.lexemes[a.open : a.close + 1] == ("{", "}")
     clauses = {
-        structure.significant[k].lexeme: (kw, h.name)
+        structure.lexemes[k]: (kw, h.name)
         for k, (kw, h) in structure.clauses.items()
     }
     assert clauses == {"B": ("extends", "A"), "C": ("implements", "A")}
@@ -271,16 +295,18 @@ def test_augment_substitutes_fqn_lexeme():
     els = identify_api_elements(sn)
     aug = augment(sn, {els[0]: "com.x.Label"})
     assert aug.text() == "com.x.Label greeting = new Label(name);"
-    assert aug.tokens[els[0].token_index].lexeme == "com.x.Label"
-    assert aug.tokens[els[0].token_index].kind == TokenKind.IDENTIFIER
-    assert len(aug.tokens) == len(sn.tokens)
+    assert aug.lexemes[els[0].token_index] == "com.x.Label"
+    assert aug.source is sn
+    assert len(aug.lexemes) == len(sn.lexemes)
 
 
 def test_augment_preserves_line_numbers():
     sn = tokenize("Label a;\nLabel b;")
     els = identify_api_elements(sn)
     aug = augment(sn, {els[1]: "com.x.y.z.VeryLongName"})
-    assert aug.tokens[els[1].token_index].line == 2
+    idx = els[1].token_index
+    assert aug.lexemes[idx] == "com.x.y.z.VeryLongName"
+    assert "".join(aug.lexemes[:idx]).count("\n") + 1 == sn.lines[idx] == 2
 
 
 def test_augment_accepts_mismatched_simple_name():
@@ -312,11 +338,41 @@ def test_augment_rejects_empty_fqn():
         augment(sn, {els[0]: ""})
 
 
+@pytest.mark.parametrize(
+    "fqn, shown",
+    [
+        (5, "5"),
+        (None, "None"),
+        (b"com.x.Label", "b'com.x.Label'"),
+        ("com.x\nLabel", "'com.x\\nLabel'"),
+        ("a.B\n", "'a.B\\n'"),
+        ("\n" + "x" * 200, "'\\n" + "x" * 77),
+    ],
+    ids=["int", "none", "bytes", "inner-line-feed", "final-line-feed", "long"],
+)
+def test_augment_rejects_bad_fqn(fqn, shown):
+    # a non-str would only fail when the text is joined, and a line feed
+    # would move every line after it
+    sn = tokenize("Label a;")
+    els = identify_api_elements(sn)
+    with pytest.raises(AugmentError) as info:
+        augment(sn, {els[0]: fqn})
+    assert str(info.value) == f"Label[1,1]: bad FQN {shown}"
+
+
+def test_train_refuses_a_truth_map_with_a_bad_fqn():
+    sn = tokenize("Label a;\nButton b;")
+    label, button = identify_api_elements(sn)
+    for fqn in (7, "com.x\nButton"):
+        with pytest.raises(AugmentError, match=r"^Button\[2,1\]: bad FQN "):
+            train([(sn, {label: "com.x.Label", button: fqn})])
+
+
 def test_plain_is_identity_augmentation():
     sn = tokenize("Label a = new Label();")
     aug = plain(sn)
     assert aug.text() == sn.raw
-    assert aug.tokens == sn.tokens
+    assert aug.lexemes == sn.lexemes
 
 
 def test_fixture_corpus_round_trips(eval_items, train_items):
