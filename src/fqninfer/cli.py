@@ -30,7 +30,13 @@ from .orchestrator import (
     run,
     serialize_trace,
 )
-from .scoring import format_report, load_corpus, score_snippet, training_pairs
+from .scoring import (
+    format_report,
+    load_corpus,
+    score_snippet,
+    training_pairs,
+    truth_elements,
+)
 from .snippet import read_utf8, tokenize
 from .stat import load_model, save_model, train
 
@@ -142,7 +148,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     save_model(model, args.output)
     log.info(
         "trained on %d snippets: %d (token, fqn) pairs, %d names",
-        len(items), sum(map(len, model.rows.values())), len(model.fqn_totals),
+        len(items), sum(map(len, model.rows.values())), len(model.rows),
     )
     return 0
 
@@ -184,6 +190,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     items = load_corpus(args.corpus)
     scores = []
     for item in items:
+        # a key that names no element would score as a miss, not an error
+        truth_elements(
+            item.snippet, item.truth, kb, exclude_string=config.exclude_string
+        )
         answers = infer_with_engine(item.snippet, kb, model, args.engine, config)
         scores.append(score_snippet(answers, item.truth, lenient=True))
     sys.stdout.write(format_report(scores))

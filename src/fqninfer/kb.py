@@ -30,12 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .snippet import _value_tuple, read_utf8
-
-if TYPE_CHECKING:
-    from .stat import CandidateList
 
 
 class KbError(Exception):
@@ -434,18 +431,6 @@ def field_in_knowledge(
 ) -> FieldSig | None:
     """Find a field on ctype or any internal supertype."""
     return _member_in_knowledge(kb, ctype, name, None, require_static)
-
-
-def collect_candidate_types(
-    stat_result: Mapping[object, CandidateList],
-    constraint_typed: Mapping[object, str],
-) -> frozenset[str]:
-    """Union of every element's statistical top-k candidates and its
-    constraint-inferred type."""
-    out = set(constraint_typed.values())
-    for cand in stat_result.values():
-        out.update(cand.ranked)
-    return frozenset(out)
 
 
 def reduce_kb(kb: KnowledgeBase, cantypes: Iterable[str]) -> frozenset[str]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .constraint import ConstraintProblem, ConstraintResult, extract_constraints, solve
-from .kb import KnowledgeBase, collect_candidate_types, reduce_kb
+from .kb import KnowledgeBase, reduce_kb
 from .snippet import ApiElement, Snippet, augment, identify_api_elements, plain
 from .stat import CandidateList, Predictor, predict_all
 
@@ -110,6 +110,18 @@ def check_stable(prev: RoundRecord, cur: RoundRecord) -> bool:
         prev.constraint_result.typed == cur.constraint_result.typed
         and prev.stat_result == cur.stat_result
     )
+
+
+def collect_candidate_types(
+    stat_result: Mapping[ApiElement, CandidateList],
+    constraint_typed: Mapping[ApiElement, str],
+) -> frozenset[str]:
+    """Union of every element's statistical top-k candidates and its
+    constraint-inferred type."""
+    out = set(constraint_typed.values())
+    for cand in stat_result.values():
+        out.update(cand.ranked)
+    return frozenset(out)
 
 
 def combine(

@@ -84,14 +84,18 @@ def load_corpus(root: str | Path) -> list[CorpusItem]:
 
 
 def truth_elements(
-    snippet: Snippet, truth: GroundTruth, kb=None
+    snippet: Snippet, truth: GroundTruth, kb=None, *, exclude_string: bool = True
 ) -> dict[ApiElement, str]:
-    """Resolve truth keys to identified elements of the snippet.
+    """Resolve truth keys to elements of the snippet, as
+    `identify_api_elements` identifies them.
 
     Raises TruthFormatError when a key does not match any identified
     element, which usually means the truth file drifted from the source.
     """
-    elements = {e.key: e for e in identify_api_elements(snippet, kb)}
+    elements = {
+        e.key: e
+        for e in identify_api_elements(snippet, kb, exclude_string=exclude_string)
+    }
     out: dict[ApiElement, str] = {}
     for key, fqn in truth.truth.items():
         e = elements.get(key)

@@ -6,13 +6,13 @@ for it. Here the ranking comes from Laplace-smoothed co-occurrence counts
 gathered from a training corpus of snippets with known element types.
 
 score(f) = sum over window tokens t of
-    log( (rows[f][t] + alpha) / (fqn_totals[f] + alpha * |vocabulary|) )
+    log( (rows[f][t] + alpha) / (total(f) + alpha * |vocabulary|) )
 
-where a token missing from f's row counts 0.
+where total(f) is the sum of f's row and a token missing from it counts 0.
 
 Only model-known FQNs whose simple name matches the target are ranked, and
-a candidate needs at least one positive count against the window to appear
-at all: the model does not propose types it has no contextual evidence for.
+a candidate needs at least one count against the window to appear at all:
+the model does not propose types it has no contextual evidence for.
 Given the KB its answers will be filtered against, the model ranks only the
 FQNs that KB holds, so it scores no candidate the filter would drop and
 builds no window for an element when the KB holds none of the model's FQNs
@@ -26,14 +26,12 @@ hallucination the KB filter is for, and a predictor that ignores the KB
 
 Every summand of the formula is a constant of the model, so the model
 keeps a memo of each FQN's terms, filled at the FQN's first score and
-never at load: the summand of each token with a nonzero count, the tokens
-with a positive count, and the summand of every zero count,
-log(alpha / denominator). A candidate is scored from one fetch of its
-terms: its evidence is checked against the window first, and only then
-are the summands added, left to right as the formula adds them, so every
-score is the same float. An FQN with a term that is no float (a
-nonpositive denominator, a summand outside log's domain) keeps only its
-evidence, and the formula itself scores it.
+never at load: the summand of each token in its row, and the summand of
+every zero count, log(alpha / denominator). The model's constructor
+refuses any model for which one of these would fail. A candidate's row is
+checked against the window first, and only a candidate with evidence is
+scored: its summands are added left to right as the formula adds them, so
+every score is the same float.
 """
 
 from __future__ import annotations
@@ -70,37 +68,49 @@ def _check_settings(alpha: float, eta: int) -> None:
         raise ValueError(f"bad eta value {eta!r}")
 
 
-# An FQN's score terms, (summands, positive, unseen):
-#   summands  {token: log((c + alpha) / denom)} for each nonzero count c;
-#             None when a term is no float, and `_formula` scores the FQN
-#   positive  the tokens with a positive count, the evidence test
+def _shown(record: str) -> str:
+    """A record as an error message quotes it: its first 80 characters at
+    most, so a huge malformed record still gives a short error line."""
+    if len(record) <= 80:
+        return repr(record)
+    return f"{record[:80]!r}... ({len(record)} characters)"
+
+
+# An FQN's score terms, (summands, unseen):
+#   summands  {token: log((c + alpha) / denom)} for each count c in its row
 #   unseen    log(alpha / denom), the summand of every zero count
-_Terms = tuple[dict[str, float] | None, frozenset[str], float]
+_Terms = tuple[dict[str, float], float]
 
 
 @dataclass
 class CooccurrenceModel:
     """Token/FQN co-occurrence counts plus smoothing configuration.
 
-    `rows` holds one count row per FQN, `{fqn: {token: n}}`; a token absent
-    from a row counts 0. `train` and `load_model` open a row at its FQN's
-    first count, so no row they build is empty, and a trained model equals
-    the model loaded from its dump. `counts` is a derived `{(token, fqn): n}`
-    view, built afresh on each read.
+    `rows` holds one count row per known FQN, `{fqn: {token: n}}`, and is
+    the model's only count store: every count is an int of at least 1, a
+    token absent from a row counts 0, and an FQN known without counts has
+    an empty row. `fqn_totals` is derived from it, each row's sum, and
+    `counts` is a derived `{(token, fqn): n}` view, built afresh on each
+    read. A trained model equals the model loaded from its dump.
+
+    The constructor raises ValueError for a bad setting, for a row holding
+    a count that is no int or is below 1, for a row whose total float()
+    cannot hold, and for an alpha at which log(alpha / denominator)
+    fails for the largest total, so that no score term of the model fails.
 
     The fields are read-only after construction. The first
     `known_fqns_named` call builds the simple-name index it answers from,
     and scoring fills a memo of each model FQN's score terms (see the
     module docstring), at most one entry per model FQN scored; like the
     KB's memos both are sound because the fields never change, and they
-    take no part in equality or repr.
+    take no part in equality or repr, as the derived totals do not.
     """
 
     rows: dict[str, dict[str, int]] = field(default_factory=dict)
-    fqn_totals: dict[str, int] = field(default_factory=dict)
     vocabulary: set[str] = field(default_factory=set)
     smoothing_alpha: float = 1.0
     window_eta: int = 2
+    fqn_totals: dict[str, int] = field(init=False, repr=False, compare=False)
     _by_simple_name: dict[str, tuple[str, ...]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -109,7 +119,31 @@ class CooccurrenceModel:
     )
 
     def __post_init__(self) -> None:
-        _check_settings(self.smoothing_alpha, self.window_eta)
+        alpha = self.smoothing_alpha
+        _check_settings(alpha, self.window_eta)
+        totals = self.fqn_totals = {}
+        limit = sys.float_info.max
+        for fqn, row in self.rows.items():
+            counts = row.values()
+            try:
+                total = sum(counts)
+            except TypeError:  # a str count
+                total = None
+            if type(total) is not int or (row and min(counts) < 1):
+                raise ValueError(f"a count of {_shown(fqn)} is not a positive int")
+            # every count is at most its row's total, so this bounds them all
+            if total > limit:
+                raise ValueError(f"total count of {_shown(fqn)} is beyond float range")
+            totals[fqn] = total
+        # the largest total gives the smallest alpha / denominator, so when
+        # its log is a float every summand of every row is one; alpha is
+        # finite and that denominator at least 1, so no log here is infinite
+        largest = max(totals.values(), default=0)
+        if largest:
+            try:
+                math.log(alpha / (largest + alpha * len(self.vocabulary)))
+            except (ArithmeticError, ValueError):
+                raise ValueError(f"bad alpha value {alpha!r}") from None
 
     @property
     def counts(self) -> dict[tuple[str, str], int]:
@@ -128,7 +162,7 @@ class CooccurrenceModel:
         lexicographically ordered. The first call builds the index."""
         index = self._by_simple_name
         if index is None:
-            index = self._by_simple_name = simple_name_index(self.fqn_totals)
+            index = self._by_simple_name = simple_name_index(self.rows)
         return index.get(simple_name, ())
 
 
@@ -171,69 +205,34 @@ def train(
     """
     _check_settings(alpha, eta)
     rows: dict[str, dict[str, int]] = {}
-    totals: dict[str, int] = {}
     for snippet, truth in corpus:
         aug = augment(snippet, truth)
         for e, fqn in truth.items():
-            window = context_window(aug, e, eta)
-            # a truth FQN is kept even when its window gathers no tokens,
-            # but its row opens only at its first token
-            totals[fqn] = totals.get(fqn, 0) + len(window)
-            if window:
-                row = rows.get(fqn)
-                if row is None:
-                    row = rows[fqn] = {}
-                for tok in window:
-                    row[tok] = row.get(tok, 0) + 1
+            # a truth FQN is kept even when its window gathers no tokens
+            row = rows.get(fqn)
+            if row is None:
+                row = rows[fqn] = {}
+            for tok in context_window(aug, e, eta):
+                row[tok] = row.get(tok, 0) + 1
     # every window token lands in a row, so the rows' tokens are the
     # vocabulary
-    return CooccurrenceModel(rows, totals, set().union(*rows.values()), alpha, eta)
+    return CooccurrenceModel(rows, set().union(*rows.values()), alpha, eta)
 
 
-_NO_COUNTS: Mapping[str, int] = {}  # the row of an FQN with no counts
-
-
-def _fill_terms(model: CooccurrenceModel, fqn: str) -> _Terms:
-    """fqn's score terms, computed as the formula computes each summand;
-    memoized when fqn is a model FQN."""
-    row = model.rows.get(fqn, _NO_COUNTS)
-    alpha = model.smoothing_alpha
-    positive = frozenset(tok for tok, c in row.items() if c > 0)
-    try:
-        denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
-        # a nonpositive denom fails here too, dividing by zero or outside log's domain
-        unseen = math.log(alpha / denom)
-        summands = {tok: math.log((c + alpha) / denom) for tok, c in row.items() if c}
-    except (ArithmeticError, ValueError):
-        summands, unseen = None, 0.0
-    terms = (summands, positive, unseen)
-    if fqn in model.fqn_totals:
-        model._terms[fqn] = terms
-    return terms
-
-
-def _formula(model: CooccurrenceModel, window: Sequence[str], fqn: str) -> float:
-    """score(fqn) over the window, as the module docstring writes it: minus
-    infinity when the denominator is not positive, else the summands added
-    left to right, raising the first failure as it occurs."""
-    alpha = model.smoothing_alpha
-    denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
-    if denom <= 0:
-        return float("-inf")
-    row = model.rows.get(fqn, _NO_COUNTS)
-    total = 0.0
-    for tok in window:
-        total += math.log((row.get(tok, 0) + alpha) / denom)
-    return total
-
-
-def _score(
-    model: CooccurrenceModel, window: Sequence[str], fqn: str, terms: _Terms | None = None
-) -> float:
-    """score(fqn) over the window, from the terms given or else memoized."""
-    summands, _, unseen = terms or model._terms.get(fqn) or _fill_terms(model, fqn)
-    if summands is None:
-        return _formula(model, window, fqn)
+def _score(model: CooccurrenceModel, window: Sequence[str], fqn: str) -> float:
+    """score(fqn) over the window, from fqn's memoized terms, which its
+    first score fills. fqn is a model FQN with counts: `predict_topk`
+    scores no other."""
+    terms = model._terms.get(fqn)
+    if terms is None:
+        row = model.rows[fqn]
+        alpha = model.smoothing_alpha
+        denom = model.fqn_totals[fqn] + alpha * len(model.vocabulary)
+        terms = model._terms[fqn] = (
+            {tok: math.log((c + alpha) / denom) for tok, c in row.items()},
+            math.log(alpha / denom),
+        )
+    summands, unseen = terms
     # a plain loop: from Python 3.12, sum() of floats is compensated, so it
     # would not give the formula's float
     total = 0.0
@@ -252,14 +251,13 @@ def predict_topk(
     """Rank model-known FQNs whose simple name matches the target; given a
     kb, only those the kb holds.
 
-    Candidates with no positive count against any window token are dropped
-    before they are scored; the rest are ordered by score, ties broken by
+    Candidates whose row counts no window token are dropped before they
+    are scored; the rest are ordered by score, ties broken by
     lexicographically smaller FQN. Returns at most k (fqn, score) pairs. An
     empty model, or a target name with no candidate, yields an empty list
     without building the context window. A candidate's score does not
     depend on the others, so the ranking with a kb is the ranking without
-    one, less the FQNs outside the kb, as long as no FQN outside it fails
-    to score.
+    one, less the FQNs outside the kb.
     """
     if k <= 0:
         return []
@@ -269,21 +267,19 @@ def predict_topk(
         # the kb keys an FQN by the model's simple-name rule, so those of
         # its FQNs the model knows are the model's FQNs of this name in kb
         fqns = kb.candidates_for(target.simple_name)
-    totals = model.fqn_totals
-    memo = model._terms  # holds model FQNs only
+    rows = model.rows
     window: list[str] | None = None  # built at the first known candidate
     scored: list[tuple[str, float]] = []
     for fqn in fqns:
-        terms = memo.get(fqn)
-        if terms is None:
-            if fqn not in totals:
-                continue
-            terms = _fill_terms(model, fqn)
+        row = rows.get(fqn)
+        if row is None:
+            continue
         if window is None:
             window = context_window(aug, target, model.window_eta)
-        if terms[1].isdisjoint(window):
+        # evidence first, so an empty row is never scored
+        if row.keys().isdisjoint(window):
             continue
-        scored.append((fqn, _score(model, window, fqn, terms)))
+        scored.append((fqn, _score(model, window, fqn)))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 
@@ -504,21 +500,18 @@ _scan_token = json.decoder.scanstring
 def dump_model(model: CooccurrenceModel) -> str:
     """Serialize as a header line plus sorted, tab-delimited count records.
 
-    Count records are sorted by (token, fqn), and only positive counts are
-    written. Tokens are JSON-escaped because lexemes (string literals) may
-    contain spaces, tabs or newlines; each is written exactly as
-    `json.dumps` writes it. Each distinct token is encoded once, as
-    `load_model` decodes each once. Deterministic: equal models dump
-    identically.
+    Count records are sorted by (token, fqn), and an FQN with an empty row
+    is written as an `fqn` record after them, in FQN order. Tokens are
+    JSON-escaped because lexemes (string literals) may contain spaces, tabs
+    or newlines; each is written exactly as `json.dumps` writes it. Each
+    distinct token is encoded once, as `load_model` decodes each once.
+    Deterministic: equal models dump identically.
 
-    Raises ValueError for a model whose dump `load_model` would refuse: a
-    count that is not an int, a written token that is not a str or that
-    loads back as another token (a lone high surrogate followed by a lone
-    low one), an FQN that is not a str or holds a tab or line break, a row
-    whose positive counts total beyond float range, or an alpha beyond
-    float range.
-    Zero and negative counts are not written, and the totals are not
-    checked against the rows.
+    Raises ValueError for a model whose dump `load_model` would refuse
+    beyond what the constructor refuses: a count that is not an int (a
+    bool), a token that is not a str or that loads back as another token
+    (a lone high surrogate followed by a lone low one), an FQN that is not
+    a str or holds a tab or line break, or an alpha beyond float range.
     """
     if model.smoothing_alpha > sys.float_info.max:
         raise ValueError("cannot dump model: alpha is beyond float range")
@@ -528,30 +521,14 @@ def dump_model(model: CooccurrenceModel) -> str:
     # a row holds a token once, so sorting each token's (fqn, n) pairs
     # orders the records by (token, fqn)
     by_token: dict[str, list[tuple[str, int]]] = {}
-    # an FQN with no positive count writes no count record, but must still
-    # exist after a round-trip
-    counted: set[str] = set()
     for fqn, row in model.rows.items():
         _check_dump_fqn(fqn)
-        total = 0
         for tok, n in row.items():
             if type(n) is not int:
                 raise ValueError(
                     f"cannot dump model: count {n!r:.80} of {_shown(fqn)} is not an int"
                 )
-            if n > 0:
-                by_token.setdefault(tok, []).append((fqn, n))
-                total += n
-        if total:
-            counted.add(fqn)
-            if total > sys.float_info.max:
-                raise ValueError(
-                    f"cannot dump model: total count of {_shown(fqn)} is beyond"
-                    " float range"
-                )
-    for fqn in model.fqn_totals:
-        if fqn not in model.rows:
-            _check_dump_fqn(fqn)
+            by_token.setdefault(tok, []).append((fqn, n))
     for tok in by_token:
         if not isinstance(tok, str):
             raise ValueError(f"cannot dump model: token {tok!r:.80} is not a str")
@@ -568,9 +545,7 @@ def dump_model(model: CooccurrenceModel) -> str:
         pairs.sort()
         for fqn, n in pairs:
             append(f"{head}{fqn}\t{n}")
-    for fqn in sorted(model.fqn_totals):
-        if fqn not in counted:
-            append(f"fqn\t{fqn}")
+    lines += sorted(f"fqn\t{fqn}" for fqn, row in model.rows.items() if not row)
     return "\n".join(lines) + "\n"
 
 
@@ -593,14 +568,6 @@ class ModelFormatError(ValueError):
     pass
 
 
-def _shown(record: str) -> str:
-    """A record as an error message quotes it: its first 80 characters at
-    most, so a huge malformed record still gives a short error line."""
-    if len(record) <= 80:
-        return repr(record)
-    return f"{record[:80]!r}... ({len(record)} characters)"
-
-
 def load_model(path: str | Path) -> CooccurrenceModel:
     """Parse a model file as `dump_model` writes it.
 
@@ -608,14 +575,15 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     tab-separated `alpha=<float>` and `eta=<int>` fields (1.0 and 2 if
     absent). Each later line is a record: `count<TAB><token><TAB><fqn><TAB><n>`
     adds a positive int n to the FQN's count of the token, `fqn<TAB><fqn>`
-    makes the FQN known without counts, and empty lines and lines starting
-    with `#` are skipped. A token is one JSON string, read as `json.loads`
-    reads it. An FQN's total is the sum of its counts.
+    makes the FQN known without counts (an empty row), and empty lines and
+    lines starting with `#` are skipped. A token is one JSON string, read
+    as `json.loads` reads it.
 
     Raises ModelFormatError as `<path>:<line>: <message>` for text that is
     not UTF-8, a missing or bad header, a bad record or a nonpositive
-    count, and as
-    `<path>: <message>` for an FQN whose total is beyond float range.
+    count, and as `<path>: <message>` for what the model's constructor
+    refuses: an FQN whose total is beyond float range, or an alpha whose
+    log term fails at the largest total.
     """
     text = read_utf8(path, ModelFormatError)
 
@@ -641,10 +609,12 @@ def load_model(path: str | Path) -> CooccurrenceModel:
         _check_settings(alpha, eta)
     except ValueError as exc:
         raise bad(1, str(exc)) from None
+    # a counted FQN's row opens at its first count, and the FQNs of fqn
+    # records get empty rows after the parse, so the constructor meets
+    # the counted rows in first-count order and names the first total
+    # beyond float range as the file orders them
     rows: dict[str, dict[str, int]] = {}
-    # an FQN enters totals at its first record, so totals keeps first-seen
-    # order; the totals of counted FQNs are summed after the parse
-    totals: dict[str, int] = {}
+    known: list[str] = []
     # few distinct tokens stand in many records; a bad one never enters, so
     # the decoded tokens are the vocabulary
     decoded: dict[str, str] = {}
@@ -675,19 +645,14 @@ def load_model(path: str | Path) -> CooccurrenceModel:
                 # later records of this FQN find its row, so its string is
                 # kept once
                 row = rows[fqn] = {}
-                totals.setdefault(fqn, 0)
             row[tok] = row.get(tok, 0) + n
         elif len(parts) == 2 and parts[0] == "fqn":
-            totals.setdefault(parts[1], 0)
+            known.append(parts[1])
         elif line and line[0] != "#":
             raise bad(lineno, f"bad record {_shown(line)}")
-    for fqn, row in rows.items():
-        total = totals[fqn] = sum(row.values())
-        # every count is at most its FQN's total, so this bounds them all:
-        # a count float() cannot hold would fail every score of the FQN
-        if total > sys.float_info.max:
-            raise ModelFormatError(
-                f"{path}: total count of {_shown(fqn)} is beyond float range"
-            )
-    vocabulary = set(decoded.values())
-    return CooccurrenceModel(rows, totals, vocabulary, alpha, eta)
+    for fqn in known:
+        rows.setdefault(fqn, {})
+    try:
+        return CooccurrenceModel(rows, set(decoded.values()), alpha, eta)
+    except ValueError as exc:  # a total or an alpha no line alone holds
+        raise ModelFormatError(f"{path}: {exc}") from None

@@ -447,3 +447,21 @@ def test_eval_refuses_a_truth_file_with_a_byte_order_mark(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err.startswith(f"error: {truth}:1: bad element key ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--include-string"]], ids=["default", "include-string"])
+def test_eval_refuses_a_truth_key_that_names_no_element(tmp_path, capsys, flags):
+    # a well-formed key that names no element would otherwise score as a miss
+    corpus = tmp_path / "corpus"
+    shutil.copytree(FIXTURES / "corpus", corpus)
+    truth = corpus / "gwt" / "1318732.truth"
+    text = truth.read_text(encoding="utf-8")
+    assert "Composite[1,1]\t" in text
+    truth.write_text(text.replace("Composite[1,1]\t", "Composite[9,1]\t"), encoding="utf-8")
+    argv = ["eval", str(corpus), "--kb", KB_PATH, "--engine", "constraint", *flags]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: truth key Composite[9,1] matches no identified element in gwt/1318732"
+    ]

@@ -8,13 +8,11 @@ from fqninfer.kb import (
     MethodSig,
     TypeEntry,
     UnknownTypeError,
-    collect_candidate_types,
     field_in_knowledge,
     method_in_knowledge,
     reduce_kb,
     supertype_closure,
 )
-from fqninfer.stat import CandidateList
 
 MINI = """\
 # mini knowledge base used across these tests
@@ -355,22 +353,6 @@ def test_field_in_knowledge(tmp_path):
     assert field_in_knowledge(kb, "com.acme.ui.Panel", "MARGIN") is not None
     assert field_in_knowledge(kb, "com.acme.ui.Panel", "MARGIN", True) is not None
     assert field_in_knowledge(kb, "com.acme.ui.Widget", "MARGIN") is None
-
-
-def test_collect_candidate_types_union():
-    e1, e2, e3 = "el1", "el2", "el3"
-    stat = {
-        e1: CandidateList(("a.X", "b.X")),
-        e2: CandidateList(("c.Y",)),
-        e3: CandidateList(()),
-    }
-    typed = {e1: "e.X", e3: "a.X"}
-    got = collect_candidate_types(stat, typed)
-    assert got == frozenset({"a.X", "b.X", "c.Y", "e.X"})
-
-
-def test_collect_candidate_types_empty():
-    assert collect_candidate_types({}, {}) == frozenset()
 
 
 def test_reduce_kb_keeps_closure_and_identity(tmp_path):

@@ -20,9 +20,14 @@ from fqninfer import (
     serialize_trace,
 )
 from fqninfer.constraint import ConstraintResult, extract_constraints, solve
-from fqninfer.kb import KnowledgeBase, collect_candidate_types, reduce_kb
+from fqninfer.kb import KnowledgeBase, reduce_kb
 from fqninfer import orchestrator, tokenize
-from fqninfer.orchestrator import RoundRecord, check_stable, combine
+from fqninfer.orchestrator import (
+    RoundRecord,
+    check_stable,
+    collect_candidate_types,
+    combine,
+)
 from fqninfer.snippet import augment, identify_api_elements, plain
 from fqninfer.stat import CandidateList, predict_all
 
@@ -53,6 +58,22 @@ def test_check_stable_requires_identical_rankings():
     r1 = _record(1, {a: "com.a.X"}, {a: ("com.a.X", "org.b.X")})
     r2 = _record(2, {a: "com.a.X"}, {a: ("org.b.X", "com.a.X")})
     assert not check_stable(r1, r2)
+
+
+def test_collect_candidate_types_union():
+    e1, e2, e3 = _el("A", 0), _el("B", 1), _el("C", 2)
+    stat = {
+        e1: CandidateList(("a.X", "b.X")),
+        e2: CandidateList(("c.Y",)),
+        e3: CandidateList(()),
+    }
+    typed = {e1: "e.X", e3: "a.X"}
+    got = collect_candidate_types(stat, typed)
+    assert got == frozenset({"a.X", "b.X", "c.Y", "e.X"})
+
+
+def test_collect_candidate_types_empty():
+    assert collect_candidate_types({}, {}) == frozenset()
 
 
 def test_combine_prefers_latest_constraint_answer():

@@ -1085,12 +1085,9 @@ def test_stat_score_dominance():
         pad = deficit + rng.randint(0, 3)
         if pad:
             counts[(outside[0], g)] = pad
+        rows = _rows(counts)
         model = CooccurrenceModel(
-            rows=_rows(counts),
-            fqn_totals={
-                f: sum(v for (t, q), v in counts.items() if q == f),
-                g: sum(v for (t, q), v in counts.items() if q == g),
-            },
+            rows={f: rows.get(f, {}), g: rows.get(g, {})},
             vocabulary=set(vocab),
             smoothing_alpha=rng.choice((0.5, 1.0, 2.0)),
         )
@@ -1107,9 +1104,7 @@ def test_stat_score_dominance():
 def _formula_score(model, window, fqn):
     """Reference: the smoothed log score, one summand per window token."""
     alpha = model.smoothing_alpha
-    denom = model.fqn_totals.get(fqn, 0) + alpha * len(model.vocabulary)
-    if denom <= 0:
-        return float("-inf")
+    denom = sum(model.rows[fqn].values()) + alpha * len(model.vocabulary)
     counts = model.counts
     total = 0.0
     for tok in window:
@@ -1148,29 +1143,36 @@ def _outcome(fn, *args):
 _SCORE_TOKENS = ("w0", "w1", "w2", "w3", "w4", '"s"', "7")
 
 
+def _random_score_model(rng, fqns):
+    """A model as the constructor accepts it, over fqns: positive counts,
+    some empty rows, a vocabulary holding the rows' tokens and more, and
+    non-integer alphas."""
+    rows = {}
+    for fqn in fqns:
+        toks = rng.sample(_SCORE_TOKENS, rng.choice((0, 0, 1, 2, 3, 5)))
+        rows[fqn] = {tok: rng.choice((1, 1, 2, 3, 7, 40)) for tok in toks}
+    vocabulary = set().union(*rows.values())
+    vocabulary.update(rng.sample(_SCORE_TOKENS + ("x", "y"), rng.randint(0, 3)))
+    alpha = rng.choice((0.5, 1.0, 1.7, 2.25, 3, 1e-300))
+    return CooccurrenceModel(rows, vocabulary, alpha, rng.randint(0, 1))
+
+
+def _random_target_fqns(rng):
+    fqns = [f"{pkg}.Target" for pkg in rng.sample(_PACKAGES, rng.randint(1, 3))]
+    return fqns + rng.sample(("p.Other", "Target", "q.Target.Inner"), rng.randint(0, 2))
+
+
 def test_ranking_scores_are_the_formula_bit_for_bit():
-    """Hand-built models the trainer never makes: non-integer alpha, an
-    empty vocabulary, stored zero and negative counts (some below -alpha,
-    outside log's domain), totals that make the denominator nonpositive,
-    repeated window tokens and window tokens the model has never seen."""
+    """Random models the constructor accepts: positive counts, empty rows,
+    vocabularies holding the rows' tokens and more, non-integer alphas
+    (one of them tiny), repeated window tokens and window tokens the model
+    has never seen. The ranking is the evidence-first formula's, float bit
+    for float bit, and no score raises."""
     rng = random.Random(9014)
-    raised = 0
+    empty = dropped = 0
     for case in range(2000):
-        fqns = [f"{pkg}.Target" for pkg in rng.sample(_PACKAGES, rng.randint(1, 3))]
-        fqns += rng.sample(("p.Other", "Target", "q.Target.Inner"), rng.randint(0, 2))
-        counts = {}
-        for _ in range(rng.randint(0, 12)):
-            key = (rng.choice(_SCORE_TOKENS), rng.choice(fqns))
-            counts[key] = rng.choice((-4, -2, -1, 0, 0, 1, 1, 2, 3, 7))
-        totals = {f: rng.choice((0, 1, 5, 12, -3, -40)) for f in fqns}
-        vocabulary = set(rng.sample(_SCORE_TOKENS, rng.randint(0, len(_SCORE_TOKENS) - 2)))
-        model = CooccurrenceModel(
-            rows=_rows(counts),
-            fqn_totals=totals,
-            vocabulary=vocabulary,
-            smoothing_alpha=rng.choice((0.5, 1.0, 1.7, 2.25, 3, 5e-324)),
-            window_eta=rng.randint(0, 1),
-        )
+        fqns = _random_target_fqns(rng)
+        model = _random_score_model(rng, fqns)
         # the target on line 1, window tokens on lines 1 and 2, with repeats
         words = [rng.choice(_SCORE_TOKENS + ("unseen",)) for _ in range(rng.randint(0, 10))]
         cut = rng.randint(0, len(words))
@@ -1180,75 +1182,62 @@ def test_ranking_scores_are_the_formula_bit_for_bit():
         window = context_window(aug, target, model.window_eta)
         k = rng.randint(0, 4)
         want = _outcome(_evidence_first_topk, model, window, "Target", k)
+        assert want[0] == "returned", (case, model, window)
         assert _outcome(predict_topk, model, aug, target, k) == want, (case, model, window)
-        raised += want[0] == "raised"
         for fqn in fqns:
+            row = model.rows[fqn]
+            empty += not row
+            if row.keys().isdisjoint(window):
+                dropped += 1
+                continue
             assert _outcome(lambda: _score(model, window, fqn)) == _outcome(
                 _formula_score, model, window, fqn
             ), (case, fqn)
-    assert raised >= 50, raised
+    assert empty >= 1000 and dropped >= 2000, (empty, dropped)
 
 
 def test_memoized_terms_score_as_the_formula_on_every_call():
     """One model instance scores each FQN again and again over shuffled
     windows, so every score after the first reads the terms that an
-    earlier one memoized, even when that one raised. Models are hand-built
-    as in the bit-for-bit test: stored zero counts, counts outside log's
-    domain and nonpositive denominators. Every outcome, of `_score` and of
-    `predict_topk`, is the formula's on a fresh model: the same float bits,
-    or the same exception type and message."""
+    earlier one memoized. Models are random as in the bit-for-bit test.
+    Every outcome, of `_score` and of `predict_topk`, is the formula's on
+    a fresh model, to the float bit. Only FQNs with evidence are scored, so
+    an empty row never enters the memo."""
     rng = random.Random(9019)
-    raised_then_scored = nonpositive = zero_scored = 0
+    memo_hits = 0
     for case in range(400):
-        fqns = [f"{pkg}.Target" for pkg in rng.sample(_PACKAGES, rng.randint(1, 3))]
-        fqns += rng.sample(("p.Other", "Target", "q.Target.Inner"), rng.randint(0, 2))
-        counts = {}
-        for _ in range(rng.randint(0, 12)):
-            key = (rng.choice(_SCORE_TOKENS), rng.choice(fqns))
-            counts[key] = rng.choice((-4, -2, -1, 0, 0, 1, 1, 2, 3, 7))
-        totals = {f: rng.choice((0, 1, 5, 12, -3, -40)) for f in fqns}
-        vocabulary = set(rng.sample(_SCORE_TOKENS, rng.randint(0, len(_SCORE_TOKENS) - 2)))
-        settings = (rng.choice((0.5, 1.0, 1.7, 2.25, 3, 5e-324)), rng.randint(0, 1))
+        fqns = _random_target_fqns(rng)
+        model = _random_score_model(rng, fqns)
 
         def build():
             return CooccurrenceModel(
-                _rows(counts), dict(totals), set(vocabulary), *settings
+                {fqn: dict(row) for fqn, row in model.rows.items()},
+                set(model.vocabulary), model.smoothing_alpha, model.window_eta,
             )
 
-        model = build()
         base = [rng.choice(_SCORE_TOKENS + ("unseen",)) for _ in range(rng.randint(1, 10))]
-        failed = set()
         for call in range(6):
-            # a shuffled part of the same tokens, so a token that made an
-            # earlier score raise may be missing from a later window
+            # a shuffled part of the same tokens
             window = rng.sample(base, rng.randint(0, len(base)))
             sn = tokenize(" ".join(["Target"] + window))
             aug = plain(sn)
             target = ApiElement("Target", 1, 1, 0)
             assert context_window(aug, target, model.window_eta) == window
             fresh = build()
-            # and an FQN the model does not know, which it scores unmemoized
-            for fqn in rng.sample(fqns, len(fqns)) + ["zz.Target"]:
-                want = _outcome(_formula_score, fresh, window, fqn)
-                got = _outcome(lambda: _score(model, window, fqn))
-                assert got == want, (case, call, fqn, window)
-                if want[0] == "raised":
-                    failed.add(fqn)
-                elif fqn in failed:
-                    raised_then_scored += 1
-                nonpositive += totals.get(fqn, 0) + settings[0] * len(vocabulary) <= 0
-                zero_scored += any(
-                    n == 0 and q == fqn and t in window for (t, q), n in counts.items()
-                )
             k = rng.randint(1, 4)
             want = _outcome(_evidence_first_topk, fresh, window, "Target", k)
             got = _outcome(predict_topk, model, aug, target, k)
             assert got == want, (case, call, window)
+            for fqn in rng.sample(fqns, len(fqns)):
+                if not model.rows[fqn]:
+                    continue
+                memo_hits += fqn in model._terms
+                want = _outcome(_formula_score, fresh, window, fqn)
+                got = _outcome(lambda: _score(model, window, fqn))
+                assert got == want, (case, call, fqn, window)
         # one entry per model FQN scored, and no other
-        assert set(model._terms) == set(fqns), case
-    assert raised_then_scored >= 100, raised_then_scored
-    assert nonpositive >= 500, nonpositive
-    assert zero_scored >= 200, zero_scored
+        assert set(model._terms) == {f for f in fqns if model.rows[f]}, case
+    assert memo_hits >= 2000, memo_hits
 
 
 _TARGET_FQNS = tuple(f"{pkg}.Target" for pkg in _PACKAGES + ("gg.hh", "ii", "jj.kk")) + (
@@ -1270,31 +1259,23 @@ def _kb_of(fqns):
 
 def test_kb_restricted_ranking_is_the_filtered_ranking():
     """Seeded models whose FQNs of one simple name lie in and out of a
-    random KB, with stored zero counts, tied scores and repeated window
+    random KB, with empty rows, tied scores and repeated window
     tokens: ranking only the KB's FQNs gives the full ranking less the
     FQNs outside the KB, score for score, and `predict_all` gives the
     KB-filtered full ranking wherever the fetch of k + len(kb) reaches
-    every KB FQN. Counts outside log's domain (which raise) are given only
-    to KB FQNs, so both rankings raise together."""
+    every KB FQN."""
     rng = random.Random(9018)
-    compared = raised = dropped = 0
+    compared = dropped = 0
     for case in range(1500):
         kb = _kb_of(rng.sample(_TARGET_FQNS, rng.randint(0, 5)))
         fqns = rng.sample(_TARGET_FQNS, rng.randint(1, len(_TARGET_FQNS)))
-        counts = {}
+        # FQNs without a count keep an empty row, and equal rows tie
+        rows = {f: {} for f in fqns}
         for _ in range(rng.randint(0, 16)):
-            fqn = rng.choice(fqns)
-            values = (-4, -1, 0, 1, 2, 2, 3) if fqn in kb else (0, 0, 1, 2, 2, 3)
-            counts[(rng.choice(_SCORE_TOKENS), fqn)] = rng.choice(values)
-        rows = _rows(counts)
-        if rng.random() < 0.5:  # as trained: equal rows tie
-            totals = {f: sum(rows.get(f, {}).values()) for f in fqns}
-        else:
-            totals = {f: rng.choice((0, 2, 5, 12, -3)) for f in fqns}
+            rows[rng.choice(fqns)][rng.choice(_SCORE_TOKENS)] = rng.choice((1, 2, 2, 3))
         model = CooccurrenceModel(
             rows=rows,
-            fqn_totals=totals,
-            vocabulary=set(rng.sample(_SCORE_TOKENS, rng.randint(1, len(_SCORE_TOKENS)))),
+            vocabulary=set(_SCORE_TOKENS),
             smoothing_alpha=rng.choice((0.5, 1.0, 1.7, 3)),
             window_eta=rng.randint(0, 1),
         )
@@ -1304,13 +1285,10 @@ def test_kb_restricted_ranking_is_the_filtered_ranking():
         target = ApiElement("Target", 1, 1, 0)
         aug = plain(sn)
         full = _outcome(predict_topk, model, aug, target, len(_TARGET_FQNS))
-        raised += full[0] == "raised"
-        dropped += full[0] == "returned" and any(f not in kb for f, _ in full[1])
+        dropped += any(f not in kb for f, _ in full[1])
         assert _outcome(predict_topk, model, aug, target, 0, kb) == ("returned", []), case
         for n in range(1, 5):
-            want = full if full[0] == "raised" else (
-                "returned", [pair for pair in full[1] if pair[0] in kb][:n]
-            )
+            want = ("returned", [pair for pair in full[1] if pair[0] in kb][:n])
             got = _outcome(predict_topk, model, aug, target, n, kb)
             assert got == want, (case, n, model, kb.entries.keys())
         outside = [f for f in model.known_fqns_named("Target") if f not in kb]
@@ -1323,23 +1301,24 @@ def test_kb_restricted_ranking_is_the_filtered_ranking():
             ))
             got = _kept(lambda: predict_all(model, aug, [target], kb, k)[target])
             assert got == want, (case, k, model, kb.entries.keys())
-    assert compared >= 300 and raised >= 30 and dropped >= 300, (compared, raised, dropped)
+    assert compared >= 300 and dropped >= 300, (compared, dropped)
 
 
 def test_kb_restricted_ranking_does_not_score_fqns_outside_the_kb():
-    # a count outside log's domain fails the ranking of every FQN, but only
-    # the KB's FQNs are ranked for predict_all
+    # the memo holds an entry per FQN scored: given the KB, only its FQN
     model = CooccurrenceModel(
-        rows={"zzz.Target": {"w0": 2, "w1": -4}, "aa.bb.Target": {"w0": 1}},
-        fqn_totals={"zzz.Target": 8, "aa.bb.Target": 1},
+        rows={"zzz.Target": {"w0": 2, "w1": 4}, "aa.bb.Target": {"w0": 1}},
         vocabulary={"w0", "w1"},
     )
     kb = _kb_of(["aa.bb.Target"])
     aug = plain(tokenize("Target w0 w1"))
     target = ApiElement("Target", 1, 1, 0)
-    with pytest.raises(ValueError):
-        predict_topk(model, aug, target, 5)
     assert predict_all(model, aug, [target], kb, 1)[target].ranked == ("aa.bb.Target",)
+    assert set(model._terms) == {"aa.bb.Target"}
+    assert [f for f, _ in predict_topk(model, aug, target, 5)] == [
+        "zzz.Target", "aa.bb.Target"
+    ]
+    assert set(model._terms) == {"aa.bb.Target", "zzz.Target"}
 
 
 # ---------------------------------------------------------------------------
@@ -1375,7 +1354,7 @@ def test_known_fqns_named_matches_suffix_scan(tmp_path):
             ApiElement(f"T{n}", 1, 1, i): fqn
             for n, (i, fqn) in enumerate(zip(idents, fqns))
         }
-        built = CooccurrenceModel(fqn_totals=dict.fromkeys(fqns, 0))
+        built = CooccurrenceModel(rows={fqn: {} for fqn in fqns})
         trained = train([(sn, truth)], eta=rng.randint(0, 2))
         path.write_text(dump_model(trained), encoding="utf-8")
         loaded = load_model(path)
@@ -1412,9 +1391,8 @@ def test_simple_name_index_is_built_on_first_use(tmp_path, train_items):
 
 
 def _ref_dump_model(model):
-    """Reference: one sorted (token, fqn, n) tuple per positive count, each
-    token JSON-encoded, then an fqn record for each FQN with no positive
-    count."""
+    """Reference: one sorted (token, fqn, n) tuple per count, each token
+    JSON-encoded, then an fqn record for each FQN with no count."""
     lines = [
         f"{_HEADER_PREFIX}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
     ]
@@ -1422,7 +1400,6 @@ def _ref_dump_model(model):
         (tok, fqn, n)
         for fqn, row in model.rows.items()
         for tok, n in row.items()
-        if n > 0
     )
     lines += [f"count\t{json.dumps(tok)}\t{fqn}\t{n}" for tok, fqn, n in records]
     counted = {fqn for _, fqn, _ in records}
@@ -1440,26 +1417,24 @@ _DUMP_TOKENS = (
 _DUMP_FQNS = ("a.X", "a.X.Inner", "a.XY", "a.x", "b.X", "X", "a-b.X", "\u00e9.X")
 
 
+def _random_dump_rows(rng):
+    """Rows over awkward tokens and FQNs, some of them empty."""
+    rows = {}
+    for fqn in rng.sample(_DUMP_FQNS, rng.randint(0, 5)):
+        toks = rng.sample(_DUMP_TOKENS, rng.choice((0, 0, 1, 2, 4, 6)))
+        rows[fqn] = {tok: rng.choice((1, 2, 17, 10**20)) for tok in toks}
+    return rows
+
+
 def test_dump_matches_one_sorted_tuple_per_record():
-    """dump_model writes the reference's bytes for hand-built models the
-    trainer never makes: stored zeros, negative counts, empty rows, rows of
-    FQNs without a total and FQNs that have only a total."""
+    """dump_model writes the reference's bytes for random models: empty
+    rows, counts beyond 64 bits and tokens shared by several FQNs."""
     rng = random.Random(9017)
-    shapes = {"fqn-only": 0, "nonpositive": 0}
+    shapes = {"fqn-only": 0, "shared-token": 0}
     for case in range(1000):
-        rows = {}
-        for fqn in rng.sample(_DUMP_FQNS, rng.randint(0, 5)):
-            toks = rng.sample(_DUMP_TOKENS, rng.randint(0, 6))
-            rows[fqn] = {
-                tok: rng.choice((-3, -1, 0, 0, 1, 2, 17, 10**20)) for tok in toks
-            }
-        totals = {
-            fqn: rng.choice((0, 3, -2))
-            for fqn in rng.sample(_DUMP_FQNS, rng.randint(0, len(_DUMP_FQNS)))
-        }
+        rows = _random_dump_rows(rng)
         model = CooccurrenceModel(
             rows=rows,
-            fqn_totals=totals,
             vocabulary={tok for row in rows.values() for tok in row},
             smoothing_alpha=rng.choice((0.5, 1.0, 2.25, 3)),
             window_eta=rng.randint(0, 3),
@@ -1467,32 +1442,23 @@ def test_dump_matches_one_sorted_tuple_per_record():
         want = _ref_dump_model(model)
         assert dump_model(model) == want, case
         shapes["fqn-only"] += "\nfqn\t" in want
-        shapes["nonpositive"] += any(
-            n <= 0 for row in rows.values() for n in row.values()
-        )
+        shapes["shared-token"] += len(model.counts) > len(model.vocabulary)
     assert min(shapes.values()) >= 300, shapes
 
 
-# one value of each kind dump_model refuses, as the error names it
+# one value of each kind dump_model refuses, as the error names it; the
+# constructor refuses every other bad count
 _DUMP_DEFECTS = {
-    "count": (1.5, True, 2.0, -0.5, "3"),
+    "count": (True,),
     "token": (5, None, ("t",)),
     "FQN": ("a.X\tY", "a\nX", "a.X\r", "\r"),
-    "total count": (10**308,),
 }
 
 
 def _random_dump_model(rng):
-    """A hand-built model shaped like the dump reference's, with one defect
+    """A random model shaped like the dump reference's, with one defect
     planted in about half the cases: (model, the defect's kind or None)."""
-    rows = {}
-    for fqn in rng.sample(_DUMP_FQNS, rng.randint(0, 5)):
-        toks = rng.sample(_DUMP_TOKENS, rng.randint(0, 6))
-        rows[fqn] = {tok: rng.choice((-3, -1, 0, 0, 1, 2, 17, 10**20)) for tok in toks}
-    totals = {
-        fqn: rng.choice((0, 3, -2))
-        for fqn in rng.sample(_DUMP_FQNS, rng.randint(0, len(_DUMP_FQNS)))
-    }
+    rows = _random_dump_rows(rng)
     defect = rng.choice((None, None, None, *_DUMP_DEFECTS))
     if defect is not None:
         bad = rng.choice(_DUMP_DEFECTS[defect])
@@ -1501,17 +1467,14 @@ def _random_dump_model(rng):
             row[rng.choice(_DUMP_TOKENS)] = bad
         elif defect == "token":
             row[bad] = rng.randint(1, 3)
-        elif defect == "FQN":
-            (rows if rng.random() < 0.5 else totals)[bad] = (
-                {"t": rng.choice((-1, 0, 2))} if rng.random() < 0.5 else 0
-            )
         else:
-            row.update({"a": bad, "b": bad})
+            rows[bad] = {"t": 2} if rng.random() < 0.5 else {}
+    # as trained, the vocabulary holds the rows' tokens, so the loaded
+    # model's denominators are the model's
     model = CooccurrenceModel(
         rows=rows,
-        fqn_totals=totals,
-        vocabulary=set(),
-        smoothing_alpha=rng.choice((0.5, 1.0, 2.25, 3, 5e-324, 1.7976931348623157e308)),
+        vocabulary={tok for row in rows.values() for tok in row},
+        smoothing_alpha=rng.choice((0.5, 1.0, 2.25, 3, 1e-300, 1e300)),
         window_eta=rng.randint(0, 3),
     )
     return model, defect
@@ -1519,8 +1482,7 @@ def _random_dump_model(rng):
 
 def test_every_model_dump_model_accepts_round_trips(tmp_path):
     """dump_model refuses each planted defect with one ValueError line, and
-    any other hand-built model's dump loads and dumps again to the same
-    text. An int alpha loads as its float, so only its header's number
+    any other model's dump loads and dumps again to the same text. An int alpha loads as its float, so only its header's number
     changes (alpha=3 becomes alpha=3.0)."""
     rng = random.Random(2107)
     path = tmp_path / "model.tsv"
@@ -1681,7 +1643,7 @@ def _ref_load_model(path):
     except ValueError as exc:
         raise bad(1, str(exc)) from None
     rows = {}
-    totals = {}
+    known = []
     vocabulary = set()
     decoded = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -1704,13 +1666,17 @@ def _ref_load_model(path):
                 raise bad(lineno, "nonpositive count")
             row = rows.setdefault(fqn, {})
             row[tok] = row.get(tok, 0) + n
-            totals[fqn] = totals.get(fqn, 0) + n
             vocabulary.add(tok)
         elif parts[0] == "fqn" and len(parts) == 2:
-            totals.setdefault(parts[1], 0)
+            known.append(parts[1])
         else:
             raise bad(lineno, f"bad record {_shown(line)}")
-    return CooccurrenceModel(rows, totals, vocabulary, alpha, eta)
+    for fqn in known:
+        rows.setdefault(fqn, {})
+    try:
+        return CooccurrenceModel(rows, vocabulary, alpha, eta)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def _kb_outcome(parse, text):

@@ -134,25 +134,23 @@ def test_train_keeps_fqn_with_empty_window():
     assert context_window(plain(sn), label, 0) == []
     model = train([(sn, {label: "com.x.Label"})], eta=0)
     assert model.fqn_totals == {"com.x.Label": 0}
-    assert model.rows == {}
+    assert model.rows == {"com.x.Label": {}}
     assert model.known_fqns_named("Label") == ("com.x.Label",)
 
 
 def _reference_train(corpus, eta=2, alpha=1.0):
     """The per-element leave-one-out loop: one augmentation per truth
     element, with every other truth element substituted."""
-    rows, totals, vocabulary = {}, {}, set()
+    rows, vocabulary = {}, set()
     for snippet, truth in corpus:
         for e, fqn in truth.items():
             others = {o: f for o, f in truth.items() if o != e}
             aug = augment(snippet, others)
-            totals.setdefault(fqn, 0)
+            row = rows.setdefault(fqn, {})
             for tok in context_window(aug, e, eta):
-                row = rows.setdefault(fqn, {})
                 row[tok] = row.get(tok, 0) + 1
-                totals[fqn] += 1
                 vocabulary.add(tok)
-    return CooccurrenceModel(rows, totals, vocabulary, alpha, eta)
+    return CooccurrenceModel(rows, vocabulary, alpha, eta)
 
 
 def _row_items(model):
@@ -247,16 +245,14 @@ def test_train_names_the_bad_key_of_a_larger_truth():
 
 
 def test_known_fqns_named_suffix_match():
-    model = CooccurrenceModel(
-        fqn_totals={"com.a.Label": 1, "org.b.Label": 1, "com.a.NotLabel": 1, "Label": 1}
-    )
+    fqns = ("com.a.Label", "org.b.Label", "com.a.NotLabel", "Label")
+    model = CooccurrenceModel(rows={fqn: {} for fqn in fqns})
     assert model.known_fqns_named("Label") == ("Label", "com.a.Label", "org.b.Label")
 
 
 def test_score_candidate_matches_hand_computation():
     model = CooccurrenceModel(
         rows=_rows({("tok", "com.a.X"): 3}),
-        fqn_totals={"com.a.X": 3},
         vocabulary={"tok", "other"},
         smoothing_alpha=1.0,
     )
@@ -266,26 +262,19 @@ def test_score_candidate_matches_hand_computation():
     assert got == pytest.approx(want)
 
 
-def test_score_candidate_empty_model_is_minus_inf():
-    model = CooccurrenceModel()
-    assert _score(model, ["a"], "com.a.X") == float("-inf")
-
-
 # ---------------------------------------------------------------------------
 # ranking
 
 
 def _ranking_model():
     # totals are balanced (5 each) so the ctx evidence alone decides
-    return CooccurrenceModel(
-        rows=_rows({
-            ("ctx", "com.a.Label"): 5,
-            ("ctx", "org.b.Label"): 1,
-            ("other", "org.b.Label"): 4,
-        }),
-        fqn_totals={"com.a.Label": 5, "org.b.Label": 5, "net.c.Label": 0},
-        vocabulary={"ctx", "other"},
-    )
+    rows = _rows({
+        ("ctx", "com.a.Label"): 5,
+        ("ctx", "org.b.Label"): 1,
+        ("other", "org.b.Label"): 4,
+    })
+    rows["net.c.Label"] = {}
+    return CooccurrenceModel(rows=rows, vocabulary={"ctx", "other"})
 
 
 def test_predict_topk_orders_by_score():
@@ -305,7 +294,6 @@ def test_predict_topk_drops_zero_evidence_candidates():
 def test_predict_topk_breaks_ties_lexicographically():
     model = CooccurrenceModel(
         rows=_rows({("ctx", "org.z.Same"): 2, ("ctx", "com.a.Same"): 2}),
-        fqn_totals={"org.z.Same": 2, "com.a.Same": 2},
         vocabulary={"ctx"},
     )
     sn, el = _single_element("Same x = ctx;", "Same")
@@ -375,7 +363,6 @@ def test_predict_all_survives_hallucinated_top_rank():
     # still emit the best KB-known candidate instead of going silent
     model = CooccurrenceModel(
         rows=_rows({("ctx", "zzz.fake.Label"): 9, ("ctx", "com.a.Label"): 1}),
-        fqn_totals={"zzz.fake.Label": 9, "com.a.Label": 1},
         vocabulary={"ctx"},
     )
     kb = _kb("com.a.Label")
@@ -389,11 +376,7 @@ def test_predict_all_keeps_a_kb_type_that_many_hallucinations_outrank():
     # k + len(kb) = 4 ranked FQNs once stopped before reaching it
     rows = {f"x{i}.Label": {"ctx": 9} for i in range(5)}
     rows["com.a.Label"] = {"ctx": 1, "other": 20}
-    model = CooccurrenceModel(
-        rows=rows,
-        fqn_totals={fqn: sum(row.values()) for fqn, row in rows.items()},
-        vocabulary={"ctx", "other"},
-    )
+    model = CooccurrenceModel(rows=rows, vocabulary={"ctx", "other"})
     kb = KnowledgeBase([TypeEntry(fqn="com.a.Label", kind="class", library="a")])
     sn, el = _single_element("Label x = ctx;", "Label")
     assert predict_all(model, plain(sn), [el], kb, k=3)[el].ranked == ("com.a.Label",)
@@ -402,7 +385,6 @@ def test_predict_all_keeps_a_kb_type_that_many_hallucinations_outrank():
 def test_predict_all_keys_in_token_order():
     model = CooccurrenceModel(
         rows=_rows({("shared", "com.a.Label"): 1, ("shared", "com.b.Button"): 1}),
-        fqn_totals={"com.a.Label": 1, "com.b.Button": 1},
         vocabulary={"shared"},
     )
     kb = _kb("com.a.Label", "com.b.Button")
@@ -712,7 +694,6 @@ def test_dump_escapes_awkward_tokens(tmp_path):
     toks = ('"two\twords"', "\U0001F600", "\ud83d", "\udfff\ud800", "a\ud800b")
     model = CooccurrenceModel(
         rows=_rows({(tok, "com.a.X"): 1 for tok in toks}),
-        fqn_totals={"com.a.X": len(toks)},
         vocabulary=set(toks),
     )
     path = tmp_path / "model.tsv"
@@ -721,62 +702,86 @@ def test_dump_escapes_awkward_tokens(tmp_path):
 
 
 def test_dump_keeps_zero_count_fqns(tmp_path):
-    model = CooccurrenceModel(fqn_totals={"com.a.Quiet": 0})
+    model = CooccurrenceModel(rows={"com.a.Quiet": {}})
     path = tmp_path / "model.tsv"
     save_model(model, path)
     assert load_model(path).fqn_totals == {"com.a.Quiet": 0}
 
 
 def test_dump_keeps_fqns_without_a_positive_count(tmp_path):
-    # a stored zero writes no count record, so its FQN needs an fqn record
-    model = CooccurrenceModel(
-        rows=_rows({("t", "a.X"): 0, ("u", "b.Y"): 2}),
-        fqn_totals={"a.X": 0, "b.Y": 2},
-        vocabulary={"t", "u"},
-    )
+    # an empty row writes no count record, so its FQN needs an fqn record
+    model = CooccurrenceModel(rows={"a.X": {}, "b.Y": {"u": 2}}, vocabulary={"u"})
+    assert dump_model(model).endswith('count\t"u"\tb.Y\t2\nfqn\ta.X\n')
     path = tmp_path / "model.tsv"
     save_model(model, path)
     loaded = load_model(path)
+    assert loaded == model
     assert loaded.known_fqns_named("X") == ("a.X",)
     assert loaded.fqn_totals == {"a.X": 0, "b.Y": 2}
-    assert loaded.rows == {"b.Y": {"u": 2}}
 
 
 @pytest.mark.parametrize(
-    "rows, totals, alpha, match",
+    "rows, alpha, match",
     [
         # load_model reads a count with int() and a token as a JSON string
-        ({"a.X": {"t": 1.5}}, {}, 1.0, r"count 1\.5 of 'a\.X' is not an int"),
-        ({"a.X": {"t": True}}, {}, 1.0, r"count True of 'a\.X' is not an int"),
-        ({"a.X": {"t": -0.5}}, {}, 1.0, r"count -0\.5 of 'a\.X' is not an int"),
-        ({"a.X": {"t": "3"}}, {}, 1.0, r"count '3' of 'a\.X' is not an int"),
-        ({"a.X": {5: 1}}, {}, 1.0, r"token 5 is not a str"),
-        ({"a.X": {"t": 1, None: 2}}, {}, 1.0, r"token None is not a str"),
+        ({"a.X": {"t": True}}, 1.0, r"count True of 'a\.X' is not an int"),
+        ({"a.X": {5: 1}}, 1.0, r"token 5 is not a str"),
+        ({"a.X": {"t": 1, None: 2}}, 1.0, r"token None is not a str"),
         # it splits records at tabs and reads with universal newlines
-        ({"a.X\tY": {"t": 1}}, {}, 1.0, r"FQN 'a\.X\\tY' holds a tab or line break"),
-        ({}, {"a.X\nY": 0}, 1.0, r"FQN 'a\.X\\nY' holds a tab or line break"),
-        ({"a.X\r": {"t": 0}}, {}, 1.0, r"FQN 'a\.X\\r' holds a tab or line break"),
-        ({5: {"t": 1}}, {}, 1.0, r"FQN 5 is not a str"),
-        # it refuses a total or an alpha that float() cannot hold
-        ({"a.X": {"a": 10**308, "b": 10**308, "c": -(10**308)}}, {}, 1.0,
-         r"total count of 'a\.X' is beyond float range"),
-        ({}, {}, 10**400, r"alpha is beyond float range"),
+        ({"a.X\tY": {"t": 1}}, 1.0, r"FQN 'a\.X\\tY' holds a tab or line break"),
+        ({"a.X\nY": {}}, 1.0, r"FQN 'a\.X\\nY' holds a tab or line break"),
+        ({"a.X\r": {"t": 1}}, 1.0, r"FQN 'a\.X\\r' holds a tab or line break"),
+        ({5: {"t": 1}}, 1.0, r"FQN 5 is not a str"),
+        # it refuses an alpha that float() cannot hold
+        ({}, 10**400, r"alpha is beyond float range"),
         # json.loads joins a high and a low surrogate escape into one character
-        ({"a.X": {"\ud800\udfff": 1}}, {}, 1.0,
+        ({"a.X": {"\ud800\udfff": 1}}, 1.0,
          r"token '\\ud800\\udfff' does not load back as itself"),
     ],
     ids=[
-        "float-count", "bool-count", "negative-float-count", "str-count",
-        "int-token", "none-token", "tab-fqn", "newline-total-fqn", "cr-fqn",
-        "int-fqn", "total", "alpha", "surrogate-pair-token",
+        "bool-count", "int-token", "none-token", "tab-fqn", "newline-total-fqn",
+        "cr-fqn", "int-fqn", "alpha", "surrogate-pair-token",
     ],
 )
-def test_dump_refuses_a_model_load_would_refuse(rows, totals, alpha, match):
-    model = CooccurrenceModel(
-        rows=rows, fqn_totals=totals, vocabulary=set(), smoothing_alpha=alpha
-    )
+def test_dump_refuses_a_model_load_would_refuse(rows, alpha, match):
+    model = CooccurrenceModel(rows=rows, vocabulary=set(), smoothing_alpha=alpha)
     with pytest.raises(ValueError, match=f"^cannot dump model: {match}$"):
         dump_model(model)
+
+
+@pytest.mark.parametrize(
+    "rows, vocabulary, alpha, match",
+    [
+        ({"a.X": {"t": 1.5}}, set(), 1.0, r"a count of 'a\.X' is not a positive int"),
+        ({"a.X": {"t": -0.5}}, set(), 1.0, r"a count of 'a\.X' is not a positive int"),
+        ({"a.X": {"t": "3"}}, set(), 1.0, r"a count of 'a\.X' is not a positive int"),
+        ({"a.X": {"t": 2, "u": 0}}, {"t", "u"}, 1.0,
+         r"a count of 'a\.X' is not a positive int"),
+        ({"a.X": {"t": 1}, "b.X": {"a": 10**308, "b": 10**308, "c": -(10**308)}},
+         {"a", "b", "c", "t"}, 1.0, r"a count of 'b\.X' is not a positive int"),
+        ({"a.X": {"a": 10**308, "b": 10**308}}, {"a", "b"}, 1.0,
+         r"total count of 'a\.X' is beyond float range"),
+        # alpha / denominator underflows to zero, or the denominator overflows
+        ({"a.X": {"t": 2}}, {"t"}, 5e-324, r"bad alpha value 5e-324"),
+        ({"a.X": {"t": 1}}, {"t", "u"}, 1e308, r"bad alpha value 1e\+308"),
+    ],
+    ids=[
+        "float-count", "negative-float-count", "str-count", "zero-count",
+        "negative-count", "total", "alpha-underflow", "alpha-overflow",
+    ],
+)
+def test_constructor_refuses_a_model_it_cannot_score(rows, vocabulary, alpha, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        CooccurrenceModel(rows=rows, vocabulary=vocabulary, smoothing_alpha=alpha)
+
+
+def test_constructor_checks_alpha_only_against_counted_rows():
+    # no row has a count, so no score term is ever computed
+    model = CooccurrenceModel(rows={"a.X": {}}, smoothing_alpha=5e-324)
+    assert model.fqn_totals == {"a.X": 0}
+    # a tiny alpha whose zero-count summand is a float is kept
+    model = CooccurrenceModel(rows={"a.X": {"t": 3}}, vocabulary={"t"}, smoothing_alpha=1e-310)
+    assert model.fqn_totals == {"a.X": 3}
 
 
 # SHA-256 of dump_model(train(pairs, eta=e)) on the fixture training corpus,
@@ -796,8 +801,8 @@ def test_fixture_model_dumps_are_pinned(train_items, eta):
     assert digest == _FIXTURE_DUMP_DIGESTS[eta]
 
 
-def test_trained_rows_are_never_empty_and_load_back_equal(tmp_path, train_items):
-    # at eta 0 Label's window is empty, so its FQN has a total but no row
+def test_trained_empty_rows_load_back_equal(tmp_path, train_items):
+    # at eta 0 Label's window is empty, so its FQN has an empty row
     sn = tokenize("new Label();\nnew Button(x);\n")
     truth = {e: f"com.x.{e.simple_name}" for e in identify_api_elements(sn)}
     corpora = [
@@ -806,18 +811,17 @@ def test_trained_rows_are_never_empty_and_load_back_equal(tmp_path, train_items)
         [(sn, truth)],
     ]
     path = tmp_path / "model.tsv"
-    rowless = 0
+    empty = 0
     for corpus in corpora:
         for eta in range(4):
             model = train(corpus, eta=eta)
-            assert all(model.rows.values()), eta
-            assert set(model.rows) <= set(model.fqn_totals)
-            rowless += len(model.fqn_totals) - len(model.rows)
+            assert set(model.rows) == {fqn for _, truth in corpus for fqn in truth.values()}
+            empty += sum(not row for row in model.rows.values())
             save_model(model, path)
             loaded = load_model(path)
             assert loaded == model, eta
-            assert all(loaded.rows.values()), eta
-    assert rowless > 0
+            assert loaded.fqn_totals == model.fqn_totals, eta
+    assert empty > 0
 
 
 def test_ranking_changes_no_model_equality_dump_or_repr(tmp_path, kb, train_items, eval_items):
@@ -912,25 +916,24 @@ def test_load_rejects_bad_values_with_line(tmp_path, text, match):
         load_model(path)
 
 
-def test_load_rejects_a_total_beyond_float_range_that_hand_built_models_keep(
-    tmp_path,
-):
-    # 10**308 fits a float, twice it does not
-    counts = {("a", "com.a.X"): 10**308, ("b", "com.a.X"): 10**308}
-    model = CooccurrenceModel(
-        rows=_rows(counts), fqn_totals={"com.a.X": 2 * 10**308}, vocabulary={"a", "b"}
-    )
-    with pytest.raises(OverflowError):
-        _score(model, ["a"], "com.a.X")
-    # dump_model refuses to write such a model, so its file is written here
-    with pytest.raises(
-        ValueError, match=r"^cannot dump model: total count of 'com\.a\.X' is beyond"
-    ):
-        dump_model(model)
+def test_load_rejects_a_total_beyond_float_range(tmp_path):
+    # 10**308 fits a float, twice it does not; the constructor refuses such
+    # a row, so no model holds one and its file is written here
     path = tmp_path / "m.tsv"
     path.write_text(
         f'cooccurrence\teta=2\ncount\t"a"\tcom.a.X\t{10**308}\n'
         f'count\t"b"\tcom.a.X\t{10**308}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(
+        ModelFormatError, match=r"m\.tsv: total count of 'com\.a\.X' is beyond float range$"
+    ):
+        load_model(path)
+    # the first such total in count order is named, as an fqn record that
+    # comes first does not put its FQN first
+    records = path.read_text(encoding="utf-8").split("\n", 1)[1]
+    path.write_text(
+        "cooccurrence\teta=2\nfqn\tb.Y\n" + records + records.replace("com.a.X", "b.Y"),
         encoding="utf-8",
     )
     with pytest.raises(
@@ -943,6 +946,18 @@ def test_load_rejects_a_total_beyond_float_range_that_hand_built_models_keep(
         encoding="utf-8",
     )
     assert load_model(path).fqn_totals == {"com.a.X": int(sys.float_info.max)}
+
+
+def test_load_refuses_an_alpha_whose_unseen_summand_fails(tmp_path, model):
+    # alpha / denominator underflows to zero at the largest total, so a
+    # score's log would fail; no line alone holds the fault
+    path = tmp_path / "m.tsv"
+    path.write_text(
+        dump_model(model).replace("alpha=1.0", "alpha=5e-324", 1), encoding="utf-8"
+    )
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: bad alpha value 5e-324"
 
 
 def test_load_ends_records_at_newline_only(tmp_path):
