@@ -68,6 +68,16 @@ def _check_settings(alpha: float, eta: int) -> None:
         raise ValueError(f"bad eta value {eta!r}")
 
 
+def _alpha_fails(alpha: float, largest: int, size: int) -> bool:
+    """Whether log(alpha / (largest + alpha * size)) fails: the zero-count
+    summand of a row whose total is `largest`, over `size` tokens."""
+    try:
+        math.log(alpha / (largest + alpha * size))
+    except (ArithmeticError, ValueError):
+        return True
+    return False
+
+
 def _shown(record: str) -> str:
     """A record as an error message quotes it: its first 80 characters at
     most, so a huge malformed record still gives a short error line."""
@@ -127,7 +137,7 @@ class CooccurrenceModel:
             counts = row.values()
             try:
                 total = sum(counts)
-            except TypeError:  # a str count
+            except (TypeError, OverflowError):  # a str, or a float beside a huge int
                 total = None
             if type(total) is not int or (row and min(counts) < 1):
                 raise ValueError(f"a count of {_shown(fqn)} is not a positive int")
@@ -139,11 +149,8 @@ class CooccurrenceModel:
         # its log is a float every summand of every row is one; alpha is
         # finite and that denominator at least 1, so no log here is infinite
         largest = max(totals.values(), default=0)
-        if largest:
-            try:
-                math.log(alpha / (largest + alpha * len(self.vocabulary)))
-            except (ArithmeticError, ValueError):
-                raise ValueError(f"bad alpha value {alpha!r}") from None
+        if largest and _alpha_fails(alpha, largest, len(self.vocabulary)):
+            raise ValueError(f"bad alpha value {alpha!r}")
 
     @property
     def counts(self) -> dict[tuple[str, str], int]:
@@ -511,7 +518,9 @@ def dump_model(model: CooccurrenceModel) -> str:
     beyond what the constructor refuses: a count that is not an int (a
     bool), a token that is not a str or that loads back as another token
     (a lone high surrogate followed by a lone low one), an FQN that is not
-    a str or holds a tab or line break, or an alpha beyond float range.
+    a str or holds a tab or line break, an alpha beyond float range, or an
+    alpha whose zero-count summand fails over the written tokens, which
+    are the loaded model's vocabulary.
     """
     if model.smoothing_alpha > sys.float_info.max:
         raise ValueError("cannot dump model: alpha is beyond float range")
@@ -532,6 +541,11 @@ def dump_model(model: CooccurrenceModel) -> str:
     for tok in by_token:
         if not isinstance(tok, str):
             raise ValueError(f"cannot dump model: token {tok!r:.80} is not a str")
+    # the header writes alpha as a float, and the file loads with the
+    # written tokens as its vocabulary, whatever the model's
+    alpha = float(model.smoothing_alpha)
+    if by_token and _alpha_fails(alpha, max(model.fqn_totals.values()), len(by_token)):
+        raise ValueError(f"cannot dump model: bad alpha value {alpha!r}")
     append = lines.append
     for tok in sorted(by_token):
         quoted = _quote_token(tok)

@@ -1452,14 +1452,25 @@ _DUMP_DEFECTS = {
     "count": (True,),
     "token": (5, None, ("t",)),
     "FQN": ("a.X\tY", "a\nX", "a.X\r", "\r"),
+    "bad alpha": (1.7976931348623157e308,),
 }
 
 
 def _random_dump_model(rng):
-    """A random model shaped like the dump reference's, with one defect
-    planted in about half the cases: (model, the defect's kind or None)."""
+    """A random model shaped like the dump reference's, with an empty
+    vocabulary and one defect planted in about half the cases: (model, the
+    defect's kind or None).
+
+    The file loads with the written tokens as its vocabulary, so at the
+    largest float alpha, alpha * |V| overflows there once two tokens are
+    written: a model at that alpha keeps one token unless its defect is
+    that alpha."""
     rows = _random_dump_rows(rng)
+    alpha = rng.choice((0.5, 1.0, 2.25, 3, 1e-300, 1.7976931348623157e308))
     defect = rng.choice((None, None, None, *_DUMP_DEFECTS))
+    if alpha == 1.7976931348623157e308:
+        kept = rng.choice(_DUMP_TOKENS)
+        rows = {fqn: {kept: sum(row.values())} if row else {} for fqn, row in rows.items()}
     if defect is not None:
         bad = rng.choice(_DUMP_DEFECTS[defect])
         row = rows.setdefault(rng.choice(_DUMP_FQNS), {})
@@ -1467,23 +1478,22 @@ def _random_dump_model(rng):
             row[rng.choice(_DUMP_TOKENS)] = bad
         elif defect == "token":
             row[bad] = rng.randint(1, 3)
-        else:
+        elif defect == "FQN":
             rows[bad] = {"t": 2} if rng.random() < 0.5 else {}
-    # as trained, the vocabulary holds the rows' tokens, so the loaded
-    # model's denominators are the model's
+        else:
+            alpha = bad
+            row.update({"a": 1, "b": 1})
     model = CooccurrenceModel(
-        rows=rows,
-        vocabulary={tok for row in rows.values() for tok in row},
-        smoothing_alpha=rng.choice((0.5, 1.0, 2.25, 3, 1e-300, 1e300)),
-        window_eta=rng.randint(0, 3),
+        rows=rows, vocabulary=set(), smoothing_alpha=alpha, window_eta=rng.randint(0, 3)
     )
     return model, defect
 
 
 def test_every_model_dump_model_accepts_round_trips(tmp_path):
     """dump_model refuses each planted defect with one ValueError line, and
-    any other model's dump loads and dumps again to the same text. An int alpha loads as its float, so only its header's number
-    changes (alpha=3 becomes alpha=3.0)."""
+    any other model's dump loads and dumps again to the same text. An int
+    alpha loads as its float, so only its header's number changes
+    (alpha=3 becomes alpha=3.0)."""
     rng = random.Random(2107)
     path = tmp_path / "model.tsv"
     seen = dict.fromkeys((None, *_DUMP_DEFECTS), 0)

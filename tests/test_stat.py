@@ -737,10 +737,14 @@ def test_dump_keeps_fqns_without_a_positive_count(tmp_path):
         # json.loads joins a high and a low surrogate escape into one character
         ({"a.X": {"\ud800\udfff": 1}}, 1.0,
          r"token '\\ud800\\udfff' does not load back as itself"),
+        # the file loads with the two written tokens as its vocabulary, so
+        # alpha * |V| overflows there, not in this model's empty vocabulary
+        ({"a.X": {"t": 2}, "b.X": {"u": 1}}, 1.7976931348623157e308,
+         r"bad alpha value 1\.7976931348623157e\+308"),
     ],
     ids=[
         "bool-count", "int-token", "none-token", "tab-fqn", "newline-total-fqn",
-        "cr-fqn", "int-fqn", "alpha", "surrogate-pair-token",
+        "cr-fqn", "int-fqn", "alpha", "surrogate-pair-token", "alpha-over-written-tokens",
     ],
 )
 def test_dump_refuses_a_model_load_would_refuse(rows, alpha, match):
@@ -761,13 +765,19 @@ def test_dump_refuses_a_model_load_would_refuse(rows, alpha, match):
          {"a", "b", "c", "t"}, 1.0, r"a count of 'b\.X' is not a positive int"),
         ({"a.X": {"a": 10**308, "b": 10**308}}, {"a", "b"}, 1.0,
          r"total count of 'a\.X' is beyond float range"),
+        # sum() cannot add a float to an int float() cannot hold
+        ({"a.X": {"t": 10**400, "u": 0.5}}, {"t", "u"}, 1.0,
+         r"a count of 'a\.X' is not a positive int"),
+        ({"a.X": {"u": 0.5, "t": 10**400}}, {"t", "u"}, 1.0,
+         r"a count of 'a\.X' is not a positive int"),
         # alpha / denominator underflows to zero, or the denominator overflows
         ({"a.X": {"t": 2}}, {"t"}, 5e-324, r"bad alpha value 5e-324"),
         ({"a.X": {"t": 1}}, {"t", "u"}, 1e308, r"bad alpha value 1e\+308"),
     ],
     ids=[
         "float-count", "negative-float-count", "str-count", "zero-count",
-        "negative-count", "total", "alpha-underflow", "alpha-overflow",
+        "negative-count", "total", "huge-int-then-float", "float-then-huge-int",
+        "alpha-underflow", "alpha-overflow",
     ],
 )
 def test_constructor_refuses_a_model_it_cannot_score(rows, vocabulary, alpha, match):
