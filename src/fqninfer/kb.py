@@ -15,7 +15,9 @@ The KB is loaded from a line-oriented text format:
     method <owner-fqn> <name>/<arity> [static] [returns=<fqn|?>]
     field <owner-fqn> <name> [static] [type=<fqn|?>]
 
-An empty `returns=` or `type=` is refused: `dump_kb` spells an unknown type
+A method name is non-empty and an arity is ASCII decimal digits. A
+member's `static` and `returns=`/`type=` may come in either order. An
+empty `returns=` or `type=` is refused: `dump_kb` spells an unknown type
 `?`, so an empty one would not load back as it was read.
 
 Records end at "\\n" alone; blank lines and lines starting with '#' are
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .snippet import _value_tuple, read_utf8
+from .snippet import _value_tuple, collector_paused, read_utf8
 
 
 class KbError(Exception):
@@ -192,12 +194,34 @@ def _parse_attrs(
     return attrs, flagged
 
 
+def _member_tail(parts: list[str], key: str, lineno: int) -> tuple[str | None, bool]:
+    """The type (`returns=` or `type=` as key; None for `?` or absent) and
+    the static flag of a member record's parts. The tails `dump_kb` writes,
+    `<key>=X` and `static <key>=X`, are read without an attribute dict."""
+    prefix = key + "="
+    n = len(parts)
+    if (n == 4 or n == 5 and parts[3] == "static") and parts[-1].startswith(prefix):
+        value, is_static = parts[-1][len(prefix):], n == 5
+    else:
+        attrs, is_static = _parse_attrs(parts[3:], lineno, "static")
+        value = attrs.pop(key, None)
+        if attrs:
+            raise KbError(f"unknown attributes {sorted(attrs)}", lineno)
+    if value == "":
+        raise KbError(f"empty {key}=; an unknown type is {key}=?", lineno)
+    return (None if value == "?" else value), is_static
+
+
 def _split_fqns(value: str) -> list[str]:
     return [v for v in value.split(",") if v]
 
 
+@collector_paused
 def load_kb(path: str | Path) -> KnowledgeBase:
     """Parse the KB text format and return a validated KnowledgeBase.
+
+    The cyclic garbage collector is paused while the KB is built, and
+    left as it was found (`snippet.collector_paused`).
 
     Raises KbError as `<path>:<line>: <message>` for malformed records,
     duplicate type FQNs and members whose owner is unknown, and as
@@ -234,28 +258,23 @@ def _parse_kb(text: str) -> KnowledgeBase:
             if len(parts) < 3 or "/" not in parts[2]:
                 raise KbError("method record needs owner and name/arity", lineno)
             name, _, arity_s = parts[2].partition("/")
+            if not name:
+                raise KbError("empty method name", lineno)
+            # int() would also read a sign, underscores and non-ASCII digits
+            if not (arity_s.isascii() and arity_s.isdigit()):
+                raise KbError(f"bad arity {arity_s!r}", lineno)
             try:
                 arity = int(arity_s)
-            except ValueError:
+            except ValueError:  # more digits than int() converts
                 raise KbError(f"bad arity {arity_s!r}", lineno) from None
-            attrs, is_static = _parse_attrs(parts[3:], lineno, "static")
-            ret = attrs.pop("returns", None)
-            if attrs:
-                raise KbError(f"unknown attributes {sorted(attrs)}", lineno)
-            if ret == "":
-                raise KbError("empty returns=; an unknown type is returns=?", lineno)
-            sig = make(MethodSig, (name, arity, is_static, None if ret == "?" else ret))
+            ret, is_static = _member_tail(parts, "returns", lineno)
+            sig = make(MethodSig, (name, arity, is_static, ret))
             slot = 0
         elif record == "field":
             if len(parts) < 3:
                 raise KbError("field record needs owner and name", lineno)
-            attrs, is_static = _parse_attrs(parts[3:], lineno, "static")
-            ftype = attrs.pop("type", None)
-            if attrs:
-                raise KbError(f"unknown attributes {sorted(attrs)}", lineno)
-            if ftype == "":
-                raise KbError("empty type=; an unknown type is type=?", lineno)
-            sig = make(FieldSig, (parts[2], None if ftype == "?" else ftype, is_static))
+            ftype, is_static = _member_tail(parts, "type", lineno)
+            sig = make(FieldSig, (parts[2], ftype, is_static))
             slot = 1
         elif record == "type":
             if len(parts) < 4:
@@ -329,7 +348,8 @@ def dump_kb(kb: KnowledgeBase) -> str:
     byte-identical: a KB whose text would not load back as it raises
     ValueError (an FQN, library or member name that is empty or holds a
     blank, a supertype with a comma, a method name with a slash, an arity
-    that is not an int, a type of "" or "?", which spells an unknown one).
+    that is not an int or is negative, a type of "" or "?", which spells an
+    unknown one).
     """
     out: list[str] = []
     for fqn in sorted(kb.entries):
@@ -344,8 +364,9 @@ def dump_kb(kb: KnowledgeBase) -> str:
             line += " external-super=" + ",".join(sorted(e.external_supertypes))
         out.append(line)
         for m in e.methods:
-            # load_kb reads an arity with int(), so only an int reads back as it
-            if type(m.arity) is not int:
+            # load_kb reads an arity as decimal digits, so only an int of
+            # no sign reads back as it
+            if type(m.arity) is not int or m.arity < 0:
                 raise ValueError(
                     f"cannot dump KB: bad arity {m.arity!r:.80} of {fqn!r:.80}"
                 )

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .snippet import ApiElement, Snippet, identify_api_elements, read_utf8, tokenize
+from .snippet import (
+    ApiElement,
+    Snippet,
+    collector_paused,
+    identify_api_elements,
+    read_utf8,
+    tokenize,
+)
 
 
 class TruthFormatError(ValueError):
@@ -61,8 +68,13 @@ class CorpusItem:
     truth: GroundTruth
 
 
+@collector_paused
 def load_corpus(root: str | Path) -> list[CorpusItem]:
-    """Read every `<library>/<id>.java` + `<id>.truth` pair under root."""
+    """Read every `<library>/<id>.java` + `<id>.truth` pair under root.
+
+    The cyclic garbage collector is paused while the corpus is read, and
+    left as it was found (`snippet.collector_paused`).
+    """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")

@@ -50,7 +50,14 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .kb import KnowledgeBase, simple_name_index
-from .snippet import ApiElement, AugmentedSnippet, Snippet, augment, read_utf8
+from .snippet import (
+    ApiElement,
+    AugmentedSnippet,
+    Snippet,
+    augment,
+    collector_paused,
+    read_utf8,
+)
 
 
 def _check_positive(name: str, value: object, limit: float = math.inf) -> None:
@@ -582,8 +589,11 @@ class ModelFormatError(ValueError):
     pass
 
 
+@collector_paused
 def load_model(path: str | Path) -> CooccurrenceModel:
-    """Parse a model file as `dump_model` writes it.
+    """Parse a model file as `dump_model` writes it. The cyclic garbage
+    collector is paused while the model is built, and left as it was found
+    (`snippet.collector_paused`).
 
     The first line is the header: `cooccurrence`, then optional
     tab-separated `alpha=<float>` and `eta=<int>` fields (1.0 and 2 if

@@ -223,6 +223,32 @@ def test_bad_arity_rejected(tmp_path):
         _load_text(tmp_path, text)
 
 
+@pytest.mark.parametrize(
+    "signature, message",
+    [
+        ("/0", "empty method name"),
+        ("m/-1", "bad arity '-1'"),
+        ("m/+2", "bad arity '+2'"),
+        ("m/1_0", "bad arity '1_0'"),
+        ("m/\u0661", "bad arity '\u0661'"),
+        ("m/\uff11", "bad arity '\uff11'"),
+    ],
+    ids=["empty-name", "minus", "plus", "underscore", "arabic-indic-digit",
+         "fullwidth-digit"],
+)
+def test_bad_method_name_or_arity_rejected_at_its_line(tmp_path, signature, message):
+    # int() reads each of these arities as a number, which dump_kb would
+    # write back as different text (or, for -1, a method no call matches);
+    # an empty name would load and then fail kb-build's dump
+    path = tmp_path / "k.kb"
+    path.write_text(
+        f"type a.X class lib=l1\nmethod a.X {signature} returns=?\n", encoding="utf-8"
+    )
+    with pytest.raises(KbError) as info:
+        load_kb(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
 def test_internal_supertype_must_exist(tmp_path):
     text = "type com.a.X class lib=a extends=com.a.Missing\n"
     with pytest.raises(KbError, match="not in KB"):
@@ -283,6 +309,7 @@ def _entry(library="l1", **fields):
         (_entry(fields=frozenset({FieldSig("f g")})), r"bad field name 'f g' of"),
         (_entry(methods=frozenset({MethodSig("m", True)})), r"bad arity True of"),
         (_entry(methods=frozenset({MethodSig("m", 1.0)})), r"bad arity 1\.0 of"),
+        (_entry(methods=frozenset({MethodSig("m", -1)})), r"bad arity -1 of"),
         (_entry(methods=frozenset({MethodSig("m", 1, False, "b.Y\tZ")})),
          r"bad return type 'b\.Y\\tZ' of"),
         # the text would load as a different KB
@@ -296,7 +323,7 @@ def _entry(library="l1", **fields):
     ],
     ids=[
         "blank-library", "empty-library", "separator-fqn", "slash-method",
-        "blank-field", "bool-arity", "float-arity", "tab-return-type",
+        "blank-field", "bool-arity", "float-arity", "negative-arity", "tab-return-type",
         "comma-supertype", "empty-supertype", "str-arity", "empty-return-type",
         "unknown-return-type", "empty-field-type", "unknown-field-type",
     ],

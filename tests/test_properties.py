@@ -1571,10 +1571,11 @@ def _ref_parse_kb(text):
                 raise KbError("method record needs owner and name/arity", lineno)
             owner = parts[1]
             name, _, arity_s = parts[2].partition("/")
-            try:
-                arity = int(arity_s)
-            except ValueError:
-                raise KbError(f"bad arity {arity_s!r}", lineno) from None
+            if name == "":
+                raise KbError("empty method name", lineno)
+            if re.fullmatch("[0-9]+", arity_s) is None:
+                raise KbError(f"bad arity {arity_s!r}", lineno)
+            arity = int(arity_s)
             rest = parts[3:]
             is_static = "static" in rest
             rest = [p for p in rest if p != "static"]
@@ -1728,6 +1729,7 @@ _KB_FAULTS = (
     "method q.Ghost m/0", "field q.Ghost F", "field p.A", "field p.A F type=? x=y",
     "field p.A F type=? type=?", "field p.A F bare", "banana p.A", "#method p.A",
     "method p.A m/+1 static static returns=?", "method p.A m/٣",
+    "method p.A m/1 static static returns=?", "method p.A m/-1", "method p.A /0",
     "method p.A m/0 returns=", "field p.A F static type=",
 )
 
@@ -1848,6 +1850,55 @@ def test_kb_loader_matches_reference_loop():
         assert _kb_outcome(_parse_kb, text) == want, (case, text)
         outcomes[want[0]] += 1
     assert min(outcomes.values()) >= 300, outcomes
+
+
+def test_member_tails_in_any_order_load_as_the_canonical_kb():
+    """Every member record of a dumped random KB, with its `static` flag and
+    `returns=`/`type=` in every order, loads to the KB the canonical text
+    loads to, and so does a second `static` or an omitted unknown type; a
+    duplicate type attribute or an unknown attribute (the other member
+    kind's among them) keeps its error and line in any order."""
+    rng = random.Random(9016)
+    checked = 0
+    for case in range(300):
+        kb = _random_kb(rng)
+        lines = dump_kb(kb).split("\n")
+        at = [i for i, line in enumerate(lines) if line.startswith(("method ", "field "))]
+        if not at:
+            continue
+        assert _parse_kb("\n".join(lines)) == kb, case
+        # every member record in one random order of its tail at once
+        shuffled = list(lines)
+        for i in at:
+            words = lines[i].split(" ")
+            shuffled[i] = " ".join(words[:3] + rng.sample(words[3:], len(words) - 3))
+        assert _parse_kb("\n".join(shuffled)) == kb, (case, shuffled)
+        # one record in each order of its tail and of each variant's tail
+        i = rng.choice(at)
+        words = lines[i].split(" ")
+        key = words[-1].partition("=")[0]
+        other = "type" if key == "returns" else "returns"
+        variants = [(words[3:], None)]
+        if "static" in words:
+            variants.append((words[3:] + ["static"], None))
+        if words[-1] == f"{key}=?":
+            variants.append((words[3:-1], None))
+        variants += [
+            (words[3:] + [f"{key}=p.Q"], (f"duplicate attribute {key!r}", i + 1)),
+            (words[3:] + ["x=1"], ("unknown attributes ['x']", i + 1)),
+            # the other member kind's attribute in the canonical places
+            (words[3:-1] + [f"{other}=p.Q"], (f"unknown attributes [{other!r}]", i + 1)),
+        ]
+        for tail, error in variants:
+            for order in itertools.permutations(tail):
+                line = " ".join(words[:3] + list(order))
+                text = "\n".join(lines[:i] + [line] + lines[i + 1:])
+                if error is None:
+                    assert _parse_kb(text) == kb, (case, text)
+                else:
+                    assert _kb_outcome(_parse_kb, text) == ("error", *error), (case, text)
+                checked += 1
+    assert checked >= 1000, checked
 
 
 def test_model_loader_matches_reference_loop(tmp_path, model):
