@@ -15,15 +15,18 @@ The KB is loaded from a line-oriented text format:
     method <owner-fqn> <name>/<arity> [static] [returns=<fqn|?>]
     field <owner-fqn> <name> [static] [type=<fqn|?>]
 
-A method name is non-empty and an arity is ASCII decimal digits. A
-member's `static` and `returns=`/`type=` may come in either order. An
-empty `returns=` or `type=` is refused: `dump_kb` spells an unknown type
-`?`, so an empty one would not load back as it was read.
+A library id is non-empty (`lib=` alone is refused at its line, after the
+record's other checks): `dump_kb` refuses to write an empty one. A method
+name is non-empty and an arity is ASCII decimal digits. A member's
+`static` and `returns=`/`type=` may come in either order. An empty
+`returns=` or `type=` is refused: `dump_kb` spells an unknown type `?`,
+so an empty one would not load back as it was read.
 
 Records end at "\\n" alone; blank lines and lines starting with '#' are
 skipped. Records may appear in any order, and the parse is one pass: each
 member is appended to its owner's lists as it is read, before or after the
-owner's type record. Only forward references wait: whether a member's owner
+owner's type record, and a run of members of one owner finds the owner's
+lists once. Only forward references wait: whether a member's owner
 has a type record is checked once the whole file is read, and the first
 member in line order whose owner has none is the error.
 """
@@ -31,10 +34,11 @@ member in line order whose owner has none is the error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .snippet import _value_tuple, collector_paused, read_utf8
+from .snippet import DECIMALS, _value_tuple, collector_paused, read_utf8
 
 
 class KbError(Exception):
@@ -108,6 +112,11 @@ def simple_name_index(fqns: Iterable[str]) -> dict[str, tuple[str, ...]]:
     return {k: tuple(sorted(v)) for k, v in index.items()}
 
 
+_KINDS = ("class", "interface")
+_SIGNATURE = itemgetter(0, 1)  # a MethodSig's (name, arity)
+_NAME = itemgetter(0)  # a FieldSig's name
+
+
 class KnowledgeBase:
     """Immutable collection of TypeEntry records plus a simple-name index."""
 
@@ -126,26 +135,42 @@ class KnowledgeBase:
         self._validate()
 
     def _validate(self) -> None:
-        for e in self._entries.values():
-            if e.kind not in ("class", "interface"):
-                raise KbError(f"{e.fqn}: bad kind {e.kind!r}")
-            signatures: set[tuple[str, int]] = set()
-            for m in e.methods:
-                if (m.name, m.arity) in signatures:
-                    raise KbError(
-                        f"{e.fqn}: conflicting signatures for {m.name}/{m.arity}"
-                    )
-                signatures.add((m.name, m.arity))
-            names: set[str] = set()
-            for f in e.fields:
-                if f.name in names:
-                    raise KbError(f"{e.fqn}: conflicting fields for {f.name}")
-                names.add(f.name)
-            for s in e.supertypes:
-                if s not in self._entries:
-                    raise KbError(
-                        f"{e.fqn}: supertype {s} not in KB and not marked external"
-                    )
+        entries = self._entries
+        for e in entries.values():
+            # set sizes and a subset test pass every sound entry; only an
+            # entry that fails one is walked, to name its first offender
+            if (
+                e.kind in _KINDS
+                and len(set(map(_SIGNATURE, e.methods))) == len(e.methods)
+                and len(set(map(_NAME, e.fields))) == len(e.fields)
+                # frozenset() of a frozenset is that frozenset, not a copy
+                and entries.keys() >= frozenset(e.supertypes)
+            ):
+                continue
+            self._name_offence(e)
+
+    def _name_offence(self, e: TypeEntry) -> None:
+        """Raise KbError for the first fault of entry e, in the order
+        kind, method signatures, fields, supertypes."""
+        if e.kind not in _KINDS:
+            raise KbError(f"{e.fqn}: bad kind {e.kind!r}")
+        signatures: set[tuple[str, int]] = set()
+        for m in e.methods:
+            if (m.name, m.arity) in signatures:
+                raise KbError(
+                    f"{e.fqn}: conflicting signatures for {m.name}/{m.arity}"
+                )
+            signatures.add((m.name, m.arity))
+        names: set[str] = set()
+        for f in e.fields:
+            if f.name in names:
+                raise KbError(f"{e.fqn}: conflicting fields for {f.name}")
+            names.add(f.name)
+        for s in e.supertypes:
+            if s not in self._entries:
+                raise KbError(
+                    f"{e.fqn}: supertype {s} not in KB and not marked external"
+                )
 
     @property
     def entries(self) -> Mapping[str, TypeEntry]:
@@ -216,6 +241,31 @@ def _split_fqns(value: str) -> list[str]:
     return [v for v in value.split(",") if v]
 
 
+def _type_tail(parts: list[str], lineno: int) -> tuple[str, list[str], list[str]]:
+    """The library, supertypes and external supertypes of a type record's
+    parts. The tails `dump_kb` writes, `lib=X` then an optional `extends=`
+    and an optional `external-super=`, are read without an attribute dict."""
+    tail = parts[4:]
+    if parts[3].startswith("lib=") and len(tail) <= 2:
+        supers, external = [], []
+        if tail and tail[0].startswith("extends="):
+            supers = _split_fqns(tail.pop(0)[8:])
+        if tail and tail[0].startswith("external-super="):
+            external = _split_fqns(tail.pop(0)[15:])
+        if not tail:
+            return parts[3][4:], supers, external
+    attrs, _ = _parse_attrs(parts[3:], lineno)
+    lib = attrs.pop("lib", None)
+    if lib is None:
+        raise KbError("type record missing lib=<id>", lineno)
+    supers = _split_fqns(attrs.pop("extends", ""))
+    supers += _split_fqns(attrs.pop("implements", ""))
+    external = _split_fqns(attrs.pop("external-super", ""))
+    if attrs:
+        raise KbError(f"unknown attributes {sorted(attrs)}", lineno)
+    return lib, supers, external
+
+
 @collector_paused
 def load_kb(path: str | Path) -> KnowledgeBase:
     """Parse the KB text format and return a validated KnowledgeBase.
@@ -249,6 +299,7 @@ def _parse_kb(text: str) -> KnowledgeBase:
 
     # records end at "\n" alone: str.splitlines would also end them at form
     # feeds and other separators that split() reads as blanks
+    owner, lists = None, None  # the last member's owner and its lists
     for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split()
         if not parts:
@@ -260,13 +311,15 @@ def _parse_kb(text: str) -> KnowledgeBase:
             name, _, arity_s = parts[2].partition("/")
             if not name:
                 raise KbError("empty method name", lineno)
-            # int() would also read a sign, underscores and non-ASCII digits
-            if not (arity_s.isascii() and arity_s.isdigit()):
-                raise KbError(f"bad arity {arity_s!r}", lineno)
-            try:
-                arity = int(arity_s)
-            except ValueError:  # more digits than int() converts
-                raise KbError(f"bad arity {arity_s!r}", lineno) from None
+            arity = DECIMALS.get(arity_s)
+            if arity is None:
+                # int() would also read a sign, underscores and non-ASCII digits
+                if not (arity_s.isascii() and arity_s.isdigit()):
+                    raise KbError(f"bad arity {arity_s!r}", lineno)
+                try:
+                    arity = int(arity_s)
+                except ValueError:  # more digits than int() converts
+                    raise KbError(f"bad arity {arity_s!r}", lineno) from None
             ret, is_static = _member_tail(parts, "returns", lineno)
             sig = make(MethodSig, (name, arity, is_static, ret))
             slot = 0
@@ -280,19 +333,13 @@ def _parse_kb(text: str) -> KnowledgeBase:
             if len(parts) < 4:
                 raise KbError("type record needs fqn, kind, lib=<id>", lineno)
             fqn, kind = parts[1], parts[2]
-            if kind not in ("class", "interface"):
+            if kind not in _KINDS:
                 raise KbError(f"bad kind {kind!r}", lineno)
-            attrs, _ = _parse_attrs(parts[3:], lineno)
-            lib = attrs.pop("lib", None)
-            if lib is None:
-                raise KbError("type record missing lib=<id>", lineno)
-            supers = _split_fqns(attrs.pop("extends", ""))
-            supers += _split_fqns(attrs.pop("implements", ""))
-            external = _split_fqns(attrs.pop("external-super", ""))
-            if attrs:
-                raise KbError(f"unknown attributes {sorted(attrs)}", lineno)
+            lib, supers, external = _type_tail(parts, lineno)
             if fqn in types:
                 raise KbError(f"duplicate type {fqn}", lineno)
+            if not lib:
+                raise KbError("empty lib=", lineno)
             types[fqn] = (kind, lib, supers, external)
             if fqn not in members:
                 members[fqn] = ([], [])
@@ -301,11 +348,14 @@ def _parse_kb(text: str) -> KnowledgeBase:
             continue
         else:
             raise KbError(f"unknown record kind {record!r}", lineno)
-        owner = parts[1]
-        lists = members.get(owner)
-        if lists is None:
-            lists = members[owner] = ([], [])
-            forward.append((lineno, record, owner))
+        # an owner's lists never change once opened, so a run of members of
+        # one owner looks it up once
+        if parts[1] != owner:
+            owner = parts[1]
+            lists = members.get(owner)
+            if lists is None:
+                lists = members[owner] = ([], [])
+                forward.append((lineno, record, owner))
         lists[slot].append(sig)
 
     # the first member of each owner read before the owner's type record
@@ -314,17 +364,42 @@ def _parse_kb(text: str) -> KnowledgeBase:
             raise KbError(f"{mkind} owner {owner} has no type record", lineno)
 
     return KnowledgeBase(
-        TypeEntry(
-            fqn=fqn,
-            kind=kind,
-            library=lib,
-            methods=frozenset(members[fqn][0]),
-            fields=frozenset(members[fqn][1]),
-            supertypes=frozenset(supers),
-            external_supertypes=frozenset(external),
+        _entry(
+            fqn,
+            kind,
+            lib,
+            frozenset(members[fqn][0]),
+            frozenset(members[fqn][1]),
+            frozenset(supers),
+            frozenset(external),
         )
         for fqn, (kind, lib, supers, external) in types.items()
     )
+
+
+def _entry(
+    fqn: str,
+    kind: str,
+    library: str,
+    methods: frozenset[MethodSig],
+    fields: frozenset[FieldSig],
+    supertypes: frozenset[str],
+    external_supertypes: frozenset[str],
+) -> TypeEntry:
+    """TypeEntry(fqn, ...) without the frozen dataclass's __init__, which
+    sets each field through object.__setattr__: the instance dict gets the
+    fields in declaration order, as __init__ gives it."""
+    entry = object.__new__(TypeEntry)
+    entry.__dict__.update(
+        fqn=fqn,
+        kind=kind,
+        library=library,
+        methods=methods,
+        fields=fields,
+        supertypes=supertypes,
+        external_supertypes=external_supertypes,
+    )
+    return entry
 
 
 def _field(

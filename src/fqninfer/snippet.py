@@ -354,12 +354,24 @@ def read_utf8(path: str | Path, error: type[Exception] = ValueError) -> str:
         raise error(f"{path}:{line}: not UTF-8 text") from None
 
 
+# the ASCII decimal spelling of each small int, as `str` writes it: a loader
+# looks a KB arity or a model count up here before its general check
+DECIMALS = {str(i): i for i in range(256)}
+
+
 def collector_paused(loader):
     """loader with the cyclic garbage collector paused while it runs.
 
     A loader builds tens of thousands of containers that all stay alive,
     so every collection their allocations would trigger finds nothing.
     The collector's previous state is restored however loader ends.
+
+    When loader returns and the collector was on at entry, with no object
+    frozen, everything the collector tracks moves to the oldest generation
+    (`gc.freeze()` then `gc.unfreeze()`: two list splices, which also
+    reset the young generation's count), so no young collection walks
+    what loader built. A caller's frozen objects stay frozen: with any,
+    the generations are left as they are.
     """
 
     @wraps(loader)
@@ -367,7 +379,11 @@ def collector_paused(loader):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return loader(*args, **kwargs)
+            result = loader(*args, **kwargs)
+            if enabled and not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            return result
         finally:
             if enabled:
                 gc.enable()

@@ -51,6 +51,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 from .kb import KnowledgeBase, simple_name_index
 from .snippet import (
+    DECIMALS,
     ApiElement,
     AugmentedSnippet,
     Snippet,
@@ -589,6 +590,21 @@ class ModelFormatError(ValueError):
     pass
 
 
+def _read_token(quoted: str) -> str:
+    """The token a count record's JSON string spells, read as `json.loads`
+    reads it. Raises ValueError (or RecursionError) for text that is no
+    JSON string."""
+    if quoted[:1] == '"':
+        tok, end = _scan_token(quoted, 1)
+        if end == len(quoted):
+            return tok
+    tok = json.loads(quoted)
+    # a token is a lexeme, so any other JSON value is bad
+    if not isinstance(tok, str):
+        raise ValueError(tok)
+    return tok
+
+
 @collector_paused
 def load_model(path: str | Path) -> CooccurrenceModel:
     """Parse a model file as `dump_model` writes it. The cyclic garbage
@@ -601,7 +617,8 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     adds a positive int n to the FQN's count of the token, `fqn<TAB><fqn>`
     makes the FQN known without counts (an empty row), and empty lines and
     lines starting with `#` are skipped. A token is one JSON string, read
-    as `json.loads` reads it.
+    as `json.loads` reads it. A count and an eta are ASCII decimal digits:
+    `+5`, `5_0`, ` 7` and `٣`, which int() reads, are refused.
 
     Raises ModelFormatError as `<path>:<line>: <message>` for text that is
     not UTF-8, a missing or bad header, a bad record or a nonpositive
@@ -620,6 +637,7 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     if not lines[0].startswith(_HEADER_PREFIX):
         raise bad(1, "missing model header line")
     settings: dict[str, float | int] = {"alpha": 1.0, "eta": 2}
+    eta_text = "2"
     for part in lines[0].split("\t")[1:]:
         key, _, value = part.partition("=")
         if key not in settings:
@@ -628,48 +646,57 @@ def load_model(path: str | Path) -> CooccurrenceModel:
             settings[key] = float(value) if key == "alpha" else int(value)
         except ValueError:
             raise bad(1, f"bad {key} value {value!r}") from None
+        if key == "eta":
+            eta_text = value
     alpha, eta = settings["alpha"], settings["eta"]
     try:
         _check_settings(alpha, eta)
     except ValueError as exc:
         raise bad(1, str(exc)) from None
+    # int() would also read a sign, underscores, blanks and non-ASCII digits
+    if not (eta_text.isascii() and eta_text.isdigit()):
+        raise bad(1, f"bad eta value {eta_text!r}")
     # a counted FQN's row opens at its first count, and the FQNs of fqn
     # records get empty rows after the parse, so the constructor meets
     # the counted rows in first-count order and names the first total
     # beyond float range as the file orders them
     rows: dict[str, dict[str, int]] = {}
     known: list[str] = []
-    # few distinct tokens stand in many records; a bad one never enters, so
-    # the decoded tokens are the vocabulary
+    # few distinct tokens stand in many records, and a dump writes the
+    # records of one token in a run; a bad one never enters, so the decoded
+    # tokens are the vocabulary
     decoded: dict[str, str] = {}
+    last = None  # the quoted token of the last count record
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         if len(parts) == 4 and parts[0] == "count":
             _, quoted, fqn, count = parts
-            try:
+            if quoted != last:
                 tok = decoded.get(quoted)
                 if tok is None:
-                    if quoted[:1] == '"':
-                        tok, end = _scan_token(quoted, 1)
-                        if end != len(quoted):
-                            tok = None
-                    if tok is None:
-                        tok = json.loads(quoted)
-                        # a token is a lexeme, so any other JSON value is bad
-                        if not isinstance(tok, str):
-                            raise ValueError(tok)
-                    decoded[quoted] = tok
-                n = int(count)
-            except (ValueError, RecursionError):
-                raise bad(lineno, f"bad count record {_shown(line)}") from None
-            if n <= 0:
-                raise bad(lineno, "nonpositive count")
+                    try:
+                        tok = decoded[quoted] = _read_token(quoted)
+                    except (ValueError, RecursionError):
+                        raise bad(lineno, f"bad count record {_shown(line)}") from None
+                last = quoted
+            n = DECIMALS.get(count)
+            if not n:  # 0, or no small int's spelling
+                try:
+                    n = int(count)
+                except ValueError:
+                    raise bad(lineno, f"bad count record {_shown(line)}") from None
+                if n <= 0:
+                    raise bad(lineno, "nonpositive count")
+                # int() also reads a sign, underscores, blanks and non-ASCII digits
+                if not (count.isascii() and count.isdigit()):
+                    raise bad(lineno, f"bad count record {_shown(line)}")
             row = rows.get(fqn)
             if row is None:
                 # later records of this FQN find its row, so its string is
                 # kept once
-                row = rows[fqn] = {}
-            row[tok] = row.get(tok, 0) + n
+                rows[fqn] = {tok: n}
+            else:
+                row[tok] = row.get(tok, 0) + n
         elif len(parts) == 2 and parts[0] == "fqn":
             known.append(parts[1])
         elif line and line[0] != "#":

@@ -1,5 +1,7 @@
 """The loaders pause the cyclic garbage collector while they build, and
-leave it as they found it, whether they return or raise."""
+leave it as they found it, whether they return or raise. A loader that
+returns with the collector on leaves what it built in the oldest
+generation, unless the caller has frozen objects, which stay frozen."""
 
 import gc
 from pathlib import Path
@@ -93,3 +95,45 @@ def test_loader_pauses_the_collector_and_restores_its_state(
         load(path)
     assert gc.isenabled() is enabled
     assert seen and not any(seen)
+
+
+def _reachable(result):
+    """The tracked containers reachable from result, result among them."""
+    found = {id(result): result}
+    todo = [result]
+    while todo:
+        for o in gc.get_referents(todo.pop()):
+            if gc.is_tracked(o) and id(o) not in found and not isinstance(o, type):
+                found[id(o)] = o
+                todo.append(o)
+    return found
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loader_leaves_what_it_built_in_the_oldest_generation(
+    tmp_path, model, restore_collector, loader
+):
+    load, _, make_input, _ = LOADERS[loader]
+    path = make_input(tmp_path, model, False)
+    # a loader leaves the generations alone while any object is frozen
+    gc.unfreeze()
+    gc.enable()
+    built = _reachable(load(path))
+    young = {id(o) for o in gc.get_objects(0) + gc.get_objects(1)}
+    assert len(built) > 1 and not young & built.keys()
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loader_keeps_a_callers_frozen_objects_frozen(
+    tmp_path, model, restore_collector, loader
+):
+    load, _, make_input, _ = LOADERS[loader]
+    path = make_input(tmp_path, model, False)
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        load(path)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()

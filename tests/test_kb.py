@@ -1,5 +1,7 @@
 """Knowledge base parsing, validation, closures, and reduction."""
 
+import dataclasses
+
 import pytest
 
 from fqninfer import KbError, KnowledgeBase, dump_kb, load_kb
@@ -247,6 +249,47 @@ def test_bad_method_name_or_arity_rejected_at_its_line(tmp_path, signature, mess
     with pytest.raises(KbError) as info:
         load_kb(path)
     assert str(info.value) == f"{path}:2: {message}"
+
+
+def test_loaded_entries_are_what_the_constructor_builds(tmp_path):
+    # load_kb builds each entry without TypeEntry.__init__, so it must hold
+    # every field, in declaration order, as the constructor's entry does
+    kb = _load_text(tmp_path, MINI)
+    names = [f.name for f in dataclasses.fields(TypeEntry)]
+    for e in kb.entries.values():
+        built = TypeEntry(**vars(e))
+        assert list(vars(e).items()) == list(vars(built).items())
+        assert list(vars(e)) == names
+        assert e == built and hash(e) == hash(built)
+
+
+def test_arity_beyond_the_table_of_small_ints_loads_as_its_int(tmp_path):
+    # the loader looks an arity up among the small ints' spellings first;
+    # any other goes through the digit check and int()
+    text = "type a.X class lib=l1\nmethod a.X m/300 returns=?\nmethod a.X n/007 returns=?\n"
+    kb = _load_text(tmp_path, text)
+    arities = sorted((m.name, m.arity) for m in kb.entries["a.X"].methods)
+    assert arities == [("m", 300), ("n", 7)]
+    assert _load_text(tmp_path, dump_kb(kb)) == kb
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "type a.X class lib=",
+        "type a.X class lib= extends=a.Y",
+        "type a.X class implements=a.Y lib=",
+    ],
+    ids=["dump-tail", "dump-tail-with-supertype", "other-tail"],
+)
+def test_empty_library_rejected_at_its_line(tmp_path, record):
+    # dump_kb refuses an empty library, so a KB that loaded with one would
+    # fail kb-build's dump
+    path = tmp_path / "k.kb"
+    path.write_text(f"type a.Y class lib=l1\n{record}\n", encoding="utf-8")
+    with pytest.raises(KbError) as info:
+        load_kb(path)
+    assert str(info.value) == f"{path}:2: empty lib="
 
 
 def test_internal_supertype_must_exist(tmp_path):

@@ -1557,6 +1557,8 @@ def _ref_parse_kb(text):
                 raise KbError(f"unknown attributes {sorted(unknown)}", lineno)
             if fqn in types:
                 raise KbError(f"duplicate type {fqn}", lineno)
+            if attrs["lib"] == "":
+                raise KbError("empty lib=", lineno)
             types[fqn] = {
                 "kind": kind,
                 "library": attrs["lib"],
@@ -1640,6 +1642,7 @@ def _ref_load_model(path):
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise bad(1, "missing model header line")
     settings = {"alpha": 1.0, "eta": 2}
+    texts = {"eta": "2"}
     for part in lines[0].split("\t")[1:]:
         key, _, value = part.partition("=")
         if key not in settings:
@@ -1648,11 +1651,14 @@ def _ref_load_model(path):
             settings[key] = float(value) if key == "alpha" else int(value)
         except ValueError:
             raise bad(1, f"bad {key} value {value!r}") from None
+        texts[key] = value
     alpha, eta = settings["alpha"], settings["eta"]
     try:
         _check_settings(alpha, eta)
     except ValueError as exc:
         raise bad(1, str(exc)) from None
+    if re.fullmatch("[0-9]+", texts["eta"]) is None:
+        raise bad(1, f"bad eta value {texts['eta']!r}")
     rows = {}
     known = []
     vocabulary = set()
@@ -1675,6 +1681,8 @@ def _ref_load_model(path):
                 raise bad(lineno, f"bad count record {_shown(line)}") from None
             if n <= 0:
                 raise bad(lineno, "nonpositive count")
+            if re.fullmatch("[0-9]+", parts[3]) is None:
+                raise bad(lineno, f"bad count record {_shown(line)}")
             row = rows.setdefault(fqn, {})
             row[tok] = row.get(tok, 0) + n
             vocabulary.add(tok)
@@ -1730,7 +1738,8 @@ _KB_FAULTS = (
     "field p.A F type=? type=?", "field p.A F bare", "banana p.A", "#method p.A",
     "method p.A m/+1 static static returns=?", "method p.A m/٣",
     "method p.A m/1 static static returns=?", "method p.A m/-1", "method p.A /0",
-    "method p.A m/0 returns=", "field p.A F static type=",
+    "method p.A m/0 returns=", "field p.A F static type=", "type p.Z class lib=",
+    "type p.Z class lib= extends=p.A",
 )
 
 
@@ -1797,7 +1806,8 @@ _MODEL_FAULTS = (
     'count\t"\x0c"\ta.X\t1', 'count\t"a"\ta.X\t0', 'count\t"a"\ta.X\t-2',
     'count\t"a"\ta.X\tx', 'count\t"a"\ta.X', 'count\t"a"\ta.X\t1\t1', 'count',
     'fqn', 'fqn\ta.X\tz', 'what', ' ', '\x0c', 'Count\t"a"\ta.X\t1',
-    'count\t"a"\ta.X\t 4', 'count\t"a"\ta.X\t1_0',
+    'count\t"a"\ta.X\t 4', 'count\t"a"\ta.X\t1_0', 'count\t"a"\ta.X\t+5',
+    'count\t"a"\ta.X\t5 ', 'count\t"a"\ta.X\t\u0663',
     # a literal with text after it, unterminated, or with a short escape
     'count\t"a"x\ta.X\t1', 'count\t"a\ta.X\t1', 'count\t"\\u12"\ta.X\t1',
     'count\t"a\\"\ta.X\t1',
@@ -1805,6 +1815,7 @@ _MODEL_FAULTS = (
 _MODEL_HEADERS = (
     "cooccurrence", "cooccurrence\teta=1\talpha=0.5", "cooccurrenc",
     "cooccurrence\talpha=0", "cooccurrence\tbeta=1", "cooccurrence\teta=x", "",
+    "cooccurrence\teta=+2",
 )
 
 
@@ -1899,6 +1910,86 @@ def test_member_tails_in_any_order_load_as_the_canonical_kb():
                     assert _kb_outcome(_parse_kb, text) == ("error", *error), (case, text)
                 checked += 1
     assert checked >= 1000, checked
+
+
+def _comes_back(values):
+    """Whether some value comes back after a run of others."""
+    runs = [v for i, v in enumerate(values) if i == 0 or values[i - 1] != v]
+    return len(runs) > len(set(runs))
+
+
+def test_kb_records_out_of_dump_order_load_as_the_canonical_kb():
+    """A dumped random KB, with its records shuffled (members of different
+    owners interleave, members come before their type record) and each
+    type record's tail in a random order, loads to the KB the canonical
+    text loads to."""
+    rng = random.Random(2901)
+    seen = {"interleaved": 0, "member-first": 0, "tail-reordered": 0}
+    for case in range(300):
+        kb = _random_kb(rng)
+        lines = dump_kb(kb).split("\n")
+        rng.shuffle(lines)
+        for i, line in enumerate(lines):
+            words = line.split(" ")
+            if words[0] == "type":
+                tail = rng.sample(words[3:], len(words) - 3)
+                seen["tail-reordered"] += tail != words[3:]
+                lines[i] = " ".join(words[:3] + tail)
+        assert _parse_kb("\n".join(lines)) == kb, (case, lines)
+        seen["interleaved"] += _comes_back(
+            [line.split(" ")[1] for line in lines if line.startswith(("method", "field"))]
+        )
+        typed = set()
+        for line in lines:
+            words = line.split(" ")
+            if words[0] == "type":
+                typed.add(words[1])
+            elif len(words) > 1 and words[1] not in typed:
+                seen["member-first"] += 1
+                break
+    assert min(seen.values()) >= 100, seen
+
+
+def test_model_records_out_of_dump_order_load_the_summed_rows(tmp_path):
+    """A dumped random model, with some counts split over two records of
+    the same (token, FQN) and every record shuffled, so that one token's
+    records are no longer consecutive, loads the model's rows: its FQNs in
+    the order of their first count records, then the FQNs of fqn records,
+    and each row's tokens in the order of their first records."""
+    rng = random.Random(2902)
+    path = tmp_path / "m.tsv"
+    seen = {"split": 0, "token-apart": 0}
+    for case in range(300):
+        rows = _random_dump_rows(rng)
+        model = CooccurrenceModel(rows, {t for row in rows.values() for t in row}, 1.0, 2)
+        header, *records = dump_model(model).rstrip("\n").split("\n")
+        split = []
+        for record in records:
+            head, _, count = record.rpartition("\t")
+            if record.startswith("count") and int(count) > 1 and rng.random() < 0.5:
+                a = rng.randint(1, int(count) - 1)
+                split += [f"{head}\t{a}", f"{head}\t{int(count) - a}"]
+                seen["split"] += 1
+            else:
+                split.append(record)
+        rng.shuffle(split)
+        path.write_text("\n".join([header] + split) + "\n", encoding="utf-8")
+        loaded = load_model(path)
+        assert loaded == model, case
+        want: dict[str, list[str]] = {}
+        for record in split:
+            kind, *fields = record.split("\t")
+            if kind == "count":
+                tokens = want.setdefault(fields[1], [])
+                if json.loads(fields[0]) not in tokens:
+                    tokens.append(json.loads(fields[0]))
+        for record in split:
+            kind, *fields = record.split("\t")
+            if kind == "fqn":
+                want.setdefault(fields[0], [])
+        assert [(f, list(row)) for f, row in loaded.rows.items()] == list(want.items()), case
+        seen["token-apart"] += _comes_back([r.split("\t")[1] for r in split if r.startswith("count")])
+    assert min(seen.values()) >= 50, seen
 
 
 def test_model_loader_matches_reference_loop(tmp_path, model):

@@ -926,6 +926,37 @@ def test_load_rejects_bad_values_with_line(tmp_path, text, match):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["+5", "5_0", " 7", "5 ", "\u0663", "\uff15"],
+    ids=["plus", "underscore", "leading-blank", "trailing-blank",
+         "arabic-indic-digit", "fullwidth-digit"],
+)
+def test_load_refuses_a_count_or_eta_that_is_not_ascii_digits(tmp_path, value):
+    # int() reads each of these as a number; dump_model writes every count
+    # and eta as ASCII digits
+    path = tmp_path / "m.tsv"
+    record = f'count\t"x"\tcom.a.X\t{value}'
+    path.write_text(f"cooccurrence\teta=2\n{record}\n", encoding="utf-8")
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}:2: bad count record {record!r}"
+    path.write_text(f"cooccurrence\talpha=1.0\teta={value}\n", encoding="utf-8")
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}:1: bad eta value {value!r}"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "+0", "-0"])
+def test_a_signed_or_zero_count_stays_a_nonpositive_count(tmp_path, value):
+    # the digit check comes after int() and the sign check
+    path = tmp_path / "m.tsv"
+    path.write_text(f'cooccurrence\teta=2\ncount\t"x"\tcom.a.X\t{value}\n', encoding="utf-8")
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}:2: nonpositive count"
+
+
 def test_load_rejects_a_total_beyond_float_range(tmp_path):
     # 10**308 fits a float, twice it does not; the constructor refuses such
     # a row, so no model holds one and its file is written here
