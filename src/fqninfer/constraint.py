@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from typing import Container, Mapping, Sequence, Union
 
@@ -391,14 +390,23 @@ def _search(
     Returns (fewest violations, the smallest optimal candidate-index
     vector, each element's candidate indices across all optima).
 
-    - Elements with one candidate are settled up front and their pair
-      tables folded into the other element's counts, so the search branches
-      only over elements with a choice. A search node only adds up table
-      entries.
+    - Set-up is one pass over the elements. It gives each candidate its
+      library's bit, each element the union of its candidates' bits, each
+      library the number of elements with a candidate in it (its reach),
+      and splits the elements into settled ones (one candidate) and free
+      ones.
+    - Settled elements' violations and libraries count for every
+      assignment, and their pair tables fold into the other element's
+      counts, so the search branches only over free elements. With no
+      free element there is nothing to search: the result is the settled
+      costs plus every pair table's [0][0], the all-zeros vector, and {0}
+      as each element's optima. A search node only adds up table entries.
     - At each element, candidates are tried by the violations they add
       given the choices above them, then whether their library is new, then
-      how many elements have a candidate in that library, then candidate
-      order. The first complete assignment is usually optimal, so later
+      the reach of their library, then candidate order. The last two keys
+      do not change during the search, so each free element's candidates
+      are sorted by them once, and each node sorts that order by the first
+      two. The first complete assignment is usually optimal, so later
       branches meet a tight incumbent.
     - A branch is cut when its lower bound is strictly worse than the
       incumbent. The violation bound is the violations so far plus each
@@ -414,29 +422,49 @@ def _search(
     the search meets them.
     """
     n = len(libs)
-    # libraries as bits: a candidate's bit, and each element's union of them
+    # the one set-up pass; cost holds the free elements' unary counts
     lib_bit: dict[str, int] = {}
-    cand_bits = [[1 << lib_bit.setdefault(lib, len(lib_bit)) for lib in ls] for ls in libs]
-    elem_libs = [set(bits) for bits in cand_bits]
-    elem_bits = [sum(libs) for libs in elem_libs]
-
-    # An element with one candidate is settled before the search: its
-    # violations and library count for every assignment, and its pair
-    # checks fold into the other element's unary costs.
-    settled = [len(ls) == 1 for ls in libs]
-    free = [i for i in range(n) if not settled[i]]
-    cost = {i: list(unary[i]) for i in free}
-    base_v = sum(unary[i][0] for i in range(n) if settled[i])
-    base_used = sum({elem_bits[i] for i in range(n) if settled[i]})
-    # pair tables of two free elements, by the later one
-    earlier: list[list[tuple[int, Sequence[Sequence[int]]]]] = [[] for _ in libs]
-    for (lo, hi), table in pairs.items():
-        if settled[lo] and settled[hi]:
+    cand_bits: list[list[int]] = []
+    elem_bits: list[int] = []
+    reach: dict[int, int] = {}
+    free: list[int] = []
+    cost: dict[int, list[int]] = {}
+    base_v = base_used = 0
+    for i, ls in enumerate(libs):
+        bits: list[int] = []
+        union = 0
+        for lib in ls:
+            bit = lib_bit.get(lib)
+            if bit is None:
+                bit = lib_bit[lib] = 1 << len(lib_bit)
+            bits.append(bit)
+            if not union & bit:
+                union |= bit
+                reach[bit] = reach.get(bit, 0) + 1
+        cand_bits.append(bits)
+        elem_bits.append(union)
+        if len(bits) > 1:
+            free.append(i)
+            cost[i] = list(unary[i])
+        else:
+            base_v += unary[i][0]
+            base_used |= union
+    if not free:
+        # nothing to choose: the all-zeros vector is the only assignment
+        for table in pairs.values():
             base_v += table[0][0]
-        elif settled[lo]:
-            for c, x in enumerate(table[0]):
-                cost[hi][c] += x
-        elif settled[hi]:
+        return base_v, (0,) * n, [{0} for _ in range(n)]
+
+    # pair tables of two free elements, by the later one
+    earlier: dict[int, list[tuple[int, Sequence[Sequence[int]]]]] = {i: [] for i in free}
+    for (lo, hi), table in pairs.items():
+        if lo not in cost:
+            if hi not in cost:
+                base_v += table[0][0]
+            else:
+                for c, x in enumerate(table[0]):
+                    cost[hi][c] += x
+        elif hi not in cost:
             for c, row in enumerate(table):
                 cost[lo][c] += row[0]
         else:
@@ -450,11 +478,10 @@ def _search(
         rest_min[d] = rest_min[d + 1] + min(cost[free[d]])
     # ties in violations and library novelty go to the library that the
     # most elements could share, then to candidate order
-    reach = Counter(bit for libs in elem_libs for bit in libs)
-    tie_order = {
-        i: sorted(range(len(cand_bits[i])), key=lambda ci: -reach[cand_bits[i][ci]])
-        for i in free
-    }
+    tie_order: list[list[int]] = []
+    for i in free:
+        neg_reach = [-reach[bit] for bit in cand_bits[i]]
+        tie_order.append(sorted(range(len(neg_reach)), key=neg_reach.__getitem__))
 
     def lib_bound(d: int, used: int) -> int:
         """Libraries every completion from depth d beyond `used` needs."""
@@ -491,7 +518,7 @@ def _search(
             for ci, x in enumerate(row):
                 added[ci] += x
         bits = cand_bits[i]
-        for ci in sorted(tie_order[i], key=lambda ci: (added[ci], not bits[ci] & used)):
+        for ci in sorted(tie_order[d], key=lambda ci: (added[ci], not bits[ci] & used)):
             v_next = v + added[ci]
             v_bound = v_next + rest_min[d + 1]
             if v_bound > best_v:
@@ -514,16 +541,18 @@ def _search(
         # table above: unbinding it breaks that cycle, so refcounting frees
         # this search's tables now instead of the cyclic collector later
         del dfs
-    return int(best_v), best_vec, optima_values
+    return best_v, best_vec, optima_values
 
 
 class ConstraintProblem:
     """One snippet's constraint problem on a loaded KB, solved under masks.
 
-    Construction only sets apart the elements that are untyped under every
-    mask: those on the excluded lines and those with no candidate. Each
-    `solve` tabulates the candidates its mask keeps and searches once, or
-    returns the loaded KB's unique optimum when the mask cannot change it.
+    Construction sets apart the elements that are untyped under every
+    mask: those on the excluded lines and those with no candidate. For
+    each other element it stores the candidates and their libraries, read
+    from the KB once per simple name. Each `solve` tabulates the
+    candidates its mask keeps and searches once, or returns the loaded
+    KB's unique optimum when the mask cannot change it.
     """
 
     def __init__(
@@ -536,13 +565,23 @@ class ConstraintProblem:
         self._kb = kb
         self._constraints = constraints
         untyped: set[ApiElement] = set()
-        # each searched element with its candidates; candidates_for is
-        # sorted, so comparing index vectors compares FQNs
-        self._search: list[tuple[ApiElement, tuple[str, ...]]] = []
+        # each searched element with its candidates and their libraries,
+        # read once per simple name; candidates_for is sorted, so comparing
+        # index vectors compares FQNs
+        self._elements: list[ApiElement] = []
+        self._cands: list[tuple[str, ...]] = []
+        self._libs: list[list[str]] = []
+        libs_of: dict[str, list[str]] = {}
+        entries = kb.entries
         for e in sorted(elements, key=lambda e: e.token_index):
             cands = kb.candidates_for(e.simple_name)
             if e.line not in excluded and cands:
-                self._search.append((e, cands))
+                libs = libs_of.get(e.simple_name)
+                if libs is None:
+                    libs = libs_of[e.simple_name] = [entries[c].library for c in cands]
+                self._elements.append(e)
+                self._cands.append(cands)
+                self._libs.append(libs)
             else:
                 untyped.add(e)
         self._untyped = frozenset(untyped)
@@ -557,6 +596,11 @@ class ConstraintProblem:
     ) -> ConstraintResult:
         """The result of `solve` on the loaded KB (mask None) or on the KB
         reduced to mask, the entries of the loaded KB whose FQN it holds.
+
+        The loaded KB's solve uses the stored candidates and libraries as
+        they are, since every candidate is an entry of that KB; a masked
+        solve keeps the candidates in the mask, with their libraries, in
+        one pass.
 
         If the loaded KB's solve had a unique optimum and the mask holds its
         FQNs and every type consulted by every candidate it keeps, that
@@ -574,18 +618,28 @@ class ConstraintProblem:
                 types <= mask for c, types in consulted.items() if c in mask
             ):
                 return result
-        members: Container[str] = kb.entries if mask is None else mask
-        search: list[ApiElement] = []
-        cands: list[list[str]] = []
         rejected = set(self._untyped)
-        for e, cl in self._search:
-            kept = [c for c in cl if c in members]
-            if kept:
-                search.append(e)
-                cands.append(kept)
-            else:
-                rejected.add(e)
-        libs = [[kb.entries[c].library for c in cl] for cl in cands]
+        members: Container[str]
+        if mask is None:
+            # every candidates_for FQN is an entry of the loaded KB
+            members = kb.entries
+            search, cands, libs = self._elements, self._cands, self._libs
+        else:
+            members = mask
+            search, cands, libs = [], [], []
+            for e, cl, ls in zip(self._elements, self._cands, self._libs):
+                kept: list[str] = []
+                kept_libs: list[str] = []
+                for c, lib in zip(cl, ls):
+                    if c in mask:
+                        kept.append(c)
+                        kept_libs.append(lib)
+                if kept:
+                    search.append(e)
+                    cands.append(kept)
+                    libs.append(kept_libs)
+                else:
+                    rejected.add(e)
         index_of = {e: i for i, e in enumerate(search)}
         unary, pairs, consulted = _tabulate(
             kb, members, self._constraints, index_of, cands
@@ -631,9 +685,10 @@ def solve(
     a violated constraint, or (strict_uniqueness) the optima disagree about
     them.
 
-    This is `ConstraintProblem.solve` with mask None: every check is
-    tabulated once per candidate and candidate pair, and an exact branch and
-    bound (`_search`) over those tables finds every optimum. The loop in
+    This is `ConstraintProblem.solve` with mask None: each element's
+    candidates and their libraries are read from the KB once, every check
+    is tabulated once per candidate and candidate pair, and an exact branch
+    and bound (`_search`) over those tables finds every optimum. The loop in
     `orchestrator.run` builds one `ConstraintProblem` per run and solves it
     under each round's mask. Raises ValueError when more elements have a
     choice than the search's recursion limit allows.

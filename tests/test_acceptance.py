@@ -191,7 +191,7 @@ def test_top_k_insensitivity(kb, model, eval_items):
     )
 
 
-def test_randomized_suites_within_budget(tmp_path, call_seconds):
+def test_randomized_suites_within_budget(tmp_path, call_seconds, kb, model):
     """All randomized invariant suites fit the shared time budget.
 
     A suite that already passed in this session counts with the time its
@@ -202,6 +202,8 @@ def test_randomized_suites_within_budget(tmp_path, call_seconds):
         (test_properties.test_augmentation_alignment, ()),
         (test_properties.test_solver_matches_bruteforce_oracle, ()),
         (test_properties.test_solver_matches_oracle_on_dense_links, ()),
+        (test_properties.test_search_matches_the_search_it_replaced, ()),
+        (test_properties.test_mutated_snippets_end_in_answers_or_one_error_line, (kb, model)),
         (test_properties.test_combination_invariants, ()),
         (test_properties.test_aggregate_permutation_invariance, ()),
         (test_properties.test_full_answer_precision_equals_recall, ()),
@@ -212,7 +214,7 @@ def test_randomized_suites_within_budget(tmp_path, call_seconds):
     for suite, args in suites:
         if suite not in call_seconds:
             suite(*args)
-    _done(t0, 120, "randomized suites", "9 suites, 1000+ cases each")
+    _done(t0, 120, "randomized suites", "11 suites, 1000+ cases each")
 
 
 def test_stat_first_order_recall(kb, model, eval_items):

@@ -11,6 +11,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,9 @@ from fqninfer.constraint import (
     MemberCall,
     Supertype,
     _parse_args,
+    _search,
+    _tabulate,
+    extract_constraints,
     solve,
 )
 from fqninfer.kb import (
@@ -42,7 +46,15 @@ from fqninfer.kb import (
     reduce_kb,
     supertype_closure,
 )
-from fqninfer.orchestrator import CombinedResult, RoundRecord, combine
+from fqninfer.orchestrator import (
+    ORDER_STAT_FIRST,
+    CombinedResult,
+    RoundRecord,
+    RunConfig,
+    combine,
+    infer_with_engine,
+    run,
+)
 from fqninfer.scoring import (
     GroundTruth,
     SnippetScore,
@@ -873,6 +885,234 @@ def test_masked_solve_matches_rebuilt_kb():
         for strict in (False, True):
             want = solve(rebuilt, elems, cons, excluded, strict_uniqueness=strict)
             assert problem.solve(mask, strict_uniqueness=strict) == want, case
+
+
+# ---------------------------------------------------------------------------
+# the search versus the search it replaced, on tabulated problems
+
+
+def _reference_search(libs, unary, pairs):
+    """The search before its one-pass set-up, kept verbatim but for this
+    docstring: a Counter of library reach, a tie order per free element,
+    and a full set-up and descent even when no element has a choice."""
+    n = len(libs)
+    # libraries as bits: a candidate's bit, and each element's union of them
+    lib_bit: dict[str, int] = {}
+    cand_bits = [[1 << lib_bit.setdefault(lib, len(lib_bit)) for lib in ls] for ls in libs]
+    elem_libs = [set(bits) for bits in cand_bits]
+    elem_bits = [sum(libs) for libs in elem_libs]
+
+    # An element with one candidate is settled before the search: its
+    # violations and library count for every assignment, and its pair
+    # checks fold into the other element's unary costs.
+    settled = [len(ls) == 1 for ls in libs]
+    free = [i for i in range(n) if not settled[i]]
+    cost = {i: list(unary[i]) for i in free}
+    base_v = sum(unary[i][0] for i in range(n) if settled[i])
+    base_used = sum({elem_bits[i] for i in range(n) if settled[i]})
+    # pair tables of two free elements, by the later one
+    earlier = [[] for _ in libs]
+    for (lo, hi), table in pairs.items():
+        if settled[lo] and settled[hi]:
+            base_v += table[0][0]
+        elif settled[lo]:
+            for c, x in enumerate(table[0]):
+                cost[hi][c] += x
+        elif settled[hi]:
+            for c, row in enumerate(table):
+                cost[lo][c] += row[0]
+        else:
+            earlier[hi].append((lo, table))
+
+    depth = len(free)
+    # fewest violations of the free elements from depth d on (the
+    # violation bound)
+    rest_min = [0] * (depth + 1)
+    for d in range(depth - 1, -1, -1):
+        rest_min[d] = rest_min[d + 1] + min(cost[free[d]])
+    # ties in violations and library novelty go to the library that the
+    # most elements could share, then to candidate order
+    reach = Counter(bit for libs in elem_libs for bit in libs)
+    tie_order = {
+        i: sorted(range(len(cand_bits[i])), key=lambda ci: -reach[cand_bits[i][ci]])
+        for i in free
+    }
+
+    def lib_bound(d, used):
+        """Libraries every completion from depth d beyond `used` needs."""
+        count = used.bit_count()
+        for i in free[d:]:
+            if not elem_bits[i] & used:
+                count += 1
+                used |= elem_bits[i]
+        return count
+
+    best_v = best_l = math.inf
+    best_vec = ()
+    optima_values = []
+    choice = [0] * n
+
+    def dfs(d, v, used):
+        nonlocal best_v, best_l, best_vec, optima_values
+        if d == depth:
+            leaf = (v, used.bit_count())
+            vec = tuple(choice)
+            if leaf < (best_v, best_l):
+                best_v, best_l = leaf
+                best_vec = vec
+                optima_values = [{c} for c in vec]
+            elif leaf == (best_v, best_l):
+                for j, c in enumerate(vec):
+                    optima_values[j].add(c)
+                best_vec = min(best_vec, vec)
+            return
+        i = free[d]
+        added = list(cost[i])
+        for lo, table in earlier[i]:
+            row = table[choice[lo]]
+            for ci, x in enumerate(row):
+                added[ci] += x
+        bits = cand_bits[i]
+        for ci in sorted(tie_order[i], key=lambda ci: (added[ci], not bits[ci] & used)):
+            v_next = v + added[ci]
+            v_bound = v_next + rest_min[d + 1]
+            if v_bound > best_v:
+                break  # the rest add at least as many violations
+            used_next = used | bits[ci]
+            if v_bound == best_v and lib_bound(d + 1, used_next) > best_l:
+                continue
+            choice[i] = ci
+            dfs(d + 1, v_next, used_next)
+
+    try:
+        dfs(0, base_v, base_used)
+    except RecursionError:
+        raise ValueError(
+            f"snippet too large to solve: {depth} elements with a choice exceed"
+            " the recursion limit"
+        ) from None
+    finally:
+        # dfs holds itself in its closure cell, and through its cells every
+        # table above: unbinding it breaks that cycle, so refcounting frees
+        # this search's tables now instead of the cyclic collector later
+        del dfs
+    return int(best_v), best_vec, optima_values
+
+
+_TABLE_LIBS = tuple(f"lib{k}" for k in range(6))
+
+
+def _random_tables(rng):
+    """A tabulated problem: up to 14 elements with a choice and up to 6
+    settled ones, in random token order, with libraries drawn from at most
+    6 (two candidates may share one), random unary counts, and pair tables
+    between any two elements. An element with a choice has 2-4 candidates,
+    or 2-3 when more than 8 have a choice, which keeps the search's many-
+    optima cases sub-second; a third of the cases have no element with a
+    choice."""
+    n_free = rng.choice((0, rng.randint(1, 6), rng.randint(1, 14)))
+    free = [True] * n_free + [False] * rng.randint(0, 6)
+    rng.shuffle(free)
+    pool = rng.sample(_TABLE_LIBS, rng.randint(1, 6))
+    most = 4 if n_free <= 8 else 3
+    libs = [[rng.choice(pool) for _ in range(rng.randint(2, most) if f else 1)] for f in free]
+    unary = [[rng.choice((0, 0, 0, 1, 2)) for _ in ls] for ls in libs]
+    density = rng.random() * 0.5
+    pairs = {}
+    for lo, hi in itertools.combinations(range(len(libs)), 2):
+        if rng.random() < density:
+            pairs[(lo, hi)] = [[rng.choice((0, 0, 0, 1)) for _ in libs[hi]] for _ in libs[lo]]
+    return libs, unary, pairs
+
+
+def _tabulated(kb, text):
+    """The tables a full-KB solve of snippet text searches."""
+    sn = tokenize(text)
+    elements = sorted(identify_api_elements(sn, kb), key=lambda e: e.token_index)
+    constraints, excluded = extract_constraints(sn, elements)
+    cands = [kb.candidates_for(e.simple_name) for e in elements]
+    assert not excluded and all(cands)
+    index_of = {e: i for i, e in enumerate(elements)}
+    unary, pairs, _ = _tabulate(kb, kb.entries, constraints, index_of, cands)
+    return [[kb.entries[c].library for c in cl] for cl in cands], unary, pairs
+
+
+# three names, three candidates each, over six libraries: any two libraries
+# that cover all three names leave one name free between them
+_ROUND_ROBIN_LIBS = (("l0", "l1", "l2"), ("l0", "l3", "l4"), ("l1", "l3", "l5"))
+
+
+def test_search_matches_the_search_it_replaced():
+    """The search returns exactly what the search before its one-pass
+    set-up returned, on 1000 seeded random tabulated problems and on the
+    solver's cliff shapes at sub-second sizes."""
+    rng = random.Random(9017)
+    for case in range(1000):
+        libs, unary, pairs = _random_tables(rng)
+        assert _search(libs, unary, pairs) == _reference_search(libs, unary, pairs), case
+    kb = load_kb(Path(__file__).parent / "fixtures" / "kb" / "global.kb")
+    shapes = {
+        "document": _tabulated(kb, "Document d = null;\n" * 12),
+        "label-document-button": _tabulated(
+            kb, "Label a; Document d; Button b;\n" * 10
+        ),
+        "composite": _tabulated(kb, "Composite c = new Composite();\n" * 30),
+        "round-robin": (
+            [list(_ROUND_ROBIN_LIBS[k % 3]) for k in range(30)],
+            [[0, 0, 0] for _ in range(30)],
+            {},
+        ),
+    }
+    for shape, (libs, unary, pairs) in shapes.items():
+        assert sum(len(ls) > 1 for ls in libs) >= 10, shape
+        assert _search(libs, unary, pairs) == _reference_search(libs, unary, pairs), shape
+
+
+# ---------------------------------------------------------------------------
+# mutated snippets through every engine
+
+_CORPUS = Path(__file__).parent / "fixtures" / "corpus"
+
+
+def _answers_or_error(call):
+    """The answers of call(), or the message of the ValueError it raised,
+    checked to be one line."""
+    try:
+        answers = call()
+    except ValueError as exc:
+        message = str(exc)
+        assert message and "\n" not in message, message
+        return message
+    return answers
+
+
+def test_mutated_snippets_end_in_answers_or_one_error_line(kb, model):
+    """Every engine and run configuration, on 1000 line and character
+    mutations of the fixture snippets, either answers with KB entries of
+    each element's simple name or raises ValueError with one line, and
+    does the same on a second call."""
+    texts = [read_utf8(p) for p in sorted(_CORPUS.glob("*/*.java"))]
+    assert len(texts) == 14
+    configs = (
+        RunConfig(),
+        RunConfig(order=ORDER_STAT_FIRST, cascaded_calls=True, strict_uniqueness=False),
+    )
+    rng = random.Random(9019)
+    for case in range(1000):
+        sn = tokenize(_mutate(rng, rng.choice(texts)))
+        calls = [
+            lambda config=config: run(sn, kb, model, config)[0].answers()
+            for config in configs
+        ] + [
+            lambda engine=engine: infer_with_engine(sn, kb, model, engine)
+            for engine in ("constraint", "stat", "combined")
+        ]
+        for call in calls:
+            got = _answers_or_error(call)
+            if isinstance(got, dict):
+                for key, fqn in got.items():
+                    assert fqn in kb.candidates_for(key.partition("[")[0]), (case, key)
+            assert _answers_or_error(call) == got, case
 
 
 # ---------------------------------------------------------------------------
