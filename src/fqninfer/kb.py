@@ -33,12 +33,10 @@ member in line order whose owner has none is the error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .snippet import DECIMALS, _value_tuple, collector_paused, read_utf8
+from .snippet import _value_tuple, collector_paused, read_utf8
 
 
 class KbError(Exception):
@@ -72,9 +70,10 @@ class FieldSig(NamedTuple):
     is_static: bool = False
 
 
-@dataclass(frozen=True)
-class TypeEntry:
-    """One type in the KB with its members and supertype edges.
+@_value_tuple
+class TypeEntry(NamedTuple):
+    """One type in the KB with its members and supertype edges, as a
+    `snippet._value_tuple`.
 
     supertypes holds direct extends/implements edges to other entries in the
     same KB. external_supertypes lists supertypes outside the KB; they are
@@ -84,10 +83,10 @@ class TypeEntry:
     fqn: str
     kind: str  # "class" or "interface"
     library: str
-    methods: frozenset[MethodSig] = field(default_factory=frozenset)
-    fields: frozenset[FieldSig] = field(default_factory=frozenset)
-    supertypes: frozenset[str] = field(default_factory=frozenset)
-    external_supertypes: frozenset[str] = field(default_factory=frozenset)
+    methods: frozenset[MethodSig] = frozenset()
+    fields: frozenset[FieldSig] = frozenset()
+    supertypes: frozenset[str] = frozenset()
+    external_supertypes: frozenset[str] = frozenset()
 
     def find_method(self, name: str, arity: int) -> MethodSig | None:
         for m in self.methods:
@@ -113,8 +112,6 @@ def simple_name_index(fqns: Iterable[str]) -> dict[str, tuple[str, ...]]:
 
 
 _KINDS = ("class", "interface")
-_SIGNATURE = itemgetter(0, 1)  # a MethodSig's (name, arity)
-_NAME = itemgetter(0)  # a FieldSig's name
 
 
 class KnowledgeBase:
@@ -132,45 +129,28 @@ class KnowledgeBase:
         # entries never change
         self._closures: dict[str, tuple[str, ...]] = {}
         self._members: dict[tuple, MethodSig | FieldSig | None] = {}
-        self._validate()
-
-    def _validate(self) -> None:
-        entries = self._entries
-        for e in entries.values():
-            # set sizes and a subset test pass every sound entry; only an
-            # entry that fails one is walked, to name its first offender
-            if (
-                e.kind in _KINDS
-                and len(set(map(_SIGNATURE, e.methods))) == len(e.methods)
-                and len(set(map(_NAME, e.fields))) == len(e.fields)
-                # frozenset() of a frozenset is that frozenset, not a copy
-                and entries.keys() >= frozenset(e.supertypes)
-            ):
-                continue
-            self._name_offence(e)
-
-    def _name_offence(self, e: TypeEntry) -> None:
-        """Raise KbError for the first fault of entry e, in the order
-        kind, method signatures, fields, supertypes."""
-        if e.kind not in _KINDS:
-            raise KbError(f"{e.fqn}: bad kind {e.kind!r}")
-        signatures: set[tuple[str, int]] = set()
-        for m in e.methods:
-            if (m.name, m.arity) in signatures:
-                raise KbError(
-                    f"{e.fqn}: conflicting signatures for {m.name}/{m.arity}"
-                )
-            signatures.add((m.name, m.arity))
-        names: set[str] = set()
-        for f in e.fields:
-            if f.name in names:
-                raise KbError(f"{e.fqn}: conflicting fields for {f.name}")
-            names.add(f.name)
-        for s in e.supertypes:
-            if s not in self._entries:
-                raise KbError(
-                    f"{e.fqn}: supertype {s} not in KB and not marked external"
-                )
+        # each entry's first fault, in the order kind, method signatures,
+        # fields, supertypes
+        for e in by_fqn.values():
+            if e.kind not in _KINDS:
+                raise KbError(f"{e.fqn}: bad kind {e.kind!r}")
+            signatures: set[tuple[str, int]] = set()
+            for m in e.methods:
+                if (m.name, m.arity) in signatures:
+                    raise KbError(
+                        f"{e.fqn}: conflicting signatures for {m.name}/{m.arity}"
+                    )
+                signatures.add((m.name, m.arity))
+            names: set[str] = set()
+            for f in e.fields:
+                if f.name in names:
+                    raise KbError(f"{e.fqn}: conflicting fields for {f.name}")
+                names.add(f.name)
+            for s in e.supertypes:
+                if s not in by_fqn:
+                    raise KbError(
+                        f"{e.fqn}: supertype {s} not in KB and not marked external"
+                    )
 
     @property
     def entries(self) -> Mapping[str, TypeEntry]:
@@ -295,7 +275,7 @@ def _parse_kb(text: str) -> KnowledgeBase:
     # read before its owner's type record opens the owner's lists
     members: dict[str, tuple[list[MethodSig], list[FieldSig]]] = {}
     forward: list[tuple[int, str, str]] = []  # lineno, kind, owner
-    make = tuple.__new__  # a signature without NamedTuple's Python-level __new__
+    make = tuple.__new__  # a record without NamedTuple's Python-level __new__
 
     # records end at "\n" alone: str.splitlines would also end them at form
     # feeds and other separators that split() reads as blanks
@@ -311,15 +291,13 @@ def _parse_kb(text: str) -> KnowledgeBase:
             name, _, arity_s = parts[2].partition("/")
             if not name:
                 raise KbError("empty method name", lineno)
-            arity = DECIMALS.get(arity_s)
-            if arity is None:
-                # int() would also read a sign, underscores and non-ASCII digits
-                if not (arity_s.isascii() and arity_s.isdigit()):
-                    raise KbError(f"bad arity {arity_s!r}", lineno)
-                try:
-                    arity = int(arity_s)
-                except ValueError:  # more digits than int() converts
-                    raise KbError(f"bad arity {arity_s!r}", lineno) from None
+            # int() would also read a sign, underscores and non-ASCII digits
+            if not (arity_s.isascii() and arity_s.isdigit()):
+                raise KbError(f"bad arity {arity_s!r}", lineno)
+            try:
+                arity = int(arity_s)
+            except ValueError:  # more digits than int() converts
+                raise KbError(f"bad arity {arity_s!r}", lineno) from None
             ret, is_static = _member_tail(parts, "returns", lineno)
             sig = make(MethodSig, (name, arity, is_static, ret))
             slot = 0
@@ -364,42 +342,20 @@ def _parse_kb(text: str) -> KnowledgeBase:
             raise KbError(f"{mkind} owner {owner} has no type record", lineno)
 
     return KnowledgeBase(
-        _entry(
-            fqn,
-            kind,
-            lib,
-            frozenset(members[fqn][0]),
-            frozenset(members[fqn][1]),
-            frozenset(supers),
-            frozenset(external),
+        make(
+            TypeEntry,
+            (
+                fqn,
+                kind,
+                lib,
+                frozenset(members[fqn][0]),
+                frozenset(members[fqn][1]),
+                frozenset(supers),
+                frozenset(external),
+            ),
         )
         for fqn, (kind, lib, supers, external) in types.items()
     )
-
-
-def _entry(
-    fqn: str,
-    kind: str,
-    library: str,
-    methods: frozenset[MethodSig],
-    fields: frozenset[FieldSig],
-    supertypes: frozenset[str],
-    external_supertypes: frozenset[str],
-) -> TypeEntry:
-    """TypeEntry(fqn, ...) without the frozen dataclass's __init__, which
-    sets each field through object.__setattr__: the instance dict gets the
-    fields in declaration order, as __init__ gives it."""
-    entry = object.__new__(TypeEntry)
-    entry.__dict__.update(
-        fqn=fqn,
-        kind=kind,
-        library=library,
-        methods=methods,
-        fields=fields,
-        supertypes=supertypes,
-        external_supertypes=external_supertypes,
-    )
-    return entry
 
 
 def _field(

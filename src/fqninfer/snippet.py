@@ -68,7 +68,9 @@ JAVA_KEYWORDS = frozenset(
 
 
 def _value_tuple(cls):
-    """Make the NamedTuple class cls a value equal only to its own instances.
+    """Make the NamedTuple class cls a value equal only to its own instances,
+    as `ApiElement` and the KB's records `MethodSig`, `FieldSig` and
+    `TypeEntry` are.
 
     A tuple underneath, so it is built cheaply (by `tuple.__new__` where
     that matters) and hashes in C, as its field tuple does; but comparing it
@@ -352,11 +354,6 @@ def read_utf8(path: str | Path, error: type[Exception] = ValueError) -> str:
     except UnicodeDecodeError as exc:
         line = Path(path).read_bytes().count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{line}: not UTF-8 text") from None
-
-
-# the ASCII decimal spelling of each small int, as `str` writes it: a loader
-# looks a KB arity or a model count up here before its general check
-DECIMALS = {str(i): i for i in range(256)}
 
 
 def collector_paused(loader):

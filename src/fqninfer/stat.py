@@ -51,7 +51,6 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 from .kb import KnowledgeBase, simple_name_index
 from .snippet import (
-    DECIMALS,
     ApiElement,
     AugmentedSnippet,
     Snippet,
@@ -505,7 +504,10 @@ def predict_all(
 # ---------------------------------------------------------------------------
 # serialization
 
-_HEADER_PREFIX = "cooccurrence"
+_HEADER = "cooccurrence"  # the header line's first field
+# the ASCII decimal spelling of each small int, as `str` writes it:
+# `load_model` looks a count up here before its general check
+DECIMALS = {str(i): i for i in range(256)}
 # the function json.dumps writes a str with under its default settings
 _quote_token = json.encoder.encode_basestring_ascii
 # json's string scanner, taken if the literal spans the field; else json.loads decides
@@ -533,7 +535,7 @@ def dump_model(model: CooccurrenceModel) -> str:
     if model.smoothing_alpha > sys.float_info.max:
         raise ValueError("cannot dump model: alpha is beyond float range")
     lines = [
-        f"{_HEADER_PREFIX}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
+        f"{_HEADER}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
     ]
     # a row holds a token once, so sorting each token's (fqn, n) pairs
     # orders the records by (token, fqn)
@@ -611,20 +613,21 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     collector is paused while the model is built, and left as it was found
     (`snippet.collector_paused`).
 
-    The first line is the header: `cooccurrence`, then optional
-    tab-separated `alpha=<float>` and `eta=<int>` fields (1.0 and 2 if
-    absent). Each later line is a record: `count<TAB><token><TAB><fqn><TAB><n>`
-    adds a positive int n to the FQN's count of the token, `fqn<TAB><fqn>`
-    makes the FQN known without counts (an empty row), and empty lines and
-    lines starting with `#` are skipped. A token is one JSON string, read
-    as `json.loads` reads it. A count and an eta are ASCII decimal digits:
-    `+5`, `5_0`, ` 7` and `٣`, which int() reads, are refused.
+    The first line is the header: the field `cooccurrence`, then optional
+    tab-separated `alpha=<float>` and `eta=<int>` fields, each at most once
+    (1.0 and 2 if absent). Each later line is a record:
+    `count<TAB><token><TAB><fqn><TAB><n>` adds a positive int n to the
+    FQN's count of the token, `fqn<TAB><fqn>` makes the FQN known without
+    counts (an empty row), and empty lines and lines starting with `#` are
+    skipped. A token is one JSON string, read as `json.loads` reads it. A
+    count and an eta are ASCII decimal digits: `+5`, `5_0`, ` 7` and `٣`,
+    which int() reads, are refused.
 
     Raises ModelFormatError as `<path>:<line>: <message>` for text that is
-    not UTF-8, a missing or bad header, a bad record or a nonpositive
-    count, and as `<path>: <message>` for what the model's constructor
-    refuses: an FQN whose total is beyond float range, or an alpha whose
-    log term fails at the largest total.
+    not UTF-8, a missing header, a bad or repeated header field, a bad
+    record or a nonpositive count, and as `<path>: <message>` for what the
+    model's constructor refuses: an FQN whose total is beyond float range,
+    or an alpha whose log term fails at the largest total.
     """
     text = read_utf8(path, ModelFormatError)
 
@@ -634,25 +637,28 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     # records end at "\n" alone: str.splitlines would also end one at a
     # form feed, "\x85" or "\u2028" inside a token
     lines = text.split("\n")
-    if not lines[0].startswith(_HEADER_PREFIX):
+    name, *fields = lines[0].split("\t")
+    if name != _HEADER:
         raise bad(1, "missing model header line")
     settings: dict[str, float | int] = {"alpha": 1.0, "eta": 2}
-    eta_text = "2"
-    for part in lines[0].split("\t")[1:]:
+    texts: dict[str, str] = {}  # each field's value as written
+    for part in fields:
         key, _, value = part.partition("=")
         if key not in settings:
             raise bad(1, f"unknown header field {key!r}")
+        if key in texts:
+            raise bad(1, f"duplicate header field {key!r}")
+        texts[key] = value
         try:
             settings[key] = float(value) if key == "alpha" else int(value)
         except ValueError:
             raise bad(1, f"bad {key} value {value!r}") from None
-        if key == "eta":
-            eta_text = value
     alpha, eta = settings["alpha"], settings["eta"]
     try:
         _check_settings(alpha, eta)
     except ValueError as exc:
         raise bad(1, str(exc)) from None
+    eta_text = texts.get("eta", "2")
     # int() would also read a sign, underscores, blanks and non-ASCII digits
     if not (eta_text.isascii() and eta_text.isdigit()):
         raise bad(1, f"bad eta value {eta_text!r}")

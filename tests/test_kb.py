@@ -1,7 +1,5 @@
 """Knowledge base parsing, validation, closures, and reduction."""
 
-import dataclasses
-
 import pytest
 
 from fqninfer import KbError, KnowledgeBase, dump_kb, load_kb
@@ -149,8 +147,13 @@ def test_records_end_at_newline_only(tmp_path):
     [
         (MethodSig, ("run", 1, True, "com.a.X")),
         (FieldSig, ("MODE", "com.a.X", True)),
+        (
+            TypeEntry,
+            ("com.a.X", "class", "a", frozenset({MethodSig("run", 0)}),
+             frozenset({FieldSig("MODE")}), frozenset({"com.a.Y"}), frozenset({"x.Z"})),
+        ),
     ],
-    ids=["method", "field"],
+    ids=["method", "field", "entry"],
 )
 def test_signature_is_a_value_equal_only_to_its_own_type(make, fields):
     sig = make(*fields)
@@ -164,8 +167,8 @@ def test_signature_is_a_value_equal_only_to_its_own_type(make, fields):
     assert sig != tuple.__new__(other, fields)
     assert hash(sig) == hash(tuple(fields))
     with pytest.raises(AttributeError):
-        sig.name = "x"
-    assert repr(sig).startswith(f"{make.__name__}(name=")
+        setattr(sig, make._fields[0], "x")
+    assert repr(sig).startswith(f"{make.__name__}({make._fields[0]}=")
 
 
 def test_conflicting_method_signatures_rejected(tmp_path):
@@ -252,20 +255,23 @@ def test_bad_method_name_or_arity_rejected_at_its_line(tmp_path, signature, mess
 
 
 def test_loaded_entries_are_what_the_constructor_builds(tmp_path):
-    # load_kb builds each entry without TypeEntry.__init__, so it must hold
-    # every field, in declaration order, as the constructor's entry does
+    # load_kb builds each entry with tuple.__new__, past TypeEntry's
+    # constructor, so it must hold every field, in declaration order, as
+    # the constructor's entry does
     kb = _load_text(tmp_path, MINI)
-    names = [f.name for f in dataclasses.fields(TypeEntry)]
+    assert TypeEntry._fields == (
+        "fqn", "kind", "library", "methods", "fields", "supertypes",
+        "external_supertypes",
+    )
     for e in kb.entries.values():
-        built = TypeEntry(**vars(e))
-        assert list(vars(e).items()) == list(vars(built).items())
-        assert list(vars(e)) == names
+        built = TypeEntry(*e)
+        assert type(e) is TypeEntry
         assert e == built and hash(e) == hash(built)
+        assert all(type(v) is frozenset for v in e[3:])
 
 
 def test_arity_beyond_the_table_of_small_ints_loads_as_its_int(tmp_path):
-    # the loader looks an arity up among the small ints' spellings first;
-    # any other goes through the digit check and int()
+    # an arity of any size is read by the digit check and int()
     text = "type a.X class lib=l1\nmethod a.X m/300 returns=?\nmethod a.X n/007 returns=?\n"
     kb = _load_text(tmp_path, text)
     arities = sorted((m.name, m.arity) for m in kb.entries["a.X"].methods)
@@ -494,3 +500,46 @@ def test_bad_kind_rejected_at_construction():
     # the loader rejects the kind first, so only a hand-built KB gets here
     with pytest.raises(KbError, match="^a.X: bad kind 'enum'$"):
         KnowledgeBase([TypeEntry("a.X", "enum", "l")])
+
+
+@pytest.mark.parametrize(
+    "faulty, message",
+    [
+        (
+            TypeEntry(
+                "a.B", "enum", "l", frozenset({MethodSig("m", 0), MethodSig("m", 0, True)})
+            ),
+            "a.B: bad kind 'enum'",
+        ),
+        (
+            TypeEntry(
+                "a.B", "class", "l",
+                frozenset({MethodSig("m", 0), MethodSig("m", 0, True)}),
+                frozenset({FieldSig("F"), FieldSig("F", None, True)}),
+            ),
+            "a.B: conflicting signatures for m/0",
+        ),
+        (
+            TypeEntry(
+                "a.B", "class", "l",
+                fields=frozenset({FieldSig("F"), FieldSig("F", None, True)}),
+                supertypes=frozenset({"no.Such"}),
+            ),
+            "a.B: conflicting fields for F",
+        ),
+    ],
+    ids=["kind-then-signature", "signature-then-field", "field-then-supertype"],
+)
+def test_construction_reports_the_first_fault_of_the_first_faulty_entry(faulty, message):
+    # the faulty entry comes between sound ones; a second faulty entry after
+    # it, with a fault of every kind, is never reached
+    later = TypeEntry(
+        "a.C", "enum", "l",
+        frozenset({MethodSig("n", 1), MethodSig("n", 1, True)}),
+        frozenset({FieldSig("G"), FieldSig("G", "a.A")}),
+        frozenset({"no.Other"}),
+    )
+    sound = [TypeEntry("a.A", "class", "l"), TypeEntry("a.D", "interface", "l")]
+    with pytest.raises(KbError) as info:
+        KnowledgeBase([sound[0], faulty, later, sound[1]])
+    assert str(info.value) == message

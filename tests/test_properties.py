@@ -74,7 +74,7 @@ from fqninfer.snippet import (
     tokenize,
 )
 from fqninfer.stat import (
-    _HEADER_PREFIX,
+    _HEADER,
     CandidateList,
     CooccurrenceModel,
     ModelFormatError,
@@ -1634,7 +1634,7 @@ def _ref_dump_model(model):
     """Reference: one sorted (token, fqn, n) tuple per count, each token
     JSON-encoded, then an fqn record for each FQN with no count."""
     lines = [
-        f"{_HEADER_PREFIX}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
+        f"{_HEADER}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
     ]
     records = sorted(
         (tok, fqn, n)
@@ -1879,14 +1879,19 @@ def _ref_load_model(path):
         return ModelFormatError(f"{path}:{lineno}: {message}")
 
     lines = text.split("\n")
-    if not lines or not lines[0].startswith(_HEADER_PREFIX):
+    header = lines[0].split("\t")
+    if header[0] != _HEADER:
         raise bad(1, "missing model header line")
     settings = {"alpha": 1.0, "eta": 2}
     texts = {"eta": "2"}
-    for part in lines[0].split("\t")[1:]:
+    given = set()
+    for part in header[1:]:
         key, _, value = part.partition("=")
         if key not in settings:
             raise bad(1, f"unknown header field {key!r}")
+        if key in given:
+            raise bad(1, f"duplicate header field {key!r}")
+        given.add(key)
         try:
             settings[key] = float(value) if key == "alpha" else int(value)
         except ValueError:
@@ -2055,7 +2060,8 @@ _MODEL_FAULTS = (
 _MODEL_HEADERS = (
     "cooccurrence", "cooccurrence\teta=1\talpha=0.5", "cooccurrenc",
     "cooccurrence\talpha=0", "cooccurrence\tbeta=1", "cooccurrence\teta=x", "",
-    "cooccurrence\teta=+2",
+    "cooccurrence\teta=+2", "cooccurrence alpha=5.0\teta=1",
+    "cooccurrence\talpha=1.0\talpha=3.0",
 )
 
 

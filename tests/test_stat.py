@@ -881,6 +881,26 @@ def test_load_rejects_missing_header(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("cooccurrence alpha=5.0\teta=1", "missing model header line"),
+        ("cooccurrences\talpha=1.0", "missing model header line"),
+        ("cooccurrence\talpha=1.0\talpha=3.0", "duplicate header field 'alpha'"),
+        ("cooccurrence\teta=2\talpha=1.0\teta=2", "duplicate header field 'eta'"),
+    ],
+    ids=["space-after-name", "longer-name", "alpha-twice", "eta-twice"],
+)
+def test_load_reads_the_header_name_exactly_and_each_field_once(tmp_path, header, message):
+    # a header whose first field only begins with the name would load with
+    # default settings, and a repeated field would override the first
+    path = tmp_path / "m.tsv"
+    path.write_text(header + '\ncount\t"x"\tcom.a.X\t1\n', encoding="utf-8")
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}:1: {message}"
+
+
 def test_load_rejects_bad_record(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("cooccurrence\talpha=1.0\teta=2\nwhat\tis\tthis\n", encoding="utf-8")
