@@ -33,43 +33,43 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Container, Mapping, Sequence, Union
+from typing import Container, Mapping, NamedTuple, Sequence, Union
 
 from .kb import KnowledgeBase, field_in_knowledge, method_in_knowledge, supertype_closure
-from .snippet import _IDENTIFIER, _KEYWORD, ApiElement, Snippet, SnippetStructure
+from .snippet import (_IDENTIFIER, _KEYWORD, ApiElement, Snippet, SnippetStructure,
+                      _value_tuple)
 
 
 # --------------------------------------------------------------------------
 # constraint variants
 
-@dataclass(frozen=True)
-class Construction:
+@_value_tuple
+class Construction(NamedTuple):
     subject: ApiElement
 
 
-@dataclass(frozen=True)
-class MemberCall:
+@_value_tuple
+class MemberCall(NamedTuple):
     subject: ApiElement
     chain: tuple[tuple[str, int], ...]  # one or more (method, arity) hops
     static_call: bool  # the first hop is called on the type itself
 
 
-@dataclass(frozen=True)
-class FieldAccess:
+@_value_tuple
+class FieldAccess(NamedTuple):
     subject: ApiElement
     field_name: str
     static_access: bool
 
 
-@dataclass(frozen=True)
-class Supertype:
+@_value_tuple
+class Supertype(NamedTuple):
     subject: ApiElement
     kind: str  # "class" or "interface": the kind the clause requires
 
 
-@dataclass(frozen=True)
-class DeclaredAssignment:
+@_value_tuple
+class DeclaredAssignment(NamedTuple):
     declared: ApiElement
     source: Union[Construction, MemberCall]
 
@@ -79,8 +79,8 @@ Constraint = Union[
 ]
 
 
-@dataclass(frozen=True)
-class ConstraintResult:
+@_value_tuple
+class ConstraintResult(NamedTuple):
     typed: Mapping[ApiElement, str]
     untyped: frozenset[ApiElement]
 
@@ -404,10 +404,11 @@ def _search(
     - At each element, candidates are tried by the violations they add
       given the choices above them, then whether their library is new, then
       the reach of their library, then candidate order. The last two keys
-      do not change during the search, so each free element's candidates
-      are sorted by them once, and each node sorts that order by the first
-      two. The first complete assignment is usually optimal, so later
-      branches meet a tight incumbent.
+      do not change during the search, so each distinct library list (the
+      elements of one simple name share one) is sorted by them once, and
+      each node sorts that order by the first two. The first complete
+      assignment is usually optimal, so later branches meet a tight
+      incumbent.
     - A branch is cut when its lower bound is strictly worse than the
       incumbent. The violation bound is the violations so far plus each
       remaining element's fewest unary violations. The library bound is the
@@ -479,9 +480,13 @@ def _search(
     # ties in violations and library novelty go to the library that the
     # most elements could share, then to candidate order
     tie_order: list[list[int]] = []
+    order_of: dict[int, list[int]] = {}
     for i in free:
-        neg_reach = [-reach[bit] for bit in cand_bits[i]]
-        tie_order.append(sorted(range(len(neg_reach)), key=neg_reach.__getitem__))
+        key = id(libs[i])
+        if key not in order_of:
+            neg_reach = [-reach[bit] for bit in cand_bits[i]]
+            order_of[key] = sorted(range(len(neg_reach)), key=neg_reach.__getitem__)
+        tie_order.append(order_of[key])
 
     def lib_bound(d: int, used: int) -> int:
         """Libraries every completion from depth d beyond `used` needs."""
@@ -627,13 +632,13 @@ class ConstraintProblem:
         else:
             members = mask
             search, cands, libs = [], [], []
+            # the elements of one simple name share libraries and what is kept
+            kept_of: dict[int, tuple[list[str], list[str]]] = {}
             for e, cl, ls in zip(self._elements, self._cands, self._libs):
-                kept: list[str] = []
-                kept_libs: list[str] = []
-                for c, lib in zip(cl, ls):
-                    if c in mask:
-                        kept.append(c)
-                        kept_libs.append(lib)
+                if id(ls) not in kept_of:
+                    kept_of[id(ls)] = ([c for c in cl if c in mask],
+                                       [lib for c, lib in zip(cl, ls) if c in mask])
+                kept, kept_libs = kept_of[id(ls)]
                 if kept:
                     search.append(e)
                     cands.append(kept)

@@ -18,11 +18,12 @@ consulted returns that optimum without tabulating or searching (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .constraint import ConstraintProblem, ConstraintResult, extract_constraints, solve
 from .kb import KnowledgeBase, reduce_kb
-from .snippet import ApiElement, Snippet, augment, identify_api_elements, plain
+from .snippet import (ApiElement, Snippet, _value_tuple, augment, identify_api_elements,
+                      plain)
 from .stat import CandidateList, Predictor, predict_all
 
 ORDER_CONSTRAINT_FIRST = "constraint_first"
@@ -74,16 +75,16 @@ class RunConfig:
             raise ValueError(f"delta must be at least 1, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+@_value_tuple
+class RoundRecord(NamedTuple):
     round_number: int
     constraint_result: ConstraintResult
     stat_result: Mapping[ApiElement, CandidateList]
     kb_size: int  # size of the (masked) KB the constraint pass ran against
 
 
-@dataclass(frozen=True)
-class CombinedElement:
+@_value_tuple
+class CombinedElement(NamedTuple):
     element: ApiElement
     final_fqn: str | None
     source: str  # "constraint", "statistical" or "none"
@@ -91,8 +92,8 @@ class CombinedElement:
     comb_types_s: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CombinedResult:
+@_value_tuple
+class CombinedResult(NamedTuple):
     per_element: Mapping[ApiElement, CombinedElement]
 
     def answers(self) -> dict[str, str]:

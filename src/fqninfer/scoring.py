@@ -9,13 +9,13 @@ that is no element key, as one behind a byte order mark, is an error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .snippet import (
     ApiElement,
     Snippet,
+    _value_tuple,
     collector_paused,
     identify_api_elements,
     read_utf8,
@@ -27,8 +27,8 @@ class TruthFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+@_value_tuple
+class GroundTruth(NamedTuple):
     snippet_id: str
     library: str
     truth: Mapping[str, str]  # element key -> FQN
@@ -59,8 +59,8 @@ def load_truth(path: str | Path, snippet_id: str = "", library: str = "") -> Gro
     return GroundTruth(sid, library, truth)
 
 
-@dataclass(frozen=True)
-class CorpusItem:
+@_value_tuple
+class CorpusItem(NamedTuple):
     snippet_id: str
     library: str
     java_path: str
@@ -129,8 +129,8 @@ def training_pairs(
 # ---------------------------------------------------------------------------
 # metrics
 
-@dataclass(frozen=True)
-class SnippetScore:
+@_value_tuple
+class SnippetScore(NamedTuple):
     snippet_id: str
     library: str
     precision: float | None  # None when nothing was inferred
@@ -172,8 +172,8 @@ def score_snippet(
     )
 
 
-@dataclass(frozen=True)
-class Aggregate:
+@_value_tuple
+class Aggregate(NamedTuple):
     precision: float | None
     recall: float | None
     snippets: int

@@ -17,10 +17,11 @@ the end so a pass reads its neighbours without bounds checks, the partner
 of every bracket (paired in one pass, so broken code costs no rescans),
 the commas at each bracket depth (so a call's arity is two bisections),
 every class, interface and enum header, and the extends/implements
-clauses. Identification here and constraint extraction both read it.
-`Snippet.word_index` holds the line and position of every identifier and
-literal token: a context window over the snippet, or over any augmentation
-of it (which replaces lexemes only), is a slice of that index.
+clauses, and the line and token index of every identifier and literal,
+all from one walk over the significant tokens. Identification here,
+constraint extraction and context windows read it: a window over the
+snippet, or over any augmentation of it (which replaces lexemes only), is
+a slice of those word columns.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ JAVA_KEYWORDS = frozenset(
 
 def _value_tuple(cls):
     """Make the NamedTuple class cls a value equal only to its own instances,
-    as `ApiElement` and the KB's records `MethodSig`, `FieldSig` and
-    `TypeEntry` are.
+    as every record of the package that neither caches nor validates is.
 
     A tuple underneath, so it is built cheaply (by `tuple.__new__` where
     that matters) and hashes in C, as its field tuple does; but comparing it
@@ -90,8 +90,8 @@ def _value_tuple(cls):
     return cls
 
 
-@dataclass(frozen=True)
-class Header:
+@_value_tuple
+class Header(NamedTuple):
     """One `class`, `interface` or `enum` header. Positions are indices into
     the `SnippetStructure` columns."""
 
@@ -101,9 +101,9 @@ class Header:
     close: int | None  # the matching '}', or the last token if unterminated
 
 
-@dataclass(frozen=True)
-class SnippetStructure:
-    """The bracket and declaration structure of a snippet, read in one pass.
+@_value_tuple
+class SnippetStructure(NamedTuple):
+    """The bracket and declaration structure of a snippet, read in one walk.
 
     lexemes, kinds, lines: the columns of every token that is not
         whitespace or a comment, each followed by three pads ("",
@@ -128,6 +128,9 @@ class SnippetStructure:
         (clause keyword, declaring header). A header nested in another
         before the body opens declares the clauses after it; a clause with
         no named header before it belongs to the first, nameless one.
+    word_lines, word_indices: the line and token index of every identifier
+        and literal, in token order (the lines never decrease), which a
+        context window slices; augmentation keeps kinds and lines.
     """
 
     lexemes: tuple[str, ...]
@@ -139,18 +142,19 @@ class SnippetStructure:
     commas: Mapping[int, Sequence[int]]
     headers: tuple[Header, ...]
     clauses: Mapping[int, tuple[str, Header]]
+    word_lines: tuple[int, ...]
+    word_indices: tuple[int, ...]
 
 
 _DECLARATIONS = ("class", "interface", "enum")
-
-
 _CLOSERS = {")": "(", "}": "{"}
-_BRACKETS_AND_COMMA = frozenset("(){}[],")
+# the lexemes the structure walk stops at, besides the words
+_STRUCTURAL = frozenset("(){}[],") | frozenset(_DECLARATIONS)
 _PADS = 3  # pads after the SnippetStructure columns
 
 
 def _read_structure(snippet: Snippet) -> SnippetStructure:
-    lexemes, kinds = snippet.lexemes, snippet.kinds
+    lexemes, kinds, lines = snippet.lexemes, snippet.kinds, snippet.lines
     positions = [i for i, k in enumerate(kinds)
                  if k is not _WHITESPACE and k is not _COMMENT]
     n = len(positions)
@@ -160,12 +164,20 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
     stacks: dict[str, list[int]] = {"(": [], "{": []}
     arg_depth: dict[int, int] = {}
     commas: dict[int, list[int]] = {}
+    declarations: list[int] = []  # positions of class/interface/enum
+    words: list[int] = []  # token indices of the identifiers and literals
     depth = 0
-    for j, lx in enumerate(lex):
-        if lx not in _BRACKETS_AND_COMMA:
+    for j, lx in enumerate(lex):  # a pad is neither a word nor structural
+        if lx not in _STRUCTURAL:
+            k = kind[j]
+            if k is _IDENTIFIER or k is _LITERAL:
+                words.append(positions[j])
             continue
         if lx == ",":
             commas.setdefault(depth, []).append(j)
+            continue
+        if lx in _DECLARATIONS:  # always a keyword
+            declarations.append(j)
             continue
         if lx in stacks:
             stacks[lx].append(j)
@@ -177,17 +189,16 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
             depth += 1
             if lx == "(":
                 arg_depth[j] = depth
-        elif lx in ")]}":
+        else:
             depth -= 1
     for j in stacks["{"]:
         partner[j] = n - 1  # an unterminated body runs to the end
     headers: list[Header] = []
     clauses: dict[int, tuple[str, Header]] = {}
-    j = 0
-    while j < n:
-        if kind[j] is not _KEYWORD or lex[j] not in _DECLARATIONS:
-            j += 1
-            continue
+    end = 0
+    for j in declarations:
+        if j < end:
+            continue  # a header nested in the run read last
         # One header run, up to the first '{' or ';'. Headers nested in it
         # share its end and its body.
         end = j
@@ -211,17 +222,11 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
                 clause, owner = lex[k], latest_named or first
             elif clause is not None and kind[k] is _IDENTIFIER:
                 clauses[k] = (clause, owner)
-        j = end
     return SnippetStructure(
-        lex,
-        kind,
-        tuple([snippet.lines[i] for i in positions] + [0] * _PADS),
-        tuple(positions + [None] * _PADS),
-        MappingProxyType(partner),
-        MappingProxyType(arg_depth),
-        MappingProxyType(commas),
-        tuple(headers),
-        MappingProxyType(clauses),
+        lex, kind, tuple([lines[i] for i in positions] + [0] * _PADS),
+        tuple(positions + [None] * _PADS), MappingProxyType(partner),
+        MappingProxyType(arg_depth), MappingProxyType(commas), tuple(headers),
+        MappingProxyType(clauses), tuple([lines[i] for i in words]), tuple(words),
     )
 
 
@@ -240,21 +245,6 @@ class Snippet:
     def structure(self) -> SnippetStructure:
         """Read on first use, then shared by every pass over this snippet."""
         return _read_structure(self)
-
-    @cached_property
-    def word_index(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(start lines, token indices) of the identifier and literal tokens,
-        in token order, so the lines never decrease. Augmentation keeps each
-        token's kind and line, so the index serves every augmentation of
-        this snippet."""
-        # tuples built from lists: tuple(genexpr) grows its tuple by resizing,
-        # so it takes none from CPython's free list of its final size but
-        # frees one into it; with no full collection to clear them, those
-        # free lists would grow to their cap
-        kinds, lines = self.kinds, self.lines
-        indices = tuple([i for i, k in enumerate(kinds)
-                         if k is _IDENTIFIER or k is _LITERAL])
-        return tuple([lines[i] for i in indices]), indices
 
 
 _TOKEN_RE = re.compile(
@@ -337,8 +327,10 @@ def tokenize(text: str) -> Snippet:
         kinds = _lone_quotes_as_punct(lexemes, list(kinds))
     lines = list(accumulate(map(str.count, lexemes, repeat("\n")), initial=1))
     del lines[-1]  # the line after the last lexeme
-    # lists first: tuple(map(...)) would grow its tuple by resizing
-    # (see Snippet.word_index)
+    # lists first, here and for the structure's columns: tuple(map(...))
+    # grows its tuple by resizing, so it takes none from CPython's free list
+    # of its final size but frees one into it; with no full collection to
+    # clear them, those free lists would grow to their cap
     return Snippet(text, tuple(lexemes), tuple(list(kinds)), tuple(lines))
 
 
@@ -493,8 +485,8 @@ class AugmentError(ValueError):
     """A substitution key does not line up with the snippet's tokens."""
 
 
-@dataclass(frozen=True)
-class AugmentedSnippet:
+@_value_tuple
+class AugmentedSnippet(NamedTuple):
     """The source snippet with some element tokens replaced by FQN lexemes.
 
     Only the lexeme column is its own: kinds and lines are the source's, so

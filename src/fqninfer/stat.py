@@ -17,8 +17,8 @@ Given the KB its answers will be filtered against, the model ranks only the
 FQNs that KB holds, so it scores no candidate the filter would drop and
 builds no window for an element when the KB holds none of the model's FQNs
 of its name.
-A window is a slice of the snippet's word index (`Snippet.word_index`),
-found by bisecting its lines.
+A window is a slice of the word columns of the snippet's structure
+(`Snippet.structure`), found by bisecting its lines.
 A model learned from other corpora knows FQNs that exist nowhere in a
 given KB; ranked without a KB it may name them. Such names are the
 hallucination the KB filter is for, and a predictor that ignores the KB
@@ -47,13 +47,14 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .kb import KnowledgeBase, simple_name_index
 from .snippet import (
     ApiElement,
     AugmentedSnippet,
     Snippet,
+    _value_tuple,
     augment,
     collector_paused,
     read_utf8,
@@ -187,16 +188,17 @@ def context_window(
     line, excluding the element's own token. Substituted FQNs of other
     elements appear as single tokens. Order follows the token stream.
 
-    The window is a slice of the source snippet's word index, found by
-    bisecting its lines, read from the augmentation's lexeme column: the
-    kinds and lines the index was built from are the source's.
+    The window is a slice of the source snippet's word columns, found by
+    bisecting their lines, read from the augmentation's lexeme column: the
+    kinds and lines the columns were read from are the source's.
     """
-    lines, indices = aug.source.word_index
+    structure = aug.source.structure
+    lines = structure.word_lines
     start = bisect_left(lines, element.line - eta)
     stop = bisect_right(lines, element.line + eta)
     lexemes = aug.lexemes
     own = element.token_index
-    return [lexemes[i] for i in indices[start:stop] if i != own]
+    return [lexemes[i] for i in structure.word_indices[start:stop] if i != own]
 
 
 def train(
@@ -298,8 +300,8 @@ def predict_topk(
     return scored[:k]
 
 
-@dataclass(frozen=True)
-class CandidateList:
+@_value_tuple
+class CandidateList(NamedTuple):
     """Ordered, KB-filtered candidate FQNs for one element."""
 
     ranked: tuple[str, ...]
@@ -485,20 +487,20 @@ def predict_all(
     """Predict and KB-filter candidates for every element, in token order.
 
     k limits the number of surviving candidates, not the raw ranking: the
-    predictor is asked for a longer list so that dropping hallucinated
-    (non knowledge-base) names still leaves up to k usable ones. The
-    over-fetch serves predictors that ignore `kb`; the co-occurrence model
-    ranks only KB FQNs, so the filter drops none of its answer. With k <= 0
-    the predictor is not asked, and every element gets an empty list.
+    predictor is asked for k more than the KB's FQNs of the element's name,
+    so that dropping hallucinated (non knowledge-base) names still leaves
+    usable ones. The co-occurrence model ranks only those KB FQNs, so it
+    never fills the request and the filter drops none of its answer. With
+    k <= 0 the predictor is not asked, and every element gets an empty list.
     """
     ordered = sorted(elements, key=lambda e: e.token_index)
     if k <= 0:
         return {e: CandidateList(()) for e in ordered}
-    fetch = k + len(kb.entries)
-    return {
-        e: filter_against_kb(predictor.predict(aug, e, fetch, kb), kb, k)
-        for e in ordered
-    }
+    ranked = {}
+    for e in ordered:
+        fetch = k + len(kb.candidates_for(e.simple_name))
+        ranked[e] = filter_against_kb(predictor.predict(aug, e, fetch, kb), kb, k)
+    return ranked
 
 
 # ---------------------------------------------------------------------------

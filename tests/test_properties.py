@@ -66,6 +66,7 @@ from fqninfer.snippet import (
     ApiElement,
     BOXED_NAMES,
     JAVA_KEYWORDS,
+    Header,
     TokenKind,
     augment,
     identify_api_elements,
@@ -422,6 +423,102 @@ def test_argument_arity_matches_reference_scan():
             assert _parse_args(structure, i) == want, (case, raw, i)
             checked += close is not None and close > i + 1
     assert checked >= 3000, checked
+
+
+# ---------------------------------------------------------------------------
+# the one structure walk
+
+
+def _full_stream_words(sn):
+    """Reference: (lines, token indices) of every identifier and literal,
+    by a filter of the whole token stream."""
+    words = (TokenKind.IDENTIFIER, TokenKind.LITERAL)
+    indices = tuple([i for i, k in enumerate(sn.kinds) if k in words])
+    return tuple([sn.lines[i] for i in indices]), indices
+
+
+def _second_scan_headers(structure):
+    """Reference: the headers and clauses read by a second scan of the
+    significant tokens for declaration keywords."""
+    lex, kind, n = structure.lexemes, structure.kinds, _real(structure)
+    declarations = ("class", "interface", "enum")
+    headers, clauses = [], {}
+    j = 0
+    while j < n:
+        if kind[j] is not TokenKind.KEYWORD or lex[j] not in declarations:
+            j += 1
+            continue
+        end = j
+        while end < n and lex[end] not in ("{", ";"):
+            end += 1
+        open_ = close = None
+        if lex[end] == "{":
+            open_, close = end, structure.partner[end]
+        clause = first = latest_named = owner = None
+        for k in range(j, end):
+            if kind[k] is TokenKind.KEYWORD and lex[k] in declarations:
+                name = lex[k + 1] if kind[k + 1] is TokenKind.IDENTIFIER else None
+                header = Header(lex[k], name, open_, close)
+                headers.append(header)
+                first = first or header
+                latest_named = header if name is not None else latest_named
+            elif kind[k] is TokenKind.KEYWORD and lex[k] in ("extends", "implements"):
+                clause, owner = lex[k], latest_named or first
+            elif clause is not None and kind[k] is TokenKind.IDENTIFIER:
+                clauses[k] = (clause, owner)
+        j = end
+    return tuple(headers), clauses
+
+
+def _full_stream_window(aug, element, eta):
+    """Reference: the context window by a filter of the whole token
+    stream."""
+    sn = aug.source
+    return [
+        aug.lexemes[i]
+        for i, k in enumerate(sn.kinds)
+        if k in (TokenKind.IDENTIFIER, TokenKind.LITERAL)
+        and abs(sn.lines[i] - element.line) <= eta
+        and i != element.token_index
+    ]
+
+
+def test_structure_walk_matches_full_stream_and_second_scan():
+    """Every fixture snippet and the seeded soups of the lexer, bracket and
+    augmentation suites: the word columns are the full stream's words,
+    headers and clauses those of a second scan, and every context window,
+    eta 0 to 3, the full stream's."""
+    rng = random.Random(9031)
+    fixtures = sorted((Path(__file__).parent / "fixtures").rglob("*.java"))
+    texts = [read_utf8(p) for p in fixtures]
+    for _ in range(600):
+        texts.append("".join(rng.choice(_LEX_DIFF_PIECES) for _ in range(rng.randint(0, 40))))
+        texts.append(" ".join(rng.choice(_BRACKET_PIECES) for _ in range(rng.randint(0, 30))))
+        texts.append(_random_snippet_text(rng))
+    headers = clauses = windows = 0
+    for case, raw in enumerate(texts):
+        sn = tokenize(raw)
+        structure = sn.structure
+        words = (structure.word_lines, structure.word_indices)
+        assert words == _full_stream_words(sn), (case, raw)
+        want = _second_scan_headers(structure)
+        assert (structure.headers, dict(structure.clauses)) == want, (case, raw)
+        headers += len(want[0])
+        clauses += len(want[1])
+        elements = identify_api_elements(sn)
+        aug = augment(sn, {e: f"x.y.{e.simple_name}" for e in elements[::2]})
+        # a target may sit on any token, a word or not
+        targets = elements + [
+            ApiElement("T", sn.lines[i], 1, i)
+            for i in rng.sample(range(len(sn.lexemes)), min(3, len(sn.lexemes)))
+        ]
+        for target in targets:
+            for eta in range(4):
+                got = context_window(aug, target, eta)
+                assert got == _full_stream_window(aug, target, eta), (case, raw, target, eta)
+                windows += bool(got)
+    assert len(fixtures) >= 30 and headers >= 1000 and clauses >= 300, (headers, clauses)
+    assert windows >= 10000, windows
 
 
 # ---------------------------------------------------------------------------

@@ -477,6 +477,26 @@ def test_external_predictor_feeds_pipeline(tmp_path):
     assert got[el].ranked == ("mock.two.Label",)
 
 
+K_PREDICTOR = r"""
+import json, sys
+for line in sys.stdin:
+    print(json.dumps([f"sent.k{json.loads(line)['k']}"]), flush=True)
+"""
+
+
+def test_predict_all_asks_for_k_plus_the_kb_fqns_of_the_name(tmp_path):
+    # the child answers with the k it was sent, spelled as an FQN the KB
+    # holds; the KB holds 2 Labels among 12 types
+    script = tmp_path / "k_predictor.py"
+    script.write_text(K_PREDICTOR, encoding="utf-8")
+    kb = _kb("com.a.Label", "org.b.Label", "com.a.Button",
+             *(f"sent.k{n}" for n in range(1, 10)))
+    sn, el = _single_element("Label x = ctx;", "Label")
+    with ExternalPredictor([sys.executable, str(script)]) as pred:
+        sent = [predict_all(pred, plain(sn), [el], kb, k)[el].ranked for k in (1, 3)]
+    assert sent == [("sent.k3",), ("sent.k5",)]
+
+
 def test_external_predictor_close_kills_a_child_that_outlives_its_input(tmp_path):
     # answers one request, then keeps running after its input ends
     script = tmp_path / "lingering_predictor.py"
