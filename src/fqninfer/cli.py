@@ -53,26 +53,29 @@ def _add_kb_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+_SWITCHES = (  # the on/off run flags: flag, RunConfig field, help
+    ("--cascaded-calls", "cascaded_calls", "follow multi-hop call chains as one constraint"),
+    ("--strict-body", "strict_body_check",
+     "give up on class bodies with mismatched constructor names"),
+    ("--strict-uniqueness", "strict_uniqueness",
+     "abstain when constraint optima disagree about an element"),
+)
+
+
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", help="trained co-occurrence model file")
-    parser.add_argument("--k", type=int, default=3, help="candidates per element")
-    parser.add_argument("--delta", type=int, default=10, help="round limit")
+    parser.add_argument("--k", type=int, default=RunConfig.k, help="candidates per element")
+    parser.add_argument("--delta", type=int, default=RunConfig.delta, help="round limit")
     parser.add_argument(
-        "--order", choices=sorted(_ORDERS), default="cs",
+        "--order", choices=sorted(_ORDERS),
+        default=next(flag for flag, order in _ORDERS.items() if order == RunConfig.order),
         help="cs: constraint engine leads each round; sc: statistical leads",
     )
-    parser.add_argument(
-        "--cascaded-calls", choices=["on", "off"], default="off",
-        help="follow multi-hop call chains as one constraint",
-    )
-    parser.add_argument(
-        "--strict-body", choices=["on", "off"], default="on",
-        help="give up on class bodies with mismatched constructor names",
-    )
-    parser.add_argument(
-        "--strict-uniqueness", choices=["on", "off"], default="on",
-        help="abstain when constraint optima disagree about an element",
-    )
+    for flag, name, text in _SWITCHES:
+        parser.add_argument(
+            flag, dest=name, choices=["on", "off"],
+            default="on" if getattr(RunConfig, name) else "off", help=text,
+        )
     parser.add_argument(
         "--eta", type=int, default=None,
         help="override the model's context window height",
@@ -88,10 +91,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         k=args.k,
         delta=args.delta,
         order=_ORDERS[args.order],
-        cascaded_calls=args.cascaded_calls == "on",
-        strict_body_check=args.strict_body == "on",
-        strict_uniqueness=args.strict_uniqueness == "on",
         exclude_string=not args.include_string,
+        **{name: getattr(args, name) == "on" for _, name, _ in _SWITCHES},
     )
 
 
@@ -123,7 +124,7 @@ def _cmd_kb_build(args: argparse.Namespace) -> int:
 
 def _cmd_kb_inspect(args: argparse.Namespace) -> int:
     kb = _load_kb_or_fail(args)
-    if args.name:
+    if args.name is not None:
         for fqn in kb.candidates_for(args.name):
             entry = kb.entries[fqn]
             print(f"{fqn} {entry.kind} lib={entry.library}")

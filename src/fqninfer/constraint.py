@@ -383,12 +383,12 @@ def _search(
     libs: Sequence[Sequence[str]],
     unary: Sequence[Sequence[int]],
     pairs: Mapping[tuple[int, int], Sequence[Sequence[int]]],
-) -> tuple[int, tuple[int, ...], list[set[int]]]:
+) -> tuple[int, tuple[int, ...], set[int]]:
     """Exact depth-first branch and bound over a tabulated problem whose
     element i has candidates with libraries libs[i], in token order.
 
     Returns (fewest violations, the smallest optimal candidate-index
-    vector, each element's candidate indices across all optima).
+    vector, ambiguous: the elements two optima give different candidates).
 
     - Set-up is one pass over the elements. It gives each candidate its
       library's bit, each element the union of its candidates' bits, each
@@ -399,8 +399,8 @@ def _search(
       assignment, and their pair tables fold into the other element's
       counts, so the search branches only over free elements. With no
       free element there is nothing to search: the result is the settled
-      costs plus every pair table's [0][0], the all-zeros vector, and {0}
-      as each element's optima. A search node only adds up table entries.
+      costs plus every pair table's [0][0], the all-zeros vector, and no
+      ambiguous element. A search node only adds up table entries.
     - At each element, candidates are tried by the violations they add
       given the choices above them, then whether their library is new, then
       the reach of their library, then candidate order. The last two keys
@@ -454,7 +454,7 @@ def _search(
         # nothing to choose: the all-zeros vector is the only assignment
         for table in pairs.values():
             base_v += table[0][0]
-        return base_v, (0,) * n, [{0} for _ in range(n)]
+        return base_v, (0,) * n, set()
 
     # pair tables of two free elements, by the later one
     earlier: dict[int, list[tuple[int, Sequence[Sequence[int]]]]] = {i: [] for i in free}
@@ -499,21 +499,20 @@ def _search(
 
     best_v = best_l = math.inf
     best_vec: tuple[int, ...] = ()
-    optima_values: list[set[int]] = []
+    ambiguous: set[int] = set()
     choice = [0] * n
 
     def dfs(d: int, v: int, used: int) -> None:
-        nonlocal best_v, best_l, best_vec, optima_values
+        nonlocal best_v, best_l, best_vec, ambiguous
         if d == depth:
             leaf = (v, used.bit_count())
             vec = tuple(choice)
             if leaf < (best_v, best_l):
                 best_v, best_l = leaf
                 best_vec = vec
-                optima_values = [{c} for c in vec]
+                ambiguous = set()
             elif leaf == (best_v, best_l):
-                for j, c in enumerate(vec):
-                    optima_values[j].add(c)
+                ambiguous.update(i for i in free if vec[i] != best_vec[i])
                 best_vec = min(best_vec, vec)
             return
         i = free[d]
@@ -546,7 +545,7 @@ def _search(
         # table above: unbinding it breaks that cycle, so refcounting frees
         # this search's tables now instead of the cyclic collector later
         del dfs
-    return best_v, best_vec, optima_values
+    return best_v, best_vec, ambiguous
 
 
 class ConstraintProblem:
@@ -607,11 +606,12 @@ class ConstraintProblem:
         solve keeps the candidates in the mask, with their libraries, in
         one pass.
 
-        If the loaded KB's solve had a unique optimum and the mask holds its
-        FQNs and every type consulted by every candidate it keeps, that
-        solve's result is returned without tabulating or searching: each
-        assignment inside the mask costs what it did, so the full optimum is
-        again the only one.
+        Strict uniqueness leaves the search's ambiguous elements, which two
+        optima give different candidates, untyped. If the loaded KB's solve
+        had none and the mask holds its optimum's FQNs and every type
+        consulted by every candidate it keeps, that result is returned
+        without tabulating or searching: each assignment inside the mask
+        costs what it did, so that optimum is again the only one.
 
         Raises ValueError when more elements have a choice than the
         search's recursion limit allows.
@@ -649,7 +649,7 @@ class ConstraintProblem:
         unary, pairs, consulted = _tabulate(
             kb, members, self._constraints, index_of, cands
         )
-        best_v, best_vec, optima_values = _search(libs, unary, pairs)
+        best_v, best_vec, ambiguous = _search(libs, unary, pairs)
         # which elements sit on a violated constraint in the chosen optimum
         violated: set[int] = set()
         if best_v > 0:
@@ -661,12 +661,12 @@ class ConstraintProblem:
                     violated.update((lo, hi))
         typed: dict[ApiElement, str] = {}
         for i, e in enumerate(search):
-            if i in violated or (strict_uniqueness and len(optima_values[i]) > 1):
+            if i in violated or (strict_uniqueness and i in ambiguous):
                 rejected.add(e)
             else:
                 typed[e] = cands[i][best_vec[i]]
         result = ConstraintResult(typed, frozenset(rejected))
-        if mask is None and all(len(values) == 1 for values in optima_values):
+        if mask is None and not ambiguous:
             optimum = frozenset(cl[ci] for cl, ci in zip(cands, best_vec))
             self._unique = (result, optimum, consulted)
         return result

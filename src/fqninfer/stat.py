@@ -40,7 +40,6 @@ import json
 import math
 import os
 import select
-import selectors
 import subprocess
 import sys
 import time
@@ -340,6 +339,9 @@ class Predictor(Protocol):
     ) -> list[tuple[str, float]]: ...
 
 
+_MAX_ANSWER = 1 << 24  # bytes: far beyond any answer of k plus a name's KB FQNs
+
+
 class ExternalPredictor:
     """Adapter for an out-of-process predictor.
 
@@ -369,15 +371,13 @@ class ExternalPredictor:
         self.command = args
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._pending = b""  # output read past the last answer line
 
     def predict(self, aug, target, k, kb):
         """Raises RuntimeError when the child has exited, has closed its
-        input, does not take the request and answer it within the deadline
-        or answers out of protocol, with a line that is not a JSON array of
-        strings. A child that misses the deadline is killed, so a late
-        answer is never read as the answer to a later request. The child
-        starts on first use, and again only after `close()`."""
+        input, does not take the request and answer it within the deadline,
+        or answers out of turn, in more than one line or _MAX_ANSWER bytes,
+        or with no JSON array of strings. A child that misses the deadline or
+        floods is killed. It starts on first use, and again only after close()."""
         proc = self._proc
         if proc is None:
             proc = self._proc = subprocess.Popen(
@@ -394,10 +394,9 @@ class ExternalPredictor:
         # form feed, "\x85", "\u2028" and the other separators
         lines = aug.text().removesuffix("\n").split("\n")
         request = {"context_lines": lines, "target_key": target.key, "k": k}
-        deadline = time.monotonic() + self.timeout
-        self._send(proc, json.dumps(request).encode() + b"\n", deadline)
+        answer = self._exchange(proc, json.dumps(request).encode() + b"\n")
         try:
-            candidates = json.loads(self._answer_line(proc, deadline))
+            candidates = json.loads(answer)
         except (ValueError, RecursionError):  # not JSON, or nested too deep
             candidates = None
         if not isinstance(candidates, list):
@@ -407,58 +406,58 @@ class ExternalPredictor:
         n = len(candidates)
         return [(fqn, float(n - rank)) for rank, fqn in enumerate(candidates[:k])]
 
-    def _expire(self, proc: subprocess.Popen, what: str) -> RuntimeError:
-        """Kills the child that missed the deadline; the error to raise."""
+    def _wait(self, proc: subprocess.Popen, deadline: float, sending: bool) -> bool:
+        """Waits until the deadline at most for output or, while sending, room
+        in the child's input; whether output is readable. A child not ready by
+        then is killed, so no late answer is read for a later request."""
+        poller = select.poll()
+        poller.register(proc.stdout, select.POLLIN)
+        if sending:
+            poller.register(proc.stdin, select.POLLOUT)
+        ready = poller.poll(max(deadline - time.monotonic(), 0) * 1000)
+        if ready:
+            return any(fd == proc.stdout.fileno() for fd, _ in ready)
         proc.kill()
         proc.wait()
-        return RuntimeError(f"external predictor {what} within {self.timeout} s")
+        what = "did not read its request" if sending else "gave no answer"
+        raise RuntimeError(f"external predictor {what} within {self.timeout} s")
 
-    def _send(self, proc: subprocess.Popen, data: bytes, deadline: float) -> None:
-        """Writes data to the child's input, waiting for room at most until
-        the deadline. Each write after a wait is at most PIPE_BUF bytes, so
-        it cannot block."""
-        assert proc.stdin is not None
-        fd = proc.stdin.fileno()
-        view = memoryview(data)
-        with selectors.DefaultSelector() as selector:
-            selector.register(fd, selectors.EVENT_WRITE)
-            while view:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not selector.select(remaining):
-                    raise self._expire(proc, "did not read its request")
-                try:
-                    view = view[os.write(fd, view[: select.PIPE_BUF]):]
-                except BrokenPipeError:
-                    raise RuntimeError(
-                        "external predictor closed its input stream"
-                    ) from None
-
-    def _answer_line(self, proc: subprocess.Popen, deadline: float) -> bytes:
-        """The child's next output line, waiting for output at most until
-        the deadline; a line already read does not wait. Output is read
-        from the pipe's descriptor, so no buffer hides a line from the
-        wait. The last line may end at the end of output instead of at a
-        newline."""
-        assert proc.stdout is not None
-        fd = proc.stdout.fileno()
-        with selectors.DefaultSelector() as selector:
-            selector.register(fd, selectors.EVENT_READ)
-            while b"\n" not in self._pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not selector.select(remaining):
-                    raise self._expire(proc, "gave no answer")
-                chunk = os.read(fd, 65536)
-                if not chunk:
-                    if not self._pending:
-                        raise RuntimeError("external predictor closed its output stream")
-                    break
-                self._pending += chunk
-        line, _, self._pending = self._pending.partition(b"\n")
-        return line
+    def _exchange(self, proc: subprocess.Popen, request: bytes) -> bytearray:
+        """Writes the request and reads the answer line, which may end at the
+        end of output; output before the whole request is written is out of
+        turn. Each write follows a wait and is at most PIPE_BUF bytes, so it
+        cannot block; reads bypass buffers, so none hides output from a wait."""
+        deadline = time.monotonic() + self.timeout
+        view = memoryview(request)
+        while view and not self._wait(proc, deadline, sending=True):
+            try:
+                view = view[os.write(proc.stdin.fileno(), view[: select.PIPE_BUF]):]
+            except BrokenPipeError:
+                raise RuntimeError(
+                    "external predictor closed its input stream"
+                ) from None
+        answer = bytearray()
+        end = -1
+        while end < 0:
+            self._wait(proc, deadline, sending=False)
+            chunk = os.read(proc.stdout.fileno(), 65536)
+            if not chunk:
+                break
+            if view:
+                raise RuntimeError("external predictor wrote output out of turn")
+            answer += chunk
+            if len(answer) > _MAX_ANSWER:
+                proc.kill()  # else close() would read the rest of the flood
+                raise RuntimeError(f"external predictor answer exceeds {_MAX_ANSWER} bytes")
+            end = chunk.find(b"\n")  # earlier chunks hold none
+        if not answer:
+            raise RuntimeError("external predictor closed its output stream")
+        if 0 <= end < len(chunk) - 1:
+            raise RuntimeError("external predictor answered more than one line")
+        return answer
 
     def close(self) -> None:
         proc, self._proc = self._proc, None
-        self._pending = b""
         if proc is None:
             return
         # communicate ignores a broken input pipe, closes both pipes and

@@ -96,6 +96,12 @@ def test_kb_inspect_filters_by_simple_name(kb, capsys):
     assert tuple(line.split()[0] for line in lines) == expected
 
 
+def test_kb_inspect_of_an_empty_name_lists_nothing(capsys):
+    # no entry has an empty simple name
+    assert main(["kb-inspect", "--kb", KB_PATH, "--name", ""]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_kb_inspect_reads_env_var(monkeypatch, capsys):
     monkeypatch.setenv("FQNINFER_KB", KB_PATH)
     assert main(["kb-inspect", "--name", "XStream"]) == 0
@@ -380,8 +386,9 @@ def test_rejects_nonsense_numbers_in_one_line(tmp_path, capsys, model_file, argv
 
 
 def test_run_config_has_one_default():
-    args = cli.build_parser().parse_args(["infer", "x.java"])
-    assert RunConfig() == cli._run_config(args)
+    for argv in (["infer", "x.java"], ["trace", "x.java"], ["eval", "corpus"]):
+        args = cli.build_parser().parse_args(argv)
+        assert RunConfig() == cli._run_config(args), argv
 
 
 # ---------------------------------------------------------------------------

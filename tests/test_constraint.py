@@ -1042,6 +1042,38 @@ def test_mask_that_keeps_the_unique_optimum_and_its_consulted_types_reuses_it(
     assert calls == {"_tabulate": 1, "_search": 1}
 
 
+def test_the_elements_of_one_name_reach_the_search_with_one_library_list(
+    kb, monkeypatch
+):
+    # the search's tie-order memo and the masked filter both key on that
+    # list's identity; per-element lists give the same answers, slower
+    sn = tokenize(
+        "Document a = null; Composite b; Document c = null;\n"
+        "Composite d = new Composite(); Document e = null;\n"
+    )
+    elements = identify_api_elements(sn, kb)
+    constraints, excluded = extract_constraints(sn, elements)
+    names = [e.simple_name for e in sorted(elements, key=lambda e: e.token_index)]
+    assert not excluded and len(set(names)) < len(names)
+    searched = []
+
+    def capture(libs, unary, pairs, _inner=constraint._search):
+        searched.append(libs)
+        return _inner(libs, unary, pairs)
+
+    monkeypatch.setattr(constraint, "_search", capture)
+    # a mask that keeps every candidate, so every element is searched
+    mask = reduce_kb(kb, [c for name in names for c in kb.candidates_for(name)])
+    for m in (None, mask):
+        ConstraintProblem(kb, elements, constraints, excluded).solve(m)
+    assert len(searched) == 2
+    for libs in searched:
+        assert len(libs) == len(names)
+        for i in range(len(names)):
+            for j in range(i):
+                assert (libs[i] is libs[j]) == (names[i] == names[j]), (i, j)
+
+
 def test_every_search_of_the_fixture_corpus_tabulates_once(
     kb, model, eval_items, monkeypatch
 ):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import select
 import sys
 import time
 
@@ -563,26 +564,66 @@ def test_external_predictor_that_never_reads_is_an_error_within_the_deadline(tmp
     assert proc.stdin.closed and proc.stdout.closed
 
 
-def test_external_predictor_answer_already_read_does_not_wait(tmp_path):
-    # answers the first request with two lines at once, then falls silent
+@pytest.mark.parametrize(
+    "action, match",
+    [
+        ("print('[\"b.Label\"]', flush=True)", "^external predictor wrote output out of turn$"),
+        ("print('loading model', flush=True)", "^external predictor wrote output out of turn$"),
+        ("os.close(1)", "^external predictor closed its output stream$"),
+    ],
+    ids=["early-answer", "unasked-line", "closed-output"],
+)
+def test_external_predictor_output_between_requests_is_an_error(tmp_path, action, match):
+    # answers the first request; once that answer is read, writes the answer
+    # to a request not yet sent, an unasked line, or closes its output; then
+    # saves what else it reads
+    go, seen = tmp_path / "go", tmp_path / "seen"
     script = tmp_path / "eager_predictor.py"
+    script.write_text(
+        "import os, sys, time\n"
+        "sys.stdin.readline()\n"
+        "print('[\"a.Label\"]', flush=True)\n"
+        f"while not os.path.exists({str(go)!r}):\n"
+        "    time.sleep(0.01)\n"
+        f"{action}\n"
+        f"open({str(seen)!r}, 'w').write(sys.stdin.read())\n",
+        encoding="utf-8",
+    )
+    sn, el = _single_element("Label x = ctx;", "Label")
+    pred = ExternalPredictor([sys.executable, str(script)])
+    assert pred.predict(plain(sn), el, 1, _kb()) == [("a.Label", 1.0)]
+    go.touch()
+    assert select.select([pred._proc.stdout], [], [], 30)[0]  # the output is waiting
+    with pytest.raises(RuntimeError, match=match):
+        pred.predict(plain(sn), el, 1, _kb())
+    pred.close()
+    assert seen.read_text(encoding="utf-8") == ""  # the request was never written
+
+
+def test_external_predictor_that_floods_its_output_is_killed_at_the_answer_bound(tmp_path):
+    # writes 50 MB with no newline, then lingers
+    script = tmp_path / "flooding_predictor.py"
     script.write_text(
         "import sys, time\n"
         "sys.stdin.readline()\n"
-        "sys.stdout.write('[\"a.Label\"]\\n[\"b.Label\"]\\n')\n"
+        "for _ in range(50):\n"
+        "    sys.stdout.write('x' * 1000000)\n"
         "sys.stdout.flush()\n"
         "time.sleep(60)\n",
         encoding="utf-8",
     )
     sn, el = _single_element("Label x = ctx;", "Label")
-    with ExternalPredictor([sys.executable, str(script)], timeout=5) as pred:
-        assert pred.predict(plain(sn), el, 1, _kb()) == [("a.Label", 1.0)]
-        # the child never reads this request, but its answer was read
-        # with the first one
-        assert pred.predict(plain(sn), el, 1, _kb()) == [("b.Label", 1.0)]
-        proc = pred._proc
-        assert proc.poll() is None
-        proc.kill()
+    pred = ExternalPredictor([sys.executable, str(script)], timeout=30)
+    started = time.monotonic()
+    with pytest.raises(
+        RuntimeError, match=r"^external predictor answer exceeds 16777216 bytes$"
+    ):
+        pred.predict(plain(sn), el, 1, _kb())
+    proc = pred._proc
+    pred.close()
+    # killed, so close() neither read the rest nor waited out its deadline
+    assert time.monotonic() - started < 10
+    assert proc.returncode < 0 and pred._proc is None
 
 
 def test_external_predictor_that_closed_its_input_is_an_error(tmp_path):
@@ -627,8 +668,12 @@ def test_external_predictor_that_closed_its_input_is_an_error(tmp_path):
          "^external predictor must answer an array of strings$"),
         ("for line in sys.stdin:\n    print('[\"a.Label\", 1e999]', flush=True)\n",
          "^external predictor must answer an array of strings$"),
+        # answers with two lines at once
+        ("for line in sys.stdin:\n    print('[\"a.Label\"]\\n[\"b.Label\"]', flush=True)\n",
+         "^external predictor answered more than one line$"),
     ],
-    ids=["not-an-array", "no-answer", "not-json", "too-deep", "nested-array", "number"],
+    ids=["not-an-array", "no-answer", "not-json", "too-deep", "nested-array", "number",
+         "two-lines"],
 )
 def test_external_predictor_out_of_protocol_is_an_error(tmp_path, body, match):
     script = tmp_path / "bad_predictor.py"
