@@ -111,7 +111,24 @@ def _load_model_or_fail(args: argparse.Namespace):
     return model
 
 
+def _refuse_unwritable(path: str | None) -> None:
+    """Raise the OSError that writing a file at path would raise when path
+    is a directory or its parent is not one, so that an output which cannot
+    be written is refused before the work that fills it."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_kb_build(args: argparse.Namespace) -> int:
+    _refuse_unwritable(args.output)
     kb = load_kb(args.input)
     text = dump_kb(kb)
     if args.output:
@@ -139,9 +156,7 @@ def _cmd_kb_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    # refuse an output that cannot be written before the work that fills it
-    if Path(args.output).is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+    _refuse_unwritable(args.output)
     kb = load_kb(args.kb) if args.kb else None
     items = load_corpus(args.corpus)
     pairs = training_pairs(items, kb)
@@ -165,6 +180,7 @@ def _run_snippet(args: argparse.Namespace):
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
+    _refuse_unwritable(args.trace)
     combined, trace = _run_snippet(args)
     # the trace file first: a failed write leaves no answers on stdout
     if args.trace:

@@ -383,12 +383,14 @@ def _search(
     libs: Sequence[Sequence[str]],
     unary: Sequence[Sequence[int]],
     pairs: Mapping[tuple[int, int], Sequence[Sequence[int]]],
-) -> tuple[int, tuple[int, ...], set[int]]:
+) -> tuple[int, tuple[int, ...], dict[int, set[int]]]:
     """Exact depth-first branch and bound over a tabulated problem whose
     element i has candidates with libraries libs[i], in token order.
 
     Returns (fewest violations, the smallest optimal candidate-index
-    vector, ambiguous: the elements two optima give different candidates).
+    vector, alternatives): alternatives maps each element two optima give
+    different candidates (an ambiguous element) to every candidate index
+    an optimum gives it.
 
     - Set-up is one pass over the elements. It gives each candidate its
       library's bit, each element the union of its candidates' bits, each
@@ -400,7 +402,7 @@ def _search(
       counts, so the search branches only over free elements. With no
       free element there is nothing to search: the result is the settled
       costs plus every pair table's [0][0], the all-zeros vector, and no
-      ambiguous element. A search node only adds up table entries.
+      alternatives. A search node only adds up table entries.
     - At each element, candidates are tried by the violations they add
       given the choices above them, then whether their library is new, then
       the reach of their library, then candidate order. The last two keys
@@ -418,9 +420,13 @@ def _search(
 
     Both bounds never exceed the cost of any completion, and the cut is
     strict, so every optimal assignment is still reached. The set of optima,
-    and with it the lexicographic choice among them and the strict-
-    uniqueness abstentions, therefore do not depend on the order in which
-    the search meets them.
+    and with it the lexicographic choice among them, the alternatives and
+    the strict-uniqueness abstentions, therefore do not depend on the order
+    in which the search meets them. An equal-cost leaf adds its value of
+    each element where it differs from the smallest optimum so far, and
+    that optimum's value too when the element is new to the alternatives
+    (the smallest optimum only moves to values they hold): every value
+    some optimum gives an ambiguous element is then collected.
     """
     n = len(libs)
     # the one set-up pass; cost holds the free elements' unary counts
@@ -454,7 +460,7 @@ def _search(
         # nothing to choose: the all-zeros vector is the only assignment
         for table in pairs.values():
             base_v += table[0][0]
-        return base_v, (0,) * n, set()
+        return base_v, (0,) * n, {}
 
     # pair tables of two free elements, by the later one
     earlier: dict[int, list[tuple[int, Sequence[Sequence[int]]]]] = {i: [] for i in free}
@@ -499,20 +505,25 @@ def _search(
 
     best_v = best_l = math.inf
     best_vec: tuple[int, ...] = ()
-    ambiguous: set[int] = set()
+    alternatives: dict[int, set[int]] = {}
     choice = [0] * n
 
     def dfs(d: int, v: int, used: int) -> None:
-        nonlocal best_v, best_l, best_vec, ambiguous
+        nonlocal best_v, best_l, best_vec, alternatives
         if d == depth:
             leaf = (v, used.bit_count())
             vec = tuple(choice)
             if leaf < (best_v, best_l):
                 best_v, best_l = leaf
                 best_vec = vec
-                ambiguous = set()
+                alternatives = {}
             elif leaf == (best_v, best_l):
-                ambiguous.update(i for i in free if vec[i] != best_vec[i])
+                for i in free:
+                    if vec[i] != best_vec[i]:
+                        if i in alternatives:
+                            alternatives[i].add(vec[i])
+                        else:
+                            alternatives[i] = {vec[i], best_vec[i]}
                 best_vec = min(best_vec, vec)
             return
         i = free[d]
@@ -545,7 +556,7 @@ def _search(
         # table above: unbinding it breaks that cycle, so refcounting frees
         # this search's tables now instead of the cyclic collector later
         del dfs
-    return best_v, best_vec, ambiguous
+    return best_v, best_vec, alternatives
 
 
 class ConstraintProblem:
@@ -556,7 +567,7 @@ class ConstraintProblem:
     each other element it stores the candidates and their libraries, read
     from the KB once per simple name. Each `solve` tabulates the
     candidates its mask keeps and searches once, or returns the loaded
-    KB's unique optimum when the mask cannot change it.
+    KB's result when the mask keeps every optimum and cannot change it.
     """
 
     def __init__(
@@ -589,10 +600,11 @@ class ConstraintProblem:
             else:
                 untyped.add(e)
         self._untyped = frozenset(untyped)
-        # once the loaded KB's optimum is known to be the only one: the
-        # result, the optimum's FQNs and each candidate's consulted types
-        self._unique: (
-            tuple[ConstraintResult, frozenset[str], dict[str, set[str]]] | None
+        # once the loaded KB is solved: the strictness and the result of
+        # that solve, the FQNs some optimum takes and each candidate's
+        # consulted types
+        self._loaded: (
+            tuple[bool, ConstraintResult, frozenset[str], dict[str, set[str]]] | None
         ) = None
 
     def solve(
@@ -607,19 +619,22 @@ class ConstraintProblem:
         one pass.
 
         Strict uniqueness leaves the search's ambiguous elements, which two
-        optima give different candidates, untyped. If the loaded KB's solve
-        had none and the mask holds its optimum's FQNs and every type
-        consulted by every candidate it keeps, that result is returned
-        without tabulating or searching: each assignment inside the mask
-        costs what it did, so that optimum is again the only one.
+        optima give different candidates, untyped. If the loaded KB was
+        solved under the same strictness and the mask holds every FQN that
+        some optimum of that solve takes, and every type consulted by every
+        candidate it keeps, that result is returned without tabulating or
+        searching: each assignment inside the mask costs what it did and
+        every optimum is inside it, so the optimum cost, the optima, the
+        smallest of them, the ambiguous and the violated elements are all
+        unchanged. A unique optimum is the case where those FQNs are its own.
 
         Raises ValueError when more elements have a choice than the
         search's recursion limit allows.
         """
         kb = self._kb
-        if mask is not None and self._unique is not None:
-            result, optimum, consulted = self._unique
-            if optimum <= mask and all(
+        if mask is not None and self._loaded is not None:
+            strict, result, optimal, consulted = self._loaded
+            if strict == strict_uniqueness and optimal <= mask and all(
                 types <= mask for c, types in consulted.items() if c in mask
             ):
                 return result
@@ -649,7 +664,7 @@ class ConstraintProblem:
         unary, pairs, consulted = _tabulate(
             kb, members, self._constraints, index_of, cands
         )
-        best_v, best_vec, ambiguous = _search(libs, unary, pairs)
+        best_v, best_vec, alternatives = _search(libs, unary, pairs)
         # which elements sit on a violated constraint in the chosen optimum
         violated: set[int] = set()
         if best_v > 0:
@@ -661,14 +676,15 @@ class ConstraintProblem:
                     violated.update((lo, hi))
         typed: dict[ApiElement, str] = {}
         for i, e in enumerate(search):
-            if i in violated or (strict_uniqueness and i in ambiguous):
+            if i in violated or (strict_uniqueness and i in alternatives):
                 rejected.add(e)
             else:
                 typed[e] = cands[i][best_vec[i]]
         result = ConstraintResult(typed, frozenset(rejected))
-        if mask is None and not ambiguous:
-            optimum = frozenset(cl[ci] for cl, ci in zip(cands, best_vec))
-            self._unique = (result, optimum, consulted)
+        if mask is None:
+            optimal = {cl[ci] for cl, ci in zip(cands, best_vec)}
+            optimal.update(cands[i][ci] for i, values in alternatives.items() for ci in values)
+            self._loaded = (strict_uniqueness, result, frozenset(optimal), consulted)
         return result
 
 

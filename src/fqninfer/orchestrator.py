@@ -9,9 +9,10 @@ ever committed, falling back to the statistical ranking.
 
 A reduction is a mask over the loaded KB (`kb.reduce_kb`), never a new KB:
 each round tabulates and searches the candidates its mask keeps, reading
-KB membership from the mask. A masked round whose mask keeps the full-KB
-round's unique optimum and every type the checks of its kept candidates
-consulted returns that optimum without tabulating or searching (see
+KB membership from the mask. A masked round whose mask keeps every
+candidate that some optimum of the full-KB round gives an element, and
+every type the checks of its kept candidates consulted, returns the
+full-KB round's result without tabulating or searching (see
 `constraint.ConstraintProblem.solve`).
 """
 

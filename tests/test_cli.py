@@ -1,6 +1,8 @@
 """End-to-end coverage of the command line interface via main(argv)."""
 
+import errno
 import logging
+import os
 import re
 import shutil
 from pathlib import Path
@@ -231,15 +233,46 @@ def test_a_solve_deeper_than_the_recursion_limit_is_one_error_line(
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
-def test_train_refuses_a_directory_output_before_loading_the_corpus(
-    tmp_path, capsys, monkeypatch
+def _argv_writing(command, output):
+    snippet = str(FIXTURES / "corpus" / "gwt" / "1318732.java")
+    return {
+        "train": ["train", TRAIN_DIR, "-o", output],
+        "kb-build": ["kb-build", KB_PATH, "-o", output],
+        "infer": ["infer", snippet, "--kb", KB_PATH, "--model", "m.tsv", "--trace", output],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["train", "kb-build", "infer"])
+@pytest.mark.parametrize("where", ["missing-parent", "parent-is-a-file", "directory", "empty"])
+def test_an_output_that_cannot_be_written_is_refused_before_any_load(
+    tmp_path, capsys, monkeypatch, command, where
 ):
     loaded = []
-    monkeypatch.setattr(cli, "load_corpus", lambda *a: loaded.append(a) or [])
-    assert main(["train", TRAIN_DIR, "-o", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path) in err[0]
-    assert loaded == []
+    for name in ("load_kb", "load_corpus", "load_model", "read_utf8"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: loaded.append(a))
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    output, code = {
+        "missing-parent": (tmp_path / "missing" / "out", errno.ENOENT),
+        "parent-is-a-file": (tmp_path / "file" / "out", errno.ENOTDIR),
+        "directory": (tmp_path, errno.EISDIR),
+        "empty": ("", errno.EISDIR),
+    }[where]
+    assert main(_argv_writing(command, str(output))) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and loaded == []
+    assert err == f"error: [Errno {code}] {os.strerror(code)}: '{output}'\n"
+
+
+def test_an_output_refused_early_is_the_error_its_write_would_raise(tmp_path):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    for output in (tmp_path / "missing" / "out", tmp_path / "file" / "out", tmp_path):
+        with pytest.raises(OSError) as early:
+            cli._refuse_unwritable(str(output))
+        with pytest.raises(OSError) as late:
+            Path(output).write_text("", encoding="utf-8")
+        assert str(early.value) == str(late.value)
+    cli._refuse_unwritable(str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

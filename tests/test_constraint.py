@@ -1042,6 +1042,63 @@ def test_mask_that_keeps_the_unique_optimum_and_its_consulted_types_reuses_it(
     assert calls == {"_tabulate": 1, "_search": 1}
 
 
+def _kb_three_labels():
+    # a Label must be a class: com.a.Label and org.b.Label tie, each alone
+    # in its library, and the interface net.c.Label is never optimal
+    return KnowledgeBase(
+        [
+            _entry("com.a.Label", lib="liba"),
+            _entry("org.b.Label", lib="libb"),
+            _entry("net.c.Label", kind="interface", lib="libc"),
+        ]
+    )
+
+
+def test_mask_that_keeps_every_optimum_of_a_tie_reuses_it(monkeypatch):
+    kb = _kb_three_labels()
+    label = _el("Label", 0)
+    make = Construction(label)
+    problem = ConstraintProblem(kb, [label], [make])
+    kept = reduce_kb(kb, ["com.a.Label", "org.b.Label"])
+    calls = _count_solve_work(monkeypatch)
+    for strict in (True, False):
+        full = problem.solve(strict_uniqueness=strict)
+        assert full.typed == ({} if strict else {label: "com.a.Label"})
+        assert problem.solve(kept, strict_uniqueness=strict) is full
+    assert calls == {"_tabulate": 2, "_search": 2}
+    # the stored solve is the lenient one, so a strict mask searches again
+    got = problem.solve(kept)
+    assert got.typed == {} and got.untyped == {label}
+    assert calls == {"_tabulate": 3, "_search": 3}
+
+
+def test_mask_that_drops_an_optimal_value_of_a_tie_searches_again(monkeypatch):
+    kb = _kb_three_labels()
+    label = _el("Label", 0)
+    make = Construction(label)
+    mask = reduce_kb(kb, ["com.a.Label", "net.c.Label"])
+    rebuilt = KnowledgeBase(kb.entries[f] for f in sorted(mask))
+    want = solve(rebuilt, [label], [make])
+    problem = ConstraintProblem(kb, [label], [make])
+    assert problem.solve().untyped == {label}
+    calls = _count_solve_work(monkeypatch)
+    # without org.b.Label the tie is gone, so the element is typed
+    assert problem.solve(mask) == want
+    assert want.typed == {label: "com.a.Label"}
+    assert calls == {"_tabulate": 1, "_search": 1}
+
+
+def test_run_on_a_tied_fixture_snippet_solves_once(kb, model, by_id, monkeypatch):
+    # the loaded KB's optima of 3954392 disagree on Document[7,1], and its
+    # second round's mask keeps every one of them
+    item = by_id["3954392"]
+    calls = _count_solve_work(monkeypatch)
+    _, trace = run(item.snippet, kb, model)
+    assert len(trace) > 1
+    assert any(e.key == "Document[7,1]" for e in trace[0].constraint_result.untyped)
+    assert calls == {"_tabulate": 1, "_search": 1}
+
+
 def test_the_elements_of_one_name_reach_the_search_with_one_library_list(
     kb, monkeypatch
 ):
@@ -1080,5 +1137,6 @@ def test_every_search_of_the_fixture_corpus_tabulates_once(
     calls = _count_solve_work(monkeypatch)
     for item in eval_items:
         run(item.snippet, kb, model)
-    # every full-KB solve searches; only some masked ones are reused
-    assert len(eval_items) < calls["_search"] == calls["_tabulate"]
+    # every full-KB solve searches; a masked one searches only when its
+    # mask drops an optimal value or a consulted type
+    assert calls == {"_tabulate": 19, "_search": 19}

@@ -691,7 +691,11 @@ def _wired_checks(kb, constraints, in_search):
     return out
 
 
-def _brute_solve(kb, elements, constraints, excluded, strict_uniqueness):
+def _brute_optima(kb, elements, constraints, excluded):
+    """Every assignment enumerated: (the elements untyped before any
+    search, the searched elements in token order, their wired checks, the
+    optimum cost, the smallest optimal vector of FQNs, and each searched
+    element's set of optimal values)."""
     ordered = sorted(elements, key=lambda e: e.token_index)
     untyped = set()
     cands = {}
@@ -704,7 +708,7 @@ def _brute_solve(kb, elements, constraints, excluded, strict_uniqueness):
             cands[e] = kb.candidates_for(e.simple_name)
     search = [e for e in ordered if e in cands]
     if not search:
-        return {}, frozenset(untyped)
+        return untyped, search, [], (0, 0), (), []
     wired = _wired_checks(kb, constraints, set(search))
     # a check reads only the values of the elements it touches, so it is
     # evaluated once per combination of those values
@@ -735,7 +739,16 @@ def _brute_solve(kb, elements, constraints, excluded, strict_uniqueness):
                 optima[j].add(c)
             if combo < best_vec:
                 best_vec = combo
+    return untyped, search, wired, best_cost, best_vec, optima
 
+
+def _brute_solve(kb, elements, constraints, excluded, strict_uniqueness):
+    untyped, search, wired, best_cost, best_vec, optima = _brute_optima(
+        kb, elements, constraints, excluded
+    )
+    if not search:
+        return {}, frozenset(untyped)
+    position = {e: j for j, e in enumerate(search)}
     violated = set()
     if best_cost[0] > 0:
         for touched, failed in wired:
@@ -939,6 +952,35 @@ def test_solver_matches_oracle_on_dense_links():
         assert got.untyped == want_untyped, case
 
 
+def test_search_alternatives_are_the_oracle_optima():
+    """The search's smallest optimum and alternatives, read as FQNs, are the
+    brute-force enumerator's smallest optimum and the optimal values of
+    each element that has more than one, on seeded general and
+    dense-shaped problems tabulated on the loaded KB."""
+    rng = random.Random(9019)
+    for case in range(1000):
+        if case % 2:
+            kb = _dense_kb(rng)
+            elems = _dense_elements(rng)
+            cons = _dense_constraints(rng, elems)
+        else:
+            kb = _random_kb(rng)
+            elems = _random_elements(rng)
+            cons = _random_constraints(rng, elems)
+        _, search, _, (want_v, _), want_vec, optima = _brute_optima(
+            kb, elems, cons, frozenset()
+        )
+        cands = [kb.candidates_for(e.simple_name) for e in search]
+        index_of = {e: i for i, e in enumerate(search)}
+        unary, pairs, _ = _tabulate(kb, kb.entries, cons, index_of, cands)
+        libs = [[kb.entries[c].library for c in cl] for cl in cands]
+        violations, vector, alternatives = _search(libs, unary, pairs)
+        assert violations == want_v, case
+        assert tuple(cl[ci] for cl, ci in zip(cands, vector)) == want_vec, case
+        got = {i: {cands[i][ci] for ci in values} for i, values in alternatives.items()}
+        assert got == {i: s for i, s in enumerate(optima) if len(s) > 1}, case
+
+
 # ---------------------------------------------------------------------------
 # solving under a mask versus solving on the KB rebuilt from it
 
@@ -1140,17 +1182,17 @@ _ROUND_ROBIN_LIBS = (("l0", "l1", "l2"), ("l0", "l3", "l4"), ("l1", "l3", "l5"))
 
 
 def _reference_result(libs, unary, pairs):
-    """The reference search's result as the search states it: the elements
-    whose optima hold more than one candidate are the ambiguous ones."""
+    """The reference search's result as the search states it: the
+    alternatives are the optima of each element that has more than one."""
     violations, vector, optima = _reference_search(libs, unary, pairs)
-    return violations, vector, {i for i, s in enumerate(optima) if len(s) > 1}
+    return violations, vector, {i: s for i, s in enumerate(optima) if len(s) > 1}
 
 
 def test_search_matches_the_search_it_replaced():
     """The search returns exactly what the search before its one-pass
-    set-up returned, with the elements whose optima disagree in place of
-    each element's optima, on 1000 seeded random tabulated problems and on
-    the solver's cliff shapes at sub-second sizes."""
+    set-up returned, with the optima of only the elements they disagree on
+    in place of each element's optima, on 1000 seeded random tabulated
+    problems and on the solver's cliff shapes at sub-second sizes."""
     rng = random.Random(9017)
     for case in range(1000):
         libs, unary, pairs = _random_tables(rng)
