@@ -399,10 +399,8 @@ def _search(
       ones.
     - Settled elements' violations and libraries count for every
       assignment, and their pair tables fold into the other element's
-      counts, so the search branches only over free elements. With no
-      free element there is nothing to search: the result is the settled
-      costs plus every pair table's [0][0], the all-zeros vector, and no
-      alternatives. A search node only adds up table entries.
+      counts, so the search branches only over free elements. A search
+      node only adds up table entries.
     - At each element, candidates are tried by the violations they add
       given the choices above them, then whether their library is new, then
       the reach of their library, then candidate order. The last two keys
@@ -456,11 +454,6 @@ def _search(
         else:
             base_v += unary[i][0]
             base_used |= union
-    if not free:
-        # nothing to choose: the all-zeros vector is the only assignment
-        for table in pairs.values():
-            base_v += table[0][0]
-        return base_v, (0,) * n, {}
 
     # pair tables of two free elements, by the later one
     earlier: dict[int, list[tuple[int, Sequence[Sequence[int]]]]] = {i: [] for i in free}
@@ -562,12 +555,12 @@ def _search(
 class ConstraintProblem:
     """One snippet's constraint problem on a loaded KB, solved under masks.
 
-    Construction sets apart the elements that are untyped under every
-    mask: those on the excluded lines and those with no candidate. For
-    each other element it stores the candidates and their libraries, read
-    from the KB once per simple name. Each `solve` tabulates the
-    candidates its mask keeps and searches once, or returns the loaded
-    KB's result when the mask keeps every optimum and cannot change it.
+    Construction fixes the strictness of every solve and sets apart the
+    elements untyped under every mask: those on the excluded lines and
+    those with no candidate. For each other element it stores the
+    candidates and their libraries, read from the KB once per simple name.
+    Each `solve` tabulates the candidates its mask keeps and searches once,
+    or returns the loaded KB's result when the mask keeps every optimum.
     """
 
     def __init__(
@@ -576,9 +569,12 @@ class ConstraintProblem:
         elements: Sequence[ApiElement],
         constraints: Sequence[Constraint],
         excluded: frozenset[int] = frozenset(),
+        *,
+        strict_uniqueness: bool = True,
     ):
         self._kb = kb
         self._constraints = constraints
+        self._strict = strict_uniqueness
         untyped: set[ApiElement] = set()
         # each searched element with its candidates and their libraries,
         # read once per simple name; candidates_for is sorted, so comparing
@@ -600,16 +596,13 @@ class ConstraintProblem:
             else:
                 untyped.add(e)
         self._untyped = frozenset(untyped)
-        # once the loaded KB is solved: the strictness and the result of
-        # that solve, the FQNs some optimum takes and each candidate's
-        # consulted types
+        # once the loaded KB is solved: the result of that solve, the FQNs
+        # some optimum takes and each candidate's consulted types
         self._loaded: (
-            tuple[bool, ConstraintResult, frozenset[str], dict[str, set[str]]] | None
+            tuple[ConstraintResult, frozenset[str], dict[str, set[str]]] | None
         ) = None
 
-    def solve(
-        self, mask: frozenset[str] | None = None, *, strict_uniqueness: bool = True
-    ) -> ConstraintResult:
+    def solve(self, mask: frozenset[str] | None = None) -> ConstraintResult:
         """The result of `solve` on the loaded KB (mask None) or on the KB
         reduced to mask, the entries of the loaded KB whose FQN it holds.
 
@@ -618,12 +611,12 @@ class ConstraintProblem:
         solve keeps the candidates in the mask, with their libraries, in
         one pass.
 
-        Strict uniqueness leaves the search's ambiguous elements, which two
-        optima give different candidates, untyped. If the loaded KB was
-        solved under the same strictness and the mask holds every FQN that
-        some optimum of that solve takes, and every type consulted by every
-        candidate it keeps, that result is returned without tabulating or
-        searching: each assignment inside the mask costs what it did and
+        Strict uniqueness, fixed at construction, leaves the search's
+        ambiguous elements, which two optima give different candidates,
+        untyped. If the loaded KB was solved and the mask holds every FQN
+        that some optimum of that solve takes, and every type consulted by
+        every candidate it keeps, that result is returned without tabulating
+        or searching: each assignment inside the mask costs what it did and
         every optimum is inside it, so the optimum cost, the optima, the
         smallest of them, the ambiguous and the violated elements are all
         unchanged. A unique optimum is the case where those FQNs are its own.
@@ -633,8 +626,8 @@ class ConstraintProblem:
         """
         kb = self._kb
         if mask is not None and self._loaded is not None:
-            strict, result, optimal, consulted = self._loaded
-            if strict == strict_uniqueness and optimal <= mask and all(
+            result, optimal, consulted = self._loaded
+            if optimal <= mask and all(
                 types <= mask for c, types in consulted.items() if c in mask
             ):
                 return result
@@ -676,7 +669,7 @@ class ConstraintProblem:
                     violated.update((lo, hi))
         typed: dict[ApiElement, str] = {}
         for i, e in enumerate(search):
-            if i in violated or (strict_uniqueness and i in alternatives):
+            if i in violated or (self._strict and i in alternatives):
                 rejected.add(e)
             else:
                 typed[e] = cands[i][best_vec[i]]
@@ -684,7 +677,7 @@ class ConstraintProblem:
         if mask is None:
             optimal = {cl[ci] for cl, ci in zip(cands, best_vec)}
             optimal.update(cands[i][ci] for i, values in alternatives.items() for ci in values)
-            self._loaded = (strict_uniqueness, result, frozenset(optimal), consulted)
+            self._loaded = (result, frozenset(optimal), consulted)
         return result
 
 
@@ -706,15 +699,16 @@ def solve(
     a violated constraint, or (strict_uniqueness) the optima disagree about
     them.
 
-    This is `ConstraintProblem.solve` with mask None: each element's
-    candidates and their libraries are read from the KB once, every check
-    is tabulated once per candidate and candidate pair, and an exact branch
-    and bound (`_search`) over those tables finds every optimum. The loop in
-    `orchestrator.run` builds one `ConstraintProblem` per run and solves it
+    This is `ConstraintProblem.solve` with mask None, on a problem built
+    with this strictness: each element's candidates and their libraries are
+    read from the KB once, every check is tabulated once per candidate and
+    candidate pair, and an exact branch and bound (`_search`) over those
+    tables finds every optimum. The loop in `orchestrator.run` builds one
+    `ConstraintProblem` per run, with the run's strictness, and solves it
     under each round's mask. Raises ValueError when more elements have a
     choice than the search's recursion limit allows.
     """
-    return ConstraintProblem(kb, elements, constraints, excluded).solve(
-        strict_uniqueness=strict_uniqueness
-    )
+    return ConstraintProblem(
+        kb, elements, constraints, excluded, strict_uniqueness=strict_uniqueness
+    ).solve()
 

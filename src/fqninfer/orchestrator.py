@@ -184,15 +184,16 @@ def run(
         snippet, elements, cascaded_calls=config.cascaded_calls,
         strict_body_check=config.strict_body_check,
     )
-    strict = config.strict_uniqueness
-    problem = ConstraintProblem(kb, elements, constraints, excluded)
+    problem = ConstraintProblem(
+        kb, elements, constraints, excluded, strict_uniqueness=config.strict_uniqueness
+    )
     solved: dict[frozenset[str] | None, tuple[int, ConstraintResult]] = {}
     ranked: dict[frozenset, dict[ApiElement, CandidateList]] = {}
 
     def solve_reduced(cantypes: frozenset[str] | None) -> tuple[int, ConstraintResult]:
         if cantypes not in solved:
             mask = None if cantypes is None else reduce_kb(kb, cantypes)
-            cres = problem.solve(mask, strict_uniqueness=strict)
+            cres = problem.solve(mask)
             solved[cantypes] = (len(kb if mask is None else mask), cres)
         return solved[cantypes]
 

@@ -120,9 +120,11 @@ class SnippetStructure(NamedTuple):
     arg_depth: position of each '(' -> the bracket depth just inside it.
     commas: bracket depth -> positions of the commas at that depth, in
         order. Bracket depth counts '(', '[' and '{' as opening and ')',
-        ']' and '}' as closing, whichever bracket they pair with: that is
-        how a call's arity counts the commas of its argument list and none
-        inside an array initializer, class body or lambda block in it.
+        ']' and '}' as closing, whichever bracket they pair with, and the
+        type arguments `<...>` after the type name of a `new` expression as
+        one level: that is how a call's arity counts the commas of its
+        argument list and none inside an array initializer, class body,
+        lambda block or constructed generic type in it.
     headers: every class/interface/enum header, in token order.
     clauses: position of each identifier in an extends/implements clause ->
         (clause keyword, declaring header). A header nested in another
@@ -149,8 +151,30 @@ class SnippetStructure(NamedTuple):
 _DECLARATIONS = ("class", "interface", "enum")
 _CLOSERS = {")": "(", "}": "{"}
 # the lexemes the structure walk stops at, besides the words
-_STRUCTURAL = frozenset("(){}[],") | frozenset(_DECLARATIONS)
+_STRUCTURAL = frozenset("(){}[],>") | frozenset(_DECLARATIONS) | {"new"}
+# lexemes that end a scan for the '>' closing a `new Name<` (a pad is "")
+_NOT_TYPE_ARGUMENT = frozenset(("(", ")", "{", "}", ";", "new", ""))
 _PADS = 3  # pads after the SnippetStructure columns
+
+
+def _type_arguments_end(lex: Sequence[str], kind: Sequence[TokenKind], j: int) -> int:
+    """Position of the '>' that closes the type arguments of `new Name<...>`
+    or `new a.b.Name<...>`, with 'new' at position j, or -1 when there are
+    none or they do not close."""
+    k = j + 1
+    while kind[k] is _IDENTIFIER and lex[k + 1] == ".":
+        k += 2
+    if kind[k] is not _IDENTIFIER or lex[k + 1] != "<":
+        return -1
+    level = 0
+    for m in range(k + 1, len(lex)):  # a pad ends the scan
+        lx = lex[m]
+        if lx in _NOT_TYPE_ARGUMENT:
+            break
+        level += (lx == "<") - (lx == ">")
+        if not level:
+            return m
+    return -1
 
 
 def _read_structure(snippet: Snippet) -> SnippetStructure:
@@ -167,6 +191,7 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
     declarations: list[int] = []  # positions of class/interface/enum
     words: list[int] = []  # token indices of the identifiers and literals
     depth = 0
+    type_arguments_end = -1  # the '>' that leaves the level of a `new Name<`
     for j, lx in enumerate(lex):  # a pad is neither a word nor structural
         if lx not in _STRUCTURAL:
             k = kind[j]
@@ -178,6 +203,15 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
             continue
         if lx in _DECLARATIONS:  # always a keyword
             declarations.append(j)
+            continue
+        if lx == "new":  # always a keyword
+            type_arguments_end = _type_arguments_end(lex, kind, j)
+            if type_arguments_end >= 0:
+                depth += 1
+            continue
+        if lx == ">":
+            if j == type_arguments_end:
+                depth -= 1
             continue
         if lx in stacks:
             stacks[lx].append(j)

@@ -1,6 +1,7 @@
 """Constraint extraction and the global candidate-assignment solver."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from fqninfer import (
     ApiElement,
     KnowledgeBase,
     identify_api_elements,
+    infer_with_engine,
     run,
     tokenize,
 )
@@ -95,6 +97,25 @@ def test_extract_braced_commas_are_not_arguments(text):
     els, cons, _ = _extract(text)
     calls = [c for c in cons if isinstance(c, MemberCall)]
     assert calls == [MemberCall(els["Label[1,1]"], (("of", 1),), static_call=True)]
+
+
+@pytest.mark.parametrize(
+    "text, arity",
+    [
+        ("Foo.bar(new HashMap<String, Integer>());", 1),
+        ("Foo.bar(new Comparator<Pair<A, B>>());", 1),
+        ("Foo.bar(new java.util.HashMap<String, Integer>(), x);", 2),
+        ("Foo.bar(new Comparator<Pair<A, B>>() { int a, b; }, x);", 2),
+        ("Foo.bar(a < b, c > d);", 2),
+        ("Foo.bar(new A, b < c, d > e);", 3),
+    ],
+)
+def test_extract_type_argument_commas_are_not_arguments(text, arity):
+    # the type arguments of a constructed generic type are one bracket
+    # level; a comparison is not a type argument list
+    els, cons, _ = _extract(text)
+    calls = [c for c in cons if isinstance(c, MemberCall)]
+    assert calls == [MemberCall(els["Foo[1,1]"], (("bar", arity),), static_call=True)]
 
 
 def test_extract_construction_zero_args():
@@ -836,6 +857,53 @@ def test_solve_unconstrained_unique_names_within_budget():
     assert all(fqn in kb.candidates_for(e.simple_name) for e, fqn in res.typed.items())
 
 
+def _search_nodes(call):
+    """The nodes the search visits while call() runs: the calls of its
+    `dfs`, counted by a profile hook."""
+    nodes = 0
+
+    def hook(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if (event == "call" and code.co_name == "dfs"
+                and code.co_filename == constraint.__file__):
+            nodes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return nodes
+
+
+@pytest.mark.parametrize(
+    "text, nodes",
+    [
+        ("Composite c = new Composite();\n" * 40, 61157),
+        ("Document d = null;\n" * 14, 32865),
+        ("Label a; Document d; Button b;\n" * 12, 8191),
+    ],
+    ids=["composite-40", "document-14", "label-document-button-12"],
+)
+def test_cliff_shapes_visit_their_pinned_node_counts(kb, text, nodes):
+    # a change to the search may lower a pinned count, never raise it
+    sn = tokenize(text)
+    assert _search_nodes(lambda: infer_with_engine(sn, kb, None, "constraint")) == nodes
+
+
+@pytest.mark.parametrize("n, nodes", [(8, 17), (16, 33)])
+def test_violation_bound_counts_the_remaining_elements(n, nodes):
+    # every candidate costs one violation, so each branch's violation bound
+    # ties the first leaf's and the library bound cuts every branch that
+    # mixes the two libraries: 2n + 1 nodes. Without the remaining
+    # elements' fewest violations in the violation bound, it ties only at
+    # the last element, and every mixed prefix is visited: 2^n + 1 nodes
+    got = _search_nodes(lambda: constraint._search([["a", "b"]] * n, [[1, 1]] * n, {}))
+    assert got == nodes
+
+
 def test_solve_ignores_element_and_constraint_order():
     rng = random.Random(9012)
     for case in range(300):
@@ -894,10 +962,10 @@ def _under_mask(kb, elements, constraints, cantypes, extra=(), strict=True):
     rebuilt = KnowledgeBase(kb.entries[f] for f in sorted(mask))
     want = solve(rebuilt, elements, constraints, strict_uniqueness=strict)
     for full_first in (False, True):
-        problem = ConstraintProblem(kb, elements, constraints)
+        problem = ConstraintProblem(kb, elements, constraints, strict_uniqueness=strict)
         if full_first:
-            problem.solve(strict_uniqueness=strict)
-        assert problem.solve(mask, strict_uniqueness=strict) == want, full_first
+            problem.solve()
+        assert problem.solve(mask) == want, full_first
     naive_kb = KnowledgeBase(kb.entries[f] for f in sorted(mask | set(extra)))
     return want, solve(naive_kb, elements, constraints, strict_uniqueness=strict)
 
@@ -1058,18 +1126,16 @@ def test_mask_that_keeps_every_optimum_of_a_tie_reuses_it(monkeypatch):
     kb = _kb_three_labels()
     label = _el("Label", 0)
     make = Construction(label)
-    problem = ConstraintProblem(kb, [label], [make])
     kept = reduce_kb(kb, ["com.a.Label", "org.b.Label"])
     calls = _count_solve_work(monkeypatch)
     for strict in (True, False):
-        full = problem.solve(strict_uniqueness=strict)
+        problem = ConstraintProblem(kb, [label], [make], strict_uniqueness=strict)
+        full = problem.solve()
         assert full.typed == ({} if strict else {label: "com.a.Label"})
-        assert problem.solve(kept, strict_uniqueness=strict) is full
+        searched = dict(calls)
+        assert problem.solve(kept) is full
+        assert calls == searched, strict
     assert calls == {"_tabulate": 2, "_search": 2}
-    # the stored solve is the lenient one, so a strict mask searches again
-    got = problem.solve(kept)
-    assert got.typed == {} and got.untyped == {label}
-    assert calls == {"_tabulate": 3, "_search": 3}
 
 
 def test_mask_that_drops_an_optimal_value_of_a_tie_searches_again(monkeypatch):

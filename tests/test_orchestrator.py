@@ -463,13 +463,13 @@ def test_oscillation_solves_and_ranks_each_state_once(
     calls = {"problems": 0, "solve": 0, "reduce_kb": 0}
 
     class CountedProblem(orchestrator.ConstraintProblem):
-        def __init__(self, *args):
+        def __init__(self, *args, **kw):
             calls["problems"] += 1
-            super().__init__(*args)
+            super().__init__(*args, **kw)
 
-        def solve(self, *args, **kw):
+        def solve(self, *args):
             calls["solve"] += 1
-            return super().solve(*args, **kw)
+            return super().solve(*args)
 
     def counted_reduce(*args, _inner=orchestrator.reduce_kb):
         calls["reduce_kb"] += 1

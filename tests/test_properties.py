@@ -387,16 +387,38 @@ def test_bracket_partners_match_reference_scans():
         assert [(h.open, h.close) for h in structure.headers] == bodies, (case, raw)
 
 
-def _arity_scan(lexemes, i_open, close):
+def _arity_scan(structure, i_open, close, type_arguments=True):
     """Reference: one more than the commas inside (i_open, close) where a
     depth count, '(', '[' or '{' up and ')', ']' or '}' down, is back at
-    zero."""
+    zero. With type_arguments, the '<' after `new Name` or `new a.b.Name`
+    is up too, and the '>' that closes it, counting the '<' and '>' in
+    between and before any '(', ')', '{', '}', ';' or `new`, down."""
+    lexemes, kinds = structure.lexemes, structure.kinds
     if close == i_open + 1:
         return 0
-    arity, depth = 1, 0
+    arity, depth, angle_close = 1, 0, None
     for k in range(i_open + 1, close):
         lex = lexemes[k]
-        if lex in ("(", "[", "{"):
+        if lex == "new" and type_arguments:
+            angle_close = None
+            m = k + 1
+            while kinds[m] is TokenKind.IDENTIFIER:
+                if lexemes[m + 1] != ".":
+                    break
+                m += 2
+            if kinds[m] is TokenKind.IDENTIFIER and lexemes[m + 1] == "<":
+                level = 0
+                for t in range(m + 1, close):
+                    if lexemes[t] in ("(", ")", "{", "}", ";", "new"):
+                        break
+                    level += {"<": 1, ">": -1}.get(lexemes[t], 0)
+                    if level == 0:
+                        angle_close = t
+                        depth += 1
+                        break
+        elif k == angle_close:
+            depth -= 1
+        elif lex in ("(", "[", "{"):
             depth += 1
         elif lex in (")", "]", "}"):
             depth -= 1
@@ -405,13 +427,16 @@ def _arity_scan(lexemes, i_open, close):
     return arity
 
 
-_ARG_PIECES = ("(", ")", "[", "]", "{", "}", ",", ",", "a", "f(", "x, y", "])")
+_ARG_PIECES = (
+    "(", ")", "[", "]", "{", "}", ",", ",", "a", "f(", "x, y", "])",
+    "<", ">", "new A<", "new a.B<C<", "new A<x, y>(", "new A",
+)
 
 
 def test_argument_arity_matches_reference_scan():
     rng = random.Random(9013)
-    checked = 0
-    for case in range(2000):
+    checked = angled = 0
+    for case in range(3000):
         raw = " ".join(rng.choice(_ARG_PIECES) for _ in range(rng.randint(0, 40)))
         structure = tokenize(raw).structure
         lexemes = structure.lexemes
@@ -419,10 +444,14 @@ def test_argument_arity_matches_reference_scan():
             if lexemes[i] != "(":
                 continue
             close = structure.partner.get(i)
-            want = None if close is None else (_arity_scan(lexemes, i, close), close)
+            want = None if close is None else (_arity_scan(structure, i, close), close)
             assert _parse_args(structure, i) == want, (case, raw, i)
             checked += close is not None and close > i + 1
-    assert checked >= 3000, checked
+            angled += want is not None and want[0] != _arity_scan(
+                structure, i, close, type_arguments=False
+            )
+    # the soups must hold argument lists whose type arguments hide commas
+    assert checked >= 3000 and angled >= 100, (checked, angled)
 
 
 # ---------------------------------------------------------------------------
@@ -989,10 +1018,10 @@ def test_masked_solve_matches_rebuilt_kb():
     """One tabulation solved under several masks gives what `solve` gives on
     each mask's KB, built as a KnowledgeBase of its own. Half the cases are
     dense-shaped (assignment values and chain intermediates that a mask may
-    drop), half the general random ones; most solve the full KB first, which
-    arms the unique-optimum shortcut, and strictness changes per call. Each
-    case ends with the whole KB as a mask, a restriction that drops
-    nothing, in both strict modes."""
+    drop), half the general random ones. Each case draws three masks and
+    ends with the whole KB as a mask, a restriction that drops nothing; in
+    each strict mode one problem solves them in turn and another solves the
+    full KB first, which arms the loaded-KB shortcut."""
     rng = random.Random(9013)
     for case in range(1000):
         excluded = frozenset()
@@ -1006,24 +1035,27 @@ def test_masked_solve_matches_rebuilt_kb():
             cons = _random_constraints(rng, elems)
             if rng.random() < 0.2:
                 excluded = _outside(rng)
-        problem = ConstraintProblem(kb, elems, cons, excluded)
-        if rng.random() < 0.7:
-            strict = rng.random() < 0.5
-            got = problem.solve(strict_uniqueness=strict)
-            assert got == solve(kb, elems, cons, excluded, strict_uniqueness=strict), case
         fqns = sorted(kb.entries)
-        for _ in range(3):
-            strict = rng.random() < 0.5
-            mask = reduce_kb(kb, rng.sample(fqns, rng.randint(0, len(fqns))))
-            rebuilt = KnowledgeBase(kb.entries[f] for f in sorted(mask))
-            want = solve(rebuilt, elems, cons, excluded, strict_uniqueness=strict)
-            assert problem.solve(mask, strict_uniqueness=strict) == want, case
-        # a mask that drops nothing, drawing nothing from rng
-        mask = frozenset(kb.entries)
-        rebuilt = KnowledgeBase(kb.entries[f] for f in sorted(mask))
+        masks = [reduce_kb(kb, rng.sample(fqns, rng.randint(0, len(fqns))))
+                 for _ in range(3)]
+        masks.append(frozenset(kb.entries))
         for strict in (False, True):
-            want = solve(rebuilt, elems, cons, excluded, strict_uniqueness=strict)
-            assert problem.solve(mask, strict_uniqueness=strict) == want, case
+            wants = [
+                solve(KnowledgeBase(kb.entries[f] for f in sorted(mask)),
+                      elems, cons, excluded, strict_uniqueness=strict)
+                for mask in masks
+            ]
+            for full_first in (False, True):
+                problem = ConstraintProblem(
+                    kb, elems, cons, excluded, strict_uniqueness=strict
+                )
+                if full_first:
+                    got = problem.solve()
+                    assert got == solve(
+                        kb, elems, cons, excluded, strict_uniqueness=strict
+                    ), case
+                for mask, want in zip(masks, wants):
+                    assert problem.solve(mask) == want, (case, strict, full_first)
 
 
 # ---------------------------------------------------------------------------
