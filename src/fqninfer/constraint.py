@@ -4,14 +4,16 @@ Extraction reads the snippet's structure (`Snippet.structure`, recognised
 once per snippet) and walks its significant tokens for five kinds of fact,
 one constraint type each:
 
-- `Construction`: `new Name(...)` needs Name to be a class.
+- `Construction`: `new Name(...)` or `new Name<...>(...)` needs Name to be
+  a class.
 - `MemberCall`: `Name.m1(...).m2(...)` needs each hop's method, by name
   and arity, on the type the previous hop returned.
 - `FieldAccess`: `Name.f` needs the field f.
 - `Supertype`: an `extends` or `implements` clause needs a class or an
   interface.
-- `DeclaredAssignment`: `Name x = <construction or call>` needs the value's
-  type to be Name or one of its subtypes.
+- `DeclaredAssignment`: `Name x = <construction or call>`, or
+  `Name<...> x = ...`, needs the value's type to be Name or one of its
+  subtypes.
 
 Every constraint is about API elements; the snippet's own declared types
 are never elements. Extraction also reports the lines it could not analyze
@@ -37,7 +39,7 @@ from typing import Container, Mapping, NamedTuple, Sequence, Union
 
 from .kb import KnowledgeBase, field_in_knowledge, method_in_knowledge, supertype_closure
 from .snippet import (_IDENTIFIER, _KEYWORD, ApiElement, Snippet, SnippetStructure,
-                      _value_tuple)
+                      _declared_variable, _type_arguments_end, _value_tuple)
 
 
 # --------------------------------------------------------------------------
@@ -194,12 +196,15 @@ def extract_constraints(
     var_types: dict[str, ApiElement] = {}
 
     def construction(k: int):
-        """`new Name(args)` with 'new' at position k, Name an element and
-        the argument list closed."""
+        """`new Name(args)` or `new Name<...>(args)` with 'new' at position
+        k, Name an element and the argument list closed."""
         e = elem_at.get(positions[k + 1])
-        if e is None or k + 2 not in structure.partner or lexemes[k + 2] != "(":
+        i_open = k + 2
+        if lexemes[i_open] == "<":
+            i_open = _type_arguments_end(lexemes, kinds, k) + 1  # 0: unclosed
+        if e is None or not i_open or i_open not in structure.partner:
             return None
-        return Construction(e)
+        return Construction(e) if lexemes[i_open] == "(" else None
 
     def chain(k: int, initializer: bool):
         """The constraint of `root.f` or `root.m1(args).m2(args)...` with
@@ -250,13 +255,15 @@ def extract_constraints(
                     c = chain(j, initializer=False)
                     if c is not None:
                         constraints.append(c)
-            elif kinds[j + 1] is _IDENTIFIER:
-                var_types[nxt] = e
-                if lexemes[j + 2] == "=":
-                    k = j + 3
-                    src = construction(k) if lexemes[k] == "new" else chain(k, True)
-                    if src is not None:
-                        constraints.append(DeclaredAssignment(e, src))
+            else:
+                v = _declared_variable(lexemes, kinds, j)
+                if v >= 0:
+                    var_types[lexemes[v]] = e
+                    if lexemes[v + 1] == "=":
+                        k = v + 2
+                        src = construction(k) if lexemes[k] == "new" else chain(k, True)
+                        if src is not None:
+                            constraints.append(DeclaredAssignment(e, src))
             continue
 
         # plain identifier: maybe a declared variable receiving a call
@@ -707,6 +714,10 @@ def solve(
     `ConstraintProblem` per run, with the run's strictness, and solves it
     under each round's mask. Raises ValueError when more elements have a
     choice than the search's recursion limit allows.
+
+    The program no longer calls this function: the "constraint" engine is
+    the loop's first round. It stays for perfbench/tracer.py, which wraps
+    `orchestrator.solve`, and for the tests that call it directly.
     """
     return ConstraintProblem(
         kb, elements, constraints, excluded, strict_uniqueness=strict_uniqueness

@@ -18,9 +18,11 @@ full-KB round's result without tabulating or searching (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
+# `solve` is never called here: it stays in this namespace only because
+# perfbench/tracer.py wraps `orchestrator.solve`
 from .constraint import ConstraintProblem, ConstraintResult, extract_constraints, solve
 from .kb import KnowledgeBase, reduce_kb
 from .snippet import (ApiElement, Snippet, _value_tuple, augment, identify_api_elements,
@@ -237,34 +239,25 @@ def infer_with_engine(
 ) -> dict[str, str]:
     """Element key -> FQN under one of the three engines.
 
-    "constraint" is a single full-KB solve, "stat" a single raw-context
-    ranking (top 1), "combined" the iterative loop. Like `run`, the
-    "constraint" and "combined" engines raise ValueError on a snippet too
-    large to solve.
+    "constraint" is the constraint-first loop's first round with the ranker
+    off (one full-KB solve), "stat" a single raw-context ranking (top 1),
+    "combined" the iterative loop. Like `run`, the "constraint" and
+    "combined" engines raise ValueError on a snippet too large to solve.
     """
     elements = identify_api_elements(snippet, kb, exclude_string=config.exclude_string)
-    if engine == "constraint":
-        # through this module's `solve`, which perfbench/tracer.py times;
-        # its counters read the excluded lines as the fourth positional
-        # argument
-        constraints, excluded = extract_constraints(
-            snippet, elements, cascaded_calls=config.cascaded_calls,
-            strict_body_check=config.strict_body_check,
-        )
-        res = solve(
-            kb, elements, constraints, excluded,
-            strict_uniqueness=config.strict_uniqueness,
-        )
-        return {e.key: fqn for e, fqn in res.typed.items()}
     if engine == "stat":
         preds = predict_all(model, plain(snippet), elements, kb, max(1, config.k))
         return {
             e.key: cl.ranked[0] for e, cl in preds.items() if cl.ranked
         }
-    if engine == "combined":
-        combined, _ = run(snippet, kb, model, config, elements=elements)
-        return combined.answers()
-    raise ValueError(f"unknown engine: {engine!r}")
+    if engine == "constraint":
+        # the order is forced: a stat-first round 1 solves under the mask of
+        # an empty ranking
+        config = replace(config, k=0, delta=1, order=ORDER_CONSTRAINT_FIRST)
+    elif engine != "combined":
+        raise ValueError(f"unknown engine: {engine!r}")
+    combined, _ = run(snippet, kb, model, config, elements=elements)
+    return combined.answers()
 
 
 def serialize_trace(

@@ -177,6 +177,36 @@ def _type_arguments_end(lex: Sequence[str], kind: Sequence[TokenKind], j: int) -
     return -1
 
 
+# what the type arguments of a declared type hold besides identifiers,
+# nested `<...>` and the '[]' of an array type
+_TYPE_ARGUMENT_WORDS = frozenset((".", ",", "?", "extends", "super"))
+
+
+def _declared_variable(lex: Sequence[str], kind: Sequence[TokenKind], j: int) -> int:
+    """Position of the variable that `Name x` or `Name<...> x` declares,
+    with Name at position j, or -1. Type arguments may hold only
+    identifiers, '.', ',', '?', `extends`, `super`, '[]' and nested
+    `<...>`, so a comparison such as `A < b && c > d` declares nothing."""
+    k = j + 1
+    if lex[k] == "<":
+        level = 0
+        while True:  # a pad ends the scan
+            lx = lex[k]
+            if lx == "<":
+                level += 1
+            elif lx == ">":
+                level -= 1
+                if not level:
+                    break
+            elif lx == "[" and lex[k + 1] == "]":
+                k += 1
+            elif kind[k] is not _IDENTIFIER and lx not in _TYPE_ARGUMENT_WORDS:
+                return -1
+            k += 1
+        k += 1
+    return k if kind[k] is _IDENTIFIER else -1
+
+
 def _read_structure(snippet: Snippet) -> SnippetStructure:
     lexemes, kinds, lines = snippet.lexemes, snippet.kinds, snippet.lines
     positions = [i for i, k in enumerate(kinds)
@@ -454,11 +484,12 @@ def identify_api_elements(
 
     An uppercase-initial identifier becomes an element when it sits in a
     type-usage position: after `new`, as a declared type before another
-    identifier, as the receiver of a static member access, in an extends or
-    implements clause, as a cast, as an annotation name, or (when a kb is
-    given) when its simple name matches a KB entry. Names declared by the
-    snippet itself (class/interface/enum declarations) are excluded, as are
-    boxed primitives and, by default, String.
+    identifier (or before type arguments and then one), as the receiver
+    of a static member access, in an extends or implements clause, as a
+    cast, as an annotation name, or (when a kb is given) when its simple
+    name matches a KB entry. Names declared by the snippet itself
+    (class/interface/enum declarations) are excluded, as are boxed
+    primitives and, by default, String.
     """
     excluded = set(BOXED_NAMES)
     if exclude_string:
@@ -492,6 +523,8 @@ def identify_api_elements(
             accepted = kinds[j + 2] is _IDENTIFIER  # static receiver
         elif kinds[j + 1] is _IDENTIFIER:
             accepted = True  # declared type
+        elif nxt == "<" and _declared_variable(lexemes, kinds, j) >= 0:
+            accepted = True  # declared generic type
         elif nxt == "[" and nxt2 == "]":
             accepted = kinds[j + 3] is _IDENTIFIER  # declared array type
         elif (

@@ -118,6 +118,36 @@ def test_extract_type_argument_commas_are_not_arguments(text, arity):
     assert calls == [MemberCall(els["Foo[1,1]"], (("bar", arity),), static_call=True)]
 
 
+@pytest.mark.parametrize(
+    "text", ["x = new HashMap<String, Integer>();", "x = new HashMap<>();"]
+)
+def test_extract_generic_construction(text):
+    els, cons, _ = _extract(text)
+    assert cons == [Construction(els["HashMap[1,1]"])]
+
+
+def test_extract_generic_construction_needs_its_argument_list():
+    assert _extract("x = new HashMap<String, Integer>;")[1] == []
+    assert _extract("x = new HashMap<String, Integer;")[1] == []
+
+
+def test_extract_assignment_of_a_generic_construction():
+    els, cons, _ = _extract("HashMap m = new HashMap<String, Integer>();")
+    built = Construction(els["HashMap[1,2]"])
+    assert cons == [DeclaredAssignment(els["HashMap[1,1]"], built), built]
+
+
+def test_extract_generic_declared_type_types_its_variable():
+    text = "Map<String, Integer> m = new HashMap<String, Integer>();\nm.put(a, b);\n"
+    els, cons, _ = _extract(text)
+    built = Construction(els["HashMap[1,1]"])
+    assert cons == [
+        DeclaredAssignment(els["Map[1,1]"], built),
+        built,
+        MemberCall(els["Map[1,1]"], (("put", 2),), static_call=False),
+    ]
+
+
 def test_extract_construction_zero_args():
     els, cons, _ = _extract("x = new Banner();")
     assert cons == [Construction(els["Banner[1,1]"])]
@@ -891,6 +921,15 @@ def test_cliff_shapes_visit_their_pinned_node_counts(kb, text, nodes):
     # a change to the search may lower a pinned count, never raise it
     sn = tokenize(text)
     assert _search_nodes(lambda: infer_with_engine(sn, kb, None, "constraint")) == nodes
+
+
+def test_round_robin_cliff_visits_its_pinned_node_count():
+    # three names over six libraries, cycled 42 times with no violation
+    # anywhere: only the library count ranks the 3**42 assignments; a
+    # change to the search may lower this count, never raise it
+    libs = [list(test_properties._ROUND_ROBIN_LIBS[k % 3]) for k in range(42)]
+    got = _search_nodes(lambda: constraint._search(libs, [[0, 0, 0]] * 42, {}))
+    assert got == 245866
 
 
 @pytest.mark.parametrize("n, nodes", [(8, 17), (16, 33)])

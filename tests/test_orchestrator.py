@@ -19,7 +19,8 @@ from fqninfer import (
     run,
     serialize_trace,
 )
-from fqninfer.constraint import ConstraintResult, extract_constraints, solve
+from fqninfer.constraint import (ConstraintProblem, ConstraintResult, extract_constraints,
+                                 solve)
 from fqninfer.kb import KnowledgeBase, reduce_kb
 from fqninfer import orchestrator, tokenize
 from fqninfer.orchestrator import (
@@ -213,6 +214,27 @@ def test_infer_with_engine_shapes(kb, model, by_id):
         got = infer_with_engine(sn, kb, model, engine)
         assert all(isinstance(k, str) and "[" in k for k in got)
         assert all(isinstance(v, str) for v in got.values())
+
+
+@pytest.mark.parametrize("order", [ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST])
+@pytest.mark.parametrize("strict", [True, False])
+def test_constraint_engine_is_one_full_kb_solve_in_either_order(
+    kb, model, eval_items, order, strict
+):
+    # the engine is the constraint-first loop's first round whatever order
+    # the config names: a stat-first round 1 would solve under the mask of
+    # an empty ranking
+    config = RunConfig(order=order, strict_uniqueness=strict)
+    for item in eval_items:
+        sn = item.snippet
+        elements = identify_api_elements(sn, kb)
+        constraints, excluded = extract_constraints(sn, elements)
+        problem = ConstraintProblem(
+            kb, elements, constraints, excluded, strict_uniqueness=strict
+        )
+        want = {e.key: fqn for e, fqn in problem.solve().typed.items()}
+        got = infer_with_engine(sn, kb, model, "constraint", config)
+        assert got == want, item.snippet_id
 
 
 def test_infer_with_engine_rejects_unknown_name(kb, model, by_id):

@@ -192,6 +192,23 @@ def test_identify_array_declaration():
     assert got == {"Widget[1,1]"}
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("Map<String, Integer> m = make();", {"Map[1,1]"}),
+        ("Map<String, List<Widget[]>> m;", {"Map[1,1]"}),
+        ("Map<? extends a.Key, ? super V> m;", {"Map[1,1]"}),
+        # a comparison is not a type argument list
+        ("if (Limit < b && c > d) go();", set()),
+        ("Limit < (b) > d;", set()),
+        ("List<int> xs;", set()),
+        ("Map<String, Integer> = 3;", set()),
+    ],
+)
+def test_identify_generic_declared_type(text, expected):
+    assert _element_keys(text) == expected
+
+
 def test_own_declarations_excluded():
     text = "public class Mine extends Base {\n    Mine twin = new Mine();\n}\n"
     got = _element_keys(text)
