@@ -39,7 +39,7 @@ from typing import Container, Mapping, NamedTuple, Sequence, Union
 
 from .kb import KnowledgeBase, field_in_knowledge, method_in_knowledge, supertype_closure
 from .snippet import (_IDENTIFIER, _KEYWORD, ApiElement, Snippet, SnippetStructure,
-                      _declared_variable, _type_arguments_end, _value_tuple)
+                      _constructed, _type_end, _value_tuple)
 
 
 # --------------------------------------------------------------------------
@@ -196,15 +196,14 @@ def extract_constraints(
     var_types: dict[str, ApiElement] = {}
 
     def construction(k: int):
-        """`new Name(args)` or `new Name<...>(args)` with 'new' at position
-        k, Name an element and the argument list closed."""
-        e = elem_at.get(positions[k + 1])
-        i_open = k + 2
-        if lexemes[i_open] == "<":
-            i_open = _type_arguments_end(lexemes, kinds, k) + 1  # 0: unclosed
-        if e is None or not i_open or i_open not in structure.partner:
+        """`new Name(args)` or `new a.b.Name<...>(args)` with 'new' at
+        position k, Name an element and the argument list closed."""
+        name = _constructed(lexemes, kinds, k)
+        e = elem_at.get(positions[name])  # a pad's None when name is -1
+        i_open = _type_end(lexemes, kinds, name)
+        if e is None or lexemes[i_open] != "(" or i_open not in structure.partner:
             return None
-        return Construction(e) if lexemes[i_open] == "(" else None
+        return Construction(e)
 
     def chain(k: int, initializer: bool):
         """The constraint of `root.f` or `root.m1(args).m2(args)...` with
@@ -250,14 +249,14 @@ def extract_constraints(
                 constraints.append(Supertype(e, "interface" if interface else "class"))
                 continue
             if nxt == ".":
-                # after `new`, the construction branch has read it
+                # after `new`, a qualifier of the name it constructs
                 if lexemes[j - 1] != "new":
                     c = chain(j, initializer=False)
                     if c is not None:
                         constraints.append(c)
             else:
-                v = _declared_variable(lexemes, kinds, j)
-                if v >= 0:
+                v = _type_end(lexemes, kinds, j)
+                if kinds[v] is _IDENTIFIER:
                     var_types[lexemes[v]] = e
                     if lexemes[v + 1] == "=":
                         k = v + 2

@@ -121,8 +121,8 @@ class SnippetStructure(NamedTuple):
     commas: bracket depth -> positions of the commas at that depth, in
         order. Bracket depth counts '(', '[' and '{' as opening and ')',
         ']' and '}' as closing, whichever bracket they pair with, and the
-        type arguments `<...>` after the type name of a `new` expression as
-        one level: that is how a call's arity counts the commas of its
+        type arguments `_type_end` reads after the name a `new` constructs
+        as one level: that is how a call's arity counts the commas of its
         argument list and none inside an array initializer, class body,
         lambda block or constructed generic type in it.
     headers: every class/interface/enum header, in token order.
@@ -130,6 +130,7 @@ class SnippetStructure(NamedTuple):
         (clause keyword, declaring header). A header nested in another
         before the body opens declares the clauses after it; a clause with
         no named header before it belongs to the first, nameless one.
+    constructed: the position of the name each `new` constructs.
     word_lines, word_indices: the line and token index of every identifier
         and literal, in token order (the lines never decrease), which a
         context window slices; augmentation keeps kinds and lines.
@@ -144,6 +145,7 @@ class SnippetStructure(NamedTuple):
     commas: Mapping[int, Sequence[int]]
     headers: tuple[Header, ...]
     clauses: Mapping[int, tuple[str, Header]]
+    constructed: frozenset[int]
     word_lines: tuple[int, ...]
     word_indices: tuple[int, ...]
 
@@ -152,59 +154,48 @@ _DECLARATIONS = ("class", "interface", "enum")
 _CLOSERS = {")": "(", "}": "{"}
 # the lexemes the structure walk stops at, besides the words
 _STRUCTURAL = frozenset("(){}[],>") | frozenset(_DECLARATIONS) | {"new"}
-# lexemes that end a scan for the '>' closing a `new Name<` (a pad is "")
-_NOT_TYPE_ARGUMENT = frozenset(("(", ")", "{", "}", ";", "new", ""))
 _PADS = 3  # pads after the SnippetStructure columns
-
-
-def _type_arguments_end(lex: Sequence[str], kind: Sequence[TokenKind], j: int) -> int:
-    """Position of the '>' that closes the type arguments of `new Name<...>`
-    or `new a.b.Name<...>`, with 'new' at position j, or -1 when there are
-    none or they do not close."""
-    k = j + 1
-    while kind[k] is _IDENTIFIER and lex[k + 1] == ".":
-        k += 2
-    if kind[k] is not _IDENTIFIER or lex[k + 1] != "<":
-        return -1
-    level = 0
-    for m in range(k + 1, len(lex)):  # a pad ends the scan
-        lx = lex[m]
-        if lx in _NOT_TYPE_ARGUMENT:
-            break
-        level += (lx == "<") - (lx == ">")
-        if not level:
-            return m
-    return -1
-
-
-# what the type arguments of a declared type hold besides identifiers,
-# nested `<...>` and the '[]' of an array type
+# what type arguments hold besides identifiers, nested `<...>`, the '[]' of
+# an array type and a primitive keyword before it
 _TYPE_ARGUMENT_WORDS = frozenset((".", ",", "?", "extends", "super"))
+_PRIMITIVES = frozenset("boolean byte char short int long float double".split())
 
 
-def _declared_variable(lex: Sequence[str], kind: Sequence[TokenKind], j: int) -> int:
-    """Position of the variable that `Name x` or `Name<...> x` declares,
-    with Name at position j, or -1. Type arguments may hold only
-    identifiers, '.', ',', '?', `extends`, `super`, '[]' and nested
-    `<...>`, so a comparison such as `A < b && c > d` declares nothing."""
+def _type_end(lex: Sequence[str], kind: Sequence[TokenKind], j: int) -> int:
+    """Position just past the type name at position j and its closed type
+    arguments `<...>`, or j + 1. Type arguments hold only identifiers, '.',
+    ',', '?', `extends`, `super`, '[]', a primitive keyword before '[]' and
+    nested `<...>`, so `A < b && c > d` and `List<int>` have none."""
     k = j + 1
-    if lex[k] == "<":
-        level = 0
-        while True:  # a pad ends the scan
-            lx = lex[k]
-            if lx == "<":
-                level += 1
-            elif lx == ">":
-                level -= 1
-                if not level:
-                    break
-            elif lx == "[" and lex[k + 1] == "]":
-                k += 1
-            elif kind[k] is not _IDENTIFIER and lx not in _TYPE_ARGUMENT_WORDS:
-                return -1
+    if lex[k] != "<":
+        return k
+    level = 0
+    while True:  # a pad ends the scan
+        lx = lex[k]
+        if lx == "<":
+            level += 1
+        elif lx == ">":
+            level -= 1
+            if not level:
+                return k + 1
+        elif lx == "[" and lex[k + 1] == "]":
             k += 1
+        elif (kind[k] is not _IDENTIFIER and lx not in _TYPE_ARGUMENT_WORDS
+              and not (lx in _PRIMITIVES and lex[k + 1] == "[")):
+            return j + 1
         k += 1
-    return k if kind[k] is _IDENTIFIER else -1
+
+
+def _constructed(lex: Sequence[str], kind: Sequence[TokenKind], j: int) -> int:
+    """Position of the name that `new Name` or `new a.b.Name` constructs,
+    with 'new' at position j: the last identifier of the dotted run after
+    it, or -1 when no identifier follows 'new'."""
+    k = j + 1
+    if kind[k] is not _IDENTIFIER:
+        return -1
+    while lex[k + 1] == "." and kind[k + 2] is _IDENTIFIER:
+        k += 2
+    return k
 
 
 def _read_structure(snippet: Snippet) -> SnippetStructure:
@@ -220,6 +211,7 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
     commas: dict[int, list[int]] = {}
     declarations: list[int] = []  # positions of class/interface/enum
     words: list[int] = []  # token indices of the identifiers and literals
+    constructed: list[int] = []  # positions of the names `new` constructs
     depth = 0
     type_arguments_end = -1  # the '>' that leaves the level of a `new Name<`
     for j, lx in enumerate(lex):  # a pad is neither a word nor structural
@@ -235,9 +227,12 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
             declarations.append(j)
             continue
         if lx == "new":  # always a keyword
-            type_arguments_end = _type_arguments_end(lex, kind, j)
-            if type_arguments_end >= 0:
-                depth += 1
+            built = _constructed(lex, kind, j)
+            if built >= 0:
+                constructed.append(built)
+                type_arguments_end = _type_end(lex, kind, built) - 1
+                if type_arguments_end > built:
+                    depth += 1
             continue
         if lx == ">":
             if j == type_arguments_end:
@@ -290,7 +285,8 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
         lex, kind, tuple([lines[i] for i in positions] + [0] * _PADS),
         tuple(positions + [None] * _PADS), MappingProxyType(partner),
         MappingProxyType(arg_depth), MappingProxyType(commas), tuple(headers),
-        MappingProxyType(clauses), tuple([lines[i] for i in words]), tuple(words),
+        MappingProxyType(clauses), frozenset(constructed),
+        tuple([lines[i] for i in words]), tuple(words),
     )
 
 
@@ -483,11 +479,14 @@ def identify_api_elements(
     """Heuristic identification of API type occurrences, in token order.
 
     An uppercase-initial identifier becomes an element when it sits in a
-    type-usage position: after `new`, as a declared type before another
-    identifier (or before type arguments and then one), as the receiver
-    of a static member access, in an extends or implements clause, as a
-    cast, as an annotation name, or (when a kb is given) when its simple
-    name matches a KB entry. Names declared by the snippet itself
+    type-usage position: as the name a `new` constructs (the last one of
+    `new a.b.Name`), as a declared type before another identifier, as the
+    receiver of a static member access, in an extends or implements clause,
+    as a cast, as an annotation name, or (when a kb is given) when its
+    simple name matches a KB entry. A declared type, a declared array type
+    and a cast are read past the type arguments `<...>` the name may take,
+    so `List<String> xs` and `(List<String>) value` are read as `List xs`
+    and `(List) value`. Names declared by the snippet itself
     (class/interface/enum declarations) are excluded, as are boxed
     primitives and, by default, String.
     """
@@ -497,6 +496,7 @@ def identify_api_elements(
 
     structure = snippet.structure
     lexemes, kinds, lines = structure.lexemes, structure.kinds, structure.lines
+    constructed = structure.constructed
     local_decls = {h.name for h in structure.headers if h.name is not None}
 
     occurrence_counter: dict[tuple[str, int], int] = {}
@@ -507,30 +507,29 @@ def identify_api_elements(
             continue
         if name in excluded or name in local_decls:
             continue
-        prev, nxt, nxt2 = lexemes[j - 1], lexemes[j + 1], lexemes[j + 2]
-        if prev == ".":
-            continue  # mid-qualified-name segment or member access
+        prev, nxt = lexemes[j - 1], lexemes[j + 1]
+        # the declared, array and cast rules read on past the type arguments
+        t = _type_end(lexemes, kinds, j) if nxt == "<" else j + 1
 
-        # the first position that matches decides, even when it rejects;
-        # the lexeme "new" is always a keyword
-        if prev == "@":
-            accepted = True  # annotation
-        elif prev == "new":
+        # the first position that matches decides, even when it rejects
+        if j in constructed:
             accepted = True  # object creation
+        elif prev == ".":
+            continue  # mid-qualified-name segment or member access
+        elif prev == "@":
+            accepted = True  # annotation
         elif j in structure.clauses:
             accepted = True  # extends or implements clause
         elif nxt == ".":
             accepted = kinds[j + 2] is _IDENTIFIER  # static receiver
-        elif kinds[j + 1] is _IDENTIFIER:
+        elif kinds[t] is _IDENTIFIER:
             accepted = True  # declared type
-        elif nxt == "<" and _declared_variable(lexemes, kinds, j) >= 0:
-            accepted = True  # declared generic type
-        elif nxt == "[" and nxt2 == "]":
-            accepted = kinds[j + 3] is _IDENTIFIER  # declared array type
+        elif lexemes[t] == "[" and lexemes[t + 1] == "]":
+            accepted = kinds[t + 2] is _IDENTIFIER  # declared array type
         elif (
             prev == "("
-            and nxt == ")"
-            and (kinds[j + 2] in _WORD_KINDS or nxt2 in ("(", "new", "this"))
+            and lexemes[t] == ")"
+            and (kinds[t + 1] in _WORD_KINDS or lexemes[t + 1] in ("(", "new", "this"))
         ):
             accepted = True  # cast
         else:

@@ -108,6 +108,12 @@ def test_extract_braced_commas_are_not_arguments(text):
         ("Foo.bar(new Comparator<Pair<A, B>>() { int a, b; }, x);", 2),
         ("Foo.bar(a < b, c > d);", 2),
         ("Foo.bar(new A, b < c, d > e);", 3),
+        ("Foo.bar(new Outer.Inner<A, B>(), x);", 2),
+        ("Foo.bar(new ArrayList<int[]>(), x);", 2),
+        ("Foo.bar(new Foo<int[], long[]>(), x);", 2),
+        # not Java: refused as type arguments, so their commas count
+        ("Foo.bar(new Foo<1, 2>(), x);", 3),
+        ("Foo.bar(new Foo<int, b>(), x);", 3),
     ],
 )
 def test_extract_type_argument_commas_are_not_arguments(text, arity):
@@ -119,11 +125,43 @@ def test_extract_type_argument_commas_are_not_arguments(text, arity):
 
 
 @pytest.mark.parametrize(
-    "text", ["x = new HashMap<String, Integer>();", "x = new HashMap<>();"]
+    "text",
+    [
+        "x = new HashMap<String, Integer>();",
+        "x = new HashMap<>();",
+        "x = new HashMap<int[], List<long[]>>();",
+    ],
 )
 def test_extract_generic_construction(text):
     els, cons, _ = _extract(text)
     assert cons == [Construction(els["HashMap[1,1]"])]
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("x = new Outer.Inner();", "Inner[1,1]"),
+        ("x = new org.joda.time.DateTime();", "DateTime[1,1]"),
+        ("x = new java.util.HashMap<String, Integer>();", "HashMap[1,1]"),
+    ],
+)
+def test_extract_qualified_construction(text, name):
+    # the qualifier of the constructed name gives no member call
+    els, cons, _ = _extract(text)
+    assert cons == [Construction(els[name])]
+
+
+@pytest.mark.parametrize("text", ["x = new Foo<int>();", "x = new Foo<1, 2>();"])
+def test_extract_refused_type_arguments_construct_nothing(text):
+    # not Java: no type arguments, so no argument list follows the name
+    els, cons, _ = _extract(text)
+    assert list(els) == ["Foo[1,1]"] and cons == []
+
+
+def test_extract_assignment_of_a_qualified_construction():
+    els, cons, _ = _extract("Inner i = new Outer.Inner();")
+    built = Construction(els["Inner[1,2]"])
+    assert cons == [DeclaredAssignment(els["Inner[1,1]"], built), built]
 
 
 def test_extract_generic_construction_needs_its_argument_list():

@@ -387,35 +387,59 @@ def test_bracket_partners_match_reference_scans():
         assert [(h.open, h.close) for h in structure.headers] == bodies, (case, raw)
 
 
+_PRIMITIVE_WORDS = ("boolean", "byte", "char", "short", "int", "long", "float", "double")
+
+
+def _type_arguments_close(structure, k, close):
+    """Reference: the position of the '>' closing the type arguments of the
+    name the `new` at position k constructs, or None. The name is the last
+    identifier of the run `a.b.Name` after `new`; its type arguments start
+    at the '<' right after it, and every token up to the '>' that brings
+    the count of '<' and '>' back to zero must be an identifier, '.', ',',
+    '?', `extends`, `super`, '<', '>', a '[' before ']', a ']' after '[',
+    or a primitive keyword before '[' ']'."""
+    lexemes, kinds = structure.lexemes, structure.kinds
+    run, m = [], k + 1
+    while kinds[m] is TokenKind.IDENTIFIER:
+        run.append(m)
+        if lexemes[m + 1] != ".":
+            break
+        m += 2
+    if not run or lexemes[run[-1] + 1] != "<":
+        return None
+    level = 0
+    for t in range(run[-1] + 1, close):
+        lex = lexemes[t]
+        allowed = (
+            kinds[t] is TokenKind.IDENTIFIER
+            or lex in (".", ",", "?", "extends", "super", "<", ">")
+            or (lex == "[" and lexemes[t + 1] == "]")
+            or (lex == "]" and lexemes[t - 1] == "[")
+            or (lex in _PRIMITIVE_WORDS and lexemes[t + 1 : t + 3] == ("[", "]"))
+        )
+        if not allowed:
+            return None
+        level += {"<": 1, ">": -1}.get(lex, 0)
+        if level == 0:
+            return t
+    return None
+
+
 def _arity_scan(structure, i_open, close, type_arguments=True):
     """Reference: one more than the commas inside (i_open, close) where a
     depth count, '(', '[' or '{' up and ')', ']' or '}' down, is back at
-    zero. With type_arguments, the '<' after `new Name` or `new a.b.Name`
-    is up too, and the '>' that closes it, counting the '<' and '>' in
-    between and before any '(', ')', '{', '}', ';' or `new`, down."""
-    lexemes, kinds = structure.lexemes, structure.kinds
+    zero. With type_arguments, a `new` whose constructed name has type
+    arguments that close (`_type_arguments_close`) is up too, and the '>'
+    that closes them down."""
+    lexemes = structure.lexemes
     if close == i_open + 1:
         return 0
     arity, depth, angle_close = 1, 0, None
     for k in range(i_open + 1, close):
         lex = lexemes[k]
         if lex == "new" and type_arguments:
-            angle_close = None
-            m = k + 1
-            while kinds[m] is TokenKind.IDENTIFIER:
-                if lexemes[m + 1] != ".":
-                    break
-                m += 2
-            if kinds[m] is TokenKind.IDENTIFIER and lexemes[m + 1] == "<":
-                level = 0
-                for t in range(m + 1, close):
-                    if lexemes[t] in ("(", ")", "{", "}", ";", "new"):
-                        break
-                    level += {"<": 1, ">": -1}.get(lexemes[t], 0)
-                    if level == 0:
-                        angle_close = t
-                        depth += 1
-                        break
+            angle_close = _type_arguments_close(structure, k, close)
+            depth += angle_close is not None
         elif k == angle_close:
             depth -= 1
         elif lex in ("(", "[", "{"):
@@ -430,6 +454,8 @@ def _arity_scan(structure, i_open, close, type_arguments=True):
 _ARG_PIECES = (
     "(", ")", "[", "]", "{", "}", ",", ",", "a", "f(", "x, y", "])",
     "<", ">", "new A<", "new a.B<C<", "new A<x, y>(", "new A",
+    "new A<int[], b>(", "new a.B<C, D>(", "new A<b, 1>(", "new A<int, b>(", "int",
+    "new a.",
 )
 
 

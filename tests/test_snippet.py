@@ -203,10 +203,46 @@ def test_identify_array_declaration():
         ("Limit < (b) > d;", set()),
         ("List<int> xs;", set()),
         ("Map<String, Integer> = 3;", set()),
+        # a primitive is a type argument only as an array's element type
+        ("List<int[]> xs;", {"List[1,1]"}),
+        ("Map<String, long[][]> m;", {"Map[1,1]"}),
+        ("List<int>[] xs;", set()),
     ],
 )
 def test_identify_generic_declared_type(text, expected):
     assert _element_keys(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("Object o = (List<String>) value;", {"Object[1,1]", "List[1,1]"}),
+        ("Object o = (Map<String, List<Widget>>) (value);", {"Object[1,1]", "Map[1,1]"}),
+        ("o = (List<String>[]) make();", set()),
+        # a comparison in parentheses is no cast
+        ("if (Limit < b) go();", set()),
+    ],
+)
+def test_identify_generic_cast(text, expected):
+    # the cast rule reads on past the type arguments, without a KB
+    assert _element_keys(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # the qualifier stays an element, as a static receiver
+        ("x = new Outer.Inner();", ["Outer[1,1]", "Inner[1,1]"]),
+        ("x = new org.joda.time.DateTime();", ["DateTime[1,1]"]),
+        ("x = new Outer.Inner<A, B>();", ["Outer[1,1]", "Inner[1,1]"]),
+        ("x = new a.b.Grid[3];", ["Grid[1,1]"]),
+        # broken code: the last name before a dot that no name follows
+        ("x = new Outer.;", ["Outer[1,1]"]),
+    ],
+)
+def test_identify_qualified_construction(text, expected):
+    # `new` constructs the last name of a qualified type
+    assert [e.key for e in identify_api_elements(tokenize(text))] == expected
 
 
 def test_own_declarations_excluded():
