@@ -178,6 +178,11 @@ def extract_constraints(
 ) -> tuple[list[Constraint], frozenset[int]]:
     """Extract constraints and report the excluded lines.
 
+    An identifier in an extends or implements clause gives a supertype
+    when it is an element, and nothing otherwise. Any other `name.` roots
+    one chain, on an element or a declared variable, unless name follows
+    '.' (a member) or `new` (a qualifier of the name it constructs).
+
     `cascaded_calls` and `strict_body_check` are the `RunConfig` switches.
     Under strict_body_check, the lines inside a class body whose structure
     is broken (a constructor name that does not match the class) are
@@ -186,7 +191,7 @@ def extract_constraints(
     """
     structure = snippet.structure
     lexemes, kinds, lines = structure.lexemes, structure.kinds, structure.lines
-    positions = structure.positions
+    positions, clauses = structure.positions, structure.clauses
     elem_at: dict[int | None, ApiElement] = {e.token_index: e for e in elements}
     excluded = (
         _broken_body_lines(structure) if strict_body_check else frozenset()
@@ -229,47 +234,30 @@ def extract_constraints(
     for j, kind in enumerate(kinds):
         if lines[j] in excluded:
             continue
-
+        c = None
         if kind is _KEYWORD and lexemes[j] == "new":
             c = construction(j)
-            if c is not None:
-                constraints.append(c)
-            continue
-
-        if kind is not _IDENTIFIER:
-            continue
-
-        nxt = lexemes[j + 1]
-        e = elem_at.get(positions[j])
-        if e is not None:
-            clause = structure.clauses.get(j)
-            if clause is not None and clause[1].name is not None:
-                keyword, header = clause
-                interface = keyword == "implements" or header.kind == "interface"
-                constraints.append(Supertype(e, "interface" if interface else "class"))
-                continue
-            if nxt == ".":
-                # after `new`, a qualifier of the name it constructs
-                if lexemes[j - 1] != "new":
+        elif kind is _IDENTIFIER:
+            e = elem_at.get(positions[j])
+            if j in clauses and clauses[j][1].name is not None:
+                # a qualifier of the supertype's name is no receiver
+                if e is not None:
+                    keyword, header = clauses[j]
+                    interface = keyword == "implements" or header.kind == "interface"
+                    c = Supertype(e, "interface" if interface else "class")
+            elif lexemes[j + 1] == ".":
+                if lexemes[j - 1] not in (".", "new"):  # a member or a qualifier
                     c = chain(j, initializer=False)
-                    if c is not None:
-                        constraints.append(c)
-            else:
+            elif e is not None:
                 v = _type_end(lexemes, kinds, j)
                 if kinds[v] is _IDENTIFIER:
                     var_types[lexemes[v]] = e
                     if lexemes[v + 1] == "=":
                         k = v + 2
                         src = construction(k) if lexemes[k] == "new" else chain(k, True)
-                        if src is not None:
-                            constraints.append(DeclaredAssignment(e, src))
-            continue
-
-        # plain identifier: maybe a declared variable receiving a call
-        if nxt == "." and lexemes[j - 1] != ".":
-            c = chain(j, initializer=False)
-            if c is not None:
-                constraints.append(c)
+                        c = None if src is None else DeclaredAssignment(e, src)
+        if c is not None:
+            constraints.append(c)
 
     return constraints, excluded
 

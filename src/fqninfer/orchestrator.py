@@ -1,11 +1,11 @@
 """Iterative combination of the constraint solver and the statistical ranker.
 
 Each round runs both engines, feeding constraint-typed elements into the
-statistical context (augmentation) and feeding both engines' candidate types
-into a reduction of the knowledge base for the next constraint pass. The
-loop stops when a round reproduces the previous one exactly, or after a
-fixed number of rounds. Final answers prefer the constraint engine where it
-ever committed, falling back to the statistical ranking.
+statistical context (augmentation) and both engines' candidate types into a
+reduction of the knowledge base for the next constraint pass; either round
+order runs this one body. The loop stops when a round reproduces the
+previous one exactly, or after a fixed number of rounds. Final answers
+prefer the constraint engine where it ever committed, else the ranker's.
 
 A reduction is a mask over the loaded KB (`kb.reduce_kb`), never a new KB:
 each round tabulates and searches the candidates its mask keeps, reading
@@ -170,6 +170,12 @@ def run(
     model. Statistical candidates are always filtered against the ORIGINAL
     kb; reduction narrows only what the constraint solver sees.
 
+    Both orders run one round body: with T the last round's constraint
+    answers (none before round 1), a round solves on the KB reduced to
+    `collect_candidate_types(rank(T), T)`, or on the full KB in round 1 of
+    constraint-first, and records rank(T) under stat-first, or the ranking
+    of its own answers under constraint-first.
+
     Within a run the solver's answer depends only on the candidate-type
     set the KB is reduced to (None: the full KB), and the ranking only on
     the substitution map, so each distinct input is solved under its mask
@@ -206,21 +212,18 @@ def run(
             ranked[key] = predict_all(model, aug, elements, kb, config.k)
         return ranked[key]
 
-    cantypes: frozenset[str] | None = None
-    prev_typed: Mapping[ApiElement, str] = {}
+    constraint_first = config.order == ORDER_CONSTRAINT_FIRST
+    typed: Mapping[ApiElement, str] = {}  # the last round's constraint answers
     trace: list[RoundRecord] = []
 
     for round_number in range(1, config.delta + 1):
-        if config.order == ORDER_CONSTRAINT_FIRST:
-            if trace:  # the previous round's candidates narrow the KB
-                cantypes = collect_candidate_types(sres, cres.typed)
-            kb_size, cres = solve_reduced(cantypes)
-            sres = rank(cres.typed)
-        else:
-            sres = rank(prev_typed)
-            cantypes = collect_candidate_types(sres, prev_typed)
-            kb_size, cres = solve_reduced(cantypes)
-            prev_typed = cres.typed
+        cantypes = (
+            None if constraint_first and not trace
+            else collect_candidate_types(rank(typed), typed)
+        )
+        kb_size, cres = solve_reduced(cantypes)
+        sres = rank(cres.typed if constraint_first else typed)
+        typed = cres.typed
 
         record = RoundRecord(round_number, cres, sres, kb_size)
         trace.append(record)

@@ -111,9 +111,10 @@ class CooccurrenceModel:
     read. A trained model equals the model loaded from its dump.
 
     The constructor raises ValueError for a bad setting, for a row holding
-    a count that is no int or is below 1, for a row whose total float()
-    cannot hold, and for an alpha at which log(alpha / denominator)
-    fails for the largest total, so that no score term of the model fails.
+    a count that is no int or is below 1 or a token the vocabulary lacks,
+    for a row whose total float() cannot hold, and for an alpha at which
+    log(alpha / denominator) fails for the largest total, so that no score
+    term of the model fails.
 
     The fields are read-only after construction. The first
     `known_fqns_named` call builds the simple-name index it answers from,
@@ -140,6 +141,7 @@ class CooccurrenceModel:
         _check_settings(alpha, self.window_eta)
         totals = self.fqn_totals = {}
         limit = sys.float_info.max
+        vocabulary = self.vocabulary
         for fqn, row in self.rows.items():
             counts = row.values()
             try:
@@ -151,12 +153,15 @@ class CooccurrenceModel:
             # every count is at most its row's total, so this bounds them all
             if total > limit:
                 raise ValueError(f"total count of {_shown(fqn)} is beyond float range")
+            # a token outside it sums the row past 1; a superset is sound
+            if not vocabulary.issuperset(row):
+                raise ValueError(f"a token of {_shown(fqn)} is not in the vocabulary")
             totals[fqn] = total
         # the largest total gives the smallest alpha / denominator, so when
         # its log is a float every summand of every row is one; alpha is
         # finite and that denominator at least 1, so no log here is infinite
         largest = max(totals.values(), default=0)
-        if largest and _alpha_fails(alpha, largest, len(self.vocabulary)):
+        if largest and _alpha_fails(alpha, largest, len(vocabulary)):
             raise ValueError(f"bad alpha value {alpha!r}")
 
     @property

@@ -492,19 +492,10 @@ _EDGE_CASES = [
         ["FieldAccess(Foo[1,1], 'f', False)"],
         set(),
     ),
-    # `new` before a declared variable: an instance call, no construction
-    (
-        "Foo x; new x.m()",
-        ["Foo[1,1]@0"],
-        ["MemberCall(Foo[1,1], (('m', 0),), False)"],
-        set(),
-    ),
-    (
-        "Foo x; Foo y = new x.m()",
-        ["Foo[1,1]@0", "Foo[1,2]@5"],
-        ["MemberCall(Foo[1,1], (('m', 0),), False)"],
-        set(),
-    ),
+    # a declared variable after `new` qualifies the constructed name m: no
+    # instance call, and no construction of the non-element m
+    ("Foo x; new x.m()", ["Foo[1,1]@0"], [], set()),
+    ("Foo x; Foo y = new x.m()", ["Foo[1,1]@0", "Foo[1,2]@5"], [], set()),
     (
         "Foo x; Foo y = x.m().n()",
         ["Foo[1,1]@0", "Foo[1,2]@5"],
@@ -523,6 +514,9 @@ _EDGE_CASES = [
     # an argument list that never closes ends the chain with no hop
     ("Foo.bar(", ["Foo[1,1]@0"], [], set()),
     ("class A extends Foo", ["Foo[1,1]@6"], ["Supertype(Foo[1,1], 'class')"], set()),
+    # a declared variable in a clause qualifies the supertype's name: no
+    # field access
+    ("Foo x; class A extends x.B {}", ["Foo[1,1]@0"], [], set()),
     ("class A {\n B()", [], [], set()),
     ("class A {\n B() {", [], [], {2}),
     ("class A {\n B() {}", [], [], {2}),

@@ -448,11 +448,20 @@ class _CountingPredictor:
         return self.inner.predict(aug, target, k, kb)
 
 
-def test_confirming_round_asks_the_predictor_nothing(kb, model, by_id):
+@pytest.mark.parametrize("order", [ORDER_CONSTRAINT_FIRST, ORDER_STAT_FIRST])
+def test_confirming_round_asks_the_predictor_nothing(kb, model, by_id, order):
     counting = _CountingPredictor(model)
-    combined, trace = run(by_id["8746084"].snippet, kb, counting)
-    assert len(trace) == 2 and check_stable(trace[0], trace[1])
-    assert counting.calls == len(combined.per_element)
+    combined, trace = run(by_id["8746084"].snippet, kb, counting, RunConfig(order=order))
+    assert len(trace) > 1 and check_stable(trace[-2], trace[-1])
+    # a round ranks its own constraint answers under constraint-first, and
+    # the round before's (none before round 1) under stat-first; the
+    # confirming round's were ranked before, and each distinct ranking
+    # asks the predictor once per element
+    typed = [{}] + [rec.constraint_result.typed for rec in trace]
+    ranked = typed[1:] if order == ORDER_CONSTRAINT_FIRST else typed[:-1]
+    assert ranked[-1] in ranked[:-1]
+    distinct = {frozenset(t.items()) for t in ranked}
+    assert counting.calls == len(combined.per_element) * len(distinct)
 
 
 class _SilentPredictor:

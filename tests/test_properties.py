@@ -1891,29 +1891,31 @@ def test_dump_matches_one_sorted_tuple_per_record():
     assert min(shapes.values()) >= 300, shapes
 
 
+_MAX_INT_ALPHA = int(1.7976931348623157e308)  # the largest float
 # one value of each kind dump_model refuses, as the error names it; the
 # constructor refuses every other bad count
 _DUMP_DEFECTS = {
     "count": (True,),
     "token": (5, None, ("t",)),
     "FQN": ("a.X\tY", "a\nX", "a.X\r", "\r"),
-    "bad alpha": (1.7976931348623157e308,),
+    "bad alpha": (_MAX_INT_ALPHA,),
 }
 
 
 def _random_dump_model(rng):
-    """A random model shaped like the dump reference's, with an empty
-    vocabulary and one defect planted in about half the cases: (model, the
-    defect's kind or None).
+    """A random model shaped like the dump reference's, with its row tokens
+    as its vocabulary and one defect planted in about half the cases:
+    (model, the defect's kind or None).
 
-    The file loads with the written tokens as its vocabulary, so at the
-    largest float alpha, alpha * |V| overflows there once two tokens are
+    The largest alpha is the int of the largest float: the model's int
+    arithmetic never overflows, but the header writes it as that float,
+    so alpha * |V| overflows in the loaded file once two tokens are
     written: a model at that alpha keeps one token unless its defect is
     that alpha."""
     rows = _random_dump_rows(rng)
-    alpha = rng.choice((0.5, 1.0, 2.25, 3, 1e-300, 1.7976931348623157e308))
+    alpha = rng.choice((0.5, 1.0, 2.25, 3, 1e-300, _MAX_INT_ALPHA))
     defect = rng.choice((None, None, None, *_DUMP_DEFECTS))
-    if alpha == 1.7976931348623157e308:
+    if alpha == _MAX_INT_ALPHA:
         kept = rng.choice(_DUMP_TOKENS)
         rows = {fqn: {kept: sum(row.values())} if row else {} for fqn, row in rows.items()}
     if defect is not None:
@@ -1929,7 +1931,10 @@ def _random_dump_model(rng):
             alpha = bad
             row.update({"a": 1, "b": 1})
     model = CooccurrenceModel(
-        rows=rows, vocabulary=set(), smoothing_alpha=alpha, window_eta=rng.randint(0, 3)
+        rows=rows,
+        vocabulary={tok for row in rows.values() for tok in row},
+        smoothing_alpha=alpha,
+        window_eta=rng.randint(0, 3),
     )
     return model, defect
 

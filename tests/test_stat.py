@@ -802,9 +802,10 @@ def test_dump_keeps_fqns_without_a_positive_count(tmp_path):
         # json.loads joins a high and a low surrogate escape into one character
         ({"a.X": {"\ud800\udfff": 1}}, 1.0,
          r"token '\\ud800\\udfff' does not load back as itself"),
-        # the file loads with the two written tokens as its vocabulary, so
-        # alpha * |V| overflows there, not in this model's empty vocabulary
-        ({"a.X": {"t": 2}, "b.X": {"u": 1}}, 1.7976931348623157e308,
+        # the header writes an int alpha as its float, the largest one here,
+        # so alpha * |V| overflows in the loaded file where the model's int
+        # arithmetic does not
+        ({"a.X": {"t": 2}, "b.X": {"u": 1}}, int(1.7976931348623157e308),
          r"bad alpha value 1\.7976931348623157e\+308"),
     ],
     ids=[
@@ -813,7 +814,8 @@ def test_dump_keeps_fqns_without_a_positive_count(tmp_path):
     ],
 )
 def test_dump_refuses_a_model_load_would_refuse(rows, alpha, match):
-    model = CooccurrenceModel(rows=rows, vocabulary=set(), smoothing_alpha=alpha)
+    vocabulary = {tok for row in rows.values() for tok in row}
+    model = CooccurrenceModel(rows=rows, vocabulary=vocabulary, smoothing_alpha=alpha)
     with pytest.raises(ValueError, match=f"^cannot dump model: {match}$"):
         dump_model(model)
 
@@ -838,11 +840,15 @@ def test_dump_refuses_a_model_load_would_refuse(rows, alpha, match):
         # alpha / denominator underflows to zero, or the denominator overflows
         ({"a.X": {"t": 2}}, {"t"}, 5e-324, r"bad alpha value 5e-324"),
         ({"a.X": {"t": 1}}, {"t", "u"}, 1e308, r"bad alpha value 1e\+308"),
+        # a token the vocabulary lacks would score a probability above 1
+        ({"a.X": {"t": 1}}, set(), 1.0, r"a token of 'a\.X' is not in the vocabulary"),
+        ({"a.X": {"t": 1}, "b.X": {"t": 2, "u": 1}}, {"t"}, 1.0,
+         r"a token of 'b\.X' is not in the vocabulary"),
     ],
     ids=[
         "float-count", "negative-float-count", "str-count", "zero-count",
         "negative-count", "total", "huge-int-then-float", "float-then-huge-int",
-        "alpha-underflow", "alpha-overflow",
+        "alpha-underflow", "alpha-overflow", "empty-vocabulary", "token-outside",
     ],
 )
 def test_constructor_refuses_a_model_it_cannot_score(rows, vocabulary, alpha, match):
