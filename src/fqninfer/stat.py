@@ -28,10 +28,11 @@ Every summand of the formula is a constant of the model, so the model
 keeps a memo of each FQN's terms, filled at the FQN's first score and
 never at load: the summand of each token in its row, and the summand of
 every zero count, log(alpha / denominator). The model's constructor
-refuses any model for which one of these would fail. A candidate's row is
-checked against the window first, and only a candidate with evidence is
-scored: its summands are added left to right as the formula adds them, so
-every score is the same float.
+refuses any model for which one of these would fail, and is the one check
+of what a model may hold: every model it accepts that `dump_model` writes
+loads back equal. A candidate's row is checked against the window first,
+and only a candidate with evidence is scored: its summands are added left
+to right as the formula adds them, so every score is the same float.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import select
 import subprocess
 import sys
@@ -64,7 +66,7 @@ def _check_positive(name: str, value: object, limit: float = math.inf) -> None:
     """Raises ValueError unless value is an int or float, no bool, in (0, limit)."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not number or not 0 < value < limit:
-        raise ValueError(f"bad {name} value {value!r}")
+        raise ValueError(f"bad {name} value {value!r:.80}")
 
 
 def _check_settings(alpha: float, eta: int) -> None:
@@ -75,22 +77,16 @@ def _check_settings(alpha: float, eta: int) -> None:
         raise ValueError(f"bad eta value {eta!r}")
 
 
-def _alpha_fails(alpha: float, largest: int, size: int) -> bool:
-    """Whether log(alpha / (largest + alpha * size)) fails: the zero-count
-    summand of a row whose total is `largest`, over `size` tokens."""
-    try:
-        math.log(alpha / (largest + alpha * size))
-    except (ArithmeticError, ValueError):
-        return True
-    return False
-
-
 def _shown(record: str) -> str:
     """A record as an error message quotes it: its first 80 characters at
     most, so a huge malformed record still gives a short error line."""
     if len(record) <= 80:
         return repr(record)
     return f"{record[:80]!r}... ({len(record)} characters)"
+
+
+_UNWRITABLE_FQN = re.compile("[\t\n\r\ud800-\udfff]")
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 # An FQN's score terms, (summands, unseen):
@@ -108,13 +104,16 @@ class CooccurrenceModel:
     token absent from a row counts 0, and an FQN known without counts has
     an empty row. `fqn_totals` is derived from it, each row's sum, and
     `counts` is a derived `{(token, fqn): n}` view, built afresh on each
-    read. A trained model equals the model loaded from its dump.
+    read. `smoothing_alpha` is stored as a float, as the dump writes it.
 
     The constructor raises ValueError for a bad setting, for a row holding
     a count that is no int or is below 1 or a token the vocabulary lacks,
     for a row whose total float() cannot hold, and for an alpha at which
     log(alpha / denominator) fails for the largest total, so that no score
-    term of the model fails.
+    term of the model fails. It also raises it for what a model file would
+    not give back as itself: an alpha float() cannot hold, an FQN that is
+    no str or holds a tab, a line break or a surrogate, and a token that is
+    no str or holds a high surrogate followed by a low one.
 
     The fields are read-only after construction. The first
     `known_fqns_named` call builds the simple-name index it answers from,
@@ -137,12 +136,33 @@ class CooccurrenceModel:
     )
 
     def __post_init__(self) -> None:
-        alpha = self.smoothing_alpha
-        _check_settings(alpha, self.window_eta)
+        _check_settings(self.smoothing_alpha, self.window_eta)
+        try:  # the header writes alpha as this float
+            alpha = self.smoothing_alpha = float(self.smoothing_alpha)
+        except OverflowError:
+            raise ValueError(f"bad alpha value {self.smoothing_alpha!r:.80}") from None
+        rows, vocabulary = self.rows, self.vocabulary
+        # one string of the FQNs and one of the tokens, so that no check of
+        # what a file holds is Python work per row
+        try:
+            fqns, tokens = "".join(rows), "\n".join(vocabulary)
+        except TypeError:
+            what, bad = next((what, x) for what, xs in (("FQN", rows), ("token", vocabulary))
+                             for x in xs if not isinstance(x, str))
+            raise ValueError(f"{what} {bad!r:.80} is not a str") from None
+        # load_model splits records at tabs and reads UTF-8, which holds no
+        # surrogate, with universal newlines
+        if ("\t" in fqns or "\n" in fqns or "\r" in fqns
+                or not fqns.isascii() and _UNWRITABLE_FQN.search(fqns)):
+            fqn = next(f for f in rows if _UNWRITABLE_FQN.search(f))
+            raise ValueError(f"FQN {_shown(fqn)} holds a tab, a line break or a surrogate")
+        # json.loads joins a high and a low surrogate escape into one character
+        if not tokens.isascii() and _SURROGATE_PAIR.search(tokens):
+            tok = next(t for t in vocabulary if _SURROGATE_PAIR.search(t))
+            raise ValueError(f"token {_shown(tok)} does not load back as itself")
         totals = self.fqn_totals = {}
         limit = sys.float_info.max
-        vocabulary = self.vocabulary
-        for fqn, row in self.rows.items():
+        for fqn, row in rows.items():
             counts = row.values()
             try:
                 total = sum(counts)
@@ -161,8 +181,10 @@ class CooccurrenceModel:
         # its log is a float every summand of every row is one; alpha is
         # finite and that denominator at least 1, so no log here is infinite
         largest = max(totals.values(), default=0)
-        if largest and _alpha_fails(alpha, largest, len(vocabulary)):
-            raise ValueError(f"bad alpha value {alpha!r}")
+        try:
+            largest and math.log(alpha / (largest + alpha * len(vocabulary)))
+        except (ArithmeticError, ValueError):
+            raise ValueError(f"bad alpha value {alpha!r}") from None
 
     @property
     def counts(self) -> dict[tuple[str, str], int]:
@@ -528,18 +550,11 @@ def dump_model(model: CooccurrenceModel) -> str:
     JSON-escaped because lexemes (string literals) may contain spaces, tabs
     or newlines; each is written exactly as `json.dumps` writes it. Each
     distinct token is encoded once, as `load_model` decodes each once.
-    Deterministic: equal models dump identically.
-
-    Raises ValueError for a model whose dump `load_model` would refuse
-    beyond what the constructor refuses: a count that is not an int (a
-    bool), a token that is not a str or that loads back as another token
-    (a lone high surrogate followed by a lone low one), an FQN that is not
-    a str or holds a tab or line break, an alpha beyond float range, or an
-    alpha whose zero-count summand fails over the written tokens, which
-    are the loaded model's vocabulary.
+    Deterministic: equal models dump identically, and the dump loads back
+    as an equal model. Raises ValueError for a count that is not an int (a
+    bool), and for a vocabulary token no row counts, as the file loads
+    with the written tokens as its vocabulary.
     """
-    if model.smoothing_alpha > sys.float_info.max:
-        raise ValueError("cannot dump model: alpha is beyond float range")
     lines = [
         f"{_HEADER}\talpha={model.smoothing_alpha!r}\teta={model.window_eta}"
     ]
@@ -547,47 +562,25 @@ def dump_model(model: CooccurrenceModel) -> str:
     # orders the records by (token, fqn)
     by_token: dict[str, list[tuple[str, int]]] = {}
     for fqn, row in model.rows.items():
-        _check_dump_fqn(fqn)
         for tok, n in row.items():
             if type(n) is not int:
                 raise ValueError(
                     f"cannot dump model: count {n!r:.80} of {_shown(fqn)} is not an int"
                 )
             by_token.setdefault(tok, []).append((fqn, n))
-    for tok in by_token:
-        if not isinstance(tok, str):
-            raise ValueError(f"cannot dump model: token {tok!r:.80} is not a str")
-    # the header writes alpha as a float, and the file loads with the
-    # written tokens as its vocabulary, whatever the model's
-    alpha = float(model.smoothing_alpha)
-    if by_token and _alpha_fails(alpha, max(model.fqn_totals.values()), len(by_token)):
-        raise ValueError(f"cannot dump model: bad alpha value {alpha!r}")
+    # the constructor keeps every row's tokens in the vocabulary
+    if len(by_token) < len(model.vocabulary):
+        tok = min(model.vocabulary.difference(by_token))
+        raise ValueError(f"cannot dump model: vocabulary token {_shown(tok)} is in no row")
     append = lines.append
     for tok in sorted(by_token):
-        quoted = _quote_token(tok)
-        # the scanner joins a high and a low surrogate escape into one character
-        if "\\ud" in quoted and _scan_token(quoted, 1)[0] != tok:
-            raise ValueError(
-                f"cannot dump model: token {tok!r:.80} does not load back as itself"
-            )
-        head = f"count\t{quoted}\t"
+        head = f"count\t{_quote_token(tok)}\t"
         pairs = by_token[tok]
         pairs.sort()
         for fqn, n in pairs:
             append(f"{head}{fqn}\t{n}")
     lines += sorted(f"fqn\t{fqn}" for fqn, row in model.rows.items() if not row)
     return "\n".join(lines) + "\n"
-
-
-def _check_dump_fqn(fqn: object) -> None:
-    """Raise ValueError for an FQN that no record can hold: `load_model`
-    splits records at tabs, and reads with universal newlines."""
-    if not isinstance(fqn, str):
-        raise ValueError(f"cannot dump model: FQN {fqn!r:.80} is not a str")
-    if "\t" in fqn or "\n" in fqn or "\r" in fqn:
-        raise ValueError(
-            f"cannot dump model: FQN {_shown(fqn)} holds a tab or line break"
-        )
 
 
 def save_model(model: CooccurrenceModel, path: str | Path) -> None:
@@ -627,7 +620,8 @@ def load_model(path: str | Path) -> CooccurrenceModel:
     counts (an empty row), and empty lines and lines starting with `#` are
     skipped. A token is one JSON string, read as `json.loads` reads it. A
     count and an eta are ASCII decimal digits: `+5`, `5_0`, ` 7` and `٣`,
-    which int() reads, are refused.
+    which int() reads, are refused, and so is an alpha that float() reads
+    but is not ASCII, holds `_` or a blank, or starts with `+`.
 
     Raises ModelFormatError as `<path>:<line>: <message>` for text that is
     not UTF-8, a missing header, a bad or repeated header field, a bad
@@ -664,8 +658,12 @@ def load_model(path: str | Path) -> CooccurrenceModel:
         _check_settings(alpha, eta)
     except ValueError as exc:
         raise bad(1, str(exc)) from None
+    # float() and int() also read a sign, `_`, blanks and non-ASCII digits
+    alpha_text = texts.get("alpha", "1")
+    if alpha_text != alpha_text.strip() or not alpha_text.isascii() \
+            or "_" in alpha_text or alpha_text[:1] == "+":
+        raise bad(1, f"bad alpha value {alpha_text!r}")
     eta_text = texts.get("eta", "2")
-    # int() would also read a sign, underscores, blanks and non-ASCII digits
     if not (eta_text.isascii() and eta_text.isdigit()):
         raise bad(1, f"bad eta value {eta_text!r}")
     # a counted FQN's row opens at its first count, and the FQNs of fqn

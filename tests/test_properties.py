@@ -88,6 +88,7 @@ from fqninfer.stat import (
     load_model,
     predict_all,
     predict_topk,
+    save_model,
     train,
 )
 
@@ -1892,74 +1893,107 @@ def test_dump_matches_one_sorted_tuple_per_record():
 
 
 _MAX_INT_ALPHA = int(1.7976931348623157e308)  # the largest float
-# one value of each kind dump_model refuses, as the error names it; the
-# constructor refuses every other bad count
+# one value of each kind the constructor refuses, as its error names it:
+# what no model file gives back as itself
+_CONSTRUCTOR_DEFECTS = {
+    "token": (5, None, ("t",), "\ud800\udfff", "x\udbff\udc00"),
+    "FQN": (5, None, "a.X\tY", "a\nX", "a.X\r", "\r", "\udc80.X", "a.\ud800"),
+    "bad alpha": (10**400, _MAX_INT_ALPHA),
+}
+# and of each kind dump_model refuses in a model the constructor accepts
 _DUMP_DEFECTS = {
     "count": (True,),
-    "token": (5, None, ("t",)),
-    "FQN": ("a.X\tY", "a\nX", "a.X\r", "\r"),
-    "bad alpha": (_MAX_INT_ALPHA,),
+    "vocabulary token": ("unseen", "\ud800x", "\x00\x01"),
 }
+# the tokens a snippet's window can hold
+_WINDOW_WORDS = ("a", "A", "aa", "7", "unseen")
 
 
-def _random_dump_model(rng):
-    """A random model shaped like the dump reference's, with its row tokens
-    as its vocabulary and one defect planted in about half the cases:
-    (model, the defect's kind or None).
+def _random_model_case(rng):
+    """Constructor arguments for a random model shaped like the dump
+    reference's, with its row tokens as its vocabulary and one defect
+    planted in about half the cases: (arguments, the defect's kind or None).
 
-    The largest alpha is the int of the largest float: the model's int
-    arithmetic never overflows, but the header writes it as that float,
-    so alpha * |V| overflows in the loaded file once two tokens are
-    written: a model at that alpha keeps one token unless its defect is
-    that alpha."""
+    The largest alpha is the int of the largest float, which the
+    constructor stores as that float, so alpha * |V| overflows once two
+    tokens are counted: a model at that alpha keeps one token unless its
+    defect is that alpha, and none of the constructor's checks that come
+    after the alpha check's is planted at it."""
     rows = _random_dump_rows(rng)
-    alpha = rng.choice((0.5, 1.0, 2.25, 3, 1e-300, _MAX_INT_ALPHA))
-    defect = rng.choice((None, None, None, *_DUMP_DEFECTS))
+    defect = rng.choice((None, None, None, None, *_CONSTRUCTOR_DEFECTS, *_DUMP_DEFECTS))
+    alphas = (0.5, 1.0, 2.25, 3, 1e-300, _MAX_INT_ALPHA)
+    alpha = rng.choice(alphas if defect in (None, "token", "FQN") else alphas[:-1])
     if alpha == _MAX_INT_ALPHA:
         kept = rng.choice(_DUMP_TOKENS)
         rows = {fqn: {kept: sum(row.values())} if row else {} for fqn, row in rows.items()}
+    vocabulary = {tok for row in rows.values() for tok in row}
     if defect is not None:
-        bad = rng.choice(_DUMP_DEFECTS[defect])
+        bad = rng.choice({**_CONSTRUCTOR_DEFECTS, **_DUMP_DEFECTS}[defect])
         row = rows.setdefault(rng.choice(_DUMP_FQNS), {})
         if defect == "count":
-            row[rng.choice(_DUMP_TOKENS)] = bad
+            tok = rng.choice(_DUMP_TOKENS)
+            row[tok] = bad
+            vocabulary.add(tok)
+        elif defect == "vocabulary token":
+            vocabulary.add(bad)
         elif defect == "token":
             row[bad] = rng.randint(1, 3)
+            vocabulary.add(bad)
         elif defect == "FQN":
             rows[bad] = {"t": 2} if rng.random() < 0.5 else {}
+            vocabulary |= rows[bad].keys()
         else:
             alpha = bad
             row.update({"a": 1, "b": 1})
-    model = CooccurrenceModel(
-        rows=rows,
-        vocabulary={tok for row in rows.values() for tok in row},
-        smoothing_alpha=alpha,
-        window_eta=rng.randint(0, 3),
-    )
-    return model, defect
+            vocabulary |= {"a", "b"}
+    return (rows, vocabulary, alpha, rng.randint(0, 3)), defect
+
+
+def _ranked_hex(model, aug, target):
+    return [(fqn, score.hex()) for fqn, score in predict_topk(model, aug, target, 10)]
 
 
 def test_every_model_dump_model_accepts_round_trips(tmp_path):
-    """dump_model refuses each planted defect with one ValueError line, and
-    any other model's dump loads and dumps again to the same text. An int
-    alpha loads as its float, so only its header's number changes
-    (alpha=3 becomes alpha=3.0)."""
+    """The constructor refuses each planted defect of what a model file
+    holds, and dump_model each planted defect of what no file carries, with
+    one ValueError line. Every other model, int alphas and counts beyond
+    64 bits among them, loads back from its saved dump as an equal model
+    that dumps to the same text and ranks random windows with the same
+    scores, float for float."""
     rng = random.Random(2107)
     path = tmp_path / "model.tsv"
-    seen = dict.fromkeys((None, *_DUMP_DEFECTS), 0)
-    for case in range(800):
-        model, defect = _random_dump_model(rng)
+    target = ApiElement("X", 1, 1, 0)
+    seen = dict.fromkeys((None, *_CONSTRUCTOR_DEFECTS, *_DUMP_DEFECTS), 0)
+    ranked = int_alphas = 0
+    for case in range(1000):
+        args, defect = _random_model_case(rng)
         seen[defect] += 1
+        if defect in _CONSTRUCTOR_DEFECTS:
+            with pytest.raises(ValueError, match=f"^{defect} "):
+                CooccurrenceModel(*args)
+            continue
+        model = CooccurrenceModel(*args)
         if defect is not None:
             with pytest.raises(ValueError, match=f"^cannot dump model: {defect} "):
                 dump_model(model)
             continue
+        int_alphas += type(args[2]) is int
         text = dump_model(model)
-        path.write_text(text, encoding="utf-8")
-        alpha = model.smoothing_alpha
-        want = text.replace(f"alpha={alpha!r}", f"alpha={float(alpha)!r}", 1)
-        assert dump_model(load_model(path)) == want, case
-    assert min(seen.values()) >= 80, seen
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded == model, case
+        assert dump_model(loaded) == text, case
+        for _ in range(3):
+            lines = [
+                " ".join(rng.choices(_WINDOW_WORDS, k=rng.randint(0, 4)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            aug = plain(tokenize("X " + "\n".join(lines)))
+            want = _ranked_hex(model, aug, target)
+            assert _ranked_hex(loaded, aug, target) == want, case
+            ranked += bool(want)
+    assert min(seen.values()) >= 80 and ranked >= 250 and int_alphas >= 80, (
+        seen, ranked, int_alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -785,39 +785,53 @@ def test_dump_keeps_fqns_without_a_positive_count(tmp_path):
     assert loaded.fqn_totals == {"a.X": 0, "b.Y": 2}
 
 
+_UNWRITABLE = "a tab, a line break or a surrogate"
+
+
 @pytest.mark.parametrize(
-    "rows, alpha, match",
+    "rows, vocabulary, alpha, match",
     [
-        # load_model reads a count with int() and a token as a JSON string
-        ({"a.X": {"t": True}}, 1.0, r"count True of 'a\.X' is not an int"),
-        ({"a.X": {5: 1}}, 1.0, r"token 5 is not a str"),
-        ({"a.X": {"t": 1, None: 2}}, 1.0, r"token None is not a str"),
-        # it splits records at tabs and reads with universal newlines
-        ({"a.X\tY": {"t": 1}}, 1.0, r"FQN 'a\.X\\tY' holds a tab or line break"),
-        ({"a.X\nY": {}}, 1.0, r"FQN 'a\.X\\nY' holds a tab or line break"),
-        ({"a.X\r": {"t": 1}}, 1.0, r"FQN 'a\.X\\r' holds a tab or line break"),
-        ({5: {"t": 1}}, 1.0, r"FQN 5 is not a str"),
-        # it refuses an alpha that float() cannot hold
-        ({}, 10**400, r"alpha is beyond float range"),
-        # json.loads joins a high and a low surrogate escape into one character
-        ({"a.X": {"\ud800\udfff": 1}}, 1.0,
+        # dump_model refuses what the constructor accepts and no file
+        # carries: load_model reads a count with int(), and a file's
+        # vocabulary is its written tokens
+        ({"a.X": {"t": True}}, {"t"}, 1.0,
+         r"cannot dump model: count True of 'a\.X' is not an int"),
+        ({"a.X": {"t": 2}}, {"t", "v", "u"}, 1.0,
+         r"cannot dump model: vocabulary token 'u' is in no row"),
+        ({"a.X": {}}, {"t"}, 1.0, r"cannot dump model: vocabulary token 't' is in no row"),
+        # the constructor refuses what no file gives back as itself: load_model
+        # reads a token as a JSON string, which json.loads reads with a high
+        # and a low surrogate escape joined into one character
+        ({"a.X": {5: 1}}, {5}, 1.0, r"token 5 is not a str"),
+        ({"a.X": {"t": 1, None: 2}}, {"t", None}, 1.0, r"token None is not a str"),
+        ({"a.X": {"\ud800\udfff": 1}}, {"\ud800\udfff"}, 1.0,
          r"token '\\ud800\\udfff' does not load back as itself"),
-        # the header writes an int alpha as its float, the largest one here,
-        # so alpha * |V| overflows in the loaded file where the model's int
-        # arithmetic does not
-        ({"a.X": {"t": 2}, "b.X": {"u": 1}}, int(1.7976931348623157e308),
+        # it splits records at tabs, reads with universal newlines, and
+        # reads UTF-8, which holds no surrogate
+        ({"a.X\tY": {"t": 1}}, {"t"}, 1.0, r"FQN 'a\.X\\tY' holds " + _UNWRITABLE),
+        ({"a.X\nY": {}}, set(), 1.0, r"FQN 'a\.X\\nY' holds " + _UNWRITABLE),
+        ({"a.X\r": {"t": 1}}, {"t"}, 1.0, r"FQN 'a\.X\\r' holds " + _UNWRITABLE),
+        ({5: {"t": 1}}, {"t"}, 1.0, r"FQN 5 is not a str"),
+        ({"a.X": {}, "\udc80.X": {}}, set(), 1.0, r"FQN '\\udc80\.X' holds " + _UNWRITABLE),
+        # the header writes alpha as a float, which cannot hold this int
+        ({}, set(), 10**400, "bad alpha value 1" + "0" * 79),
+        # nor this one exactly: its float is the largest, so alpha * |V|
+        # overflows, where int arithmetic would not
+        ({"a.X": {"t": 2}, "b.X": {"u": 1}}, {"t", "u"}, int(1.7976931348623157e308),
          r"bad alpha value 1\.7976931348623157e\+308"),
     ],
     ids=[
-        "bool-count", "int-token", "none-token", "tab-fqn", "newline-total-fqn",
-        "cr-fqn", "int-fqn", "alpha", "surrogate-pair-token", "alpha-over-written-tokens",
+        "bool-count", "superset-vocabulary", "vocabulary-without-counts",
+        "int-token", "none-token", "surrogate-pair-token", "tab-fqn",
+        "newline-total-fqn", "cr-fqn", "int-fqn", "surrogate-fqn", "alpha",
+        "alpha-over-written-tokens",
     ],
 )
-def test_dump_refuses_a_model_load_would_refuse(rows, alpha, match):
-    vocabulary = {tok for row in rows.values() for tok in row}
-    model = CooccurrenceModel(rows=rows, vocabulary=vocabulary, smoothing_alpha=alpha)
-    with pytest.raises(ValueError, match=f"^cannot dump model: {match}$"):
-        dump_model(model)
+def test_dump_refuses_a_model_load_would_refuse(rows, vocabulary, alpha, match):
+    # the constructor refuses all but the first three, so no such model is
+    # ever dumped
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        dump_model(CooccurrenceModel(rows, vocabulary, alpha))
 
 
 @pytest.mark.parametrize(
@@ -844,11 +858,15 @@ def test_dump_refuses_a_model_load_would_refuse(rows, alpha, match):
         ({"a.X": {"t": 1}}, set(), 1.0, r"a token of 'a\.X' is not in the vocabulary"),
         ({"a.X": {"t": 1}, "b.X": {"t": 2, "u": 1}}, {"t"}, 1.0,
          r"a token of 'b\.X' is not in the vocabulary"),
+        # an FQN's type is checked before a message quotes it
+        ({5: {"t": 1}}, set(), 1.0, r"FQN 5 is not a str"),
+        ({None: {"t": 1.5}}, {"t"}, 1.0, r"FQN None is not a str"),
     ],
     ids=[
         "float-count", "negative-float-count", "str-count", "zero-count",
         "negative-count", "total", "huge-int-then-float", "float-then-huge-int",
         "alpha-underflow", "alpha-overflow", "empty-vocabulary", "token-outside",
+        "int-fqn", "none-fqn",
     ],
 )
 def test_constructor_refuses_a_model_it_cannot_score(rows, vocabulary, alpha, match):
@@ -1024,8 +1042,8 @@ def test_load_rejects_bad_values_with_line(tmp_path, text, match):
          "arabic-indic-digit", "fullwidth-digit"],
 )
 def test_load_refuses_a_count_or_eta_that_is_not_ascii_digits(tmp_path, value):
-    # int() reads each of these as a number; dump_model writes every count
-    # and eta as ASCII digits
+    # int() and float() read each of these as a number; dump_model writes
+    # every count and eta as ASCII digits, and alpha as repr() of a float
     path = tmp_path / "m.tsv"
     record = f'count\t"x"\tcom.a.X\t{value}'
     path.write_text(f"cooccurrence\teta=2\n{record}\n", encoding="utf-8")
@@ -1036,6 +1054,10 @@ def test_load_refuses_a_count_or_eta_that_is_not_ascii_digits(tmp_path, value):
     with pytest.raises(ModelFormatError) as info:
         load_model(path)
     assert str(info.value) == f"{path}:1: bad eta value {value!r}"
+    path.write_text(f"cooccurrence\talpha={value}\teta=2\n", encoding="utf-8")
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}:1: bad alpha value {value!r}"
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "+0", "-0"])
