@@ -39,7 +39,7 @@ from typing import Container, Mapping, NamedTuple, Sequence, Union
 
 from .kb import KnowledgeBase, field_in_knowledge, method_in_knowledge, supertype_closure
 from .snippet import (_IDENTIFIER, _KEYWORD, ApiElement, Snippet, SnippetStructure,
-                      _constructed, _type_end, _value_tuple)
+                      _constructed, _value_tuple)
 
 
 # --------------------------------------------------------------------------
@@ -193,9 +193,7 @@ def extract_constraints(
     lexemes, kinds, lines = structure.lexemes, structure.kinds, structure.lines
     positions, clauses = structure.positions, structure.clauses
     elem_at: dict[int | None, ApiElement] = {e.token_index: e for e in elements}
-    excluded = (
-        _broken_body_lines(structure) if strict_body_check else frozenset()
-    )
+    excluded = _broken_body_lines(structure) if strict_body_check else frozenset()
 
     constraints: list[Constraint] = []
     var_types: dict[str, ApiElement] = {}
@@ -205,7 +203,7 @@ def extract_constraints(
         position k, Name an element and the argument list closed."""
         name = _constructed(lexemes, kinds, k)
         e = elem_at.get(positions[name])  # a pad's None when name is -1
-        i_open = _type_end(lexemes, kinds, name)
+        i_open = structure.type_arguments.get(name + 1, name + 1)
         if e is None or lexemes[i_open] != "(" or i_open not in structure.partner:
             return None
         return Construction(e)
@@ -249,7 +247,7 @@ def extract_constraints(
                 if lexemes[j - 1] not in (".", "new"):  # a member or a qualifier
                     c = chain(j, initializer=False)
             elif e is not None:
-                v = _type_end(lexemes, kinds, j)
+                v = structure.type_arguments.get(j + 1, j + 1)
                 if kinds[v] is _IDENTIFIER:
                     var_types[lexemes[v]] = e
                     if lexemes[v + 1] == "=":

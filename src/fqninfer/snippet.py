@@ -14,14 +14,15 @@ token. Snippets may be broken code, so structure recognition has to cope.
 Structure is recognised once per snippet, on the `Snippet` itself:
 `Snippet.structure` holds the columns of the significant tokens, padded at
 the end so a pass reads its neighbours without bounds checks, the partner
-of every bracket (paired in one pass, so broken code costs no rescans),
-the commas at each bracket depth (so a call's arity is two bisections),
-every class, interface and enum header, and the extends/implements
-clauses, and the line and token index of every identifier and literal,
-all from one walk over the significant tokens. Identification here,
-constraint extraction and context windows read it: a window over the
-snippet, or over any augmentation of it (which replaces lexemes only), is
-a slice of those word columns.
+of every bracket and the end of every closed type-argument list `<...>`
+(each paired by a stack, so broken code costs no rescans), the commas at
+each bracket depth (so a call's arity is two bisections), every class,
+interface and enum header, and the extends/implements clauses, and the
+line and token index of every identifier and literal, all from one walk
+over the significant tokens (two if the text holds a '<'). Identification
+here, constraint extraction and context windows read it: a window over
+the snippet, or over any augmentation of it (which replaces lexemes only),
+is a slice of those word columns.
 """
 
 from __future__ import annotations
@@ -121,10 +122,13 @@ class SnippetStructure(NamedTuple):
     commas: bracket depth -> positions of the commas at that depth, in
         order. Bracket depth counts '(', '[' and '{' as opening and ')',
         ']' and '}' as closing, whichever bracket they pair with, and the
-        type arguments `_type_end` reads after the name a `new` constructs
-        as one level: that is how a call's arity counts the commas of its
+        closed type arguments after the name a `new` constructs as one
+        level: that is how a call's arity counts the commas of its
         argument list and none inside an array initializer, class body,
         lambda block or constructed generic type in it.
+    type_arguments: position of each '<' that opens closed type arguments
+        -> the position just past its '>', so the type name at j and its
+        type arguments end at `type_arguments.get(j + 1, j + 1)`.
     headers: every class/interface/enum header, in token order.
     clauses: position of each identifier in an extends/implements clause ->
         (clause keyword, declaring header). A header nested in another
@@ -143,6 +147,7 @@ class SnippetStructure(NamedTuple):
     partner: Mapping[int, int]
     arg_depth: Mapping[int, int]
     commas: Mapping[int, Sequence[int]]
+    type_arguments: Mapping[int, int]
     headers: tuple[Header, ...]
     clauses: Mapping[int, tuple[str, Header]]
     constructed: frozenset[int]
@@ -155,35 +160,30 @@ _CLOSERS = {")": "(", "}": "{"}
 # the lexemes the structure walk stops at, besides the words
 _STRUCTURAL = frozenset("(){}[],>") | frozenset(_DECLARATIONS) | {"new"}
 _PADS = 3  # pads after the SnippetStructure columns
-# what type arguments hold besides identifiers, nested `<...>`, the '[]' of
-# an array type and a primitive keyword before it
 _TYPE_ARGUMENT_WORDS = frozenset((".", ",", "?", "extends", "super"))
 _PRIMITIVES = frozenset("boolean byte char short int long float double".split())
 
 
-def _type_end(lex: Sequence[str], kind: Sequence[TokenKind], j: int) -> int:
-    """Position just past the type name at position j and its closed type
-    arguments `<...>`, or j + 1. Type arguments hold only identifiers, '.',
-    ',', '?', `extends`, `super`, '[]', a primitive keyword before '[]' and
-    nested `<...>`, so `A < b && c > d` and `List<int>` have none."""
-    k = j + 1
-    if lex[k] != "<":
-        return k
-    level = 0
-    while True:  # a pad ends the scan
-        lx = lex[k]
+def _pair_type_arguments(lex: Sequence[str], kind: Sequence[TokenKind]) -> dict[int, int]:
+    """'<' position -> the position just past its '>', for each '<' that
+    opens closed type arguments: those hold only identifiers, '.', ',', '?',
+    `extends`, `super`, '[]', a primitive before '[]' and nested `<...>`, so
+    `A < b && c > d` and `List<int>` have none. One stack pass pairs them;
+    any other token, a '>' with none open or a pad empties the stack."""
+    ends: dict[int, int] = {}
+    opened: list[int] = []
+    tokens = enumerate(lex)
+    for k, lx in tokens:
         if lx == "<":
-            level += 1
-        elif lx == ">":
-            level -= 1
-            if not level:
-                return k + 1
+            opened.append(k)
+        elif lx == ">" and opened:
+            ends[opened.pop()] = k + 1
         elif lx == "[" and lex[k + 1] == "]":
-            k += 1
+            next(tokens)
         elif (kind[k] is not _IDENTIFIER and lx not in _TYPE_ARGUMENT_WORDS
               and not (lx in _PRIMITIVES and lex[k + 1] == "[")):
-            return j + 1
-        k += 1
+            opened.clear()
+    return ends
 
 
 def _constructed(lex: Sequence[str], kind: Sequence[TokenKind], j: int) -> int:
@@ -212,6 +212,7 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
     declarations: list[int] = []  # positions of class/interface/enum
     words: list[int] = []  # token indices of the identifiers and literals
     constructed: list[int] = []  # positions of the names `new` constructs
+    type_arguments = _pair_type_arguments(lex, kind) if "<" in snippet.raw else {}
     depth = 0
     type_arguments_end = -1  # the '>' that leaves the level of a `new Name<`
     for j, lx in enumerate(lex):  # a pad is neither a word nor structural
@@ -230,7 +231,7 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
             built = _constructed(lex, kind, j)
             if built >= 0:
                 constructed.append(built)
-                type_arguments_end = _type_end(lex, kind, built) - 1
+                type_arguments_end = type_arguments.get(built + 1, built + 1) - 1
                 if type_arguments_end > built:
                     depth += 1
             continue
@@ -284,7 +285,8 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
     return SnippetStructure(
         lex, kind, tuple([lines[i] for i in positions] + [0] * _PADS),
         tuple(positions + [None] * _PADS), MappingProxyType(partner),
-        MappingProxyType(arg_depth), MappingProxyType(commas), tuple(headers),
+        MappingProxyType(arg_depth), MappingProxyType(commas),
+        MappingProxyType(type_arguments), tuple(headers),
         MappingProxyType(clauses), frozenset(constructed),
         tuple([lines[i] for i in words]), tuple(words),
     )
@@ -509,7 +511,7 @@ def identify_api_elements(
             continue
         prev, nxt = lexemes[j - 1], lexemes[j + 1]
         # the declared, array and cast rules read on past the type arguments
-        t = _type_end(lexemes, kinds, j) if nxt == "<" else j + 1
+        t = structure.type_arguments.get(j + 1, j + 1)
 
         # the first position that matches decides, even when it rejects
         if j in constructed:

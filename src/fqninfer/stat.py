@@ -106,14 +106,16 @@ class CooccurrenceModel:
     `counts` is a derived `{(token, fqn): n}` view, built afresh on each
     read. `smoothing_alpha` is stored as a float, as the dump writes it.
 
-    The constructor raises ValueError for a bad setting, for a row holding
-    a count that is no int or is below 1 or a token the vocabulary lacks,
-    for a row whose total float() cannot hold, and for an alpha at which
-    log(alpha / denominator) fails for the largest total, so that no score
-    term of the model fails. It also raises it for what a model file would
-    not give back as itself: an alpha float() cannot hold, an FQN that is
-    no str or holds a tab, a line break or a surrogate, and a token that is
-    no str or holds a high surrogate followed by a low one.
+    The constructor raises ValueError for a bad setting, for `rows` or a
+    row that is no dict and a `vocabulary` that is no set or frozenset,
+    for a row holding a count that is no int or is below 1 or a token the
+    vocabulary lacks, for a row whose total float() cannot hold, and for
+    an alpha at which log(alpha / denominator) fails for the largest
+    total, so that no score term of the model fails. It also raises it for
+    what a model file would not give back as itself: an alpha float()
+    cannot hold, an FQN that is no str or holds a tab, a line break or a
+    surrogate, and a token that is no str or holds a high surrogate
+    followed by a low one.
 
     The fields are read-only after construction. The first
     `known_fqns_named` call builds the simple-name index it answers from,
@@ -142,6 +144,10 @@ class CooccurrenceModel:
         except OverflowError:
             raise ValueError(f"bad alpha value {self.smoothing_alpha!r:.80}") from None
         rows, vocabulary = self.rows, self.vocabulary
+        if not isinstance(rows, dict):
+            raise ValueError(f"rows is a {type(rows).__name__}, not a dict")
+        if not isinstance(vocabulary, (set, frozenset)):
+            raise ValueError(f"vocabulary is a {type(vocabulary).__name__}, not a set")
         # one string of the FQNs and one of the tokens, so that no check of
         # what a file holds is Python work per row
         try:
@@ -163,6 +169,9 @@ class CooccurrenceModel:
         totals = self.fqn_totals = {}
         limit = sys.float_info.max
         for fqn, row in rows.items():
+            if not isinstance(row, dict):
+                what = type(row).__name__
+                raise ValueError(f"the row of {_shown(fqn)} is a {what}, not a dict")
             counts = row.values()
             try:
                 total = sum(counts)

@@ -481,6 +481,79 @@ def test_argument_arity_matches_reference_scan():
     assert checked >= 3000 and angled >= 100, (checked, angled)
 
 
+_IDENTIFIER = TokenKind.IDENTIFIER
+_TYPE_ARGUMENT_WORDS = frozenset((".", ",", "?", "extends", "super"))
+_PRIMITIVES = frozenset(_PRIMITIVE_WORDS)
+
+
+def _type_end(lex, kind, j):
+    """Reference: the scan that read type arguments from the name at j on,
+    once per call, before the structure walk paired them; kept verbatim.
+
+    Position just past the type name at position j and its closed type
+    arguments `<...>`, or j + 1. Type arguments hold only identifiers, '.',
+    ',', '?', `extends`, `super`, '[]', a primitive keyword before '[]' and
+    nested `<...>`, so `A < b && c > d` and `List<int>` have none."""
+    k = j + 1
+    if lex[k] != "<":
+        return k
+    level = 0
+    while True:  # a pad ends the scan
+        lx = lex[k]
+        if lx == "<":
+            level += 1
+        elif lx == ">":
+            level -= 1
+            if not level:
+                return k + 1
+        elif lx == "[" and lex[k + 1] == "]":
+            k += 1
+        elif (kind[k] is not _IDENTIFIER and lx not in _TYPE_ARGUMENT_WORDS
+              and not (lx in _PRIMITIVES and lex[k + 1] == "[")):
+            return j + 1
+        k += 1
+
+
+_TYPE_ARGUMENT_PIECES = (
+    "A", "b", "a.B", "x.y", "<", "<", ">", ">", ">>", ",", "?", "extends", "super",
+    "[]", "[", "]", "int", "long[]", "&&", "new", "(", ")", "=", ";", "1", "void",
+    "Map<K, V>", "List<? extends T[]>", "Set<? super a.B>", "A<B<C>>", "A<int[][]>",
+    "new A<b>(", "x < y", "c > d", "a < b && c > d",
+)
+
+
+def test_type_argument_lookup_matches_reference_scan():
+    """The structure's type-argument ends against the per-name scan, at
+    every position (and at -1, where `new` constructs no name) of the
+    `_ARG_PIECES` soups, of soups of type-argument pieces, and of every
+    fixture `.java` file, corpus and training snippets alike."""
+    rng = random.Random(9041)
+    fixtures = sorted((Path(__file__).parent / "fixtures").rglob("*.java"))
+    sources = {
+        "fixtures": [read_utf8(p) for p in fixtures],
+        "argument soups": [" ".join(rng.choice(_ARG_PIECES) for _ in range(rng.randint(0, 40)))
+                           for _ in range(1500)],
+        "type-argument soups": [
+            " ".join(rng.choice(_TYPE_ARGUMENT_PIECES) for _ in range(rng.randint(0, 40)))
+            for _ in range(1500)],
+    }
+    scans = {}  # source -> [closed scans, failed scans]
+    for source, texts in sources.items():
+        closed = failed = 0
+        for raw in texts:
+            structure = tokenize(raw).structure
+            lex, kind = structure.lexemes, structure.kinds
+            for j in range(-1, _real(structure)):
+                want = _type_end(lex, kind, j)
+                assert structure.type_arguments.get(j + 1, j + 1) == want, (raw, j)
+                closed += want > j + 1
+                failed += want == j + 1 and lex[j + 1] == "<"
+        scans[source] = [closed, failed]
+    # each soup must hold both closed and failed scans
+    assert len(fixtures) >= 30, len(fixtures)
+    assert all(min(scans[soup]) >= 2000 for soup in list(sources)[1:]), scans
+
+
 # ---------------------------------------------------------------------------
 # the one structure walk
 

@@ -861,17 +861,34 @@ def test_dump_refuses_a_model_load_would_refuse(rows, vocabulary, alpha, match):
         # an FQN's type is checked before a message quotes it
         ({5: {"t": 1}}, set(), 1.0, r"FQN 5 is not a str"),
         ({None: {"t": 1.5}}, {"t"}, 1.0, r"FQN None is not a str"),
+        # each field's type is checked before its contents
+        ([("a.X", {"t": 1})], {"t"}, 1.0, r"rows is a list, not a dict"),
+        ({"a.X": {"t": 1}}, ["t"], 1.0, r"vocabulary is a list, not a set"),
+        ({"a.X": {"t": 1}}, {"t": 1}, 1.0, r"vocabulary is a dict, not a set"),
+        ({}, ["t"], 1.0, r"vocabulary is a list, not a set"),
+        ({"a.X": [1]}, {"t"}, 1.0, r"the row of 'a\.X' is a list, not a dict"),
+        ({"a.X": {"t": 1}, "b.X": ("t",)}, {"t"}, 1.0,
+         r"the row of 'b\.X' is a tuple, not a dict"),
     ],
     ids=[
         "float-count", "negative-float-count", "str-count", "zero-count",
         "negative-count", "total", "huge-int-then-float", "float-then-huge-int",
         "alpha-underflow", "alpha-overflow", "empty-vocabulary", "token-outside",
-        "int-fqn", "none-fqn",
+        "int-fqn", "none-fqn", "list-rows", "list-vocabulary", "dict-vocabulary",
+        "list-vocabulary-without-rows", "list-row", "tuple-row",
     ],
 )
 def test_constructor_refuses_a_model_it_cannot_score(rows, vocabulary, alpha, match):
     with pytest.raises(ValueError, match=f"^{match}$"):
         CooccurrenceModel(rows=rows, vocabulary=vocabulary, smoothing_alpha=alpha)
+
+
+def test_frozenset_vocabulary_loads_and_round_trips(tmp_path):
+    model = CooccurrenceModel(rows={"a.X": {"t": 2}}, vocabulary=frozenset({"t"}))
+    assert model.fqn_totals == {"a.X": 2}
+    assert CooccurrenceModel(rows={"a.X": {"t": 2}}, vocabulary={"t"}) == model
+    save_model(model, tmp_path / "model.tsv")
+    assert load_model(tmp_path / "model.tsv") == model
 
 
 def test_constructor_checks_alpha_only_against_counted_rows():
