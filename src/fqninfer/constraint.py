@@ -17,10 +17,11 @@ one constraint type each:
 
 Every constraint is about API elements; the snippet's own declared types
 are never elements. Extraction also reports the lines it could not analyze
-(its excluded lines), and an element on one of them is untyped. Solving
-scores whole assignments of candidate FQNs to elements by (constraint
-violations, distinct library count, lexicographic order) and abstains
-where optima disagree.
+(its excluded lines: a class body the structure finds a foreign
+constructor in), and an element on one of them is untyped. Solving scores
+whole assignments of candidate FQNs to elements by (constraint violations,
+distinct library count, lexicographic order) and abstains where optima
+disagree.
 
 A `ConstraintProblem` solves one snippet's constraints against a loaded KB
 under a mask (a reduced KB given as its FQN set, or None for the loaded
@@ -90,37 +91,19 @@ class ConstraintResult(NamedTuple):
 # --------------------------------------------------------------------------
 # extraction
 
-_MEMBER_PREV = frozenset(["public", "private", "protected", "static", "final",
-                          ";", "{", "}"])
-
-
 def _broken_body_lines(structure: SnippetStructure) -> frozenset[int]:
     """Lines of class bodies containing a constructor whose name does not
-    match the class: structure recognition gives up on the whole body."""
-    lexemes, kinds, lines = structure.lexemes, structure.kinds, structure.lines
-    partner = structure.partner
+    match the class: structure recognition gives up on the whole body.
+    Bodies nest or are disjoint and headers come in token order, so a body
+    inside the last one excluded (one its run shares, too) is skipped."""
+    lines = structure.lines
     excluded: set[int] = set()
-    for header in structure.headers:
-        if header.kind != "class" or header.name is None or header.open is None:
-            continue
-        k = header.open + 1
-        while k < header.close:
-            lex = lexemes[k]
-            if lex == "{":
-                k = partner[k]  # a nested block holds no member of this class
-            elif (
-                kinds[k] is _IDENTIFIER
-                and lex[:1].isupper()
-                and lex != header.name
-                and lexemes[k - 1] in _MEMBER_PREV
-                and lexemes[k + 1] == "("
-                and k + 1 in partner  # a constructor's parameters close
-                and lexemes[partner[k + 1] + 1] == "{"
-            ):
-                open_line = lines[header.open]
-                excluded.update(range(open_line + 1, lines[header.close] + 1))
-                break
-            k += 1
+    covered = -1  # the '}' of the last body excluded
+    for h in structure.headers:
+        if (h.kind == "class" and h.name is not None and h.open is not None
+                and h.open > covered and not structure.constructors[h.open] <= {h.name}):
+            excluded.update(range(lines[h.open] + 1, lines[h.close] + 1))
+            covered = h.close
     return frozenset(excluded)
 
 

@@ -17,9 +17,10 @@ the end so a pass reads its neighbours without bounds checks, the partner
 of every bracket and the end of every closed type-argument list `<...>`
 (each paired by a stack, so broken code costs no rescans), the commas at
 each bracket depth (so a call's arity is two bisections), every class,
-interface and enum header, and the extends/implements clauses, and the
-line and token index of every identifier and literal, all from one walk
-over the significant tokens (two if the text holds a '<'). Identification
+interface and enum header with the constructor names atop its body, the
+extends/implements clauses, and the line and token index of every
+identifier and literal, from one walk over the significant tokens (two if
+the text holds a '<') and one scan of each body's top level. Identification
 here, constraint extraction and context windows read it: a window over
 the snippet, or over any augmentation of it (which replaces lexemes only),
 is a slice of those word columns.
@@ -121,15 +122,19 @@ class SnippetStructure(NamedTuple):
     arg_depth: position of each '(' -> the bracket depth just inside it.
     commas: bracket depth -> positions of the commas at that depth, in
         order. Bracket depth counts '(', '[' and '{' as opening and ')',
-        ']' and '}' as closing, whichever bracket they pair with, and the
-        closed type arguments after the name a `new` constructs as one
-        level: that is how a call's arity counts the commas of its
-        argument list and none inside an array initializer, class body,
-        lambda block or constructed generic type in it.
+        ']' and '}' as closing, whichever bracket they pair with, and
+        closed type arguments in expression position (after '.', '::' or
+        the name a `new` or `instanceof` names) as one level: that is how
+        a call's arity counts the commas of its argument list and none
+        inside an array initializer, class body, lambda block or explicit
+        type arguments in it.
     type_arguments: position of each '<' that opens closed type arguments
         -> the position just past its '>', so the type name at j and its
         type arguments end at `type_arguments.get(j + 1, j + 1)`.
     headers: every class/interface/enum header, in token order.
+    constructors: the '{' of each header run's body -> the names of the
+        constructor shapes at the body's top level (`Name(...) {` after a
+        `_MEMBER_PREV` lexeme), read in one scan per body.
     clauses: position of each identifier in an extends/implements clause ->
         (clause keyword, declaring header). A header nested in another
         before the body opens declares the clauses after it; a clause with
@@ -149,6 +154,7 @@ class SnippetStructure(NamedTuple):
     commas: Mapping[int, Sequence[int]]
     type_arguments: Mapping[int, int]
     headers: tuple[Header, ...]
+    constructors: Mapping[int, frozenset[str]]
     clauses: Mapping[int, tuple[str, Header]]
     constructed: frozenset[int]
     word_lines: tuple[int, ...]
@@ -158,7 +164,10 @@ class SnippetStructure(NamedTuple):
 _DECLARATIONS = ("class", "interface", "enum")
 _CLOSERS = {")": "(", "}": "{"}
 # the lexemes the structure walk stops at, besides the words
-_STRUCTURAL = frozenset("(){}[],>") | frozenset(_DECLARATIONS) | {"new"}
+_STRUCTURAL = frozenset("(){}[],<>") | frozenset(_DECLARATIONS) | {"new", "instanceof"}
+# what may come right before a member's name in a class body
+_MEMBER_PREV = frozenset(["public", "private", "protected", "static", "final",
+                          ";", "{", "}"])
 _PADS = 3  # pads after the SnippetStructure columns
 _TYPE_ARGUMENT_WORDS = frozenset((".", ",", "?", "extends", "super"))
 _PRIMITIVES = frozenset("boolean byte char short int long float double".split())
@@ -188,8 +197,8 @@ def _pair_type_arguments(lex: Sequence[str], kind: Sequence[TokenKind]) -> dict[
 
 def _constructed(lex: Sequence[str], kind: Sequence[TokenKind], j: int) -> int:
     """Position of the name that `new Name` or `new a.b.Name` constructs,
-    with 'new' at position j: the last identifier of the dotted run after
-    it, or -1 when no identifier follows 'new'."""
+    or that `instanceof` tests, with the keyword at position j: the last
+    identifier of the dotted run after it, or -1 when none follows."""
     k = j + 1
     if kind[k] is not _IDENTIFIER:
         return -1
@@ -214,7 +223,8 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
     constructed: list[int] = []  # positions of the names `new` constructs
     type_arguments = _pair_type_arguments(lex, kind) if "<" in snippet.raw else {}
     depth = 0
-    type_arguments_end = -1  # the '>' that leaves the level of a `new Name<`
+    built = None  # the name the last `new` or `instanceof` names
+    level_ends: set[int] = set()  # the '>' of each '<' counted as a level
     for j, lx in enumerate(lex):  # a pad is neither a word nor structural
         if lx not in _STRUCTURAL:
             k = kind[j]
@@ -227,16 +237,19 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
         if lx in _DECLARATIONS:  # always a keyword
             declarations.append(j)
             continue
-        if lx == "new":  # always a keyword
+        if lx == "new" or lx == "instanceof":  # always keywords
             built = _constructed(lex, kind, j)
-            if built >= 0:
+            if lx == "new" and built >= 0:
                 constructed.append(built)
-                type_arguments_end = type_arguments.get(built + 1, built + 1) - 1
-                if type_arguments_end > built:
-                    depth += 1
+            continue
+        if lx == "<":  # type arguments in expression position are a level
+            if j in type_arguments and (
+                    j - 1 == built or lex[j - 1] == "." or lex[j - 1] == lex[j - 2] == ":"):
+                depth += 1
+                level_ends.add(type_arguments[j] - 1)
             continue
         if lx == ">":
-            if j == type_arguments_end:
+            if j in level_ends:
                 depth -= 1
             continue
         if lx in stacks:
@@ -254,6 +267,7 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
     for j in stacks["{"]:
         partner[j] = n - 1  # an unterminated body runs to the end
     headers: list[Header] = []
+    constructors: dict[int, frozenset[str]] = {}
     clauses: dict[int, tuple[str, Header]] = {}
     end = 0
     for j in declarations:
@@ -267,6 +281,18 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
         open_ = close = None
         if lex[end] == "{":
             open_, close = end, partner[end]
+            names: set[str] = set()
+            k = end + 1
+            while k < close:  # the body's top level
+                lx = lex[k]
+                if lx == "{":
+                    k = partner[k]  # a nested block holds no member of this body
+                elif (kind[k] is _IDENTIFIER and lx[:1].isupper()
+                      and lex[k - 1] in _MEMBER_PREV and lex[k + 1] == "("
+                      and k + 1 in partner and lex[partner[k + 1] + 1] == "{"):
+                    names.add(lx)
+                k += 1
+            constructors[end] = frozenset(names)
         clause: str | None = None
         first = latest_named = owner = None
         for k in range(j, end):
@@ -287,7 +313,7 @@ def _read_structure(snippet: Snippet) -> SnippetStructure:
         tuple(positions + [None] * _PADS), MappingProxyType(partner),
         MappingProxyType(arg_depth), MappingProxyType(commas),
         MappingProxyType(type_arguments), tuple(headers),
-        MappingProxyType(clauses), frozenset(constructed),
+        MappingProxyType(constructors), MappingProxyType(clauses), frozenset(constructed),
         tuple([lines[i] for i in words]), tuple(words),
     )
 

@@ -114,11 +114,22 @@ def test_extract_braced_commas_are_not_arguments(text):
         # not Java: refused as type arguments, so their commas count
         ("Foo.bar(new Foo<1, 2>(), x);", 3),
         ("Foo.bar(new Foo<int, b>(), x);", 3),
+        # type arguments after '.', '::' or the type an instanceof tests
+        ("Foo.bar(Collections.<A, B>emptyMap());", 1),
+        ("Foo.bar(x.<A, B>m(), y);", 2),
+        ("Foo.bar(x.<Map<K, V>>m(a, b), y);", 2),
+        ("Foo.bar(Baz::<A, B>m);", 1),
+        ("Foo.bar(x instanceof Map<?, ?>, y);", 2),
+        ("Foo.bar(x instanceof java.util.Map<K, V>, y);", 2),
+        ("Foo.bar(a < b, x instanceof Map, c > d);", 3),
+        ("Foo.bar(x.y < b, c > d);", 2),
     ],
 )
 def test_extract_type_argument_commas_are_not_arguments(text, arity):
-    # the type arguments of a constructed generic type are one bracket
-    # level; a comparison is not a type argument list
+    # type arguments in expression position are one bracket level: those
+    # of a constructed generic type, a generic method call or method
+    # reference, and the type an instanceof tests; a comparison is not a
+    # type argument list
     els, cons, _ = _extract(text)
     calls = [c for c in cons if isinstance(c, MemberCall)]
     assert calls == [MemberCall(els["Foo[1,1]"], (("bar", arity),), static_call=True)]

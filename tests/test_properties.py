@@ -26,6 +26,7 @@ from fqninfer.constraint import (
     FieldAccess,
     MemberCall,
     Supertype,
+    _broken_body_lines,
     _parse_args,
     _search,
     _tabulate,
@@ -391,25 +392,15 @@ def test_bracket_partners_match_reference_scans():
 _PRIMITIVE_WORDS = ("boolean", "byte", "char", "short", "int", "long", "float", "double")
 
 
-def _type_arguments_close(structure, k, close):
-    """Reference: the position of the '>' closing the type arguments of the
-    name the `new` at position k constructs, or None. The name is the last
-    identifier of the run `a.b.Name` after `new`; its type arguments start
-    at the '<' right after it, and every token up to the '>' that brings
-    the count of '<' and '>' back to zero must be an identifier, '.', ',',
-    '?', `extends`, `super`, '<', '>', a '[' before ']', a ']' after '[',
-    or a primitive keyword before '[' ']'."""
+def _angle_close(structure, t, close):
+    """Reference: the position of the '>' closing the type arguments that
+    the '<' at position t opens, or None. Every token from t up to the '>'
+    that brings the count of '<' and '>' back to zero, before close, must
+    be an identifier, '.', ',', '?', `extends`, `super`, '<', '>', a '['
+    before ']', a ']' after '[', or a primitive keyword before '[' ']'."""
     lexemes, kinds = structure.lexemes, structure.kinds
-    run, m = [], k + 1
-    while kinds[m] is TokenKind.IDENTIFIER:
-        run.append(m)
-        if lexemes[m + 1] != ".":
-            break
-        m += 2
-    if not run or lexemes[run[-1] + 1] != "<":
-        return None
     level = 0
-    for t in range(run[-1] + 1, close):
+    for t in range(t, close):
         lex = lexemes[t]
         allowed = (
             kinds[t] is TokenKind.IDENTIFIER
@@ -426,22 +417,43 @@ def _type_arguments_close(structure, k, close):
     return None
 
 
+def _named(structure, k):
+    """Reference: the position of the name the `new` or `instanceof` at
+    position k names, the last identifier of the run `a.b.Name` after it,
+    or None."""
+    lexemes, kinds = structure.lexemes, structure.kinds
+    run, m = [], k + 1
+    while kinds[m] is TokenKind.IDENTIFIER:
+        run.append(m)
+        if lexemes[m + 1] != ".":
+            break
+        m += 2
+    return run[-1] if run else None
+
+
 def _arity_scan(structure, i_open, close, type_arguments=True):
     """Reference: one more than the commas inside (i_open, close) where a
     depth count, '(', '[' or '{' up and ')', ']' or '}' down, is back at
-    zero. With type_arguments, a `new` whose constructed name has type
-    arguments that close (`_type_arguments_close`) is up too, and the '>'
-    that closes them down."""
+    zero. With type_arguments, Java's rule for type arguments in expression
+    position holds too: a '<' right after '.', '::' or the name a `new` or
+    `instanceof` names, whose type arguments close (`_angle_close`), is up,
+    and the '>' that closes them down; `a < b, c > d` stays two arguments."""
     lexemes = structure.lexemes
     if close == i_open + 1:
         return 0
-    arity, depth, angle_close = 1, 0, None
+    arity, depth, named, angle_closes = 1, 0, None, set()
     for k in range(i_open + 1, close):
         lex = lexemes[k]
-        if lex == "new" and type_arguments:
-            angle_close = _type_arguments_close(structure, k, close)
-            depth += angle_close is not None
-        elif k == angle_close:
+        if lex in ("new", "instanceof"):
+            named = _named(structure, k)
+        elif lex == "<" and type_arguments and (
+            k - 1 == named or lexemes[k - 1] == "." or lexemes[k - 2 : k] == (":", ":")
+        ):
+            angle_close = _angle_close(structure, k, close)
+            if angle_close is not None:
+                depth += 1
+                angle_closes.add(angle_close)
+        elif k in angle_closes:
             depth -= 1
         elif lex in ("(", "[", "{"):
             depth += 1
@@ -456,14 +468,15 @@ _ARG_PIECES = (
     "(", ")", "[", "]", "{", "}", ",", ",", "a", "f(", "x, y", "])",
     "<", ">", "new A<", "new a.B<C<", "new A<x, y>(", "new A",
     "new A<int[], b>(", "new a.B<C, D>(", "new A<b, 1>(", "new A<int, b>(", "int",
-    "new a.",
+    "new a.", "x.<A, b>m(", "Baz::<A, B>m", "::", ":", ".", "a.<b, C<d, e>>f(",
+    "instanceof Map<?, ?>", "instanceof a.B<c, D>", "instanceof", "a < b, c > d",
 )
 
 
 def test_argument_arity_matches_reference_scan():
     rng = random.Random(9013)
     checked = angled = 0
-    for case in range(3000):
+    for case in range(4000):
         raw = " ".join(rng.choice(_ARG_PIECES) for _ in range(rng.randint(0, 40)))
         structure = tokenize(raw).structure
         lexemes = structure.lexemes
@@ -648,6 +661,77 @@ def test_structure_walk_matches_full_stream_and_second_scan():
                 windows += bool(got)
     assert len(fixtures) >= 30 and headers >= 1000 and clauses >= 300, (headers, clauses)
     assert windows >= 10000, windows
+
+
+_MEMBER_PREV = frozenset(["public", "private", "protected", "static", "final",
+                          ";", "{", "}"])
+
+
+def _walked_broken_body_lines(structure):
+    """Reference: the strict body check that walked each class body once
+    per header, before the structure walk read each body's constructors;
+    kept verbatim.
+
+    Lines of class bodies containing a constructor whose name does not
+    match the class: structure recognition gives up on the whole body."""
+    lexemes, kinds, lines = structure.lexemes, structure.kinds, structure.lines
+    partner = structure.partner
+    excluded: set[int] = set()
+    for header in structure.headers:
+        if header.kind != "class" or header.name is None or header.open is None:
+            continue
+        k = header.open + 1
+        while k < header.close:
+            lex = lexemes[k]
+            if lex == "{":
+                k = partner[k]  # a nested block holds no member of this class
+            elif (
+                kinds[k] is _IDENTIFIER
+                and lex[:1].isupper()
+                and lex != header.name
+                and lexemes[k - 1] in _MEMBER_PREV
+                and lexemes[k + 1] == "("
+                and k + 1 in partner  # a constructor's parameters close
+                and lexemes[partner[k + 1] + 1] == "{"
+            ):
+                open_line = lines[header.open]
+                excluded.update(range(open_line + 1, lines[header.close] + 1))
+                break
+            k += 1
+    return frozenset(excluded)
+
+
+_CLASS_PIECES = (
+    "class A", "class B", "class", "interface I", "enum E", "class A class B",
+    "extends A", "implements I", "{", "{", "}", "}", ";", "\n", "\n", "\n", "x;",
+    "A() {}", "B() {}", "public A(int a) {}", "private B(x) { y; }", "static",
+    "Foo.class", "A(", ")", "B", "void m() {", "new A() {", "class C {", "C() {}",
+)
+
+
+def test_body_lookup_matches_the_body_walk():
+    """The strict body check's excluded lines, read from the structure's
+    constructor names, against the per-header body walk it replaced, on
+    seeded soups of class pieces (header runs, nested classes, matching
+    and foreign constructors, unterminated bodies) and every fixture
+    `.java` file."""
+    rng = random.Random(9071)
+    fixtures = sorted((Path(__file__).parent / "fixtures").rglob("*.java"))
+    texts = [read_utf8(p) for p in fixtures] + [
+        " ".join(rng.choice(_CLASS_PIECES) for _ in range(rng.randint(0, 40)))
+        for _ in range(3000)]
+    broken = clean = shared = 0
+    for raw in texts:
+        structure = tokenize(raw).structure
+        want = _walked_broken_body_lines(structure)
+        assert _broken_body_lines(structure) == want, raw
+        bodies = Counter(h.open for h in structure.headers
+                         if h.kind == "class" and h.name is not None and h.open is not None)
+        broken += bool(want)
+        clean += bool(bodies) and not want
+        shared += bool(want) and max(bodies.values()) > 1
+    # the soups must hold broken bodies, shared ones among them, and clean
+    assert len(fixtures) >= 30 and min(broken, clean, shared) >= 300, (broken, clean, shared)
 
 
 # ---------------------------------------------------------------------------

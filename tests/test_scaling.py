@@ -1,6 +1,6 @@
 """Adversarial scaling of the front end.
 
-Each shape is a broken snippet made of one piece repeated n times. It runs
+Each shape is a broken snippet made of pieces repeated n times. It runs
 through `tokenize`, `identify_api_elements` (with the fixture KB) and
 `extract_constraints` at n and at 2n, and the work is counted as the
 `sys.settrace` line events in the package's own frames, never by wall
@@ -70,4 +70,30 @@ def test_front_end_work_grows_linearly(kb, prefix, piece, elements_per_piece):
     large, large_elements = _front_end_line_events(prefix + piece * (2 * _N), kb)
     assert (small_elements, large_elements) == (
         elements_per_piece * _N, elements_per_piece * 2 * _N)
+    assert large <= 2 * small + _SLACK, (small, large)
+
+
+@pytest.mark.parametrize(
+    "head, body",
+    [
+        # a run of n headers shares one body of n statements
+        ("class A ", "x; "),
+        # the same over n lines, so the body spans lines
+        ("class A\n", "x;\n"),
+        # a body of n constructors of its own class, which is not broken
+        ("class A\n", "A() {}\n"),
+        # a body of n foreign constructors, which the strict body check
+        # excludes; a check that excludes it once per header repeats C-level
+        # set updates this count does not see, and only a few line events
+        ("class A\n", "B() {}\n"),
+    ],
+    ids=["one line", "n lines", "own constructors", "foreign constructors"],
+)
+def test_shared_class_body_work_grows_linearly(kb, head, body):
+    def shape(n):
+        return head * n + "{" + head[-1] + body * n + "}"
+
+    small, small_elements = _front_end_line_events(shape(_N), kb)
+    large, large_elements = _front_end_line_events(shape(2 * _N), kb)
+    assert (small_elements, large_elements) == (0, 0)
     assert large <= 2 * small + _SLACK, (small, large)
