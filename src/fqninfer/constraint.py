@@ -272,13 +272,79 @@ def _chain_value(
     return None if sig is None else (sig.return_fqn, tuple(passed))
 
 
+def _contribution(
+    kb: KnowledgeBase, members: Container[str], con: Constraint,
+    cands: Sequence[str], declared: Sequence[str] | None,
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[tuple[str, tuple[str, ...]], ...]]:
+    """One check's contribution on the KB of FQNs members, for candidates
+    cands of its subject (an assignment's source subject) and, for an
+    assignment between two elements, candidates declared of its declared
+    element (None when both are one element).
+
+    Returns (unary cells, pair cells, consulted): the subject candidate
+    indices the check fails, once per failure; the (source candidate,
+    declared candidate) index pairs it fails; and each candidate with the
+    other types whose membership its cells read.
+    """
+    unary: list[int] = []
+    pair_cells: list[tuple[int, int]] = []
+    consulted: list[tuple[str, tuple[str, ...]]] = []
+    if isinstance(con, DeclaredAssignment):
+        # given the source's candidate, the declared element must take the
+        # value type or one of its supertypes
+        src = con.source
+        for ck, c in enumerate(cands):
+            if isinstance(src, Construction):
+                walked = c, ()
+            else:
+                walked = _chain_value(kb, members, c, src.chain, src.static_call)
+            if walked is None or walked[0] not in members:
+                continue  # unknown returns impose nothing
+            value, passed = walked
+            allowed = supertype_closure(kb, value)
+            if declared is None:
+                failed = c not in allowed
+                if failed:
+                    unary.append(ck)
+            else:
+                failed = False
+                for cf, c_free in enumerate(declared):
+                    if c_free not in allowed:
+                        pair_cells.append((ck, cf))
+                        failed = True
+            if failed:
+                consulted.append((c, (value, *passed)))
+    elif isinstance(con, MemberCall):
+        for ci, c in enumerate(cands):
+            walked = _chain_value(kb, members, c, con.chain, con.static_call)
+            if walked is None:
+                unary.append(ci)
+            elif walked[1]:
+                consulted.append((c, walked[1]))
+    elif isinstance(con, FieldAccess):
+        unary = [ci for ci, c in enumerate(cands) if field_in_knowledge(
+            kb, c, con.field_name, require_static=con.static_access
+        ) is None]
+    else:
+        kind = "class" if isinstance(con, Construction) else con.kind
+        unary = [ci for ci, c in enumerate(cands) if kb.entries[c].kind != kind]
+    return tuple(unary), tuple(pair_cells), tuple(consulted)
+
+
 def _tabulate(
     kb: KnowledgeBase, members: Container[str], constraints: Sequence[Constraint],
     index_of: Mapping[ApiElement, int], cand_lists: Sequence[Sequence[str]],
 ) -> tuple[list[list[int]], dict[tuple[int, int], list[list[int]]], dict[str, set[str]]]:
-    """Evaluate every check the solver wires, once per candidate (pair), on
-    the KB of FQNs members: kb itself, or a `reduce_kb` mask of it, whose
-    types keep their kinds, members and closures, read through kb's memos.
+    """Add up every check the solver wires, each evaluated once per
+    candidate (pair) by `_contribution`, on the KB of FQNs members: kb
+    itself, or a `reduce_kb` mask of it, whose types keep their kinds,
+    members and closures, read through kb's memos.
+
+    A check's contribution on the loaded KB (members is kb.entries) depends
+    only on the check's shape without its subject and on the candidate
+    tuples it reads, so it is computed once per KnowledgeBase and kept in
+    kb's check memo under that key. A masked tabulation neither reads nor
+    writes the memo.
 
     Returns (unary, pairs, consulted). unary[i][ci] counts the checks that
     candidate ci of element i fails. pairs[(lo, hi)][c_lo][c_hi], lo < hi,
@@ -291,66 +357,43 @@ def _tabulate(
     unary = [[0] * len(cl) for cl in cand_lists]
     pairs: dict[tuple[int, int], list[list[int]]] = {}
     consulted: dict[str, set[str]] = {}
-
-    def check(e: ApiElement, ok) -> None:
-        i = index_of[e]
-        for ci, c in enumerate(cand_lists[i]):
-            if not ok(c):
-                unary[i][ci] += 1
-
-    # check calls `ok` at once, so the lambdas below may read `con`
+    memo = kb._checks if members is kb.entries else None
     for con in constraints:
         if isinstance(con, DeclaredAssignment):
-            # given the source's candidate, the declared element must take
-            # the value type or one of its supertypes
             src = con.source
             if con.declared not in index_of or src.subject not in index_of:
                 continue
             f, k = index_of[con.declared], index_of[src.subject]
-            lo, hi = min(f, k), max(f, k)
-            if f != k and (lo, hi) not in pairs:
-                pairs[(lo, hi)] = [[0] * len(cand_lists[hi]) for _ in cand_lists[lo]]
-            for ck, c in enumerate(cand_lists[k]):
-                if isinstance(src, Construction):
-                    walked = c, ()
-                else:
-                    walked = _chain_value(kb, members, c, src.chain, src.static_call)
-                if walked is None or walked[0] not in members:
-                    continue  # unknown returns impose nothing
-                value, passed = walked
-                allowed = supertype_closure(kb, value)
-                if f == k:
-                    failed = c not in allowed
-                    if failed:
-                        unary[k][ck] += 1
-                else:
-                    failed = False
-                    table = pairs[(lo, hi)]
-                    for cf, c_free in enumerate(cand_lists[f]):
-                        if c_free not in allowed:
-                            a, b = (cf, ck) if f < k else (ck, cf)
-                            table[a][b] += 1
-                            failed = True
-                if failed:
-                    consulted.setdefault(c, set()).update((value, *passed))
+            declared = None if f == k else cand_lists[f]
+            key = (DeclaredAssignment, src.__class__, *src[1:], cand_lists[k], declared)
         elif con.subject not in index_of:
             continue
-        elif isinstance(con, Construction):
-            check(con.subject, lambda c: kb.entries[c].kind == "class")
-        elif isinstance(con, MemberCall):
-            i = index_of[con.subject]
-            for ci, c in enumerate(cand_lists[i]):
-                walked = _chain_value(kb, members, c, con.chain, con.static_call)
-                if walked is None:
-                    unary[i][ci] += 1
-                elif walked[1]:
-                    consulted.setdefault(c, set()).update(walked[1])
-        elif isinstance(con, FieldAccess):
-            check(con.subject, lambda c: field_in_knowledge(
-                kb, c, con.field_name, require_static=con.static_access
-            ) is not None)
         else:
-            check(con.subject, lambda c: kb.entries[c].kind == con.kind)
+            k = index_of[con.subject]
+            declared = None
+            key = (con.__class__, *con[1:], cand_lists[k])
+        found = None if memo is None else memo.get(key)
+        if found is None:
+            found = _contribution(kb, members, con, cand_lists[k], declared)
+            if memo is not None:
+                memo[key] = found
+        cells, pair_cells, con_consulted = found
+        row = unary[k]
+        for ci in cells:
+            row[ci] += 1
+        if declared is not None:
+            lo, hi = (f, k) if f < k else (k, f)
+            table = pairs.get((lo, hi))
+            if table is None:
+                table = pairs[(lo, hi)] = [[0] * len(cand_lists[hi]) for _ in cand_lists[lo]]
+            if f < k:
+                for ck, cf in pair_cells:
+                    table[cf][ck] += 1
+            else:
+                for ck, cf in pair_cells:
+                    table[ck][cf] += 1
+        for c, types in con_consulted:
+            consulted.setdefault(c, set()).update(types)
     return unary, pairs, consulted
 
 
@@ -536,6 +579,10 @@ class ConstraintProblem:
     candidates and their libraries, read from the KB once per simple name.
     Each `solve` tabulates the candidates its mask keeps and searches once,
     or returns the loaded KB's result when the mask keeps every optimum.
+    The loaded KB's solve reads each check's contribution from the KB's
+    check memo, so a check that recurs across problems on the same
+    candidates is evaluated once per KnowledgeBase; a masked solve
+    evaluates its own.
     """
 
     def __init__(

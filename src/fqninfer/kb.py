@@ -1,12 +1,15 @@
 """API knowledge base: type entries, a simple-name index, memoised
-supertype closures and member lookups, and candidate masks.
+supertype closures, member lookups and solver check contributions, and
+candidate masks.
 
 A round of the loop narrows the KB to the statistical engine's candidate
 types. That narrowing is a mask, not a new KB: `reduce_kb` returns the set
 of FQNs the reduced KB would hold (each candidate type and its supertype
 closure), and the solver reads KB membership from it. One loaded
 KnowledgeBase therefore serves every round and every snippet, and its
-memos keep paying.
+memos keep paying. The check memo holds what one constraint check adds to
+the solver's tables on the unmasked KB (`constraint._tabulate`), so a check
+that recurs across snippets on the same candidates is evaluated once.
 
 The KB is loaded from a line-oriented text format:
 
@@ -125,10 +128,13 @@ class KnowledgeBase:
             by_fqn[e.fqn] = e
         self._entries = by_fqn
         self._by_simple_name = simple_name_index(by_fqn)
-        # supertype_closure and member lookup memos; sound because the
-        # entries never change
+        # supertype_closure, member lookup and check contribution memos;
+        # sound because the entries never change. The check memo is
+        # constraint._tabulate's: a check's shape and candidate tuples ->
+        # its contribution on this KB unmasked
         self._closures: dict[str, tuple[str, ...]] = {}
         self._members: dict[tuple, MethodSig | FieldSig | None] = {}
+        self._checks: dict[tuple, tuple] = {}
         # each entry's first fault, in the order kind, method signatures,
         # fields, supertypes
         for e in by_fqn.values():
